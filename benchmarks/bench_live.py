@@ -16,7 +16,7 @@ that pipe and asserts:
   ``REPRO_LIVE_MAX_LAG_MS`` (default 2000 ms) even with the producer
   running flat out ahead of the consumer;
 * **identity** — the drained live summary is byte-identical to the
-  batch ``summarize_records`` report of the same stream.
+  summary of the same stream folded in memory (``summarize_capture``).
 
 Results land in ``BENCH_live.json`` (``REPRO_LIVE_BENCH_OUT``) for the
 EXPERIMENTS log and the CI live-smoke job.
@@ -41,9 +41,10 @@ import warnings
 from paperbench import once
 
 from bench_streaming_scale import SCALE_NAMES, synthetic_stream
-from repro.analysis.summary import summarize_records
+from repro.analysis.summary import summarize_capture
 from repro.atomicio import write_text_atomic
 from repro.live import LiveAnalyzer
+from repro.profiler.capture import Capture
 from repro.profiler.upload import CaptureStreamWriter
 from repro.telemetry import TELEMETRY
 
@@ -102,7 +103,9 @@ def run_live_pipe(total_events: int) -> dict:
         TELEMETRY.disable()
         TELEMETRY.reset()
 
-    batch_summary = summarize_records(synthetic_stream(total_events), SCALE_NAMES)
+    batch_summary = summarize_capture(
+        Capture(records=tuple(synthetic_stream(total_events)), names=SCALE_NAMES)
+    )
     return {
         "events": total_events,
         "wall_s": round(wall_s, 4),

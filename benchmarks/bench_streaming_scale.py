@@ -1,24 +1,24 @@
-"""SCALE — the streaming/sharded pipeline against a million-event stream.
+"""SCALE — the summary fold against a million-event stream.
 
 The paper's board holds 16384 events; this benchmark plays the long-run
-scenario the streaming pipeline exists for: a synthetic stream of one
-million records (many thousand scheduling blocks, dozens of 24-bit timer
-wraps) analysed three ways —
+scenario the fold exists for: a synthetic stream of one million records
+(many thousand scheduling blocks, dozens of 24-bit timer wraps)
+summarised two ways —
 
-* batch: decode everything, build the full call forest, summarise;
-* streaming: one pass of :class:`SummaryAccumulator`, no tree;
-* sharded: quiescent-boundary shards on 4 workers, merged.
+* call tree: decode everything, build the full call forest, summarise;
+* fold: one pass of :class:`SummaryAccumulator` over column batches, no
+  tree — the engine behind every summary the program prints.
 
-Asserted claims: the streaming and sharded paths are at least 3x faster
-than batch in wall-clock, all three produce byte-identical summary text,
-and streaming peak memory is bounded (a 10x longer stream must not cost
-even 2x the peak).  A second test checks the same byte-identity on the
-real Figure 3 and Figure 5 workloads.
+Asserted claims: the fold is at least 3x faster than the tree in
+wall-clock, both produce byte-identical summary text, and the fold's
+peak memory is bounded (a 10x longer stream must not cost even 2x the
+peak).  A second test checks the same byte-identity on the real Figure 3
+and Figure 5 workloads.
 
-The decode leg benchmarks the two record-decode engines over the same
-million-event stream: the per-record reference loader against the
-columnar shear decoder (:func:`decode_record_columns`), plus the full
-capture-file ingest both ways.  The columnar result is verified
+The decode leg benchmarks the columnar shear decoder
+(:func:`decode_record_columns`) against the per-record reference loader
+of ``tests/oracles.py`` over the same million-event stream, plus the
+full capture-file ingest both ways.  The columnar result is verified
 lossless (it re-serialises to the exact input bytes) before any timing
 claim is made.
 
@@ -34,22 +34,24 @@ from __future__ import annotations
 
 import io
 import os
+import sys
 import time
 import tracemalloc
 import warnings
-from typing import Iterator
+from itertools import islice
+from pathlib import Path
+from typing import Iterable, Iterator
 
 from paperbench import once
 
 from repro.analysis.callstack import analyze_capture
-from repro.analysis.pipeline import analyze_sharded
-from repro.analysis.summary import summarize, summarize_records
+from repro.analysis.columnar import columns_from_records
+from repro.analysis.summary import summarize, summarize_columns
 from repro.profiler.upload import (
+    RecordColumns,
     decode_record_columns,
     dump_records,
     iter_capture_columns,
-    iter_capture_file,
-    load_records,
     write_capture_stream,
 )
 from repro.instrument.namefile import NameTable
@@ -57,6 +59,9 @@ from repro.instrument.tags import TagEntry
 from repro.profiler.capture import Capture
 from repro.profiler.ram import RawRecord
 from repro.system import build_case_study
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+import oracles  # noqa: E402 - the per-record reference decoders
 
 MASK = (1 << 24) - 1
 
@@ -109,6 +114,16 @@ def synthetic_stream(total_events: int) -> Iterator[RawRecord]:
         block += 1
 
 
+def column_batches(records: Iterable[RawRecord], size: int = 8192) -> Iterator[RecordColumns]:
+    """*records* sheared into column batches of *size*, lazily."""
+    iterator = iter(records)
+    while True:
+        chunk = list(islice(iterator, size))
+        if not chunk:
+            return
+        yield columns_from_records(chunk)
+
+
 def run_scale(total_events: int) -> dict:
     records = list(synthetic_stream(total_events))
     capture = Capture(records=tuple(records), names=SCALE_NAMES, label="scale")
@@ -118,22 +133,15 @@ def run_scale(total_events: int) -> dict:
     batch_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    streamed = summarize_records(iter(records), SCALE_NAMES)
+    folded = summarize_columns(column_batches(records), SCALE_NAMES)
     stream_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    sharded = analyze_sharded(records, SCALE_NAMES, workers=4)
-    shard_s = time.perf_counter() - start
 
     return {
         "events": len(records),
         "batch_s": batch_s,
         "stream_s": stream_s,
-        "shard_s": shard_s,
-        "shards": sharded.shard_count,
         "batch_text": batch.format(),
-        "stream_text": streamed.format(),
-        "shard_text": sharded.summary.format(),
+        "stream_text": folded.format(),
     }
 
 
@@ -141,27 +149,18 @@ def test_scale_million_events(benchmark, comparison):
     result = once(benchmark, run_scale, 1_000_000)
 
     stream_x = result["batch_s"] / result["stream_s"]
-    shard_x = result["batch_s"] / result["shard_s"]
     comparison.row("events analysed", "1000000", result["events"])
-    comparison.row("shards (16384-event)", ">= 61", result["shards"])
-    comparison.row("batch wall", "--", f"{result['batch_s']:.2f} s")
-    comparison.row("streaming wall", ">= 3x faster", f"{result['stream_s']:.2f} s")
-    comparison.row("sharded wall (4 workers)", ">= 3x faster", f"{result['shard_s']:.2f} s")
-    comparison.row("streaming speedup", ">= 3x", f"{stream_x:.1f}x")
-    comparison.row("sharded speedup", ">= 3x", f"{shard_x:.1f}x")
+    comparison.row("call-tree wall", "--", f"{result['batch_s']:.2f} s")
+    comparison.row("fold wall", ">= 3x faster", f"{result['stream_s']:.2f} s")
+    comparison.row("fold speedup", ">= 3x", f"{stream_x:.1f}x")
 
     assert result["events"] == 1_000_000
-    assert result["shards"] >= 61  # 1M events / 16384-per-shard
-    # The scaling claim: both bounded-memory paths beat batch by >= 3x.
+    # The scaling claim: the bounded-memory fold beats the tree by >= 3x ...
     assert result["stream_s"] * 3 <= result["batch_s"], (
-        f"streaming only {stream_x:.2f}x faster than batch"
+        f"the fold is only {stream_x:.2f}x faster than the call tree"
     )
-    assert result["shard_s"] * 3 <= result["batch_s"], (
-        f"sharded only {shard_x:.2f}x faster than batch"
-    )
-    # ... and both are byte-identical to the batch summary.
+    # ... and is byte-identical to the tree's summary.
     assert result["stream_text"] == result["batch_text"]
-    assert result["shard_text"] == result["batch_text"]
 
 
 DECODE_TARGET_SPEEDUP = 10.0
@@ -183,7 +182,7 @@ def run_decode_leg(total_events: int) -> dict:
     capture_blob = capture_file.getvalue()
 
     start = time.perf_counter()
-    reference = load_records(blob)
+    reference = oracles.load_records(blob)
     reference_s = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -199,7 +198,7 @@ def run_decode_leg(total_events: int) -> dict:
         assert columns.record(i) == reference[i]
 
     start = time.perf_counter()
-    file_reference = sum(1 for _ in iter_capture_file(io.BytesIO(capture_blob)))
+    file_reference = sum(1 for _ in oracles.iter_capture_file(io.BytesIO(capture_blob)))
     file_reference_s = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -251,11 +250,11 @@ def test_decode_leg_speedup(benchmark, comparison):
 
 
 def streaming_peak_bytes(total_events: int) -> int:
-    """Peak allocation of the streaming path fed straight off a generator."""
-    stream = synthetic_stream(total_events)
+    """Peak allocation of the fold fed straight off a generator."""
+    stream = column_batches(synthetic_stream(total_events))
     tracemalloc.start()
     try:
-        summarize_records(stream, SCALE_NAMES)
+        summarize_columns(stream, SCALE_NAMES)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -270,11 +269,11 @@ def test_scale_bounded_memory(comparison):
     # 10x the events must not cost even 2x the peak: memory is bounded by
     # open-call depth + live table size, not by trace length.
     assert large < 2 * small + 64 * 1024, (
-        f"streaming peak grew from {small} to {large} bytes over 10x events"
+        f"fold peak grew from {small} to {large} bytes over 10x events"
     )
 
 
-def figure_parity(workload: str) -> tuple[str, str, str]:
+def figure_parity(workload: str) -> tuple[str, str]:
     system = build_case_study()
     if workload == "figure3":
         from repro.workloads.network_recv import network_receive
@@ -290,25 +289,18 @@ def figure_parity(workload: str) -> tuple[str, str, str]:
             lambda: fork_exec_storm(system.kernel, iterations=2),
             label="fork/exec storm (Figure 5)",
         )
-    batch = system.summarize(capture).format()
-    streamed = system.summarize_streaming(capture).format()
-    sharded = system.summarize_sharded(
-        capture, workers=4, max_shard_events=2048
-    ).summary.format()
-    return batch, streamed, sharded
+    batch = summarize(system.analyze(capture)).format()
+    folded = system.summarize(capture).format()
+    return batch, folded
 
 
 def test_figure3_reports_byte_identical(benchmark, comparison):
-    batch, streamed, sharded = once(benchmark, figure_parity, "figure3")
-    comparison.row("Figure 3 stream == batch", "identical", streamed == batch)
-    comparison.row("Figure 3 sharded == batch", "identical", sharded == batch)
-    assert streamed == batch
-    assert sharded == batch
+    batch, folded = once(benchmark, figure_parity, "figure3")
+    comparison.row("Figure 3 fold == call tree", "identical", folded == batch)
+    assert folded == batch
 
 
 def test_figure5_reports_byte_identical(benchmark, comparison):
-    batch, streamed, sharded = once(benchmark, figure_parity, "figure5")
-    comparison.row("Figure 5 stream == batch", "identical", streamed == batch)
-    comparison.row("Figure 5 sharded == batch", "identical", sharded == batch)
-    assert streamed == batch
-    assert sharded == batch
+    batch, folded = once(benchmark, figure_parity, "figure5")
+    comparison.row("Figure 5 fold == call tree", "identical", folded == batch)
+    assert folded == batch

@@ -8,9 +8,8 @@ Usage examples::
     python -m repro analyze run.mpf --names run.tags --report trace
     python -m repro analyze run.mpf --names run.tags --strict
     python -m repro analyze damaged.mpf --names run.tags --salvage
-    python -m repro analyze big.mpf --names run.tags --stream --progress
-    python -m repro analyze big.mpf --names run.tags --shards 4 \
-        --telemetry run.pipeline.jsonl
+    python -m repro analyze big.mpf --names run.tags --progress \
+        --telemetry run.analyze.jsonl
     python -m repro capture doctor damaged.mpf -o repaired.mpf
     python -m repro fleet ingest captures/ --names run.tags --jobs 4 --salvage
     python -m repro fleet serve inbox/ --names run.tags --jobs 2 --poll 2
@@ -30,9 +29,15 @@ requested report(s).
 Observability: ``--telemetry PATH`` on capture/analyze enables the
 self-telemetry singleton for the run and writes the snapshot to PATH on
 the way out (format inferred from the extension); ``--progress`` adds a
-records/sec + ETA heartbeat on stderr for long ``--stream``/``--shards``
-runs.  Neither writes a byte to stdout, so report output is identical
+records/sec + ETA heartbeat on stderr while ``analyze`` folds a capture
+file.  Neither writes a byte to stdout, so report output is identical
 with or without them.
+
+Every summary report is the columnar fold
+(:func:`repro.analysis.summary.fold_columns`); ``analyze`` runs it
+straight off the file in O(chunk) memory unless a call-tree report
+(trace, gprof, folded, flame, timeline) or ``--salvage`` needs the whole
+capture in memory.
 """
 
 from __future__ import annotations
@@ -46,9 +51,8 @@ from typing import Callable, Optional, Sequence
 from repro.analysis.callstack import analyze_capture
 from repro.analysis.folded import flame_ascii, to_folded
 from repro.analysis.gprof import gprof_report
-from repro.analysis.pipeline import DEFAULT_SHARD_EVENTS, analyze_sharded
 from repro.analysis.timeline import render_timeline
-from repro.analysis.summary import summarize, summarize_columns, summarize_records
+from repro.analysis.summary import SummaryAccumulator, fold_capture, fold_columns
 from repro.analysis.trace import format_trace
 from repro.atomicio import write_text_atomic
 from repro.instrument.namefile import NameTable
@@ -60,14 +64,11 @@ from repro.lint import (
     render_json,
     render_text,
 )
-from repro.profiler.capture import Capture
+from repro.profiler.capture import Capture, warn_legacy_metadata
 from repro.profiler.ram import DEFAULT_DEPTH
 from repro.profiler.upload import (
-    DECODE_MODES,
-    DEFAULT_DECODE,
-    cached_capture_meta,
     iter_capture_columns,
-    iter_capture_file,
+    read_capture_meta,
     salvage_capture,
     write_capture_file,
 )
@@ -122,26 +123,35 @@ def _desync_footer(desyncs: int) -> str:
     return f"kstack desyncs = {desyncs}{note}"
 
 
+def _desync_count(fold: SummaryAccumulator) -> int:
+    """The capture-side kstack-desync signature: exits that missed or
+    mismatched a frame (no live kernel to ask on the analyze path)."""
+    return sum(
+        1
+        for anomaly in fold.anomalies
+        if anomaly.kind in ("missed-exit", "unmatched-exit")
+    )
+
+
 def _print_reports(
-    capture: Capture,
     reports: Sequence[str],
     summary_limit: int,
     out: Callable,
+    *,
+    fold: Optional[SummaryAccumulator],
+    capture: Optional[Capture],
     desyncs: Optional[int] = None,
 ) -> None:
-    analysis = analyze_capture(capture)
-    if desyncs is None:
-        # No live kernel to ask (analyze path): count the capture-side
-        # signature instead — exits that missed or mismatched a frame.
-        desyncs = sum(
-            1
-            for anomaly in analysis.anomalies
-            if anomaly.kind in ("missed-exit", "unmatched-exit")
-        )
+    """Print *reports* in order.  The summary comes from *fold*; every
+    other report walks the call tree, built once from *capture* when one
+    is asked for."""
+    analysis = None
+    if any(report != "summary" for report in reports):
+        analysis = analyze_capture(capture)
     for report in reports:
         if report == "summary":
-            out(summarize(analysis).format(limit=summary_limit))
-            out(_desync_footer(desyncs))
+            out(fold.summary().format(limit=summary_limit))
+            out(_desync_footer(_desync_count(fold) if desyncs is None else desyncs))
         elif report == "trace":
             out(format_trace(analysis))
         elif report == "gprof":
@@ -153,26 +163,6 @@ def _print_reports(
         elif report == "timeline":
             out(render_timeline(analysis))
         out("")
-
-
-def _check_pipeline_flags(args: argparse.Namespace) -> None:
-    """Validate the streaming/sharded flags against the requested reports.
-
-    Both alternate pipelines produce the function summary only — every
-    other report needs the materialised call tree, which is exactly what
-    they exist to avoid building.
-    """
-    if args.stream and args.shards is not None:
-        raise SystemExit("--stream and --shards are mutually exclusive")
-    if args.shards is not None and args.shards < 1:
-        raise SystemExit(f"--shards needs at least 1 worker, got {args.shards}")
-    if args.shard_events < 1:
-        raise SystemExit(f"--shard-events must be positive, got {args.shard_events}")
-    if (args.stream or args.shards is not None) and args.report != ["summary"]:
-        raise SystemExit(
-            "--stream/--shards produce the summary report only; drop the "
-            "other --report choices or run without the pipeline flags"
-        )
 
 
 def _telemetry_begin(args: argparse.Namespace) -> None:
@@ -220,47 +210,7 @@ def _make_progress(
     return ProgressReporter(total, label=label, mode=mode)
 
 
-def _stream_total(path) -> Optional[int]:
-    """Best-effort record count from the capture header (for the ETA).
-
-    Unreadable or damaged headers return ``None`` — the streaming reader
-    itself will raise the real, well-worded error moments later.  So do
-    open-ended (streamed) captures: their header count is a sentinel,
-    and the true count only exists in the end-of-stream trailer.
-    """
-    try:
-        meta = cached_capture_meta(path)
-    except (OSError, ValueError):
-        return None
-    if meta.streamed:
-        return None
-    return meta.count or None
-
-
-def _print_sharded_summary(
-    capture: Capture, args: argparse.Namespace, out: Callable
-) -> None:
-    progress = _make_progress(args, len(capture.records), label="shards")
-    result = analyze_sharded(
-        capture.records,
-        capture.names,
-        max_shard_events=args.shard_events,
-        workers=args.shards,
-        width_bits=capture.counter_width_bits,
-        progress=progress.update,
-        decode=getattr(args, "decode", DEFAULT_DECODE),
-    )
-    progress.finish()
-    out(
-        f"sharded analysis: {result.shard_count} shard(s) of <= "
-        f"{args.shard_events} events on {result.workers} worker(s)"
-    )
-    out(result.summary.format(limit=args.summary_limit))
-    out("")
-
-
 def cmd_capture(args: argparse.Namespace, out: Callable) -> int:
-    _check_pipeline_flags(args)
     _telemetry_begin(args)
     try:
         return _cmd_capture(args, out)
@@ -289,23 +239,14 @@ def _cmd_capture(args: argparse.Namespace, out: Callable) -> int:
     if args.names:
         system.names.write(args.names)
         out(f"name/tag file written to {args.names}")
-    desyncs = system.kernel.stats.get("kstack_desync", 0)
-    if args.stream:
-        progress = _make_progress(args, len(capture.records), label="stream")
-        out(summarize_records(
-            progress.wrap(iter(capture.records)), capture.names
-        ).format(
-            limit=args.summary_limit
-        ))
-        out(_desync_footer(desyncs))
-        out("")
-    elif args.shards is not None:
-        _print_sharded_summary(capture, args, out)
-        out(_desync_footer(desyncs))
-    else:
-        _print_reports(
-            capture, args.report, args.summary_limit, out, desyncs=desyncs
-        )
+    _print_reports(
+        args.report,
+        args.summary_limit,
+        out,
+        fold=fold_capture(capture) if "summary" in args.report else None,
+        capture=capture,
+        desyncs=system.kernel.stats.get("kstack_desync", 0),
+    )
     return 0
 
 
@@ -320,14 +261,8 @@ def _defect_footer(capture: Capture, source: str, out: Callable) -> None:
 
 
 def cmd_analyze(args: argparse.Namespace, out: Callable) -> int:
-    _check_pipeline_flags(args)
     if args.salvage and args.strict:
         raise SystemExit("--salvage and --strict are mutually exclusive")
-    if args.salvage and args.stream:
-        raise SystemExit(
-            "--stream cannot salvage: resynchronisation needs the whole "
-            "file; drop one of the flags"
-        )
     _telemetry_begin(args)
     try:
         return _cmd_analyze(args, out)
@@ -335,10 +270,31 @@ def cmd_analyze(args: argparse.Namespace, out: Callable) -> int:
         _telemetry_end(args)
 
 
+def _fold_file(args: argparse.Namespace, names: NameTable) -> SummaryAccumulator:
+    """Fold the capture file straight off the disk, O(chunk) memory, with
+    the ``--progress`` heartbeat counting batches as they land."""
+    meta = read_capture_meta(args.capture)
+    if meta.version == 1:
+        warn_legacy_metadata(args.capture)
+    # An open-ended capture's header count is a sentinel: no ETA.
+    total = None if meta.streamed else meta.count or None
+    progress = _make_progress(args, total, label="analyze")
+
+    def batches():
+        try:
+            for batch in iter_capture_columns(args.capture):
+                yield batch
+                progress.update(len(batch))
+        finally:
+            progress.finish()
+
+    return fold_columns(batches(), names, width_bits=meta.counter_width_bits)
+
+
 def _cmd_analyze(args: argparse.Namespace, out: Callable) -> int:
     names = NameTable.read(*args.names)
     if args.strict:
-        lint_report = lint_capture_file(args.capture, names, decode=args.decode)
+        lint_report = lint_capture_file(args.capture, names)
         out(render_text(lint_report))
         out("")
         if not lint_report.ok:
@@ -347,41 +303,20 @@ def _cmd_analyze(args: argparse.Namespace, out: Callable) -> int:
                 f"{args.capture}; refusing to analyze a corrupt stream"
             )
             return 1
-    if args.stream:
-        # Never materialise the capture: decode and summarise straight off
-        # the file in O(chunk) memory.
-        progress = _make_progress(args, _stream_total(args.capture), label="stream")
-        if args.decode == "columnar":
-
-            def _batches():
-                try:
-                    for batch in iter_capture_columns(args.capture):
-                        yield batch
-                        progress.update(len(batch))
-                finally:
-                    progress.finish()
-
-            summary = summarize_columns(_batches(), names)
-        else:
-            summary = summarize_records(
-                progress.wrap(iter_capture_file(args.capture)), names
-            )
-        out(f"streamed {summary.event_count} events from {args.capture}")
-        out(summary.format(limit=args.summary_limit))
-        out("")
-        return 0
-    capture = Capture.load(
-        args.capture,
-        names,
-        label=f"cli: {args.capture}",
-        salvage=args.salvage,
-        decode=args.decode,
-    )
-    out(f"loaded {len(capture)} events from {args.capture}")
-    if args.shards is not None:
-        _print_sharded_summary(capture, args, out)
+    capture = None
+    if args.salvage or any(report != "summary" for report in args.report):
+        capture = Capture.load(
+            args.capture, names, label=f"cli: {args.capture}", salvage=args.salvage
+        )
+        fold = fold_capture(capture) if "summary" in args.report else None
+        events = len(capture)
     else:
-        _print_reports(capture, args.report, args.summary_limit, out)
+        fold = _fold_file(args, names)
+        events = fold.event_count
+    out(f"loaded {events} events from {args.capture}")
+    _print_reports(
+        args.report, args.summary_limit, out, fold=fold, capture=capture
+    )
     if args.salvage:
         _defect_footer(capture, args.capture, out)
     return 0
@@ -448,7 +383,6 @@ def cmd_lint(args: argparse.Namespace, out: Callable) -> int:
         ram_depth=args.ram_depth or None,
         kernel_ast=args.kernel_ast,
         self_check=args.self_check or not explicit,
-        decode=args.decode,
         coverage_corpus=args.coverage_corpus,
         db=args.db,
     )
@@ -529,7 +463,6 @@ def cmd_fleet_ingest(args: argparse.Namespace, out: Callable) -> int:
                 plan,
                 names,
                 jobs=args.jobs,
-                decode=args.decode,
                 salvage="auto" if args.salvage else "off",
                 progress=progress.update,
             )
@@ -580,7 +513,6 @@ def cmd_fleet_serve(args: argparse.Namespace, out: Callable) -> int:
             args.root,
             names,
             jobs=args.jobs,
-            decode=args.decode,
             salvage="auto" if args.salvage else "off",
             port=args.port,
             poll_s=args.poll,
@@ -936,7 +868,7 @@ def cmd_live_analyze(args: argparse.Namespace, out: Callable) -> int:
     """``repro live analyze``: fold an MPF2 wire stream as it arrives.
 
     Stdout carries exactly the drained summary report (so CI can diff it
-    against batch ``analyze --stream``); window lines, the metrics URL
+    against ``analyze`` of the same file); window lines, the metrics URL
     and all other narration go to stderr.
     """
     from repro.live.analyzer import LiveAnalyzer
@@ -1116,26 +1048,8 @@ def _add_telemetry_flags(parser: argparse.ArgumentParser) -> None:
         "--progress", nargs="?", const="auto", default="off",
         choices=("auto", "force", "off"), metavar="MODE",
         help="records/sec + ETA heartbeat on stderr for long "
-        "--stream/--shards runs; bare --progress is active only when "
-        "stderr is a TTY, --progress=force always emits",
-    )
-
-
-def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--stream", action="store_true",
-        help="summarise via the streaming accumulator (O(chunk) memory; "
-        "summary report only)",
-    )
-    parser.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="summarise via the sharded pipeline on N parallel workers "
-        "(summary report only)",
-    )
-    parser.add_argument(
-        "--shard-events", type=int, default=DEFAULT_SHARD_EVENTS,
-        help=f"target events per shard (default {DEFAULT_SHARD_EVENTS}, "
-        "one board RAM)",
+        "runs; bare --progress is active only when stderr is a TTY, "
+        "--progress=force always emits",
     )
 
 
@@ -1163,7 +1077,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     capture.add_argument("--save", default=None, help="write raw records here")
     capture.add_argument("--names", default=None, help="write the name/tag file here")
-    _add_pipeline_flags(capture)
     _add_telemetry_flags(capture)
     capture.set_defaults(func=cmd_capture)
 
@@ -1205,12 +1118,6 @@ def build_parser() -> argparse.ArgumentParser:
         "damaged file and list the tolerated defects in a report footer "
         "instead of refusing",
     )
-    analyze.add_argument(
-        "--decode", choices=DECODE_MODES, default=DEFAULT_DECODE,
-        help="record-decode engine: 'columnar' (default, batch fast path) "
-        "or 'reference' (the per-record walker); output is byte-identical",
-    )
-    _add_pipeline_flags(analyze)
     _add_telemetry_flags(analyze)
     analyze.set_defaults(func=cmd_analyze)
 
@@ -1279,11 +1186,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="lint kernel sources for enter/leave and spl discipline",
     )
     lint.add_argument(
-        "--decode", choices=DECODE_MODES, default=DEFAULT_DECODE,
-        help="record-decode engine for the stream verifier (diagnostics "
-        "are identical in both modes)",
-    )
-    lint.add_argument(
         "--self-check", action="store_true",
         help="lint the shipped case-study configuration (default when "
         "no other artifacts are given)",
@@ -1319,11 +1221,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub_parser.add_argument(
             "--jobs", type=int, default=None, metavar="N",
             help="worker processes (default: the machine's CPU count)",
-        )
-        sub_parser.add_argument(
-            "--decode", choices=DECODE_MODES, default=DEFAULT_DECODE,
-            help="record-decode engine for the salvage path (the clean "
-            "path is always columnar)",
         )
         sub_parser.add_argument(
             "--salvage", action="store_true",

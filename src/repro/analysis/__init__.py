@@ -18,12 +18,7 @@ turns that list into the paper's two reports and the future-work extras:
 * :mod:`repro.analysis.reports` — one-call assembly of the full report.
 """
 
-from repro.analysis.events import (
-    DecodedEvent,
-    EventKind,
-    decode_capture,
-    iter_decoded_events,
-)
+from repro.analysis.events import DecodedEvent, EventKind, decode_capture
 from repro.analysis.callstack import (
     Anomaly,
     CallNode,
@@ -31,22 +26,15 @@ from repro.analysis.callstack import (
     analyze_capture,
     build_call_tree,
 )
-from repro.analysis.pipeline import (
-    DEFAULT_SHARD_EVENTS,
-    ShardPlan,
-    ShardedAnalysis,
-    analyze_capture_sharded,
-    analyze_sharded,
-    plan_shards,
-)
 from repro.analysis.summary import (
     FunctionStats,
     ProfileSummary,
     SummaryAccumulator,
+    fold_capture,
+    fold_columns,
     summarize,
     summarize_capture,
-    summarize_capture_streaming,
-    summarize_records,
+    summarize_columns,
 )
 from repro.analysis.trace import format_trace, trace_lines
 from repro.analysis.histogram import FunctionHistogram, histogram_for
@@ -67,19 +55,13 @@ __all__ = [
     "Anomaly",
     "CallNode",
     "CallTreeAnalysis",
-    "DEFAULT_SHARD_EVENTS",
     "DecodedEvent",
     "EventKind",
-    "ShardPlan",
-    "ShardedAnalysis",
     "SummaryAccumulator",
-    "analyze_capture_sharded",
-    "analyze_sharded",
-    "iter_decoded_events",
-    "plan_shards",
+    "fold_capture",
+    "fold_columns",
     "summarize_capture",
-    "summarize_capture_streaming",
-    "summarize_records",
+    "summarize_columns",
     "FunctionHistogram",
     "FunctionStats",
     "ProfileSummary",

@@ -1,14 +1,12 @@
-"""Columnar decode: the batch fast path of the analysis ingest.
+"""Columnar decode: the analysis ingest, one batch at a time.
 
-The reference decode path (:mod:`repro.analysis.events`) walks one
-:class:`~repro.profiler.ram.RawRecord` at a time — a Python object, a
-name-table lookup and a wrap subtraction per record.  At fleet scale
-(ROADMAP item 1) that per-record interpreter work is the ceiling, so this
-module re-states the same three decode jobs over *columns*:
+Decoding one :class:`~repro.profiler.ram.RawRecord` at a time costs a
+Python object, a name-table lookup and a wrap subtraction per record, so
+the decode jobs of :mod:`repro.analysis.events` run over *columns*:
 
 1. **Timer unwrap** (:func:`unwrap_times`) — the modular
-   difference-and-accumulate of ``reconstruct_times`` as two C-level
-   passes (:func:`zip` + :func:`itertools.accumulate`) over a whole batch;
+   difference-and-accumulate as two C-level passes (:func:`zip` +
+   :func:`itertools.accumulate`) over a whole batch;
 2. **Tag decode** (:func:`build_decode_map` + :func:`decode_columns`) —
    one memoizing dict lookup per record, batched into parallel code /
    name / entry columns;
@@ -18,9 +16,9 @@ module re-states the same three decode jobs over *columns*:
 The product, :class:`ColumnarEvents`, holds exactly the fields a list of
 :class:`~repro.analysis.events.DecodedEvent` would, column by column, and
 can materialise them (:meth:`ColumnarEvents.to_events`) at API boundaries
-that still want objects.  Equivalence with the reference walker is not
-assumed: ``tests/test_decode_differential.py`` holds the two engines
-field-identical over generated streams.
+that still want objects.  ``tests/test_decode_differential.py`` holds
+the columns field-identical to a one-record-at-a-time reference decoder
+(``tests/oracles.py``) over generated streams.
 """
 
 from __future__ import annotations
@@ -36,8 +34,8 @@ from repro.profiler.ram import RawRecord
 from repro.profiler.upload import RecordColumns
 
 #: Integer event codes — cheaper than :class:`EventKind` members in every
-#: columnar and streaming hot loop.  Shared with the streaming summary
-#: (:mod:`repro.analysis.summary` re-exports them as ``_ENTRY`` etc.).
+#: columnar hot loop.  Shared with the summary fold
+#: (:mod:`repro.analysis.summary` imports them as ``_ENTRY`` etc.).
 CODE_ENTRY, CODE_EXIT, CODE_INLINE, CODE_UNKNOWN = 0, 1, 2, 3
 
 KIND_FROM_CODE = {
@@ -52,7 +50,7 @@ def build_tag_map(names: NameTable) -> dict[int, tuple[str, int, bool]]:
     """Precompute raw tag value -> (name, event code, is context switch).
 
     One dict lookup replaces ``NameTable.decode`` plus kind mapping in the
-    streaming hot loops (the accumulator and the shard-boundary scanner).
+    summary fold's hot loop.
     """
     tag_map: dict[int, tuple[str, int, bool]] = {}
     for entry in names:
@@ -67,8 +65,8 @@ def build_tag_map(names: NameTable) -> dict[int, tuple[str, int, bool]]:
 class _DecodeMap(dict):
     """Tag -> (code, name, entry) with memoized unknown-tag entries.
 
-    ``__missing__`` synthesises the ``tag#N`` identity the reference
-    decoder invents for a tag absent from the name file, and caches it so
+    ``__missing__`` synthesises the ``tag#N`` identity of a tag absent
+    from the name file, and caches it so
     a burst of the same unknown tag costs one format call, not one per
     record.
     """
@@ -103,30 +101,25 @@ def unwrap_times(
     *,
     previous: Optional[int] = None,
     base: int = 0,
-    check: bool = True,
 ) -> list[int]:
     """Vectorized counter unwrap: wrapped snapshots -> absolute timeline.
 
-    The columnar twin of :func:`repro.analysis.events.reconstruct_times`:
-    the per-record ``(t - prev) & mask`` difference runs in one
+    The per-record ``(t - prev) & mask`` difference runs in one
     :func:`zip` comprehension and the running sum in one
     :func:`itertools.accumulate` — no Python-level loop state per record.
 
     With ``previous``/``base`` a caller unwraps a *chunk* of a longer
     stream: ``previous`` is the last raw snapshot of the prior chunk and
-    ``base`` its final absolute time, exactly the carry the streaming
-    reference keeps between records.  When ``previous`` is ``None`` the
+    ``base`` its final absolute time.  When ``previous`` is ``None`` the
     first snapshot defines ``base`` (t=0 by default).
 
-    ``check`` validates every snapshot against the counter width and
-    raises the reference decoder's exact :class:`ValueError` at the first
-    offending record; callers that replicate a non-validating reference
-    loop (the shard planner) pass ``check=False``.
+    Every snapshot is validated against the counter width: the first
+    offending record raises :class:`ValueError`.
     """
     _check_width(width_bits)
     mask = (1 << width_bits) - 1
     n = len(raw_times)
-    if check and n and max(raw_times) > mask:
+    if n and max(raw_times) > mask:
         for t in raw_times:
             if t > mask:
                 raise ValueError(
@@ -147,10 +140,9 @@ def columns_from_records(records: Sequence[RawRecord]) -> RecordColumns:
     """Shear a record-object sequence into columns.
 
     The adapter for callers that hold :class:`RawRecord` objects (a
-    capture already in memory) but want the columnar engines; captures
-    still on disk decode straight to columns via
-    :func:`repro.profiler.upload.iter_capture_columns` without ever
-    building the objects.
+    capture already in memory); captures still on disk decode straight
+    to columns via :func:`repro.profiler.upload.iter_capture_columns`
+    without ever building the objects.
     """
     return RecordColumns(
         tags=[record.tag for record in records],
@@ -180,23 +172,8 @@ class ColumnarEvents:
     def __len__(self) -> int:
         return len(self.codes)
 
-    def event(self, offset: int) -> DecodedEvent:
-        """Materialise the single event at *offset* within the batch."""
-        return DecodedEvent(
-            index=self.start_index + offset,
-            time_us=self.times[offset],
-            kind=KIND_FROM_CODE[self.codes[offset]],
-            name=self.names[offset],
-            entry=self.entries[offset],
-            raw=RawRecord(tag=self.tags[offset], time=self.raw_times[offset]),
-        )
-
     def to_events(self) -> list[DecodedEvent]:
-        """Materialise the whole batch as :class:`DecodedEvent` objects.
-
-        Field-identical to the reference decoder's output over the same
-        records (the differential suite holds it to that).
-        """
+        """Materialise the whole batch as :class:`DecodedEvent` objects."""
         kinds = KIND_FROM_CODE
         return [
             DecodedEvent(
@@ -233,16 +210,14 @@ def decode_columns(
 ) -> ColumnarEvents:
     """Decode one columnar record batch against *names*.
 
-    The batch twin of :func:`repro.analysis.events.iter_decoded_events`:
-    the timer unwrap is vectorized (:func:`unwrap_times`, carrying
+    The timer unwrap is vectorized (:func:`unwrap_times`, carrying
     ``previous``/``time_base_us`` across batches) and the tag decode is
     one memoized dict hit per record.  Passing a prebuilt ``decode_map``
     (:func:`build_decode_map`) amortises the table build across batches.
 
     The whole batch is validated before anything is returned, so an
-    over-width snapshot raises *before* the batch's earlier events are
-    observable — the streaming reference yields them first, then raises
-    the identical :class:`ValueError`.
+    over-width snapshot raises *before* any of the batch's events are
+    observable.
     """
     if decode_map is None:
         decode_map = build_decode_map(names)

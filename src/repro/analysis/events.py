@@ -11,23 +11,22 @@ Two jobs, both purely mechanical:
    absolute microsecond timeline starting at zero.  Any real gap of 16
    seconds or more aliases irrecoverably (the paper's stated limit); the
    decoder cannot detect that, so it is documented rather than guessed at.
+
+Both run over columns in :mod:`repro.analysis.columnar`; this module
+holds the object form of a decoded event, which the call-tree reports
+consume.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-from itertools import islice
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.instrument.namefile import NameTable
-from repro.instrument.tags import TagEntry, TagKind
+from repro.instrument.tags import TagEntry
 from repro.profiler.capture import Capture
 from repro.profiler.ram import TIME_BITS, RawRecord
-from repro.profiler.upload import DEFAULT_DECODE, check_decode_mode
-
-#: Records per batch when the columnar engine drains a record iterable.
-_COLUMNAR_CHUNK_RECORDS = 8192
 
 
 def _check_width(width_bits: int) -> None:
@@ -46,13 +45,6 @@ class EventKind(enum.Enum):
     EXIT = "exit"
     INLINE = "inline"
     UNKNOWN = "unknown"
-
-
-_KIND_FROM_TAG = {
-    TagKind.ENTRY: EventKind.ENTRY,
-    TagKind.EXIT: EventKind.EXIT,
-    TagKind.INLINE: EventKind.INLINE,
-}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -81,182 +73,29 @@ def reconstruct_times(
     The first record defines t=0; each subsequent record advances by the
     modular difference from its predecessor.
     """
-    _check_width(width_bits)
-    mask = (1 << width_bits) - 1
-    times: list[int] = []
-    absolute = 0
-    previous: Optional[int] = None
-    for record in records:
-        if record.time > mask:
-            raise ValueError(
-                f"record time {record.time} exceeds the {width_bits}-bit counter"
-            )
-        if previous is not None:
-            absolute += (record.time - previous) & mask
-        previous = record.time
-        times.append(absolute)
-    return times
+    from repro.analysis.columnar import unwrap_times  # lazy: events is columnar's base
+
+    return unwrap_times([record.time for record in records], width_bits)
 
 
-def decode_capture(
-    capture: Capture, *, decode: str = DEFAULT_DECODE
-) -> list[DecodedEvent]:
+def decode_capture(capture: Capture) -> list[DecodedEvent]:
     """Decode every record of *capture* against its name table."""
     return decode_records(
-        capture.records,
-        capture.names,
-        width_bits=capture.counter_width_bits,
-        decode=decode,
+        capture.records, capture.names, width_bits=capture.counter_width_bits
     )
-
-
-def iter_decoded_events(
-    records: Iterable[RawRecord],
-    names: NameTable,
-    width_bits: int = 24,
-    *,
-    start_index: int = 0,
-    time_base_us: int = 0,
-    previous_raw: Optional[int] = None,
-    decode: str = DEFAULT_DECODE,
-) -> Iterator[DecodedEvent]:
-    """Decode a record stream lazily.
-
-    The streaming twin of :func:`decode_records`: *records* may be any
-    iterable (a generator draining a capture file chunk by chunk), and the
-    only state held between events is the previous counter snapshot and
-    the running absolute time — O(chunk) memory regardless of trace
-    length, with the 24-bit wrap handled across chunk boundaries exactly
-    as in :func:`reconstruct_times`.
-
-    ``start_index`` and ``time_base_us`` let a caller decode a *slice* of
-    a longer run (a shard) while keeping indices and timestamps in the
-    whole-run frame of reference.  ``previous_raw`` completes the carry
-    for *push-mode* consumers (the live wire): it is the final raw
-    counter snapshot of the chunk that ended at ``time_base_us``, so the
-    first record of this call unwraps against it instead of defining the
-    origin — chunked decoding then matches one uninterrupted pass
-    exactly, the same continuation contract as
-    :func:`repro.analysis.columnar.decode_columns`'s ``previous``.
-
-    ``decode`` selects the engine.  ``"columnar"`` (the default) drains
-    *records* in batches through :mod:`repro.analysis.columnar` and
-    yields the identical event sequence; ``"reference"`` is the original
-    one-record-at-a-time walker, kept as the executable specification.
-    The one observable difference: the columnar engine validates a whole
-    batch before yielding any of it, so an over-width snapshot raises
-    (the same :class:`ValueError`) before that batch's earlier events are
-    seen, where the reference yields them first.
-    """
-    check_decode_mode(decode)
-    if decode == "columnar":
-        yield from _iter_decoded_events_columnar(
-            records,
-            names,
-            width_bits,
-            start_index=start_index,
-            time_base_us=time_base_us,
-            previous_raw=previous_raw,
-        )
-        return
-    _check_width(width_bits)
-    mask = (1 << width_bits) - 1
-    if previous_raw is not None and previous_raw > mask:
-        raise ValueError(
-            f"previous snapshot {previous_raw} exceeds the "
-            f"{width_bits}-bit counter"
-        )
-    absolute = time_base_us
-    previous: Optional[int] = previous_raw
-    index = start_index
-    for record in records:
-        if record.time > mask:
-            raise ValueError(
-                f"record time {record.time} exceeds the {width_bits}-bit counter"
-            )
-        if previous is not None:
-            absolute += (record.time - previous) & mask
-        previous = record.time
-        decoded = names.decode(record.tag)
-        if decoded is None:
-            yield DecodedEvent(
-                index=index,
-                time_us=absolute,
-                kind=EventKind.UNKNOWN,
-                name=f"tag#{record.tag}",
-                entry=None,
-                raw=record,
-            )
-        else:
-            entry, tag_kind = decoded
-            yield DecodedEvent(
-                index=index,
-                time_us=absolute,
-                kind=_KIND_FROM_TAG[tag_kind],
-                name=entry.name,
-                entry=entry,
-                raw=record,
-            )
-        index += 1
-
-
-def _iter_decoded_events_columnar(
-    records: Iterable[RawRecord],
-    names: NameTable,
-    width_bits: int,
-    *,
-    start_index: int,
-    time_base_us: int,
-    previous_raw: Optional[int] = None,
-) -> Iterator[DecodedEvent]:
-    """Columnar engine behind :func:`iter_decoded_events`.
-
-    Drains *records* in batches, shears each batch into columns, decodes
-    it in one shot and materialises the events — carrying the previous
-    raw snapshot and running absolute time across batches exactly like
-    the reference walker.
-    """
-    from repro.analysis import columnar  # lazy: events is columnar's base
-
-    _check_width(width_bits)
-    mask = (1 << width_bits) - 1
-    if previous_raw is not None and previous_raw > mask:
-        raise ValueError(
-            f"previous snapshot {previous_raw} exceeds the "
-            f"{width_bits}-bit counter"
-        )
-    decode_map = columnar.build_decode_map(names)
-    iterator = iter(records)
-    index = start_index
-    base = time_base_us
-    previous: Optional[int] = previous_raw
-    while True:
-        chunk = list(islice(iterator, _COLUMNAR_CHUNK_RECORDS))
-        if not chunk:
-            return
-        batch = columnar.decode_columns(
-            columnar.columns_from_records(chunk),
-            names,
-            width_bits,
-            start_index=index,
-            time_base_us=base,
-            previous=previous,
-            decode_map=decode_map,
-        )
-        yield from batch.to_events()
-        index += len(chunk)
-        base = batch.times[-1]
-        previous = chunk[-1].time
 
 
 def decode_records(
-    records: Sequence[RawRecord],
-    names: NameTable,
-    width_bits: int = 24,
-    *,
-    decode: str = DEFAULT_DECODE,
+    records: Sequence[RawRecord], names: NameTable, width_bits: int = 24
 ) -> list[DecodedEvent]:
-    """Decode a raw record sequence against *names*."""
-    return list(
-        iter_decoded_events(records, names, width_bits=width_bits, decode=decode)
+    """Decode a raw record sequence against *names*.
+
+    An over-width counter snapshot raises :class:`ValueError` before any
+    event is returned.
+    """
+    from repro.analysis import columnar  # lazy: events is columnar's base
+
+    batch = columnar.decode_columns(
+        columnar.columns_from_records(records), names, width_bits
     )
+    return batch.to_events()

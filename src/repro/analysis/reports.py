@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.analysis.callstack import CallTreeAnalysis, analyze_capture
-from repro.analysis.summary import ProfileSummary, summarize
+from repro.analysis.summary import ProfileSummary, fold_capture, summarize_capture
 from repro.analysis.trace import format_trace
 from repro.profiler.capture import Capture
 
@@ -30,8 +30,7 @@ def full_report(
     window, code-path traces are meant to be read around points of
     interest.
     """
-    analysis = analyze_capture(capture)
-    summary = summarize(analysis)
+    fold = fold_capture(capture)
     parts = []
     if capture.label:
         parts.append(f"=== Profile: {capture.label} ===")
@@ -47,16 +46,18 @@ def full_report(
         )
         for defect in capture.defects:
             parts.append(f"  [{defect.kind}] {defect.message}")
-    parts.append(summary.format(limit=summary_limit))
+    parts.append(fold.summary().format(limit=summary_limit))
     if include_trace:
         parts.append("")
         parts.append("Code path trace:")
         parts.append(
-            format_trace(analysis, start_us=trace_start_us, end_us=trace_end_us)
+            format_trace(
+                analyze_capture(capture), start_us=trace_start_us, end_us=trace_end_us
+            )
         )
-    if analysis.anomalies:
+    if fold.anomalies:
         parts.append("")
-        parts.append(f"({len(analysis.anomalies)} reconstruction anomalies)")
+        parts.append(f"({len(fold.anomalies)} reconstruction anomalies)")
     return "\n".join(parts)
 
 
@@ -64,5 +65,4 @@ def analyze_and_summarize(
     capture: Capture,
 ) -> tuple[CallTreeAnalysis, ProfileSummary]:
     """Convenience: the two analysis products most callers want."""
-    analysis = analyze_capture(capture)
-    return analysis, summarize(analysis)
+    return analyze_capture(capture), summarize_capture(capture)

@@ -14,6 +14,11 @@ Headed by the overall accounting::
     Elapsed time = 0 sec 497272 us (28060 tags)
     Accumulated run time = 0 sec 492248 us (98.99%)
     Idle time = 0 sec 5024 us ( 1.01%)
+
+Every summary the program prints comes from one engine, the
+:class:`SummaryAccumulator` fold over columnar record batches.
+:func:`summarize` gives the same summary from a reconstructed call tree,
+for callers that hold one; the tests hold the two byte-identical.
 """
 
 from __future__ import annotations
@@ -22,19 +27,18 @@ import dataclasses
 import time
 from typing import Iterable, Optional
 
-from repro.analysis.callstack import Anomaly, CallTreeAnalysis, analyze_capture
+from repro.analysis.callstack import Anomaly, CallTreeAnalysis
 from repro.analysis.columnar import (
     CODE_ENTRY as _ENTRY,
     CODE_EXIT as _EXIT,
     CODE_INLINE as _INLINE,
     CODE_UNKNOWN as _UNKNOWN,
     build_tag_map,
+    columns_from_records,
     unwrap_times as _unwrap_times,
 )
-from repro.analysis.events import DecodedEvent, EventKind
 from repro.instrument.namefile import NameTable
 from repro.profiler.capture import Capture
-from repro.profiler.ram import RawRecord
 from repro.profiler.upload import RecordColumns
 from repro.telemetry import TELEMETRY as _TELEMETRY
 
@@ -182,9 +186,9 @@ class ProfileSummary:
 
 # -- shared aggregation core -------------------------------------------------
 #
-# Both the batch path (walking a built call tree) and the streaming path
-# (aggregating frames as they close) funnel per-call samples through these
-# helpers, so the two pipelines produce identical statistics by construction.
+# Both the call-tree walk and the fold (aggregating frames as they close)
+# funnel per-call samples through these helpers, so the two produce
+# identical statistics by construction.
 # The aggregate is a plain list for speed: [calls, elapsed, net, max, min],
 # with ``min`` held as ``None`` until the first *timed* call so that the
 # result is independent of the order in which synthetic (zero-time) and real
@@ -249,8 +253,10 @@ def summarize(
 ) -> ProfileSummary:
     """Aggregate a call-tree analysis into the function summary.
 
-    ``swtch`` (and any other ``!`` function) is excluded by default: its
-    self time is the idle loop, already reported in the header.
+    The same summary the fold computes from the records, for callers that
+    already hold the tree.  ``swtch`` (and any other ``!`` function) is
+    excluded by default: its self time is the idle loop, already reported
+    in the header.
     """
     functions: dict[str, list] = {}
     for node in analysis.nodes():
@@ -269,27 +275,11 @@ def summarize(
     )
 
 
-def summarize_capture(capture: Capture) -> ProfileSummary:
-    """Decode, reconstruct and summarise *capture* in one call."""
-    return summarize(analyze_capture(capture))
-
-
-# -- streaming summary -------------------------------------------------------
-
-# The integer event codes and the tag map now live in
-# repro.analysis.columnar (shared with the columnar decode engine); the
-# private aliases and ``build_tag_map`` stay importable from here.
-
-_CODE_FROM_KIND = {
-    EventKind.ENTRY: _ENTRY,
-    EventKind.EXIT: _EXIT,
-    EventKind.INLINE: _INLINE,
-    EventKind.UNKNOWN: _UNKNOWN,
-}
+# -- the fold ----------------------------------------------------------------
 
 
 class _ProcStack:
-    """One process's open frames during streaming reconstruction.
+    """One process's open frames during the fold.
 
     Frames are plain lists ``[name, self_us, child_inclusive_us, is_swtch]``
     — the minimum needed to aggregate a call on close without retaining a
@@ -306,9 +296,8 @@ class _ProcStack:
 class SummaryAccumulator:
     """Single-pass, bounded-memory construction of :class:`ProfileSummary`.
 
-    Semantically a re-implementation of
-    :func:`repro.analysis.callstack.build_call_tree` followed by
-    :func:`summarize`, but instead of materialising a :class:`CallNode`
+    Semantically :func:`repro.analysis.callstack.build_call_tree` followed
+    by :func:`summarize`, but instead of materialising a :class:`CallNode`
     per call it keeps only the *open* frames and folds every frame into
     the per-function aggregates the moment it closes.  Peak memory is
     O(open call depth + suspended processes + one scheduling block), not
@@ -324,22 +313,19 @@ class SummaryAccumulator:
     between switches in practice), so the buffer does not grow with trace
     length.
 
-    Accumulators from independent capture shards combine with
-    :meth:`merge`; the streaming and batch pipelines produce byte-identical
-    reports (property-tested in ``tests/test_streaming_pipeline.py``).
+    Accumulators of independent captures combine with :meth:`merge`.  The
+    fold and the call tree produce byte-identical reports
+    (property-tested in ``tests/test_streaming_pipeline.py``).
     """
 
     def __init__(
         self,
-        names: Optional[NameTable] = None,
+        names: NameTable,
         *,
         width_bits: int = 24,
         include_swtch: bool = False,
-        start_index: int = 0,
-        time_base_us: int = 0,
     ) -> None:
-        self._tag_map = build_tag_map(names) if names is not None else None
-        self._mask = (1 << width_bits) - 1
+        self._tag_map = build_tag_map(names)
         self._width_bits = width_bits
         self._include_swtch = include_swtch
 
@@ -362,12 +348,12 @@ class SummaryAccumulator:
 
         # Raw-record time reconstruction state.
         self._prev_raw: Optional[int] = None
-        self._absolute = time_base_us
-        self._next_index = start_index
+        self._absolute = 0
+        self._next_index = 0
 
         self._first_t: Optional[int] = None
-        self._last_t = time_base_us
-        self._prev_t = time_base_us
+        self._last_t = 0
+        self._prev_t = 0
 
         self._sealed = False
         self._wall_us = 0
@@ -375,123 +361,29 @@ class SummaryAccumulator:
 
     # -- feeding -------------------------------------------------------------
 
-    def feed(self, event: DecodedEvent) -> None:
-        """Fold one already-decoded event in (times must be absolute)."""
-        self._ingest(
-            (
-                _CODE_FROM_KIND[event.kind],
-                event.name,
-                event.is_context_switch,
-                event.time_us,
-                event.index,
-                event.raw.tag,
-            )
-        )
-
-    def feed_events(self, events: Iterable[DecodedEvent]) -> "SummaryAccumulator":
-        """Fold a decoded event stream in; returns self for chaining."""
-        for event in events:
-            self.feed(event)
-        return self
-
-    def feed_records(self, records: Iterable[RawRecord]) -> "SummaryAccumulator":
-        """Fold raw records in, fusing tag decode and time reconstruction.
-
-        The fast path: no :class:`DecodedEvent` is constructed.  Requires
-        the accumulator to have been built with a name table.  *records*
-        may be any iterable, including a generator draining a capture file
-        chunk by chunk; the 24-bit wrap is carried across calls.
-        """
-        if self._sealed:
-            raise RuntimeError("cannot feed a sealed SummaryAccumulator")
-        tag_map = self._tag_map
-        if tag_map is None:
-            raise ValueError("feed_records() needs the accumulator built with names")
-        mask = self._mask
-        absolute = self._absolute
-        previous = self._prev_raw
-        index = self._next_index
-        count = 0
-        get = tag_map.get
-        apply = self._apply
-        try:
-            for record in records:
-                traw = record.time
-                if traw > mask:
-                    raise ValueError(
-                        f"record time {traw} exceeds the "
-                        f"{self._width_bits}-bit counter"
-                    )
-                if previous is not None:
-                    absolute += (traw - previous) & mask
-                previous = traw
-                count += 1
-                info = get(record.tag)
-                if info is None:
-                    name, code, is_cs = f"tag#{record.tag}", _UNKNOWN, False
-                else:
-                    name, code, is_cs = info
-                if self._first_t is None:
-                    self._first_t = absolute
-                    self._prev_t = absolute
-                if self._pending is not None:
-                    self._pending.append(
-                        (code, name, is_cs, absolute, index, record.tag)
-                    )
-                    if code == _ENTRY and is_cs:
-                        self._drain(final=False)
-                else:
-                    apply(code, name, is_cs, absolute, index, record.tag)
-                index += 1
-        finally:
-            self._absolute = absolute
-            self._prev_raw = previous
-            self._next_index = index
-            self._event_count += count
-            if count:
-                self._last_t = absolute
-        return self
-
     def feed_columns(self, columns: RecordColumns) -> "SummaryAccumulator":
-        """Fold one columnar record batch in (the columnar fast path).
+        """Fold one columnar record batch in.
 
-        The batch twin of :meth:`feed_records`: the timer unwrap is
-        vectorized over the whole batch and the per-event loop walks
-        plain integers, never a :class:`RawRecord`.  State carried
-        between batches (previous snapshot, absolute time, indices) is
-        identical to the reference path's, including on a mid-batch
-        error, so interleaving the two feeds is well-defined.
+        The timer unwrap is vectorized over the whole batch and the
+        per-event loop walks plain integers, never a record object.  The
+        24-bit wrap, the running time and the event indices carry across
+        calls.  A batch holding a snapshot wider than the counter raises
+        :class:`ValueError` and leaves the fold as it was before the call.
         """
         if self._sealed:
             raise RuntimeError("cannot feed a sealed SummaryAccumulator")
-        tag_map = self._tag_map
-        if tag_map is None:
-            raise ValueError("feed_columns() needs the accumulator built with names")
         raw_times = columns.times
         tags = columns.tags
         n = len(tags)
         if n == 0:
             return self
-        mask = self._mask
-        # Find the first over-width snapshot (if any): the prefix before
-        # it folds in normally, then the reference decoder's exact error
-        # is raised with the reference's exact carried state.
-        bad_time: Optional[int] = None
-        if max(raw_times) > mask:
-            for offset, traw in enumerate(raw_times):
-                if traw > mask:
-                    bad_time = traw
-                    raw_times = raw_times[:offset]
-                    tags = tags[:offset]
-                    n = offset
-                    break
         absolutes = _unwrap_times(
             raw_times,
             self._width_bits,
             previous=self._prev_raw,
             base=self._absolute,
         )
-        get = tag_map.get
+        get = self._tag_map.get
         apply = self._apply
         index = self._next_index
         offset = -1
@@ -521,32 +413,9 @@ class SummaryAccumulator:
                 self._event_count += offset + 1
                 self._last_t = absolutes[offset]
             self._next_index = index
-        if bad_time is not None:
-            raise ValueError(
-                f"record time {bad_time} exceeds the "
-                f"{self._width_bits}-bit counter"
-            )
         return self
 
     # -- the state machine ----------------------------------------------------
-
-    def _ingest(self, item: tuple) -> None:
-        if self._sealed:
-            raise RuntimeError("cannot feed a sealed SummaryAccumulator")
-        self._event_count += 1
-        t = item[3]
-        if self._first_t is None:
-            self._first_t = t
-            self._prev_t = t
-        self._last_t = t
-        if self._pending is not None:
-            self._pending.append(item)
-            # A context-switch *entry* terminates the incoming scheduling
-            # block: resolution can now run.
-            if item[0] == _ENTRY and item[2]:
-                self._drain(final=False)
-        else:
-            self._apply(*item)
 
     def _apply(
         self, code: int, name: str, is_cs: bool, t: int, index: int, tag: int
@@ -760,21 +629,18 @@ class SummaryAccumulator:
             _TELEMETRY.max_gauge("analysis.peak.functions", len(self._functions))
         return self
 
-    def merge(self, other: "SummaryAccumulator", *, gap_idle_us: int = 0) -> "SummaryAccumulator":
-        """Fold another (independent, later-in-time) shard's totals into this one.
+    def merge(self, other: "SummaryAccumulator") -> "SummaryAccumulator":
+        """Fold another capture's totals into this one (the fleet merge).
 
-        ``gap_idle_us`` is the idle bridge between the two shards: the
-        interval from this shard's final event to *other*'s first event.
-        At a quiescent shard boundary (cut immediately after a ``swtch``
-        entry) that whole interval is idle-loop time that neither shard
-        could see, so the merge accounts it exactly once — wall and idle
-        both grow by it.  Seals both accumulators.
+        Per-function aggregates, the accounting and the anomalies add up;
+        nothing carries across the boundary between the two captures.
+        Seals both accumulators.
         """
         self.close()
         other.close()
         _agg_merge(self._functions, other._functions)
-        self._wall_us += other._wall_us + gap_idle_us
-        self._idle_us += other._idle_us + gap_idle_us
+        self._wall_us += other._wall_us
+        self._idle_us += other._idle_us
         self._unattributed_us += other._unattributed_us
         self._event_count += other._event_count
         self._context_switches += other._context_switches
@@ -831,26 +697,34 @@ class SummaryAccumulator:
         return self._unattributed_us
 
 
-def summarize_records(
-    records: Iterable[RawRecord],
+def fold_columns(
+    batches: Iterable[RecordColumns],
     names: NameTable,
     width_bits: int = 24,
     include_swtch: bool = False,
-) -> ProfileSummary:
-    """One-call streaming summary of a raw record stream."""
+) -> SummaryAccumulator:
+    """Fold a columnar batch stream into a new accumulator.
+
+    *batches* is any iterable of :class:`RecordColumns`, typically
+    :func:`repro.profiler.upload.iter_capture_columns` draining a capture
+    file.  The accumulator is returned unsealed: its :meth:`summary` and
+    :attr:`anomalies` are the run's report.
+    """
     accumulator = SummaryAccumulator(
         names, width_bits=width_bits, include_swtch=include_swtch
     )
     telemetry = _TELEMETRY
-    if not telemetry.enabled:
-        return accumulator.feed_records(records).summary()
-    started = time.perf_counter()
-    with telemetry.span("analysis.summarize_records"):
-        result = accumulator.feed_records(records).summary()
-    elapsed = time.perf_counter() - started
-    if elapsed > 0:
-        telemetry.set_gauge("analysis.events_per_sec", result.event_count / elapsed)
-    return result
+    started = time.perf_counter() if telemetry.enabled else 0.0
+    with telemetry.span("analysis.fold"):
+        for batch in batches:
+            accumulator.feed_columns(batch)
+    if telemetry.enabled:
+        elapsed = time.perf_counter() - started
+        if elapsed > 0:
+            telemetry.set_gauge(
+                "analysis.events_per_sec", accumulator.event_count / elapsed
+            )
+    return accumulator
 
 
 def summarize_columns(
@@ -859,34 +733,21 @@ def summarize_columns(
     width_bits: int = 24,
     include_swtch: bool = False,
 ) -> ProfileSummary:
-    """One-call streaming summary of a columnar batch stream.
+    """One-call summary of a columnar batch stream (see :func:`fold_columns`)."""
+    return fold_columns(
+        batches, names, width_bits=width_bits, include_swtch=include_swtch
+    ).summary()
 
-    The columnar twin of :func:`summarize_records`: *batches* is any
-    iterable of :class:`RecordColumns` (typically
-    :func:`repro.profiler.upload.iter_capture_columns` draining a capture
-    file), and the report is byte-identical to the per-record path's.
-    """
-    accumulator = SummaryAccumulator(
-        names, width_bits=width_bits, include_swtch=include_swtch
+
+def fold_capture(capture: Capture) -> SummaryAccumulator:
+    """Fold an in-memory *capture* (see :func:`fold_columns`)."""
+    return fold_columns(
+        [columns_from_records(capture.records)],
+        capture.names,
+        width_bits=capture.counter_width_bits,
     )
-    telemetry = _TELEMETRY
-    if not telemetry.enabled:
-        for batch in batches:
-            accumulator.feed_columns(batch)
-        return accumulator.summary()
-    started = time.perf_counter()
-    with telemetry.span("analysis.summarize_columns"):
-        for batch in batches:
-            accumulator.feed_columns(batch)
-        result = accumulator.summary()
-    elapsed = time.perf_counter() - started
-    if elapsed > 0:
-        telemetry.set_gauge("analysis.events_per_sec", result.event_count / elapsed)
-    return result
 
 
-def summarize_capture_streaming(capture: Capture) -> ProfileSummary:
-    """Streaming twin of :func:`summarize_capture` (identical output)."""
-    return summarize_records(
-        capture.records, capture.names, width_bits=capture.counter_width_bits
-    )
+def summarize_capture(capture: Capture) -> ProfileSummary:
+    """The summary of an in-memory *capture*."""
+    return fold_capture(capture).summary()

@@ -13,11 +13,11 @@ Three design rules, in priority order:
    plan order (path-sorted), never completion order.  ``--jobs 1`` takes
    an inline sequential path through the *same* fold, which is what the
    CI smoke job diffs against.
-2. **Columnar per capture.**  Each worker runs PR 6's batch decode
+2. **The one fold per capture.**  Each worker runs the same columnar
+   fold as ``repro analyze``
    (:func:`~repro.profiler.upload.iter_capture_columns` feeding
-   :meth:`~repro.analysis.summary.SummaryAccumulator.feed_columns`), so
-   single-capture throughput is the ~7M events/s path and the pool adds
-   capture-level parallelism on top.
+   :meth:`~repro.analysis.summary.SummaryAccumulator.feed_columns`), and
+   the pool adds capture-level parallelism on top.
 3. **Shared-memory observability.**  Forked workers cannot touch the
    parent's telemetry registry, so fleet metrics go through the striped
    :class:`~repro.fleet.arena.MetricsArena`; each pool worker owns one
@@ -42,15 +42,14 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import multiprocessing
 
+from repro.analysis.columnar import columns_from_records
 from repro.analysis.summary import SummaryAccumulator
 from repro.fleet.arena import MetricsArena, StripeWriter
 from repro.instrument.namefile import NameTable
 from repro.profiler.upload import (
-    DEFAULT_DECODE,
     CaptureFormatError,
     CaptureMeta,
     cached_capture_meta,
-    check_decode_mode,
     iter_capture_columns,
     salvage_capture,
 )
@@ -261,14 +260,13 @@ def plan_fleet(
 
 # -- worker side ---------------------------------------------------------------
 #
-# Pool workers are primed once by _init_worker: the name table, decode and
+# Pool workers are primed once by _init_worker: the name table and the
 # salvage policy land in module globals, and the worker claims its stripe
 # of the shared arena.  Stripe choice uses the pool process's identity
 # (1-based, assigned at spawn) so each live worker writes a distinct
 # stripe — the single-writer contract the arena's lock-freedom rests on.
 
 _worker_names: Optional[NameTable] = None
-_worker_decode: str = DEFAULT_DECODE
 _worker_salvage: str = "off"
 _worker_writer: Optional[StripeWriter] = None
 _worker_arena: Optional[MetricsArena] = None
@@ -292,29 +290,25 @@ def _claim_stripe(arena: MetricsArena) -> StripeWriter:
     return arena.writer(slot)
 
 
-def _init_worker(
-    arena: MetricsArena, names: NameTable, decode: str, salvage: str
-) -> None:
+def _init_worker(arena: MetricsArena, names: NameTable, salvage: str) -> None:
     """Prime one pool worker (runs in the child, once per process).
 
     SIGINT is ignored in workers: Ctrl-C lands in the parent, which
     drains in-flight futures and shuts the pool down in order — the
     "clear SIGINT, not a hang" contract ``repro fleet serve`` documents.
     """
-    global _worker_names, _worker_decode, _worker_salvage
+    global _worker_names, _worker_salvage
     global _worker_writer, _worker_arena
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     _worker_arena = arena
     _worker_writer = _claim_stripe(arena)
     _worker_names = names
-    _worker_decode = decode
     _worker_salvage = salvage
 
 
 def _summarize_one(
     path: str,
     names: NameTable,
-    decode: str,
     salvage: str,
     writer: Optional[StripeWriter],
 ) -> Tuple[CaptureReport, Optional[SummaryAccumulator]]:
@@ -360,7 +354,7 @@ def _summarize_one(
         else:
             salvage_started = time.perf_counter()
             try:
-                result = salvage_capture(path, decode=decode)
+                result = salvage_capture(path)
             except OSError as os_exc:
                 result = None
                 status, error = "failed", str(os_exc)
@@ -376,7 +370,7 @@ def _summarize_one(
                 accumulator = SummaryAccumulator(
                     names, width_bits=result.meta.counter_width_bits
                 )
-                accumulator.feed_records(result.records)
+                accumulator.feed_columns(columns_from_records(result.records))
                 status = "salvaged"
                 records = len(result.records)
                 defects = len(result.defects)
@@ -421,7 +415,7 @@ def _pool_ingest_one(
     """The pool task: ingest one capture with the worker's primed state."""
     assert _worker_names is not None, "worker not initialised"
     report, accumulator = _summarize_one(
-        path, _worker_names, _worker_decode, _worker_salvage, _worker_writer
+        path, _worker_names, _worker_salvage, _worker_writer
     )
     return index, dataclasses.replace(report, index=index), accumulator
 
@@ -465,7 +459,6 @@ def ingest_fleet(
     names: NameTable,
     *,
     jobs: int = 1,
-    decode: str = DEFAULT_DECODE,
     salvage: str = "off",
     arena: Optional[MetricsArena] = None,
     progress: Optional[Callable[[int], None]] = None,
@@ -479,7 +472,6 @@ def ingest_fleet(
     alive across passes, as serve mode does).  The merged summary is
     byte-identical across all worker counts.
     """
-    check_decode_mode(decode)
     check_salvage_mode(salvage)
     jobs = resolve_jobs(jobs)
     plan = (
@@ -498,7 +490,7 @@ def ingest_fleet(
             writer = arena.writer(0)
             for capture in plan.captures:
                 report, accumulator = _summarize_one(
-                    capture.path, names, decode, salvage, writer
+                    capture.path, names, salvage, writer
                 )
                 reports.append(
                     dataclasses.replace(report, index=capture.index)
@@ -517,7 +509,7 @@ def ingest_fleet(
                 max_workers=jobs,
                 mp_context=context,
                 initializer=_init_worker,
-                initargs=(arena, names, decode, salvage),
+                initargs=(arena, names, salvage),
             ) as pool:
                 futures = [
                     pool.submit(_pool_ingest_one, capture.index, capture.path)

@@ -38,7 +38,6 @@ from repro.fleet.ingest import (
     resolve_jobs,
 )
 from repro.instrument.namefile import NameTable
-from repro.profiler.upload import DEFAULT_DECODE
 from repro.telemetry import TELEMETRY
 from repro.telemetry.export import to_prometheus
 
@@ -138,7 +137,6 @@ class FleetServer:
         names: NameTable,
         *,
         jobs: int = 1,
-        decode: str = DEFAULT_DECODE,
         salvage: str = "off",
         port: int = 0,
         poll_s: float = DEFAULT_POLL_S,
@@ -148,7 +146,6 @@ class FleetServer:
         self.root = root
         self.names = names
         self.jobs = resolve_jobs(jobs)
-        self.decode = decode
         self.salvage = salvage
         self.poll_s = poll_s
         self.max_polls = max_polls
@@ -216,7 +213,6 @@ class FleetServer:
             plan,
             self.names,
             jobs=self.jobs,
-            decode=self.decode,
             salvage=self.salvage,
             arena=self.arena,
         )

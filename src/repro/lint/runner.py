@@ -40,7 +40,7 @@ from repro.lint.namefile_lint import lint_name_files, lint_name_table
 from repro.lint.stream_lint import lint_capture_defects, lint_records
 from repro.lint.telemetry_lint import lint_telemetry
 from repro.profiler.ram import DEFAULT_DEPTH
-from repro.profiler.upload import DEFAULT_DECODE, read_capture, salvage_capture
+from repro.profiler.upload import read_capture, salvage_capture
 from repro.telemetry import TELEMETRY as _TELEMETRY
 
 
@@ -58,8 +58,6 @@ class LintOptions:
     kernel_ast: bool = False
     #: Build the case study (no workload) and lint names/link against it.
     self_check: bool = False
-    #: Record-decode engine for the stream verifier ("columnar"/"reference").
-    decode: str = DEFAULT_DECODE
     #: Capture-corpus directory for the coverage pass (None disables it).
     coverage_corpus: Optional[Union[str, Path]] = None
     #: Profile database file for the P7xx integrity pass (None disables it).
@@ -93,7 +91,6 @@ def lint_capture_file(
     ram_depth: Optional[int] = DEFAULT_DEPTH,
     report: Optional[LintReport] = None,
     salvage: bool = False,
-    decode: str = DEFAULT_DECODE,
 ) -> LintReport:
     """Run the stream verifier over one capture file.
 
@@ -101,14 +98,12 @@ def lint_capture_file(
     ``salvage=True`` the salvaging decoder then takes over — its
     tolerated faults become file-level diagnostics (P209–P213) and the
     recovered records still go through the stream checks, so a damaged
-    capture yields a full report instead of one opaque error.  ``decode``
-    selects the capture reader and event-decode engine (columnar by
-    default); the report is identical in both modes.
+    capture yields a full report instead of one opaque error.
     """
     report = report if report is not None else LintReport()
     source = str(path)
     try:
-        records, meta = read_capture(path, decode=decode)
+        records, meta = read_capture(path)
     except OSError as exc:
         report.add("P200", f"cannot read capture: {exc}", source=source)
         return report
@@ -116,7 +111,7 @@ def lint_capture_file(
         report.add("P200", f"cannot read capture: {exc}", source=source)
         if not salvage:
             return report
-        result = salvage_capture(path, decode=decode)
+        result = salvage_capture(path)
         lint_capture_defects(result.defects, source=source, report=report)
         records, meta = result.records, result.meta
         if not records:
@@ -135,7 +130,6 @@ def lint_capture_file(
         width_bits=meta.counter_width_bits,
         ram_depth=ram_depth,
         report=report,
-        decode=decode,
     )
 
 
@@ -212,7 +206,6 @@ def _run_stream_pass(options: LintOptions, report: LintReport) -> None:
             table,
             ram_depth=options.ram_depth,
             report=report,
-            decode=options.decode,
         )
 
 

@@ -33,7 +33,7 @@ from repro.instrument.namefile import NameTable
 from repro.lint.diagnostics import LintReport
 from repro.profiler.capture import Capture
 from repro.profiler.ram import DEFAULT_DEPTH, RawRecord
-from repro.profiler.upload import DEFAULT_DECODE, CaptureDefect, check_decode_mode
+from repro.profiler.upload import CaptureDefect
 
 #: Interrupt nesting can never exceed the number of distinct priority
 #: levels: each nested interrupt must arrive at a strictly higher ipl.
@@ -89,14 +89,8 @@ def lint_records(
     width_bits: int = 24,
     ram_depth: Optional[int] = DEFAULT_DEPTH,
     report: Optional[LintReport] = None,
-    decode: str = DEFAULT_DECODE,
 ) -> LintReport:
-    """Verify one raw record stream against *names*.
-
-    ``decode`` selects the event-decode engine behind the reconstruction
-    layer (columnar by default); diagnostics are identical either way.
-    """
-    check_decode_mode(decode)
+    """Verify one raw record stream against *names*."""
     report = report if report is not None else LintReport()
 
     # -- raw-record layer ---------------------------------------------------
@@ -145,7 +139,7 @@ def lint_records(
         # hardware; the P202s above already say everything reconstruction
         # could.
         return report
-    events = decode_records(records, names, width_bits=width_bits, decode=decode)
+    events = decode_records(records, names, width_bits=width_bits)
     analysis = build_call_tree(events)
     desyncs = 0
     for anomaly in analysis.anomalies:
@@ -211,7 +205,6 @@ def verify_capture(
     source: str = "<capture>",
     ram_depth: Optional[int] = None,
     report: Optional[LintReport] = None,
-    decode: str = DEFAULT_DECODE,
 ) -> LintReport:
     """Verify a loaded :class:`Capture` (records + names in one object)."""
     return lint_records(
@@ -221,7 +214,6 @@ def verify_capture(
         width_bits=capture.counter_width_bits,
         ram_depth=ram_depth,
         report=report,
-        decode=decode,
     )
 
 

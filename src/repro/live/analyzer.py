@@ -3,9 +3,10 @@
 :class:`LiveAnalyzer` is the analysis side of the live pipe.  It drives
 :func:`repro.profiler.upload.iter_capture_columns` over a (usually
 non-seekable, open-ended) capture stream and folds every batch into one
-:class:`~repro.analysis.summary.SummaryAccumulator` — the same code path
-batch ``analyze --stream`` takes, which is what makes the drained final
-summary byte-identical to the batch report by construction.
+:class:`~repro.analysis.summary.SummaryAccumulator` — the same fold
+``repro analyze`` runs over a capture file, which is what makes the
+drained final summary byte-identical to the batch report by
+construction.
 
 On top of the fold it publishes the live observables:
 

@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 from repro.profiler.hardware import ProfilerBoard
 from repro.profiler.ram import RawRecord
 from repro.profiler.upload import (
-    DEFAULT_DECODE,
     CaptureDefect,
     CaptureMetadataWarning,
     read_capture,
@@ -78,7 +77,6 @@ class Capture:
         label: str = "",
         *,
         salvage: bool = False,
-        decode: str = DEFAULT_DECODE,
     ) -> "Capture":
         """Re-read a saved capture, pairing it with *names*.
 
@@ -87,26 +85,17 @@ class Capture:
         a :class:`CaptureMetadataWarning` says so.  With ``salvage=True``
         a damaged file is decoded fault-tolerantly instead of raising:
         every recoverable record is kept and the tolerated faults land in
-        :attr:`Capture.defects`.  ``decode`` selects the record-decode
-        engine (columnar by default; ``"reference"`` is the per-record
-        walker) — the records are identical either way.
+        :attr:`Capture.defects`.
         """
         defects: tuple[CaptureDefect, ...] = ()
         if salvage:
-            result = salvage_capture(path, decode=decode)
+            result = salvage_capture(path)
             records, meta = result.records, result.meta
             defects = tuple(result.defects)
         else:
-            records, meta = read_capture(path, decode=decode)
+            records, meta = read_capture(path)
         if meta.version == 1:
-            warnings.warn(
-                f"{path}: MPF1 carries no capture metadata; counter "
-                "width/rate and the overflow flag defaulted to stock values "
-                "— resave as MPF2 (Capture.save) to make the file "
-                "self-describing",
-                CaptureMetadataWarning,
-                stacklevel=2,
-            )
+            warn_legacy_metadata(path)
         return cls(
             records=tuple(records),
             names=names,
@@ -116,6 +105,19 @@ class Capture:
             counter_rate_hz=meta.counter_rate_hz,
             defects=defects,
         )
+
+
+def warn_legacy_metadata(path: Union[str, Path]) -> None:
+    """Say that an MPF1 file's counter geometry and overflow flag were
+    defaulted to stock values (warned at the reader's caller)."""
+    warnings.warn(
+        f"{path}: MPF1 carries no capture metadata; counter "
+        "width/rate and the overflow flag defaulted to stock values "
+        "— resave as MPF2 (Capture.save) to make the file "
+        "self-describing",
+        CaptureMetadataWarning,
+        stacklevel=3,
+    )
 
 
 class CaptureSession:

@@ -57,13 +57,13 @@ transfer path (pipes, truncation, flipped bits) there is a salvaging
 decoder, :func:`salvage_capture_stream`, that resynchronises instead of
 throwing and reports what it had to tolerate as :class:`CaptureDefect`s.
 
-Two decode engines share every format above.  The **reference** engine
-walks the stream one :class:`RawRecord` at a time — simple, slow, and
-the executable specification.  The **columnar** engine shears a record
-blob into parallel tag/time arrays with constant-time-per-byte slice
-assignments (:func:`decode_record_columns`) and is the ingest fast path;
-``decode="reference"`` selects the old walker anywhere a choice exists.
-Both produce bit-identical records (``tests/test_decode_differential.py``).
+One decoder serves every format above: :func:`decode_record_columns`
+shears a record blob into parallel tag/time arrays with
+constant-time-per-byte slice assignments, and every reader — batch,
+streaming, salvaging — goes through it.  The readers that hand out
+:class:`RawRecord` objects materialise them from those columns.  A
+one-record-at-a-time reference decoder lives with the tests
+(``tests/oracles.py``), which hold the columnar one bit-identical to it.
 """
 
 from __future__ import annotations
@@ -87,25 +87,10 @@ from repro.telemetry import TELEMETRY as _TELEMETRY
 #: Bytes per serialised record: 2 tag + 3 time.
 RECORD_BYTES = 5
 
-#: The selectable decode engines, everywhere a ``decode=`` knob exists.
-DECODE_MODES = ("columnar", "reference")
-
-#: The engine used when the caller does not choose one.
-DEFAULT_DECODE = "columnar"
-
 #: array typecode holding at least 32 bits (platform-dependent width of "I").
 _U32_TYPECODE = "I" if array("I").itemsize >= 4 else "L"
 
 _LITTLE_ENDIAN = sys.byteorder == "little"
-
-
-def check_decode_mode(decode: str) -> str:
-    """Validate a ``decode=`` argument; returns it for chaining."""
-    if decode not in DECODE_MODES:
-        raise ValueError(
-            f"decode mode must be one of {'/'.join(DECODE_MODES)}, not {decode!r}"
-        )
-    return decode
 
 
 class CaptureFormatError(ValueError):
@@ -221,17 +206,10 @@ def dump_records(records: Iterable[RawRecord]) -> bytes:
 def load_records(blob: bytes) -> list[RawRecord]:
     """Decode a raw record stream produced by :func:`dump_records`.
 
-    The per-record reference decoder; :func:`decode_record_columns` is
-    the columnar twin.
+    The record-object view of :func:`decode_record_columns`, and the one
+    place the batch and salvaging readers decode a payload.
     """
-    if len(blob) % RECORD_BYTES:
-        raise CaptureFormatError(
-            f"record stream length {len(blob)} is not a multiple of {RECORD_BYTES}"
-        )
-    return [
-        RawRecord.unpack(blob[i : i + RECORD_BYTES])
-        for i in range(0, len(blob), RECORD_BYTES)
-    ]
+    return decode_record_columns(blob).to_records()
 
 
 # -- the columnar record decoder ---------------------------------------------
@@ -261,11 +239,8 @@ class RecordColumns:
         return RawRecord(tag=self.tags[offset], time=self.times[offset])
 
     def to_records(self) -> list[RawRecord]:
-        """Materialise the whole batch as :class:`RawRecord` objects.
-
-        Bit-identical to :func:`load_records` over the same bytes; used
-        at API boundaries that still traffic in record objects.
-        """
+        """Materialise the whole batch as :class:`RawRecord` objects, for
+        API boundaries that still traffic in record objects."""
         return list(map(RawRecord, self.tags, self.times))
 
     def to_bytes(self) -> bytes:
@@ -295,8 +270,6 @@ def decode_record_columns(blob: Union[bytes, bytearray, memoryview]) -> RecordCo
     Shears the interleaved 5-byte records into parallel tag/time arrays
     using strided slice assignment — every per-record operation happens
     inside the interpreter's C loops, no Python bytecode per record.
-    Equivalent to :func:`load_records` (the differential suite holds the
-    two bit-identical) at roughly an order of magnitude less time.
     """
     blob = bytes(blob)
     if len(blob) % RECORD_BYTES:
@@ -325,44 +298,14 @@ def decode_record_columns(blob: Union[bytes, bytearray, memoryview]) -> RecordCo
 def iter_record_stream(
     stream: BinaryIO, *, chunk_records: int = DEFAULT_CHUNK_RECORDS
 ) -> Iterator[RawRecord]:
-    """Decode a raw record stream from a file object, chunk by chunk.
+    """Decode a raw record stream from a file object, record by record.
 
-    The streaming twin of :func:`load_records`: at most ``chunk_records``
-    records' worth of bytes are resident at once, so a multi-gigabyte
-    capture decodes in O(chunk) memory.  Raises :class:`ValueError` on a
-    trailing partial record, exactly like the batch loader.
+    The record-object view of :func:`iter_record_columns`: decoding runs
+    a chunk at a time, so a multi-gigabyte capture decodes in O(chunk)
+    memory.
     """
-    if chunk_records <= 0:
-        raise ValueError(f"chunk_records must be positive, got {chunk_records}")
-    chunk_bytes = chunk_records * RECORD_BYTES
-    leftover = b""
-    telemetry = _TELEMETRY  # hoisted: one attribute check per chunk, not record
-    while True:
-        blob = stream.read(chunk_bytes)
-        if not blob:
-            break
-        blob = leftover + blob
-        usable = len(blob) - (len(blob) % RECORD_BYTES)
-        if telemetry.enabled:
-            # Decode the chunk eagerly under a span so the span measures
-            # decode time, not the consumer's processing between yields.
-            with telemetry.span(
-                "upload.decode_chunk", records=usable // RECORD_BYTES
-            ):
-                decoded = [
-                    RawRecord.unpack(blob[i : i + RECORD_BYTES])
-                    for i in range(0, usable, RECORD_BYTES)
-                ]
-            telemetry.count("upload.records.decoded", len(decoded))
-            yield from decoded
-        else:
-            for i in range(0, usable, RECORD_BYTES):
-                yield RawRecord.unpack(blob[i : i + RECORD_BYTES])
-        leftover = blob[usable:]
-    if leftover:
-        raise CaptureFormatError(
-            f"record stream ends with a partial {len(leftover)}-byte record"
-        )
+    for columns in iter_record_columns(stream, chunk_records=chunk_records):
+        yield from columns.to_records()
 
 
 def iter_record_columns(
@@ -370,12 +313,10 @@ def iter_record_columns(
 ) -> Iterator[RecordColumns]:
     """Decode a raw record stream as columnar batches, chunk by chunk.
 
-    The columnar twin of :func:`iter_record_stream`: each yielded
-    :class:`RecordColumns` holds up to ``chunk_records`` records decoded
-    in one shot, so a multi-gigabyte capture decodes in O(chunk) memory
-    with no per-record Python work at all.  Raises
-    :class:`CaptureFormatError` on a trailing partial record, exactly
-    like both record-stream readers.
+    Each yielded :class:`RecordColumns` holds up to ``chunk_records``
+    records decoded in one shot, so a multi-gigabyte capture decodes in
+    O(chunk) memory with no per-record Python work at all.  Raises
+    :class:`CaptureFormatError` on a trailing partial record.
     """
     if chunk_records <= 0:
         raise ValueError(f"chunk_records must be positive, got {chunk_records}")
@@ -422,20 +363,6 @@ def _read_exact(stream: BinaryIO, size: int) -> bytes:
         chunks.append(blob)
         need -= len(blob)
     return b"".join(chunks)
-
-
-class _Crc32Tap:
-    """A read-through wrapper accumulating the CRC32 of everything read."""
-
-    def __init__(self, stream: BinaryIO) -> None:
-        self._stream = stream
-        self.crc32 = 0
-
-    def read(self, size: int = -1) -> bytes:
-        blob = self._stream.read(size)
-        if blob:
-            self.crc32 = zlib.crc32(blob, self.crc32)
-        return blob
 
 
 def _check_count(count: int) -> None:
@@ -597,107 +524,17 @@ def iter_capture_file(
 ) -> Iterator[RawRecord]:
     """Stream the records of a capture file without materialising them.
 
-    Accepts both MPF1 and MPF2 headers, then yields records as they are
-    read.  With ``verify_count`` (the default) a mismatch between the
-    header's record count and the stream length raises at end of
-    iteration — late, but without buffering the file; ``verify_crc``
-    likewise checks the MPF2 record-stream CRC32 at the end (MPF1 has no
-    checksum to verify).  Open-ended streams (flags bit 1) verify the
-    end-of-stream trailer instead, exactly like the columnar reader.
+    The record-object view of :func:`iter_capture_columns`, with the
+    same header handling, end-of-stream count/CRC verification and
+    errors.
     """
-    with _open_context(path_or_file, "rb") as stream:
-        meta = _read_header(stream)
-        if meta.streamed:
-            yield from _iter_open_stream_records(
-                stream,
-                chunk_records=chunk_records,
-                verify_count=verify_count,
-                verify_crc=verify_crc,
-            )
-            return
-        reader: Union[BinaryIO, _Crc32Tap] = stream
-        check_crc = verify_crc and meta.crc32 is not None
-        if check_crc:
-            reader = _Crc32Tap(stream)
-        seen = 0
-        for record in iter_record_stream(reader, chunk_records=chunk_records):
-            yield record
-            seen += 1
-        if verify_count and seen != meta.count:
-            raise CaptureFormatError(
-                f"capture file header claims {meta.count} records but stream "
-                f"holds {seen}"
-            )
-        if check_crc and reader.crc32 != meta.crc32:  # type: ignore[union-attr]
-            _TELEMETRY.count("upload.crc.failures")
-            raise CaptureFormatError(
-                f"record stream CRC32 {reader.crc32:#010x} disagrees with "  # type: ignore[union-attr]
-                f"the header's {meta.crc32:#010x}: the payload is corrupt"
-            )
-
-
-def _iter_open_stream_records(
-    stream: BinaryIO,
-    *,
-    chunk_records: int,
-    verify_count: bool,
-    verify_crc: bool,
-) -> Iterator[RawRecord]:
-    """Per-record walk of an open-ended record stream (header consumed).
-
-    The reference-engine twin of the streamed branch in
-    :func:`iter_capture_columns`: the same hold-back of the last
-    :data:`TRAILER_BYTES` bytes, the same trailer verification, but one
-    :meth:`RawRecord.unpack` per record so the columnar path has an
-    independent executable specification to differ against.
-    """
-    if chunk_records <= 0:
-        raise ValueError(f"chunk_records must be positive, got {chunk_records}")
-    chunk_bytes = chunk_records * RECORD_BYTES
-    crc = 0
-    seen = 0
-    leftover = b""
-    while True:
-        blob = stream.read(chunk_bytes)
-        if not blob:
-            break
-        blob = leftover + blob
-        usable = len(blob) - TRAILER_BYTES
-        usable -= usable % RECORD_BYTES
-        if usable > 0:
-            if verify_crc:
-                crc = zlib.crc32(blob[:usable], crc)
-            for i in range(0, usable, RECORD_BYTES):
-                yield RawRecord.unpack(blob[i : i + RECORD_BYTES])
-            seen += usable // RECORD_BYTES
-            leftover = blob[usable:]
-        else:
-            leftover = blob
-    tail = leftover[-TRAILER_BYTES:] if len(leftover) >= TRAILER_BYTES else leftover
-    leftover = leftover[: len(leftover) - len(tail)]
-    if leftover:
-        if len(leftover) % RECORD_BYTES:
-            raise CaptureFormatError(
-                f"record stream ends with a partial "
-                f"{len(leftover) % RECORD_BYTES}-byte record"
-            )
-        if verify_crc:
-            crc = zlib.crc32(leftover, crc)
-        for i in range(0, len(leftover), RECORD_BYTES):
-            yield RawRecord.unpack(leftover[i : i + RECORD_BYTES])
-        seen += len(leftover) // RECORD_BYTES
-    declared, trailer_crc = decode_stream_trailer(tail)
-    if verify_count and seen != declared:
-        raise CaptureFormatError(
-            f"capture file trailer claims {declared} records but stream "
-            f"holds {seen}"
-        )
-    if verify_crc and crc != trailer_crc:
-        _TELEMETRY.count("upload.crc.failures")
-        raise CaptureFormatError(
-            f"record stream CRC32 {crc:#010x} disagrees with "
-            f"the trailer's {trailer_crc:#010x}: the payload is corrupt"
-        )
+    for columns in iter_capture_columns(
+        path_or_file,
+        chunk_records=chunk_records,
+        verify_count=verify_count,
+        verify_crc=verify_crc,
+    ):
+        yield from columns.to_records()
 
 
 def iter_capture_columns(
@@ -709,12 +546,14 @@ def iter_capture_columns(
 ) -> Iterator[RecordColumns]:
     """Stream a capture file as columnar record batches.
 
-    The columnar twin of :func:`iter_capture_file`: accepts both MPF1 and
-    MPF2 headers, yields :class:`RecordColumns` batches of up to
-    ``chunk_records`` records, accumulates the MPF2 record-stream CRC32
-    *per chunk* (one :func:`zlib.crc32` call per read, never per record)
-    and applies the same end-of-stream count/CRC verification with the
-    same :class:`CaptureFormatError` the per-record reader raises.
+    Accepts both MPF1 and MPF2 headers and yields :class:`RecordColumns`
+    batches of up to ``chunk_records`` records, accumulating the MPF2
+    record-stream CRC32 *per chunk* (one :func:`zlib.crc32` call per
+    read, never per record).  With ``verify_count`` (the default) a
+    mismatch between the header's record count and the stream length
+    raises :class:`CaptureFormatError` at end of iteration — late, but
+    without buffering the file; ``verify_crc`` likewise checks the MPF2
+    record-stream CRC32 at the end (MPF1 has no checksum to verify).
 
     Open-ended streams (flags bit 1) work off a live pipe/socket: the
     reader holds back the last :data:`TRAILER_BYTES` bytes so records
@@ -1148,19 +987,13 @@ def write_capture_file(
 
 def read_capture(
     path_or_file: Union[str, Path, BinaryIO],
-    *,
-    decode: str = DEFAULT_DECODE,
 ) -> tuple[list[RawRecord], CaptureMeta]:
     """Read a capture file of either version: records plus header metadata.
 
     Strict: a bad magic, truncated header, count mismatch or (MPF2) CRC
     mismatch raises :class:`CaptureFormatError`.  Use
-    :func:`salvage_capture_stream` when the file may be damaged.  The
-    payload is decoded by the columnar engine unless
-    ``decode="reference"`` asks for the per-record walker; both return
-    identical records.
+    :func:`salvage_capture_stream` when the file may be damaged.
     """
-    check_decode_mode(decode)
     with _open_context(path_or_file, "rb") as stream:
         meta = _read_header(stream)
         payload = _read_exact_to_eof(stream)
@@ -1169,10 +1002,7 @@ def read_capture(
         count, crc32 = decode_stream_trailer(tail)
         payload = payload[: len(payload) - TRAILER_BYTES]
         meta = dataclasses.replace(meta, count=count, crc32=crc32)
-    if decode == "columnar":
-        records = decode_record_columns(payload).to_records()
-    else:
-        records = load_records(payload)
+    records = load_records(payload)
     if len(records) != meta.count:
         where = "trailer" if meta.streamed else "header"
         raise CaptureFormatError(
@@ -1202,12 +1032,10 @@ def _read_exact_to_eof(stream: BinaryIO) -> bytes:
         chunks.append(blob)
 
 
-def read_capture_file(
-    path_or_file: Union[str, Path, BinaryIO], *, decode: str = DEFAULT_DECODE
-) -> list[RawRecord]:
+def read_capture_file(path_or_file: Union[str, Path, BinaryIO]) -> list[RawRecord]:
     """Read a capture file written by :func:`write_capture_file` (either
     version), returning the records only."""
-    return read_capture(path_or_file, decode=decode)[0]
+    return read_capture(path_or_file)[0]
 
 
 # -- the salvaging decoder ---------------------------------------------------
@@ -1243,19 +1071,15 @@ def _fuzzy_version(blob: bytes) -> Optional[int]:
     return candidates[0] if candidates else None
 
 
-def salvage_capture_bytes(blob: bytes, *, decode: str = DEFAULT_DECODE) -> SalvageResult:
+def salvage_capture_bytes(blob: bytes) -> SalvageResult:
     """Decode a possibly damaged capture image, resynchronising on faults.
 
     Never raises on content: every fault becomes a :class:`CaptureDefect`
     and decoding continues with the most plausible interpretation.  A
     single flipped magic bit, a truncated tail, a lying record count or a
-    corrupt payload all still yield every recoverable record.  The
-    recovered payload is decoded columnarly by default; ``decode``
-    selects the engine and both return identical records and defects
-    (``tests/test_salvage_fuzz.py`` holds them to it).
+    corrupt payload all still yield every recoverable record.
     """
-    check_decode_mode(decode)
-    result = _salvage_capture_bytes(blob, decode=decode)
+    result = _salvage_capture_bytes(blob)
     if _TELEMETRY.enabled:
         _TELEMETRY.count("upload.records.salvaged", len(result.records))
         for defect in result.defects:
@@ -1263,7 +1087,7 @@ def salvage_capture_bytes(blob: bytes, *, decode: str = DEFAULT_DECODE) -> Salva
     return result
 
 
-def _salvage_capture_bytes(blob: bytes, *, decode: str = DEFAULT_DECODE) -> SalvageResult:
+def _salvage_capture_bytes(blob: bytes) -> SalvageResult:
     defects: list[CaptureDefect] = []
     n = len(blob)
     if n < len(MAGIC):
@@ -1345,10 +1169,7 @@ def _salvage_capture_bytes(blob: bytes, *, decode: str = DEFAULT_DECODE) -> Salv
             )
         )
         payload = payload[: len(payload) - remainder]
-    if decode == "columnar":
-        records = decode_record_columns(payload).to_records()
-    else:
-        records = load_records(payload)
+    records = load_records(payload)
 
     if len(records) != meta.count:
         defects.append(
@@ -1482,19 +1303,17 @@ def _salvage_v2_header(
     return meta, header_size
 
 
-def salvage_capture(
-    path_or_file: Union[str, Path, BinaryIO], *, decode: str = DEFAULT_DECODE
-) -> SalvageResult:
+def salvage_capture(path_or_file: Union[str, Path, BinaryIO]) -> SalvageResult:
     """Salvage a capture from a path or open stream (full result)."""
     if hasattr(path_or_file, "read"):
         blob = _read_exact_to_eof(path_or_file)  # type: ignore[arg-type]
     else:
         blob = Path(path_or_file).read_bytes()  # type: ignore[arg-type]
-    return salvage_capture_bytes(blob, decode=decode)
+    return salvage_capture_bytes(blob)
 
 
 def salvage_capture_stream(
-    path_or_file: Union[str, Path, BinaryIO], *, decode: str = DEFAULT_DECODE
+    path_or_file: Union[str, Path, BinaryIO],
 ) -> tuple[list[RawRecord], list[CaptureDefect]]:
     """Fault-tolerant read: ``(recovered records, defects tolerated)``.
 
@@ -1503,7 +1322,7 @@ def salvage_capture_stream(
     each produce a :class:`CaptureDefect` instead of an exception, and
     every record that survived intact is returned.
     """
-    result = salvage_capture(path_or_file, decode=decode)
+    result = salvage_capture(path_or_file)
     return result.records, result.defects
 
 

@@ -13,17 +13,8 @@ import dataclasses
 from typing import Callable, Optional, Sequence
 
 from repro.analysis.callstack import CallTreeAnalysis, analyze_capture
-from repro.analysis.pipeline import (
-    DEFAULT_SHARD_EVENTS,
-    ShardedAnalysis,
-    analyze_capture_sharded,
-)
 from repro.analysis.reports import full_report
-from repro.analysis.summary import (
-    ProfileSummary,
-    summarize,
-    summarize_capture_streaming,
-)
+from repro.analysis.summary import ProfileSummary, summarize_capture
 from repro.instrument.compiler import InstrumentedImage, InstrumentingCompiler
 from repro.instrument.namefile import NameTable
 from repro.kernel import import_all as _import_all_kernel_modules
@@ -89,22 +80,7 @@ class CaseStudySystem:
 
     def summarize(self, capture: Capture) -> ProfileSummary:
         """The Figure 3 function summary."""
-        return summarize(analyze_capture(capture))
-
-    def summarize_streaming(self, capture: Capture) -> ProfileSummary:
-        """The same summary via the single-pass bounded-memory pipeline."""
-        return summarize_capture_streaming(capture)
-
-    def summarize_sharded(
-        self,
-        capture: Capture,
-        workers: Optional[int] = None,
-        max_shard_events: int = DEFAULT_SHARD_EVENTS,
-    ) -> ShardedAnalysis:
-        """The same summary via the parallel sharded pipeline."""
-        return analyze_capture_sharded(
-            capture, workers=workers, max_shard_events=max_shard_events
-        )
+        return summarize_capture(capture)
 
     def report(self, capture: Capture, **kwargs: object) -> str:
         """The full two-part report."""

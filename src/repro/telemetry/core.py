@@ -15,8 +15,8 @@ Hot loops that cannot afford even a call should hoist the check::
     if _T.enabled:
         _T.count("upload.records.decoded", n)
 
-Everything is thread-safe: the sharded analysis pipeline feeds spans and
-counters from worker threads.
+Everything is thread-safe: ``repro top`` and the live metrics server
+feed spans and counters from more than one thread.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ Three consumers, three formats:
 * **Chrome ``trace_event`` JSON** — opens directly in Perfetto or
   ``chrome://tracing``.  Two renderers share the format:
   :func:`telemetry_to_chrome_trace` shows the *profiler's own* spans
-  (pipeline stages, shards, lint passes), and
+  (analysis stages, lint passes), and
   :func:`capture_to_chrome_trace` renders a reconstructed
   :class:`~repro.analysis.callstack.CallTreeAnalysis` — the paper's
   Figure 4 code-path trace — with one track (pid) per reconstructed

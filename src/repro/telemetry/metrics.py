@@ -5,12 +5,12 @@ Dagenais et al. argue for layered tracing whose *disabled* cost rounds to
 zero, and Metz & Lencevicius show trigger-style probes can stay cheap
 enough to leave compiled in.  Accordingly:
 
-* instruments are plain objects mutated under a small lock (the analysis
-  pipelines feed them from thread pools);
+* instruments are plain objects mutated under a small lock (worker
+  threads feed them concurrently);
 * the facade in :mod:`repro.telemetry.core` guards every call site with a
   single attribute check, so a disabled build pays one ``if`` and nothing
   else;
-* names are dotted (``analysis.shard.events``) for humans and the JSONL /
+* names are dotted (``analysis.events_per_sec``) for humans and the JSONL /
   Chrome exporters, and sanitised to underscores for the Prometheus text
   exposition.
 

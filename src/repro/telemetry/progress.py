@@ -1,6 +1,6 @@
 """The ``--progress`` heartbeat: events/sec + ETA on stderr.
 
-Long ``analyze --stream`` / ``--shards`` runs used to be silent for
+Long ``analyze`` and ``fleet ingest`` runs used to be silent for
 minutes.  :class:`ProgressReporter` fixes that without touching the hot
 loop's complexity: :meth:`update` is O(1) and only consults the wall
 clock every :attr:`check_every` events, and heartbeats flush on a

@@ -1,7 +1,7 @@
 """The span tracer: wall-clock-free timing of nested stages.
 
-A *span* is one timed region — a pipeline stage, a shard analysis, a lint
-pass, the run loop of a capture.  Spans nest naturally (the tracer keeps a
+A *span* is one timed region — an analysis stage, a lint pass, the run
+loop of a capture.  Spans nest naturally (the tracer keeps a
 per-thread stack, so a span knows its parent) and serialise directly into
 the Chrome ``trace_event`` format's ``"X"`` complete events.
 

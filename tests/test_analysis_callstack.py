@@ -265,9 +265,9 @@ class TestShardBoundaryIdle:
     double-count the idle interval that crosses the cut."""
 
     def _records(self, simple_names):
-        # Two scheduling blocks separated by 1000 us of idle.  The
-        # quiescent cut lands after the first swtch ENTRY (event 3), so
-        # that idle interval exists only as the planner's bridge.
+        # Two scheduling blocks separated by 1000 us of idle.  The cut
+        # lands after the first swtch ENTRY (event 3), so that idle
+        # interval crosses from one fed batch into the next.
         capture = stream(
             simple_names,
             ("<", "swtch", 100),
@@ -281,44 +281,36 @@ class TestShardBoundaryIdle:
         )
         return capture
 
+    def _fold(self, simple_names, records, *cuts):
+        from repro.analysis.columnar import columns_from_records
+        from repro.analysis.summary import SummaryAccumulator
+
+        accumulator = SummaryAccumulator(simple_names)
+        bounds = [0, *cuts, len(records)]
+        for start, stop in zip(bounds, bounds[1:]):
+            accumulator.feed_columns(columns_from_records(records[start:stop]))
+        return accumulator.summary()
+
     def test_merged_idle_equals_batch_idle(self, simple_names):
-        from repro.analysis.pipeline import analyze_sharded, plan_shards
         from repro.analysis.summary import summarize
 
         capture = self._records(simple_names)
         batch = summarize(analyze_capture(capture))
-
-        plans = plan_shards(capture.records, simple_names, max_shard_events=4)
-        assert len(plans) == 2
-        assert plans[0].stop == 4          # cut right after the swtch entry
-        assert plans[0].bridge_us == 1000  # the idle that crosses the cut
-
-        merged = analyze_sharded(
-            capture.records, simple_names, max_shard_events=4, workers=2
-        )
-        # The bridge is added exactly once: batch sees the 1000 us inside
-        # its swtch frame, the shards see it only as the bridge — idle
-        # must come out 1000, not 2000.
-        assert merged.summary.idle_us == batch.idle_us
-        assert merged.summary.wall_us == batch.wall_us
-        assert merged.summary.format() == batch.format()
+        # Fed in two batches cut right after the swtch entry: the 1000 us
+        # of idle accrues once, inside the swtch frame that stays open
+        # across the cut — idle must come out 1000, not 2000 or 0.
+        merged = self._fold(simple_names, capture.records, 4)
+        assert merged.idle_us == batch.idle_us == 1000
+        assert merged.wall_us == batch.wall_us
+        assert merged.format() == batch.format()
 
     def test_trailing_swtch_entry_stays_open_not_idle_twice(self, simple_names):
-        """The open swtch frame at end-of-shard is closed at its last
-        event time (zero extra idle), so merge() adds only the bridge."""
-        from repro.analysis.pipeline import analyze_sharded
-        from repro.analysis.summary import SummaryAccumulator
-
+        """An open swtch frame at the end of a fold is closed at its last
+        event time: zero extra idle."""
         capture = self._records(simple_names)
-        solo = SummaryAccumulator(simple_names)
-        solo.feed_records(capture.records[:4])
-        solo.close()
-        # Shard 0 alone sees zero idle: the leading swtch exit is
+        # The first block alone sees zero idle: the leading swtch exit is
         # unmatched and the trailing entry closes with zero self time.
-        assert solo.summary().idle_us == 0
-
-        merged = analyze_sharded(
-            capture.records, simple_names, max_shard_events=4, workers=1
-        )
-        batch = analyze_capture(capture)
-        assert merged.summary.idle_us == batch.idle_us
+        solo = self._fold(simple_names, capture.records[:4])
+        assert solo.idle_us == 0
+        whole = self._fold(simple_names, capture.records)
+        assert whole.idle_us == analyze_capture(capture).idle_us

@@ -18,6 +18,7 @@ from repro.profiler.capture import Capture
 from repro.profiler.ram import RawRecord
 from repro.profiler.upload import read_capture_meta
 
+import oracles
 from stream_helpers import make_names, stream
 
 
@@ -109,9 +110,9 @@ class TestDecode:
 class TestCounterWidthEdges:
     """The ``1 <= width_bits <= 24`` contract at its boundaries.
 
-    A wrong wrap mask corrupts every reconstructed interval, so both
-    decode engines validate the width wherever one enters the path —
-    and both must accept exactly the same range.
+    A wrong wrap mask corrupts every reconstructed interval, so the
+    decoder validates the width wherever one enters the path — and must
+    accept exactly the range the per-record reference accepts.
     """
 
     def test_width_bounds_accepted(self, simple_names):
@@ -121,10 +122,8 @@ class TestCounterWidthEdges:
         # Width 24: the stock board, full record range.
         assert reconstruct_times(records, width_bits=24) == [0, 1]
         for width in (1, 24):
-            for decode in ("reference", "columnar"):
-                assert decode_records(
-                    records, simple_names, width_bits=width, decode=decode
-                )
+            assert decode_records(records, simple_names, width_bits=width)
+            assert list(oracles.decoded_events(records, simple_names, width))
 
     @pytest.mark.parametrize("width_bits", [0, 25, -1])
     def test_width_out_of_bounds_rejected(self, simple_names, width_bits):
@@ -134,11 +133,10 @@ class TestCounterWidthEdges:
             reconstruct_times(records, width_bits=width_bits)
         with pytest.raises(ValueError, match=expected):
             unwrap_times([0], width_bits)
-        for decode in ("reference", "columnar"):
-            with pytest.raises(ValueError, match=expected):
-                decode_records(
-                    records, simple_names, width_bits=width_bits, decode=decode
-                )
+        with pytest.raises(ValueError, match=expected):
+            decode_records(records, simple_names, width_bits=width_bits)
+        with pytest.raises(ValueError, match=expected):
+            list(oracles.decoded_events(records, simple_names, width_bits))
 
     def test_width_one_wraps_every_tick(self):
         """0,1,0,1 on a 1-bit counter is a strictly advancing timeline."""
@@ -150,12 +148,6 @@ class TestCounterWidthEdges:
         with pytest.raises(ValueError, match="exceeds the 16-bit counter"):
             unwrap_times([0, 1 << 16], 16)
 
-    def test_unwrap_check_false_masks_silently(self):
-        """The shard planner's mode: over-width snapshots are masked, not
-        rejected, matching the reference scanner's arithmetic."""
-        assert unwrap_times([0, 1 << 16], 16, check=False) == [0, 0]
-        assert unwrap_times([0, (1 << 16) + 5], 16, check=False) == [0, 5]
-
     def test_unwrap_carries_previous_and_base(self):
         first = unwrap_times([10, 20], 24)
         carried = unwrap_times([30], 24, previous=20, base=first[-1])
@@ -163,7 +155,7 @@ class TestCounterWidthEdges:
 
     def test_overflow_flag_header_roundtrip(self, simple_names, tmp_path):
         """An MPF2 header carrying overflow + narrow width drives decode
-        identically through both engines."""
+        exactly as the per-record reference decodes the same records."""
         capture = stream(
             simple_names, (">", "main", 4), ("<", "main", 60_000)
         )
@@ -178,6 +170,6 @@ class TestCounterWidthEdges:
         loaded = Capture.load(path, simple_names)
         assert loaded.overflowed is True
         assert loaded.counter_width_bits == 16
-        reference = decode_capture(loaded, decode="reference")
-        assert decode_capture(loaded, decode="columnar") == reference
+        reference = list(oracles.decoded_events(loaded.records, simple_names, 16))
+        assert decode_capture(loaded) == reference
         assert [e.time_us for e in reference] == [0, 59_996]

@@ -468,12 +468,11 @@ class TestAnalyzeSalvageCli:
 
     def test_salvage_flag_conflicts(self, tmp_path):
         capture_file, names_file = self._save_run(tmp_path)
-        for conflicting in ("--strict", "--stream"):
-            with pytest.raises(SystemExit):
-                main([
-                    "analyze", str(capture_file), "--names", str(names_file),
-                    "--salvage", conflicting,
-                ], out=lambda _: None)
+        with pytest.raises(SystemExit):
+            main([
+                "analyze", str(capture_file), "--names", str(names_file),
+                "--salvage", "--strict",
+            ], out=lambda _: None)
 
 
 class TestFullReportFooter:

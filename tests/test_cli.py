@@ -101,7 +101,8 @@ class TestDesyncFooter:
 
     def test_streaming_capture_also_reports_desyncs(self):
         lines = run_cli(
-            "capture", "--workload", "network", "--packets", "4", "--stream"
+            "capture", "--workload", "network", "--packets", "4",
+            "--report", "trace", "--report", "summary",
         )
         assert "kstack desyncs = 0" in lines
 

@@ -1,12 +1,14 @@
-"""Differential tests: columnar decode against the per-record reference.
+"""Differential tests: the columnar decode and fold against references.
 
 Every property here generates a record stream (wrap-heavy timers,
 interrupt bursts, unknown tags, zero-length and trace-RAM-filling
-captures, MPF1 and MPF2 files) and asserts the two decode engines
-agree *exactly*: field-identical ``DecodedEvent`` sequences, identical
-shard plans, identical summary bytes (and therefore identical summary
-hashes), and identical error messages and carried accumulator state
-when a stream is malformed.
+captures, MPF1 and MPF2 files) and asserts the program's columnar code
+agrees *exactly* with an independent reference: the one-record-at-a-time
+walkers of ``oracles.py`` for records and decoded events (field-identical
+``DecodedEvent`` sequences, identical error messages), and the call tree
+built from those events for the summary fold (identical summary bytes,
+and therefore identical summary hashes, on well-formed and malformed
+streams alike).
 
 Case volume is tunable: ``REPRO_DIFF_EXAMPLES`` sets the per-property
 example count (default 40, so the module runs well over 200 generated
@@ -23,23 +25,21 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from repro.analysis import columnar
-from repro.analysis.events import decode_records, iter_decoded_events
-from repro.analysis.pipeline import analyze_sharded, plan_shards
+from repro.analysis.callstack import build_call_tree
+from repro.analysis.events import decode_records
 from repro.analysis.summary import (
     SummaryAccumulator,
+    summarize,
     summarize_columns,
-    summarize_records,
 )
 from repro.profiler.ram import DEFAULT_DEPTH, RawRecord
 from repro.profiler.upload import (
     decode_record_columns,
     dump_records,
     iter_capture_columns,
-    iter_capture_file,
     iter_record_columns,
-    iter_record_stream,
-    load_records,
     write_capture_stream,
 )
 from stream_helpers import TIME_MASK, make_names
@@ -154,6 +154,17 @@ def _summary_hash(summary) -> str:
     return hashlib.sha256(summary.format().encode()).hexdigest()
 
 
+def _reference_events(records, width_bits=24):
+    return list(oracles.decoded_events(records, NAMES, width_bits))
+
+
+def _reference_summary(records, include_swtch=False):
+    """The call tree's summary of the per-record reference decode."""
+    return summarize(
+        build_call_tree(_reference_events(records)), include_swtch=include_swtch
+    )
+
+
 # -- raw-record layer --------------------------------------------------------
 
 
@@ -163,7 +174,7 @@ class TestRecordParity:
     def test_columnar_load_matches_reference(self, records):
         blob = dump_records(records)
         columns = decode_record_columns(blob)
-        assert columns.to_records() == load_records(blob)
+        assert columns.to_records() == oracles.load_records(blob)
         assert columns.to_bytes() == blob
         for offset in (0, len(records) // 2, len(records) - 1):
             if 0 <= offset < len(records):
@@ -176,7 +187,7 @@ class TestRecordParity:
     )
     def test_chunked_stream_matches_reference(self, records, chunk_records):
         blob = dump_records(records)
-        reference = list(iter_record_stream(io.BytesIO(blob)))
+        reference = list(oracles.iter_record_stream(io.BytesIO(blob)))
         batches = list(
             iter_record_columns(io.BytesIO(blob), chunk_records=chunk_records)
         )
@@ -195,7 +206,7 @@ class TestRecordParity:
         buffer = io.BytesIO()
         write_capture_stream(buffer, records, version=version)
         buffer.seek(0)
-        reference = list(iter_capture_file(buffer))
+        reference = list(oracles.iter_capture_file(buffer))
         buffer.seek(0)
         flattened = [
             r
@@ -217,23 +228,16 @@ class TestEventParity:
     )
     def test_decoded_events_field_identical(self, records, start_index, time_base_us):
         reference = list(
-            iter_decoded_events(
-                iter(records),
-                NAMES,
-                start_index=start_index,
-                time_base_us=time_base_us,
-                decode="reference",
+            oracles.decoded_events(
+                records, NAMES, start_index=start_index, time_base_us=time_base_us
             )
         )
-        columnar_events = list(
-            iter_decoded_events(
-                iter(records),
-                NAMES,
-                start_index=start_index,
-                time_base_us=time_base_us,
-                decode="columnar",
-            )
-        )
+        columnar_events = columnar.decode_columns(
+            columnar.columns_from_records(records),
+            NAMES,
+            start_index=start_index,
+            time_base_us=time_base_us,
+        ).to_events()
         assert len(columnar_events) == len(reference)
         for got, want in zip(columnar_events, reference):
             assert _event_fields(got) == _event_fields(want)
@@ -243,25 +247,40 @@ class TestEventParity:
     def test_narrow_counter_widths_agree(self, records, width_bits):
         mask = (1 << width_bits) - 1
         narrowed = [RawRecord(tag=r.tag, time=r.time & mask) for r in records]
-        assert decode_records(narrowed, NAMES, width_bits=width_bits, decode="columnar") == decode_records(
-            narrowed, NAMES, width_bits=width_bits, decode="reference"
-        )
+        assert decode_records(
+            narrowed, NAMES, width_bits=width_bits
+        ) == _reference_events(narrowed, width_bits)
 
     def test_zero_length_capture(self):
-        assert decode_records([], NAMES, decode="columnar") == []
-        assert decode_records([], NAMES, decode="reference") == []
+        assert decode_records([], NAMES) == []
+        assert _reference_events([]) == []
         assert decode_record_columns(b"").to_records() == []
 
     def test_chunk_boundary_wrap_carry(self):
-        """Wraps that straddle the 8192-record columnar batch boundary."""
+        """Wraps that straddle 8192-record column batch boundaries: batches
+        decoded with the carried snapshot and time equal one reference pass."""
         records = []
         t = 0
         for i in range(3 * 8192 + 17):
             # Big steps so the counter wraps inside *and* across batches.
             t = (t + 0x31_0000 + i) & TIME_MASK
             records.append(RawRecord(tag=KNOWN_TAGS[i % len(KNOWN_TAGS)], time=t))
-        reference = decode_records(records, NAMES, decode="reference")
-        via_columns = decode_records(records, NAMES, decode="columnar")
+        reference = _reference_events(records)
+        assert decode_records(records, NAMES) == reference
+        decode_map = columnar.build_decode_map(NAMES)
+        via_columns, previous, base = [], None, 0
+        for start in range(0, len(records), 8192):
+            chunk = records[start : start + 8192]
+            batch = columnar.decode_columns(
+                columnar.columns_from_records(chunk),
+                NAMES,
+                start_index=start,
+                time_base_us=base,
+                previous=previous,
+                decode_map=decode_map,
+            )
+            via_columns += batch.to_events()
+            base, previous = batch.times[-1], chunk[-1].time
         assert via_columns == reference
         # Absolute time must climb monotonically across batch seams.
         times = [e.time_us for e in via_columns]
@@ -273,9 +292,7 @@ class TestEventParity:
             RawRecord(tag=KNOWN_TAGS[i % len(KNOWN_TAGS)], time=(i * 37) & TIME_MASK)
             for i in range(DEFAULT_DEPTH)
         ]
-        assert decode_records(records, NAMES, decode="columnar") == decode_records(
-            records, NAMES, decode="reference"
-        )
+        assert decode_records(records, NAMES) == _reference_events(records)
 
     @DIFF_SETTINGS
     @given(records=record_streams(max_records=60))
@@ -283,9 +300,10 @@ class TestEventParity:
         """A 24-bit snapshot fed as 16-bit: same ValueError, same message."""
         poisoned = list(records) + [RawRecord(tag=KNOWN_TAGS[0], time=0x1_0000)]
         errors = []
-        for decode in ("reference", "columnar"):
+        for decode in (lambda: _reference_events(poisoned, 16),
+                       lambda: decode_records(poisoned, NAMES, width_bits=16)):
             with pytest.raises(ValueError) as excinfo:
-                decode_records(poisoned, NAMES, width_bits=16, decode=decode)
+                decode()
             errors.append(str(excinfo.value))
         assert errors[0] == errors[1]
 
@@ -301,9 +319,7 @@ class TestSummaryParity:
         include_swtch=st.booleans(),
     )
     def test_summary_bytes_identical(self, records, chunk_records, include_swtch):
-        reference = summarize_records(
-            iter(records), NAMES, include_swtch=include_swtch
-        )
+        reference = _reference_summary(records, include_swtch=include_swtch)
         batches = (
             columnar.columns_from_records(records[i : i + chunk_records])
             for i in range(0, len(records), chunk_records)
@@ -316,7 +332,7 @@ class TestSummaryParity:
     @given(records=record_streams())
     def test_summary_bytes_identical_on_raw_streams(self, records):
         """Unknown tags and unmatched exits summarise identically too."""
-        reference = summarize_records(iter(records), NAMES)
+        reference = _reference_summary(records)
         via_columns = summarize_columns(
             [columnar.columns_from_records(records)], NAMES
         )
@@ -331,11 +347,12 @@ class TestSummaryParity:
     def test_carried_state_identical_after_mid_batch_error(
         self, prefix, suffix, bad_offset
     ):
-        """An over-width snapshot mid-batch leaves both accumulators in the
-        same state: after catching the (identical) error, feeding the rest
-        of the stream still produces byte-identical summaries.
+        """A batch holding an over-width snapshot is rejected whole: the
+        fold raises the reference decoder's error and carries exactly the
+        state it had before the batch, so feeding the rest of the stream
+        gives the summary of the stream without the rejected batch.
 
-        The accumulators run at 16-bit width so a legal 24-bit
+        The accumulator runs at 16-bit width so a legal 24-bit
         ``RawRecord`` snapshot can poison the batch.
         """
         mask = (1 << 16) - 1
@@ -344,69 +361,22 @@ class TestSummaryParity:
         poison = RawRecord(tag=KNOWN_TAGS[1], time=mask + 1)
         bad_batch = list(prefix[: bad_offset + 3]) + [poison]
 
-        def run(feed):
-            accumulator = SummaryAccumulator(NAMES, width_bits=16)
-            feed(accumulator, prefix)
-            try:
-                feed(accumulator, bad_batch)
-            except ValueError as exc:
-                message = str(exc)
-            else:  # pragma: no cover - the poison record must raise
-                raise AssertionError("over-width record did not raise")
-            feed(accumulator, suffix)
-            return message, accumulator.summary().format()
+        def feed(accumulator, records):
+            accumulator.feed_columns(columnar.columns_from_records(records))
 
-        ref_message, ref_text = run(
-            lambda acc, recs: acc.feed_records(recs)
-        )
-        col_message, col_text = run(
-            lambda acc, recs: acc.feed_columns(columnar.columns_from_records(recs))
-        )
-        assert col_message == ref_message
-        assert col_text == ref_text
+        accumulator = SummaryAccumulator(NAMES, width_bits=16)
+        feed(accumulator, prefix)
+        with pytest.raises(ValueError) as excinfo:
+            feed(accumulator, bad_batch)
+        feed(accumulator, suffix)
+        with pytest.raises(ValueError) as reference_error:
+            _reference_events(bad_batch, 16)
+        assert str(excinfo.value) == str(reference_error.value)
 
-
-# -- shard-planner layer -----------------------------------------------------
-
-
-class TestPlannerParity:
-    @DIFF_SETTINGS
-    @given(
-        records=call_streams(),
-        max_shard_events=st.integers(min_value=4, max_value=64),
-    )
-    def test_shard_plans_identical(self, records, max_shard_events):
-        reference = plan_shards(
-            records, NAMES, max_shard_events=max_shard_events, decode="reference"
-        )
-        via_columns = plan_shards(
-            records, NAMES, max_shard_events=max_shard_events, decode="columnar"
-        )
-        assert via_columns == reference
-
-    def test_analyze_sharded_summary_identical(self):
-        records = []
-        t = 0
-        swtch = NAMES.by_name("swtch")
-        functions = [NAMES.by_name(n) for n in ("main", "read", "bcopy")]
-        for block in range(600):
-            records.append(RawRecord(tag=swtch.exit_value, time=t & TIME_MASK))
-            t += 7
-            fn = functions[block % 3]
-            records.append(RawRecord(tag=fn.entry_value, time=t & TIME_MASK))
-            t += 11
-            records.append(RawRecord(tag=fn.exit_value, time=t & TIME_MASK))
-            t += 5
-            records.append(RawRecord(tag=swtch.entry_value, time=t & TIME_MASK))
-            t += 23
-        reference = analyze_sharded(
-            records, NAMES, workers=2, max_shard_events=256, decode="reference"
-        )
-        via_columns = analyze_sharded(
-            records, NAMES, workers=2, max_shard_events=256, decode="columnar"
-        )
-        assert via_columns.summary.format() == reference.summary.format()
-        assert [p for p in via_columns.plans] == [p for p in reference.plans]
+        clean = SummaryAccumulator(NAMES, width_bits=16)
+        feed(clean, prefix)
+        feed(clean, suffix)
+        assert accumulator.summary().format() == clean.summary().format()
 
 
 # -- entry/exit pairing ------------------------------------------------------

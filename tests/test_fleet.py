@@ -236,7 +236,7 @@ class TestDeterminism:
         shards = []
         for capture in plan.captures:
             _, accumulator = _summarize_one(
-                capture.path, names, "columnar", "off", None
+                capture.path, names, "off", None
             )
             shards.append((capture.index, accumulator))
         ordered = merge_fleet(names, list(shards)).summary().format()

@@ -87,18 +87,26 @@ def test_figure5_summary_golden(forkexec_capture):
 
 
 def test_streaming_matches_figure3_golden(network_capture):
-    """The streaming path must reproduce the golden text, not just agree
-    with whatever batch currently produces."""
+    """The fold must reproduce the golden text, not just agree with
+    whatever the call tree currently produces."""
     system, capture = network_capture
-    text = system.summarize_streaming(capture).format(limit=20) + "\n"
+    text = system.summarize(capture).format(limit=20) + "\n"
     if not os.environ.get("REGEN_GOLDEN"):
         assert text == (GOLDEN_DIR / "figure3_network_summary.txt").read_text()
 
 
 def test_sharded_matches_figure5_golden(forkexec_capture):
+    """The fold fed in 512-record shards reproduces the golden text."""
+    from repro.analysis.columnar import columns_from_records
+    from repro.analysis.summary import summarize_columns
+
     system, capture = forkexec_capture
-    result = system.summarize_sharded(capture, workers=2, max_shard_events=512)
-    text = result.summary.format(limit=20) + "\n"
+    records = capture.records
+    shards = (
+        columns_from_records(records[start : start + 512])
+        for start in range(0, len(records), 512)
+    )
+    text = summarize_columns(shards, capture.names).format(limit=20) + "\n"
     if not os.environ.get("REGEN_GOLDEN"):
         assert text == (GOLDEN_DIR / "figure5_forkexec_summary.txt").read_text()
 

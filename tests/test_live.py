@@ -23,6 +23,7 @@ import zlib
 import pytest
 
 from stream_helpers import make_names
+from repro.analysis.callstack import analyze_capture
 from repro.analysis.columnar import (
     PairingCarry,
     build_decode_map,
@@ -30,12 +31,13 @@ from repro.analysis.columnar import (
     decode_columns,
     pair_entry_exits,
 )
-from repro.analysis.summary import SummaryAccumulator, summarize_records
+from repro.analysis.summary import SummaryAccumulator, summarize
 from repro.db.query import FUNCTION_SORTS
 from repro.lint import lint_live_drain, lint_live_stream, render_text
 from repro.live.analyzer import LiveAnalyzer, LiveWindow
 from repro.live.top import TOP_SORTS, TopView, render_top, sort_rows
 from repro.live.trace import LiveTraceWriter
+from repro.profiler.capture import Capture
 from repro.profiler.ram import RawRecord
 from repro.profiler.upload import (
     TRAILER_BYTES,
@@ -173,7 +175,7 @@ class TestLiveBatchIdentity:
         live = analyzer.consume(
             io.BytesIO(_wire_bytes(records, chunk=77)), chunk_records=61
         )
-        batch = summarize_records(iter(records), names)
+        batch = summarize(analyze_capture(Capture(records=tuple(records), names=names)))
         assert live.format() == batch.format()
         assert analyzer.windows >= 1
         assert analyzer.records_total == len(records)
@@ -196,24 +198,24 @@ class TestPeekDelta:
         names = _names()
         accumulator = SummaryAccumulator(names)
         for record in records[:150]:
-            accumulator.feed_records([record])
+            accumulator.feed_columns(columns_from_records([record]))
             if len(records) % 50 == 0:
                 accumulator.peek()
         mid = accumulator.peek()
         assert mid.event_count == 150
         for record in records[150:]:
-            accumulator.feed_records([record])
+            accumulator.feed_columns(columns_from_records([record]))
         reference = SummaryAccumulator(names)
-        reference.feed_records(records)
+        reference.feed_columns(columns_from_records(records))
         assert accumulator.summary().format() == reference.summary().format()
 
     def test_delta_is_exact_for_monotone_counters(self):
         records = _records(400)
         names = _names()
         accumulator = SummaryAccumulator(names)
-        accumulator.feed_records(records[:200])
+        accumulator.feed_columns(columns_from_records(records[:200]))
         older = accumulator.peek()
-        accumulator.feed_records(records[200:])
+        accumulator.feed_columns(columns_from_records(records[200:]))
         newer = accumulator.peek()
         delta = newer.delta(older)
         assert delta.event_count == 200
@@ -517,12 +519,15 @@ class TestLiveCli:
         )
         assert code == 0
         code, batch_text = run_cli(
-            "analyze", str(wire), "--names", str(tags), "--stream",
+            "analyze", str(wire), "--names", str(tags),
             "--summary-limit", "8",
         )
         assert code == 0
-        # batch prefixes one "streamed N events" line; the reports match
-        assert live_text == batch_text.split("\n", 1)[1]
+        # batch adds a "loaded N events" line and the desync footer
+        batch_lines = batch_text.split("\n")
+        assert batch_lines[0].startswith("loaded ")
+        assert batch_lines[-2].startswith("kstack desyncs = ")
+        assert live_text.split("\n") == batch_lines[1:-2] + batch_lines[-1:]
 
     def test_top_once(self, capsys):
         code, _ = run_cli(

@@ -114,7 +114,7 @@ class TestEpromReadback:
 
 
 class TestStreamingCaptureIO:
-    """The chunked readers/writers behind ``analyze --stream``."""
+    """The chunked readers/writers behind ``analyze``."""
 
     def _file(self, records):
         buffer = io.BytesIO()

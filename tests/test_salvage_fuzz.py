@@ -2,11 +2,13 @@
 
 A deterministic generator mutates a known-good capture — truncation,
 bit flips, count-field lies, magic damage, and stacked combinations —
-and every mutant goes through :func:`salvage_capture_bytes` twice, once
-per decode engine.  The engines must recover the same records, report
-the same :class:`CaptureDefect` list and the same metadata, for every
-mutant: salvage is exactly the path where the two implementations are
-most likely to drift, because it runs on *damaged* byte streams.
+and every mutant goes through :func:`salvage_capture_bytes` twice: once
+as shipped (columnar payload decode) and once with the payload decoded
+by the per-record reference of ``oracles.py``.  Both runs must recover
+the same records, report the same :class:`CaptureDefect` list and the
+same metadata, for every mutant: salvage is exactly the path where the
+columnar decoder is most likely to drift, because it runs on *damaged*
+byte streams.
 
 Three generated mutants are frozen in ``tests/golden/`` together with
 their expected salvage results (``salvage_fuzz_expected.json``), so the
@@ -30,6 +32,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from repro.profiler.ram import RawRecord
 from repro.profiler.upload import (
     dump_records,
@@ -87,9 +90,17 @@ def mutate(blob: bytes, kind: str, rng: random.Random) -> bytes:
     return bytes(data)
 
 
+def salvage_bytes(blob: bytes, decode: str):
+    """Salvage *blob*, decoding the payload columnar or per record."""
+    if decode == "reference":
+        with oracles.per_record_payload_decoder():
+            return salvage_capture_bytes(blob)
+    return salvage_capture_bytes(blob)
+
+
 def salvage_fingerprint(blob: bytes, decode: str) -> dict:
     """Everything observable about one salvage run, JSON-serialisable."""
-    result = salvage_capture_bytes(blob, decode=decode)
+    result = salvage_bytes(blob, decode)
     return {
         "records": len(result.records),
         "records_sha256": hashlib.sha256(
@@ -143,7 +154,7 @@ class TestSalvageEngineParity:
         for version in (1, 2):
             blob = base_capture(version)
             for decode in ("reference", "columnar"):
-                result = salvage_capture_bytes(blob, decode=decode)
+                result = salvage_bytes(blob, decode)
                 assert result.defects == []
                 assert len(result.records) == 120
 

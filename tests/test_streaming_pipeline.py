@@ -1,12 +1,13 @@
-"""Property-style parity tests: batch == streaming == sharded-merged.
+"""Property-style parity tests: the summary fold == the call tree.
 
 Fifty randomly generated traces (fixed seeds, no wall clock anywhere) are
-pushed through all three analysis paths; the summaries must be
-byte-identical and the anomaly lists must match the batch reconstruction
-exactly.  The generator deliberately produces *hostile* streams — random
-nesting, unmatched exits, context switches mid-call, inline marks, and
-time deltas large enough to wrap the 24-bit counter many times — because
-the parity claim is about the pipeline, not about well-formed kernels.
+summarised by the fold — whole, and fed in small column batches — and by
+the call-tree reconstruction; the summaries must be byte-identical and
+the fold's anomaly list must match the tree's exactly.  The generator
+deliberately produces *hostile* streams — random nesting, unmatched
+exits, context switches mid-call, inline marks, and time deltas large
+enough to wrap the 24-bit counter many times — because the parity claim
+is about the fold, not about well-formed kernels.
 """
 
 from __future__ import annotations
@@ -18,12 +19,12 @@ import pytest
 from stream_helpers import make_names
 
 from repro.analysis.callstack import analyze_capture
-from repro.analysis.pipeline import analyze_sharded, plan_shards
+from repro.analysis.columnar import columns_from_records
 from repro.analysis.summary import (
     SummaryAccumulator,
+    fold_columns,
     summarize,
-    summarize_capture_streaming,
-    summarize_records,
+    summarize_capture,
 )
 from repro.profiler.capture import Capture
 from repro.profiler.ram import RawRecord
@@ -82,7 +83,8 @@ def random_records(seed: int, length: int = 400, wild_deltas: bool = False):
 
 
 def orderly_records(seed: int, blocks: int = 60):
-    """Well-formed scheduling blocks (every shard planner cut is legal)."""
+    """Well-formed scheduling blocks: every ``swtch`` entry is a point
+    where no call is open."""
     rng = random.Random(seed)
     records = []
     t = rng.randrange(1 << 24)
@@ -111,21 +113,29 @@ def batch_summary(records):
     return summarize(analysis), analysis.anomalies
 
 
-def assert_parity(records, *, max_shard_events=64, workers=2):
+def fold(records, batches):
+    """The fold over *records* fed as the given consecutive batches."""
+    return fold_columns(
+        (columns_from_records(records[start:stop]) for start, stop in batches),
+        NAMES,
+    )
+
+
+def assert_parity(records, *, batch_events=64):
+    """The fold, whole and in ``batch_events`` batches, equals the tree."""
     batch, batch_anomalies = batch_summary(records)
     batch_text = batch.format()
+    expected_anomalies = [(a.index, a.kind, a.detail) for a in batch_anomalies]
 
-    streamed = summarize_records(iter(records), NAMES)
-    assert streamed.format() == batch_text
+    whole = fold(records, [(0, len(records))])
+    assert whole.summary().format() == batch_text
+    assert [(a.index, a.kind, a.detail) for a in whole.anomalies] == expected_anomalies
 
-    sharded = analyze_sharded(
-        records, NAMES, max_shard_events=max_shard_events, workers=workers
-    )
-    assert sharded.summary.format() == batch_text
-    assert [(a.index, a.kind, a.detail) for a in sharded.anomalies] == [
-        (a.index, a.kind, a.detail) for a in batch_anomalies
-    ]
-    return sharded
+    cuts = range(0, len(records), batch_events)
+    chunked = fold(records, [(start, start + batch_events) for start in cuts])
+    assert chunked.summary().format() == batch_text
+    assert chunked.anomalies == whole.anomalies
+    return whole
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -137,23 +147,34 @@ def test_hostile_trace_parity(seed):
 def test_multiwrap_trace_parity(seed):
     """Deltas up to 2^22 us: the 24-bit counter wraps dozens of times."""
     records = random_records(seed, length=400, wild_deltas=True)
-    sharded = assert_parity(records)
+    folded = assert_parity(records)
     # The point of the exercise: the trace really did span many wraps.
     batch, _ = batch_summary(records)
     assert batch.wall_us > (1 << 24)
-    assert sharded.summary.wall_us == batch.wall_us
+    assert folded.summary().wall_us == batch.wall_us
 
 
 @pytest.mark.parametrize("seed", range(40, 50))
 def test_orderly_trace_shards_and_matches(seed):
-    """Well-formed blocks must actually shard (cuts exist) and still match."""
+    """Well-formed blocks cut into shards at their ``swtch`` entries and
+    folded shard by shard still match the tree: the idle interval across
+    each cut is counted once, inside the ``swtch`` frame left open."""
     records = orderly_records(seed)
-    sharded = assert_parity(records, max_shard_events=48, workers=4)
-    assert sharded.shard_count >= 3
+    swtch_entry = NAMES.by_name("swtch").entry_value
+    cuts = [i + 1 for i, r in enumerate(records) if r.tag == swtch_entry]
+    shards, start = [], 0
+    for cut in cuts:
+        if cut - start >= 48 or cut == len(records):
+            shards.append((start, cut))
+            start = cut
+    assert len(shards) >= 3 and start == len(records)
+    batch, _ = batch_summary(records)
+    assert fold(records, shards).summary().format() == batch.format()
+    assert_parity(records, batch_events=48)
 
 
 def test_wrap_across_chunk_boundary():
-    """A wrap falling exactly on a feed_records() chunk boundary."""
+    """A wrap falling exactly on a feed_columns() batch boundary."""
     swtch = NAMES.by_name("swtch")
     alpha = NAMES.by_name("alpha")
     t = (1 << 24) - 9  # entry lands 9 us before the counter wraps
@@ -165,8 +186,8 @@ def test_wrap_across_chunk_boundary():
     ]
     accumulator = SummaryAccumulator(NAMES)
     # Feed in two chunks split across the wrap: state must carry over.
-    accumulator.feed_records(records[:2])
-    accumulator.feed_records(records[2:])
+    accumulator.feed_columns(columns_from_records(records[:2]))
+    accumulator.feed_columns(columns_from_records(records[2:]))
     accumulator.close()
     summary = accumulator.summary()
 
@@ -189,21 +210,20 @@ def test_streaming_capture_helper_matches_batch(simple_names):
         (">", "swtch", 210),
     )
     assert (
-        summarize_capture_streaming(capture).format()
+        summarize_capture(capture).format()
         == summarize(analyze_capture(capture)).format()
     )
 
 
-def test_sharding_falls_back_when_no_quiescent_points():
-    """A tsleep-style trace (stacks stay suspended) cannot be cut safely:
-    the planner must grow the shard rather than split call state."""
+def test_suspended_stacks_trace_parity():
+    """A tsleep-style trace: every process blocks mid-call, so at each
+    ``swtch`` entry some suspended stack is non-empty and the fold carries
+    suspended frames across every batch cut."""
     swtch = NAMES.by_name("swtch")
     alpha = NAMES.by_name("alpha")
     bravo = NAMES.by_name("bravo")
     records = []
     t = 0
-    # Every process blocks mid-call: at each swtch entry some suspended
-    # stack is non-empty, so no cut point is ever quiescent.
     for _ in range(50):
         records.append(RawRecord(tag=swtch.exit_value, time=t & MASK))
         t += 3
@@ -213,7 +233,4 @@ def test_sharding_falls_back_when_no_quiescent_points():
         t += 5
         records.append(RawRecord(tag=swtch.entry_value, time=t & MASK))
         t += 11
-    plans = plan_shards(records, NAMES, max_shard_events=16)
-    assert len(plans) == 1
-    assert len(plans[0]) == len(records)
-    assert_parity(records, max_shard_events=16)
+    assert_parity(records, batch_events=16)

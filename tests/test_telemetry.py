@@ -21,7 +21,6 @@ import pytest
 
 from repro.__main__ import main
 from repro.analysis.callstack import analyze_capture
-from repro.analysis.pipeline import analyze_sharded
 from repro.instrument.namefile import NameTable
 from repro.lint import lint_telemetry
 from repro.profiler.capture import Capture
@@ -501,21 +500,6 @@ class TestProgressReporter:
         with pytest.raises(ValueError):
             ProgressReporter(mode="loud")
 
-    def test_sharded_progress_callback_sees_every_event(self):
-        names = NameTable.read(GOLDEN_DIR / "case_study.tags")
-        capture = Capture.load(GOLDEN_DIR / "figure5_forkexec_v2.mpf", names)
-        ticks: list[int] = []
-        result = analyze_sharded(
-            capture.records,
-            capture.names,
-            max_shard_events=64,
-            workers=2,
-            width_bits=capture.counter_width_bits,
-            progress=ticks.append,
-        )
-        assert sum(ticks) == len(capture.records)
-        assert len(ticks) == result.shard_count
-
 
 # -- the P4xx lint family -----------------------------------------------------
 
@@ -592,9 +576,9 @@ class TestCliTelemetry:
     def test_analyze_stream_telemetry_identical_too(self, tmp_path):
         capture = str(GOLDEN_DIR / "figure3_network_v2.mpf")
         names = str(GOLDEN_DIR / "case_study.tags")
-        plain = run_cli("analyze", capture, "--names", names, "--stream")
+        plain = run_cli("analyze", capture, "--names", names)
         telem = run_cli(
-            "analyze", capture, "--names", names, "--stream",
+            "analyze", capture, "--names", names,
             "--telemetry", str(tmp_path / "t.prom"),
         )
         assert plain == telem
@@ -613,18 +597,17 @@ class TestCliTelemetry:
         span_names = {d["name"] for d in docs if d["type"] == "span"}
         assert "capture.run" in span_names
 
-    def test_analyze_shards_telemetry_has_pipeline_spans(self, tmp_path):
-        path = tmp_path / "pipe.jsonl"
+    def test_analyze_telemetry_has_fold_span_and_rate(self, tmp_path):
+        path = tmp_path / "fold.jsonl"
         run_cli(
             "analyze", str(GOLDEN_DIR / "figure5_forkexec_v2.mpf"),
             "--names", str(GOLDEN_DIR / "case_study.tags"),
-            "--shards", "2", "--shard-events", "64",
             "--telemetry", str(path),
         )
         docs = [json.loads(line) for line in path.read_text().splitlines()]
-        span_names = {d["name"] for d in docs if d["type"] == "span"}
-        assert {"pipeline.analyze_sharded", "pipeline.plan",
-                "pipeline.shard", "pipeline.merge"} <= span_names
+        assert "analysis.fold" in {d["name"] for d in docs if d["type"] == "span"}
+        rates = [d for d in docs if d.get("name") == "analysis.events_per_sec"]
+        assert rates and rates[0]["value"] > 0
 
     def test_telemetry_prometheus_output_validates(self, tmp_path):
         path = tmp_path / "run.prom"
@@ -650,14 +633,13 @@ class TestCliTelemetry:
         out_lines = run_cli(
             "analyze", str(GOLDEN_DIR / "figure3_network_v2.mpf"),
             "--names", str(GOLDEN_DIR / "case_study.tags"),
-            "--stream", "--progress=force",
+            "--progress=force",
         )
         captured = capsys.readouterr()
         assert "records" in captured.err and "/s" in captured.err
         plain = run_cli(
             "analyze", str(GOLDEN_DIR / "figure3_network_v2.mpf"),
             "--names", str(GOLDEN_DIR / "case_study.tags"),
-            "--stream",
         )
         assert out_lines == plain  # stdout untouched by the heartbeat
 
@@ -665,7 +647,7 @@ class TestCliTelemetry:
         run_cli(
             "analyze", str(GOLDEN_DIR / "figure3_network_v2.mpf"),
             "--names", str(GOLDEN_DIR / "case_study.tags"),
-            "--stream", "--progress",
+            "--progress",
         )
         assert capsys.readouterr().err == ""
 
