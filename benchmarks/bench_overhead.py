@@ -75,7 +75,7 @@ def test_kernel_scale_and_fill_rate(benchmark, comparison):
         from repro.analysis.events import decode_capture
 
         events = decode_capture(capture)
-        fill_ms = events[-1].time_us / 1_000
+        fill_ms = events.times[-1] / 1_000
         comparison.row("16384-event fill time", "~300 ms", f"{fill_ms:.0f} ms")
         assert fill_ms <= 1_000
 

@@ -101,10 +101,12 @@ def test_higher_precision_capture_still_analyses(benchmark):
     assert capture.counter_rate_hz == 10_000_000
     from repro.analysis.summary import summarize
     from repro.analysis.callstack import analyze_capture
-    from repro.analysis.events import decode_capture, reconstruct_times
+    from repro.analysis.columnar import unwrap_times
 
-    # Decode with the right width: intervals are in 0.1 us ticks.
-    times = reconstruct_times(capture.records, width_bits=32)
+    # Decode with the capture's own width: intervals are in 0.1 us ticks.
+    times = unwrap_times(
+        [record.time for record in capture.records], capture.counter_width_bits
+    )
     assert times == sorted(times)
     summary = summarize(analyze_capture(capture))
     assert summary.get("bcopy") is not None

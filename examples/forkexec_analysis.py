@@ -73,11 +73,11 @@ def main() -> None:
 
     graph = call_graph(analysis)
     fork_edges = sorted(
-        graph.out_edges("vmspace_fork", data=True),
-        key=lambda e: -e[2]["inclusive_us"],
+        graph.edges.get("vmspace_fork", {}).items(),
+        key=lambda e: -e[1]["inclusive_us"],
     )[:4]
     print("\nWhere vmspace_fork's time goes (call-graph edges):")
-    for _, callee, data in fork_edges:
+    for callee, data in fork_edges:
         print(
             f"  -> {callee:<16} {data['inclusive_us']:>8} us over "
             f"{data['calls']} calls"

@@ -904,7 +904,7 @@ def cmd_live_analyze(args: argparse.Namespace, out: Callable) -> int:
         if args.trace_out:
             from repro.live.trace import LiveTraceWriter
 
-            trace = LiveTraceWriter(args.trace_out, names)
+            trace = LiveTraceWriter(args.trace_out)
         if args.heartbeat:
             from repro.telemetry import HeartbeatFlusher
 

@@ -5,11 +5,12 @@ turns that list into the paper's two reports and the future-work extras:
 
 * :mod:`repro.analysis.events` — tag decode and reconstruction of absolute
   time from the wrapping 24-bit counter;
-* :mod:`repro.analysis.callstack` — entry/exit matching, call-tree
-  construction, context-switch splitting at ``!``-tagged functions, and
-  idle/active CPU separation;
-* :mod:`repro.analysis.summary` — the per-function statistics report
+* :mod:`repro.analysis.summary` — the reconstruction fold (entry/exit
+  matching, context-switch splitting at ``!``-tagged functions,
+  idle/active CPU separation) and the per-function statistics report
   (Figure 3 / Figure 5 layout);
+* :mod:`repro.analysis.callstack` — the call tree, a recording of that
+  fold;
 * :mod:`repro.analysis.trace` — the timestamped nested code-path trace
   (Figure 4 layout);
 * :mod:`repro.analysis.histogram`, :mod:`repro.analysis.graph` — the

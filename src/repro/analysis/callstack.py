@@ -19,32 +19,30 @@ to a different process."  The rules implemented here are the paper's:
   runtime.
 
 The raw stream does not identify processes, so switch-in resolution is a
-reconstruction heuristic (documented on :class:`_Resolver`): resume the
-suspended stack whose top frame matches the next function exit, prefer
-empty (user-mode) stacks when the block opens with an entry, and create a
-fresh stack when nothing matches (a process seen for the first time).
-Truncation at both ends of the capture window is tolerated with synthetic
-frames, and every repair is recorded as an :class:`Anomaly`.
+reconstruction heuristic: resume the suspended stack whose top frame
+matches the next function exit, prefer empty (user-mode) stacks when the
+block opens with an entry, and create a fresh stack when nothing matches
+(a process seen for the first time).  Truncation at both ends of the
+capture window is tolerated with synthetic frames, and every repair is
+recorded as an :class:`Anomaly`.
+
+The program implements these rules once, in the summary fold's state
+machine (:class:`repro.analysis.summary.SummaryAccumulator`).  The call
+tree is a recording of that reconstruction: :func:`build_call_tree` runs
+the fold with a tree recorder attached, so the tree, the summary and the
+live trace agree by construction.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
-from repro.analysis.events import DecodedEvent, EventKind, decode_capture
+from repro.analysis.columnar import ColumnarEvents
+from repro.analysis.events import decode_capture
+from repro.analysis.summary import Anomaly, FoldRecorder, SummaryAccumulator
+from repro.instrument.namefile import NameTable
 from repro.profiler.capture import Capture
-
-
-@dataclasses.dataclass
-class Anomaly:
-    """One repair the reconstruction had to make."""
-
-    index: int
-    time_us: int
-    kind: str
-    detail: str
 
 
 @dataclasses.dataclass
@@ -87,18 +85,6 @@ class CallNode:
 
 
 @dataclasses.dataclass
-class _Stack:
-    """One process's reconstruction state."""
-
-    proc: str
-    frames: list[CallNode] = dataclasses.field(default_factory=list)
-    roots: list[CallNode] = dataclasses.field(default_factory=list)
-    suspended_at_us: int = 0
-    suspend_seq: int = -1
-    block_start_us: int = 0
-
-
-@dataclasses.dataclass
 class CallTreeAnalysis:
     """The reconstructed forest plus the paper's headline CPU accounting."""
 
@@ -135,258 +121,91 @@ class CallTreeAnalysis:
         return [node for node in self.nodes() if node.name == name]
 
 
-class _Resolver:
-    """Switch-in resolution: which suspended stack does this block belong to?
+class _TreeRecorder(FoldRecorder):
+    """Records the fold's reconstruction as a :class:`CallNode` forest.
 
-    The event stream carries no process identifier, so after a ``swtch``
-    exit the analyser must decide which saved stack resumes.  The incoming
-    block's events are scanned forward (stopping at the block's closing
-    ``swtch`` entry) with a depth counter; entries open new frames, exits
-    first unwind those.  The first exit that unwinds *below* the block's
-    opening depth names a frame the resumed process was suspended inside:
-
-    1. an unwinding exit of function X — resume the least-recently
-       suspended stack whose top open frame is X;
-    2. no unwinding exit in the whole block — the process never returned
-       into pre-existing frames: resume the least-recently-suspended
-       *empty* stack (a process that was in user mode) if any;
-    3. otherwise — a process not seen before: start a fresh stack.
+    Each open frame carries its node as ``frame[5]``.
     """
 
-    def __init__(self, events: Sequence[DecodedEvent]) -> None:
-        self._events = events
+    def __init__(self) -> None:
+        self.roots: list[CallNode] = []
+        self.orphan_marks: list[tuple[int, str]] = []
 
-    def resolve(
-        self, next_index: int, suspended: list[_Stack]
-    ) -> Optional[_Stack]:
-        unwind_name = self._unwinding_exit(next_index)
-        if unwind_name is not None:
-            matches = [
-                stack
-                for stack in suspended
-                if stack.frames and stack.frames[-1].name == unwind_name
-            ]
-            if matches:
-                return min(matches, key=lambda s: s.suspend_seq)
-            return None
-        empty = [stack for stack in suspended if not stack.frames]
-        if empty:
-            return min(empty, key=lambda s: s.suspend_seq)
-        return None
-
-    def _unwinding_exit(self, index: int) -> Optional[str]:
-        """Name of the first exit unwinding below the block's start depth.
-
-        Returns ``None`` when the block ends (next context switch or end
-        of capture) without such an exit.
-        """
-        depth = 0
-        # Indexed loop, not islice: islice steps through the first *index*
-        # elements to skip them, which turns a long capture with many
-        # context switches into an O(n^2) analysis.
-        events = self._events
-        for i in range(index, len(events)):
-            event = events[i]
-            if event.kind is EventKind.ENTRY:
-                if event.is_context_switch:
-                    return None
-                depth += 1
-            elif event.kind is EventKind.EXIT:
-                if depth > 0:
-                    depth -= 1
-                else:
-                    return event.name
-        return None
-
-
-def build_call_tree(events: Sequence[DecodedEvent]) -> CallTreeAnalysis:
-    """Reconstruct the call forest from a decoded event stream."""
-    anomalies: list[Anomaly] = []
-    roots: list[CallNode] = []
-    resolver = _Resolver(events)
-    proc_counter = itertools.count()
-    suspend_counter = itertools.count()
-
-    start_us = events[0].time_us if events else 0
-    current = _Stack(proc=f"P{next(proc_counter)}", block_start_us=start_us)
-    all_stacks = [current]
-    suspended: list[_Stack] = []
-    prev_time = start_us
-    unattributed_us = 0
-    context_switches = 0
-    orphan_marks: list[tuple[int, str]] = []
-
-    def open_frame(stack: _Stack, event: DecodedEvent, is_swtch: bool) -> CallNode:
+    def open_frame(self, stack, frame: list) -> None:
+        frames = stack.frames
         node = CallNode(
-            name=event.name,
-            enter_us=event.time_us,
+            name=frame[0],
+            enter_us=frame[4],
+            proc=stack.proc,
+            is_swtch=frame[3],
+            depth=len(frames) - 1,
+        )
+        if len(frames) > 1:
+            frames[-2][5].children.append(node)
+        else:
+            self.roots.append(node)
+        frame.append(node)
+
+    def close_frame(self, stack, frame: list, exit_us: int, truncated: bool) -> None:
+        node = frame[5]
+        node.exit_us = exit_us
+        node.self_us = frame[1]
+        node.truncated = truncated
+        node._inclusive_us = frame[1] + frame[2]
+
+    def synthetic_frame(self, stack, name: str, exit_us: int, is_swtch: bool) -> None:
+        frames = stack.frames
+        node = CallNode(
+            name=name,
+            enter_us=stack.block_start_us,
             proc=stack.proc,
             is_swtch=is_swtch,
-            depth=len(stack.frames),
+            synthetic=True,
+            exit_us=exit_us,
+            # An unmatched swtch exit stands outside the call nesting.
+            depth=0 if is_swtch else len(frames),
         )
+        if frames:
+            frames[-1][5].children.append(node)
+        else:
+            self.roots.append(node)
+
+    def mark(self, stack, time_us: int, name: str) -> None:
         if stack.frames:
-            stack.frames[-1].children.append(node)
+            stack.frames[-1][5].inline_marks.append((time_us, name))
         else:
-            stack.roots.append(node)
-            roots.append(node)
-        stack.frames.append(node)
-        return node
+            # A point hit with no open frame: user-mode inline marks
+            # between profiled calls land here.
+            self.orphan_marks.append((time_us, name))
 
-    def close_frame(stack: _Stack, time_us: int) -> CallNode:
-        node = stack.frames.pop()
-        node.exit_us = time_us
-        return node
+    def analysis(self, fold: SummaryAccumulator) -> CallTreeAnalysis:
+        """The recorded forest with the (sealed) fold's accounting."""
+        summary = fold.summary()
+        return CallTreeAnalysis(
+            roots=self.roots,
+            anomalies=fold.anomalies,
+            wall_us=summary.wall_us,
+            idle_us=summary.idle_us,
+            unattributed_us=fold.unattributed_us,
+            event_count=fold.event_count,
+            context_switches=fold.context_switches,
+            procs=fold.procs,
+            orphan_marks=self.orphan_marks,
+        )
 
-    def close_through(stack: _Stack, name: str, event: DecodedEvent) -> None:
-        """Close frames down to (and including) the one named *name*."""
-        while stack.frames and stack.frames[-1].name != name:
-            skipped = close_frame(stack, event.time_us)
-            skipped.truncated = True
-            anomalies.append(
-                Anomaly(
-                    index=event.index,
-                    time_us=event.time_us,
-                    kind="missed-exit",
-                    detail=(
-                        f"exit of {name!r} arrived while {skipped.name!r} "
-                        "was still open; closed it administratively"
-                    ),
-                )
-            )
-        if stack.frames:
-            close_frame(stack, event.time_us)
 
-    for event in events:
-        # 1. Attribute the elapsed interval to the innermost active frame.
-        dt = event.time_us - prev_time
-        if current.frames:
-            current.frames[-1].self_us += dt
-        else:
-            unattributed_us += dt
-        prev_time = event.time_us
+def build_call_tree(events: ColumnarEvents) -> CallTreeAnalysis:
+    """Reconstruct the call forest from decoded events.
 
-        # 2. Apply the event.
-        if event.kind is EventKind.INLINE or event.kind is EventKind.UNKNOWN:
-            if event.kind is EventKind.UNKNOWN:
-                anomalies.append(
-                    Anomaly(
-                        index=event.index,
-                        time_us=event.time_us,
-                        kind="unknown-tag",
-                        detail=f"tag {event.raw.tag} is in no name file",
-                    )
-                )
-            if current.frames:
-                current.frames[-1].inline_marks.append((event.time_us, event.name))
-            else:
-                # A point hit with no open frame: user-mode inline marks
-                # between profiled calls land here.
-                orphan_marks.append((event.time_us, event.name))
-            continue
-
-        if event.kind is EventKind.ENTRY:
-            open_frame(current, event, is_swtch=event.is_context_switch)
-            continue
-
-        # EXIT events.
-        if event.is_context_switch:
-            # Close the swtch frame (tolerating interrupt frames left open
-            # above it), then switch stacks.
-            open_names = [frame.name for frame in current.frames]
-            if event.name in open_names:
-                close_through(current, event.name, event)
-            else:
-                node = CallNode(
-                    name=event.name,
-                    enter_us=current.block_start_us,
-                    proc=current.proc,
-                    is_swtch=True,
-                    synthetic=True,
-                    exit_us=event.time_us,
-                )
-                if current.frames:
-                    current.frames[-1].children.append(node)
-                else:
-                    current.roots.append(node)
-                    roots.append(node)
-                anomalies.append(
-                    Anomaly(
-                        index=event.index,
-                        time_us=event.time_us,
-                        kind="unmatched-swtch-exit",
-                        detail="context-switch exit with no open swtch frame",
-                    )
-                )
-            context_switches += 1
-            current.suspended_at_us = event.time_us
-            current.suspend_seq = next(suspend_counter)
-            suspended.append(current)
-            chosen = resolver.resolve(event.index + 1, suspended)
-            if chosen is None:
-                chosen = _Stack(proc=f"P{next(proc_counter)}")
-                all_stacks.append(chosen)
-            else:
-                suspended.remove(chosen)
-            chosen.block_start_us = event.time_us
-            current = chosen
-            continue
-
-        # Ordinary exit.
-        open_names = [frame.name for frame in current.frames]
-        if event.name in open_names:
-            close_through(current, event.name, event)
-        else:
-            node = CallNode(
-                name=event.name,
-                enter_us=current.block_start_us,
-                proc=current.proc,
-                synthetic=True,
-                exit_us=event.time_us,
-                depth=len(current.frames),
-            )
-            if current.frames:
-                current.frames[-1].children.append(node)
-            else:
-                current.roots.append(node)
-                roots.append(node)
-            anomalies.append(
-                Anomaly(
-                    index=event.index,
-                    time_us=event.time_us,
-                    kind="unmatched-exit",
-                    detail=(
-                        f"exit of {event.name!r} with no matching entry "
-                        "(function was already running when the capture began?)"
-                    ),
-                )
-            )
-
-    # 3. Close everything still open (capture window truncation).
-    end_us = events[-1].time_us if events else 0
-    for stack in [current] + suspended:
-        close_at = end_us if stack is current else stack.suspended_at_us
-        while stack.frames:
-            node = close_frame(stack, close_at)
-            node.truncated = True
-
-    idle_us = sum(
-        node.self_us
-        for root in roots
-        for node in root.walk()
-        if node.is_swtch
-    )
-    wall_us = end_us - start_us
-    return CallTreeAnalysis(
-        roots=roots,
-        anomalies=anomalies,
-        wall_us=wall_us,
-        idle_us=idle_us,
-        unattributed_us=unattributed_us,
-        event_count=len(events),
-        context_switches=context_switches,
-        procs=tuple(stack.proc for stack in all_stacks),
-        orphan_marks=orphan_marks,
-    )
+    The summary fold steps *events* with a tree recorder attached, so the
+    forest, its anomalies and its accounting are the fold's own.
+    """
+    # Decoded events carry their names: the fold's own table stays empty.
+    fold = SummaryAccumulator(NameTable())
+    recorder = _TreeRecorder()
+    fold.recorder = recorder
+    fold.feed_events(events)
+    return recorder.analysis(fold)
 
 
 def analyze_capture(capture: Capture) -> CallTreeAnalysis:

@@ -9,15 +9,15 @@ the decode jobs of :mod:`repro.analysis.events` run over *columns*:
    :func:`itertools.accumulate`) over a whole batch;
 2. **Tag decode** (:func:`build_decode_map` + :func:`decode_columns`) —
    one memoizing dict lookup per record, batched into parallel code /
-   name / entry columns;
-3. **Entry/exit pairing** (:func:`pair_entry_exits`) — one stack pass
-   over the code column yielding matched call spans.
+   name / entry / context-switch columns.
 
-The product, :class:`ColumnarEvents`, holds exactly the fields a list of
+The product, :class:`ColumnarEvents`, is what the reconstruction fold
+(:meth:`repro.analysis.summary.SummaryAccumulator.feed_events`) steps
+through.  It holds every field a list of
 :class:`~repro.analysis.events.DecodedEvent` would, column by column, and
-can materialise them (:meth:`ColumnarEvents.to_events`) at API boundaries
-that still want objects.  ``tests/test_decode_differential.py`` holds
-the columns field-identical to a one-record-at-a-time reference decoder
+can materialise them (:meth:`ColumnarEvents.to_events`) for callers that
+want objects.  ``tests/test_decode_differential.py`` holds the columns
+field-identical to a one-record-at-a-time reference decoder
 (``tests/oracles.py``) over generated streams.
 """
 
@@ -34,7 +34,7 @@ from repro.profiler.ram import RawRecord
 from repro.profiler.upload import RecordColumns
 
 #: Integer event codes — cheaper than :class:`EventKind` members in every
-#: columnar hot loop.  Shared with the summary fold
+#: columnar hot loop.  Shared with the reconstruction fold
 #: (:mod:`repro.analysis.summary` imports them as ``_ENTRY`` etc.).
 CODE_ENTRY, CODE_EXIT, CODE_INLINE, CODE_UNKNOWN = 0, 1, 2, 3
 
@@ -46,53 +46,48 @@ KIND_FROM_CODE = {
 }
 
 
-def build_tag_map(names: NameTable) -> dict[int, tuple[str, int, bool]]:
-    """Precompute raw tag value -> (name, event code, is context switch).
-
-    One dict lookup replaces ``NameTable.decode`` plus kind mapping in the
-    summary fold's hot loop.
-    """
-    tag_map: dict[int, tuple[str, int, bool]] = {}
-    for entry in names:
-        if entry.inline:
-            tag_map[entry.entry_value] = (entry.name, CODE_INLINE, False)
-        else:
-            tag_map[entry.entry_value] = (entry.name, CODE_ENTRY, entry.context_switch)
-            tag_map[entry.exit_value] = (entry.name, CODE_EXIT, entry.context_switch)
-    return tag_map
-
-
 class _DecodeMap(dict):
-    """Tag -> (code, name, entry) with memoized unknown-tag entries.
+    """Tag -> (code, name, entry, is context switch), memoizing unknown tags.
 
     ``__missing__`` synthesises the ``tag#N`` identity of a tag absent
-    from the name file, and caches it so
-    a burst of the same unknown tag costs one format call, not one per
-    record.
+    from the name file, and caches it so a burst of the same unknown tag
+    costs one format call, not one per record.
     """
 
-    def __missing__(self, tag: int) -> tuple[int, str, None]:
-        info = (CODE_UNKNOWN, f"tag#{tag}", None)
+    def __missing__(self, tag: int) -> tuple[int, str, None, bool]:
+        info = (CODE_UNKNOWN, f"tag#{tag}", None, False)
         self[tag] = info
         return info
 
 
-def build_decode_map(names: NameTable) -> dict[int, tuple[int, str, Optional[TagEntry]]]:
-    """Precompute raw tag value -> (event code, name, owning TagEntry).
+def build_decode_map(
+    names: NameTable,
+) -> dict[int, tuple[int, str, Optional[TagEntry], bool]]:
+    """Precompute raw tag value -> (event code, name, owning TagEntry,
+    is context switch).
 
-    The event-decode twin of :func:`build_tag_map`: carries the
-    :class:`TagEntry` itself so :class:`DecodedEvent` columns can be built
-    without touching ``NameTable.decode``.  Unknown tags resolve (and
-    memoize) on first sight.
+    One dict hit per record then yields every decoded column without
+    touching ``NameTable.decode``.  Unknown tags resolve (and memoize) on
+    first sight.
     """
     decode_map = _DecodeMap()
     for entry in names:
         if entry.inline:
-            decode_map[entry.entry_value] = (CODE_INLINE, entry.name, entry)
+            decode_map[entry.entry_value] = (CODE_INLINE, entry.name, entry, False)
         else:
-            decode_map[entry.entry_value] = (CODE_ENTRY, entry.name, entry)
-            decode_map[entry.exit_value] = (CODE_EXIT, entry.name, entry)
+            switch = entry.context_switch
+            decode_map[entry.entry_value] = (CODE_ENTRY, entry.name, entry, switch)
+            decode_map[entry.exit_value] = (CODE_EXIT, entry.name, entry, switch)
     return decode_map
+
+
+def build_tag_map(names: NameTable) -> dict[int, tuple[str, int, bool]]:
+    """Raw tag value -> (name, event code, is context switch), for callers
+    that classify raw tags without decoding them."""
+    return {
+        tag: (name, code, switch)
+        for tag, (code, name, _, switch) in build_decode_map(names).items()
+    }
 
 
 def unwrap_times(
@@ -158,7 +153,8 @@ class ColumnarEvents:
     :class:`DecodedEvent` — index ``start_index + i``, absolute time,
     event code, name, owning :class:`TagEntry` (``None`` for unknown
     tags) and the raw tag/time pair — held as columns so analysis passes
-    iterate machine values, not objects.
+    iterate machine values, not objects.  ``switches`` flags the events of
+    context-switch (``!``) functions.
     """
 
     start_index: int
@@ -166,6 +162,7 @@ class ColumnarEvents:
     codes: Sequence[int]
     names: Sequence[str]
     entries: Sequence[Optional[TagEntry]]
+    switches: Sequence[bool]
     tags: Sequence[int]
     raw_times: Sequence[int]
 
@@ -227,102 +224,16 @@ def decode_columns(
     tags = columns.tags
     info = [decode_map[tag] for tag in tags]
     if info:
-        codes, name_col, entry_col = zip(*info)
+        codes, name_col, entry_col, switches = zip(*info)
     else:
-        codes = name_col = entry_col = ()
+        codes = name_col = entry_col = switches = ()
     return ColumnarEvents(
         start_index=start_index,
         times=times,
         codes=codes,
         names=name_col,
         entries=entry_col,
+        switches=switches,
         tags=tags,
         raw_times=columns.times,
     )
-
-
-@dataclasses.dataclass(frozen=True)
-class CallSpan:
-    """One matched entry/exit pair: a completed call."""
-
-    name: str
-    entry_index: int
-    exit_index: int
-    elapsed_us: int
-
-
-@dataclasses.dataclass
-class PairingCarry:
-    """Open-frame state carried between :func:`pair_entry_exits` batches.
-
-    Frames hold *global* indices and *absolute* times, so a span whose
-    entry arrived three wire batches ago still closes correctly.  Hand
-    the same instance to every call over consecutive batches of one
-    stream; ``len(carry.stack)`` after the final batch is the count of
-    calls the capture window truncated.
-    """
-
-    stack: list[tuple[str, int, int]] = dataclasses.field(default_factory=list)
-    open_names: dict[str, int] = dataclasses.field(default_factory=dict)
-
-
-def pair_entry_exits(
-    events: ColumnarEvents, carry: Optional[PairingCarry] = None
-) -> list[CallSpan]:
-    """Batched entry/exit pairing: matched call spans from the columns.
-
-    One stack pass over the code column.  An exit closes the innermost
-    open frame of the same name; frames opened above it are popped
-    without producing a span (the administrative close of a missed exit),
-    an exit with no open frame of its name is ignored (capture began
-    mid-call), and frames still open at the end of the batch produce no
-    span (window truncation).  Inline and unknown events have no stack
-    effect.  This is deliberately the *within-process* view — pairing
-    across context switches is the summary state machine's job — which
-    makes it the cheap first pass for span-oriented consumers (flame
-    exports, per-call latency scans).
-
-    Without *carry*, frames still open at the end of the batch produce
-    no span (window truncation).  With a :class:`PairingCarry` — the
-    live wire's mode — those frames persist in the carry instead, and a
-    later batch of the same stream closes them: chunked pairing over a
-    whole stream then yields exactly the spans one all-at-once call
-    would.
-    """
-    spans: list[CallSpan] = []
-    if carry is None:
-        stack: list[tuple[str, int, int]] = []
-        open_names: dict[str, int] = {}
-    else:
-        stack = carry.stack
-        open_names = carry.open_names
-    times = events.times
-    names = events.names
-    start_index = events.start_index
-    for offset, code in enumerate(events.codes):
-        if code == CODE_ENTRY:
-            name = names[offset]
-            stack.append((name, start_index + offset, times[offset]))
-            open_names[name] = open_names.get(name, 0) + 1
-        elif code == CODE_EXIT:
-            name = names[offset]
-            if not open_names.get(name):
-                continue
-            while stack:
-                frame_name, entry_index, entry_time = stack.pop()
-                count = open_names[frame_name] - 1
-                if count:
-                    open_names[frame_name] = count
-                else:
-                    del open_names[frame_name]
-                if frame_name == name:
-                    spans.append(
-                        CallSpan(
-                            name=name,
-                            entry_index=entry_index,
-                            exit_index=start_index + offset,
-                            elapsed_us=times[offset] - entry_time,
-                        )
-                    )
-                    break
-    return spans

@@ -12,21 +12,28 @@ Two jobs, both purely mechanical:
    seconds or more aliases irrecoverably (the paper's stated limit); the
    decoder cannot detect that, so it is documented rather than guessed at.
 
-Both run over columns in :mod:`repro.analysis.columnar`; this module
-holds the object form of a decoded event, which the call-tree reports
-consume.
+Both run over columns in :mod:`repro.analysis.columnar`:
+:func:`decode_capture` and :func:`decode_records` return a
+:class:`~repro.analysis.columnar.ColumnarEvents` batch, which the
+reconstruction fold steps through.  This module also holds the object
+form of one decoded event, :class:`DecodedEvent`, which only
+:meth:`~repro.analysis.columnar.ColumnarEvents.to_events` builds, for
+callers that want objects.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.instrument.namefile import NameTable
 from repro.instrument.tags import TagEntry
 from repro.profiler.capture import Capture
 from repro.profiler.ram import TIME_BITS, RawRecord
+
+if TYPE_CHECKING:
+    from repro.analysis.columnar import ColumnarEvents
 
 
 def _check_width(width_bits: int) -> None:
@@ -65,20 +72,7 @@ class DecodedEvent:
         return self.entry is not None and self.entry.context_switch
 
 
-def reconstruct_times(
-    records: Sequence[RawRecord], width_bits: int = 24
-) -> list[int]:
-    """Absolute microsecond timeline from wrapped counter snapshots.
-
-    The first record defines t=0; each subsequent record advances by the
-    modular difference from its predecessor.
-    """
-    from repro.analysis.columnar import unwrap_times  # lazy: events is columnar's base
-
-    return unwrap_times([record.time for record in records], width_bits)
-
-
-def decode_capture(capture: Capture) -> list[DecodedEvent]:
+def decode_capture(capture: Capture) -> ColumnarEvents:
     """Decode every record of *capture* against its name table."""
     return decode_records(
         capture.records, capture.names, width_bits=capture.counter_width_bits
@@ -87,15 +81,14 @@ def decode_capture(capture: Capture) -> list[DecodedEvent]:
 
 def decode_records(
     records: Sequence[RawRecord], names: NameTable, width_bits: int = 24
-) -> list[DecodedEvent]:
-    """Decode a raw record sequence against *names*.
+) -> ColumnarEvents:
+    """Decode a raw record sequence against *names*, as columns.
 
     An over-width counter snapshot raises :class:`ValueError` before any
     event is returned.
     """
     from repro.analysis import columnar  # lazy: events is columnar's base
 
-    batch = columnar.decode_columns(
+    return columnar.decode_columns(
         columnar.columns_from_records(records), names, width_bits
     )
-    return batch.to_events()

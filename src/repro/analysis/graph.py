@@ -2,41 +2,52 @@
 
 "Further work in this area hopefully will yield sophisticated tools that
 allow statistical processing of the data, groupings of functions into
-separate subsystems, and other ways to process the data."  Built on
-networkx: nodes are functions, edges are observed caller->callee
-relationships weighted by call count and by time transferred.
+separate subsystems, and other ways to process the data."  The dynamic
+call graph is two plain dicts: per-function node stats, and the observed
+caller -> callee edges weighted by call count and by time transferred.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
-
-import networkx as nx
+import dataclasses
+from typing import Mapping
 
 from repro.analysis.callstack import CallTreeAnalysis
 
 
-def call_graph(analysis: CallTreeAnalysis) -> "nx.DiGraph":
-    """Build the dynamic call graph observed in the capture.
+@dataclasses.dataclass
+class DynamicCallGraph:
+    """The call graph observed in a capture, in first-seen order.
 
-    Node attributes: ``calls``, ``net_us``.  Edge attributes: ``calls``
-    (times the edge was traversed) and ``inclusive_us`` (total time spent
-    in the callee's subtree when entered from this caller).
+    ``nodes`` maps function -> ``{"calls", "net_us"}``; ``edges`` maps
+    caller -> callee -> ``{"calls", "inclusive_us"}``: times the edge was
+    traversed, and total time spent in the callee's subtree when entered
+    from this caller.
     """
-    graph = nx.DiGraph()
+
+    nodes: dict[str, dict[str, int]] = dataclasses.field(default_factory=dict)
+    edges: dict[str, dict[str, dict[str, int]]] = dataclasses.field(
+        default_factory=dict
+    )
+
+
+def call_graph(analysis: CallTreeAnalysis) -> DynamicCallGraph:
+    """Build the dynamic call graph observed in the capture."""
+    graph = DynamicCallGraph()
+    nodes, edges = graph.nodes, graph.edges
     for node in analysis.nodes():
         if node.synthetic:
             continue
-        graph.add_node(node.name)
-        data = graph.nodes[node.name]
-        data["calls"] = data.get("calls", 0) + 1
-        data["net_us"] = data.get("net_us", 0) + node.self_us
+        data = nodes.setdefault(node.name, {"calls": 0, "net_us": 0})
+        data["calls"] += 1
+        data["net_us"] += node.self_us
         for child in node.children:
             if child.synthetic:
                 continue
-            if not graph.has_edge(node.name, child.name):
-                graph.add_edge(node.name, child.name, calls=0, inclusive_us=0)
-            edge = graph.edges[node.name, child.name]
+            nodes.setdefault(child.name, {"calls": 0, "net_us": 0})
+            edge = edges.setdefault(node.name, {}).setdefault(
+                child.name, {"calls": 0, "inclusive_us": 0}
+            )
             edge["calls"] += 1
             edge["inclusive_us"] += child.inclusive_us
     return graph
@@ -65,7 +76,7 @@ def subsystem_rollup(
 
 
 def heaviest_paths(
-    graph: "nx.DiGraph", root: str, limit: int = 5
+    graph: DynamicCallGraph, root: str, limit: int = 5
 ) -> list[tuple[list[str], int]]:
     """The *limit* heaviest simple call chains out of *root* by edge time.
 
@@ -73,26 +84,24 @@ def heaviest_paths(
     ``inclusive_us`` edge from each node (greedy), never revisiting a
     node, and report the chains found from *root*'s successors.
     """
-    if root not in graph:
+    if root not in graph.nodes:
         raise KeyError(f"function {root!r} not in the call graph")
+    edges = graph.edges
     chains: list[tuple[list[str], int]] = []
-    for _, first, data in sorted(
-        graph.out_edges(root, data=True),
-        key=lambda e: -e[2]["inclusive_us"],
+    for first, data in sorted(
+        edges.get(root, {}).items(), key=lambda e: -e[1]["inclusive_us"]
     )[:limit]:
         chain = [root, first]
         weight = data["inclusive_us"]
         seen = {root, first}
         node = first
         while True:
-            edges = [
-                (succ, d)
-                for _, succ, d in graph.out_edges(node, data=True)
-                if succ not in seen
+            out = [
+                (succ, d) for succ, d in edges.get(node, {}).items() if succ not in seen
             ]
-            if not edges:
+            if not out:
                 break
-            succ, d = max(edges, key=lambda e: e[1]["inclusive_us"])
+            succ, d = max(out, key=lambda e: e[1]["inclusive_us"])
             chain.append(succ)
             weight += d["inclusive_us"]
             seen.add(succ)
@@ -101,18 +110,19 @@ def heaviest_paths(
     return chains
 
 
-def to_dot(graph: "nx.DiGraph", min_calls: int = 1) -> str:
+def to_dot(graph: DynamicCallGraph, min_calls: int = 1) -> str:
     """Render the call graph as Graphviz dot text."""
     lines = ["digraph calls {"]
-    for name, data in graph.nodes(data=True):
+    for name, data in graph.nodes.items():
         lines.append(
             f'  "{name}" [label="{name}\\n{data["calls"]} calls, '
             f'{data["net_us"]} us"];'
         )
-    for src, dst, data in graph.edges(data=True):
-        if data["calls"] < min_calls:
-            continue
-        lines.append(f'  "{src}" -> "{dst}" [label="{data["calls"]}"];')
+    for src in graph.nodes:
+        for dst, data in graph.edges.get(src, {}).items():
+            if data["calls"] < min_calls:
+                continue
+            lines.append(f'  "{src}" -> "{dst}" [label="{data["calls"]}"];')
     lines.append("}")
     return "\n".join(lines)
 

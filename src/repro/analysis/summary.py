@@ -16,31 +16,37 @@ Headed by the overall accounting::
     Idle time = 0 sec 5024 us ( 1.01%)
 
 Every summary the program prints comes from one engine, the
-:class:`SummaryAccumulator` fold over columnar record batches.
-:func:`summarize` gives the same summary from a reconstructed call tree,
-for callers that hold one; the tests hold the two byte-identical.
+:class:`SummaryAccumulator` fold over columnar record batches.  The fold
+is also the program's one call reconstruction: entry/exit matching,
+switch-in resolution and anomaly repair happen only there, and the call
+tree (:func:`repro.analysis.callstack.build_call_tree`) and the live
+Chrome trace (:class:`repro.live.trace.LiveTraceWriter`) are
+:class:`FoldRecorder` recordings of it.  :func:`summarize` gives the same
+summary from a reconstructed call tree, for callers that hold one.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
-from repro.analysis.callstack import Anomaly, CallTreeAnalysis
 from repro.analysis.columnar import (
     CODE_ENTRY as _ENTRY,
     CODE_EXIT as _EXIT,
     CODE_INLINE as _INLINE,
-    CODE_UNKNOWN as _UNKNOWN,
-    build_tag_map,
+    ColumnarEvents,
+    build_decode_map,
     columns_from_records,
-    unwrap_times as _unwrap_times,
+    decode_columns,
 )
 from repro.instrument.namefile import NameTable
 from repro.profiler.capture import Capture
 from repro.profiler.upload import RecordColumns
 from repro.telemetry import TELEMETRY as _TELEMETRY
+
+if TYPE_CHECKING:
+    from repro.analysis.callstack import CallTreeAnalysis
 
 
 @dataclasses.dataclass
@@ -278,31 +284,87 @@ def summarize(
 # -- the fold ----------------------------------------------------------------
 
 
-class _ProcStack:
-    """One process's open frames during the fold.
+@dataclasses.dataclass
+class Anomaly:
+    """One repair the reconstruction had to make."""
 
-    Frames are plain lists ``[name, self_us, child_inclusive_us, is_swtch]``
-    — the minimum needed to aggregate a call on close without retaining a
-    tree node per call.
+    index: int
+    time_us: int
+    kind: str
+    detail: str
+
+
+class _ProcStack:
+    """One process's state during the fold.
+
+    Frames are plain lists ``[name, self_us, child_us, is_swtch, enter_us]``
+    — the minimum needed to aggregate a call when it closes without
+    retaining a tree node per call.  ``proc`` labels the stack in order
+    of creation (``P0``, ``P1``, ...); ``block_start_us`` is when its
+    current scheduling block began and ``suspended_at_us`` when it was
+    last switched out.
     """
 
-    __slots__ = ("frames", "suspend_seq")
+    __slots__ = ("proc", "frames", "suspend_seq", "block_start_us", "suspended_at_us")
 
-    def __init__(self) -> None:
+    def __init__(self, proc: str) -> None:
+        self.proc = proc
         self.frames: list[list] = []
         self.suspend_seq = -1
+        self.block_start_us = 0
+        self.suspended_at_us = 0
+
+
+class FoldRecorder:
+    """An observer of the fold's reconstruction, step by step.
+
+    The fold keeps only what the summary needs.  A recorder attached as
+    :attr:`SummaryAccumulator.recorder` before the first event is told
+    every step of the same state machine and keeps what more it wants:
+    the call tree of :func:`repro.analysis.callstack.build_call_tree`, or
+    the slices of :class:`repro.live.trace.LiveTraceWriter`.  *stack* is
+    the process a step happened on (``stack.proc`` its label,
+    ``stack.frames`` its open frames, innermost last); a frame is the
+    fold's ``[name, self_us, child_us, is_swtch, enter_us]`` list, to
+    which a recorder may append items of its own.  Every hook does
+    nothing by default.
+    """
+
+    def open_frame(self, stack: _ProcStack, frame: list) -> None:
+        """An entry pushed *frame* onto *stack*."""
+
+    def close_frame(
+        self, stack: _ProcStack, frame: list, exit_us: int, truncated: bool
+    ) -> None:
+        """*frame* was popped off *stack* at *exit_us*, by its own exit or,
+        when ``truncated``, administratively (a missed exit, or the end of
+        the capture).  ``frame[1]`` is its final self time."""
+
+    def synthetic_frame(
+        self, stack: _ProcStack, name: str, exit_us: int, is_swtch: bool
+    ) -> None:
+        """An exit of *name* at *exit_us* matched no open frame of *stack*."""
+
+    def mark(self, stack: _ProcStack, time_us: int, name: str) -> None:
+        """An inline or unknown-tag point fired on *stack*."""
 
 
 class SummaryAccumulator:
-    """Single-pass, bounded-memory construction of :class:`ProfileSummary`.
+    """Single-pass, bounded-memory call reconstruction and summary.
 
-    Semantically :func:`repro.analysis.callstack.build_call_tree` followed
-    by :func:`summarize`, but instead of materialising a :class:`CallNode`
-    per call it keeps only the *open* frames and folds every frame into
-    the per-function aggregates the moment it closes.  Peak memory is
-    O(open call depth + suspended processes + one scheduling block), not
+    The program's one reconstruction state machine, implementing the
+    paper's rules (see :mod:`repro.analysis.callstack`): it matches
+    entries with exits, splits the stream into per-process stacks at
+    ``swtch``, resolves which suspended process resumes, and repairs what
+    a lost exit or the capture window broke, recording every repair in
+    :attr:`anomalies`.  Instead of materialising a tree node per call it
+    keeps only the *open* frames and folds every frame into the
+    per-function aggregates the moment it closes.  Peak memory is O(open
+    call depth + suspended processes + one scheduling block), not
     O(events) — which is what lets a million-event stream be summarised
-    from a file iterator without ever holding the trace.
+    from a file iterator without ever holding the trace.  A
+    :class:`FoldRecorder` attached as :attr:`recorder` sees every step and
+    may keep more (the call tree, the live trace).
 
     The one structural concession to streaming: switch-in resolution
     (which suspended process resumes after a ``swtch`` exit) needs to look
@@ -314,8 +376,10 @@ class SummaryAccumulator:
     length.
 
     Accumulators of independent captures combine with :meth:`merge`.  The
-    fold and the call tree produce byte-identical reports
-    (property-tested in ``tests/test_streaming_pipeline.py``).
+    fold's summaries, trees and anomalies equal those of the standalone
+    reference reconstruction in ``tests/oracles.py``, fed whole and in
+    batches (property-tested in ``tests/test_decode_differential.py`` and
+    ``tests/test_streaming_pipeline.py``).
     """
 
     def __init__(
@@ -325,9 +389,12 @@ class SummaryAccumulator:
         width_bits: int = 24,
         include_swtch: bool = False,
     ) -> None:
-        self._tag_map = build_tag_map(names)
+        self._names = names
+        self._decode_map = build_decode_map(names)
         self._width_bits = width_bits
         self._include_swtch = include_swtch
+        #: The :class:`FoldRecorder` told every step, if any.
+        self.recorder: Optional[FoldRecorder] = None
 
         self._functions: dict[str, list] = {}
         self.anomalies: list[Anomaly] = []
@@ -336,17 +403,19 @@ class SummaryAccumulator:
         self._event_count = 0
         self._context_switches = 0
 
-        self._current = _ProcStack()
+        self._current = _ProcStack("P0")
         self._suspended: list[_ProcStack] = []
+        self._procs = 1
         self._suspend_seq = 0
         #: High-water marks, read out into telemetry at close().
         self._peak_suspended = 0
         self._peak_pending = 0
-        #: Buffered (code, name, is_cs, t, index, tag) items awaiting
+        #: Buffered (t, code, name, is_cs, index, tag) items awaiting
         #: switch-in resolution; ``None`` while no resolution is pending.
         self._pending: Optional[list[tuple]] = None
 
-        # Raw-record time reconstruction state.
+        # Decode carry: the last raw snapshot, its absolute time and the
+        # next event index.
         self._prev_raw: Optional[int] = None
         self._absolute = 0
         self._next_index = 0
@@ -364,159 +433,173 @@ class SummaryAccumulator:
     def feed_columns(self, columns: RecordColumns) -> "SummaryAccumulator":
         """Fold one columnar record batch in.
 
-        The timer unwrap is vectorized over the whole batch and the
-        per-event loop walks plain integers, never a record object.  The
+        The batch is decoded to columns first — the timer unwrap
+        vectorized over the whole batch, then one tag lookup per record —
+        and the decoded events are stepped (:meth:`feed_events`).  The
         24-bit wrap, the running time and the event indices carry across
         calls.  A batch holding a snapshot wider than the counter raises
         :class:`ValueError` and leaves the fold as it was before the call.
         """
+        return self.feed_events(
+            decode_columns(
+                columns,
+                self._names,
+                self._width_bits,
+                start_index=self._next_index,
+                time_base_us=self._absolute,
+                previous=self._prev_raw,
+                decode_map=self._decode_map,
+            )
+        )
+
+    def feed_events(self, events: ColumnarEvents) -> "SummaryAccumulator":
+        """Step one batch of decoded events through the state machine.
+
+        *events* continue the stream: their indices and absolute times
+        follow on from the previous batch's, as :func:`decode_columns`
+        produces them when handed the carry.
+        """
         if self._sealed:
             raise RuntimeError("cannot feed a sealed SummaryAccumulator")
-        raw_times = columns.times
-        tags = columns.tags
-        n = len(tags)
+        n = len(events)
         if n == 0:
             return self
-        absolutes = _unwrap_times(
-            raw_times,
-            self._width_bits,
-            previous=self._prev_raw,
-            base=self._absolute,
+        times = events.times
+        if self._first_t is None:
+            self._first_t = self._prev_t = times[0]
+            self._current.block_start_us = times[0]
+        start = events.start_index
+        self._step(
+            zip(
+                times,
+                events.codes,
+                events.names,
+                events.switches,
+                range(start, start + n),
+                events.tags,
+            )
         )
-        get = self._tag_map.get
-        apply = self._apply
-        index = self._next_index
-        offset = -1
-        try:
-            for offset in range(n):
-                absolute = absolutes[offset]
-                tag = tags[offset]
-                info = get(tag)
-                if info is None:
-                    name, code, is_cs = f"tag#{tag}", _UNKNOWN, False
-                else:
-                    name, code, is_cs = info
-                if self._first_t is None:
-                    self._first_t = absolute
-                    self._prev_t = absolute
-                if self._pending is not None:
-                    self._pending.append((code, name, is_cs, absolute, index, tag))
-                    if code == _ENTRY and is_cs:
-                        self._drain(final=False)
-                else:
-                    apply(code, name, is_cs, absolute, index, tag)
-                index += 1
-        finally:
-            if offset >= 0:
-                self._absolute = absolutes[offset]
-                self._prev_raw = raw_times[offset]
-                self._event_count += offset + 1
-                self._last_t = absolutes[offset]
-            self._next_index = index
+        self._event_count += n
+        self._next_index = start + n
+        self._last_t = self._absolute = times[-1]
+        self._prev_raw = events.raw_times[-1]
         return self
 
     # -- the state machine ----------------------------------------------------
 
-    def _apply(
-        self, code: int, name: str, is_cs: bool, t: int, index: int, tag: int
-    ) -> None:
-        frames = self._current.frames
+    def _step(self, items: Iterable[tuple], replay: bool = False) -> None:
+        """Apply events to the state machine: the fold's one per-event loop.
 
-        # 1. Attribute the elapsed interval to the innermost active frame.
-        dt = t - self._prev_t
-        self._prev_t = t
-        if frames:
-            frames[-1][1] += dt
-        else:
-            self._unattributed_us += dt
+        *items* yield ``(time_us, code, name, is_cs, index, tag)`` — a
+        decoded batch zipped by :meth:`feed_events`, or a buffered
+        scheduling block :meth:`_drain` replays.
+        """
+        functions = self._functions
+        recorder = self.recorder
+        for item in items:
+            if self._pending is not None:
+                self._pending.append(item)
+                # A block ends at its closing swtch entry.  A replay leaves
+                # the rest of its block to _drain's loop, so replays never
+                # nest however many switches one block holds.
+                if not replay and item[1] == _ENTRY and item[3]:
+                    self._drain(final=False)
+                continue
+            t, code, name, is_cs, index, tag = item
+            current = self._current
+            frames = current.frames
 
-        # 2. Apply the event.
-        if code == _ENTRY:
-            frames.append([name, 0, 0, is_cs])
-            return
-        if code == _EXIT:
-            if not is_cs and frames and frames[-1][0] == name:
+            # 1. Attribute the elapsed interval to the innermost active frame.
+            dt = t - self._prev_t
+            self._prev_t = t
+            if frames:
+                frames[-1][1] += dt
+            else:
+                self._unattributed_us += dt
+
+            # 2. Apply the event.
+            if code == _ENTRY:
+                frame = [name, 0, 0, is_cs, t]
+                frames.append(frame)
+                if recorder is not None:
+                    recorder.open_frame(current, frame)
+            elif code == _EXIT:
+                if is_cs or not frames or frames[-1][0] != name:
+                    self._slow_exit(name, is_cs, t, index)
+                    continue
                 # Fast path: a matched exit of the innermost frame — the
-                # overwhelmingly common case in a well-formed trace.
+                # overwhelmingly common case in a well-formed trace.  A
+                # non-switch exit only ever matches a non-switch frame.
                 frame = frames.pop()
-                inclusive = frame[1] + frame[2]
+                net = frame[1]
+                inclusive = net + frame[2]
                 if frames:
                     frames[-1][2] += inclusive
-                if frame[3]:
-                    self._idle_us += frame[1]
-                    if not self._include_swtch:
-                        return
-                functions = self._functions
                 agg = functions.get(name)
                 if agg is None:
-                    functions[name] = [1, inclusive, frame[1], inclusive, inclusive]
+                    functions[name] = [1, inclusive, net, inclusive, inclusive]
                 else:
                     agg[0] += 1
                     agg[1] += inclusive
-                    agg[2] += frame[1]
+                    agg[2] += net
                     if inclusive > agg[3]:
                         agg[3] = inclusive
                     if agg[4] is None or inclusive < agg[4]:
                         agg[4] = inclusive
-                return
-            self._slow_exit(name, is_cs, t, index)
-            return
-        if code == _INLINE:
-            return
-        # _UNKNOWN
-        self.anomalies.append(
-            Anomaly(
-                index=index,
-                time_us=t,
-                kind="unknown-tag",
-                detail=f"tag {tag} is in no name file",
-            )
-        )
-
-    def _slow_exit(self, name: str, is_cs: bool, t: int, index: int) -> None:
-        frames = self._current.frames
-        if is_cs:
-            if any(frame[0] == name for frame in frames):
-                self._close_through(name, t, index)
-            else:
-                if self._include_swtch:
-                    _agg_synthetic(self._functions, name)
+                if recorder is not None:
+                    recorder.close_frame(current, frame, t, False)
+            elif code == _INLINE:
+                if recorder is not None:
+                    recorder.mark(current, t, name)
+            else:  # a tag no name file knows
                 self.anomalies.append(
                     Anomaly(
                         index=index,
                         time_us=t,
-                        kind="unmatched-swtch-exit",
-                        detail="context-switch exit with no open swtch frame",
+                        kind="unknown-tag",
+                        detail=f"tag {tag} is in no name file",
                     )
                 )
-            self._context_switches += 1
-            current = self._current
-            current.suspend_seq = self._suspend_seq
-            self._suspend_seq += 1
-            self._suspended.append(current)
-            if len(self._suspended) > self._peak_suspended:
-                self._peak_suspended = len(self._suspended)
-            # Which stack resumes depends on the upcoming block: defer.
-            self._pending = []
-            return
+                if recorder is not None:
+                    recorder.mark(current, t, name)
 
-        if any(frame[0] == name for frame in frames):
+    def _slow_exit(self, name: str, is_cs: bool, t: int, index: int) -> None:
+        """An exit off the fast path: a missed or unmatched exit, or a
+        context switch."""
+        current = self._current
+        if any(frame[0] == name for frame in current.frames):
             self._close_through(name, t, index)
         else:
-            _agg_synthetic(self._functions, name)
-            self.anomalies.append(
-                Anomaly(
-                    index=index,
-                    time_us=t,
-                    kind="unmatched-exit",
-                    detail=(
-                        f"exit of {name!r} with no matching entry "
-                        "(function was already running when the capture began?)"
-                    ),
+            if is_cs:
+                if self._include_swtch:
+                    _agg_synthetic(self._functions, name)
+                kind = "unmatched-swtch-exit"
+                detail = "context-switch exit with no open swtch frame"
+            else:
+                _agg_synthetic(self._functions, name)
+                kind = "unmatched-exit"
+                detail = (
+                    f"exit of {name!r} with no matching entry "
+                    "(function was already running when the capture began?)"
                 )
+            self.anomalies.append(
+                Anomaly(index=index, time_us=t, kind=kind, detail=detail)
             )
+            if self.recorder is not None:
+                self.recorder.synthetic_frame(current, name, t, is_cs)
+        if not is_cs:
+            return
+        self._context_switches += 1
+        current.suspended_at_us = t
+        current.suspend_seq = self._suspend_seq
+        self._suspend_seq += 1
+        self._suspended.append(current)
+        if len(self._suspended) > self._peak_suspended:
+            self._peak_suspended = len(self._suspended)
+        # Which stack resumes depends on the upcoming block: defer.
+        self._pending = []
 
-    def _close_frame(self, stack: _ProcStack) -> list:
+    def _close_frame(self, stack: _ProcStack, t: int, truncated: bool) -> list:
         frames = stack.frames
         frame = frames.pop()
         inclusive = frame[1] + frame[2]
@@ -528,13 +611,16 @@ class SummaryAccumulator:
                 _agg_call(self._functions, frame[0], inclusive, frame[1])
         else:
             _agg_call(self._functions, frame[0], inclusive, frame[1])
+        if self.recorder is not None:
+            self.recorder.close_frame(stack, frame, t, truncated)
         return frame
 
     def _close_through(self, name: str, t: int, index: int) -> None:
         """Close frames down to (and including) the one named *name*."""
-        frames = self._current.frames
+        current = self._current
+        frames = current.frames
         while frames and frames[-1][0] != name:
-            skipped = self._close_frame(self._current)
+            skipped = self._close_frame(current, t, True)
             self.anomalies.append(
                 Anomaly(
                     index=index,
@@ -547,25 +633,42 @@ class SummaryAccumulator:
                 )
             )
         if frames:
-            self._close_frame(self._current)
+            self._close_frame(current, t, False)
 
     def _resolve(self, block: list[tuple]) -> Optional[_ProcStack]:
-        """Mirror of :class:`repro.analysis.callstack._Resolver` over the
-        buffered incoming block."""
+        """Switch-in resolution: which suspended stack does *block* belong to?
+
+        The event stream carries no process identifier, so after a
+        ``swtch`` exit the fold must decide which saved stack resumes.  The
+        buffered block is scanned forward (stopping at its closing
+        ``swtch`` entry) with a depth counter; entries open new frames,
+        exits first unwind those.  The first exit that unwinds *below* the
+        block's opening depth names a frame the resumed process was
+        suspended inside:
+
+        1. an unwinding exit of function X — resume the least-recently
+           suspended stack whose top open frame is X;
+        2. no unwinding exit in the whole block — the process never
+           returned into pre-existing frames: resume the
+           least-recently-suspended *empty* stack (a process that was in
+           user mode) if any;
+        3. otherwise — a process not seen before: ``None``, and the caller
+           starts a fresh stack.
+        """
         unwind: Optional[str] = None
         found = False
         depth = 0
         for item in block:
-            code = item[0]
+            code = item[1]
             if code == _ENTRY:
-                if item[2]:
+                if item[3]:
                     break
                 depth += 1
             elif code == _EXIT:
                 if depth > 0:
                     depth -= 1
                 else:
-                    unwind = item[1]
+                    unwind = item[2]
                     found = True
                     break
         if found:
@@ -587,40 +690,43 @@ class SummaryAccumulator:
 
         Invoked when a block terminator (context-switch entry) arrives, or
         unconditionally at seal time.  Replay may hit another
-        context-switch exit mid-buffer, re-entering the pending state with
-        the remaining items — hence the loop.
+        context-switch exit mid-block, re-entering the pending state with
+        the rest of the block — hence the loop.
         """
         while self._pending is not None:
             block = self._pending
-            if not final and (not block or not (block[-1][0] == _ENTRY and block[-1][2])):
+            if not final and not (block and block[-1][1] == _ENTRY and block[-1][3]):
                 return
             if len(block) > self._peak_pending:
                 self._peak_pending = len(block)
             self._pending = None
+            # The block began at the switch-out that opened it, the most
+            # recent suspension.
+            switched_at = self._suspended[-1].suspended_at_us
             chosen = self._resolve(block)
             if chosen is None:
-                chosen = _ProcStack()
+                chosen = _ProcStack(f"P{self._procs}")
+                self._procs += 1
             else:
                 self._suspended.remove(chosen)
+            chosen.block_start_us = switched_at
             self._current = chosen
-            for i, item in enumerate(block):
-                self._apply(*item)
-                if self._pending is not None:
-                    self._pending.extend(block[i + 1 :])
-                    break
+            self._step(block, replay=True)
 
     # -- sealing, merging, reporting ------------------------------------------
 
     def close(self) -> "SummaryAccumulator":
         """Seal the accumulator: resolve any pending block and close every
-        frame still open (capture window truncation), exactly as the batch
-        analyser does at end of events.  Idempotent."""
+        frame still open (capture window truncation) — the current
+        process's at the last event, a suspended one's where it was
+        switched out.  Idempotent."""
         if self._sealed:
             return self
         self._drain(final=True)
         for stack in [self._current, *self._suspended]:
+            exit_us = self._last_t if stack is self._current else stack.suspended_at_us
             while stack.frames:
-                self._close_frame(stack)
+                self._close_frame(stack, exit_us, True)
         self._wall_us = (self._last_t - self._first_t) if self._first_t is not None else 0
         self._sealed = True
         if _TELEMETRY.enabled:
@@ -695,6 +801,11 @@ class SummaryAccumulator:
     @property
     def unattributed_us(self) -> int:
         return self._unattributed_us
+
+    @property
+    def procs(self) -> tuple[str, ...]:
+        """Labels of the processes told apart so far, in order of appearance."""
+        return tuple(f"P{i}" for i in range(self._procs))
 
 
 def fold_columns(

@@ -365,7 +365,7 @@ class _Extractor:
                 local[child.name] = nested_key
                 nested.append(child)
         bucket = self.edges.setdefault(key, set())
-        resolver = _Resolver(self, index, scope + [local], class_name)
+        resolver = _CallResolver(self, index, scope + [local], class_name)
         for target in resolver.targets(func.body, skip_nested=True):
             bucket.add(target)
         self.interrupt_targets.update(resolver.interrupt_targets)
@@ -400,7 +400,7 @@ def _walk_node(node: ast.AST) -> Iterator[ast.AST]:
         yield from _walk_node(child)
 
 
-class _Resolver:
+class _CallResolver:
     """Resolves call/reference targets inside one function body."""
 
     def __init__(
@@ -616,7 +616,7 @@ def build_call_graph(
     for source, path in _iter_sources(harness_base):
         tree = ast.parse(path.read_text())
         index = _ModuleIndex(f"<harness>/{source}", tree)
-        resolver = _Resolver(extractor, index, scope=[], class_name=None)
+        resolver = _CallResolver(extractor, index, scope=[], class_name=None)
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 harness_targets.update(resolver._call_targets(node))

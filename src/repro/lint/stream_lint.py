@@ -28,7 +28,8 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from repro.analysis.callstack import build_call_tree
-from repro.analysis.events import EventKind, decode_records
+from repro.analysis.columnar import CODE_ENTRY, CODE_EXIT, ColumnarEvents
+from repro.analysis.events import decode_records
 from repro.instrument.namefile import NameTable
 from repro.lint.diagnostics import LintReport
 from repro.profiler.capture import Capture
@@ -179,24 +180,28 @@ def _lint_open_frames(analysis, source: str, report: LintReport) -> None:
         )
 
 
-def _lint_interrupt_nesting(events, source: str, report: LintReport) -> None:
+def _lint_interrupt_nesting(
+    events: ColumnarEvents, source: str, report: LintReport
+) -> None:
     depth = 0
-    for event in events:
-        if event.name != INTERRUPT_FRAME:
+    for index, (name, code, time_us) in enumerate(
+        zip(events.names, events.codes, events.times), events.start_index
+    ):
+        if name != INTERRUPT_FRAME:
             continue
-        if event.kind is EventKind.ENTRY:
+        if code == CODE_ENTRY:
             depth += 1
             if depth > MAX_INTERRUPT_NESTING:
                 report.add(
                     "P206",
                     f"{INTERRUPT_FRAME} nested {depth} deep at t="
-                    f"{event.time_us} us but the machine has only "
+                    f"{time_us} us but the machine has only "
                     f"{MAX_INTERRUPT_NESTING} interrupt priority levels; "
                     "each nested interrupt needs a strictly higher ipl",
                     source=source,
-                    index=event.index,
+                    index=index,
                 )
-        elif event.kind is EventKind.EXIT:
+        elif code == CODE_EXIT:
             depth = max(0, depth - 1)
 
 

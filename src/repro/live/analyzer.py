@@ -19,9 +19,10 @@ On top of the fold it publishes the live observables:
   (cumulative and per-window), consumer lag (milliseconds from batch
   arrival to fold completion), bytes buffered and totals;
 * an optional incremental Chrome-trace track
-  (:class:`~repro.live.trace.LiveTraceWriter`) and jsonl heartbeat
-  (:class:`~repro.telemetry.heartbeat.HeartbeatFlusher`), each fed per
-  batch;
+  (:class:`~repro.live.trace.LiveTraceWriter`, a recorder on the fold
+  that writes each call as the fold closes it) and jsonl heartbeat
+  (:class:`~repro.telemetry.heartbeat.HeartbeatFlusher`), each flushed
+  per batch;
 * a Prometheus ``/metrics`` endpoint, by handing :meth:`render_metrics`
   to :class:`repro.fleet.serve.MetricsHTTPServer`.
 """
@@ -93,6 +94,7 @@ class LiveAnalyzer:
         if window_s <= 0:
             raise ValueError(f"window must be positive, got {window_s}")
         self.accumulator = SummaryAccumulator(names, width_bits=width_bits)
+        self.accumulator.recorder = trace
         self.window_s = window_s
         self.on_window = on_window
         self.trace = trace
@@ -123,7 +125,7 @@ class LiveAnalyzer:
         n = len(columns)
         self.accumulator.feed_columns(columns)
         if self.trace is not None:
-            self.trace.feed(columns)
+            self.trace.end_batch(n)
         self.records_total += n
         self.bytes_total += n * RECORD_BYTES
         self.batches += 1

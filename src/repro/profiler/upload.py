@@ -295,57 +295,6 @@ def decode_record_columns(blob: Union[bytes, bytearray, memoryview]) -> RecordCo
     return RecordColumns(tags=tags, times=times)
 
 
-def iter_record_stream(
-    stream: BinaryIO, *, chunk_records: int = DEFAULT_CHUNK_RECORDS
-) -> Iterator[RawRecord]:
-    """Decode a raw record stream from a file object, record by record.
-
-    The record-object view of :func:`iter_record_columns`: decoding runs
-    a chunk at a time, so a multi-gigabyte capture decodes in O(chunk)
-    memory.
-    """
-    for columns in iter_record_columns(stream, chunk_records=chunk_records):
-        yield from columns.to_records()
-
-
-def iter_record_columns(
-    stream: BinaryIO, *, chunk_records: int = DEFAULT_CHUNK_RECORDS
-) -> Iterator[RecordColumns]:
-    """Decode a raw record stream as columnar batches, chunk by chunk.
-
-    Each yielded :class:`RecordColumns` holds up to ``chunk_records``
-    records decoded in one shot, so a multi-gigabyte capture decodes in
-    O(chunk) memory with no per-record Python work at all.  Raises
-    :class:`CaptureFormatError` on a trailing partial record.
-    """
-    if chunk_records <= 0:
-        raise ValueError(f"chunk_records must be positive, got {chunk_records}")
-    chunk_bytes = chunk_records * RECORD_BYTES
-    leftover = b""
-    telemetry = _TELEMETRY
-    while True:
-        blob = stream.read(chunk_bytes)
-        if not blob:
-            break
-        blob = leftover + blob
-        usable = len(blob) - (len(blob) % RECORD_BYTES)
-        if usable:
-            if telemetry.enabled:
-                with telemetry.span(
-                    "upload.decode_chunk", records=usable // RECORD_BYTES
-                ):
-                    columns = decode_record_columns(blob[:usable])
-                telemetry.count("upload.records.decoded", len(columns))
-            else:
-                columns = decode_record_columns(blob[:usable])
-            yield columns
-        leftover = blob[usable:]
-    if leftover:
-        raise CaptureFormatError(
-            f"record stream ends with a partial {len(leftover)}-byte record"
-        )
-
-
 def _read_exact(stream: BinaryIO, size: int) -> bytes:
     """Read exactly *size* bytes, looping over short reads.
 

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -205,3 +208,17 @@ class TestOtherCommands:
     def test_analyze_requires_names(self):
         with pytest.raises(SystemExit):
             main(["analyze", "whatever.mpf"], out=lambda s: None)
+
+    def test_cli_imports_without_networkx(self):
+        """The CLI needs nothing outside the standard library: it imports
+        with networkx blocked."""
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        code = "import sys; sys.modules['networkx'] = None; import repro.__main__"
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr

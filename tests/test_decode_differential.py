@@ -5,10 +5,10 @@ interrupt bursts, unknown tags, zero-length and trace-RAM-filling
 captures, MPF1 and MPF2 files) and asserts the program's columnar code
 agrees *exactly* with an independent reference: the one-record-at-a-time
 walkers of ``oracles.py`` for records and decoded events (field-identical
-``DecodedEvent`` sequences, identical error messages), and the call tree
-built from those events for the summary fold (identical summary bytes,
-and therefore identical summary hashes, on well-formed and malformed
-streams alike).
+``DecodedEvent`` sequences, identical error messages), and the reference
+call tree built from those events for the fold (identical summary bytes,
+and therefore identical summary hashes, and node-for-node identical
+forests, on well-formed and malformed streams alike).
 
 Case volume is tunable: ``REPRO_DIFF_EXAMPLES`` sets the per-property
 example count (default 40, so the module runs well over 200 generated
@@ -27,19 +27,19 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from repro.analysis import columnar
-from repro.analysis.callstack import build_call_tree
+from repro.analysis.callstack import _TreeRecorder, analyze_capture, build_call_tree
 from repro.analysis.events import decode_records
 from repro.analysis.summary import (
     SummaryAccumulator,
     summarize,
     summarize_columns,
 )
+from repro.profiler.capture import Capture
 from repro.profiler.ram import DEFAULT_DEPTH, RawRecord
 from repro.profiler.upload import (
     decode_record_columns,
     dump_records,
     iter_capture_columns,
-    iter_record_columns,
     write_capture_stream,
 )
 from stream_helpers import TIME_MASK, make_names
@@ -159,9 +159,43 @@ def _reference_events(records, width_bits=24):
 
 
 def _reference_summary(records, include_swtch=False):
-    """The call tree's summary of the per-record reference decode."""
+    """The reference call tree's summary of the per-record reference decode."""
     return summarize(
-        build_call_tree(_reference_events(records)), include_swtch=include_swtch
+        oracles.reference_call_tree(_reference_events(records)),
+        include_swtch=include_swtch,
+    )
+
+
+def _node_fields(node):
+    """Every CallNode field a report reads, children in order."""
+    return (
+        node.name,
+        node.proc,
+        node.depth,
+        node.enter_us,
+        node.exit_us,
+        node.self_us,
+        node.inclusive_us,
+        node.is_swtch,
+        node.synthetic,
+        node.truncated,
+        node.inline_marks,
+        [_node_fields(child) for child in node.children],
+    )
+
+
+def _tree_fields(analysis):
+    """The forest in event order, plus its marks and accounting."""
+    return (
+        [_node_fields(root) for root in analysis.roots],
+        analysis.procs,
+        analysis.orphan_marks,
+        analysis.anomalies,
+        analysis.wall_us,
+        analysis.idle_us,
+        analysis.unattributed_us,
+        analysis.event_count,
+        analysis.context_switches,
     )
 
 
@@ -179,21 +213,6 @@ class TestRecordParity:
         for offset in (0, len(records) // 2, len(records) - 1):
             if 0 <= offset < len(records):
                 assert columns.record(offset) == records[offset]
-
-    @DIFF_SETTINGS
-    @given(
-        records=record_streams(),
-        chunk_records=st.integers(min_value=1, max_value=64),
-    )
-    def test_chunked_stream_matches_reference(self, records, chunk_records):
-        blob = dump_records(records)
-        reference = list(oracles.iter_record_stream(io.BytesIO(blob)))
-        batches = list(
-            iter_record_columns(io.BytesIO(blob), chunk_records=chunk_records)
-        )
-        flattened = [r for batch in batches for r in batch.to_records()]
-        assert flattened == reference
-        assert all(len(batch) <= chunk_records for batch in batches)
 
     @DIFF_SETTINGS
     @given(
@@ -249,10 +268,10 @@ class TestEventParity:
         narrowed = [RawRecord(tag=r.tag, time=r.time & mask) for r in records]
         assert decode_records(
             narrowed, NAMES, width_bits=width_bits
-        ) == _reference_events(narrowed, width_bits)
+        ).to_events() == _reference_events(narrowed, width_bits)
 
     def test_zero_length_capture(self):
-        assert decode_records([], NAMES) == []
+        assert decode_records([], NAMES).to_events() == []
         assert _reference_events([]) == []
         assert decode_record_columns(b"").to_records() == []
 
@@ -266,7 +285,7 @@ class TestEventParity:
             t = (t + 0x31_0000 + i) & TIME_MASK
             records.append(RawRecord(tag=KNOWN_TAGS[i % len(KNOWN_TAGS)], time=t))
         reference = _reference_events(records)
-        assert decode_records(records, NAMES) == reference
+        assert decode_records(records, NAMES).to_events() == reference
         decode_map = columnar.build_decode_map(NAMES)
         via_columns, previous, base = [], None, 0
         for start in range(0, len(records), 8192):
@@ -292,7 +311,7 @@ class TestEventParity:
             RawRecord(tag=KNOWN_TAGS[i % len(KNOWN_TAGS)], time=(i * 37) & TIME_MASK)
             for i in range(DEFAULT_DEPTH)
         ]
-        assert decode_records(records, NAMES) == _reference_events(records)
+        assert decode_records(records, NAMES).to_events() == _reference_events(records)
 
     @DIFF_SETTINGS
     @given(records=record_streams(max_records=60))
@@ -379,10 +398,12 @@ class TestSummaryParity:
         assert accumulator.summary().format() == clean.summary().format()
 
 
-# -- entry/exit pairing ------------------------------------------------------
+# -- call trees --------------------------------------------------------------
 
 
 class TestPairEntryExits:
+    """Entry/exit matching, as the fold does it for every report."""
+
     def test_spans_match_hand_computation(self):
         steps = [
             (">", "main", 0),
@@ -391,35 +412,73 @@ class TestPairEntryExits:
             ("<", "ISAINTR", 18),
             ("<", "read", 30),
             ("<", "main", 50),
-            (">", "bcopy", 60),  # never exits: no span
+            (">", "bcopy", 60),  # never exits: truncated at the window edge
         ]
         records = []
         for op, name, time_us in steps:
             entry = NAMES.by_name(name)
             tag = entry.entry_value if op == ">" else entry.exit_value
             records.append(RawRecord(tag=tag, time=time_us))
-        events = columnar.decode_columns(
-            columnar.columns_from_records(records), NAMES
-        )
-        spans = columnar.pair_entry_exits(events)
-        assert [(s.name, s.entry_index, s.exit_index, s.elapsed_us) for s in spans] == [
-            ("ISAINTR", 2, 3, 3),
-            ("read", 1, 4, 20),
-            ("main", 0, 5, 50),
+        analysis = build_call_tree(decode_records(records, NAMES))
+        spans = [
+            (n.name, n.enter_us, n.exit_us, n.inclusive_us, n.truncated)
+            for n in analysis.nodes()
+        ]
+        assert spans == [
+            ("main", 0, 50, 50, False),
+            ("read", 10, 30, 20, False),
+            ("ISAINTR", 15, 18, 3, False),
+            ("bcopy", 60, 60, 0, True),
         ]
 
     @DIFF_SETTINGS
     @given(records=call_streams())
     def test_spans_are_consistent_with_events(self, records):
-        events = columnar.decode_columns(
-            columnar.columns_from_records(records), NAMES
+        """Every real call opens at an entry of its name and, unless
+        truncated, closes at an exit of its name."""
+        events = decode_records(records, NAMES)
+        points = set(zip(events.codes, events.names, events.times))
+        for node in build_call_tree(events).nodes():
+            if node.synthetic:
+                continue
+            assert (columnar.CODE_ENTRY, node.name, node.enter_us) in points
+            if not node.truncated:
+                assert (columnar.CODE_EXIT, node.name, node.exit_us) in points
+            assert node.exit_us >= node.enter_us
+
+
+class TestTreeParity:
+    """The call tree records the fold; the standalone reference builder
+    must produce the same forest node for node, whether the fold gets the
+    stream whole or cut into batches."""
+
+    def _assert_parity(self, records, chunk_records):
+        reference = _tree_fields(
+            oracles.reference_call_tree(_reference_events(records))
         )
-        for span in columnar.pair_entry_exits(events):
-            assert events.codes[span.entry_index] == columnar.CODE_ENTRY
-            assert events.codes[span.exit_index] == columnar.CODE_EXIT
-            assert events.names[span.entry_index] == span.name
-            assert events.names[span.exit_index] == span.name
-            assert span.elapsed_us == (
-                events.times[span.exit_index] - events.times[span.entry_index]
-            )
-            assert span.elapsed_us >= 0
+        whole = analyze_capture(Capture(records=tuple(records), names=NAMES))
+        assert _tree_fields(whole) == reference
+        fold = SummaryAccumulator(NAMES)
+        recorder = _TreeRecorder()
+        fold.recorder = recorder
+        for start in range(0, len(records), chunk_records):
+            chunk = records[start : start + chunk_records]
+            fold.feed_columns(columnar.columns_from_records(chunk))
+        assert _tree_fields(recorder.analysis(fold)) == reference
+
+    @DIFF_SETTINGS
+    @given(
+        records=call_streams(),
+        chunk_records=st.integers(min_value=1, max_value=100),
+    )
+    def test_tree_matches_reference_on_call_streams(self, records, chunk_records):
+        self._assert_parity(records, chunk_records)
+
+    @DIFF_SETTINGS
+    @given(
+        records=record_streams(),
+        chunk_records=st.integers(min_value=1, max_value=100),
+    )
+    def test_tree_matches_reference_on_raw_streams(self, records, chunk_records):
+        """Unknown tags, unmatched exits and stray switches included."""
+        self._assert_parity(records, chunk_records)

@@ -6,8 +6,8 @@ truncation salvage, the invariant that a drained live summary is
 byte-identical to batch analysis, the peek/delta snapshot algebra the
 rolling windows are built on, heartbeat cadence on an injected clock,
 the reusable /metrics HTTP server, the incremental Chrome-trace track
-(including call spans that cross wire-batch boundaries), the P8xx lint
-family, and the ``repro live``/``repro top`` CLI.
+(its slices equal the batch exporter's across wire-batch cuts and context
+switches), the P8xx lint family, and the ``repro live``/``repro top`` CLI.
 """
 
 from __future__ import annotations
@@ -24,13 +24,7 @@ import pytest
 
 from stream_helpers import make_names
 from repro.analysis.callstack import analyze_capture
-from repro.analysis.columnar import (
-    PairingCarry,
-    build_decode_map,
-    columns_from_records,
-    decode_columns,
-    pair_entry_exits,
-)
+from repro.analysis.columnar import columns_from_records
 from repro.analysis.summary import SummaryAccumulator, summarize
 from repro.db.query import FUNCTION_SORTS
 from repro.lint import lint_live_drain, lint_live_stream, render_text
@@ -49,6 +43,7 @@ from repro.profiler.upload import (
     salvage_capture_stream,
 )
 from repro.telemetry import TELEMETRY, HeartbeatFlusher
+from repro.telemetry.export import capture_to_chrome_trace
 from repro.__main__ import main
 
 
@@ -384,60 +379,87 @@ class TestTop:
 # -- incremental Chrome trace --------------------------------------------------
 
 
+def _two_process_records(rounds: int = 6) -> list[RawRecord]:
+    """Two processes that each sleep inside ``read``.
+
+    Process A blocks in ``read``; process B runs, enters its own ``read``
+    and blocks too; from then on each switch-in returns from the ``read``
+    of the process that slept longest, so every ``read`` call is suspended
+    across the other process's run.  One global call stack would pair A's
+    exits with B's entries.
+    """
+    names = _names()
+    script = [">main", ">read", ">swtch", "<swtch", ">bcopy", "<bcopy", ">read", ">swtch"]
+    script += ["<swtch", "<read", ">read", ">swtch"] * rounds
+    script += ["<swtch", "<read", "<main"]
+    records = []
+    t = 0
+    for step, op in enumerate(script):
+        entry = names.by_name(op[1:])
+        tag = entry.entry_value if op[0] == ">" else entry.exit_value
+        records.append(RawRecord(tag=tag, time=t))
+        t += 3 + step % 7
+    return records
+
+
+def _live_slices(tmp_path, records, cut):
+    """Feed *records* in *cut*-record batches through a traced analyzer;
+    the written document and its (name, ts, dur) call slices."""
+    path = tmp_path / f"live-{cut}.trace.json"
+    analyzer = LiveAnalyzer(_names(), trace=LiveTraceWriter(path))
+    for start in range(0, len(records), cut):
+        analyzer.feed(columns_from_records(records[start : start + cut]))
+    analyzer.finish()
+    document = json.loads(path.read_text())
+    slices = [(e["name"], e["ts"], e["dur"]) for e in document if e.get("ph") == "X"]
+    return document, sorted(slices)
+
+
+def _export_slices(records):
+    """The batch exporter's non-synthetic call slices of *records*."""
+    analysis = analyze_capture(Capture(records=tuple(records), names=_names()))
+    return sorted(
+        (e["name"], e["ts"], e["dur"])
+        for e in capture_to_chrome_trace(analysis)["traceEvents"]
+        if e.get("ph") == "X" and not e["args"].get("synthetic")
+    )
+
+
 class TestLiveTrace:
     def test_document_valid_and_spans_cross_batches(self, tmp_path):
-        names = _names()
         records = _records(120)
-        path = tmp_path / "live.trace.json"
-        writer = LiveTraceWriter(path, names, max_slices=10_000)
-        # A mid-call chunk boundary: batches of 7 guarantee entry/exit
-        # pairs straddle the cut (pairs are written at even offsets).
-        for start in range(0, len(records), 7):
-            writer.feed(columns_from_records(records[start : start + 7]))
-        writer.close()
-        document = json.loads(path.read_text())
-        slices = [e for e in document if e.get("ph") == "X"]
-        # every within-process pair renders despite the batch cuts:
-        whole = decode_columns(columns_from_records(records), names)
-        assert len(slices) == len(pair_entry_exits(whole))
-        tail = document[-1]
-        assert tail["name"] == "live_trace_end"
-        assert tail["args"]["records"] == len(records)
-        assert tail["args"]["open_frames"] == 0
+        # Batches of 7 and 13 guarantee entry/exit pairs straddle the cuts
+        # (pairs are written at even offsets).
+        for cut in (7, 13):
+            document, slices = _live_slices(tmp_path, records, cut)
+            assert slices == _export_slices(records)
+            tail = document[-1]
+            assert tail["name"] == "live_trace_end"
+            assert tail["args"]["records"] == len(records)
+            assert tail["args"]["slices"] == len(slices)
+            assert tail["args"]["truncated"] == 0
 
     def test_slice_cap_bounds_file(self, tmp_path):
         path = tmp_path / "capped.json"
-        writer = LiveTraceWriter(path, _names(), max_slices=3)
-        writer.feed(columns_from_records(_records(100)))
-        writer.close()
+        writer = LiveTraceWriter(path, max_slices=3)
+        analyzer = LiveAnalyzer(_names(), trace=writer)
+        analyzer.feed(columns_from_records(_records(100)))
+        analyzer.finish()
         document = json.loads(path.read_text())
         assert len([e for e in document if e.get("ph") == "X"]) == 3
         assert writer.slices == 3
+        assert document[-1]["args"]["dropped_slices"] == 50 - 3
 
-    def test_pairing_carry_matches_single_pass(self):
-        names = _names()
-        records = _records(200)
-        whole = pair_entry_exits(decode_columns(columns_from_records(records), names))
-        carry = PairingCarry()
-        chunked = []
-        decode_map = build_decode_map(names)
-        previous, base, index = None, 0, 0
-        for start in range(0, len(records), 13):
-            chunk = records[start : start + 13]
-            events = decode_columns(
-                columns_from_records(chunk),
-                names,
-                start_index=index,
-                time_base_us=base,
-                previous=previous,
-                decode_map=decode_map,
-            )
-            chunked.extend(pair_entry_exits(events, carry))
-            index += len(chunk)
-            base = events.times[-1]
-            previous = chunk[-1].time
-        assert chunked == whole
-        assert carry.stack == [] and carry.open_names == {}
+    def test_pairing_carry_matches_single_pass(self, tmp_path):
+        """Calls suspended across ``swtch`` while another process runs,
+        carried over 7- and 13-record cuts, close into exactly the batch
+        exporter's slices."""
+        records = _two_process_records()
+        expected = _export_slices(records)
+        assert len({ts for name, ts, _ in expected if name == "read"}) == 8
+        for cut in (7, 13):
+            _, slices = _live_slices(tmp_path, records, cut)
+            assert slices == expected
 
 
 # -- P8xx lint ----------------------------------------------------------------

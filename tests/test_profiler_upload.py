@@ -16,8 +16,6 @@ from repro.profiler.upload import (
     dump_records,
     iter_capture_columns,
     iter_capture_file,
-    iter_record_columns,
-    iter_record_stream,
     load_records,
     read_capture,
     read_capture_file,
@@ -122,30 +120,17 @@ class TestStreamingCaptureIO:
         buffer.seek(0)
         return buffer
 
-    def test_iter_record_stream_matches_batch_loader(self):
-        records = [RawRecord(tag=i, time=i * 7) for i in range(100)]
-        stream = io.BytesIO(dump_records(records))
-        assert list(iter_record_stream(stream, chunk_records=7)) == records
-
-    def test_iter_record_stream_partial_record_spanning_chunks(self):
+    def test_iter_capture_columns_partial_record_spanning_chunks(self):
         """A record split across two read() chunks must reassemble."""
         records = [RawRecord(tag=i, time=i) for i in range(10)]
-        blob = dump_records(records)
+        blob = self._file(records).getvalue()
 
         class DribbleStream(io.BytesIO):
             def read(self, n=-1):
                 return super().read(min(n, 3) if n and n > 0 else n)
 
-        assert list(iter_record_stream(DribbleStream(blob))) == records
-
-    def test_iter_record_stream_rejects_trailing_partial(self):
-        blob = dump_records([RawRecord(tag=1, time=2)]) + b"\x00\x00"
-        with pytest.raises(ValueError, match="partial"):
-            list(iter_record_stream(io.BytesIO(blob)))
-
-    def test_iter_record_stream_rejects_bad_chunk_size(self):
-        with pytest.raises(ValueError):
-            next(iter_record_stream(io.BytesIO(b""), chunk_records=0))
+        batches = iter_capture_columns(DribbleStream(blob), chunk_records=4)
+        assert [r for batch in batches for r in batch.to_records()] == records
 
     def test_iter_capture_file_roundtrip(self, tmp_path):
         records = [RawRecord(tag=i, time=i * 3) for i in range(50)]
@@ -296,11 +281,6 @@ class TestCaptureFormatErrorContract:
         with pytest.raises(CaptureFormatError, match="not a multiple"):
             decode_record_columns(blob)
 
-    def test_iter_record_columns_rejects_trailing_partial(self):
-        blob = dump_records([RawRecord(tag=1, time=2)]) + b"\x00\x00"
-        with pytest.raises(CaptureFormatError, match="partial"):
-            list(iter_record_columns(io.BytesIO(blob)))
-
     def test_meta_probe_restores_seekable_position(self):
         records = [RawRecord(tag=i, time=i * 3) for i in range(7)]
         stream = io.BytesIO(self._v2_file(records))
@@ -316,7 +296,7 @@ class TestCaptureFormatErrorContract:
         meta = read_capture_meta(stream)
         assert meta.count == 7
         # Documented contract: a pipe is positioned at the record bytes.
-        assert list(iter_record_stream(stream)) == records
+        assert load_records(stream.read()) == records
 
     def test_meta_probe_same_error_seekable_or_not(self):
         damaged = b"MP"

@@ -2,8 +2,9 @@
 
 Fifty randomly generated traces (fixed seeds, no wall clock anywhere) are
 summarised by the fold — whole, and fed in small column batches — and by
-the call-tree reconstruction; the summaries must be byte-identical and
-the fold's anomaly list must match the tree's exactly.  The generator
+the standalone reference reconstruction of ``oracles.py``; the summaries
+must be byte-identical and the fold's anomaly list must match the
+reference's exactly.  The generator
 deliberately produces *hostile* streams — random nesting, unmatched
 exits, context switches mid-call, inline marks, and time deltas large
 enough to wrap the 24-bit counter many times — because the parity claim
@@ -16,6 +17,7 @@ import random
 
 import pytest
 
+import oracles
 from stream_helpers import make_names
 
 from repro.analysis.callstack import analyze_capture
@@ -26,7 +28,6 @@ from repro.analysis.summary import (
     summarize,
     summarize_capture,
 )
-from repro.profiler.capture import Capture
 from repro.profiler.ram import RawRecord
 
 MASK = (1 << 24) - 1
@@ -108,8 +109,10 @@ def orderly_records(seed: int, blocks: int = 60):
 
 
 def batch_summary(records):
-    capture = Capture(records=tuple(records), names=NAMES, label="property")
-    analysis = analyze_capture(capture)
+    """The reference reconstruction's summary and anomalies."""
+    analysis = oracles.reference_call_tree(
+        list(oracles.decoded_events(records, NAMES))
+    )
     return summarize(analysis), analysis.anomalies
 
 
