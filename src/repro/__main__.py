@@ -33,11 +33,16 @@ records/sec + ETA heartbeat on stderr while ``analyze`` folds a capture
 file.  Neither writes a byte to stdout, so report output is identical
 with or without them.
 
-Every summary report is the columnar fold
-(:func:`repro.analysis.summary.fold_columns`); ``analyze`` runs it
-straight off the file in O(chunk) memory unless a call-tree report
-(trace, gprof, folded, flame, timeline) or ``--salvage`` needs the whole
-capture in memory.
+The summary and gprof reports are the columnar fold
+(:func:`repro.analysis.summary.fold_columns`), gprof as a recorder on it
+(:class:`repro.analysis.gprof.GprofRecorder`); one fold serves both.
+``analyze`` runs it straight off the file in O(chunk) memory unless a
+call-tree report (trace, folded, flame, timeline) or ``--salvage`` needs
+the whole capture in memory.
+
+Unreadable input (a missing, empty, corrupt or truncated capture, a
+missing name file) fails with one line on stderr, ``repro: error:
+<message>``, and exit status 2.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from typing import Callable, Optional, Sequence
 
 from repro.analysis.callstack import analyze_capture
 from repro.analysis.folded import flame_ascii, to_folded
-from repro.analysis.gprof import gprof_report
+from repro.analysis.gprof import GprofRecorder, gprof_report
 from repro.analysis.timeline import render_timeline
 from repro.analysis.summary import SummaryAccumulator, fold_capture, fold_columns
 from repro.analysis.trace import format_trace
@@ -67,6 +72,7 @@ from repro.lint import (
 from repro.profiler.capture import Capture, warn_legacy_metadata
 from repro.profiler.ram import DEFAULT_DEPTH
 from repro.profiler.upload import (
+    CaptureFormatError,
     iter_capture_columns,
     read_capture_meta,
     salvage_capture,
@@ -94,6 +100,8 @@ WORKLOADS: dict[str, str] = {
 }
 
 REPORTS = ("summary", "trace", "gprof", "folded", "flame", "timeline")
+#: Reports that walk the call tree; summary and gprof come from the fold.
+TREE_REPORTS = frozenset(("trace", "folded", "flame", "timeline"))
 
 #: ``repro db query --sort`` choices.  A literal for the same reason as
 #: WORKLOADS above: importing repro.db at parser-build time would pull
@@ -133,6 +141,25 @@ def _desync_count(fold: SummaryAccumulator) -> int:
     )
 
 
+def _gprof_recorder(reports: Sequence[str]) -> Optional[GprofRecorder]:
+    """The recorder gprof needs on the fold, if it is asked for and no
+    call-tree report builds the tree it could walk instead."""
+    if "gprof" in reports and TREE_REPORTS.isdisjoint(reports):
+        return GprofRecorder()
+    return None
+
+
+def _fold_capture_for(
+    capture: Capture, reports: Sequence[str]
+) -> Optional[SummaryAccumulator]:
+    """Fold an in-memory *capture* once for the summary and gprof
+    *reports*, or ``None`` when neither needs the fold."""
+    recorder = _gprof_recorder(reports)
+    if recorder is None and "summary" not in reports:
+        return None
+    return fold_capture(capture, recorder=recorder)
+
+
 def _print_reports(
     reports: Sequence[str],
     summary_limit: int,
@@ -142,11 +169,11 @@ def _print_reports(
     capture: Optional[Capture],
     desyncs: Optional[int] = None,
 ) -> None:
-    """Print *reports* in order.  The summary comes from *fold*; every
-    other report walks the call tree, built once from *capture* when one
-    is asked for."""
+    """Print *reports* in order.  The summary comes from *fold*, and so
+    does gprof unless a call-tree report is asked for too: then the call
+    tree is built once from *capture* and every other report walks it."""
     analysis = None
-    if any(report != "summary" for report in reports):
+    if not TREE_REPORTS.isdisjoint(reports):
         analysis = analyze_capture(capture)
     for report in reports:
         if report == "summary":
@@ -155,7 +182,10 @@ def _print_reports(
         elif report == "trace":
             out(format_trace(analysis))
         elif report == "gprof":
-            out(gprof_report(analysis).format(limit=summary_limit))
+            gprof = (
+                fold.recorder.report(fold) if analysis is None else gprof_report(analysis)
+            )
+            out(gprof.format(limit=summary_limit))
         elif report == "folded":
             out(to_folded(analysis))
         elif report == "flame":
@@ -243,7 +273,7 @@ def _cmd_capture(args: argparse.Namespace, out: Callable) -> int:
         args.report,
         args.summary_limit,
         out,
-        fold=fold_capture(capture) if "summary" in args.report else None,
+        fold=_fold_capture_for(capture, args.report),
         capture=capture,
         desyncs=system.kernel.stats.get("kstack_desync", 0),
     )
@@ -271,8 +301,9 @@ def cmd_analyze(args: argparse.Namespace, out: Callable) -> int:
 
 
 def _fold_file(args: argparse.Namespace, names: NameTable) -> SummaryAccumulator:
-    """Fold the capture file straight off the disk, O(chunk) memory, with
-    the ``--progress`` heartbeat counting batches as they land."""
+    """Fold the capture file straight off the disk, O(chunk) memory, for
+    the summary and gprof reports, with the ``--progress`` heartbeat
+    counting batches as they land."""
     meta = read_capture_meta(args.capture)
     if meta.version == 1:
         warn_legacy_metadata(args.capture)
@@ -288,7 +319,12 @@ def _fold_file(args: argparse.Namespace, names: NameTable) -> SummaryAccumulator
         finally:
             progress.finish()
 
-    return fold_columns(batches(), names, width_bits=meta.counter_width_bits)
+    return fold_columns(
+        batches(),
+        names,
+        width_bits=meta.counter_width_bits,
+        recorder=_gprof_recorder(args.report),
+    )
 
 
 def _cmd_analyze(args: argparse.Namespace, out: Callable) -> int:
@@ -304,11 +340,11 @@ def _cmd_analyze(args: argparse.Namespace, out: Callable) -> int:
             )
             return 1
     capture = None
-    if args.salvage or any(report != "summary" for report in args.report):
+    if args.salvage or not TREE_REPORTS.isdisjoint(args.report):
         capture = Capture.load(
             args.capture, names, label=f"cli: {args.capture}", salvage=args.salvage
         )
-        fold = fold_capture(capture) if "summary" in args.report else None
+        fold = _fold_capture_for(capture, args.report)
         events = len(capture)
     else:
         fold = _fold_file(args, names)
@@ -1666,7 +1702,12 @@ def main(argv: Optional[Sequence[str]] = None, out: Callable = print) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "report", None) is None and args.command in ("capture", "analyze"):
         args.report = ["summary"]
-    return args.func(args, out)
+    try:
+        return args.func(args, out)
+    except (CaptureFormatError, OSError, ValueError) as exc:
+        # Unreadable input: one line and exit 2, never a traceback.
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -13,6 +13,8 @@ turns that list into the paper's two reports and the future-work extras:
   fold;
 * :mod:`repro.analysis.trace` — the timestamped nested code-path trace
   (Figure 4 layout);
+* :mod:`repro.analysis.gprof` — the exact caller/callee report, another
+  recording of the fold;
 * :mod:`repro.analysis.histogram`, :mod:`repro.analysis.graph` — the
   "future work" analyses: per-function time histograms, call graphs and
   subsystem groupings;

@@ -6,14 +6,24 @@ assumption ("a function's time is divided among its callers in
 proportion to call counts"), the capture knows precisely which caller's
 invocation cost what.  This is part of the paper's future-work plan for
 "sophisticated tools that allow statistical processing of the data".
+
+The report is aggregated in one place, :class:`GprofRecorder`: a
+recorder on the summary fold that adds up every call as its frame
+closes, so ``analyze --report gprof`` folds the capture file once, in
+O(open frames + functions + arcs) memory, without a call tree.
+:func:`gprof_report` feeds the same aggregation from a call tree, for
+callers that already hold one.  Either way entries and arcs keep the
+order in which a preorder walk of the call forest first meets them,
+which breaks the report's ties.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from collections import defaultdict
+from typing import Any
 
 from repro.analysis.callstack import CallTreeAnalysis
+from repro.analysis.summary import FoldRecorder, SummaryAccumulator
 
 
 @dataclasses.dataclass
@@ -79,49 +89,112 @@ class GprofReport:
 SPONTANEOUS = "<spontaneous>"
 
 
-def gprof_report(analysis: CallTreeAnalysis) -> GprofReport:
-    """Build the caller/callee report from a reconstructed call forest."""
-    calls: defaultdict[str, int] = defaultdict(int)
-    net: defaultdict[str, int] = defaultdict(int)
-    inclusive: defaultdict[str, int] = defaultdict(int)
-    caller_arcs: dict[tuple[str, str], ArcStats] = {}
+class GprofRecorder(FoldRecorder):
+    """The gprof aggregation: per-function calls, net and inclusive time,
+    and exact caller->callee arcs, added up call by call.
 
-    def arc(caller: str, callee: str) -> ArcStats:
-        key = (caller, callee)
-        existing = caller_arcs.get(key)
-        if existing is None:
-            existing = ArcStats(caller=caller, callee=callee)
-            caller_arcs[key] = existing
-        return existing
+    Attached as a fold's :attr:`~SummaryAccumulator.recorder` it sees
+    every real call close (synthetic frames count in no gprof entry) and
+    :meth:`report` assembles the report.  Each call carries its preorder
+    key, ``(tree-root index, open sequence)``: a tree's calls all belong
+    to one process and open in preorder, while trees of different
+    processes interleave in time.  Synthetic roots hold no real call and
+    take no index.  The recorder appends the key to each open frame as
+    ``frame[5]``.
+    """
 
-    parent_of: dict[int, str] = {}
-    for node in analysis.nodes():
-        for child in node.children:
-            parent_of[id(child)] = node.name
+    def __init__(self) -> None:
+        #: name -> [key, calls, net_us, inclusive_us, {caller: [key, calls, inclusive_us]}],
+        #: each key the least of the calls added under it.
+        self._functions: dict[str, list] = {}
+        self._roots = 0
+        self._opened = 0
 
-    for node in analysis.nodes():
-        if node.synthetic:
-            continue
-        calls[node.name] += 1
-        net[node.name] += node.self_us
-        inclusive[node.name] += node.inclusive_us
-        caller = parent_of.get(id(node), SPONTANEOUS)
-        a = arc(caller, node.name)
-        a.calls += 1
-        a.inclusive_us += node.inclusive_us
+    def open_frame(self, stack, frame: list) -> None:
+        frames = stack.frames
+        if len(frames) == 1:
+            root = self._roots
+            self._roots = root + 1
+        else:
+            root = frames[0][5][0]
+        frame.append((root, self._opened))
+        self._opened += 1
 
-    entries: dict[str, GprofEntry] = {}
-    for name in calls:
-        entries[name] = GprofEntry(
-            name=name,
-            calls=calls[name],
-            net_us=net[name],
-            inclusive_us=inclusive[name],
-            callers=[a for a in caller_arcs.values() if a.callee == name],
-            callees=[
-                a
-                for a in caller_arcs.values()
-                if a.caller == name and a.callee in calls
-            ],
+    def close_frame(self, stack, frame: list, exit_us: int, truncated: bool) -> None:
+        frames = stack.frames
+        self.add_call(
+            frame[0],
+            frames[-1][0] if frames else SPONTANEOUS,
+            frame[1],
+            frame[1] + frame[2],
+            frame[5],
         )
-    return GprofReport(entries=entries, wall_us=analysis.wall_us)
+
+    def add_call(
+        self, name: str, caller: str, net_us: int, inclusive_us: int, key: Any
+    ) -> None:
+        """Count one call of *name* from *caller*; *key* is its preorder key."""
+        agg = self._functions.get(name)
+        if agg is None:
+            self._functions[name] = [
+                key, 1, net_us, inclusive_us, {caller: [key, 1, inclusive_us]}
+            ]
+            return
+        if key < agg[0]:
+            agg[0] = key
+        agg[1] += 1
+        agg[2] += net_us
+        agg[3] += inclusive_us
+        arc = agg[4].get(caller)
+        if arc is None:
+            agg[4][caller] = [key, 1, inclusive_us]
+            return
+        if key < arc[0]:
+            arc[0] = key
+        arc[1] += 1
+        arc[2] += inclusive_us
+
+    def report(self, fold: SummaryAccumulator) -> GprofReport:
+        """The report of everything *fold* closed (seals it)."""
+        return self._assemble(fold.summary().wall_us)
+
+    def _assemble(self, wall_us: int) -> GprofReport:
+        entries: dict[str, GprofEntry] = {}
+        arcs: list[tuple[Any, ArcStats]] = []
+        ranked = sorted(self._functions.items(), key=lambda item: item[1][0])
+        for name, (_, calls, net, inclusive, callers) in ranked:
+            entries[name] = GprofEntry(
+                name=name,
+                calls=calls,
+                net_us=net,
+                inclusive_us=inclusive,
+                callers=[],
+                callees=[],
+            )
+            for caller, (key, arc_calls, arc_inclusive) in callers.items():
+                arcs.append((key, ArcStats(caller, name, arc_calls, arc_inclusive)))
+        arcs.sort(key=lambda pair: pair[0])
+        for _, arc in arcs:
+            entries[arc.callee].callers.append(arc)
+            caller_entry = entries.get(arc.caller)
+            if caller_entry is not None:
+                caller_entry.callees.append(arc)
+        return GprofReport(entries=entries, wall_us=wall_us)
+
+
+def gprof_report(analysis: CallTreeAnalysis) -> GprofReport:
+    """Build the caller/callee report from a reconstructed call forest.
+
+    One iterative preorder pass feeds :class:`GprofRecorder`'s
+    aggregation, keyed by preorder position.
+    """
+    recorder = GprofRecorder()
+    pending = [(root, SPONTANEOUS) for root in reversed(analysis.roots)]
+    key = 0
+    while pending:
+        node, caller = pending.pop()
+        if not node.synthetic:
+            recorder.add_call(node.name, caller, node.self_us, node.inclusive_us, key)
+            key += 1
+        pending.extend((child, node.name) for child in reversed(node.children))
+    return recorder._assemble(analysis.wall_us)

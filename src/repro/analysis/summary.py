@@ -19,8 +19,9 @@ Every summary the program prints comes from one engine, the
 :class:`SummaryAccumulator` fold over columnar record batches.  The fold
 is also the program's one call reconstruction: entry/exit matching,
 switch-in resolution and anomaly repair happen only there, and the call
-tree (:func:`repro.analysis.callstack.build_call_tree`) and the live
-Chrome trace (:class:`repro.live.trace.LiveTraceWriter`) are
+tree (:func:`repro.analysis.callstack.build_call_tree`), the gprof
+report (:class:`repro.analysis.gprof.GprofRecorder`) and the live Chrome
+trace (:class:`repro.live.trace.LiveTraceWriter`) are
 :class:`FoldRecorder` recordings of it.  :func:`summarize` gives the same
 summary from a reconstructed call tree, for callers that hold one.
 """
@@ -321,7 +322,8 @@ class FoldRecorder:
     The fold keeps only what the summary needs.  A recorder attached as
     :attr:`SummaryAccumulator.recorder` before the first event is told
     every step of the same state machine and keeps what more it wants:
-    the call tree of :func:`repro.analysis.callstack.build_call_tree`, or
+    the call tree of :func:`repro.analysis.callstack.build_call_tree`,
+    the gprof arcs of :class:`repro.analysis.gprof.GprofRecorder`, or
     the slices of :class:`repro.live.trace.LiveTraceWriter`.  *stack* is
     the process a step happened on (``stack.proc`` its label,
     ``stack.frames`` its open frames, innermost last); a frame is the
@@ -364,7 +366,7 @@ class SummaryAccumulator:
     O(events) — which is what lets a million-event stream be summarised
     from a file iterator without ever holding the trace.  A
     :class:`FoldRecorder` attached as :attr:`recorder` sees every step and
-    may keep more (the call tree, the live trace).
+    may keep more (the call tree, the gprof arcs, the live trace).
 
     The one structural concession to streaming: switch-in resolution
     (which suspended process resumes after a ``swtch`` exit) needs to look
@@ -813,17 +815,20 @@ def fold_columns(
     names: NameTable,
     width_bits: int = 24,
     include_swtch: bool = False,
+    recorder: Optional[FoldRecorder] = None,
 ) -> SummaryAccumulator:
     """Fold a columnar batch stream into a new accumulator.
 
     *batches* is any iterable of :class:`RecordColumns`, typically
     :func:`repro.profiler.upload.iter_capture_columns` draining a capture
-    file.  The accumulator is returned unsealed: its :meth:`summary` and
+    file.  *recorder*, if given, records the fold from the first event.
+    The accumulator is returned unsealed: its :meth:`summary` and
     :attr:`anomalies` are the run's report.
     """
     accumulator = SummaryAccumulator(
         names, width_bits=width_bits, include_swtch=include_swtch
     )
+    accumulator.recorder = recorder
     telemetry = _TELEMETRY
     started = time.perf_counter() if telemetry.enabled else 0.0
     with telemetry.span("analysis.fold"):
@@ -850,12 +855,15 @@ def summarize_columns(
     ).summary()
 
 
-def fold_capture(capture: Capture) -> SummaryAccumulator:
+def fold_capture(
+    capture: Capture, recorder: Optional[FoldRecorder] = None
+) -> SummaryAccumulator:
     """Fold an in-memory *capture* (see :func:`fold_columns`)."""
     return fold_columns(
         [columns_from_records(capture.records)],
         capture.names,
         width_bits=capture.counter_width_bits,
+        recorder=recorder,
     )
 
 

@@ -14,7 +14,10 @@ machine (:class:`repro.analysis.summary.SummaryAccumulator`), which the
 call tree and the live trace record.  :func:`reference_call_tree` is a
 standalone tree builder — one event object at a time, with its own
 switch-in resolver — kept as the specification the tree, summary and
-live-trace suites compare the fold against.
+live-trace suites compare the fold against.  :func:`reference_gprof_report`
+is the gprof report as a walk of such a tree, the specification the
+program's :class:`repro.analysis.gprof.GprofRecorder` aggregation is held
+to.
 """
 
 from __future__ import annotations
@@ -23,10 +26,12 @@ import contextlib
 import dataclasses
 import itertools
 import zlib
+from collections import defaultdict
 from typing import BinaryIO, Iterable, Iterator, Optional, Sequence
 
 from repro.analysis.callstack import Anomaly, CallNode, CallTreeAnalysis
 from repro.analysis.events import DecodedEvent, EventKind, _check_width
+from repro.analysis.gprof import SPONTANEOUS, ArcStats, GprofEntry, GprofReport
 from repro.instrument.namefile import NameTable
 from repro.instrument.tags import TagKind
 from repro.profiler import upload
@@ -437,3 +442,54 @@ def reference_call_tree(events: Sequence[DecodedEvent]) -> CallTreeAnalysis:
         procs=tuple(stack.proc for stack in all_stacks),
         orphan_marks=orphan_marks,
     )
+
+
+# -- gprof -------------------------------------------------------------------
+
+
+def reference_gprof_report(analysis: CallTreeAnalysis) -> GprofReport:
+    """Build the caller/callee report from a reconstructed call forest."""
+    calls: defaultdict[str, int] = defaultdict(int)
+    net: defaultdict[str, int] = defaultdict(int)
+    inclusive: defaultdict[str, int] = defaultdict(int)
+    caller_arcs: dict[tuple[str, str], ArcStats] = {}
+
+    def arc(caller: str, callee: str) -> ArcStats:
+        key = (caller, callee)
+        existing = caller_arcs.get(key)
+        if existing is None:
+            existing = ArcStats(caller=caller, callee=callee)
+            caller_arcs[key] = existing
+        return existing
+
+    parent_of: dict[int, str] = {}
+    for node in analysis.nodes():
+        for child in node.children:
+            parent_of[id(child)] = node.name
+
+    for node in analysis.nodes():
+        if node.synthetic:
+            continue
+        calls[node.name] += 1
+        net[node.name] += node.self_us
+        inclusive[node.name] += node.inclusive_us
+        caller = parent_of.get(id(node), SPONTANEOUS)
+        a = arc(caller, node.name)
+        a.calls += 1
+        a.inclusive_us += node.inclusive_us
+
+    entries: dict[str, GprofEntry] = {}
+    for name in calls:
+        entries[name] = GprofEntry(
+            name=name,
+            calls=calls[name],
+            net_us=net[name],
+            inclusive_us=inclusive[name],
+            callers=[a for a in caller_arcs.values() if a.callee == name],
+            callees=[
+                a
+                for a in caller_arcs.values()
+                if a.caller == name and a.callee in calls
+            ],
+        )
+    return GprofReport(entries=entries, wall_us=analysis.wall_us)

@@ -194,6 +194,100 @@ class TestStrictAnalyze:
         assert "Elapsed time" not in text  # analysis never ran
 
 
+class TestGprofFromTheFold:
+    """gprof is a recorder on the fold: ``analyze`` serves it, with or
+    without the summary, from one pass over the file and no call tree."""
+
+    @pytest.mark.parametrize("reports", [["gprof"], ["summary", "gprof"]])
+    def test_one_columnar_pass_no_load_no_tree(self, monkeypatch, reports):
+        import repro.__main__ as cli
+        from repro.analysis import callstack
+        from repro.profiler.capture import Capture
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the gprof path built the call tree or loaded the capture")
+
+        monkeypatch.setattr(Capture, "load", forbidden)
+        monkeypatch.setattr(callstack, "build_call_tree", forbidden)
+        passes = []
+        iter_columns = cli.iter_capture_columns
+
+        def counted(*args, **kwargs):
+            passes.append(args)
+            return iter_columns(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "iter_capture_columns", counted)
+        argv = ["analyze", str(GOLDEN_DIR / "figure5_forkexec_v2.mpf")]
+        argv += ["--names", str(GOLDEN_DIR / "case_study.tags")]
+        for report in reports:
+            argv += ["--report", report]
+        text = "\n".join(run_cli(*argv))
+        assert len(passes) == 1
+        assert text.endswith((GOLDEN_DIR / "figure5_forkexec_gprof.txt").read_text())
+
+
+def _bad_inputs(tmp_path) -> dict[str, tuple[pathlib.Path, pathlib.Path]]:
+    """Unreadable inputs: name -> (capture, name file)."""
+    names = GOLDEN_DIR / "case_study.tags"
+    golden = (GOLDEN_DIR / "figure3_network_v2.mpf").read_bytes()
+    empty = tmp_path / "empty.mpf"
+    empty.write_bytes(b"")
+    random_bytes = tmp_path / "random.mpf"
+    random_bytes.write_bytes(bytes((i * 151 + 7) % 256 for i in range(3000)))
+    truncated = tmp_path / "truncated.mpf"
+    truncated.write_bytes(golden[: len(golden) - 3])
+    return {
+        "missing capture": (tmp_path / "missing.mpf", names),
+        "empty capture": (empty, names),
+        "random capture": (random_bytes, names),
+        "truncated capture": (truncated, names),
+        "missing name file": (GOLDEN_DIR / "figure3_network_v2.mpf", tmp_path / "missing.tags"),
+    }
+
+
+class TestUnreadableInput:
+    """Bad input fails with one line on stderr and exit 2, never a
+    traceback, whichever report was asked for."""
+
+    @pytest.mark.parametrize(
+        "case",
+        ["missing capture", "empty capture", "random capture",
+         "truncated capture", "missing name file"],
+    )
+    def test_one_line_and_exit_two(self, tmp_path, capsys, case):
+        capture, names = _bad_inputs(tmp_path)[case]
+        messages = {}
+        for report in ("summary", "gprof", "trace"):
+            code, lines = run_cli_code(
+                "analyze", str(capture), "--names", str(names), "--report", report
+            )
+            err = capsys.readouterr().err
+            assert code == 2, (report, err)
+            assert lines == []
+            assert "Traceback" not in err
+            assert len(err.splitlines()) == 1, err
+            assert err.startswith("repro: error: ")
+            messages[report] = err
+        assert messages["summary"] == messages["gprof"]
+
+    def test_subprocess_prints_no_traceback(self, tmp_path):
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [
+                sys.executable, "-m", "repro", "analyze", str(tmp_path / "missing.mpf"),
+                "--names", str(GOLDEN_DIR / "case_study.tags"), "--report", "gprof",
+            ],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith("repro: error: ")
+        assert len(done.stderr.splitlines()) == 1, done.stderr
+
+
 class TestOtherCommands:
     def test_workloads_listing(self):
         lines = run_cli("workloads")

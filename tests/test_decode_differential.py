@@ -7,8 +7,9 @@ agrees *exactly* with an independent reference: the one-record-at-a-time
 walkers of ``oracles.py`` for records and decoded events (field-identical
 ``DecodedEvent`` sequences, identical error messages), and the reference
 call tree built from those events for the fold (identical summary bytes,
-and therefore identical summary hashes, and node-for-node identical
-forests, on well-formed and malformed streams alike).
+and therefore identical summary hashes, node-for-node identical forests,
+and entry-for-entry, arc-for-arc identical gprof reports, on well-formed
+and malformed streams alike).
 
 Case volume is tunable: ``REPRO_DIFF_EXAMPLES`` sets the per-property
 example count (default 40, so the module runs well over 200 generated
@@ -29,6 +30,7 @@ import oracles
 from repro.analysis import columnar
 from repro.analysis.callstack import _TreeRecorder, analyze_capture, build_call_tree
 from repro.analysis.events import decode_records
+from repro.analysis.gprof import GprofRecorder, gprof_report
 from repro.analysis.summary import (
     SummaryAccumulator,
     summarize,
@@ -139,6 +141,55 @@ def call_streams(draw, max_blocks: int = 30) -> list[RawRecord]:
     return records
 
 
+@st.composite
+def switch_streams(draw, max_blocks: int = 30) -> list[RawRecord]:
+    """Multi-process streams: calls suspended across a context switch.
+
+    A small scheduler: each process keeps its own call stack, and a
+    block resumes one of them (``swtch`` exit, then ``tsleep``'s exit if
+    it slept there), returns from some of its calls, makes new ones (some
+    interrupted by an ``ISAINTR`` burst), and blocks again with a
+    ``swtch`` entry — from user mode or asleep inside ``tsleep`` in the
+    middle of its calls.  One process's call tree then grows on after
+    another process has opened trees of its own, so a call's position in
+    the forest's preorder is not its position in time.
+    """
+    procs = [[] for _ in range(draw(st.integers(min_value=1, max_value=4)))]
+    blocks = draw(st.integers(min_value=0, max_value=max_blocks))
+    t = draw(st.integers(min_value=0, max_value=TIME_MASK))
+    swtch = NAMES.by_name("swtch")
+    tsleep = NAMES.by_name("tsleep")
+    isaintr = NAMES.by_name("ISAINTR")
+    functions = [NAMES.by_name(n) for n in ("main", "read", "bcopy", "cksum")]
+    records = []
+
+    def emit(tag: int) -> None:
+        nonlocal t
+        records.append(RawRecord(tag=tag, time=t))
+        t = (t + draw(delta_strategy)) & TIME_MASK
+
+    for _ in range(blocks):
+        stack = procs[draw(st.integers(min_value=0, max_value=len(procs) - 1))]
+        emit(swtch.exit_value)
+        if stack and stack[-1] is tsleep:
+            emit(stack.pop().exit_value)
+        for _ in range(draw(st.integers(min_value=0, max_value=4))):
+            if stack and draw(st.booleans()):
+                emit(stack.pop().exit_value)
+                continue
+            fn = draw(st.sampled_from(functions))
+            emit(fn.entry_value)
+            stack.append(fn)
+            if draw(st.booleans()):
+                emit(isaintr.entry_value)
+                emit(isaintr.exit_value)
+        if draw(st.booleans()):
+            emit(tsleep.entry_value)
+            stack.append(tsleep)
+        emit(swtch.entry_value)
+    return records
+
+
 def _event_fields(event):
     return (
         event.index,
@@ -196,6 +247,30 @@ def _tree_fields(analysis):
         analysis.unattributed_us,
         analysis.event_count,
         analysis.context_switches,
+    )
+
+
+def _arc_fields(arcs):
+    return [(a.caller, a.callee, a.calls, a.inclusive_us) for a in arcs]
+
+
+def _gprof_fields(report):
+    """Every entry in report order, each with its ordered arc lists:
+    the orders break the report's ties, so they are compared too."""
+    return (
+        report.wall_us,
+        [
+            (
+                entry.name,
+                entry.calls,
+                entry.net_us,
+                entry.inclusive_us,
+                _arc_fields(entry.callers),
+                _arc_fields(entry.callees),
+            )
+            for entry in report.entries.values()
+        ],
+        [entry.name for entry in report.ordered()],
     )
 
 
@@ -476,9 +551,72 @@ class TestTreeParity:
 
     @DIFF_SETTINGS
     @given(
+        records=switch_streams(),
+        chunk_records=st.integers(min_value=1, max_value=100),
+    )
+    def test_tree_matches_reference_on_switch_streams(self, records, chunk_records):
+        """Calls suspended across context switches, several processes."""
+        self._assert_parity(records, chunk_records)
+
+    @DIFF_SETTINGS
+    @given(
         records=record_streams(),
         chunk_records=st.integers(min_value=1, max_value=100),
     )
     def test_tree_matches_reference_on_raw_streams(self, records, chunk_records):
+        """Unknown tags, unmatched exits and stray switches included."""
+        self._assert_parity(records, chunk_records)
+
+
+class TestGprofParity:
+    """gprof is a recorder on the fold; its report must equal the
+    reference tree walk over the reference forest entry for entry and arc
+    for arc, in order, whether the fold gets the stream whole or cut into
+    batches, and so must the walk of the program's own tree."""
+
+    def _assert_parity(self, records, chunk_records):
+        reference = oracles.reference_gprof_report(
+            oracles.reference_call_tree(_reference_events(records))
+        )
+        want = _gprof_fields(reference)
+        capture = Capture(records=tuple(records), names=NAMES)
+        from_tree = gprof_report(analyze_capture(capture))
+        assert _gprof_fields(from_tree) == want
+        for chunk in (len(records) or 1, chunk_records):
+            fold = SummaryAccumulator(NAMES)
+            recorder = GprofRecorder()
+            fold.recorder = recorder
+            for start in range(0, len(records), chunk):
+                fold.feed_columns(
+                    columnar.columns_from_records(records[start : start + chunk])
+                )
+            report = recorder.report(fold)
+            assert _gprof_fields(report) == want
+            assert report.format(limit=100) == reference.format(limit=100)
+
+    @DIFF_SETTINGS
+    @given(
+        records=call_streams(),
+        chunk_records=st.integers(min_value=1, max_value=100),
+    )
+    def test_gprof_matches_reference_on_call_streams(self, records, chunk_records):
+        self._assert_parity(records, chunk_records)
+
+    @DIFF_SETTINGS
+    @given(
+        records=switch_streams(),
+        chunk_records=st.integers(min_value=1, max_value=100),
+    )
+    def test_gprof_matches_reference_on_switch_streams(self, records, chunk_records):
+        """Trees of different processes interleave in time: entries and
+        arcs keep preorder, not open order."""
+        self._assert_parity(records, chunk_records)
+
+    @DIFF_SETTINGS
+    @given(
+        records=record_streams(),
+        chunk_records=st.integers(min_value=1, max_value=100),
+    )
+    def test_gprof_matches_reference_on_raw_streams(self, records, chunk_records):
         """Unknown tags, unmatched exits and stray switches included."""
         self._assert_parity(records, chunk_records)

@@ -1,7 +1,8 @@
-"""Golden-file tests: the three figure reports, byte-for-byte.
+"""Golden-file tests: the three figure reports and gprof, byte-for-byte.
 
 The simulation is deterministic, so the canonical Figure 3/4/5 report
-text is checked in under ``tests/golden/`` and asserted verbatim.  Any
+text and the gprof reports of the two binary golden captures are checked
+in under ``tests/golden/`` and asserted verbatim.  Any
 change to decoding, reconstruction, aggregation or formatting shows up
 here as a diff against the golden text — which is exactly the kind of
 silent drift the streaming pipeline's byte-identity guarantee depends on
@@ -194,6 +195,60 @@ def test_golden_capture_decodes_to_golden_summary():
 
     text = summarize(analyze_capture(capture)).format(limit=20) + "\n"
     assert text == (GOLDEN_DIR / "figure3_network_summary.txt").read_text()
+
+
+#: binary golden capture -> its gprof report golden (the CLI's default
+#: ``--summary-limit`` of 12 entries).
+GPROF_GOLDENS = {
+    "figure3_network_v2.mpf": "figure3_network_gprof.txt",
+    "figure5_forkexec_v2.mpf": "figure5_forkexec_gprof.txt",
+}
+
+
+@pytest.mark.parametrize("capture_name,golden", sorted(GPROF_GOLDENS.items()))
+def test_gprof_golden_from_tree(capture_name, golden):
+    """The walk of the call tree reproduces the gprof golden."""
+    from repro.analysis.callstack import analyze_capture
+    from repro.analysis.gprof import gprof_report
+    from repro.instrument.namefile import NameTable
+    from repro.profiler.capture import Capture
+
+    names = NameTable.read(GOLDEN_DIR / "case_study.tags")
+    capture = Capture.load(GOLDEN_DIR / capture_name, names)
+    _check(golden, gprof_report(analyze_capture(capture)).format(limit=12) + "\n")
+
+
+@pytest.mark.parametrize(
+    "capture_name,golden",
+    sorted(GPROF_GOLDENS.items())
+    + [(legacy, GPROF_GOLDENS[v2]) for legacy, v2 in sorted(LEGACY_CAPTURES.items())],
+)
+@pytest.mark.parametrize("reports", [["gprof"], ["summary", "gprof"]])
+def test_gprof_golden_from_cli(capture_name, golden, reports):
+    """``analyze --report gprof`` (the fold's gprof recorder, straight off
+    the file, MPF1 or MPF2) prints the gprof golden, alone and after the
+    summary."""
+    if os.environ.get("REGEN_GOLDEN"):
+        pytest.skip("regenerating")
+    import warnings
+
+    from repro.__main__ import main
+
+    argv = ["analyze", str(GOLDEN_DIR / capture_name)]
+    argv += ["--names", str(GOLDEN_DIR / "case_study.tags")]
+    for report in reports:
+        argv += ["--report", report]
+    lines: list[str] = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the MPF1 metadata warning
+        assert main(argv, out=lines.append) == 0
+    # Each report is followed by an empty line; gprof comes last.
+    text = "\n".join(lines[1:])
+    expected = (GOLDEN_DIR / golden).read_text()
+    if reports == ["gprof"]:
+        assert text == expected
+    else:
+        assert text.endswith("kstack desyncs = 0\n\n" + expected)
 
 
 # -- MPF1 backward compatibility over the frozen legacy goldens --------------

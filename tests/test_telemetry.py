@@ -597,11 +597,13 @@ class TestCliTelemetry:
         span_names = {d["name"] for d in docs if d["type"] == "span"}
         assert "capture.run" in span_names
 
-    def test_analyze_telemetry_has_fold_span_and_rate(self, tmp_path):
+    @pytest.mark.parametrize("report", ["summary", "gprof"])
+    def test_analyze_telemetry_has_fold_span_and_rate(self, tmp_path, report):
         path = tmp_path / "fold.jsonl"
         run_cli(
             "analyze", str(GOLDEN_DIR / "figure5_forkexec_v2.mpf"),
             "--names", str(GOLDEN_DIR / "case_study.tags"),
+            "--report", report,
             "--telemetry", str(path),
         )
         docs = [json.loads(line) for line in path.read_text().splitlines()]
