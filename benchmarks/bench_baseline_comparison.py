@@ -33,7 +33,7 @@ def run_all_methods():
         lambda: network_receive(hw_system.kernel, total_packets=PACKETS)
     )
     hw_summary = summarize(hw_system.analyze(capture))
-    hw_elapsed = capture.records[-1].time - capture.records[0].time
+    hw_elapsed = capture.records.times[-1] - capture.records.times[0]
 
     # Clock sampling at two granularities.
     profiles = {}

@@ -131,13 +131,13 @@ def run_storm(engine: str, pairs: int) -> dict:
         leave(STORM_META_B)
     elapsed = time.perf_counter() - start
     board.disarm()
-    records = board.pull_rams().records()
+    records = board.pull_rams().columns()
     triggers = kernel.stats["triggers"]
     return {
         "elapsed_s": elapsed,
         "triggers": triggers,
         "triggers_per_s": triggers / elapsed,
-        "stream": b"".join(record.pack() for record in records),
+        "stream": records.to_bytes(),
         "events_stored": len(records),
         "overflowed": board.overflow_led,
         "sim_ns": kernel.machine.now_ns,
@@ -160,7 +160,7 @@ def run_figure4_workload(engine: str) -> dict:
         "triggers": triggers,
         "triggers_per_s": triggers / elapsed,
         "events": len(capture),
-        "stream": b"".join(record.pack() for record in capture.records),
+        "stream": capture.records.to_bytes(),
     }
 
 

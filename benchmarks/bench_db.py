@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 from pathlib import Path
 
@@ -37,6 +38,9 @@ from repro.instrument.namefile import NameTable
 from repro.instrument.tags import TagEntry
 from repro.profiler.ram import RawRecord
 from repro.profiler.upload import clear_meta_cache, write_capture_file
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from stream_helpers import columns_of  # noqa: E402 - records -> columns
 
 MASK = (1 << 24) - 1
 
@@ -103,7 +107,7 @@ def build_corpus(root: Path, runs: int, calls: int) -> list[Path]:
         for run in range(runs):
             write_capture_file(
                 root / f"{label}_{run:03d}.mpf",
-                _run_records(run, spin_us, calls),
+                columns_of(_run_records(run, spin_us, calls)),
                 label=label,
             )
     return sorted(root.glob("*.mpf"))

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -40,6 +41,9 @@ from repro.instrument.namefile import NameTable
 from repro.instrument.tags import TagEntry
 from repro.profiler.ram import RawRecord
 from repro.profiler.upload import clear_meta_cache, write_capture_file
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from stream_helpers import columns_of  # noqa: E402 - records -> columns
 
 MASK = (1 << 24) - 1
 
@@ -111,7 +115,7 @@ def build_corpus(root: Path, captures: int, events: int) -> None:
     for index in range(captures):
         write_capture_file(
             root / f"cap_{index:04d}.mpf",
-            _capture_records(index, events),
+            columns_of(_capture_records(index, events)),
             label=f"bench-{index:04d}",
         )
 

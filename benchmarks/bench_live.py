@@ -41,10 +41,10 @@ import warnings
 from paperbench import once
 
 from bench_streaming_scale import SCALE_NAMES, synthetic_stream
+from stream_helpers import capture_from_records
 from repro.analysis.summary import summarize_capture
 from repro.atomicio import write_text_atomic
 from repro.live import LiveAnalyzer
-from repro.profiler.capture import Capture
 from repro.profiler.upload import CaptureStreamWriter
 from repro.telemetry import TELEMETRY
 
@@ -104,7 +104,7 @@ def run_live_pipe(total_events: int) -> dict:
         TELEMETRY.reset()
 
     batch_summary = summarize_capture(
-        Capture(records=tuple(synthetic_stream(total_events)), names=SCALE_NAMES)
+        capture_from_records(synthetic_stream(total_events), SCALE_NAMES)
     )
     return {
         "events": total_events,

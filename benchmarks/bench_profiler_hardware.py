@@ -105,7 +105,7 @@ def test_higher_precision_capture_still_analyses(benchmark):
 
     # Decode with the capture's own width: intervals are in 0.1 us ticks.
     times = unwrap_times(
-        [record.time for record in capture.records], capture.counter_width_bits
+        capture.records.times, capture.counter_width_bits
     )
     assert times == sorted(times)
     summary = summarize(analyze_capture(capture))

@@ -49,23 +49,21 @@ from typing import Iterable, Iterator
 from paperbench import once
 
 from repro.analysis.callstack import analyze_capture
-from repro.analysis.columnar import columns_from_records
 from repro.analysis.summary import summarize, summarize_columns
 from repro.profiler.upload import (
     RecordColumns,
     decode_record_columns,
-    dump_records,
     iter_capture_columns,
     write_capture_stream,
 )
 from repro.instrument.namefile import NameTable
 from repro.instrument.tags import TagEntry
-from repro.profiler.capture import Capture
 from repro.profiler.ram import RawRecord
 from repro.system import build_case_study
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 import oracles  # noqa: E402 - the per-record reference decoders
+from stream_helpers import capture_from_records, columns_of, record_bytes  # noqa: E402
 
 MASK = (1 << 24) - 1
 
@@ -125,12 +123,12 @@ def column_batches(records: Iterable[RawRecord], size: int = 8192) -> Iterator[R
         chunk = list(islice(iterator, size))
         if not chunk:
             return
-        yield columns_from_records(chunk)
+        yield columns_of(chunk)
 
 
 def run_scale(total_events: int) -> dict:
     records = list(synthetic_stream(total_events))
-    capture = Capture(records=tuple(records), names=SCALE_NAMES, label="scale")
+    capture = capture_from_records(records, SCALE_NAMES, label="scale")
 
     start = time.perf_counter()
     batch = summarize(
@@ -190,7 +188,7 @@ def decode_min_speedup() -> float:
 
 def run_decode_leg(total_events: int) -> dict:
     records = list(synthetic_stream(total_events))
-    blob = dump_records(records)
+    blob = record_bytes(records)
     capture_file = io.BytesIO()
     write_capture_stream(capture_file, records, version=2)
     capture_blob = capture_file.getvalue()

@@ -38,11 +38,12 @@ The summary and gprof reports are the columnar fold
 (:class:`repro.analysis.gprof.GprofRecorder`); one fold serves both.
 ``analyze`` runs it straight off the file in O(chunk) memory unless a
 call-tree report (trace, folded, flame, timeline) or ``--salvage`` needs
-the whole capture in memory.
+the whole capture in memory; the call tree is a recording of the same
+fold, so a summary printed beside a tree report is read off the tree.
 
 Unreadable input (a missing, empty, corrupt or truncated capture, a
-missing name file) fails with one line on stderr, ``repro: error:
-<message>``, and exit status 2.
+missing or malformed name file) fails with one line on stderr,
+``repro: error: <message>``, and exit status 2.
 """
 
 from __future__ import annotations
@@ -57,7 +58,12 @@ from repro.analysis.callstack import analyze_capture
 from repro.analysis.folded import flame_ascii, to_folded
 from repro.analysis.gprof import GprofRecorder, gprof_report
 from repro.analysis.timeline import render_timeline
-from repro.analysis.summary import SummaryAccumulator, fold_capture, fold_columns
+from repro.analysis.summary import (
+    Anomaly,
+    SummaryAccumulator,
+    fold_capture,
+    fold_columns,
+)
 from repro.analysis.trace import format_trace
 from repro.atomicio import write_text_atomic
 from repro.instrument.namefile import NameTable
@@ -131,29 +137,30 @@ def _desync_footer(desyncs: int) -> str:
     return f"kstack desyncs = {desyncs}{note}"
 
 
-def _desync_count(fold: SummaryAccumulator) -> int:
+def _desync_count(anomalies: Sequence[Anomaly]) -> int:
     """The capture-side kstack-desync signature: exits that missed or
     mismatched a frame (no live kernel to ask on the analyze path)."""
     return sum(
         1
-        for anomaly in fold.anomalies
+        for anomaly in anomalies
         if anomaly.kind in ("missed-exit", "unmatched-exit")
     )
 
 
 def _gprof_recorder(reports: Sequence[str]) -> Optional[GprofRecorder]:
-    """The recorder gprof needs on the fold, if it is asked for and no
-    call-tree report builds the tree it could walk instead."""
-    if "gprof" in reports and TREE_REPORTS.isdisjoint(reports):
-        return GprofRecorder()
-    return None
+    """The recorder gprof needs on a fold that no call-tree report shares,
+    if gprof is asked for (beside a call-tree report it walks the tree)."""
+    return GprofRecorder() if "gprof" in reports else None
 
 
 def _fold_capture_for(
     capture: Capture, reports: Sequence[str]
 ) -> Optional[SummaryAccumulator]:
     """Fold an in-memory *capture* once for the summary and gprof
-    *reports*, or ``None`` when neither needs the fold."""
+    *reports*, or ``None`` when neither needs the fold or a call-tree
+    report folds the capture instead."""
+    if not TREE_REPORTS.isdisjoint(reports):
+        return None
     recorder = _gprof_recorder(reports)
     if recorder is None and "summary" not in reports:
         return None
@@ -169,16 +176,20 @@ def _print_reports(
     capture: Optional[Capture],
     desyncs: Optional[int] = None,
 ) -> None:
-    """Print *reports* in order.  The summary comes from *fold*, and so
-    does gprof unless a call-tree report is asked for too: then the call
-    tree is built once from *capture* and every other report walks it."""
+    """Print *reports* in order.  With a call-tree report the tree is
+    built once from *capture*, and its fold serves every other report;
+    otherwise the summary and gprof come from *fold*."""
     analysis = None
     if not TREE_REPORTS.isdisjoint(reports):
         analysis = analyze_capture(capture)
     for report in reports:
         if report == "summary":
-            out(fold.summary().format(limit=summary_limit))
-            out(_desync_footer(_desync_count(fold) if desyncs is None else desyncs))
+            if analysis is None:
+                summary, anomalies = fold.summary(), fold.anomalies
+            else:
+                summary, anomalies = analysis.summary, analysis.anomalies
+            out(summary.format(limit=summary_limit))
+            out(_desync_footer(_desync_count(anomalies) if desyncs is None else desyncs))
         elif report == "trace":
             out(format_trace(analysis))
         elif report == "gprof":

@@ -40,7 +40,12 @@ from typing import Iterable, Optional
 
 from repro.analysis.columnar import ColumnarEvents
 from repro.analysis.events import decode_capture
-from repro.analysis.summary import Anomaly, FoldRecorder, SummaryAccumulator
+from repro.analysis.summary import (
+    Anomaly,
+    FoldRecorder,
+    ProfileSummary,
+    SummaryAccumulator,
+)
 from repro.instrument.namefile import NameTable
 from repro.profiler.capture import Capture
 
@@ -98,6 +103,9 @@ class CallTreeAnalysis:
     procs: tuple[str, ...]
     #: Inline marks that fired outside any open frame (user-mode points).
     orphan_marks: list[tuple[int, str]] = dataclasses.field(default_factory=list)
+    #: The sealed summary of the fold that recorded the tree: the report
+    #: a standalone fold of the same capture prints.
+    summary: Optional[ProfileSummary] = None
 
     @property
     def busy_us(self) -> int:
@@ -191,6 +199,7 @@ class _TreeRecorder(FoldRecorder):
             context_switches=fold.context_switches,
             procs=fold.procs,
             orphan_marks=self.orphan_marks,
+            summary=summary,
         )
 
 

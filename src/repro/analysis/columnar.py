@@ -2,7 +2,8 @@
 
 Decoding one :class:`~repro.profiler.ram.RawRecord` at a time costs a
 Python object, a name-table lookup and a wrap subtraction per record, so
-the decode jobs of :mod:`repro.analysis.events` run over *columns*:
+the decode jobs of :mod:`repro.analysis.events` run over the
+:class:`~repro.profiler.ram.RecordColumns` every reader hands out:
 
 1. **Timer unwrap** (:func:`unwrap_times`) — the modular
    difference-and-accumulate as two C-level passes (:func:`zip` +
@@ -30,8 +31,7 @@ from typing import Optional, Sequence
 from repro.analysis.events import DecodedEvent, EventKind, _check_width
 from repro.instrument.namefile import NameTable
 from repro.instrument.tags import TagEntry
-from repro.profiler.ram import RawRecord
-from repro.profiler.upload import RecordColumns
+from repro.profiler.ram import RawRecord, RecordColumns
 
 #: Integer event codes — cheaper than :class:`EventKind` members in every
 #: columnar hot loop.  Shared with the reconstruction fold
@@ -129,20 +129,6 @@ def unwrap_times(
         return list(accumulate(deltas, initial=base))
     deltas = [(b - a) & mask for a, b in zip(chain((previous,), raw_times), raw_times)]
     return list(accumulate(deltas, initial=base))[1:]
-
-
-def columns_from_records(records: Sequence[RawRecord]) -> RecordColumns:
-    """Shear a record-object sequence into columns.
-
-    The adapter for callers that hold :class:`RawRecord` objects (a
-    capture already in memory); captures still on disk decode straight
-    to columns via :func:`repro.profiler.upload.iter_capture_columns`
-    without ever building the objects.
-    """
-    return RecordColumns(
-        tags=[record.tag for record in records],
-        times=[record.time for record in records],
-    )
 
 
 @dataclasses.dataclass(frozen=True)

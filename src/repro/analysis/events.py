@@ -13,7 +13,7 @@ Two jobs, both purely mechanical:
    decoder cannot detect that, so it is documented rather than guessed at.
 
 Both run over columns in :mod:`repro.analysis.columnar`:
-:func:`decode_capture` and :func:`decode_records` return a
+:func:`decode_capture` returns a
 :class:`~repro.analysis.columnar.ColumnarEvents` batch, which the
 reconstruction fold steps through.  This module also holds the object
 form of one decoded event, :class:`DecodedEvent`, which only
@@ -25,9 +25,8 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
-from repro.instrument.namefile import NameTable
 from repro.instrument.tags import TagEntry
 from repro.profiler.capture import Capture
 from repro.profiler.ram import TIME_BITS, RawRecord
@@ -73,16 +72,7 @@ class DecodedEvent:
 
 
 def decode_capture(capture: Capture) -> ColumnarEvents:
-    """Decode every record of *capture* against its name table."""
-    return decode_records(
-        capture.records, capture.names, width_bits=capture.counter_width_bits
-    )
-
-
-def decode_records(
-    records: Sequence[RawRecord], names: NameTable, width_bits: int = 24
-) -> ColumnarEvents:
-    """Decode a raw record sequence against *names*, as columns.
+    """Decode every record of *capture* against its name table, as columns.
 
     An over-width counter snapshot raises :class:`ValueError` before any
     event is returned.
@@ -90,5 +80,5 @@ def decode_records(
     from repro.analysis import columnar  # lazy: events is columnar's base
 
     return columnar.decode_columns(
-        columnar.columns_from_records(records), names, width_bits
+        capture.records, capture.names, capture.counter_width_bits
     )

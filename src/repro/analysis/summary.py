@@ -38,12 +38,11 @@ from repro.analysis.columnar import (
     CODE_INLINE as _INLINE,
     ColumnarEvents,
     build_decode_map,
-    columns_from_records,
     decode_columns,
 )
 from repro.instrument.namefile import NameTable
 from repro.profiler.capture import Capture
-from repro.profiler.upload import RecordColumns
+from repro.profiler.ram import RecordColumns
 from repro.telemetry import TELEMETRY as _TELEMETRY
 
 if TYPE_CHECKING:
@@ -860,7 +859,7 @@ def fold_capture(
 ) -> SummaryAccumulator:
     """Fold an in-memory *capture* (see :func:`fold_columns`)."""
     return fold_columns(
-        [columns_from_records(capture.records)],
+        [capture.records],
         capture.names,
         width_bits=capture.counter_width_bits,
         recorder=recorder,

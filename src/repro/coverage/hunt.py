@@ -88,7 +88,7 @@ def default_candidate_runner(spec: WorkloadSpec, params: dict) -> frozenset:
         label=spec.label(params, prefix="hunt"),
     )
     observed = set()
-    for value in {record.tag for record in capture.records}:
+    for value in set(capture.records.tags):
         decoded = system.names.decode(value)
         if decoded is not None:
             observed.add(decoded[0].name)

@@ -23,7 +23,6 @@ import sqlite3
 from pathlib import Path
 from typing import List, Optional, Sequence, Union
 
-from repro.analysis.columnar import columns_from_records
 from repro.analysis.summary import ProfileSummary, SummaryAccumulator
 from repro.db.schema import ProfileDbError
 from repro.instrument.namefile import NameTable
@@ -146,7 +145,7 @@ def _summarize_blob(
     accumulator = SummaryAccumulator(
         names, width_bits=result.meta.counter_width_bits
     )
-    accumulator.feed_columns(columns_from_records(result.records))
+    accumulator.feed_columns(result.records)
     return accumulator.summary(), result.meta, "salvaged", len(result.defects), ""
 
 

@@ -42,7 +42,6 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import multiprocessing
 
-from repro.analysis.columnar import columns_from_records
 from repro.analysis.summary import SummaryAccumulator
 from repro.fleet.arena import MetricsArena, StripeWriter
 from repro.instrument.namefile import NameTable
@@ -370,7 +369,7 @@ def _summarize_one(
                 accumulator = SummaryAccumulator(
                     names, width_bits=result.meta.counter_width_bits
                 )
-                accumulator.feed_columns(columns_from_records(result.records))
+                accumulator.feed_columns(result.records)
                 status = "salvaged"
                 records = len(result.records)
                 defects = len(result.defects)

@@ -40,7 +40,7 @@ from repro.instrument.tags import (
 DUMMY_NAME = "dummy"
 
 
-class NameFileError(Exception):
+class NameFileError(ValueError):
     """Malformed name-file text or conflicting entries."""
 
 

@@ -25,15 +25,19 @@ analysis can never disagree about what a malformed stream contains.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from repro.analysis.callstack import build_call_tree
-from repro.analysis.columnar import CODE_ENTRY, CODE_EXIT, ColumnarEvents
-from repro.analysis.events import decode_records
+from repro.analysis.columnar import (
+    CODE_ENTRY,
+    CODE_EXIT,
+    ColumnarEvents,
+    decode_columns,
+)
 from repro.instrument.namefile import NameTable
 from repro.lint.diagnostics import LintReport
 from repro.profiler.capture import Capture
-from repro.profiler.ram import DEFAULT_DEPTH, RawRecord
+from repro.profiler.ram import DEFAULT_DEPTH, RecordColumns
 from repro.profiler.upload import CaptureDefect
 
 #: Interrupt nesting can never exceed the number of distinct priority
@@ -84,7 +88,7 @@ def lint_capture_defects(
 
 
 def lint_records(
-    records: Sequence[RawRecord],
+    records: RecordColumns,
     names: NameTable,
     source: str = "<capture>",
     width_bits: int = 24,
@@ -95,8 +99,7 @@ def lint_records(
     report = report if report is not None else LintReport()
 
     # -- raw-record layer ---------------------------------------------------
-    # One column extraction up front: the scan below touches times only.
-    times = [record.time for record in records]
+    times = records.times
     mask = (1 << width_bits) - 1
     regression_floor = 1 << (width_bits - 1)
     previous: Optional[int] = None
@@ -140,7 +143,7 @@ def lint_records(
         # hardware; the P202s above already say everything reconstruction
         # could.
         return report
-    events = decode_records(records, names, width_bits=width_bits)
+    events = decode_columns(records, names, width_bits)
     analysis = build_call_tree(events)
     desyncs = 0
     for anomaly in analysis.anomalies:

@@ -24,7 +24,11 @@ from typing import BinaryIO, Callable, Optional, Sequence, Union
 
 from repro.atomicio import write_text_atomic
 from repro.instrument.namefile import NameTable, format_name_file
-from repro.profiler.upload import DEFAULT_CHUNK_RECORDS, CaptureStreamWriter
+from repro.profiler.upload import (
+    DEFAULT_CHUNK_RECORDS,
+    RECORD_BYTES,
+    CaptureStreamWriter,
+)
 from repro.system import build_case_study
 
 
@@ -106,7 +110,8 @@ def stream_capture(
         # record hits the wire, so their analyzer can decode batch one.
         on_names(system.names)
 
-    records = capture.records
+    blob = capture.records.to_bytes()
+    chunk_bytes = chunk_records * RECORD_BYTES
     chunks = 0
     with CaptureStreamWriter(
         sink,
@@ -115,8 +120,8 @@ def stream_capture(
         overflowed=capture.overflowed,
         label=label,
     ) as writer:
-        for start in range(0, len(records), chunk_records):
-            writer.write_records(records[start : start + chunk_records])
+        for start in range(0, len(blob), chunk_bytes):
+            writer.write_bytes(blob[start : start + chunk_bytes])
             writer.flush()
             chunks += 1
     say(

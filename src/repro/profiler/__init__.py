@@ -17,7 +17,7 @@ This package models the paper's hardware contribution bit-for-bit:
 """
 
 from repro.profiler.counter import MicrosecondCounter
-from repro.profiler.ram import RawRecord, TraceRam
+from repro.profiler.ram import RawRecord, RecordColumns, TraceRam
 from repro.profiler.pal import ControlLogic
 from repro.profiler.hardware import ProfilerBoard
 from repro.profiler.eprom import EpromSocket, PiggyBackAdapter
@@ -27,12 +27,8 @@ from repro.profiler.upload import (
     CaptureMeta,
     CaptureMetadataWarning,
     SalvageResult,
-    dump_records,
-    load_records,
     read_capture,
-    read_capture_file,
     salvage_capture,
-    salvage_capture_stream,
     write_capture_file,
     write_capture_stream,
 )
@@ -50,15 +46,12 @@ __all__ = [
     "PiggyBackAdapter",
     "ProfilerBoard",
     "RawRecord",
+    "RecordColumns",
     "RECORD_BYTES",
     "SalvageResult",
     "TraceRam",
-    "dump_records",
-    "load_records",
     "read_capture",
-    "read_capture_file",
     "salvage_capture",
-    "salvage_capture_stream",
     "write_capture_file",
     "write_capture_stream",
 ]

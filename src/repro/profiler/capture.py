@@ -2,9 +2,10 @@
 
 A :class:`CaptureSession` is the procedural wrapper around one profiling
 run — the software equivalent of "press the switch, run the test, pull the
-RAMs".  The result is a :class:`Capture`: the raw records plus the name
-table that gives the tags meaning, which is everything the analysis layer
-(:mod:`repro.analysis`) consumes.
+RAMs".  The result is a :class:`Capture`: the raw records, as the tag and
+time columns the RAM stored, plus the name table that gives the tags
+meaning, which is everything the analysis layer (:mod:`repro.analysis`)
+consumes.  A capture saved to disk and loaded back holds the same columns.
 """
 
 from __future__ import annotations
@@ -12,10 +13,10 @@ from __future__ import annotations
 import dataclasses
 import warnings
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from repro.profiler.hardware import ProfilerBoard
-from repro.profiler.ram import RawRecord
+from repro.profiler.ram import RecordColumns
 from repro.profiler.upload import (
     CaptureDefect,
     CaptureMetadataWarning,
@@ -33,14 +34,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class Capture:
     """One completed profiling run, ready for analysis.
 
-    ``records`` are exactly what the hardware stored (wrapped 24-bit
-    times); ``names`` maps tags back to functions; ``overflowed`` is the
+    ``records`` are exactly what the hardware stored, as a tag column and
+    a column of wrapped 24-bit times; ``names`` maps tags back to
+    functions; ``overflowed`` is the
     state of the overflow LED when the RAMs were pulled.  ``defects`` is
     non-empty only for captures loaded with ``salvage=True``: the faults
     the decoder tolerated while recovering the records.
     """
 
-    records: tuple[RawRecord, ...]
+    records: RecordColumns
     names: "NameTable"
     overflowed: bool = False
     label: str = ""
@@ -97,7 +99,7 @@ class Capture:
         if meta.version == 1:
             warn_legacy_metadata(path)
         return cls(
-            records=tuple(records),
+            records=records,
             names=names,
             overflowed=meta.overflowed,
             label=label or meta.label,
@@ -203,7 +205,7 @@ class CaptureSession:
         overflowed = self.board.overflow_led
         carrier = self.board.pull_rams()
         return Capture(
-            records=carrier.records(),
+            records=carrier.columns(),
             names=self.names,
             overflowed=overflowed,
             label=self.label,
@@ -211,9 +213,3 @@ class CaptureSession:
             counter_rate_hz=self.board.counter.rate_hz,
         )
 
-
-def synthetic_capture(
-    records: Sequence[RawRecord], names: "NameTable", label: str = "synthetic"
-) -> Capture:
-    """Build a :class:`Capture` from hand-made records (test/tooling aid)."""
-    return Capture(records=tuple(records), names=names, label=label)

@@ -18,7 +18,7 @@ from typing import Optional
 
 from repro.profiler.counter import MicrosecondCounter
 from repro.profiler.pal import ControlLogic
-from repro.profiler.ram import DEFAULT_DEPTH, TAG_MASK, RawRecord, TraceRam
+from repro.profiler.ram import DEFAULT_DEPTH, TAG_MASK, TraceRam
 
 
 class ProfilerBoard:
@@ -58,33 +58,34 @@ class ProfilerBoard:
 
     # -- the store strobe ------------------------------------------------------
 
-    def eprom_strobe(self, offset: int, now_ns: int) -> Optional[RawRecord]:
+    def eprom_strobe(self, offset: int, now_ns: int) -> bool:
         """One chip-enable pulse at EPROM-window *offset*, at time *now_ns*.
 
         The low 16 address lines are the event tag; the counter is latched
-        simultaneously.  Returns the stored record, or ``None`` when the
-        PAL suppressed the store (disarmed or overflowed).
+        simultaneously.  Returns whether the word was stored: ``False``
+        when the PAL suppressed the store (disarmed or overflowed).
 
         This is the per-event hardware path — millions of strobes per
         capture — so the PAL gating and RAM store are flattened inline
         here (semantics identical to ``logic.strobe`` + ``ram.store``,
-        which remain the spec for component-level use).
+        which remain the spec for component-level use).  The counter
+        already truncates its snapshot to the counter width.
         """
         logic = self.logic
         if not (logic._armed and not logic._overflowed):
             logic.suppressed_strobes += 1
-            return None
+            return False
         ram = self.ram
-        slots = ram._slots
-        if len(slots) >= ram.depth:
+        tags = ram._tags
+        if len(tags) >= ram.depth:
             # Address-counter carry-out: trip the overflow latch.
             logic._overflowed = True
             logic.suppressed_strobes += 1
-            return None
+            return False
         logic.stored_strobes += 1
-        record = RawRecord(tag=offset & TAG_MASK, time=self.counter.sample(now_ns))
-        slots.append(record)
-        return record
+        tags.append(offset & TAG_MASK)
+        ram._times.append(self.counter.sample(now_ns))
+        return True
 
     # -- status ------------------------------------------------------------------
 

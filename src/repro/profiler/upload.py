@@ -6,8 +6,8 @@ a UNIX host for processing."  The future-work section proposes reading the
 RAMs back *through* the EPROM window instead.  All three paths are
 modelled:
 
-* :func:`dump_records` / :func:`load_records` — the canonical 5-byte
-  big-endian record stream (16-bit tag, 24-bit time);
+* :meth:`RecordColumns.to_bytes` / :func:`decode_record_columns` — the
+  canonical 5-byte big-endian record stream (16-bit tag, 24-bit time);
 * :func:`write_capture_file` / :func:`read_capture` — the stream with a
   self-identifying header, the on-disk interchange format;
 * :class:`EpromReadback` — the future-work mode: each RAM bank is
@@ -54,16 +54,21 @@ defect and still recovers every whole record.
 All multi-byte fields are big-endian.  Writers default to MPF2; every
 reader accepts both versions transparently.  For files that met a real
 transfer path (pipes, truncation, flipped bits) there is a salvaging
-decoder, :func:`salvage_capture_stream`, that resynchronises instead of
+decoder, :func:`salvage_capture`, that resynchronises instead of
 throwing and reports what it had to tolerate as :class:`CaptureDefect`s.
 
-One decoder serves every format above: :func:`decode_record_columns`
-shears a record blob into parallel tag/time arrays with
-constant-time-per-byte slice assignments, and every reader — batch,
-streaming, salvaging — goes through it.  The readers that hand out
-:class:`RawRecord` objects materialise them from those columns.  A
-one-record-at-a-time reference decoder lives with the tests
-(``tests/oracles.py``), which hold the columnar one bit-identical to it.
+Records travel as :class:`~repro.profiler.ram.RecordColumns` — a tag
+column and a time column, the shape of the RAM word — from the board to
+every reader and writer; no path builds an object per record.
+:func:`decode_record_columns` shears a record blob into the two columns
+with constant-time-per-byte slice assignments, and every reader goes
+through it.  There is one strict reader: the chunk loop behind
+:func:`iter_capture_columns` checks the framing, the count and the CRC32,
+and :func:`read_capture` is that loop with its batches joined, so a fault
+reads the same whichever path meets it.  The salvaging decoder is the
+forgiving alternative.  A one-record-at-a-time reference decoder lives
+with the tests (``tests/oracles.py``), which hold the columnar one
+bit-identical to it.
 """
 
 from __future__ import annotations
@@ -71,26 +76,24 @@ from __future__ import annotations
 import collections
 import contextlib
 import dataclasses
-import io
 import os
-import sys
 import threading
 import warnings
 import zlib
 from array import array
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Optional, Sequence, Union
+from typing import BinaryIO, Generator, Iterable, Iterator, Optional, Union
 
-from repro.profiler.ram import TIME_BITS, RawRecord, TraceRam
+from repro.profiler.ram import (
+    _LITTLE_ENDIAN,
+    RECORD_BYTES,
+    TIME_BITS,
+    U32_TYPECODE,
+    RawRecord,
+    RecordColumns,
+    TraceRam,
+)
 from repro.telemetry import TELEMETRY as _TELEMETRY
-
-#: Bytes per serialised record: 2 tag + 3 time.
-RECORD_BYTES = 5
-
-#: array typecode holding at least 32 bits (platform-dependent width of "I").
-_U32_TYPECODE = "I" if array("I").itemsize >= 4 else "L"
-
-_LITTLE_ENDIAN = sys.byteorder == "little"
 
 
 class CaptureFormatError(ValueError):
@@ -99,9 +102,9 @@ class CaptureFormatError(ValueError):
     The one documented exception type every reader raises for *content*
     faults — bad magic, truncated header, ragged record stream, a header
     count that disagrees with the stream, a CRC mismatch — whether the
-    capture is read in batch (:func:`read_capture`), streamed
-    (:func:`iter_capture_file`, :func:`iter_capture_columns`) or probed
-    for its header only (:func:`read_capture_meta`).  It subclasses
+    capture is read whole (:func:`read_capture`), streamed
+    (:func:`iter_capture_columns`) or probed for its header only
+    (:func:`read_capture_meta`).  It subclasses
     :class:`ValueError` so pre-existing callers keep working.
     ``OSError`` from the underlying file passes through unchanged, and
     the salvaging decoder never raises on content at all.
@@ -190,78 +193,12 @@ class CaptureDefect:
 class SalvageResult:
     """Everything the salvaging decoder recovered from one file."""
 
-    records: list[RawRecord]
+    records: RecordColumns
     defects: list[CaptureDefect]
     meta: CaptureMeta
 
 
-def dump_records(records: Iterable[RawRecord]) -> bytes:
-    """Serialise *records* to the raw 5-byte-per-record stream."""
-    out = io.BytesIO()
-    for record in records:
-        out.write(record.pack())
-    return out.getvalue()
-
-
-def load_records(blob: bytes) -> list[RawRecord]:
-    """Decode a raw record stream produced by :func:`dump_records`.
-
-    The record-object view of :func:`decode_record_columns`, and the one
-    place the batch and salvaging readers decode a payload.
-    """
-    return decode_record_columns(blob).to_records()
-
-
 # -- the columnar record decoder ---------------------------------------------
-
-
-@dataclasses.dataclass(frozen=True)
-class RecordColumns:
-    """A batch of records as parallel columns instead of objects.
-
-    ``tags`` and ``times`` are :mod:`array` arrays (unsigned 16-bit and
-    >= 32-bit respectively) holding the same values a list of
-    :class:`RawRecord` would, field by field, but at ~5 machine words per
-    record instead of a Python object per record — the representation the
-    columnar decode/analysis fast paths operate on.  ``times`` are the
-    raw wrapped counter snapshots; unwrapping to an absolute timeline is
-    the analysis layer's job (:func:`repro.analysis.columnar.unwrap_times`).
-    """
-
-    tags: Sequence[int]
-    times: Sequence[int]
-
-    def __len__(self) -> int:
-        return len(self.tags)
-
-    def record(self, offset: int) -> RawRecord:
-        """Materialise the record at *offset* (bounds-checked by the arrays)."""
-        return RawRecord(tag=self.tags[offset], time=self.times[offset])
-
-    def to_records(self) -> list[RawRecord]:
-        """Materialise the whole batch as :class:`RawRecord` objects, for
-        API boundaries that still traffic in record objects."""
-        return list(map(RawRecord, self.tags, self.times))
-
-    def to_bytes(self) -> bytes:
-        """Serialise back to the 5-byte-per-record wire stream."""
-        n = len(self.tags)
-        out = bytearray(n * RECORD_BYTES)
-        tag_b = array("H", self.tags)
-        time_b = array(_U32_TYPECODE, self.times)
-        if _LITTLE_ENDIAN:
-            tag_b.byteswap()
-            time_b.byteswap()
-        raw_tags = tag_b.tobytes()
-        # Undo the column shear: write each column back at its stride.
-        out[0::RECORD_BYTES] = raw_tags[0::2]
-        out[1::RECORD_BYTES] = raw_tags[1::2]
-        step = time_b.itemsize
-        raw_times = time_b.tobytes()
-        out[2::RECORD_BYTES] = raw_times[step - 3 :: step]
-        out[3::RECORD_BYTES] = raw_times[step - 2 :: step]
-        out[4::RECORD_BYTES] = raw_times[step - 1 :: step]
-        return bytes(out)
 
 
 def decode_record_columns(blob: Union[bytes, bytearray, memoryview]) -> RecordColumns:
@@ -283,12 +220,12 @@ def decode_record_columns(blob: Union[bytes, bytearray, memoryview]) -> RecordCo
     tag_shear[1::2] = blob[1::RECORD_BYTES]
     tags = array("H", bytes(tag_shear))
     # Times: bytes 2-4, zero-padded into the tail of a u32 (or wider) slot.
-    step = array(_U32_TYPECODE).itemsize
+    step = array(U32_TYPECODE).itemsize
     time_shear = bytearray(step * n)
     time_shear[step - 3 :: step] = blob[2::RECORD_BYTES]
     time_shear[step - 2 :: step] = blob[3::RECORD_BYTES]
     time_shear[step - 1 :: step] = blob[4::RECORD_BYTES]
-    times = array(_U32_TYPECODE, bytes(time_shear))
+    times = array(U32_TYPECODE, bytes(time_shear))
     if _LITTLE_ENDIAN:
         tags.byteswap()
         times.byteswap()
@@ -464,28 +401,6 @@ def _open_context(
     return open(Path(path_or_file), mode)  # type: ignore[arg-type]
 
 
-def iter_capture_file(
-    path_or_file: Union[str, Path, BinaryIO],
-    *,
-    chunk_records: int = DEFAULT_CHUNK_RECORDS,
-    verify_count: bool = True,
-    verify_crc: bool = True,
-) -> Iterator[RawRecord]:
-    """Stream the records of a capture file without materialising them.
-
-    The record-object view of :func:`iter_capture_columns`, with the
-    same header handling, end-of-stream count/CRC verification and
-    errors.
-    """
-    for columns in iter_capture_columns(
-        path_or_file,
-        chunk_records=chunk_records,
-        verify_count=verify_count,
-        verify_crc=verify_crc,
-    ):
-        yield from columns.to_records()
-
-
 def iter_capture_columns(
     path_or_file: Union[str, Path, BinaryIO],
     *,
@@ -514,75 +429,111 @@ def iter_capture_columns(
         raise ValueError(f"chunk_records must be positive, got {chunk_records}")
     with _open_context(path_or_file, "rb") as stream:
         meta = _read_header(stream)
-        check_crc = verify_crc and (meta.crc32 is not None or meta.streamed)
-        hold_back = TRAILER_BYTES if meta.streamed else 0
-        chunk_bytes = chunk_records * RECORD_BYTES
-        telemetry = _TELEMETRY
-        crc = 0
-        seen = 0
-        leftover = b""
-        while True:
-            blob = stream.read(chunk_bytes)
-            if not blob:
-                break
-            blob = leftover + blob
-            usable = len(blob) - hold_back
-            usable -= usable % RECORD_BYTES
-            if usable > 0:
-                if check_crc:
-                    crc = zlib.crc32(blob[:usable], crc)
-                if telemetry.enabled:
-                    with telemetry.span(
-                        "upload.decode_chunk", records=usable // RECORD_BYTES
-                    ):
-                        columns = decode_record_columns(blob[:usable])
-                    telemetry.count("upload.records.decoded", len(columns))
-                else:
+        yield from _decode_payload(
+            stream, meta, chunk_records, verify_count, verify_crc
+        )
+
+
+def _decode_payload(
+    stream: BinaryIO,
+    meta: CaptureMeta,
+    chunk_records: int,
+    verify_count: bool,
+    verify_crc: bool,
+) -> Generator[RecordColumns, None, CaptureMeta]:
+    """The one strict decoder: the record stream after *meta*'s header.
+
+    Yields the batches of :func:`iter_capture_columns` and returns
+    *meta*, with an open-ended stream's trailer count and CRC32 adopted.
+    """
+    check_crc = verify_crc and (meta.crc32 is not None or meta.streamed)
+    hold_back = TRAILER_BYTES if meta.streamed else 0
+    chunk_bytes = chunk_records * RECORD_BYTES
+    telemetry = _TELEMETRY
+    crc = 0
+    seen = 0
+    leftover = b""
+    while True:
+        blob = stream.read(chunk_bytes)
+        if not blob:
+            break
+        blob = leftover + blob
+        usable = len(blob) - hold_back
+        usable -= usable % RECORD_BYTES
+        if usable > 0:
+            if check_crc:
+                crc = zlib.crc32(blob[:usable], crc)
+            if telemetry.enabled:
+                with telemetry.span(
+                    "upload.decode_chunk", records=usable // RECORD_BYTES
+                ):
                     columns = decode_record_columns(blob[:usable])
-                seen += len(columns)
-                yield columns
-                leftover = blob[usable:]
+                telemetry.count("upload.records.decoded", len(columns))
             else:
-                leftover = blob
-        declared = meta.count
-        if meta.streamed:
-            tail = leftover[-TRAILER_BYTES:] if len(leftover) >= TRAILER_BYTES else leftover
-            leftover = leftover[: len(leftover) - len(tail)]
-            if leftover:
-                if len(leftover) % RECORD_BYTES:
-                    raise CaptureFormatError(
-                        f"record stream ends with a partial "
-                        f"{len(leftover) % RECORD_BYTES}-byte record"
-                    )
-                if check_crc:
-                    crc = zlib.crc32(leftover, crc)
-                columns = decode_record_columns(leftover)
-                seen += len(columns)
-                yield columns
-                leftover = b""
-            declared, trailer_crc = decode_stream_trailer(tail)
-            if check_crc and crc != trailer_crc:
-                _TELEMETRY.count("upload.crc.failures")
-                raise CaptureFormatError(
-                    f"record stream CRC32 {crc:#010x} disagrees with "
-                    f"the trailer's {trailer_crc:#010x}: the payload is corrupt"
-                )
-        if leftover:
-            raise CaptureFormatError(
-                f"record stream ends with a partial {len(leftover)}-byte record"
-            )
-        if verify_count and seen != declared:
-            where = "trailer" if meta.streamed else "header"
-            raise CaptureFormatError(
-                f"capture file {where} claims {declared} records but stream "
-                f"holds {seen}"
-            )
-        if check_crc and not meta.streamed and crc != meta.crc32:
+                columns = decode_record_columns(blob[:usable])
+            seen += len(columns)
+            yield columns
+            leftover = blob[usable:]
+        else:
+            leftover = blob
+    tail = b""
+    if meta.streamed:
+        # The loop leaves at most a trailer plus 4 bytes, so whatever
+        # precedes the trailer is a partial record.
+        split = max(len(leftover) - TRAILER_BYTES, 0)
+        leftover, tail = leftover[:split], leftover[split:]
+    if leftover:
+        raise CaptureFormatError(
+            f"record stream ends with a partial {len(leftover)}-byte record"
+        )
+    if meta.streamed:
+        count, trailer_crc = decode_stream_trailer(tail)
+        meta = dataclasses.replace(meta, count=count, crc32=trailer_crc)
+        if check_crc and crc != trailer_crc:
             _TELEMETRY.count("upload.crc.failures")
             raise CaptureFormatError(
                 f"record stream CRC32 {crc:#010x} disagrees with "
-                f"the header's {meta.crc32:#010x}: the payload is corrupt"
+                f"the trailer's {trailer_crc:#010x}: the payload is corrupt"
             )
+    if verify_count and seen != meta.count:
+        where = "trailer" if meta.streamed else "header"
+        raise CaptureFormatError(
+            f"capture file {where} claims {meta.count} records but stream "
+            f"holds {seen}"
+        )
+    if check_crc and not meta.streamed and crc != meta.crc32:
+        _TELEMETRY.count("upload.crc.failures")
+        raise CaptureFormatError(
+            f"record stream CRC32 {crc:#010x} disagrees with "
+            f"the header's {meta.crc32:#010x}: the payload is corrupt"
+        )
+    return meta
+
+
+def read_capture(
+    path_or_file: Union[str, Path, BinaryIO],
+) -> tuple[RecordColumns, CaptureMeta]:
+    """Read a whole capture file of either version: every record as one
+    :class:`RecordColumns`, plus the header metadata (an open-ended
+    stream's trailer count and CRC32 adopted).
+
+    The batches of :func:`iter_capture_columns`, joined: the same
+    checks raise the same :class:`CaptureFormatError`.  Use
+    :func:`salvage_capture` when the file may be damaged.
+    """
+    tags, times = array("H"), array(U32_TYPECODE)
+    with _open_context(path_or_file, "rb") as stream:
+        batches = _decode_payload(
+            stream, _read_header(stream), DEFAULT_CHUNK_RECORDS, True, True
+        )
+        try:
+            while True:
+                batch = next(batches)
+                tags.extend(batch.tags)
+                times.extend(batch.times)
+        except StopIteration as end:
+            meta = end.value
+    return RecordColumns(tags=tags, times=times), meta
 
 
 def read_capture_meta(path_or_file: Union[str, Path, BinaryIO]) -> CaptureMeta:
@@ -746,10 +697,6 @@ class CaptureStreamWriter:
             buffer += record.pack()
         return self.write_bytes(buffer) if buffer else 0
 
-    def write_columns(self, columns: RecordColumns) -> int:
-        """Append a columnar batch; returns how many records were written."""
-        return self.write_bytes(columns.to_bytes()) if len(columns) else 0
-
     def flush(self) -> None:
         flush = getattr(self._stream, "flush", None)
         if flush is not None:
@@ -895,7 +842,7 @@ def _warn_v1_metadata_loss(
 
 def write_capture_file(
     path_or_file: Union[str, Path, BinaryIO],
-    records: Sequence[RawRecord],
+    columns: RecordColumns,
     *,
     version: int = 2,
     counter_width_bits: int = STOCK_WIDTH_BITS,
@@ -909,9 +856,9 @@ def write_capture_file(
     (and warns if that drops non-stock metadata).  Returns the number of
     records written.
     """
-    count = len(records)
+    count = len(columns)
     _check_count(count)
-    payload = dump_records(records)
+    payload = columns.to_bytes()
     if version == 1:
         _warn_v1_metadata_loss(counter_width_bits, counter_rate_hz, overflowed, label)
         header = MAGIC + count.to_bytes(4, "big")
@@ -934,43 +881,6 @@ def write_capture_file(
     return count
 
 
-def read_capture(
-    path_or_file: Union[str, Path, BinaryIO],
-) -> tuple[list[RawRecord], CaptureMeta]:
-    """Read a capture file of either version: records plus header metadata.
-
-    Strict: a bad magic, truncated header, count mismatch or (MPF2) CRC
-    mismatch raises :class:`CaptureFormatError`.  Use
-    :func:`salvage_capture_stream` when the file may be damaged.
-    """
-    with _open_context(path_or_file, "rb") as stream:
-        meta = _read_header(stream)
-        payload = _read_exact_to_eof(stream)
-    if meta.streamed:
-        tail = payload[-TRAILER_BYTES:] if len(payload) >= TRAILER_BYTES else payload
-        count, crc32 = decode_stream_trailer(tail)
-        payload = payload[: len(payload) - TRAILER_BYTES]
-        meta = dataclasses.replace(meta, count=count, crc32=crc32)
-    records = load_records(payload)
-    if len(records) != meta.count:
-        where = "trailer" if meta.streamed else "header"
-        raise CaptureFormatError(
-            f"capture file {where} claims {meta.count} records but stream holds "
-            f"{len(records)}"
-        )
-    if meta.crc32 is not None:
-        actual = zlib.crc32(payload)
-        if actual != meta.crc32:
-            _TELEMETRY.count("upload.crc.failures")
-            where = "trailer" if meta.streamed else "header"
-            raise CaptureFormatError(
-                f"record stream CRC32 {actual:#010x} disagrees with the "
-                f"{where}'s {meta.crc32:#010x}: the payload is corrupt"
-            )
-    _TELEMETRY.count("upload.records.decoded", len(records))
-    return records, meta
-
-
 def _read_exact_to_eof(stream: BinaryIO) -> bytes:
     """Drain *stream*, tolerating short reads the way :func:`_read_exact` does."""
     chunks: list[bytes] = []
@@ -979,12 +889,6 @@ def _read_exact_to_eof(stream: BinaryIO) -> bytes:
         if not blob:
             return b"".join(chunks)
         chunks.append(blob)
-
-
-def read_capture_file(path_or_file: Union[str, Path, BinaryIO]) -> list[RawRecord]:
-    """Read a capture file written by :func:`write_capture_file` (either
-    version), returning the records only."""
-    return read_capture(path_or_file)[0]
 
 
 # -- the salvaging decoder ---------------------------------------------------
@@ -1036,6 +940,12 @@ def salvage_capture_bytes(blob: bytes) -> SalvageResult:
     return result
 
 
+def _nothing_recovered(defects: list[CaptureDefect], version: int) -> SalvageResult:
+    return SalvageResult(
+        decode_record_columns(b""), defects, CaptureMeta(version=version, count=0)
+    )
+
+
 def _salvage_capture_bytes(blob: bytes) -> SalvageResult:
     defects: list[CaptureDefect] = []
     n = len(blob)
@@ -1047,7 +957,7 @@ def _salvage_capture_bytes(blob: bytes) -> SalvageResult:
                 offset=0,
             )
         )
-        return SalvageResult([], defects, CaptureMeta(version=0, count=0))
+        return _nothing_recovered(defects, version=0)
 
     magic = blob[: len(MAGIC)]
     if magic == MAGIC:
@@ -1064,7 +974,7 @@ def _salvage_capture_bytes(blob: bytes) -> SalvageResult:
                     offset=0,
                 )
             )
-            return SalvageResult([], defects, CaptureMeta(version=0, count=0))
+            return _nothing_recovered(defects, version=0)
         version = guessed
         defects.append(
             CaptureDefect(
@@ -1079,7 +989,7 @@ def _salvage_capture_bytes(blob: bytes) -> SalvageResult:
     else:
         meta, data_offset = _salvage_v2_header(blob, defects)
     if meta is None:
-        return SalvageResult([], defects, CaptureMeta(version=version, count=0))
+        return _nothing_recovered(defects, version=version)
 
     payload = blob[data_offset:]
     if meta.streamed:
@@ -1118,7 +1028,7 @@ def _salvage_capture_bytes(blob: bytes) -> SalvageResult:
             )
         )
         payload = payload[: len(payload) - remainder]
-    records = load_records(payload)
+    records = decode_record_columns(payload)
 
     if len(records) != meta.count:
         defects.append(
@@ -1259,20 +1169,6 @@ def salvage_capture(path_or_file: Union[str, Path, BinaryIO]) -> SalvageResult:
     else:
         blob = Path(path_or_file).read_bytes()  # type: ignore[arg-type]
     return salvage_capture_bytes(blob)
-
-
-def salvage_capture_stream(
-    path_or_file: Union[str, Path, BinaryIO],
-) -> tuple[list[RawRecord], list[CaptureDefect]]:
-    """Fault-tolerant read: ``(recovered records, defects tolerated)``.
-
-    The forgiving twin of :func:`read_capture`: a partial trailing
-    record, a lying header count, a corrupt CRC or a flipped magic bit
-    each produce a :class:`CaptureDefect` instead of an exception, and
-    every record that survived intact is returned.
-    """
-    result = salvage_capture(path_or_file)
-    return result.records, result.defects
 
 
 class EpromReadback:

@@ -43,6 +43,7 @@ from repro.profiler.upload import (
     CaptureFormatError,
     decode_stream_trailer,
 )
+from stream_helpers import columns_of
 
 _KIND_FROM_TAG = {
     TagKind.ENTRY: EventKind.ENTRY,
@@ -112,14 +113,14 @@ def iter_capture_file(
 
 @contextlib.contextmanager
 def per_record_payload_decoder():
-    """Make the program's batch and salvaging readers decode payloads
-    with :func:`load_records` for the duration of the block."""
-    columnar = upload.load_records
-    upload.load_records = load_records
+    """Make the program's readers decode payloads with :func:`load_records`
+    for the duration of the block."""
+    columnar = upload.decode_record_columns
+    upload.decode_record_columns = lambda blob: columns_of(load_records(blob))
     try:
         yield
     finally:
-        upload.load_records = columnar
+        upload.decode_record_columns = columnar
 
 
 # -- decoded events ----------------------------------------------------------

@@ -2,15 +2,62 @@
 
 from __future__ import annotations
 
+from array import array
 from pathlib import Path
+from typing import Iterable
 
 from repro.instrument.namefile import NameTable
 from repro.instrument.tags import TagEntry
 from repro.profiler.capture import Capture
-from repro.profiler.ram import RawRecord
-from repro.profiler.upload import write_capture_file
+from repro.profiler.ram import U32_TYPECODE, RawRecord, RecordColumns
+from repro.profiler.upload import (
+    iter_capture_columns,
+    read_capture,
+    salvage_capture,
+    write_capture_file,
+)
 
 TIME_MASK = (1 << 24) - 1
+
+
+def columns_of(records: Iterable[RawRecord]) -> RecordColumns:
+    """The columns holding *records*, field by field."""
+    records = list(records)
+    return RecordColumns(
+        tags=array("H", [record.tag for record in records]),
+        times=array(U32_TYPECODE, [record.time for record in records]),
+    )
+
+
+def record_bytes(records: Iterable[RawRecord]) -> bytes:
+    """*records* as the 5-byte-per-record wire stream."""
+    return b"".join(record.pack() for record in records)
+
+
+def read_records(path_or_file) -> list[RawRecord]:
+    """The records :func:`read_capture` reads, one object each."""
+    return read_capture(path_or_file)[0].to_records()
+
+
+def iter_records(path_or_file, **options):
+    """The records of :func:`iter_capture_columns`, batch by batch, one
+    object each."""
+    for batch in iter_capture_columns(path_or_file, **options):
+        yield from batch.to_records()
+
+
+def salvage_records(path_or_file) -> tuple[list[RawRecord], list]:
+    """What :func:`salvage_capture` recovers: the records, one object
+    each, and the defects it tolerated."""
+    result = salvage_capture(path_or_file)
+    return result.records.to_records(), result.defects
+
+
+def capture_from_records(
+    records: Iterable[RawRecord], names: NameTable, label: str = "synthetic", **fields
+) -> Capture:
+    """A :class:`Capture` of hand-made *records* (``fields`` set the rest)."""
+    return Capture(records=columns_of(records), names=names, label=label, **fields)
 
 
 def make_names(*specs: tuple) -> NameTable:
@@ -52,7 +99,7 @@ def stream(names: NameTable, *steps: tuple[str, str, int]) -> Capture:
         else:
             raise ValueError(f"bad op {op!r}")
         records.append(RawRecord(tag=tag, time=time_us & TIME_MASK))
-    return Capture(records=tuple(records), names=names, label="synthetic")
+    return capture_from_records(records, names)
 
 
 def fleet_names() -> NameTable:
@@ -137,7 +184,7 @@ def build_regression_corpus(
     for run in range(runs):
         write_capture_file(
             root / f"{label}_{run:02d}.mpf",
-            regression_records(run, spin_us=spin_us),
+            columns_of(regression_records(run, spin_us=spin_us)),
             label=label,
         )
     return fleet_names()
@@ -156,7 +203,7 @@ def build_fleet_corpus(
     for index in range(captures):
         write_capture_file(
             root / f"cap_{index:04d}.mpf",
-            synth_capture_records(index, events),
+            columns_of(synth_capture_records(index, events)),
             label=f"cap-{index:04d}",
         )
     return fleet_names()

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.analysis.callstack import analyze_capture
 
-from stream_helpers import stream
+from stream_helpers import columns_of, stream
 
 
 class TestSimpleNesting:
@@ -282,13 +282,12 @@ class TestShardBoundaryIdle:
         return capture
 
     def _fold(self, simple_names, records, *cuts):
-        from repro.analysis.columnar import columns_from_records
         from repro.analysis.summary import SummaryAccumulator
 
         accumulator = SummaryAccumulator(simple_names)
         bounds = [0, *cuts, len(records)]
         for start, stop in zip(bounds, bounds[1:]):
-            accumulator.feed_columns(columns_from_records(records[start:stop]))
+            accumulator.feed_columns(columns_of(records[start:stop]))
         return accumulator.summary()
 
     def test_merged_idle_equals_batch_idle(self, simple_names):
@@ -299,7 +298,7 @@ class TestShardBoundaryIdle:
         # Fed in two batches cut right after the swtch entry: the 1000 us
         # of idle accrues once, inside the swtch frame that stays open
         # across the cut — idle must come out 1000, not 2000 or 0.
-        merged = self._fold(simple_names, capture.records, 4)
+        merged = self._fold(simple_names, capture.records.to_records(), 4)
         assert merged.idle_us == batch.idle_us == 1000
         assert merged.wall_us == batch.wall_us
         assert merged.format() == batch.format()
@@ -310,7 +309,7 @@ class TestShardBoundaryIdle:
         capture = self._records(simple_names)
         # The first block alone sees zero idle: the leading swtch exit is
         # unmatched and the trailing entry closes with zero self time.
-        solo = self._fold(simple_names, capture.records[:4])
+        solo = self._fold(simple_names, capture.records.to_records()[:4])
         assert solo.idle_us == 0
-        whole = self._fold(simple_names, capture.records)
+        whole = self._fold(simple_names, capture.records.to_records())
         assert whole.idle_us == analyze_capture(capture).idle_us

@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.analysis.columnar import unwrap_times
-from repro.analysis.events import EventKind, decode_capture, decode_records
+from repro.analysis.events import EventKind, decode_capture
 from repro.profiler.capture import Capture
 from repro.profiler.ram import RawRecord
 from repro.profiler.upload import read_capture_meta
 
 import oracles
-from stream_helpers import make_names, stream
+from stream_helpers import capture_from_records, make_names, stream
 
 
 class TestReconstructTimes:
@@ -72,7 +72,7 @@ class TestDecode:
 
     def test_unknown_tag(self, simple_names):
         records = [RawRecord(tag=40_000, time=0)]
-        events = decode_records(records, simple_names).to_events()
+        events = decode_capture(capture_from_records(records, simple_names)).to_events()
         assert events[0].kind is EventKind.UNKNOWN
         assert events[0].name == "tag#40000"
         assert events[0].entry is None
@@ -104,7 +104,8 @@ class TestCounterWidthEdges:
         # Width 24: the stock board, full record range.
         assert unwrap_times([0, 1], 24) == [0, 1]
         for width in (1, 24):
-            assert len(decode_records(records, simple_names, width_bits=width)) == 2
+            capture = capture_from_records(records, simple_names, counter_width_bits=width)
+            assert len(decode_capture(capture)) == 2
             assert list(oracles.decoded_events(records, simple_names, width))
 
     @pytest.mark.parametrize("width_bits", [0, 25, -1])
@@ -114,7 +115,9 @@ class TestCounterWidthEdges:
         with pytest.raises(ValueError, match=expected):
             unwrap_times([0], width_bits)
         with pytest.raises(ValueError, match=expected):
-            decode_records(records, simple_names, width_bits=width_bits)
+            decode_capture(
+                capture_from_records(records, simple_names, counter_width_bits=width_bits)
+            )
         with pytest.raises(ValueError, match=expected):
             list(oracles.decoded_events(records, simple_names, width_bits))
 
@@ -148,6 +151,6 @@ class TestCounterWidthEdges:
         loaded = Capture.load(path, simple_names)
         assert loaded.overflowed is True
         assert loaded.counter_width_bits == 16
-        reference = list(oracles.decoded_events(loaded.records, simple_names, 16))
+        reference = list(oracles.decoded_events(loaded.records.to_records(), simple_names, 16))
         assert decode_capture(loaded).to_events() == reference
         assert [e.time_us for e in reference] == [0, 59_996]

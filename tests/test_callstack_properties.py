@@ -16,7 +16,7 @@ from repro.analysis.callstack import analyze_capture, build_call_tree
 from repro.analysis.events import decode_capture
 from repro.analysis.summary import summarize
 
-from stream_helpers import make_names, stream
+from stream_helpers import capture_from_records, make_names, stream
 
 NAMES = make_names(
     ("fn_a", 500),
@@ -149,7 +149,6 @@ def test_streams_with_context_switches(seed, switch_points):
 def test_arbitrary_tag_soup_never_crashes(data):
     """Even a stream of random tags (some unknown, some exits-without-
     entries) decodes and reconstructs without raising."""
-    from repro.profiler.capture import Capture
     from repro.profiler.ram import RawRecord
 
     records = []
@@ -158,7 +157,7 @@ def test_arbitrary_tag_soup_never_crashes(data):
         tag = (data[i] << 8 | data[i + 1]) % 1100
         t += data[i] + 1
         records.append(RawRecord(tag=tag, time=t & 0xFFFFFF))
-    capture = Capture(records=tuple(records), names=NAMES)
+    capture = capture_from_records(records, NAMES)
     analysis = analyze_capture(capture)
     assert analysis.event_count == len(records)
     summary = summarize(analysis)

@@ -46,7 +46,7 @@ PARITY_TAGS = {"parity_fn_a": 0x10, "parity_fn_b": 0x12}
 
 
 def capture_bytes(capture) -> bytes:
-    return b"".join(record.pack() for record in capture.records)
+    return capture.records.to_bytes()
 
 
 def make_kernel(engine: str, depth: int = 4096) -> tuple[Kernel, ProfilerBoard]:
@@ -154,7 +154,7 @@ def run_schedule(engine: str, schedule: list[tuple]):
     kernel.work(100_000)  # drain stragglers
     board.disarm()
     ram = board.pull_rams()
-    stream = b"".join(record.pack() for record in ram.records())
+    stream = ram.columns().to_bytes()
     return stream, tuple(fired), kernel.machine.now_ns, dict(kernel.stats)
 
 
@@ -276,8 +276,7 @@ class TestTapGenerationGuard:
         kernel.enter(META_A)
         kernel.leave(META_A)
         assert board.events_stored == 2
-        records = board.pull_rams().records()
-        assert [r.tag for r in records] == [0x10, 0x11]
+        assert list(board.pull_rams().columns().tags) == [0x10, 0x11]
 
     def test_trigger_after_unplug_raises_bus_error(self):
         machine = Machine()

@@ -4,7 +4,7 @@ Covers the transfer-path robustness layer: MPF2 round-trips every
 ``Capture`` field, both header versions cross-read, short reads on
 pipe-like streams reassemble, non-seekable streaming targets fail fast,
 and a fault-injection corpus (truncation, bit flips, header lies) goes
-through ``salvage_capture_stream`` / ``repro capture doctor`` /
+through ``salvage_capture`` / ``repro capture doctor`` /
 ``analyze --salvage`` instead of raising.
 """
 
@@ -17,27 +17,32 @@ import zlib
 import pytest
 
 from repro.instrument.namefile import NameTable
-from repro.profiler.capture import Capture, synthetic_capture
+from repro.profiler.capture import Capture
 from repro.profiler.ram import RawRecord, TraceRam
 from repro.profiler.upload import (
     MAGIC,
     MAGIC_V2,
     CaptureMetadataWarning,
     EpromReadback,
-    dump_records,
-    iter_capture_file,
     read_capture,
-    read_capture_file,
     salvage_capture,
-    salvage_capture_stream,
     write_capture_file,
     write_capture_stream,
+)
+from stream_helpers import (
+    capture_from_records,
+    columns_of,
+    iter_records,
+    read_records,
+    record_bytes,
+    salvage_records,
 )
 from repro.__main__ import main
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 RECORDS = [RawRecord(tag=500 + (i % 4), time=(i * 321) & 0xFFFF) for i in range(20)]
+COLUMNS = columns_of(RECORDS)
 
 
 def _names() -> NameTable:
@@ -53,7 +58,7 @@ def _names() -> NameTable:
 
 def _v2_blob(records=RECORDS, **meta) -> bytes:
     buffer = io.BytesIO()
-    write_capture_file(buffer, records, **meta)
+    write_capture_file(buffer, columns_of(records), **meta)
     return buffer.getvalue()
 
 
@@ -68,7 +73,7 @@ class TestMpf2RoundTrip:
         """The headline fix: a non-stock, overflowed, labelled capture
         reloads with nothing silently defaulted."""
         capture = Capture(
-            records=tuple(RECORDS),
+            records=COLUMNS,
             names=_names(),
             overflowed=True,
             label="bench rig #7",
@@ -86,7 +91,7 @@ class TestMpf2RoundTrip:
         assert again.defects == ()
 
     def test_explicit_label_beats_header_label(self, tmp_path):
-        capture = synthetic_capture(RECORDS, _names(), label="saved-label")
+        capture = capture_from_records(RECORDS, _names(), label="saved-label")
         path = tmp_path / "run.mpf"
         capture.save(path)
         assert Capture.load(path, capture.names).label == "saved-label"
@@ -96,19 +101,19 @@ class TestMpf2RoundTrip:
         path = tmp_path / "legacy.mpf"
         with pytest.warns(CaptureMetadataWarning, match="MPF1"):
             write_capture_file(
-                path, RECORDS, version=1, overflowed=True, counter_width_bits=16
+                path, COLUMNS, version=1, overflowed=True, counter_width_bits=16
             )
         with pytest.warns(CaptureMetadataWarning, match="defaulted"):
             loaded = Capture.load(path, _names())
         assert loaded.overflowed is False  # lost: MPF1 cannot carry it
         assert loaded.counter_width_bits == 24
         assert loaded.counter_rate_hz == 1_000_000
-        assert loaded.records == tuple(RECORDS)
+        assert loaded.records == COLUMNS
 
     def test_v1_writer_is_byte_identical_to_legacy_layout(self):
         buffer = io.BytesIO()
-        write_capture_file(buffer, RECORDS[:3], version=1)
-        expected = MAGIC + (3).to_bytes(4, "big") + dump_records(RECORDS[:3])
+        write_capture_file(buffer, columns_of(RECORDS[:3]), version=1)
+        expected = MAGIC + (3).to_bytes(4, "big") + record_bytes(RECORDS[:3])
         assert buffer.getvalue() == expected
 
     def test_unicode_label_roundtrip(self):
@@ -124,31 +129,31 @@ class TestMpf2RoundTrip:
         header_size = int.from_bytes(blob[4:6], "big")
         blob[4:6] = (header_size + 4).to_bytes(2, "big")
         blob[header_size:header_size] = b"\xde\xad\xbe\xef"
-        records, meta = read_capture(io.BytesIO(bytes(blob)))
-        assert records == RECORDS
+        columns, meta = read_capture(io.BytesIO(bytes(blob)))
+        assert columns == COLUMNS
         assert meta.version == 2
 
     def test_bad_version_and_bad_metadata_rejected(self):
         with pytest.raises(ValueError, match="version"):
-            write_capture_file(io.BytesIO(), RECORDS, version=3)
+            write_capture_file(io.BytesIO(), COLUMNS, version=3)
         with pytest.raises(ValueError, match="width"):
-            write_capture_file(io.BytesIO(), RECORDS, counter_width_bits=25)
+            write_capture_file(io.BytesIO(), COLUMNS, counter_width_bits=25)
         with pytest.raises(ValueError, match="rate"):
-            write_capture_file(io.BytesIO(), RECORDS, counter_rate_hz=0)
+            write_capture_file(io.BytesIO(), COLUMNS, counter_rate_hz=0)
 
 
 class TestCrossVersionReads:
     def test_both_readers_accept_both_versions(self):
         v1 = io.BytesIO()
-        write_capture_file(v1, RECORDS, version=1)
+        write_capture_file(v1, COLUMNS, version=1)
         v2 = io.BytesIO(_v2_blob())
         v1.seek(0)
-        assert read_capture_file(v1) == RECORDS
-        assert read_capture_file(v2) == RECORDS
+        assert read_records(v1) == RECORDS
+        assert read_records(v2) == RECORDS
         v1.seek(0)
         v2.seek(0)
-        assert list(iter_capture_file(v1)) == RECORDS
-        assert list(iter_capture_file(v2)) == RECORDS
+        assert list(iter_records(v1)) == RECORDS
+        assert list(iter_records(v2)) == RECORDS
 
     def test_streaming_writer_matches_batch_writer_v2(self):
         streamed = io.BytesIO()
@@ -157,14 +162,14 @@ class TestCrossVersionReads:
         )
         batch = io.BytesIO()
         write_capture_file(
-            batch, RECORDS, overflowed=True, label="x", counter_width_bits=20
+            batch, COLUMNS, overflowed=True, label="x", counter_width_bits=20
         )
         assert streamed.getvalue() == batch.getvalue()
 
     def test_iter_detects_crc_corruption_at_end(self):
         blob = bytearray(_v2_blob())
         blob[-1] ^= 0x40  # flip a payload bit
-        iterator = iter_capture_file(io.BytesIO(bytes(blob)))
+        iterator = iter_records(io.BytesIO(bytes(blob)))
         with pytest.raises(ValueError, match="CRC32"):
             list(iterator)
 
@@ -187,16 +192,16 @@ class TestShortReads:
     def test_header_reassembles_across_short_reads(self, version):
         buffer = io.BytesIO()
         write_capture_file(
-            buffer, RECORDS, version=version,
+            buffer, COLUMNS, version=version,
             label="dribble" if version == 2 else "",
         )
-        records = list(iter_capture_file(DribbleStream(buffer.getvalue())))
+        records = list(iter_records(DribbleStream(buffer.getvalue())))
         assert records == RECORDS
 
     def test_read_capture_tolerates_short_reads(self):
         blob = _v2_blob(label="short-read")
-        records, meta = read_capture(DribbleStream(blob))
-        assert records == RECORDS
+        columns, meta = read_capture(DribbleStream(blob))
+        assert columns == COLUMNS
         assert meta.label == "short-read"
 
 
@@ -220,8 +225,8 @@ class TestStreamWriterGuards:
         target = _NoSeek()
         count = write_capture_stream(target, iter(RECORDS))
         assert count == len(RECORDS)
-        records, meta = read_capture(io.BytesIO(target.written))
-        assert records == RECORDS
+        columns, meta = read_capture(io.BytesIO(target.written))
+        assert columns == COLUMNS
         assert meta.streamed and meta.count == len(RECORDS)
 
     def test_non_seekable_target_rejected_when_open_stream_refused(self):
@@ -255,8 +260,8 @@ class TestStreamWriterGuards:
         target = Bare()
         count = write_capture_stream(target, iter(RECORDS))
         assert count == len(RECORDS)
-        records, meta = read_capture(io.BytesIO(target.written))
-        assert records == RECORDS and meta.streamed
+        columns, meta = read_capture(io.BytesIO(target.written))
+        assert columns == COLUMNS and meta.streamed
 
     def test_count_overflow_diagnosed_not_overflowerror(self, monkeypatch):
         import repro.profiler.upload as upload
@@ -295,14 +300,14 @@ class TestSalvage:
     def test_clean_files_have_no_defects(self):
         for version in (1, 2):
             buffer = io.BytesIO()
-            write_capture_file(buffer, RECORDS, version=version)
-            records, defects = salvage_capture_stream(io.BytesIO(buffer.getvalue()))
+            write_capture_file(buffer, COLUMNS, version=version)
+            records, defects = salvage_records(io.BytesIO(buffer.getvalue()))
             assert records == RECORDS
             assert defects == []
 
     def test_truncated_tail_drops_partial_record(self):
         blob = _v2_blob()
-        records, defects = salvage_capture_stream(io.BytesIO(blob[:-7]))
+        records, defects = salvage_records(io.BytesIO(blob[:-7]))
         assert records == RECORDS[:-2]  # 7 bytes = one whole + one partial record
         kinds = [d.kind for d in defects]
         assert "partial-record" in kinds and "count-mismatch" in kinds
@@ -310,36 +315,36 @@ class TestSalvage:
     def test_single_bit_flip_in_payload_is_crc_mismatch(self):
         blob = bytearray(_v2_blob())
         blob[-3] ^= 0x10
-        records, defects = salvage_capture_stream(io.BytesIO(bytes(blob)))
+        records, defects = salvage_records(io.BytesIO(bytes(blob)))
         assert len(records) == len(RECORDS)  # every record still delivered
         assert [d.kind for d in defects] == ["crc-mismatch"]
 
     def test_header_count_lie_reported_not_fatal(self):
         blob = bytearray(_v2_blob())
         blob[6:10] = (9999).to_bytes(4, "big")
-        records, defects = salvage_capture_stream(io.BytesIO(bytes(blob)))
+        records, defects = salvage_records(io.BytesIO(bytes(blob)))
         assert records == RECORDS
         assert [d.kind for d in defects] == ["count-mismatch"]
 
     @pytest.mark.parametrize("version", [1, 2])
     def test_magic_bit_flip_resynchronises(self, version):
         buffer = io.BytesIO()
-        write_capture_file(buffer, RECORDS, version=version)
+        write_capture_file(buffer, COLUMNS, version=version)
         blob = bytearray(buffer.getvalue())
         blob[3] ^= 0x04  # "MPF1"/"MPF2" with one flipped bit
         result = salvage_capture(io.BytesIO(bytes(blob)))
-        assert result.records == RECORDS
+        assert result.records == COLUMNS
         assert result.meta.version == version
         assert [d.kind for d in result.defects] == ["bad-magic"]
 
     def test_unrecognisable_magic_gives_up_cleanly(self):
-        records, defects = salvage_capture_stream(io.BytesIO(b"GIF89a" + b"\x00" * 40))
+        records, defects = salvage_records(io.BytesIO(b"GIF89a" + b"\x00" * 40))
         assert records == []
         assert [d.kind for d in defects] == ["bad-magic"]
 
     def test_tiny_and_empty_files(self):
         for blob in (b"", b"MP"):
-            records, defects = salvage_capture_stream(io.BytesIO(blob))
+            records, defects = salvage_records(io.BytesIO(blob))
             assert records == []
             assert [d.kind for d in defects] == ["truncated-header"]
 
@@ -385,7 +390,7 @@ class TestDoctorCli:
 
     def test_clean_file_exits_zero(self, tmp_path):
         path = tmp_path / "ok.mpf"
-        write_capture_file(path, RECORDS)
+        write_capture_file(path, COLUMNS)
         code, text = run_cli("capture", "doctor", str(path))
         assert code == 0
         assert "0 defect(s)" in text and "MPF2" in text
@@ -401,7 +406,7 @@ class TestDoctorCli:
         assert "repaired MPF2 capture written" in text
         # The repaired file is clean: strict reader accepts it, doctor
         # gives it a clean bill.
-        assert read_capture_file(repaired) == RECORDS[:-2]
+        assert read_records(repaired) == RECORDS[:-2]
         code, _ = run_cli("capture", "doctor", str(repaired))
         assert code == 0
 
@@ -419,7 +424,7 @@ class TestDoctorCli:
 
     def test_legacy_file_notes_metadata_default(self, tmp_path):
         path = tmp_path / "legacy.mpf"
-        write_capture_file(path, RECORDS, version=1)
+        write_capture_file(path, COLUMNS, version=1)
         code, text = run_cli("capture", "doctor", str(path))
         assert code == 0  # informational only: the file itself is healthy
         assert "P208" in text
@@ -503,7 +508,7 @@ class TestLintIntegration:
         from repro.lint import lint_capture_file
 
         path = tmp_path / "legacy.mpf"
-        write_capture_file(path, [RawRecord(tag=500, time=1)], version=1)
+        write_capture_file(path, columns_of([RawRecord(tag=500, time=1)]), version=1)
         report = lint_capture_file(path, _names(), ram_depth=None)
         assert "P208" in report.codes()
         assert report.ok  # info severity: never fails a CI gate

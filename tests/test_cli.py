@@ -236,39 +236,52 @@ def _bad_inputs(tmp_path) -> dict[str, tuple[pathlib.Path, pathlib.Path]]:
     random_bytes.write_bytes(bytes((i * 151 + 7) % 256 for i in range(3000)))
     truncated = tmp_path / "truncated.mpf"
     truncated.write_bytes(golden[: len(golden) - 3])
+    malformed_names = tmp_path / "malformed.tags"
+    malformed_names.write_text("garbage line\n")
     return {
         "missing capture": (tmp_path / "missing.mpf", names),
         "empty capture": (empty, names),
         "random capture": (random_bytes, names),
         "truncated capture": (truncated, names),
         "missing name file": (GOLDEN_DIR / "figure3_network_v2.mpf", tmp_path / "missing.tags"),
+        "malformed name file": (GOLDEN_DIR / "figure3_network_v2.mpf", malformed_names),
     }
+
+
+#: The capture faults of :func:`_bad_inputs`.
+CAPTURE_FAULTS = ["missing capture", "empty capture", "random capture", "truncated capture"]
 
 
 class TestUnreadableInput:
     """Bad input fails with one line on stderr and exit 2, never a
-    traceback, whichever report was asked for."""
+    traceback, whichever report was asked for — and every reader says
+    the same thing about the same fault."""
 
     @pytest.mark.parametrize(
         "case",
-        ["missing capture", "empty capture", "random capture",
-         "truncated capture", "missing name file"],
+        [*CAPTURE_FAULTS, "missing name file", "malformed name file"],
     )
     def test_one_line_and_exit_two(self, tmp_path, capsys, case):
         capture, names = _bad_inputs(tmp_path)[case]
+        commands = {
+            report: ["analyze", str(capture), "--names", str(names), "--report", report]
+            for report in ("summary", "gprof", "trace")
+        }
+        commands["export"] = [
+            "trace", "export", str(capture), "--names", str(names),
+            "-o", str(tmp_path / "out.trace.json"),
+        ]
         messages = {}
-        for report in ("summary", "gprof", "trace"):
-            code, lines = run_cli_code(
-                "analyze", str(capture), "--names", str(names), "--report", report
-            )
+        for command, argv in commands.items():
+            code, lines = run_cli_code(*argv)
             err = capsys.readouterr().err
-            assert code == 2, (report, err)
+            assert code == 2, (command, err)
             assert lines == []
             assert "Traceback" not in err
             assert len(err.splitlines()) == 1, err
             assert err.startswith("repro: error: ")
-            messages[report] = err
-        assert messages["summary"] == messages["gprof"]
+            messages[command] = err
+        assert len(set(messages.values())) == 1, messages
 
     def test_subprocess_prints_no_traceback(self, tmp_path):
         src = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -286,6 +299,71 @@ class TestUnreadableInput:
         assert done.stdout == ""
         assert done.stderr.startswith("repro: error: ")
         assert len(done.stderr.splitlines()) == 1, done.stderr
+
+
+class TestBadCaptureExitCodes:
+    """The other entry points on the same bad captures: a documented
+    exit code and never a traceback."""
+
+    def _run(self, capsys, *argv: str) -> int:
+        try:
+            code, lines = run_cli_code(*argv)
+        except SystemExit as exc:
+            # The interpreter prints a message exit to stderr as status 1.
+            assert isinstance(exc.code, str), exc.code
+            code, lines = 1, [exc.code]
+        captured = capsys.readouterr()
+        for text in (*lines, captured.out, captured.err):
+            assert "Traceback" not in text
+        return code
+
+    @pytest.mark.parametrize("case", CAPTURE_FAULTS)
+    def test_per_capture_commands(self, tmp_path, capsys, case):
+        capture, names = _bad_inputs(tmp_path)[case]
+        missing = case == "missing capture"
+        assert self._run(capsys, "lint", str(capture), "--names", str(names)) == 1
+        doctor = self._run(capsys, "capture", "doctor", str(capture))
+        assert doctor == (1 if case == "truncated capture" else 2)
+        live = self._run(capsys, "live", "analyze", str(capture), "--names", str(names))
+        assert live == (2 if missing else 1)
+        db = tmp_path / "corpus.db"
+        ingest = ["db", "ingest", str(capture), "--db", str(db), "--names", str(names)]
+        assert self._run(capsys, *ingest) == 1
+
+    def test_fleet_ingest(self, tmp_path, capsys):
+        names = str(GOLDEN_DIR / "case_study.tags")
+        _bad_inputs(tmp_path)
+        assert self._run(capsys, "fleet", "ingest", str(tmp_path), "--names", names) == 1
+        missing = str(tmp_path / "no-such-dir")
+        assert self._run(capsys, "fleet", "ingest", missing, "--names", names) == 2
+
+
+class TestOneFold:
+    """A summary printed beside a call-tree report comes from the tree's
+    own fold: the capture is folded once, and the text is the text each
+    report prints alone."""
+
+    @pytest.mark.parametrize("order", [["summary", "trace"], ["trace", "summary"]])
+    def test_summary_beside_trace_steps_one_fold(self, monkeypatch, order):
+        from repro.analysis.summary import SummaryAccumulator
+
+        capture = str(GOLDEN_DIR / "figure3_network_v2.mpf")
+        argv = ["analyze", capture, "--names", str(GOLDEN_DIR / "case_study.tags")]
+        alone = {report: run_cli(*argv, "--report", report)[1:] for report in order}
+        folds = []
+        original = SummaryAccumulator.__init__
+
+        def counted(self, *args, **kwargs):
+            folds.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(SummaryAccumulator, "__init__", counted)
+        reports = [flag for report in order for flag in ("--report", report)]
+        mixed = run_cli(*argv, *reports)
+        assert len(folds) == 1
+        assert mixed[1:] == alone[order[0]] + alone[order[1]]
+        trace = (GOLDEN_DIR / "figure4_code_path_trace.txt").read_text()
+        assert trace in "\n".join(mixed) + "\n"
 
 
 class TestOtherCommands:

@@ -45,6 +45,7 @@ from repro.profiler.upload import write_capture_file
 
 from stream_helpers import (
     build_regression_corpus,
+    columns_of,
     fleet_names,
     regression_records,
     synth_capture_records,
@@ -59,7 +60,7 @@ def names():
 def write_run(path, index=0, events=48, label=None):
     write_capture_file(
         path,
-        synth_capture_records(index, events),
+        columns_of(synth_capture_records(index, events)),
         label=label if label is not None else f"cap-{index:04d}",
     )
     return path
@@ -348,8 +349,8 @@ class TestDiff:
             t += 100
             stripped.append(RawRecord(tag=work.exit_value, time=t))
         stripped.append(RawRecord(tag=main.exit_value, time=t + 10))
-        write_capture_file(tmp_path / "with.mpf", base, label="with")
-        write_capture_file(tmp_path / "without.mpf", stripped, label="without")
+        write_capture_file(tmp_path / "with.mpf", columns_of(base), label="with")
+        write_capture_file(tmp_path / "without.mpf", columns_of(stripped), label="without")
         ingest_paths(conn, [tmp_path], names, workload="regress")
         report = diff_runs(conn, "without", "with")
         appeared = {v.name: v for v in report.verdicts if v.status == "appeared"}
@@ -364,10 +365,10 @@ class TestDiff:
     def test_workload_mismatch_flagged(self, tmp_path, names):
         conn = connect(tmp_path / "p.db")
         write_capture_file(
-            tmp_path / "a.mpf", regression_records(0, spin_us=100), label="a"
+            tmp_path / "a.mpf", columns_of(regression_records(0, spin_us=100)), label="a"
         )
         write_capture_file(
-            tmp_path / "b.mpf", regression_records(1, spin_us=100), label="b"
+            tmp_path / "b.mpf", columns_of(regression_records(1, spin_us=100)), label="b"
         )
         ingest_capture(conn, tmp_path / "a.mpf", names, workload="netw")
         ingest_capture(conn, tmp_path / "b.mpf", names, workload="fork")

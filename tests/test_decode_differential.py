@@ -29,22 +29,25 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from repro.analysis import columnar
 from repro.analysis.callstack import _TreeRecorder, analyze_capture, build_call_tree
-from repro.analysis.events import decode_records
 from repro.analysis.gprof import GprofRecorder, gprof_report
 from repro.analysis.summary import (
     SummaryAccumulator,
     summarize,
     summarize_columns,
 )
-from repro.profiler.capture import Capture
 from repro.profiler.ram import DEFAULT_DEPTH, RawRecord
 from repro.profiler.upload import (
     decode_record_columns,
-    dump_records,
     iter_capture_columns,
     write_capture_stream,
 )
-from stream_helpers import TIME_MASK, make_names
+from stream_helpers import (
+    TIME_MASK,
+    capture_from_records,
+    columns_of,
+    make_names,
+    record_bytes,
+)
 
 DIFF_EXAMPLES = int(os.environ.get("REPRO_DIFF_EXAMPLES", "40"))
 DIFF_SETTINGS = settings(
@@ -52,6 +55,11 @@ DIFF_SETTINGS = settings(
     deadline=None,
     derandomize=bool(os.environ.get("REPRO_DIFF_DERANDOMIZE")),
 )
+
+def _decode(records, names, width_bits: int = 24) -> columnar.ColumnarEvents:
+    """Decode hand-made *records* as :func:`decode_capture` decodes a capture."""
+    return columnar.decode_columns(columns_of(records), names, width_bits)
+
 
 NAMES = make_names(
     ("main", 500),
@@ -281,7 +289,7 @@ class TestRecordParity:
     @DIFF_SETTINGS
     @given(records=record_streams())
     def test_columnar_load_matches_reference(self, records):
-        blob = dump_records(records)
+        blob = record_bytes(records)
         columns = decode_record_columns(blob)
         assert columns.to_records() == oracles.load_records(blob)
         assert columns.to_bytes() == blob
@@ -327,7 +335,7 @@ class TestEventParity:
             )
         )
         columnar_events = columnar.decode_columns(
-            columnar.columns_from_records(records),
+            columns_of(records),
             NAMES,
             start_index=start_index,
             time_base_us=time_base_us,
@@ -341,12 +349,12 @@ class TestEventParity:
     def test_narrow_counter_widths_agree(self, records, width_bits):
         mask = (1 << width_bits) - 1
         narrowed = [RawRecord(tag=r.tag, time=r.time & mask) for r in records]
-        assert decode_records(
+        assert _decode(
             narrowed, NAMES, width_bits=width_bits
         ).to_events() == _reference_events(narrowed, width_bits)
 
     def test_zero_length_capture(self):
-        assert decode_records([], NAMES).to_events() == []
+        assert _decode([], NAMES).to_events() == []
         assert _reference_events([]) == []
         assert decode_record_columns(b"").to_records() == []
 
@@ -360,13 +368,13 @@ class TestEventParity:
             t = (t + 0x31_0000 + i) & TIME_MASK
             records.append(RawRecord(tag=KNOWN_TAGS[i % len(KNOWN_TAGS)], time=t))
         reference = _reference_events(records)
-        assert decode_records(records, NAMES).to_events() == reference
+        assert _decode(records, NAMES).to_events() == reference
         decode_map = columnar.build_decode_map(NAMES)
         via_columns, previous, base = [], None, 0
         for start in range(0, len(records), 8192):
             chunk = records[start : start + 8192]
             batch = columnar.decode_columns(
-                columnar.columns_from_records(chunk),
+                columns_of(chunk),
                 NAMES,
                 start_index=start,
                 time_base_us=base,
@@ -386,7 +394,7 @@ class TestEventParity:
             RawRecord(tag=KNOWN_TAGS[i % len(KNOWN_TAGS)], time=(i * 37) & TIME_MASK)
             for i in range(DEFAULT_DEPTH)
         ]
-        assert decode_records(records, NAMES).to_events() == _reference_events(records)
+        assert _decode(records, NAMES).to_events() == _reference_events(records)
 
     @DIFF_SETTINGS
     @given(records=record_streams(max_records=60))
@@ -395,7 +403,7 @@ class TestEventParity:
         poisoned = list(records) + [RawRecord(tag=KNOWN_TAGS[0], time=0x1_0000)]
         errors = []
         for decode in (lambda: _reference_events(poisoned, 16),
-                       lambda: decode_records(poisoned, NAMES, width_bits=16)):
+                       lambda: _decode(poisoned, NAMES, width_bits=16)):
             with pytest.raises(ValueError) as excinfo:
                 decode()
             errors.append(str(excinfo.value))
@@ -415,7 +423,7 @@ class TestSummaryParity:
     def test_summary_bytes_identical(self, records, chunk_records, include_swtch):
         reference = _reference_summary(records, include_swtch=include_swtch)
         batches = (
-            columnar.columns_from_records(records[i : i + chunk_records])
+            columns_of(records[i : i + chunk_records])
             for i in range(0, len(records), chunk_records)
         )
         via_columns = summarize_columns(batches, NAMES, include_swtch=include_swtch)
@@ -428,7 +436,7 @@ class TestSummaryParity:
         """Unknown tags and unmatched exits summarise identically too."""
         reference = _reference_summary(records)
         via_columns = summarize_columns(
-            [columnar.columns_from_records(records)], NAMES
+            [columns_of(records)], NAMES
         )
         assert via_columns.format() == reference.format()
 
@@ -456,7 +464,7 @@ class TestSummaryParity:
         bad_batch = list(prefix[: bad_offset + 3]) + [poison]
 
         def feed(accumulator, records):
-            accumulator.feed_columns(columnar.columns_from_records(records))
+            accumulator.feed_columns(columns_of(records))
 
         accumulator = SummaryAccumulator(NAMES, width_bits=16)
         feed(accumulator, prefix)
@@ -494,7 +502,7 @@ class TestPairEntryExits:
             entry = NAMES.by_name(name)
             tag = entry.entry_value if op == ">" else entry.exit_value
             records.append(RawRecord(tag=tag, time=time_us))
-        analysis = build_call_tree(decode_records(records, NAMES))
+        analysis = build_call_tree(_decode(records, NAMES))
         spans = [
             (n.name, n.enter_us, n.exit_us, n.inclusive_us, n.truncated)
             for n in analysis.nodes()
@@ -511,7 +519,7 @@ class TestPairEntryExits:
     def test_spans_are_consistent_with_events(self, records):
         """Every real call opens at an entry of its name and, unless
         truncated, closes at an exit of its name."""
-        events = decode_records(records, NAMES)
+        events = _decode(records, NAMES)
         points = set(zip(events.codes, events.names, events.times))
         for node in build_call_tree(events).nodes():
             if node.synthetic:
@@ -531,14 +539,14 @@ class TestTreeParity:
         reference = _tree_fields(
             oracles.reference_call_tree(_reference_events(records))
         )
-        whole = analyze_capture(Capture(records=tuple(records), names=NAMES))
+        whole = analyze_capture(capture_from_records(records, NAMES))
         assert _tree_fields(whole) == reference
         fold = SummaryAccumulator(NAMES)
         recorder = _TreeRecorder()
         fold.recorder = recorder
         for start in range(0, len(records), chunk_records):
             chunk = records[start : start + chunk_records]
-            fold.feed_columns(columnar.columns_from_records(chunk))
+            fold.feed_columns(columns_of(chunk))
         assert _tree_fields(recorder.analysis(fold)) == reference
 
     @DIFF_SETTINGS
@@ -579,7 +587,7 @@ class TestGprofParity:
             oracles.reference_call_tree(_reference_events(records))
         )
         want = _gprof_fields(reference)
-        capture = Capture(records=tuple(records), names=NAMES)
+        capture = capture_from_records(records, NAMES)
         from_tree = gprof_report(analyze_capture(capture))
         assert _gprof_fields(from_tree) == want
         for chunk in (len(records) or 1, chunk_records):
@@ -588,7 +596,7 @@ class TestGprofParity:
             fold.recorder = recorder
             for start in range(0, len(records), chunk):
                 fold.feed_columns(
-                    columnar.columns_from_records(records[start : start + chunk])
+                    columns_of(records[start : start + chunk])
                 )
             report = recorder.report(fold)
             assert _gprof_fields(report) == want

@@ -37,7 +37,12 @@ from repro.profiler.upload import (
 )
 from repro.telemetry.core import Telemetry
 
-from stream_helpers import build_fleet_corpus, fleet_names, synth_capture_records
+from stream_helpers import (
+    build_fleet_corpus,
+    columns_of,
+    fleet_names,
+    synth_capture_records,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 CORRUPT_GOLDENS = sorted(GOLDEN.glob("*.mpf.corrupt"))
@@ -149,17 +154,17 @@ class TestMetaCache:
 
     def test_hit_returns_cached_object(self, tmp_path):
         path = tmp_path / "one.mpf"
-        write_capture_file(path, synth_capture_records(0, 16), label="one")
+        write_capture_file(path, columns_of(synth_capture_records(0, 16)), label="one")
         first = cached_capture_meta(path)
         second = cached_capture_meta(path)
         assert second is first  # identity: no re-read happened
 
     def test_rewrite_invalidates(self, tmp_path):
         path = tmp_path / "one.mpf"
-        write_capture_file(path, synth_capture_records(0, 16), label="before")
+        write_capture_file(path, columns_of(synth_capture_records(0, 16)), label="before")
         before = cached_capture_meta(path)
         assert before.label == "before"
-        write_capture_file(path, synth_capture_records(1, 32), label="after")
+        write_capture_file(path, columns_of(synth_capture_records(1, 32)), label="after")
         after = cached_capture_meta(path)
         assert after.label == "after" and after is not before
 
@@ -168,7 +173,7 @@ class TestMetaCache:
         path.write_bytes(b"NOPE")
         with pytest.raises(ValueError):
             cached_capture_meta(path)
-        write_capture_file(path, synth_capture_records(0, 16), label="fixed")
+        write_capture_file(path, columns_of(synth_capture_records(0, 16)), label="fixed")
         assert cached_capture_meta(path).label == "fixed"
 
     def test_lru_eviction(self, tmp_path, monkeypatch):
@@ -178,7 +183,7 @@ class TestMetaCache:
         paths = []
         for i in range(3):
             path = tmp_path / f"c{i}.mpf"
-            write_capture_file(path, synth_capture_records(i, 16))
+            write_capture_file(path, columns_of(synth_capture_records(i, 16)))
             paths.append(path)
             cached_capture_meta(path)
         # Only the two most recent survive the LRU sweep.
@@ -276,7 +281,7 @@ class TestDeterminism:
 
     def test_empty_capture_merges_clean(self, tmp_path):
         names = build_fleet_corpus(tmp_path, captures=2, events=40)
-        write_capture_file(tmp_path / "empty.mpf", [], label="empty")
+        write_capture_file(tmp_path / "empty.mpf", columns_of([]), label="empty")
         result = ingest_fleet(tmp_path, names, jobs=1)
         assert result.failed == 0
         assert result.accumulator is not None
@@ -314,7 +319,7 @@ class TestFleetLint:
         build_fleet_corpus(tmp_path, captures=3, events=24)
         write_capture_file(
             tmp_path / "odd.mpf",
-            synth_capture_records(9, 24),
+            columns_of(synth_capture_records(9, 24)),
             counter_width_bits=16,
             label="odd-board",
         )
@@ -326,7 +331,7 @@ class TestFleetLint:
         for i in range(2):
             write_capture_file(
                 tmp_path / f"dup{i}.mpf",
-                synth_capture_records(i, 24),
+                columns_of(synth_capture_records(i, 24)),
                 label="same-label",
             )
         report = lint_fleet_plan(plan_fleet(tmp_path))

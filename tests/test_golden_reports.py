@@ -98,13 +98,16 @@ def test_streaming_matches_figure3_golden(network_capture):
 
 def test_sharded_matches_figure5_golden(forkexec_capture):
     """The fold fed in 512-record shards reproduces the golden text."""
-    from repro.analysis.columnar import columns_from_records
     from repro.analysis.summary import summarize_columns
+    from repro.profiler.ram import RecordColumns
 
     system, capture = forkexec_capture
     records = capture.records
     shards = (
-        columns_from_records(records[start : start + 512])
+        RecordColumns(
+            tags=records.tags[start : start + 512],
+            times=records.times[start : start + 512],
+        )
         for start in range(0, len(records), 512)
     )
     text = summarize_columns(shards, capture.names).format(limit=20) + "\n"

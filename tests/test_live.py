@@ -22,25 +22,27 @@ import zlib
 
 import pytest
 
-from stream_helpers import make_names
+from stream_helpers import (
+    capture_from_records,
+    columns_of,
+    iter_records,
+    make_names,
+    salvage_records,
+)
 from repro.analysis.callstack import analyze_capture
-from repro.analysis.columnar import columns_from_records
 from repro.analysis.summary import SummaryAccumulator, summarize
 from repro.db.query import FUNCTION_SORTS
 from repro.lint import lint_live_drain, lint_live_stream, render_text
 from repro.live.analyzer import LiveAnalyzer, LiveWindow
 from repro.live.top import TOP_SORTS, TopView, render_top, sort_rows
 from repro.live.trace import LiveTraceWriter
-from repro.profiler.capture import Capture
 from repro.profiler.ram import RawRecord
 from repro.profiler.upload import (
     TRAILER_BYTES,
     CaptureFormatError,
     CaptureStreamWriter,
     iter_capture_columns,
-    iter_capture_file,
     read_capture,
-    salvage_capture_stream,
 )
 from repro.telemetry import TELEMETRY, HeartbeatFlusher
 from repro.telemetry.export import capture_to_chrome_trace
@@ -128,14 +130,14 @@ class TestOpenStreamWire:
 
         thread = threading.Thread(target=produce)
         thread.start()
-        got = list(iter_capture_file(str(fifo)))
+        got = list(iter_records(str(fifo)))
         thread.join()
         assert got == records
 
     def test_read_capture_adopts_trailer_truth(self):
         records = _records(100)
         got, meta = read_capture(io.BytesIO(_wire_bytes(records)))
-        assert got == records
+        assert got.to_records() == records
         assert meta.streamed
         assert meta.count == len(records)
         assert meta.crc32 is not None
@@ -146,7 +148,7 @@ class TestOpenStreamWire:
         cut = blob[: len(blob) - TRAILER_BYTES - 3]  # trailer + partial record
         with pytest.raises(CaptureFormatError):
             list(iter_capture_columns(io.BytesIO(cut)))
-        salvaged, defects = salvage_capture_stream(io.BytesIO(cut))
+        salvaged, defects = salvage_records(io.BytesIO(cut))
         kinds = {defect.kind for defect in defects}
         assert "missing-trailer" in kinds
         assert salvaged == records[: len(salvaged)]
@@ -170,7 +172,7 @@ class TestLiveBatchIdentity:
         live = analyzer.consume(
             io.BytesIO(_wire_bytes(records, chunk=77)), chunk_records=61
         )
-        batch = summarize(analyze_capture(Capture(records=tuple(records), names=names)))
+        batch = summarize(analyze_capture(capture_from_records(records, names)))
         assert live.format() == batch.format()
         assert analyzer.windows >= 1
         assert analyzer.records_total == len(records)
@@ -193,24 +195,24 @@ class TestPeekDelta:
         names = _names()
         accumulator = SummaryAccumulator(names)
         for record in records[:150]:
-            accumulator.feed_columns(columns_from_records([record]))
+            accumulator.feed_columns(columns_of([record]))
             if len(records) % 50 == 0:
                 accumulator.peek()
         mid = accumulator.peek()
         assert mid.event_count == 150
         for record in records[150:]:
-            accumulator.feed_columns(columns_from_records([record]))
+            accumulator.feed_columns(columns_of([record]))
         reference = SummaryAccumulator(names)
-        reference.feed_columns(columns_from_records(records))
+        reference.feed_columns(columns_of(records))
         assert accumulator.summary().format() == reference.summary().format()
 
     def test_delta_is_exact_for_monotone_counters(self):
         records = _records(400)
         names = _names()
         accumulator = SummaryAccumulator(names)
-        accumulator.feed_columns(columns_from_records(records[:200]))
+        accumulator.feed_columns(columns_of(records[:200]))
         older = accumulator.peek()
-        accumulator.feed_columns(columns_from_records(records[200:]))
+        accumulator.feed_columns(columns_of(records[200:]))
         newer = accumulator.peek()
         delta = newer.delta(older)
         assert delta.event_count == 200
@@ -241,7 +243,7 @@ class TestLiveAnalyzerWindows:
         records = _records(400)
         for start in range(0, len(records), 100):
             analyzer.feed(
-                columns_from_records(records[start : start + 100]), arrival=0.0
+                columns_of(records[start : start + 100]), arrival=0.0
             )
         analyzer.finish()
         assert analyzer.windows == len(windows)
@@ -408,7 +410,7 @@ def _live_slices(tmp_path, records, cut):
     path = tmp_path / f"live-{cut}.trace.json"
     analyzer = LiveAnalyzer(_names(), trace=LiveTraceWriter(path))
     for start in range(0, len(records), cut):
-        analyzer.feed(columns_from_records(records[start : start + cut]))
+        analyzer.feed(columns_of(records[start : start + cut]))
     analyzer.finish()
     document = json.loads(path.read_text())
     slices = [(e["name"], e["ts"], e["dur"]) for e in document if e.get("ph") == "X"]
@@ -417,7 +419,7 @@ def _live_slices(tmp_path, records, cut):
 
 def _export_slices(records):
     """The batch exporter's non-synthetic call slices of *records*."""
-    analysis = analyze_capture(Capture(records=tuple(records), names=_names()))
+    analysis = analyze_capture(capture_from_records(records, _names()))
     return sorted(
         (e["name"], e["ts"], e["dur"])
         for e in capture_to_chrome_trace(analysis)["traceEvents"]
@@ -443,7 +445,7 @@ class TestLiveTrace:
         path = tmp_path / "capped.json"
         writer = LiveTraceWriter(path, max_slices=3)
         analyzer = LiveAnalyzer(_names(), trace=writer)
-        analyzer.feed(columns_from_records(_records(100)))
+        analyzer.feed(columns_of(_records(100)))
         analyzer.finish()
         document = json.loads(path.read_text())
         assert len([e for e in document if e.get("ph") == "X"]) == 3
@@ -507,7 +509,7 @@ class TestLiveLint:
         from repro.profiler.upload import write_capture_file
 
         path = tmp_path / "plain.mpf"
-        write_capture_file(path, _records(30))
+        write_capture_file(path, columns_of(_records(30)))
         assert len(lint_live_stream(path)) == 0
 
     def test_cli_lint_reports_p801(self, tmp_path):

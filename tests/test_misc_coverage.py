@@ -6,11 +6,11 @@ import pytest
 
 from repro.analysis.reports import analyze_and_summarize, full_report
 from repro.instrument.namefile import NameFileError, parse_line, parse_name_file
-from repro.profiler.capture import CaptureSession, synthetic_capture
+from repro.profiler.capture import CaptureSession
 from repro.profiler.hardware import ProfilerBoard
 from repro.profiler.ram import RawRecord
 
-from stream_helpers import make_names, stream
+from stream_helpers import capture_from_records, make_names, stream
 
 
 class TestCaptureSession:
@@ -35,7 +35,7 @@ class TestCaptureSession:
         assert len(second.capture) == 0
 
     def test_synthetic_capture(self, simple_names):
-        capture = synthetic_capture(
+        capture = capture_from_records(
             [RawRecord(tag=500, time=0), RawRecord(tag=501, time=9)],
             simple_names,
         )

@@ -102,8 +102,8 @@ class TestTraceRam:
 
     def test_field_truncation(self):
         ram = TraceRam(depth=1)
-        record = ram.store(tag=0x1FFFF, time=0x1FFFFFF)
-        assert record.tag == 0xFFFF and record.time == 0xFFFFFF
+        ram.store(tag=0x1FFFF, time=0x1FFFFFF)
+        assert ram[0] == RawRecord(tag=0xFFFF, time=0xFFFFFF)
 
     def test_remove_for_transfer(self):
         ram = TraceRam(depth=8)
@@ -152,21 +152,21 @@ class TestProfilerBoard:
     def test_strobe_records_tag_and_time(self):
         board = ProfilerBoard()
         board.arm()
-        record = board.eprom_strobe(offset=1386, now_ns=5_000_000)
-        assert record == RawRecord(tag=1386, time=5_000)
+        assert board.eprom_strobe(offset=1386, now_ns=5_000_000)
+        assert board.ram[0] == RawRecord(tag=1386, time=5_000)
         assert board.events_stored == 1
 
     def test_disarmed_board_records_nothing(self):
         board = ProfilerBoard()
-        assert board.eprom_strobe(offset=1, now_ns=0) is None
+        assert board.eprom_strobe(offset=1, now_ns=0) is False
         assert board.events_stored == 0
 
     def test_fills_then_overflow_led(self):
         board = ProfilerBoard(depth=3)
         board.arm()
         for i in range(3):
-            assert board.eprom_strobe(offset=i, now_ns=i * 1000) is not None
-        assert board.eprom_strobe(offset=99, now_ns=9000) is None
+            assert board.eprom_strobe(offset=i, now_ns=i * 1000) is True
+        assert board.eprom_strobe(offset=99, now_ns=9000) is False
         assert board.overflow_led
         assert board.events_stored == 3
 

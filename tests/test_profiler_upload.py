@@ -13,16 +13,15 @@ from repro.profiler.upload import (
     CaptureFormatError,
     EpromReadback,
     decode_record_columns,
-    dump_records,
     iter_capture_columns,
-    iter_capture_file,
-    load_records,
     read_capture,
-    read_capture_file,
     read_capture_meta,
     write_capture_file,
     write_capture_stream,
 )
+
+import oracles
+from stream_helpers import columns_of, iter_records, read_records, record_bytes
 
 records_strategy = st.lists(
     st.builds(
@@ -45,40 +44,41 @@ class TestRecordStream:
 
     def test_load_rejects_ragged_stream(self):
         with pytest.raises(ValueError):
-            load_records(b"\x00" * 7)
+            decode_record_columns(b"\x00" * 7)
 
     @given(records=records_strategy)
     def test_roundtrip(self, records):
-        assert load_records(dump_records(records)) == records
+        assert columns_of(records).to_bytes() == record_bytes(records)
+        assert decode_record_columns(record_bytes(records)).to_records() == records
 
 
 class TestCaptureFile:
     def test_file_roundtrip(self, tmp_path):
         records = [RawRecord(tag=i, time=i * 10) for i in range(5)]
         path = tmp_path / "run1.mpf"
-        assert write_capture_file(path, records) == 5
-        assert read_capture_file(path) == records
+        assert write_capture_file(path, columns_of(records)) == 5
+        assert read_records(path) == records
 
     def test_stream_roundtrip(self):
         records = [RawRecord(tag=1, time=2)]
         buffer = io.BytesIO()
-        write_capture_file(buffer, records)
+        write_capture_file(buffer, columns_of(records))
         buffer.seek(0)
-        assert read_capture_file(buffer) == records
+        assert read_records(buffer) == records
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(ValueError):
-            read_capture_file(path)
+            read_records(path)
 
     def test_count_mismatch_rejected(self, tmp_path):
         path = tmp_path / "short.mpf"
         records = [RawRecord(tag=1, time=2)]
-        blob = b"MPF1" + (9).to_bytes(4, "big") + dump_records(records)
+        blob = b"MPF1" + (9).to_bytes(4, "big") + record_bytes(records)
         path.write_bytes(blob)
         with pytest.raises(ValueError):
-            read_capture_file(path)
+            read_records(path)
 
 
 class TestEpromReadback:
@@ -108,7 +108,7 @@ class TestEpromReadback:
         ram = TraceRam(depth=64)
         for record in records:
             ram.store(record.tag, record.time)
-        assert EpromReadback(ram).read_all() == list(ram.records())
+        assert EpromReadback(ram).read_all() == ram.columns().to_records()
 
 
 class TestStreamingCaptureIO:
@@ -116,7 +116,7 @@ class TestStreamingCaptureIO:
 
     def _file(self, records):
         buffer = io.BytesIO()
-        write_capture_file(buffer, records)
+        write_capture_file(buffer, columns_of(records))
         buffer.seek(0)
         return buffer
 
@@ -135,21 +135,21 @@ class TestStreamingCaptureIO:
     def test_iter_capture_file_roundtrip(self, tmp_path):
         records = [RawRecord(tag=i, time=i * 3) for i in range(50)]
         path = tmp_path / "run.mpf"
-        write_capture_file(path, records)
-        assert list(iter_capture_file(path, chunk_records=8)) == records
+        write_capture_file(path, columns_of(records))
+        assert list(iter_records(path, chunk_records=8)) == records
 
     def test_iter_capture_file_accepts_open_stream(self):
         records = [RawRecord(tag=5, time=9)]
-        assert list(iter_capture_file(self._file(records))) == records
+        assert list(iter_records(self._file(records))) == records
 
     def test_iter_capture_file_bad_magic(self):
         with pytest.raises(ValueError, match="magic"):
-            list(iter_capture_file(io.BytesIO(b"NOPE\x00\x00\x00\x00")))
+            list(iter_records(io.BytesIO(b"NOPE\x00\x00\x00\x00")))
 
     def test_iter_capture_file_count_mismatch_raises_at_end(self):
         records = [RawRecord(tag=1, time=2), RawRecord(tag=3, time=4)]
-        blob = MAGIC + (9).to_bytes(4, "big") + dump_records(records)
-        iterator = iter_capture_file(io.BytesIO(blob))
+        blob = MAGIC + (9).to_bytes(4, "big") + record_bytes(records)
+        iterator = iter_records(io.BytesIO(blob))
         assert next(iterator) == records[0]
         assert next(iterator) == records[1]
         with pytest.raises(ValueError, match="claims 9"):
@@ -157,8 +157,8 @@ class TestStreamingCaptureIO:
 
     def test_iter_capture_file_count_check_can_be_disabled(self):
         records = [RawRecord(tag=1, time=2)]
-        blob = MAGIC + (9).to_bytes(4, "big") + dump_records(records)
-        assert list(iter_capture_file(io.BytesIO(blob), verify_count=False)) == records
+        blob = MAGIC + (9).to_bytes(4, "big") + record_bytes(records)
+        assert list(iter_records(io.BytesIO(blob), verify_count=False)) == records
 
     def test_write_capture_stream_from_generator(self, tmp_path):
         path = tmp_path / "gen.mpf"
@@ -167,7 +167,7 @@ class TestStreamingCaptureIO:
         )
         assert count == 100
         # Batch reader accepts it: the backpatched count is correct.
-        assert read_capture_file(path) == [
+        assert read_records(path) == [
             RawRecord(tag=i, time=i) for i in range(100)
         ]
 
@@ -175,14 +175,14 @@ class TestStreamingCaptureIO:
         buffer = io.BytesIO()
         assert write_capture_stream(buffer, iter(())) == 0
         buffer.seek(0)
-        assert read_capture_file(buffer) == []
+        assert read_records(buffer) == []
 
     @given(records=records_strategy)
     def test_streaming_and_batch_formats_are_identical(self, records):
         streamed = io.BytesIO()
         write_capture_stream(streamed, iter(records))
         batch = io.BytesIO()
-        write_capture_file(batch, records)
+        write_capture_file(batch, columns_of(records))
         assert streamed.getvalue() == batch.getvalue()
 
 
@@ -226,7 +226,7 @@ class TestCaptureFormatErrorContract:
         for reader in (
             lambda s: read_capture_meta(s),
             lambda s: read_capture(s),
-            lambda s: list(iter_capture_file(s)),
+            lambda s: list(iter_records(s)),
             lambda s: list(iter_capture_columns(s)),
         ):
             with pytest.raises(CaptureFormatError) as excinfo:
@@ -249,7 +249,7 @@ class TestCaptureFormatErrorContract:
             messages = set()
             for reader in (
                 lambda s: read_capture(s),
-                lambda s: list(iter_capture_file(s)),
+                lambda s: list(iter_records(s)),
                 lambda s: list(iter_capture_columns(s)),
             ):
                 with pytest.raises(CaptureFormatError) as excinfo:
@@ -258,26 +258,23 @@ class TestCaptureFormatErrorContract:
             assert len(messages) == 1, f"{fault}: {messages}"
 
     def test_trailing_garbage_raises_everywhere(self):
-        """Trailing partial-record bytes: one exception type from every
-        reader.  The streaming readers agree on wording; the batch reader
-        sees the whole ragged payload at once and says so."""
+        """Trailing partial-record bytes: one exception and one message
+        from every reader, whole-file or streaming."""
         blob = self._v2_file([RawRecord(tag=1, time=2)]) + b"\x00\x00"
-        streaming_messages = set()
+        messages = set()
         for reader in (
-            lambda s: list(iter_capture_file(s)),
+            lambda s: read_capture(s),
             lambda s: list(iter_capture_columns(s)),
         ):
-            with pytest.raises(CaptureFormatError, match="partial") as excinfo:
+            with pytest.raises(CaptureFormatError) as excinfo:
                 reader(io.BytesIO(blob))
-            streaming_messages.add(str(excinfo.value))
-        assert len(streaming_messages) == 1
-        with pytest.raises(CaptureFormatError, match="not a multiple"):
-            read_capture(io.BytesIO(blob))
+            messages.add(str(excinfo.value))
+        assert messages == {"record stream ends with a partial 2-byte record"}
 
     def test_ragged_stream_raises_in_both_record_decoders(self):
         blob = b"\x00" * 7
         with pytest.raises(CaptureFormatError, match="not a multiple"):
-            load_records(blob)
+            oracles.load_records(blob)
         with pytest.raises(CaptureFormatError, match="not a multiple"):
             decode_record_columns(blob)
 
@@ -288,7 +285,7 @@ class TestCaptureFormatErrorContract:
         assert meta.count == 7
         assert stream.tell() == 0
         # The probe composes with a subsequent full read.
-        assert list(iter_capture_file(stream)) == records
+        assert list(iter_records(stream)) == records
 
     def test_meta_probe_leaves_non_seekable_at_first_record(self):
         records = [RawRecord(tag=i, time=i * 3) for i in range(7)]
@@ -296,7 +293,7 @@ class TestCaptureFormatErrorContract:
         meta = read_capture_meta(stream)
         assert meta.count == 7
         # Documented contract: a pipe is positioned at the record bytes.
-        assert load_records(stream.read()) == records
+        assert decode_record_columns(stream.read()).to_records() == records
 
     def test_meta_probe_same_error_seekable_or_not(self):
         damaged = b"MP"

@@ -44,6 +44,7 @@ from repro.lint import (
 )
 from repro.profiler.ram import RawRecord
 from repro.sim.bus import ISA_HOLE_START
+from stream_helpers import columns_of
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 GOLDEN_CAPTURES = sorted(GOLDEN_DIR.glob("*.mpf"))
@@ -279,12 +280,12 @@ def R(tag: int, time: int) -> RawRecord:
 class TestStreamLint:
     def test_balanced_stream_is_clean(self):
         records = [R(500, 10), R(502, 20), R(503, 30), R(501, 40)]
-        report = lint_records(records, _names())
+        report = lint_records(columns_of(records), _names())
         assert report.ok and len(report) == 0
 
     def test_p202_timer_regression(self):
         records = [R(500, 100), R(502, 90), R(503, 95), R(501, 110)]
-        report = lint_records(records, _names())
+        report = lint_records(columns_of(records), _names())
         assert "P202" in codes(report)
         regression = next(d for d in report if d.code == "P202")
         assert regression.index == 1
@@ -292,7 +293,7 @@ class TestStreamLint:
     def test_p202_time_exceeds_counter_width(self):
         # A 16-bit board cannot have latched a 17-bit count.
         report = lint_records(
-            [R(500, 1 << 17)], _names(), width_bits=16, ram_depth=None
+            columns_of([R(500, 1 << 17)]), _names(), width_bits=16, ram_depth=None
         )
         assert "P202" in codes(report)
 
@@ -300,24 +301,24 @@ class TestStreamLint:
         """The 24-bit counter wrapping once between records is normal."""
         top = (1 << 24) - 5
         records = [R(500, top), R(502, 3), R(503, 8), R(501, 12)]
-        report = lint_records(records, _names())
+        report = lint_records(columns_of(records), _names())
         assert "P202" not in codes(report)
 
     def test_p203_unknown_tag(self):
         records = [R(500, 10), R(9998, 20), R(501, 30)]
-        report = lint_records(records, _names())
+        report = lint_records(columns_of(records), _names())
         assert "P203" in codes(report)
 
     def test_p205_mismatched_exit_is_the_desync_signature(self):
         # exit of main while read is still the innermost open frame
         records = [R(500, 10), R(502, 20), R(501, 30), R(503, 40)]
-        report = lint_records(records, _names())
+        report = lint_records(columns_of(records), _names())
         assert codes(report).count("P205") == 2
         assert not report.ok
 
     def test_p201_open_frames_at_eof(self):
         records = [R(500, 10), R(502, 20)]
-        report = lint_records(records, _names())
+        report = lint_records(columns_of(records), _names())
         assert codes(report) == ["P201"]
         assert report[0].severity is Severity.WARNING
 
@@ -325,20 +326,20 @@ class TestStreamLint:
         records = [R(500, 2 * i) for i in range(4)] + [
             R(501, 100 + 2 * i) for i in range(4)
         ]
-        report = lint_records(records, _names(), ram_depth=8)
+        report = lint_records(columns_of(records), _names(), ram_depth=8)
         assert "P204" in codes(report)
-        assert lint_records(records, _names(), ram_depth=None).ok
+        assert lint_records(columns_of(records), _names(), ram_depth=None).ok
 
     def test_p206_interrupt_nesting_beyond_ipl_count(self):
         records = [R(504, 10 * i) for i in range(1, 9)]
-        report = lint_records(records, _names())
+        report = lint_records(columns_of(records), _names())
         assert "P206" in codes(report)
         seven_deep = [R(504, 10 * i) for i in range(1, 8)]
-        assert "P206" not in codes(lint_records(seven_deep, _names()))
+        assert "P206" not in codes(lint_records(columns_of(seven_deep), _names()))
 
     def test_p207_unmatched_swtch_exit(self):
         records = [R(601, 10)]
-        report = lint_records(records, _names())
+        report = lint_records(columns_of(records), _names())
         assert "P207" in codes(report)
 
     def test_p200_truncated_file(self, tmp_path):
@@ -505,5 +506,5 @@ class TestReporting:
     def test_reports_accumulate_across_passes(self):
         report = LintReport()
         lint_name_file_text("main/510\nmain/502\n", report=report)
-        lint_records([R(9998, 10)], _names(), report=report)
+        lint_records(columns_of([R(9998, 10)]), _names(), report=report)
         assert codes(report) == ["P001", "P203"]

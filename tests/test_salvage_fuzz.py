@@ -34,11 +34,7 @@ import pytest
 
 import oracles
 from repro.profiler.ram import RawRecord
-from repro.profiler.upload import (
-    dump_records,
-    salvage_capture_bytes,
-    write_capture_stream,
-)
+from repro.profiler.upload import salvage_capture_bytes, write_capture_stream
 
 GOLDEN = Path(__file__).parent / "golden"
 EXPECTED_PATH = GOLDEN / "salvage_fuzz_expected.json"
@@ -103,9 +99,7 @@ def salvage_fingerprint(blob: bytes, decode: str) -> dict:
     result = salvage_bytes(blob, decode)
     return {
         "records": len(result.records),
-        "records_sha256": hashlib.sha256(
-            dump_records(result.records)
-        ).hexdigest(),
+        "records_sha256": hashlib.sha256(result.records.to_bytes()).hexdigest(),
         "defects": [
             {"kind": d.kind, "message": d.message, "offset": d.offset}
             for d in result.defects

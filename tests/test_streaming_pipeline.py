@@ -18,10 +18,9 @@ import random
 import pytest
 
 import oracles
-from stream_helpers import make_names
+from stream_helpers import columns_of, make_names
 
 from repro.analysis.callstack import analyze_capture
-from repro.analysis.columnar import columns_from_records
 from repro.analysis.summary import (
     SummaryAccumulator,
     fold_columns,
@@ -119,7 +118,7 @@ def batch_summary(records):
 def fold(records, batches):
     """The fold over *records* fed as the given consecutive batches."""
     return fold_columns(
-        (columns_from_records(records[start:stop]) for start, stop in batches),
+        (columns_of(records[start:stop]) for start, stop in batches),
         NAMES,
     )
 
@@ -189,8 +188,8 @@ def test_wrap_across_chunk_boundary():
     ]
     accumulator = SummaryAccumulator(NAMES)
     # Feed in two chunks split across the wrap: state must carry over.
-    accumulator.feed_columns(columns_from_records(records[:2]))
-    accumulator.feed_columns(columns_from_records(records[2:]))
+    accumulator.feed_columns(columns_of(records[:2]))
+    accumulator.feed_columns(columns_of(records[2:]))
     accumulator.close()
     summary = accumulator.summary()
 

@@ -170,7 +170,7 @@ class TestEngineParity:
             system = build_case_study(engine=engine)
             capture = system.profile(lambda: run_user_workload(system))
             results[engine] = (
-                b"".join(record.pack() for record in capture.records),
+                capture.records.to_bytes(),
                 system.kernel.machine.clock.now_ns,
                 system.kernel.stats["user_triggers"],
             )
