@@ -510,7 +510,7 @@ def cmd_fleet_ingest(args: argparse.Namespace, out: Callable) -> int:
                 plan,
                 names,
                 jobs=args.jobs,
-                salvage="auto" if args.salvage else "off",
+                salvage=args.salvage,
                 progress=progress.update,
             )
         except FleetError as exc:
@@ -548,9 +548,8 @@ def cmd_fleet_serve(args: argparse.Namespace, out: Callable) -> int:
     """``repro fleet serve DIR``: watch an inbox, publish /metrics.
 
     Runs until SIGINT/SIGTERM (or ``--max-polls``); on the way out the
-    in-flight capture drains, the shared-memory arena flushes into the
-    telemetry registry, the final merged summary prints to stdout, and
-    the exit code is 0.
+    in-flight capture drains, the final merged summary prints to
+    stdout, and the exit code is 0.
     """
     from repro.fleet import FleetError, FleetServer
 
@@ -560,7 +559,7 @@ def cmd_fleet_serve(args: argparse.Namespace, out: Callable) -> int:
             args.root,
             names,
             jobs=args.jobs,
-            salvage="auto" if args.salvage else "off",
+            salvage=args.salvage,
             port=args.port,
             poll_s=args.poll,
             max_polls=args.max_polls,
@@ -1254,8 +1253,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="ingest a directory of captures as one corpus",
         description="Fleet-scale ingestion: decode and summarise every "
         "capture under a directory on a multiprocessing worker pool, "
-        "merge the results deterministically, and expose live metrics "
-        "through a shared-memory arena.",
+        "merge the results deterministically, and record each "
+        "capture's metrics in the telemetry registry.",
     )
     fleet_sub = fleet.add_subparsers(dest="fleet_command", required=True)
 
@@ -1305,10 +1304,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="long-running: watch DIR as an inbox and publish Prometheus "
         "metrics over HTTP",
         description="Poll DIR for new or changed capture files, ingest "
-        "them as they appear, and serve the shared-memory metrics at "
+        "them as they appear, and serve the fleet metrics at "
         "http://127.0.0.1:PORT/metrics.  SIGINT/SIGTERM drains the "
-        "in-flight capture, flushes the arena, prints the final merged "
-        "summary to stdout and exits 0.",
+        "in-flight capture, prints the final merged summary to stdout "
+        "and exits 0.",
     )
     _fleet_common(fleet_serve)
     fleet_serve.add_argument(

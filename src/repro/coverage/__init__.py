@@ -8,7 +8,7 @@ instrumented code that *didn't*.  Three legs:
   syscall/interrupt/scheduler entry points and the workload harness,
   giving the set of statically **reachable** instrumented functions;
 * :mod:`repro.coverage.corpus` — folds a directory of MPF capture files
-  (the fleet planner's corpus, decoded on the columnar leg) into
+  (the fleet planner's corpus, read by the fleet's corpus walker) into
   **observed** tag hit sets, grouped per workload by MPF2 label;
 * :mod:`repro.coverage.report` — crosses the two into the coverage
   report: per-workload coverage %, reachable-but-never-observed blind
@@ -28,7 +28,6 @@ from repro.coverage.callgraph import (
 from repro.coverage.corpus import (
     CaptureCoverage,
     CorpusCoverage,
-    scan_capture_coverage,
     scan_corpus,
 )
 from repro.coverage.hunt import (
@@ -73,6 +72,5 @@ __all__ = [
     "render_coverage_text",
     "render_hunt_json",
     "render_hunt_text",
-    "scan_capture_coverage",
     "scan_corpus",
 ]

@@ -3,8 +3,11 @@
 The runtime half of the coverage cross: fold every capture under a
 directory (planned by :func:`repro.fleet.ingest.plan_fleet`, so the scan
 order — and everything derived from it — is a pure function of the
-directory contents) into per-capture *observed tag* sets, decoded on the
-columnar batch leg (:func:`repro.profiler.upload.iter_capture_columns`).
+directory contents) into per-capture *observed tag* sets.  The captures
+are read by the fleet's corpus walker
+(:func:`repro.fleet.ingest.read_corpus`, salvage off) into a sink that
+collects each capture's distinct raw tags; the parent decodes those to
+names.
 
 A capture contributes the set of distinct function names its records
 decode to — entry, exit and inline tags all collapse onto the function
@@ -13,29 +16,30 @@ are carried as ``status="failed"`` rows (they become ``P605``
 diagnostics) rather than aborting the scan, so a corpus with one
 corrupt file still yields a coverage report over the rest.
 
-Workload grouping is by MPF2 label through the workload registry's
-:func:`repro.workloads.workload_for_label` (``cli: network`` and
-``hunt: network …`` both group under ``network``); labels the registry
-does not recognise group under the literal label, and unlabeled MPF1
-captures under ``<unlabeled>``.
+Workload grouping is by MPF2 label through
+:func:`repro.workloads.workload_tag` (``cli: network`` and ``hunt:
+network …`` both group under ``network``); labels the registry does not
+recognise group under the literal label, and unlabeled MPF1 captures
+under ``<unlabeled>``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
-import signal
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.fleet.ingest import FleetPlan, plan_fleet, resolve_jobs
+from repro.fleet.ingest import (
+    CorpusRow,
+    FleetPlan,
+    plan_fleet,
+    read_corpus,
+    resolve_jobs,
+)
 from repro.instrument.namefile import DUMMY_NAME, NameTable
-from repro.profiler.upload import cached_capture_meta, iter_capture_columns
-from repro.workloads import workload_for_label
-
-#: Group key for captures whose label decodes to no registry workload.
-UNLABELED = "<unlabeled>"
+from repro.profiler.ram import RecordColumns
+from repro.profiler.upload import CaptureMeta
+from repro.workloads import workload_tag
 
 
 @dataclasses.dataclass(frozen=True)
@@ -89,77 +93,45 @@ class CorpusCoverage:
         return tuple(c for c in self.captures if not c.ok)
 
 
-def _group_key(label: str) -> str:
-    workload = workload_for_label(label)
-    if workload is not None:
-        return workload
-    return label if label else UNLABELED
+class _TagSink:
+    """The corpus walker's coverage sink: one capture's distinct raw tags."""
+
+    def __init__(self, meta: CaptureMeta) -> None:
+        self.tags: set[int] = set()
+
+    def feed_columns(self, columns: RecordColumns) -> None:
+        self.tags.update(columns.tags)
+
+    def close(self) -> None:
+        pass
 
 
-def scan_capture_coverage(
-    path: Union[str, Path], names: NameTable, index: int = 0
+def _capture_coverage(
+    index: int, row: CorpusRow, names: NameTable
 ) -> CaptureCoverage:
-    """Scan one capture file into its observed-tag set.
-
-    Reader faults of any kind (missing file, truncation, bad magic, CRC
-    mismatch) produce a ``failed`` row carrying the error text — the
-    coverage accounting must stay total over the corpus.
-    """
-    source = str(path)
-    label = ""
-    try:
-        meta = cached_capture_meta(source)
-        label = meta.label
-        observed: set[str] = set()
-        unknown: set[int] = set()
-        records = 0
-        for batch in iter_capture_columns(source):
-            records += len(batch)
-            for value in set(batch.tags):
-                decoded = names.decode(value)
-                if decoded is None:
-                    unknown.add(value)
-                else:
-                    observed.add(decoded[0].name)
+    """Decode one walker row's raw tag set to observed function names."""
+    label = row.meta.label if row.meta is not None else ""
+    observed: set[str] = set()
+    unknown: set[int] = set()
+    if row.sink is not None:
+        for value in row.sink.tags:
+            decoded = names.decode(value)
+            if decoded is None:
+                unknown.add(value)
+            else:
+                observed.add(decoded[0].name)
         observed.discard(DUMMY_NAME)
-        return CaptureCoverage(
-            index=index,
-            path=source,
-            label=label,
-            workload=_group_key(label),
-            status="ok",
-            records=records,
-            observed=frozenset(observed),
-            unknown_tags=len(unknown),
-        )
-    except (OSError, ValueError) as exc:
-        return CaptureCoverage(
-            index=index,
-            path=source,
-            label=label,
-            workload=_group_key(label),
-            status="failed",
-            records=0,
-            observed=frozenset(),
-            unknown_tags=0,
-            error=str(exc),
-        )
-
-
-# -- the parallel scan --------------------------------------------------------
-
-_worker_names: Optional[NameTable] = None
-
-
-def _init_worker(names: NameTable) -> None:
-    global _worker_names
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    _worker_names = names
-
-
-def _pool_scan_one(index: int, path: str) -> CaptureCoverage:
-    assert _worker_names is not None
-    return scan_capture_coverage(path, _worker_names, index=index)
+    return CaptureCoverage(
+        index=index,
+        path=row.path,
+        label=label,
+        workload=workload_tag(label),
+        status="ok" if row.ok else "failed",
+        records=row.records,
+        observed=frozenset(observed),
+        unknown_tags=len(unknown),
+        error=row.error,
+    )
 
 
 def scan_corpus(
@@ -169,43 +141,32 @@ def scan_corpus(
 ) -> CorpusCoverage:
     """Scan a whole corpus into per-capture observed-tag sets.
 
-    ``jobs=1`` runs inline; higher counts fan the per-capture scans over
-    a fork-context process pool.  Results are keyed back to plan order,
-    so the corpus coverage — like the fleet merge it mirrors — is
-    byte-identical for every worker count and submission order.
+    ``jobs=1`` walks inline; higher counts run the walker's process
+    pool.  Rows come back in plan order, so the corpus coverage — like
+    the fleet merge it mirrors — is byte-identical for every worker
+    count.
     """
     plan = (
         plan_or_root
         if isinstance(plan_or_root, FleetPlan)
         else plan_fleet(plan_or_root)
     )
-    jobs = resolve_jobs(jobs)
-    if jobs == 1 or len(plan) <= 1:
-        rows = [
-            scan_capture_coverage(capture.path, names, index=capture.index)
-            for capture in plan.captures
-        ]
-    else:
-        context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(
-            max_workers=jobs,
-            mp_context=context,
-            initializer=_init_worker,
-            initargs=(names,),
-        ) as pool:
-            futures = [
-                pool.submit(_pool_scan_one, capture.index, capture.path)
-                for capture in plan.captures
-            ]
-            rows = [future.result() for future in futures]
-        rows.sort(key=lambda row: row.index)
-    return CorpusCoverage(root=plan.root, captures=tuple(rows))
+    rows = read_corpus(
+        [capture.path for capture in plan.captures],
+        _TagSink,
+        jobs=resolve_jobs(jobs),
+    )
+    return CorpusCoverage(
+        root=plan.root,
+        captures=tuple(
+            _capture_coverage(capture.index, row, names)
+            for row, capture in zip(rows, plan.captures)
+        ),
+    )
 
 
 __all__ = [
-    "UNLABELED",
     "CaptureCoverage",
     "CorpusCoverage",
-    "scan_capture_coverage",
     "scan_corpus",
 ]

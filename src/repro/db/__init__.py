@@ -13,8 +13,8 @@ with a CI-gateable exit code.
 Modules:
 
 * :mod:`repro.db.schema` — tables, schema version, :func:`connect`;
-* :mod:`repro.db.ingest` — idempotent capture ingestion (columnar leg
-  with salvage fallback);
+* :mod:`repro.db.ingest` — idempotent capture ingestion (the fleet's
+  corpus walker, with its salvage fallback);
 * :mod:`repro.db.query` — run catalog and per-function queries;
 * :mod:`repro.db.diff` — the pooled statistical diff;
 * :mod:`repro.db.render` — deterministic text/JSON reporters.
@@ -33,15 +33,7 @@ from repro.db.diff import (
     VERDICTS,
     diff_runs,
 )
-from repro.db.ingest import (
-    DB_PATTERNS,
-    RunIngest,
-    UNLABELED,
-    discover_captures,
-    ingest_capture,
-    ingest_paths,
-    workload_tag,
-)
+from repro.db.ingest import RunIngest, ingest_capture, ingest_paths
 from repro.db.query import (
     DEFAULT_FUNCTION_SORT,
     FUNCTION_SORTS,
@@ -65,7 +57,6 @@ from repro.db.render import (
 from repro.db.schema import SCHEMA_VERSION, ProfileDbError, connect
 
 __all__ = [
-    "DB_PATTERNS",
     "DEFAULT_FUNCTION_SORT",
     "DiffReport",
     "DiffThresholds",
@@ -78,11 +69,9 @@ __all__ = [
     "RunRow",
     "SCHEMA_VERSION",
     "SideStats",
-    "UNLABELED",
     "VERDICTS",
     "connect",
     "diff_runs",
-    "discover_captures",
     "function_row_count",
     "ingest_capture",
     "ingest_paths",
@@ -96,5 +85,4 @@ __all__ = [
     "render_runs_text",
     "resolve_runs",
     "run_count",
-    "workload_tag",
 ]

@@ -1,59 +1,36 @@
 """Ingesting captures into the profile corpus database.
 
-The decode leg is the columnar fast path —
-:func:`~repro.profiler.upload.iter_capture_columns` feeding
-:meth:`~repro.analysis.summary.SummaryAccumulator.feed_columns` — with
-the fleet engine's salvage fallback for damaged files.  Each capture
-lands as one ``runs`` row plus its per-function ``functions`` rows.
+The decode leg is the fleet's corpus walker
+(:func:`~repro.fleet.ingest.read_corpus`): the columnar fold of
+:func:`~repro.profiler.upload.iter_capture_columns` into a
+:class:`~repro.analysis.summary.SummaryAccumulator` per capture, with
+the walker's salvage fallback for damaged files.  Each capture lands as
+one ``runs`` row plus its per-function ``functions`` rows.
 
 Idempotence is the design center: a run is keyed by the SHA-256 of the
-capture file's bytes, inserted inside one transaction, and a fingerprint
-already present is skipped without touching a row.  Ingesting the same
-corpus twice — or the same capture under two paths — changes nothing,
-which is what lets ``repro db ingest`` run from cron against a growing
-inbox and what the CI idempotence job asserts.
+capture file's bytes, and a fingerprint already present is skipped by
+the walker before any decode, without touching a row.  Rows are
+inserted one transaction per run, in path order, behind a second
+fingerprint check that catches one file's bytes under two paths in the
+same pass.  Ingesting the same corpus twice — or the same capture under
+two paths — changes nothing, which is what lets ``repro db ingest`` run
+from cron against a growing inbox and what the CI idempotence job
+asserts.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import io
+import functools
 import sqlite3
 from pathlib import Path
 from typing import List, Optional, Sequence, Union
 
-from repro.analysis.summary import ProfileSummary, SummaryAccumulator
 from repro.db.schema import ProfileDbError
+from repro.fleet.ingest import CorpusRow, discover_captures, new_summary, read_corpus
 from repro.instrument.namefile import NameTable
-from repro.profiler.upload import (
-    CaptureFormatError,
-    CaptureMeta,
-    cached_capture_meta,
-    iter_capture_columns,
-    salvage_capture_bytes,
-)
 from repro.telemetry import TELEMETRY as _TELEMETRY
-from repro.workloads import workload_for_label
-
-#: File patterns a directory ingest sweeps up (mirrors the fleet plan).
-DB_PATTERNS = ("*.mpf", "*.mpf.corrupt")
-
-#: Workload tag for captures whose label decodes to no registry workload.
-UNLABELED = "<unlabeled>"
-
-
-def workload_tag(label: str) -> str:
-    """The grouping tag for one capture label.
-
-    Registry labels (``cli: network``, ``hunt: network …``) group under
-    the registry workload name; unrecognised labels group under the
-    literal label; empty (MPF1) labels under :data:`UNLABELED`.
-    """
-    workload = workload_for_label(label)
-    if workload is not None:
-        return workload
-    return label if label else UNLABELED
+from repro.workloads import workload_tag
 
 
 @dataclasses.dataclass(frozen=True)
@@ -81,121 +58,36 @@ class RunIngest:
         return self.status != "failed"
 
 
-def discover_captures(
-    paths: Sequence[Union[str, Path]],
-    *,
-    patterns: Sequence[str] = DB_PATTERNS,
-) -> List[str]:
-    """Expand files/directories into a path-sorted capture list.
-
-    Directories are swept for :data:`DB_PATTERNS`; explicit files are
-    taken as given (whatever their suffix).  The result is sorted and
-    de-duplicated so the ingest order — and therefore every report row
-    index — is a pure function of the arguments.
-    """
-    seen: set = set()
-    found: List[str] = []
-    for item in paths:
-        p = Path(item)
-        if p.is_dir():
-            hits: List[Path] = []
-            for pattern in patterns:
-                hits.extend(h for h in p.glob(pattern) if h.is_file())
-            for hit in sorted(hits):
-                key = str(hit)
-                if key not in seen:
-                    seen.add(key)
-                    found.append(key)
-        else:
-            key = str(p)
-            if key not in seen:
-                seen.add(key)
-                found.append(key)
-    return sorted(found)
-
-
-def _summarize_blob(
-    blob: bytes, names: NameTable, *, salvage: bool
-) -> "tuple[Optional[ProfileSummary], Optional[CaptureMeta], str, int, str]":
-    """Decode one capture blob: (summary, meta, status, defects, error)."""
-    error = ""
-    meta: Optional[CaptureMeta] = None
-    try:
-        meta = cached_capture_meta(io.BytesIO(blob))
-    except (CaptureFormatError, ValueError) as exc:
-        error = str(exc)
-    if meta is not None:
-        accumulator = SummaryAccumulator(
-            names, width_bits=meta.counter_width_bits
-        )
-        try:
-            for batch in iter_capture_columns(io.BytesIO(blob)):
-                accumulator.feed_columns(batch)
-            return accumulator.summary(), meta, "ok", 0, ""
-        except (CaptureFormatError, ValueError) as exc:
-            error = str(exc)
-    if not salvage:
-        return None, meta, "failed", 0, error
-    result = salvage_capture_bytes(blob)
-    if result.meta.version == 0:
-        error = "not recognisably a capture: " + "; ".join(
-            d.message for d in result.defects[:2]
-        )
-        return None, result.meta, "failed", len(result.defects), error
-    accumulator = SummaryAccumulator(
-        names, width_bits=result.meta.counter_width_bits
-    )
-    accumulator.feed_columns(result.records)
-    return accumulator.summary(), result.meta, "salvaged", len(result.defects), ""
-
-
-def ingest_capture(
-    conn: sqlite3.Connection,
-    path: Union[str, Path],
-    names: NameTable,
-    *,
-    salvage: bool = False,
-    workload: Optional[str] = None,
+def _insert_run(
+    conn: sqlite3.Connection, row: CorpusRow, workload: Optional[str]
 ) -> RunIngest:
-    """Ingest one capture file as one run (idempotent).
-
-    The file is read once; its SHA-256 is both the duplicate check and
-    the run's public identity.  ``workload`` overrides the tag parsed
-    from the capture label (useful for hand-rolled captures whose labels
-    the registry does not know).
-    """
-    source = str(path)
-    try:
-        blob = Path(path).read_bytes()
-    except OSError as exc:
-        return RunIngest(
-            path=source, fingerprint="", status="failed", error=str(exc)
-        )
-    fingerprint = hashlib.sha256(blob).hexdigest()
-    existing = conn.execute(
-        "SELECT 1 FROM runs WHERE fingerprint = ?", (fingerprint,)
-    ).fetchone()
-    if existing is not None:
+    """Turn one walker row into a ``runs`` row (or say why not)."""
+    duplicate = row.status == "skipped" or (
+        row.ok
+        and conn.execute(
+            "SELECT 1 FROM runs WHERE fingerprint = ?", (row.fingerprint,)
+        ).fetchone()
+        is not None
+    )
+    if duplicate:
         if _TELEMETRY.enabled:
             _TELEMETRY.count("db.runs.skipped")
         return RunIngest(
-            path=source, fingerprint=fingerprint, status="duplicate"
+            path=row.path, fingerprint=row.fingerprint, status="duplicate"
         )
-    summary, meta, status, defects, error = _summarize_blob(
-        blob, names, salvage=salvage
-    )
-    if summary is None:
+    if not row.ok:
         if _TELEMETRY.enabled:
             _TELEMETRY.count("db.runs.failed")
         return RunIngest(
-            path=source,
-            fingerprint=fingerprint,
+            path=row.path,
+            fingerprint=row.fingerprint,
             status="failed",
-            defects=defects,
-            error=error,
+            defects=row.defects,
+            error=row.error,
         )
-    label = meta.label
-    tag = workload if workload is not None else workload_tag(label)
+    meta = row.meta
+    summary = row.sink.summary()
+    tag = workload if workload is not None else workload_tag(meta.label)
     with conn:
         cursor = conn.execute(
             "INSERT INTO runs (fingerprint, path, label, workload,"
@@ -204,16 +96,16 @@ def ingest_capture(
             " event_count)"
             " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
             (
-                fingerprint,
-                source,
-                label,
+                row.fingerprint,
+                row.path,
+                meta.label,
                 tag,
                 meta.version,
                 meta.counter_width_bits,
                 meta.counter_rate_hz,
                 int(meta.overflowed),
-                int(status == "salvaged"),
-                defects,
+                int(row.status == "salvaged"),
+                row.defects,
                 summary.event_count,
                 summary.wall_us,
                 summary.busy_us,
@@ -246,15 +138,55 @@ def ingest_capture(
         _TELEMETRY.count("db.runs.ingested")
         _TELEMETRY.count("db.functions.inserted", len(rows))
     return RunIngest(
-        path=source,
-        fingerprint=fingerprint,
-        status="added" if status == "ok" else status,
+        path=row.path,
+        fingerprint=row.fingerprint,
+        status="added" if row.status == "ok" else row.status,
         workload=tag,
-        label=label,
+        label=meta.label,
         records=summary.event_count,
         functions=len(rows),
-        defects=defects,
+        defects=row.defects,
     )
+
+
+def _ingest(
+    conn: sqlite3.Connection,
+    paths: Sequence[str],
+    names: NameTable,
+    *,
+    salvage: bool,
+    workload: Optional[str],
+) -> List[RunIngest]:
+    """Walk *paths* inline, skipping fingerprints already in ``runs``."""
+    known = frozenset(
+        fingerprint
+        for (fingerprint,) in conn.execute("SELECT fingerprint FROM runs")
+    )
+    rows = read_corpus(
+        paths, functools.partial(new_summary, names), salvage=salvage, skip=known
+    )
+    return [_insert_run(conn, row, workload) for row in rows]
+
+
+def ingest_capture(
+    conn: sqlite3.Connection,
+    path: Union[str, Path],
+    names: NameTable,
+    *,
+    salvage: bool = False,
+    workload: Optional[str] = None,
+) -> RunIngest:
+    """Ingest one capture file as one run (idempotent).
+
+    The file is read once; its SHA-256 is both the duplicate check and
+    the run's public identity.  ``workload`` overrides the tag parsed
+    from the capture label (useful for hand-rolled captures whose labels
+    the registry does not know).
+    """
+    (result,) = _ingest(
+        conn, [str(path)], names, salvage=salvage, workload=workload
+    )
+    return result
 
 
 def ingest_paths(
@@ -272,18 +204,7 @@ def ingest_paths(
             "no capture files found under "
             + ", ".join(str(p) for p in paths)
         )
-    telemetry = _TELEMETRY
-    if not telemetry.enabled:
-        return [
-            ingest_capture(
-                conn, capture, names, salvage=salvage, workload=workload
-            )
-            for capture in captures
-        ]
-    with telemetry.span("db.ingest", captures=len(captures)):
-        return [
-            ingest_capture(
-                conn, capture, names, salvage=salvage, workload=workload
-            )
-            for capture in captures
-        ]
+    with _TELEMETRY.span("db.ingest", captures=len(captures)):
+        return _ingest(
+            conn, captures, names, salvage=salvage, workload=workload
+        )

@@ -1,55 +1,54 @@
 """Fleet-scale capture ingestion: many MPF files as one profiling corpus.
 
-The throughput layer on top of the single-capture machinery: a
-multiprocessing worker pool drives the columnar decode path over a
-directory of captures, per-worker results fold through a deterministic
-merge tree, and cross-process metrics travel through a lock-free
-shared-memory arena into the telemetry registry.  See
-:mod:`repro.fleet.ingest` for the engine, :mod:`repro.fleet.arena` for
-the metrics transport, and :mod:`repro.fleet.serve` for the long-running
-inbox watcher behind ``repro fleet serve``.
+The throughput layer on top of the single-capture machinery: one corpus
+walker (:func:`~repro.fleet.ingest.read_corpus`) reads every capture
+under one fault and salvage rule, optionally across a fork process
+pool; the fleet folds the per-capture summaries through a deterministic
+merge, and each capture's metrics come back with its result into the
+telemetry registry.  ``db ingest`` and ``coverage`` walk their corpora
+through the same walker.  See :mod:`repro.fleet.ingest` for the engine
+and :mod:`repro.fleet.serve` for the long-running inbox watcher behind
+``repro fleet serve``.
 """
 
-from repro.fleet.arena import ArenaError, MetricsArena, StripeWriter
 from repro.fleet.ingest import (
     FLEET_COUNTERS,
     FLEET_HISTOGRAMS,
     FLEET_PATTERNS,
-    SALVAGE_MODES,
     CaptureReport,
+    CorpusRow,
     FleetCapture,
     FleetError,
     FleetPlan,
     FleetResult,
-    check_salvage_mode,
-    fleet_arena,
+    discover_captures,
     format_fleet_summary,
     ingest_fleet,
     merge_fleet,
+    new_summary,
     plan_fleet,
+    read_corpus,
     resolve_jobs,
 )
 from repro.fleet.serve import DEFAULT_POLL_S, FleetServer
 
 __all__ = [
-    "ArenaError",
-    "MetricsArena",
-    "StripeWriter",
     "FLEET_COUNTERS",
     "FLEET_HISTOGRAMS",
     "FLEET_PATTERNS",
-    "SALVAGE_MODES",
     "CaptureReport",
+    "CorpusRow",
     "FleetCapture",
     "FleetError",
     "FleetPlan",
     "FleetResult",
-    "check_salvage_mode",
-    "fleet_arena",
+    "discover_captures",
     "format_fleet_summary",
     "ingest_fleet",
     "merge_fleet",
+    "new_summary",
     "plan_fleet",
+    "read_corpus",
     "resolve_jobs",
     "DEFAULT_POLL_S",
     "FleetServer",

@@ -3,63 +3,79 @@
 The paper analyses one 16384-event capture at a time; the fleet engine
 treats thousands of them — an inbox drained by ``repro fleet serve`` or
 a corpus handed to ``repro fleet ingest`` — as a single unit of work.
-Three design rules, in priority order:
+
+:func:`read_corpus` is the one corpus walker, shared by ``fleet``,
+``db ingest`` and ``coverage``: it reads each capture's bytes once,
+applies one fault and salvage rule, feeds the records to a sink the
+caller supplies, and yields one :class:`CorpusRow` per capture in path
+order.  With ``jobs > 1`` the captures run in one fork-context process
+pool.  Each row carries its capture's stage times back with its result,
+so the parent records the ``fleet.*`` metrics as rows arrive.
+
+Two design rules for the fleet, in priority order:
 
 1. **Determinism.**  The merged fleet summary is byte-identical no
-   matter how many workers ran or in what order they finished.  Workers
-   return one sealed :class:`~repro.analysis.summary.SummaryAccumulator`
-   per capture; the parent folds them with
-   :meth:`~repro.analysis.summary.SummaryAccumulator.merge` strictly in
-   plan order (path-sorted), never completion order.  ``--jobs 1`` takes
-   an inline sequential path through the *same* fold, which is what the
-   CI smoke job diffs against.
-2. **The one fold per capture.**  Each worker runs the same columnar
+   matter how many workers ran or in what order they finished.  Each
+   capture's sink is one sealed
+   :class:`~repro.analysis.summary.SummaryAccumulator`; the parent folds
+   them with :meth:`~repro.analysis.summary.SummaryAccumulator.merge`
+   strictly in plan order (path-sorted), never completion order.
+   ``--jobs 1`` walks inline through the *same* per-capture code, which
+   is what the CI smoke job diffs against.
+2. **The one fold per capture.**  Each capture runs the same columnar
    fold as ``repro analyze``
    (:func:`~repro.profiler.upload.iter_capture_columns` feeding
    :meth:`~repro.analysis.summary.SummaryAccumulator.feed_columns`), and
    the pool adds capture-level parallelism on top.
-3. **Shared-memory observability.**  Forked workers cannot touch the
-   parent's telemetry registry, so fleet metrics go through the striped
-   :class:`~repro.fleet.arena.MetricsArena`; each pool worker owns one
-   stripe (single-writer, lock-free) and the parent sums stripes into
-   the PR 5 registry for the exporters.
 
-Salvage policy mirrors ``repro analyze``: ``"off"`` treats any decode
-fault as a failed capture; ``"auto"`` retries the faulty file through
-the ``capture doctor`` salvaging decoder and folds whatever survived,
-tagging the capture's manifest row ``salvaged``.
+Salvage mirrors ``repro analyze --salvage``: off, any decode fault fails
+the capture; on, the faulty bytes go through the ``capture doctor``
+salvaging decoder and whatever survived is folded, tagging the capture's
+row ``salvaged``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import functools
+import hashlib
+import io
+import multiprocessing
 import os
 import signal
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
-
-import multiprocessing
+from typing import (
+    Any,
+    Callable,
+    Collection,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.analysis.summary import SummaryAccumulator
-from repro.fleet.arena import MetricsArena, StripeWriter
 from repro.instrument.namefile import NameTable
 from repro.profiler.upload import (
-    CaptureFormatError,
     CaptureMeta,
     cached_capture_meta,
     iter_capture_columns,
-    salvage_capture,
+    read_capture_meta,
+    salvage_capture_bytes,
 )
+from repro.telemetry import TELEMETRY
 
-#: File patterns a fleet plan sweeps up, in match order.
+#: File patterns a directory sweep picks up.
 FLEET_PATTERNS: Tuple[str, ...] = ("*.mpf", "*.mpf.corrupt")
 
-#: Salvage policies: fail damaged captures, or route them through doctor.
-SALVAGE_MODES: Tuple[str, ...] = ("off", "auto")
-
-#: Counters every fleet arena carries (the README metric catalog).
+#: Counters every fleet ingest records (the README metric catalog).
 FLEET_COUNTERS: Tuple[str, ...] = (
     "fleet.captures.ingested",
     "fleet.captures.failed",
@@ -74,7 +90,7 @@ STAGE_BUCKETS_US: Tuple[float, ...] = (
     100_000.0, 500_000.0, 1_000_000.0, 5_000_000.0,
 )
 
-#: Per-stage latency histograms every fleet arena carries.
+#: Per-stage latency histograms every fleet ingest records.
 FLEET_HISTOGRAMS: Tuple[Tuple[str, Tuple[float, ...]], ...] = (
     ("fleet.stage.probe_us", STAGE_BUCKETS_US),
     ("fleet.stage.decode_us", STAGE_BUCKETS_US),
@@ -84,14 +100,6 @@ FLEET_HISTOGRAMS: Tuple[Tuple[str, Tuple[float, ...]], ...] = (
 
 class FleetError(RuntimeError):
     """The fleet engine was asked something impossible."""
-
-
-def check_salvage_mode(salvage: str) -> str:
-    if salvage not in SALVAGE_MODES:
-        raise FleetError(
-            f"unknown salvage policy {salvage!r}; pick one of {SALVAGE_MODES}"
-        )
-    return salvage
 
 
 @dataclasses.dataclass(frozen=True)
@@ -119,17 +127,6 @@ class FleetPlan:
     def __len__(self) -> int:
         return len(self.captures)
 
-    @property
-    def total_records(self) -> int:
-        # Open-ended (streamed) captures carry a sentinel header count;
-        # their true count lives in the trailer, which the probe does not
-        # read, so they contribute nothing to the planning total.
-        return sum(
-            c.meta.count
-            for c in self.captures
-            if c.meta is not None and not c.meta.streamed
-        )
-
 
 @dataclasses.dataclass(frozen=True)
 class CaptureReport:
@@ -137,8 +134,9 @@ class CaptureReport:
 
     ``status`` is ``ok`` (clean columnar decode), ``salvaged`` (doctor
     recovered records from a damaged file), or ``failed`` (nothing
-    usable; ``error`` says why).  ``elapsed_us`` is wall time inside the
-    worker — informational only, excluded from deterministic output.
+    usable; ``error`` says why).  ``elapsed_us`` is the wall time of the
+    walker stages the capture passed — informational only, excluded from
+    deterministic output.
     """
 
     index: int
@@ -185,7 +183,7 @@ class FleetResult:
     def manifest(self, *, timings: bool = False) -> List[dict]:
         """Per-capture manifest rows, plan-ordered.
 
-        Deterministic by default; ``timings=True`` adds the per-worker
+        Deterministic by default; ``timings=True`` adds the per-capture
         ``elapsed_us`` column (useful, but it varies run to run, so the
         CI diff and the determinism suite leave it off).
         """
@@ -208,218 +206,227 @@ class FleetResult:
         return rows
 
 
-def fleet_arena(stripes: int) -> MetricsArena:
-    """A fresh zeroed arena carrying the standard fleet metric catalog."""
-    return MetricsArena.create(FLEET_COUNTERS, FLEET_HISTOGRAMS, stripes)
+def discover_captures(paths: Sequence[Union[str, Path]]) -> List[str]:
+    """Expand files/directories into a path-sorted capture list.
+
+    Directories are swept for :data:`FLEET_PATTERNS`; explicit files are
+    taken as given (whatever their suffix).  The result is sorted and
+    de-duplicated so the walk order — and therefore every report row
+    index — is a pure function of the arguments.
+    """
+    found: set = set()
+    for item in paths:
+        p = Path(item)
+        if p.is_dir():
+            for pattern in FLEET_PATTERNS:
+                found.update(str(hit) for hit in p.glob(pattern) if hit.is_file())
+        else:
+            found.add(str(p))
+    return sorted(found)
 
 
-def plan_fleet(
-    root: Union[str, Path],
-    *,
-    patterns: Sequence[str] = FLEET_PATTERNS,
-    probe: bool = True,
-) -> FleetPlan:
+def plan_fleet(root: Union[str, Path]) -> FleetPlan:
     """Sweep *root* for capture files and build the deterministic plan.
 
-    ``probe=True`` reads every header through the ``(path, mtime, size)``
-    cache (:func:`~repro.profiler.upload.cached_capture_meta`), so a
-    serve-mode rescan of an unchanged inbox costs one ``stat()`` per
-    file; unreadable headers land in the plan with ``probe_error`` set
-    rather than aborting the sweep (the ingest stage decides whether
-    salvage can still use them).
+    Every header is probed through the ``(path, mtime, size)`` cache
+    (:func:`~repro.profiler.upload.cached_capture_meta`) for the P5xx
+    plan lint, so a serve-mode rescan of an unchanged inbox costs one
+    ``stat()`` per file; unreadable headers land in the plan with
+    ``probe_error`` set rather than aborting the sweep (the walker
+    decides whether salvage can still use them).
     """
-    rootpath = Path(root)
-    if not rootpath.is_dir():
+    if not Path(root).is_dir():
         raise FleetError(f"fleet root {str(root)!r} is not a directory")
-    seen: set = set()
-    paths: List[str] = []
-    for pattern in patterns:
-        for hit in rootpath.glob(pattern):
-            if hit.is_file() and hit not in seen:
-                seen.add(hit)
-                paths.append(str(hit))
-    paths.sort()
     captures: List[FleetCapture] = []
-    for index, path in enumerate(paths):
+    for index, path in enumerate(discover_captures([root])):
         meta: Optional[CaptureMeta] = None
         error = ""
-        if probe:
-            started = time.perf_counter()
-            try:
-                meta = cached_capture_meta(path)
-            except (OSError, ValueError) as exc:
-                error = str(exc)
-            _observe_stage(
-                "fleet.stage.probe_us",
-                (time.perf_counter() - started) * 1e6,
-            )
+        try:
+            meta = cached_capture_meta(path)
+        except (OSError, ValueError) as exc:
+            error = str(exc)
         captures.append(FleetCapture(index, path, meta, error))
     return FleetPlan(root=str(root), captures=tuple(captures))
 
 
-# -- worker side ---------------------------------------------------------------
-#
-# Pool workers are primed once by _init_worker: the name table and the
-# salvage policy land in module globals, and the worker claims its stripe
-# of the shared arena.  Stripe choice uses the pool process's identity
-# (1-based, assigned at spawn) so each live worker writes a distinct
-# stripe — the single-writer contract the arena's lock-freedom rests on.
-
-_worker_names: Optional[NameTable] = None
-_worker_salvage: str = "off"
-_worker_writer: Optional[StripeWriter] = None
-_worker_arena: Optional[MetricsArena] = None
+# -- the corpus walker -----------------------------------------------------------
 
 
-def _observe_stage(name: str, value: float) -> None:
-    """Observe into the current process's stripe, if one is claimed.
+@dataclasses.dataclass
+class CorpusRow:
+    """One capture as :func:`read_corpus` read it.
 
-    Planning can run before any arena exists (the plain parent process);
-    inside a primed worker — or a serve loop that claimed the parent
-    stripe — the observation lands in shared memory like any other.
+    ``status`` is ``ok`` (clean decode), ``salvaged`` (the salvaging
+    decoder recovered records from damaged bytes), ``skipped`` (the
+    fingerprint was in the caller's skip set; nothing was decoded) or
+    ``failed`` (``error`` says why; no records and no sink).
+    ``fingerprint`` is the SHA-256 of the file's bytes (empty when they
+    could not be read).  ``meta`` is the header the records were read
+    under — the salvager's for a salvaged capture — or ``None`` when no
+    header could be read.  ``stage_us`` maps each stage the capture
+    passed (``probe``, ``decode``, ``salvage``) to its wall time in
+    microseconds, and ``sink`` is the fed and closed sink.
     """
-    writer = _worker_writer
-    if writer is not None:
-        writer.observe(name, value)
+
+    path: str
+    status: str
+    records: int = 0
+    defects: int = 0
+    error: str = ""
+    fingerprint: str = ""
+    meta: Optional[CaptureMeta] = None
+    stage_us: Dict[str, float] = dataclasses.field(default_factory=dict)
+    sink: Any = None
+
+    @property
+    def ok(self) -> bool:
+        return self.status in ("ok", "salvaged")
 
 
-def _claim_stripe(arena: MetricsArena) -> StripeWriter:
-    identity = multiprocessing.current_process()._identity
-    slot = (identity[0] - 1) % arena.stripes if identity else 0
-    return arena.writer(slot)
+#: Builds one capture's sink from its header: an object with
+#: ``feed_columns(columns)`` and ``close()``.  It must pickle (a
+#: module-level callable, or a :func:`functools.partial` of one) when
+#: the walker runs a pool.
+SinkFactory = Callable[[CaptureMeta], Any]
 
 
-def _init_worker(arena: MetricsArena, names: NameTable, salvage: str) -> None:
-    """Prime one pool worker (runs in the child, once per process).
-
-    SIGINT is ignored in workers: Ctrl-C lands in the parent, which
-    drains in-flight futures and shuts the pool down in order — the
-    "clear SIGINT, not a hang" contract ``repro fleet serve`` documents.
-    """
-    global _worker_names, _worker_salvage
-    global _worker_writer, _worker_arena
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    _worker_arena = arena
-    _worker_writer = _claim_stripe(arena)
-    _worker_names = names
-    _worker_salvage = salvage
+def new_summary(names: NameTable, meta: CaptureMeta) -> SummaryAccumulator:
+    """The summary sink of ``fleet`` and ``db``: a fold at the capture's
+    counter width.  Bind *names* with :func:`functools.partial`."""
+    return SummaryAccumulator(names, width_bits=meta.counter_width_bits)
 
 
-def _summarize_one(
-    path: str,
-    names: NameTable,
-    salvage: str,
-    writer: Optional[StripeWriter],
-) -> Tuple[CaptureReport, Optional[SummaryAccumulator]]:
-    """Decode + summarize one capture; the unit of fleet work.
-
-    Runs identically inline (``--jobs 1``) and inside a pool worker —
-    determinism falls out of that sharing, not of careful duplication.
-    """
-    started = time.perf_counter()
-    width_bits = 24
-    label = ""
-    version = 0
-    try:
-        meta = cached_capture_meta(path)
-        width_bits = meta.counter_width_bits
-        label = meta.label
-        version = meta.version
-    except (OSError, ValueError):
-        meta = None
-    accumulator = SummaryAccumulator(names, width_bits=width_bits)
-    status = "ok"
+def _fold(
+    new_sink: SinkFactory, meta: CaptureMeta, batches: Iterable[Any]
+) -> Tuple[Any, int]:
+    """A fresh sink for *meta*, fed every batch and closed; plus the
+    record count."""
+    sink = new_sink(meta)
     records = 0
-    defects = 0
-    error = ""
+    for batch in batches:
+        sink.feed_columns(batch)
+        records += len(batch)
+    sink.close()
+    return sink, records
+
+
+def _read_capture(
+    path: str, new_sink: SinkFactory, salvage: bool, skip: Collection[str]
+) -> CorpusRow:
+    """The walker's unit of work: one capture, bytes to sealed sink."""
+    started = time.perf_counter()
     try:
-        if meta is None:
-            raise CaptureFormatError("unreadable capture header")
-        for batch in iter_capture_columns(path):
-            accumulator.feed_columns(batch)
-            records += len(batch)
-        # Counted only after the whole file decoded clean: a fault part
-        # way through routes to salvage, which recounts from scratch.
-        if writer is not None:
-            writer.count("fleet.records.decoded", records)
-            writer.observe(
-                "fleet.stage.decode_us", (time.perf_counter() - started) * 1e6
-            )
+        blob = Path(path).read_bytes()
     except OSError as exc:
-        status, error = "failed", str(exc)
-    except (CaptureFormatError, ValueError) as exc:
-        if salvage != "auto":
-            status, error = "failed", str(exc)
-        else:
-            salvage_started = time.perf_counter()
-            try:
-                result = salvage_capture(path)
-            except OSError as os_exc:
-                result = None
-                status, error = "failed", str(os_exc)
-            if result is not None and result.meta.version == 0:
-                status = "failed"
-                error = "not recognisably a capture: " + "; ".join(
-                    d.message for d in result.defects[:2]
-                )
-            elif result is not None:
-                # The partial columnar feed above may have advanced the
-                # accumulator before the fault surfaced; salvage replays
-                # the file from scratch, so start clean.
-                accumulator = SummaryAccumulator(
-                    names, width_bits=result.meta.counter_width_bits
-                )
-                accumulator.feed_columns(result.records)
-                status = "salvaged"
-                records = len(result.records)
-                defects = len(result.defects)
-                label = result.meta.label
-                version = result.meta.version
-                error = ""
-                if writer is not None:
-                    writer.count("fleet.records.decoded", records)
-                    writer.count("fleet.salvage.recoveries")
-                    writer.count("fleet.salvage.defects", defects)
-                    writer.observe(
-                        "fleet.stage.salvage_us",
-                        (time.perf_counter() - salvage_started) * 1e6,
-                    )
-    if writer is not None:
-        writer.count(
-            "fleet.captures.ingested" if status != "failed"
-            else "fleet.captures.failed"
+        return CorpusRow(path, "failed", error=str(exc))
+    row = CorpusRow(path, "failed", fingerprint=hashlib.sha256(blob).hexdigest())
+    if row.fingerprint in skip:
+        row.status = "skipped"
+        return row
+    try:
+        row.meta = read_capture_meta(io.BytesIO(blob))
+        probed = time.perf_counter()
+        row.stage_us["probe"] = (probed - started) * 1e6
+        row.sink, row.records = _fold(
+            new_sink, row.meta, iter_capture_columns(io.BytesIO(blob))
         )
-    if status == "failed":
-        accumulator = None
+        row.status = "ok"
+        row.stage_us["decode"] = (time.perf_counter() - probed) * 1e6
+        return row
+    except ValueError as exc:  # CaptureFormatError is one
+        row.error = str(exc)
+    if not salvage:
+        return row
+    salvaging = time.perf_counter()
+    result = salvage_capture_bytes(blob)
+    row.defects = len(result.defects)
+    if result.meta.version == 0:
+        row.error = "not recognisably a capture: " + "; ".join(
+            d.message for d in result.defects[:2]
+        )
+        return row
+    row.meta = result.meta
+    try:
+        row.sink, row.records = _fold(new_sink, result.meta, (result.records,))
+    except ValueError as exc:
+        row.error = str(exc)
+        return row
+    row.status, row.error = "salvaged", ""
+    row.stage_us["salvage"] = (time.perf_counter() - salvaging) * 1e6
+    return row
+
+
+def read_corpus(
+    paths: Sequence[str],
+    new_sink: SinkFactory,
+    *,
+    salvage: bool = False,
+    jobs: int = 1,
+    skip: Collection[str] = frozenset(),
+) -> Iterator[CorpusRow]:
+    """Read every capture in *paths*; yield one :class:`CorpusRow` each,
+    in the order of *paths*.
+
+    Per capture: the bytes are read once and fingerprinted; a
+    fingerprint in *skip* yields a ``skipped`` row with no decode.
+    Otherwise the header is probed, ``new_sink(meta)`` is fed every
+    :func:`~repro.profiler.upload.iter_capture_columns` batch and
+    closed.  A format fault or :class:`ValueError` from the probe, the
+    reader or the sink fails the row — unless *salvage* is on, in which
+    case :func:`~repro.profiler.upload.salvage_capture_bytes` runs on
+    the same bytes and a fresh sink is fed what it recovered.  Failed
+    rows carry no records and no sink; their defect count is the
+    salvager's when salvage ran.
+
+    ``jobs > 1`` runs the captures in one fork-context process pool
+    whose workers ignore SIGINT: Ctrl-C lands in the parent, which
+    cancels the captures not yet started while those in flight finish.
+    """
+    if jobs == 1 or len(paths) <= 1:
+        for path in paths:
+            yield _read_capture(path, new_sink, salvage, skip)
+        return
+    with ProcessPoolExecutor(
+        max_workers=jobs,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=signal.signal,
+        initargs=(signal.SIGINT, signal.SIG_IGN),
+    ) as pool:
+        futures = [
+            pool.submit(_read_capture, path, new_sink, salvage, skip)
+            for path in paths
+        ]
+        try:
+            for future in futures:
+                yield future.result()
+        finally:
+            for future in futures:
+                future.cancel()
+
+
+# -- the fleet on top of the walker ------------------------------------------------
+
+
+def register_fleet_metrics() -> None:
+    """Register the whole fleet catalog, so every instrument scrapes from
+    the start, even at zero."""
+    for name in FLEET_COUNTERS:
+        TELEMETRY.counter(name)
+    for name, buckets in FLEET_HISTOGRAMS:
+        TELEMETRY.histogram(name, buckets=buckets)
+
+
+def _record_fleet_metrics(row: CorpusRow) -> None:
+    if row.ok:
+        TELEMETRY.count("fleet.captures.ingested")
+        TELEMETRY.count("fleet.records.decoded", row.records)
     else:
-        accumulator.close()
-    elapsed_us = int((time.perf_counter() - started) * 1e6)
-    report = CaptureReport(
-        index=-1,  # stamped by the caller, which knows the plan index
-        path=path,
-        status=status,
-        records=records,
-        defects=defects,
-        error=error,
-        label=label,
-        version=version,
-        elapsed_us=elapsed_us,
-    )
-    return report, accumulator
-
-
-def _pool_ingest_one(
-    index: int, path: str
-) -> Tuple[int, CaptureReport, Optional[SummaryAccumulator]]:
-    """The pool task: ingest one capture with the worker's primed state."""
-    assert _worker_names is not None, "worker not initialised"
-    report, accumulator = _summarize_one(
-        path, _worker_names, _worker_salvage, _worker_writer
-    )
-    return index, dataclasses.replace(report, index=index), accumulator
-
-
-# -- parent side ---------------------------------------------------------------
+        TELEMETRY.count("fleet.captures.failed")
+    if row.status == "salvaged":
+        TELEMETRY.count("fleet.salvage.recoveries")
+        TELEMETRY.count("fleet.salvage.defects", row.defects)
+    for stage, elapsed_us in row.stage_us.items():
+        TELEMETRY.observe(f"fleet.stage.{stage}_us", elapsed_us)
 
 
 def merge_fleet(
@@ -428,10 +435,9 @@ def merge_fleet(
 ) -> Optional[SummaryAccumulator]:
     """Fold per-capture accumulators in strict plan order.
 
-    *shards* may arrive in any order (pool completion order is
-    nondeterministic); the fold sorts by plan index first, so the merged
-    summary — including anomaly order — is a pure function of the plan.
-    Returns ``None`` when no capture contributed.
+    *shards* may arrive in any order; the fold sorts by plan index
+    first, so the merged summary — including anomaly order — is a pure
+    function of the plan.  Returns ``None`` when no capture contributed.
     """
     ordered = sorted(
         (pair for pair in shards if pair[1] is not None), key=lambda p: p[0]
@@ -458,90 +464,59 @@ def ingest_fleet(
     names: NameTable,
     *,
     jobs: int = 1,
-    salvage: str = "off",
-    arena: Optional[MetricsArena] = None,
+    salvage: bool = False,
     progress: Optional[Callable[[int], None]] = None,
 ) -> FleetResult:
-    """Ingest a whole fleet: plan, decode in parallel, merge in order.
+    """Ingest a whole fleet: plan, walk the corpus, merge in plan order.
 
-    ``jobs=1`` runs inline in this process (the sequential reference);
-    ``jobs>1`` spins a fork-context :class:`ProcessPoolExecutor` whose
-    workers share *arena* (one is created and torn down internally when
-    the caller does not pass one — pass your own to keep the metrics
-    alive across passes, as serve mode does).  The merged summary is
-    byte-identical across all worker counts.
+    ``jobs=1`` walks inline in this process (the sequential reference);
+    ``jobs>1`` runs the walker's process pool.  The merged summary is
+    byte-identical across all worker counts.  With telemetry enabled,
+    each capture's ``fleet.*`` metrics are recorded as its row arrives.
     """
-    check_salvage_mode(salvage)
     jobs = resolve_jobs(jobs)
     plan = (
         plan_or_root
         if isinstance(plan_or_root, FleetPlan)
         else plan_fleet(plan_or_root)
     )
-    own_arena = arena is None
-    if own_arena:
-        arena = fleet_arena(max(jobs, 1))
+    if TELEMETRY.enabled:
+        register_fleet_metrics()
     started = time.perf_counter()
     reports: List[CaptureReport] = []
     shards: List[Tuple[int, Optional[SummaryAccumulator]]] = []
-    try:
-        if jobs == 1 or len(plan) <= 1:
-            writer = arena.writer(0)
-            for capture in plan.captures:
-                report, accumulator = _summarize_one(
-                    capture.path, names, salvage, writer
+    rows = read_corpus(
+        [capture.path for capture in plan.captures],
+        functools.partial(new_summary, names),
+        salvage=salvage,
+        jobs=jobs,
+    )
+    with contextlib.closing(rows):
+        for row, capture in zip(rows, plan.captures):
+            _record_fleet_metrics(row)
+            reports.append(
+                CaptureReport(
+                    index=capture.index,
+                    path=row.path,
+                    status=row.status,
+                    records=row.records,
+                    defects=row.defects,
+                    error=row.error,
+                    label=row.meta.label if row.meta is not None else "",
+                    version=row.meta.version if row.meta is not None else 0,
+                    elapsed_us=int(sum(row.stage_us.values())),
                 )
-                reports.append(
-                    dataclasses.replace(report, index=capture.index)
-                )
-                shards.append((capture.index, accumulator))
-                if progress is not None:
-                    progress(1)
-        else:
-            # One stripe per worker: a pool of `jobs` processes gets
-            # `jobs` consecutive identities, and consecutive values
-            # modulo `jobs` stripes are pairwise distinct — so the
-            # single-writer contract holds even when serve mode builds
-            # a fresh pool per poll and identities keep counting up.
-            context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(
-                max_workers=jobs,
-                mp_context=context,
-                initializer=_init_worker,
-                initargs=(arena, names, salvage),
-            ) as pool:
-                futures = [
-                    pool.submit(_pool_ingest_one, capture.index, capture.path)
-                    for capture in plan.captures
-                ]
-                try:
-                    for future in futures:
-                        index, report, accumulator = future.result()
-                        reports.append(report)
-                        shards.append((index, accumulator))
-                        if progress is not None:
-                            progress(1)
-                except KeyboardInterrupt:
-                    # Drain what is in flight, cancel the rest: workers
-                    # ignore SIGINT, so in-progress captures complete and
-                    # the pool exits instead of hanging.
-                    for future in futures:
-                        future.cancel()
-                    raise
-            reports.sort(key=lambda r: r.index)
-        merged = merge_fleet(names, shards)
-        elapsed = time.perf_counter() - started
-        return FleetResult(
-            plan=plan,
-            reports=reports,
-            accumulator=merged,
-            jobs=jobs,
-            elapsed_s=elapsed,
-        )
-    finally:
-        if own_arena:
-            arena.close()
-            arena.unlink()
+            )
+            shards.append((capture.index, row.sink))
+            if progress is not None:
+                progress(1)
+    return FleetResult(
+        plan=plan,
+        reports=reports,
+        accumulator=merge_fleet(names, shards),
+        jobs=jobs,
+        elapsed_s=time.perf_counter() - started,
+    )
 
 
 def format_fleet_summary(

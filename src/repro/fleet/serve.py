@@ -4,20 +4,22 @@ The serve loop watches a directory the way a print spooler watches a
 queue: every poll it re-plans the fleet, ingests whatever files are new
 (or have changed — the seen-set is keyed ``(path, mtime_ns, size)``, the
 same token the header-probe cache validates against), and folds the new
-accumulators into the running fleet total in arrival order.  A
-:class:`ThreadingHTTPServer` publishes the shared-memory arena through
-the PR 5 Prometheus exporter at ``/metrics`` the whole time.
+accumulators into the running fleet total in arrival order.  Each
+capture's ``fleet.*`` metrics land in the telemetry registry as its row
+comes back from the corpus walker, and a :class:`ThreadingHTTPServer`
+renders that registry through the PR 5 Prometheus exporter at
+``/metrics`` the whole time.
 
 Shutdown is a contract, not an accident: SIGINT or SIGTERM mid-ingest
 means workers drain the in-flight capture (they ignore SIGINT; the
-parent owns the signal), the arena is flushed into the telemetry
-registry one last time, the final merged fleet summary is printed to
+parent owns the signal), the final merged fleet summary is printed to
 stdout, and the process exits 0.  ``--max-polls`` bounds the loop for
 CI smoke runs that cannot send signals portably.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import signal
 import threading
@@ -26,15 +28,13 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.summary import SummaryAccumulator
-from repro.fleet.arena import MetricsArena
 from repro.fleet.ingest import (
     CaptureReport,
     FleetPlan,
-    fleet_arena,
-    format_fleet_summary,
     ingest_fleet,
     merge_fleet,
     plan_fleet,
+    register_fleet_metrics,
     resolve_jobs,
 )
 from repro.instrument.namefile import NameTable
@@ -72,9 +72,9 @@ class MetricsHTTPServer(ThreadingHTTPServer):
     The shared scrape plumbing of ``repro fleet serve`` and ``repro live
     analyze``: bind (``port=0`` picks a free one, read it back from
     :attr:`port`), :meth:`start` a daemon thread, point Prometheus at
-    ``/metrics``.  Renders are serialised behind a lock because the
-    callable typically flushes shared state (the fleet arena, the live
-    accumulator snapshot) before formatting.
+    ``/metrics``.  Renders are serialised behind a lock because a
+    callable may flush shared state (the live accumulator snapshot)
+    before formatting.
     """
 
     daemon_threads = True
@@ -111,16 +111,6 @@ class MetricsHTTPServer(ThreadingHTTPServer):
         self.server_close()
 
 
-def _arena_render(arena: MetricsArena) -> Callable[[], str]:
-    """The fleet render: flush the shared-memory arena, then format."""
-
-    def render() -> str:
-        arena.publish_into(TELEMETRY)
-        return to_prometheus(TELEMETRY)
-
-    return render
-
-
 class FleetServer:
     """The inbox watcher: poll, ingest new captures, publish metrics.
 
@@ -137,7 +127,7 @@ class FleetServer:
         names: NameTable,
         *,
         jobs: int = 1,
-        salvage: str = "off",
+        salvage: bool = False,
         port: int = 0,
         poll_s: float = DEFAULT_POLL_S,
         max_polls: Optional[int] = None,
@@ -158,9 +148,11 @@ class FleetServer:
         # Telemetry must be live for the exporter to have anything to
         # say; a serve process exists to be scraped, so enable it.
         TELEMETRY.enable()
-        self.arena = fleet_arena(max(self.jobs, 1))
+        register_fleet_metrics()
         self._http = MetricsHTTPServer(
-            _arena_render(self.arena), port=port, name="fleet-metrics"
+            functools.partial(to_prometheus, TELEMETRY),
+            port=port,
+            name="fleet-metrics",
         )
         self.port = self._http.port
 
@@ -176,9 +168,6 @@ class FleetServer:
 
     def close(self) -> None:
         self._http.close()
-        self.arena.publish_into(TELEMETRY)
-        self.arena.close()
-        self.arena.unlink()
 
     # -- the loop --------------------------------------------------------------
 
@@ -214,7 +203,6 @@ class FleetServer:
             self.names,
             jobs=self.jobs,
             salvage=self.salvage,
-            arena=self.arena,
         )
         for report in result.reports:
             self.reports.append(report)

@@ -237,28 +237,6 @@ class Histogram(_Instrument):
         with self._lock:
             return tuple(self._bucket_counts)
 
-    def load(
-        self, bucket_counts: Sequence[int], count: int, total: Number
-    ) -> None:
-        """Overwrite this histogram with externally aggregated totals.
-
-        The bridge for cross-process aggregation (the fleet shared-memory
-        arena): workers observe into mmap-backed stripes, the parent sums
-        the stripes and loads the result here so the exporters see one
-        coherent histogram.  *bucket_counts* are cumulative in the
-        Prometheus style and must match this histogram's bucket count;
-        the implicit ``+Inf`` bucket is *count*.
-        """
-        if len(bucket_counts) != len(self.bucket_bounds):
-            raise MetricError(
-                f"histogram {self.name!r} has {len(self.bucket_bounds)} "
-                f"buckets; cannot load {len(bucket_counts)} counts"
-            )
-        with self._lock:
-            self._bucket_counts = list(bucket_counts)
-            self._count = count
-            self._sum = total
-
     def samples(self) -> list[MetricSample]:
         out: list[MetricSample] = []
         for labels, child in self._label_sets():

@@ -177,6 +177,23 @@ def workload_for_label(label: str) -> Optional[str]:
     return name if name in WORKLOAD_REGISTRY else None
 
 
+#: Workload tag for captures whose label decodes to no registry workload.
+UNLABELED = "<unlabeled>"
+
+
+def workload_tag(label: str) -> str:
+    """The grouping tag for one capture label.
+
+    Registry labels (``cli: network``, ``hunt: network …``) group under
+    the registry workload name; unrecognised labels group under the
+    literal label; empty (MPF1) labels under :data:`UNLABELED`.
+    """
+    workload = workload_for_label(label)
+    if workload is not None:
+        return workload
+    return label if label else UNLABELED
+
+
 # -- the registry itself ------------------------------------------------------
 
 
@@ -448,6 +465,8 @@ __all__ = [
     "nfs_read_stream",
     "registry_json",
     "workload_for_label",
+    "workload_tag",
+    "UNLABELED",
     "BtreeMib",
     "LinearMib",
     "SnmpResult",

@@ -23,7 +23,6 @@ from repro.coverage import (
     coverage_diagnostics,
     hunt_coverage,
     render_coverage_json,
-    scan_capture_coverage,
     scan_corpus,
 )
 from repro.coverage.corpus import CaptureCoverage, CorpusCoverage
@@ -118,8 +117,9 @@ class TestCallGraph:
 
 
 class TestCorpusScan:
-    def test_capture_decodes_to_named_functions(self, corpus_dir, names):
-        row = scan_capture_coverage(corpus_dir / SEED_CAPTURES[0], names)
+    def test_capture_decodes_to_named_functions(self, corpus):
+        row = corpus.captures[0]
+        assert row.path.endswith(SEED_CAPTURES[0])
         assert row.ok
         assert row.records > 0
         assert row.observed

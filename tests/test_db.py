@@ -24,7 +24,6 @@ from repro.db import (
     SCHEMA_VERSION,
     connect,
     diff_runs,
-    discover_captures,
     function_row_count,
     ingest_capture,
     ingest_paths,
@@ -36,12 +35,14 @@ from repro.db import (
     render_runs_text,
     resolve_runs,
     run_count,
-    workload_tag,
 )
 from repro.analysis.compare import WorkloadMismatchWarning
 from repro.db.schema import read_schema_version
+from repro.fleet import discover_captures
+from repro.fleet import ingest as fleet_ingest
 from repro.lint.db_lint import lint_profile_db
 from repro.profiler.upload import write_capture_file
+from repro.workloads import workload_tag
 
 from stream_helpers import (
     build_regression_corpus,
@@ -136,6 +137,31 @@ class TestIngest:
         assert ingest_capture(conn, a, names).status == "added"
         assert ingest_capture(conn, b, names).status == "duplicate"
         assert run_count(conn) == 1
+        conn.close()
+
+    def test_reingest_decodes_nothing(self, tmp_path, names, monkeypatch):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        a = write_run(corpus / "a.mpf")
+        (corpus / "copy.mpf").write_bytes(a.read_bytes())
+        write_run(corpus / "b.mpf", index=1)
+        conn = connect(tmp_path / "p.db")
+        first = ingest_paths(conn, [corpus], names)
+        # One file's bytes under two paths in one pass: the insert-time
+        # fingerprint check keeps them one run.
+        assert [r.status for r in first] == ["added", "added", "duplicate"]
+        calls = []
+        decode = fleet_ingest.iter_capture_columns
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return decode(*args, **kwargs)
+
+        monkeypatch.setattr(fleet_ingest, "iter_capture_columns", counting)
+        again = ingest_paths(conn, [corpus], names)
+        assert [r.status for r in again] == ["duplicate"] * 3
+        assert calls == []
+        assert run_count(conn) == 2
         conn.close()
 
     def test_garbage_fails_cleanly(self, tmp_path, names):

@@ -1,4 +1,4 @@
-"""Fleet ingestion: arena striping, header-probe cache, determinism.
+"""Fleet ingestion: the corpus walker, header-probe cache, determinism.
 
 The load-bearing property is byte-identity: the merged fleet summary
 must not depend on worker count or completion order.  The suite checks
@@ -9,7 +9,7 @@ salted with the frozen ``.mpf.corrupt`` goldens under salvage.
 
 from __future__ import annotations
 
-import pickle
+import functools
 import random
 import shutil
 from pathlib import Path
@@ -19,23 +19,21 @@ import pytest
 from repro.fleet import (
     FLEET_COUNTERS,
     FLEET_HISTOGRAMS,
-    ArenaError,
     FleetError,
-    MetricsArena,
-    fleet_arena,
     format_fleet_summary,
     ingest_fleet,
     merge_fleet,
+    new_summary,
     plan_fleet,
+    read_corpus,
 )
-from repro.fleet.ingest import _summarize_one
 from repro.lint.fleet_lint import lint_fleet_plan, lint_fleet_result
 from repro.profiler.upload import (
     cached_capture_meta,
     clear_meta_cache,
     write_capture_file,
 )
-from repro.telemetry.core import Telemetry
+from repro.telemetry import TELEMETRY
 
 from stream_helpers import (
     build_fleet_corpus,
@@ -46,100 +44,6 @@ from stream_helpers import (
 
 GOLDEN = Path(__file__).parent / "golden"
 CORRUPT_GOLDENS = sorted(GOLDEN.glob("*.mpf.corrupt"))
-
-
-# -- the shared-memory arena --------------------------------------------------
-
-
-class TestMetricsArena:
-    def test_counters_sum_across_stripes(self):
-        with MetricsArena.create(["a", "b"], [], stripes=3) as arena:
-            arena.writer(0).count("a", 5)
-            arena.writer(1).count("a", 7)
-            arena.writer(2).count("b")
-            assert arena.counter_total("a") == 12
-            assert arena.counter_total("b") == 1
-
-    def test_histogram_totals_are_cumulative(self):
-        spec = [("lat", (10.0, 100.0, 1000.0))]
-        with MetricsArena.create([], spec, stripes=2) as arena:
-            arena.writer(0).observe("lat", 5.0)
-            arena.writer(1).observe("lat", 50.0)
-            arena.writer(1).observe("lat", 5000.0)
-            buckets, count, total = arena.histogram_total("lat")
-            assert buckets == (1, 2, 2)  # cumulative: <=10, <=100, <=1000
-            assert count == 3
-            assert total == pytest.approx(5055.0)
-
-    def test_attach_sees_creator_writes(self):
-        with MetricsArena.create(["n"], [], stripes=1) as arena:
-            arena.writer(0).count("n", 3)
-            twin = MetricsArena.attach(arena.name, ["n"], [], stripes=1)
-            try:
-                assert twin.counter_total("n") == 3
-                twin.writer(0).count("n", 4)
-                assert arena.counter_total("n") == 7
-            finally:
-                twin.close()
-
-    def test_pickle_round_trip_attaches_same_block(self):
-        with MetricsArena.create(["n"], [("h", (1.0,))], stripes=2) as arena:
-            clone = pickle.loads(pickle.dumps(arena))
-            try:
-                clone.writer(1).count("n", 9)
-                assert arena.counter_total("n") == 9
-                assert clone.name == arena.name
-            finally:
-                clone.close()
-
-    def test_publish_into_registry(self):
-        telemetry = Telemetry("test").enable()
-        with fleet_arena(stripes=2) as arena:
-            arena.writer(0).count("fleet.captures.ingested", 2)
-            arena.writer(1).count("fleet.captures.ingested", 3)
-            arena.writer(0).observe("fleet.stage.decode_us", 700.0)
-            arena.publish_into(telemetry)
-            counter = telemetry.registry.get("fleet.captures.ingested")
-            assert counter is not None and counter.value == 5
-            # Counters publish as deltas: a second publish of unchanged
-            # totals must not double them.
-            arena.publish_into(telemetry)
-            assert counter.value == 5
-            arena.writer(0).count("fleet.captures.ingested")
-            arena.publish_into(telemetry)
-            assert counter.value == 6
-            histogram = telemetry.registry.get("fleet.stage.decode_us")
-            assert histogram is not None and histogram.count == 1
-            # The whole catalog registers, even instruments still at zero.
-            for name in FLEET_COUNTERS:
-                assert telemetry.registry.get(name) is not None
-
-    def test_publish_respects_disabled_telemetry(self):
-        telemetry = Telemetry("test")  # disabled
-        with fleet_arena(stripes=1) as arena:
-            arena.writer(0).count("fleet.captures.ingested")
-            arena.publish_into(telemetry)
-            assert len(telemetry.registry) == 0
-
-    def test_layout_errors(self):
-        with pytest.raises(ArenaError):
-            MetricsArena.create(["x", "x"], [], stripes=1)
-        with pytest.raises(ArenaError):
-            MetricsArena.create([], [("h", ())], stripes=1)
-        with pytest.raises(ArenaError):
-            MetricsArena.create(["x"], [], stripes=0)
-        with MetricsArena.create(["x"], [], stripes=2) as arena:
-            with pytest.raises(ArenaError):
-                arena.writer(2)
-
-    def test_snapshot_shape(self):
-        with fleet_arena(stripes=1) as arena:
-            arena.writer(0).count("fleet.records.decoded", 42)
-            snapshot = arena.snapshot()
-            assert snapshot["counters"]["fleet.records.decoded"] == 42
-            assert set(snapshot["histograms"]) == {
-                name for name, _ in FLEET_HISTOGRAMS
-            }
 
 
 # -- the header-probe cache ---------------------------------------------------
@@ -203,7 +107,6 @@ class TestPlan:
         paths = [c.path for c in plan.captures]
         assert paths == sorted(paths)
         assert [c.index for c in plan.captures] == list(range(5))
-        assert plan.total_records > 0
 
     def test_unreadable_header_lands_in_plan(self, tmp_path):
         build_fleet_corpus(tmp_path, captures=1)
@@ -220,7 +123,7 @@ class TestPlan:
 # -- determinism --------------------------------------------------------------
 
 
-def _ingest_text(root, names, *, jobs, salvage="off"):
+def _ingest_text(root, names, *, jobs, salvage=False):
     result = ingest_fleet(root, names, jobs=jobs, salvage=salvage)
     return format_fleet_summary(result), result
 
@@ -238,12 +141,14 @@ class TestDeterminism:
     def test_shuffled_fold_matches_plan_order(self, tmp_path):
         names = build_fleet_corpus(tmp_path, captures=6, events=40)
         plan = plan_fleet(tmp_path)
-        shards = []
-        for capture in plan.captures:
-            _, accumulator = _summarize_one(
-                capture.path, names, "off", None
-            )
-            shards.append((capture.index, accumulator))
+        rows = read_corpus(
+            [capture.path for capture in plan.captures],
+            functools.partial(new_summary, names),
+        )
+        shards = [
+            (capture.index, row.sink)
+            for row, capture in zip(rows, plan.captures)
+        ]
         ordered = merge_fleet(names, list(shards)).summary().format()
         for seed in range(3):
             shuffled = list(shards)
@@ -263,18 +168,18 @@ class TestDeterminism:
 
         names = NameTable.read(GOLDEN / "case_study.tags")
         reference, ref_result = _ingest_text(
-            tmp_path, names, jobs=1, salvage="auto"
+            tmp_path, names, jobs=1, salvage=True
         )
         assert ref_result.salvaged >= 1
         for jobs in (2, 4):
-            text, _ = _ingest_text(tmp_path, names, jobs=jobs, salvage="auto")
+            text, _ = _ingest_text(tmp_path, names, jobs=jobs, salvage=True)
             assert text == reference, f"salvage jobs={jobs} diverged"
 
     def test_salvage_off_fails_corrupt_captures(self, tmp_path):
         build_fleet_corpus(tmp_path, captures=2, events=40)
         (tmp_path / "broken.mpf").write_bytes(b"MPF2 garbage header")
         names = fleet_names()
-        result = ingest_fleet(tmp_path, names, jobs=1, salvage="off")
+        result = ingest_fleet(tmp_path, names, jobs=1, salvage=False)
         assert result.failed == 1 and result.ingested == 2
         failed = [r for r in result.reports if not r.ok]
         assert failed[0].error
@@ -291,20 +196,27 @@ class TestDeterminism:
 
 
 class TestPoolMetrics:
+    @pytest.fixture(autouse=True)
+    def _telemetry(self):
+        TELEMETRY.reset().enable()
+        yield
+        TELEMETRY.disable().reset()
+
     def test_pool_run_populates_arena(self, tmp_path):
         names = build_fleet_corpus(tmp_path, captures=6, events=48)
-        with fleet_arena(stripes=2) as arena:
-            result = ingest_fleet(
-                tmp_path, names, jobs=2, arena=arena
-            )
-            assert result.failed == 0
-            assert arena.counter_total("fleet.captures.ingested") == 6
-            assert (
-                arena.counter_total("fleet.records.decoded")
-                == result.records
-            )
-            _, count, _ = arena.histogram_total("fleet.stage.decode_us")
-            assert count == 6
+        result = ingest_fleet(tmp_path, names, jobs=2)
+        assert result.failed == 0
+        registry = TELEMETRY.registry
+        assert registry.get("fleet.captures.ingested").value == 6
+        assert registry.get("fleet.records.decoded").value == result.records
+        assert registry.get("fleet.stage.decode_us").count == 6
+        # The whole catalog registers, even instruments still at zero.
+        for name in FLEET_COUNTERS:
+            assert registry.get(name) is not None
+        for name, _ in FLEET_HISTOGRAMS:
+            assert registry.get(name) is not None
+        assert registry.get("fleet.captures.failed").value == 0
+        assert registry.get("fleet.stage.salvage_us").count == 0
 
 
 # -- P5xx lint ----------------------------------------------------------------
@@ -340,7 +252,7 @@ class TestFleetLint:
     def test_result_lint_reports_failures_and_salvage(self, tmp_path):
         names = build_fleet_corpus(tmp_path, captures=1, events=24)
         (tmp_path / "broken.mpf").write_bytes(b"not a capture at all")
-        result = ingest_fleet(tmp_path, names, jobs=1, salvage="off")
+        result = ingest_fleet(tmp_path, names, jobs=1, salvage=False)
         report = lint_fleet_result(result)
         assert "P502" in report.codes()
         assert report.exit_code == 1
@@ -353,7 +265,7 @@ class TestFleetLint:
 
         shutil.copy(CORRUPT_GOLDENS[0], tmp_path / CORRUPT_GOLDENS[0].name)
         names = NameTable.read(GOLDEN / "case_study.tags")
-        result = ingest_fleet(tmp_path, names, jobs=1, salvage="auto")
+        result = ingest_fleet(tmp_path, names, jobs=1, salvage=True)
         report = lint_fleet_result(result)
         assert "P505" in report.codes()
         assert report.exit_code == 0  # info only

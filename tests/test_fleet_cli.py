@@ -124,6 +124,54 @@ class TestFleetIngestCommand:
         assert "P505" in text and "salvaged=1" in text
 
 
+def _ci_corpus(root: pathlib.Path) -> pathlib.Path:
+    """The CI fleet corpus: 20 captures, 3 of them the corrupt goldens."""
+    root.mkdir()
+    for i in range(8):
+        shutil.copy(GOLDEN_DIR / "figure3_network_v2.mpf", root / f"net_{i}.mpf")
+        shutil.copy(GOLDEN_DIR / "figure5_forkexec_v2.mpf", root / f"fork_{i}.mpf")
+    shutil.copy(GOLDEN_DIR / "figure3_network.mpf", root / "legacy.mpf")
+    for corrupt in GOLDEN_DIR.glob("*.mpf.corrupt"):
+        shutil.copy(corrupt, root / corrupt.name)
+    return root
+
+
+class TestFleetTelemetry:
+    """``fleet ingest --telemetry`` exports the fleet metrics, pool or not."""
+
+    EXPECTED = {
+        "fleet.captures.ingested": 20,
+        "fleet.captures.failed": 0,
+        "fleet.records.decoded": 97177,
+        "fleet.salvage.recoveries": 3,
+        "fleet.salvage.defects": 4,
+        "fleet.stage.probe_us.count": 20,
+        "fleet.stage.decode_us.count": 17,
+        "fleet.stage.salvage_us.count": 3,
+    }
+
+    @pytest.mark.skipif(
+        len(list(GOLDEN_DIR.glob("*.mpf.corrupt"))) != 3,
+        reason="corrupt goldens not checked in",
+    )
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_fleet_metrics_reach_telemetry(self, tmp_path, jobs):
+        corpus = _ci_corpus(tmp_path / "corpus")
+        out = tmp_path / "t.jsonl"
+        code, _ = run_cli_code(
+            "fleet", "ingest", str(corpus),
+            "--names", str(GOLDEN_DIR / "case_study.tags"),
+            "--jobs", jobs, "--salvage", "--telemetry", str(out),
+        )
+        assert code == 0
+        samples = {}
+        for line in out.read_text().splitlines():
+            record = json.loads(line)
+            if record.get("type") == "metric" and not record["labels"]:
+                samples[record["name"]] = record["value"]
+        assert {name: samples.get(name) for name in self.EXPECTED} == self.EXPECTED
+
+
 def _spawn_serve(corpus, names, *extra):
     env = dict(os.environ)
     env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
