@@ -203,14 +203,16 @@ class _TreeRecorder(FoldRecorder):
         )
 
 
-def build_call_tree(events: ColumnarEvents) -> CallTreeAnalysis:
-    """Reconstruct the call forest from decoded events.
+def build_call_tree(events: ColumnarEvents, names: NameTable) -> CallTreeAnalysis:
+    """Reconstruct the call forest from a decoded batch.
 
-    The summary fold steps *events* with a tree recorder attached, so the
-    forest, its anomalies and its accounting are the fold's own.
+    The summary fold steps the batch's absolute times and its tags,
+    looked up in *names*, through its one loop
+    (:meth:`~repro.analysis.summary.SummaryAccumulator.feed_events`) with
+    a tree recorder attached, so the forest, its anomalies and its
+    accounting are the fold's own.
     """
-    # Decoded events carry their names: the fold's own table stays empty.
-    fold = SummaryAccumulator(NameTable())
+    fold = SummaryAccumulator(names)
     recorder = _TreeRecorder()
     fold.recorder = recorder
     fold.feed_events(events)
@@ -219,4 +221,4 @@ def build_call_tree(events: ColumnarEvents) -> CallTreeAnalysis:
 
 def analyze_capture(capture: Capture) -> CallTreeAnalysis:
     """Decode *capture* and reconstruct its call forest in one step."""
-    return build_call_tree(decode_capture(capture))
+    return build_call_tree(decode_capture(capture), capture.names)

@@ -7,19 +7,28 @@ the decode jobs of :mod:`repro.analysis.events` run over the
 
 1. **Timer unwrap** (:func:`unwrap_times`) — the modular
    difference-and-accumulate as two C-level passes (:func:`zip` +
-   :func:`itertools.accumulate`) over a whole batch;
+   :func:`itertools.accumulate`) over a whole batch, once
+   :func:`check_snapshots` has refused any snapshot wider than the
+   counter;
 2. **Tag decode** (:func:`build_decode_map` + :func:`decode_columns`) —
    one memoizing dict lookup per record, batched into parallel code /
    name / entry / context-switch columns.
 
-The product, :class:`ColumnarEvents`, is what the reconstruction fold
-(:meth:`repro.analysis.summary.SummaryAccumulator.feed_events`) steps
-through.  It holds every field a list of
-:class:`~repro.analysis.events.DecodedEvent` would, column by column, and
-can materialise them (:meth:`ColumnarEvents.to_events`) for callers that
-want objects.  ``tests/test_decode_differential.py`` holds the columns
-field-identical to a one-record-at-a-time reference decoder
-(``tests/oracles.py``) over generated streams.
+The reconstruction fold
+(:class:`repro.analysis.summary.SummaryAccumulator`) needs neither pass:
+it steps the raw ``(time, tag)`` pairs, unwrapping inline and looking
+each tag up once in the same :func:`build_decode_map` table, and shares
+:func:`check_snapshots` with :func:`unwrap_times`.  The product of the
+two passes, :class:`ColumnarEvents`, serves the callers that want
+decoded columns: the call tree
+(:func:`repro.analysis.callstack.build_call_tree` steps a decoded
+batch's absolute times and tags), the stream linter and the tests.  It
+holds every field a list of :class:`~repro.analysis.events.DecodedEvent`
+would, column by column, and can materialise them
+(:meth:`ColumnarEvents.to_events`) for callers that want objects.
+``tests/test_decode_differential.py`` holds the columns field-identical
+to a one-record-at-a-time reference decoder (``tests/oracles.py``) over
+generated streams.
 """
 
 from __future__ import annotations
@@ -90,6 +99,21 @@ def build_tag_map(names: NameTable) -> dict[int, tuple[str, int, bool]]:
     }
 
 
+def check_snapshots(raw_times: Sequence[int], width_bits: int) -> None:
+    """Refuse a batch holding a snapshot wider than the counter.
+
+    One :func:`max` over the whole batch; only a failing batch is walked,
+    to raise :class:`ValueError` naming its first offending snapshot.
+    """
+    mask = (1 << width_bits) - 1
+    if raw_times and max(raw_times) > mask:
+        for t in raw_times:
+            if t > mask:
+                raise ValueError(
+                    f"record time {t} exceeds the {width_bits}-bit counter"
+                )
+
+
 def unwrap_times(
     raw_times: Sequence[int],
     width_bits: int = 24,
@@ -108,19 +132,13 @@ def unwrap_times(
     ``base`` its final absolute time.  When ``previous`` is ``None`` the
     first snapshot defines ``base`` (t=0 by default).
 
-    Every snapshot is validated against the counter width: the first
-    offending record raises :class:`ValueError`.
+    Every snapshot is validated against the counter width
+    (:func:`check_snapshots`).
     """
     _check_width(width_bits)
+    check_snapshots(raw_times, width_bits)
     mask = (1 << width_bits) - 1
-    n = len(raw_times)
-    if n and max(raw_times) > mask:
-        for t in raw_times:
-            if t > mask:
-                raise ValueError(
-                    f"record time {t} exceeds the {width_bits}-bit counter"
-                )
-    if n == 0:
+    if not raw_times:
         return []
     if previous is None:
         deltas = [

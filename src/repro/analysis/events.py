@@ -14,8 +14,9 @@ Two jobs, both purely mechanical:
 
 Both run over columns in :mod:`repro.analysis.columnar`:
 :func:`decode_capture` returns a
-:class:`~repro.analysis.columnar.ColumnarEvents` batch, which the
-reconstruction fold steps through.  This module also holds the object
+:class:`~repro.analysis.columnar.ColumnarEvents` batch, from which the
+call tree is built.  (The summary fold does both jobs inline, one record
+at a time.)  This module also holds the object
 form of one decoded event, :class:`DecodedEvent`, which only
 :meth:`~repro.analysis.columnar.ColumnarEvents.to_events` builds, for
 callers that want objects.

@@ -16,8 +16,11 @@ Headed by the overall accounting::
     Idle time = 0 sec 5024 us ( 1.01%)
 
 Every summary the program prints comes from one engine, the
-:class:`SummaryAccumulator` fold over columnar record batches.  The fold
-is also the program's one call reconstruction: entry/exit matching,
+:class:`SummaryAccumulator` fold over columnar record batches.  It is a
+single pass: each raw ``(time, tag)`` pair is unwrapped, decoded and
+stepped once, and a context switch is resolved by looking ahead in the
+batch rather than by buffering and replaying the scheduling block.  The
+fold is also the program's one call reconstruction: entry/exit matching,
 switch-in resolution and anomaly repair happen only there, and the call
 tree (:func:`repro.analysis.callstack.build_call_tree`), the gprof
 report (:class:`repro.analysis.gprof.GprofRecorder`) and the live Chrome
@@ -30,7 +33,9 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import TYPE_CHECKING, Iterable, Optional
+from collections import Counter
+from itertools import count, islice
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from repro.analysis.columnar import (
     CODE_ENTRY as _ENTRY,
@@ -38,8 +43,9 @@ from repro.analysis.columnar import (
     CODE_INLINE as _INLINE,
     ColumnarEvents,
     build_decode_map,
-    decode_columns,
+    check_snapshots,
 )
+from repro.analysis.events import _check_width
 from repro.instrument.namefile import NameTable
 from repro.profiler.capture import Capture
 from repro.profiler.ram import RecordColumns
@@ -305,12 +311,11 @@ class _ProcStack:
     last switched out.
     """
 
-    __slots__ = ("proc", "frames", "suspend_seq", "block_start_us", "suspended_at_us")
+    __slots__ = ("proc", "frames", "block_start_us", "suspended_at_us")
 
     def __init__(self, proc: str) -> None:
         self.proc = proc
         self.frames: list[list] = []
-        self.suspend_seq = -1
         self.block_start_us = 0
         self.suspended_at_us = 0
 
@@ -350,6 +355,15 @@ class FoldRecorder:
         """An inline or unknown-tag point fired on *stack*."""
 
 
+def _elapsed(raw_times: Iterable[int], previous: int, mask: int) -> int:
+    """Microseconds from snapshot *previous* to the last of *raw_times*."""
+    total = 0
+    for raw in raw_times:
+        total += (raw - previous) & mask
+        previous = raw
+    return total
+
+
 class SummaryAccumulator:
     """Single-pass, bounded-memory call reconstruction and summary.
 
@@ -361,19 +375,24 @@ class SummaryAccumulator:
     :attr:`anomalies`.  Instead of materialising a tree node per call it
     keeps only the *open* frames and folds every frame into the
     per-function aggregates the moment it closes.  Peak memory is O(open
-    call depth + suspended processes + one scheduling block), not
+    call depth + suspended processes + one held scheduling block), not
     O(events) — which is what lets a million-event stream be summarised
     from a file iterator without ever holding the trace.  A
     :class:`FoldRecorder` attached as :attr:`recorder` sees every step and
     may keep more (the call tree, the gprof arcs, the live trace).
 
-    The one structural concession to streaming: switch-in resolution
-    (which suspended process resumes after a ``swtch`` exit) needs to look
-    *ahead* at the incoming scheduling block, so events arriving after a
-    context-switch exit are buffered until the block's terminating
-    ``swtch`` entry is seen, then resolved and replayed.  A scheduling
-    block is bounded by the capture hardware (at most one RAM of events
-    between switches in practice), so the buffer does not grow with trace
+    Every event is stepped once, straight off the raw ``(time, tag)``
+    columns: the counter is unwrapped inline and each tag costs one
+    decode-map lookup.  Switch-in resolution (which suspended process
+    resumes after a ``swtch`` exit) needs the incoming scheduling block,
+    so at a context-switch exit the fold scans ahead in the batch's tags
+    until the block names its process, then keeps stepping in place.
+    Only when that scan runs off the end of the batch are the rest of the
+    batch's events held; the next batch continues the scan where it
+    stopped, so no event is scanned twice, and :meth:`close` resolves a
+    tail still held as the end of the stream.  A scheduling block is
+    bounded by the capture hardware (at most one RAM of events between
+    switches in practice), so the held tail does not grow with trace
     length.
 
     Accumulators of independent captures combine with :meth:`merge`.  The
@@ -390,9 +409,10 @@ class SummaryAccumulator:
         width_bits: int = 24,
         include_swtch: bool = False,
     ) -> None:
-        self._names = names
+        _check_width(width_bits)
         self._decode_map = build_decode_map(names)
         self._width_bits = width_bits
+        self._mask = (1 << width_bits) - 1
         self._include_swtch = include_swtch
         #: The :class:`FoldRecorder` told every step, if any.
         self.recorder: Optional[FoldRecorder] = None
@@ -405,25 +425,28 @@ class SummaryAccumulator:
         self._context_switches = 0
 
         self._current = _ProcStack("P0")
+        #: Switched-out stacks, least recently suspended first.
         self._suspended: list[_ProcStack] = []
         self._procs = 1
-        self._suspend_seq = 0
         #: High-water marks, read out into telemetry at close().
         self._peak_suspended = 0
-        self._peak_pending = 0
-        #: Buffered (t, code, name, is_cs, index, tag) items awaiting
-        #: switch-in resolution; ``None`` while no resolution is pending.
-        self._pending: Optional[list[tuple]] = None
+        self._peak_held = 0
+        #: Events after a context-switch exit whose block had not named
+        #: its process by the end of their batch: ``(raw times, tags,
+        #: index of the first, wrap mask)``, or ``None``.  The switch-in
+        #: scan stopped at depth ``_scan_depth`` past the last of them.
+        self._held: Optional[tuple[list[int], list[int], int, int]] = None
+        self._scan_depth = 0
 
-        # Decode carry: the last raw snapshot, its absolute time and the
-        # next event index.
+        # Unwrap carry: the last stepped event's raw snapshot and absolute
+        # time, and the index of the next event fed.
         self._prev_raw: Optional[int] = None
-        self._absolute = 0
+        self._prev_t = 0
         self._next_index = 0
 
         self._first_t: Optional[int] = None
+        #: Absolute time of the last event fed, held ones included.
         self._last_t = 0
-        self._prev_t = 0
 
         self._sealed = False
         self._wall_us = 0
@@ -434,91 +457,98 @@ class SummaryAccumulator:
     def feed_columns(self, columns: RecordColumns) -> "SummaryAccumulator":
         """Fold one columnar record batch in.
 
-        The batch is decoded to columns first — the timer unwrap
-        vectorized over the whole batch, then one tag lookup per record —
-        and the decoded events are stepped (:meth:`feed_events`).  The
-        24-bit wrap, the running time and the event indices carry across
-        calls.  A batch holding a snapshot wider than the counter raises
-        :class:`ValueError` and leaves the fold as it was before the call.
+        The raw ``(time, tag)`` pairs are stepped as they are: the
+        counter wrap, the running time and the event indices carry
+        across calls.  The whole batch is checked against the counter
+        width first, so a batch holding a snapshot wider than the counter
+        raises :class:`ValueError` and leaves the fold as it was before
+        the call.
         """
-        return self.feed_events(
-            decode_columns(
-                columns,
-                self._names,
-                self._width_bits,
-                start_index=self._next_index,
-                time_base_us=self._absolute,
-                previous=self._prev_raw,
-                decode_map=self._decode_map,
-            )
-        )
+        check_snapshots(columns.times, self._width_bits)
+        self._feed(columns.times, columns.tags, self._mask)
+        return self
 
     def feed_events(self, events: ColumnarEvents) -> "SummaryAccumulator":
-        """Step one batch of decoded events through the state machine.
+        """Step one decoded batch: its absolute times and its tags.
 
-        *events* continue the stream: their indices and absolute times
-        follow on from the previous batch's, as :func:`decode_columns`
-        produces them when handed the carry.
+        An absolute time is a snapshot of a counter that never wraps, so
+        the batch runs through the same loop as :meth:`feed_columns` with
+        an all-ones wrap mask; the timeline keeps the batch's own origin.
+        An accumulator is fed either decoded batches or record batches,
+        not both.
         """
+        times = events.times
+        if times and self._prev_raw is None:
+            self._prev_raw = self._prev_t = times[0]
+        self._feed(times, events.tags, -1)
+        return self
+
+    def _feed(self, raw_times: Sequence[int], tags: Sequence[int], mask: int) -> None:
+        """Step one batch of snapshots wrapping under *mask*, after any
+        held tail whose switch-in the batch resolves."""
         if self._sealed:
             raise RuntimeError("cannot feed a sealed SummaryAccumulator")
-        n = len(events)
+        n = len(raw_times)
         if n == 0:
-            return self
-        times = events.times
-        if self._first_t is None:
-            self._first_t = self._prev_t = times[0]
-            self._current.block_start_us = times[0]
-        start = events.start_index
-        self._step(
-            zip(
-                times,
-                events.codes,
-                events.names,
-                events.switches,
-                range(start, start + n),
-                events.tags,
-            )
-        )
+            return
+        index = self._next_index
+        self._next_index = index + n
         self._event_count += n
-        self._next_index = start + n
-        self._last_t = self._absolute = times[-1]
-        self._prev_raw = events.raw_times[-1]
-        return self
+        if self._first_t is None:
+            if self._prev_raw is None:
+                self._prev_raw = raw_times[0]
+            self._first_t = self._current.block_start_us = self._prev_t
+        if self._held is not None:
+            held_times, held_tags, index, _ = self._held
+            previous = held_times[-1] if held_times else self._prev_raw
+            scanned = len(held_tags)
+            held_times.extend(raw_times)
+            held_tags.extend(tags)
+            if not self._switch_in(held_tags, scanned, self._scan_depth):
+                self._last_t += _elapsed(raw_times, previous, mask)
+                self._peak_held = max(self._peak_held, len(held_tags))
+                return
+            self._held = None
+            raw_times, tags = held_times, held_tags
+        self._step(raw_times, tags, index, mask)
+        if self._held is not None:
+            self._peak_held = max(self._peak_held, len(self._held[0]))
 
     # -- the state machine ----------------------------------------------------
 
-    def _step(self, items: Iterable[tuple], replay: bool = False) -> None:
+    def _step(
+        self, raw_times: Sequence[int], tags: Sequence[int], index: int, mask: int
+    ) -> None:
         """Apply events to the state machine: the fold's one per-event loop.
 
-        *items* yield ``(time_us, code, name, is_cs, index, tag)`` — a
-        decoded batch zipped by :meth:`feed_events`, or a buffered
-        scheduling block :meth:`_drain` replays.
+        *raw_times* and *tags* are a batch's columns, *index* the stream
+        index of their first event; every snapshot is unwrapped against
+        the last stepped one.  A context-switch exit resolves its
+        switch-in by scanning ahead in *tags* (:meth:`_switch_in`); when
+        the scan runs off the end, the rest of the batch is held.
         """
         functions = self._functions
         recorder = self.recorder
-        for item in items:
-            if self._pending is not None:
-                self._pending.append(item)
-                # A block ends at its closing swtch entry.  A replay leaves
-                # the rest of its block to _drain's loop, so replays never
-                # nest however many switches one block holds.
-                if not replay and item[1] == _ENTRY and item[3]:
-                    self._drain(final=False)
-                continue
-            t, code, name, is_cs, index, tag = item
-            current = self._current
-            frames = current.frames
-
-            # 1. Attribute the elapsed interval to the innermost active frame.
-            dt = t - self._prev_t
-            self._prev_t = t
+        decode = self._decode_map
+        current = self._current
+        frames = current.frames
+        previous = self._prev_raw
+        t = self._prev_t
+        unattributed = self._unattributed_us
+        held_from = None
+        for i, raw, tag in zip(count(), raw_times, tags):
+            # 1. Unwrap, and attribute the elapsed interval to the
+            # innermost active frame.
+            dt = (raw - previous) & mask
+            previous = raw
+            t += dt
             if frames:
                 frames[-1][1] += dt
             else:
-                self._unattributed_us += dt
+                unattributed += dt
 
             # 2. Apply the event.
+            code, name, _, is_cs = decode[tag]
             if code == _ENTRY:
                 frame = [name, 0, 0, is_cs, t]
                 frames.append(frame)
@@ -526,7 +556,13 @@ class SummaryAccumulator:
                     recorder.open_frame(current, frame)
             elif code == _EXIT:
                 if is_cs or not frames or frames[-1][0] != name:
-                    self._slow_exit(name, is_cs, t, index)
+                    self._slow_exit(name, is_cs, t, index + i)
+                    if is_cs:
+                        if not self._switch_in(tags, i + 1, 0):
+                            held_from = i + 1
+                            break
+                        current = self._current
+                        frames = current.frames
                     continue
                 # Fast path: a matched exit of the innermost frame — the
                 # overwhelmingly common case in a well-formed trace.  A
@@ -555,7 +591,7 @@ class SummaryAccumulator:
             else:  # a tag no name file knows
                 self.anomalies.append(
                     Anomaly(
-                        index=index,
+                        index=index + i,
                         time_us=t,
                         kind="unknown-tag",
                         detail=f"tag {tag} is in no name file",
@@ -563,10 +599,22 @@ class SummaryAccumulator:
                 )
                 if recorder is not None:
                     recorder.mark(current, t, name)
+        self._prev_raw = previous
+        self._prev_t = self._last_t = t
+        self._unattributed_us = unattributed
+        if held_from is not None:
+            held_times = list(islice(raw_times, held_from, None))
+            self._held = (
+                held_times,
+                list(islice(tags, held_from, None)),
+                index + held_from,
+                mask,
+            )
+            self._last_t += _elapsed(held_times, previous, mask)
 
     def _slow_exit(self, name: str, is_cs: bool, t: int, index: int) -> None:
         """An exit off the fast path: a missed or unmatched exit, or a
-        context switch."""
+        context switch (which suspends the current stack)."""
         current = self._current
         if any(frame[0] == name for frame in current.frames):
             self._close_through(name, t, index)
@@ -592,13 +640,9 @@ class SummaryAccumulator:
             return
         self._context_switches += 1
         current.suspended_at_us = t
-        current.suspend_seq = self._suspend_seq
-        self._suspend_seq += 1
         self._suspended.append(current)
         if len(self._suspended) > self._peak_suspended:
             self._peak_suspended = len(self._suspended)
-        # Which stack resumes depends on the upcoming block: defer.
-        self._pending = []
 
     def _close_frame(self, stack: _ProcStack, t: int, truncated: bool) -> list:
         frames = stack.frames
@@ -636,94 +680,78 @@ class SummaryAccumulator:
         if frames:
             self._close_frame(current, t, False)
 
-    def _resolve(self, block: list[tuple]) -> Optional[_ProcStack]:
-        """Switch-in resolution: which suspended stack does *block* belong to?
+    def _switch_in(self, tags: Sequence[int], start: int, depth: int) -> bool:
+        """Switch-in resolution: which suspended stack does the block that
+        follows the latest context-switch exit belong to?
 
         The event stream carries no process identifier, so after a
-        ``swtch`` exit the fold must decide which saved stack resumes.  The
-        buffered block is scanned forward (stopping at its closing
-        ``swtch`` entry) with a depth counter; entries open new frames,
-        exits first unwind those.  The first exit that unwinds *below* the
-        block's opening depth names a frame the resumed process was
-        suspended inside:
+        ``swtch`` exit the fold must decide which saved stack resumes.
+        The block's tags are scanned forward from *start* with a depth
+        counter (at *depth* so far); entries open new frames, exits first
+        unwind those.  The scan resolves at whichever comes first:
 
-        1. an unwinding exit of function X — resume the least-recently
-           suspended stack whose top open frame is X;
-        2. no unwinding exit in the whole block — the process never
-           returned into pre-existing frames: resume the
-           least-recently-suspended *empty* stack (a process that was in
-           user mode) if any;
-        3. otherwise — a process not seen before: ``None``, and the caller
-           starts a fresh stack.
+        1. an exit of function X that unwinds *below* the block's opening
+           depth — it names a frame the resumed process was suspended
+           inside: resume the least recently suspended stack whose top
+           open frame is X;
+        2. the block's closing ``swtch`` entry — the process never
+           returned into pre-existing frames: resume the least recently
+           suspended *empty* stack (a process that was in user mode).
+
+        If no stack matches, a process not seen before starts a fresh
+        stack.  Returns ``False``, keeping the depth in ``_scan_depth``,
+        when the scan runs off the end of *tags* unresolved.
         """
-        unwind: Optional[str] = None
-        found = False
-        depth = 0
-        for item in block:
-            code = item[1]
+        decode = self._decode_map
+        for position in range(start, len(tags)):
+            code, name, _, is_cs = decode[tags[position]]
             if code == _ENTRY:
-                if item[3]:
-                    break
+                if is_cs:
+                    self._resume(None)
+                    return True
                 depth += 1
             elif code == _EXIT:
-                if depth > 0:
+                if depth:
                     depth -= 1
                 else:
-                    unwind = item[2]
-                    found = True
-                    break
-        if found:
-            matches = [
-                stack
-                for stack in self._suspended
-                if stack.frames and stack.frames[-1][0] == unwind
-            ]
-            if matches:
-                return min(matches, key=lambda s: s.suspend_seq)
-            return None
-        empty = [stack for stack in self._suspended if not stack.frames]
-        if empty:
-            return min(empty, key=lambda s: s.suspend_seq)
-        return None
+                    self._resume(name)
+                    return True
+        self._scan_depth = depth
+        return False
 
-    def _drain(self, final: bool) -> None:
-        """Resolve and replay buffered blocks.
-
-        Invoked when a block terminator (context-switch entry) arrives, or
-        unconditionally at seal time.  Replay may hit another
-        context-switch exit mid-block, re-entering the pending state with
-        the rest of the block — hence the loop.
-        """
-        while self._pending is not None:
-            block = self._pending
-            if not final and not (block and block[-1][1] == _ENTRY and block[-1][3]):
-                return
-            if len(block) > self._peak_pending:
-                self._peak_pending = len(block)
-            self._pending = None
-            # The block began at the switch-out that opened it, the most
-            # recent suspension.
-            switched_at = self._suspended[-1].suspended_at_us
-            chosen = self._resolve(block)
-            if chosen is None:
-                chosen = _ProcStack(f"P{self._procs}")
-                self._procs += 1
-            else:
-                self._suspended.remove(chosen)
-            chosen.block_start_us = switched_at
-            self._current = chosen
-            self._step(block, replay=True)
+    def _resume(self, unwound: Optional[str]) -> None:
+        """Switch in the least recently suspended stack whose top frame is
+        *unwound* (an empty stack when ``None``), or a fresh one."""
+        suspended = self._suspended
+        # The block began at the switch-out that opened it, the most
+        # recent suspension.
+        switched_at = suspended[-1].suspended_at_us
+        for stack in suspended:
+            frames = stack.frames
+            if (frames[-1][0] == unwound) if frames else unwound is None:
+                suspended.remove(stack)
+                break
+        else:
+            stack = _ProcStack(f"P{self._procs}")
+            self._procs += 1
+        stack.block_start_us = switched_at
+        self._current = stack
 
     # -- sealing, merging, reporting ------------------------------------------
 
     def close(self) -> "SummaryAccumulator":
-        """Seal the accumulator: resolve any pending block and close every
-        frame still open (capture window truncation) — the current
-        process's at the last event, a suspended one's where it was
-        switched out.  Idempotent."""
+        """Seal the accumulator: resolve a held tail as the end of the
+        stream, and close every frame still open (capture window
+        truncation) — the current process's at the last event, a
+        suspended one's where it was switched out.  Idempotent."""
         if self._sealed:
             return self
-        self._drain(final=True)
+        while self._held is not None:
+            raw_times, tags, index, mask = self._held
+            self._held = None
+            # The stream ended before the block named its process.
+            self._resume(None)
+            self._step(raw_times, tags, index, mask)
         for stack in [self._current, *self._suspended]:
             exit_us = self._last_t if stack is self._current else stack.suspended_at_us
             while stack.frames:
@@ -731,9 +759,12 @@ class SummaryAccumulator:
         self._wall_us = (self._last_t - self._first_t) if self._first_t is not None else 0
         self._sealed = True
         if _TELEMETRY.enabled:
-            _TELEMETRY.max_gauge("analysis.peak.pending_block", self._peak_pending)
+            _TELEMETRY.max_gauge("analysis.peak.pending_block", self._peak_held)
             _TELEMETRY.max_gauge("analysis.peak.suspended_procs", self._peak_suspended)
             _TELEMETRY.max_gauge("analysis.peak.functions", len(self._functions))
+            for kind, n in Counter(a.kind for a in self.anomalies).items():
+                _TELEMETRY.count("analysis.anomalies", n, kind=kind)
+            _TELEMETRY.count("analysis.unattributed_us", self._unattributed_us)
         return self
 
     def merge(self, other: "SummaryAccumulator") -> "SummaryAccumulator":
@@ -771,14 +802,15 @@ class SummaryAccumulator:
     def peek(self) -> ProfileSummary:
         """A point-in-time summary of everything folded in so far.
 
-        Unlike :meth:`summary` this does **not** seal: open frames, the
-        pending scheduling block and the timer-unwrap state are left
-        untouched, so feeding can continue and the eventual sealed
-        summary is byte-identical to one that was never peeked at.  Only
-        *closed* calls appear (an open frame's time is attributed when it
-        exits, exactly as the batch analyser would at that point) — the
-        live `repro top` view and the windowed rolling summaries are
-        built from this.
+        Unlike :meth:`summary` this does **not** seal: open frames, a
+        held tail and the timer-unwrap state are left untouched, so
+        feeding can continue and the eventual sealed summary is
+        byte-identical to one that was never peeked at.  Only *closed*
+        calls appear (an open frame's time is attributed when it exits,
+        exactly as the batch analyser would at that point); the header's
+        event count and elapsed time cover every event fed, held ones
+        included — the live `repro top` view and the windowed rolling
+        summaries are built from this.
         """
         if self._sealed:
             return self.summary()

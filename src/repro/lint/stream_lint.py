@@ -144,7 +144,7 @@ def lint_records(
         # could.
         return report
     events = decode_columns(records, names, width_bits)
-    analysis = build_call_tree(events)
+    analysis = build_call_tree(events, names)
     desyncs = 0
     for anomaly in analysis.anomalies:
         code = _ANOMALY_CODES.get(anomaly.kind)

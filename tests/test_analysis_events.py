@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from repro.analysis.columnar import unwrap_times
 from repro.analysis.events import EventKind, decode_capture
+from repro.analysis.summary import SummaryAccumulator
 from repro.profiler.capture import Capture
 from repro.profiler.ram import RawRecord
 from repro.profiler.upload import read_capture_meta
@@ -120,6 +121,9 @@ class TestCounterWidthEdges:
             )
         with pytest.raises(ValueError, match=expected):
             list(oracles.decoded_events(records, simple_names, width_bits))
+        # The fold unwraps inline, so it checks the width when built.
+        with pytest.raises(ValueError, match=expected):
+            SummaryAccumulator(simple_names, width_bits=width_bits)
 
     def test_width_one_wraps_every_tick(self):
         """0,1,0,1 on a 1-bit counter is a strictly advancing timeline."""

@@ -226,6 +226,39 @@ class TestGprofFromTheFold:
         assert text.endswith((GOLDEN_DIR / "figure5_forkexec_gprof.txt").read_text())
 
 
+class TestSinglePassFold:
+    """The summary and gprof folds step the file's raw (time, tag) pairs:
+    no decoded-column batch is built on the way."""
+
+    @pytest.mark.parametrize(
+        "report,limit,golden",
+        [
+            ("summary", "20", "figure5_forkexec_summary.txt"),
+            ("gprof", "12", "figure5_forkexec_gprof.txt"),
+        ],
+    )
+    def test_no_columnar_decode(self, monkeypatch, report, limit, golden):
+        from repro.analysis import columnar
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the fold decoded a batch to columns")
+
+        # Rebind every name the function is reachable by, as a tracer would.
+        original = columnar.decode_columns
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("repro") and (
+                getattr(module, "decode_columns", None) is original
+            ):
+                monkeypatch.setattr(module, "decode_columns", forbidden)
+        lines = run_cli(
+            "analyze", str(GOLDEN_DIR / "figure5_forkexec_v2.mpf"),
+            "--names", str(GOLDEN_DIR / "case_study.tags"),
+            "--report", report, "--summary-limit", limit,
+        )
+        text = "\n".join(lines[1:])
+        assert text.startswith((GOLDEN_DIR / golden).read_text())
+
+
 def _bad_inputs(tmp_path) -> dict[str, tuple[pathlib.Path, pathlib.Path]]:
     """Unreadable inputs: name -> (capture, name file)."""
     names = GOLDEN_DIR / "case_study.tags"

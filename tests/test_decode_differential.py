@@ -414,6 +414,21 @@ class TestEventParity:
 
 
 class TestSummaryParity:
+    def _assert_fold_parity(self, records, chunk_records):
+        """The fold, fed whole and in batches, against the reference
+        tree: summary bytes, and once sealed its repairs, the processes
+        it told apart and the time no frame absorbed."""
+        reference = oracles.reference_call_tree(_reference_events(records))
+        want = summarize(reference).format()
+        for chunk in (len(records) or 1, chunk_records):
+            fold = SummaryAccumulator(NAMES)
+            for start in range(0, len(records), chunk):
+                fold.feed_columns(columns_of(records[start : start + chunk]))
+            assert fold.summary().format() == want
+            assert fold.anomalies == reference.anomalies
+            assert fold.procs == reference.procs
+            assert fold.unattributed_us == reference.unattributed_us
+
     @DIFF_SETTINGS
     @given(
         records=call_streams(),
@@ -431,14 +446,23 @@ class TestSummaryParity:
         assert _summary_hash(via_columns) == _summary_hash(reference)
 
     @DIFF_SETTINGS
-    @given(records=record_streams())
-    def test_summary_bytes_identical_on_raw_streams(self, records):
-        """Unknown tags and unmatched exits summarise identically too."""
-        reference = _reference_summary(records)
-        via_columns = summarize_columns(
-            [columns_of(records)], NAMES
-        )
-        assert via_columns.format() == reference.format()
+    @given(
+        records=record_streams(),
+        chunk_records=st.integers(min_value=1, max_value=100),
+    )
+    def test_summary_bytes_identical_on_raw_streams(self, records, chunk_records):
+        """Unknown tags, unmatched exits and stray switches, cut anywhere,
+        summarise identically too."""
+        self._assert_fold_parity(records, chunk_records)
+
+    @DIFF_SETTINGS
+    @given(
+        records=switch_streams(),
+        chunk_records=st.integers(min_value=1, max_value=100),
+    )
+    def test_fold_matches_reference_on_switch_streams(self, records, chunk_records):
+        """Switch-ins resolved across batch cuts, several processes."""
+        self._assert_fold_parity(records, chunk_records)
 
     @DIFF_SETTINGS
     @given(
@@ -502,7 +526,7 @@ class TestPairEntryExits:
             entry = NAMES.by_name(name)
             tag = entry.entry_value if op == ">" else entry.exit_value
             records.append(RawRecord(tag=tag, time=time_us))
-        analysis = build_call_tree(_decode(records, NAMES))
+        analysis = build_call_tree(_decode(records, NAMES), NAMES)
         spans = [
             (n.name, n.enter_us, n.exit_us, n.inclusive_us, n.truncated)
             for n in analysis.nodes()
@@ -521,7 +545,7 @@ class TestPairEntryExits:
         truncated, closes at an exit of its name."""
         events = _decode(records, NAMES)
         points = set(zip(events.codes, events.names, events.times))
-        for node in build_call_tree(events).nodes():
+        for node in build_call_tree(events, NAMES).nodes():
             if node.synthetic:
                 continue
             assert (columnar.CODE_ENTRY, node.name, node.enter_us) in points

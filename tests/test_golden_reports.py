@@ -254,6 +254,37 @@ def test_gprof_golden_from_cli(capture_name, golden, reports):
         assert text.endswith("kstack desyncs = 0\n\n" + expected)
 
 
+#: binary golden capture -> its summary report golden (``limit=20``).
+SUMMARY_GOLDENS = {
+    "figure3_network_v2.mpf": "figure3_network_summary.txt",
+    "figure5_forkexec_v2.mpf": "figure5_forkexec_summary.txt",
+}
+
+
+@pytest.mark.parametrize("chunk_records", [1, 7, 1000, 4096, 8192])
+@pytest.mark.parametrize("capture_name", sorted(SUMMARY_GOLDENS))
+def test_fold_in_chunks_matches_goldens(capture_name, chunk_records):
+    """However the file is cut into batches, the fold prints the summary
+    and gprof goldens: a switch-in whose block straddles a cut resolves
+    exactly as it does in one batch."""
+    if os.environ.get("REGEN_GOLDEN"):
+        pytest.skip("regenerating")
+    from repro.analysis.gprof import GprofRecorder
+    from repro.analysis.summary import fold_columns
+    from repro.instrument.namefile import NameTable
+    from repro.profiler.upload import iter_capture_columns
+
+    names = NameTable.read(GOLDEN_DIR / "case_study.tags")
+    batches = iter_capture_columns(
+        GOLDEN_DIR / capture_name, chunk_records=chunk_records
+    )
+    fold = fold_columns(batches, names, recorder=GprofRecorder())
+    summary = fold.summary().format(limit=20) + "\n"
+    assert summary == (GOLDEN_DIR / SUMMARY_GOLDENS[capture_name]).read_text()
+    gprof = fold.recorder.report(fold).format(limit=12) + "\n"
+    assert gprof == (GOLDEN_DIR / GPROF_GOLDENS[capture_name]).read_text()
+
+
 # -- MPF1 backward compatibility over the frozen legacy goldens --------------
 
 

@@ -13,6 +13,7 @@ is about the fold, not about well-formed kernels.
 
 from __future__ import annotations
 
+import pathlib
 import random
 
 import pytest
@@ -20,6 +21,7 @@ import pytest
 import oracles
 from stream_helpers import columns_of, make_names
 
+from repro.analysis import columnar
 from repro.analysis.callstack import analyze_capture
 from repro.analysis.summary import (
     SummaryAccumulator,
@@ -27,9 +29,12 @@ from repro.analysis.summary import (
     summarize,
     summarize_capture,
 )
-from repro.profiler.ram import RawRecord
+from repro.instrument.namefile import NameTable
+from repro.profiler.ram import RawRecord, RecordColumns
+from repro.profiler.upload import read_capture
 
 MASK = (1 << 24) - 1
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 NAMES = make_names(
     ("alpha", 500),
@@ -236,3 +241,57 @@ def test_suspended_stacks_trace_parity():
         records.append(RawRecord(tag=swtch.entry_value, time=t & MASK))
         t += 11
     assert_parity(records, batch_events=16)
+
+
+def _never_resolved(calls: int = 20_000) -> RecordColumns:
+    """A ``swtch`` exit followed by *calls* balanced calls: the block
+    never unwinds into a suspended frame and never blocks again, so its
+    switch-in stays unresolved to the end of the stream."""
+    swtch = NAMES.by_name("swtch")
+    alpha = NAMES.by_name("alpha")
+    records = [RawRecord(tag=swtch.exit_value, time=0)]
+    for i in range(1, calls + 1):
+        records.append(RawRecord(tag=alpha.entry_value, time=(20 * i) & MASK))
+        records.append(RawRecord(tag=alpha.exit_value, time=(20 * i + 7) & MASK))
+    return columns_of(records)
+
+
+def _figure5() -> tuple[RecordColumns, NameTable]:
+    records, _ = read_capture(GOLDEN_DIR / "figure5_forkexec_v2.mpf")
+    return records, NameTable.read(GOLDEN_DIR / "case_study.tags")
+
+
+@pytest.mark.parametrize("batch_events", [64, 1000])
+@pytest.mark.parametrize("stream", ["never-resolved", "figure5"])
+def test_switch_in_look_ahead_is_linear(monkeypatch, stream, batch_events):
+    """A held tail is never rescanned: the next batch continues the
+    switch-in scan where it stopped, so each event costs at most two tag
+    lookups (one scanned ahead, one stepped) however the stream is cut,
+    and the result equals the one-batch fold."""
+    records, names = (_never_resolved(), NAMES) if stream == "never-resolved" else _figure5()
+    whole = fold_columns([records], names)
+    whole.close()
+
+    lookups = 0
+
+    class CountingMap(columnar._DecodeMap):
+        def __getitem__(self, tag):
+            nonlocal lookups
+            lookups += 1
+            return super().__getitem__(tag)
+
+    monkeypatch.setattr(columnar, "_DecodeMap", CountingMap)
+    batches = (
+        RecordColumns(
+            tags=records.tags[start : start + batch_events],
+            times=records.times[start : start + batch_events],
+        )
+        for start in range(0, len(records), batch_events)
+    )
+    cut = fold_columns(batches, names)
+    cut.close()
+    assert cut.summary().format() == whole.summary().format()
+    assert cut.anomalies == whole.anomalies
+    assert cut.procs == whole.procs
+    assert cut.unattributed_us == whole.unattributed_us
+    assert 0 < lookups <= 2 * len(records)

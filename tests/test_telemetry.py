@@ -24,6 +24,7 @@ from repro.analysis.callstack import analyze_capture
 from repro.instrument.namefile import NameTable
 from repro.lint import lint_telemetry
 from repro.profiler.capture import Capture
+from repro.profiler.ram import RawRecord
 from repro.telemetry import (
     NOOP_SPAN,
     TELEMETRY,
@@ -44,6 +45,7 @@ from repro.telemetry.export import (
     to_prometheus,
     write_telemetry,
 )
+from stream_helpers import capture_from_records, make_names
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -610,6 +612,74 @@ class TestCliTelemetry:
         assert "analysis.fold" in {d["name"] for d in docs if d["type"] == "span"}
         rates = [d for d in docs if d.get("name") == "analysis.events_per_sec"]
         assert rates and rates[0]["value"] > 0
+
+    @staticmethod
+    def _fold_metrics(path) -> dict:
+        """The fold's trust metrics in a jsonl snapshot:
+        ``(name, kind label or None) -> value``."""
+        docs = [json.loads(line) for line in path.read_text().splitlines()]
+        return {
+            (d["name"], d["labels"].get("kind")): d["value"]
+            for d in docs
+            if d["type"] == "metric"
+            and d["name"] in ("analysis.anomalies", "analysis.unattributed_us")
+        }
+
+    def test_analyze_telemetry_counts_each_repair_kind(self, tmp_path):
+        """One repair of every kind the fold makes, each counted once,
+        and the time no open frame could absorb."""
+        names = make_names(("A", 500), ("B", 502), ("C", 504), ("swtch", 600, "!"))
+        a, b, c, swtch = (names.by_name(n) for n in ("A", "B", "C", "swtch"))
+        steps = [
+            (swtch.exit_value, 0),  # no open swtch frame
+            (a.entry_value, 10),
+            (b.entry_value, 20),
+            (a.exit_value, 30),  # B never exited
+            (9999, 35),  # in no name file
+            (c.exit_value, 40),  # C never entered
+            (swtch.entry_value, 50),
+        ]
+        capture = capture_from_records(
+            [RawRecord(tag=tag, time=time) for tag, time in steps], names
+        )
+        capture.save(tmp_path / "repairs.mpf")
+        names.write(tmp_path / "repairs.tags")
+        path = tmp_path / "repairs.jsonl"
+        run_cli(
+            "analyze", str(tmp_path / "repairs.mpf"),
+            "--names", str(tmp_path / "repairs.tags"),
+            "--telemetry", str(path),
+        )
+        assert self._fold_metrics(path) == {
+            ("analysis.anomalies", "unmatched-swtch-exit"): 1,
+            ("analysis.anomalies", "missed-exit"): 1,
+            ("analysis.anomalies", "unknown-tag"): 1,
+            ("analysis.anomalies", "unmatched-exit"): 1,
+            # 0-10 before A opened, then 30-50 once A and B had closed.
+            ("analysis.unattributed_us", None): 30,
+        }
+
+    @pytest.mark.parametrize(
+        "reports,held",
+        [
+            # Read in 8,192-record chunks: one block straddles the cut.
+            (["summary"], 4621),
+            # The call tree's fold steps the capture as one batch.
+            (["trace", "summary"], 0),
+        ],
+    )
+    def test_analyze_telemetry_on_figure5(self, tmp_path, reports, held):
+        path = tmp_path / "fig5.jsonl"
+        argv = ["analyze", str(GOLDEN_DIR / "figure5_forkexec_v2.mpf")]
+        argv += ["--names", str(GOLDEN_DIR / "case_study.tags")]
+        for report in reports:
+            argv += ["--report", report]
+        run_cli(*argv, "--telemetry", str(path))
+        # A clean capture: no repairs, 373 us before the first frame opened.
+        assert self._fold_metrics(path) == {("analysis.unattributed_us", None): 373}
+        docs = [json.loads(line) for line in path.read_text().splitlines()]
+        peaks = [d["value"] for d in docs if d.get("name") == "analysis.peak.pending_block"]
+        assert peaks == [held]
 
     def test_telemetry_prometheus_output_validates(self, tmp_path):
         path = tmp_path / "run.prom"
