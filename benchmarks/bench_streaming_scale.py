@@ -54,7 +54,7 @@ from repro.profiler.upload import (
     RecordColumns,
     decode_record_columns,
     iter_capture_columns,
-    write_capture_stream,
+    write_capture_file,
 )
 from repro.instrument.namefile import NameTable
 from repro.instrument.tags import TagEntry
@@ -190,7 +190,7 @@ def run_decode_leg(total_events: int) -> dict:
     records = list(synthetic_stream(total_events))
     blob = record_bytes(records)
     capture_file = io.BytesIO()
-    write_capture_stream(capture_file, records, version=2)
+    write_capture_file(capture_file, decode_record_columns(blob))
     capture_blob = capture_file.getvalue()
 
     start = time.perf_counter()

@@ -26,12 +26,12 @@ The capture command is the whole paper in one invocation: build the rig,
 arm the board, run the chosen workload, pull the RAMs, and print the
 requested report(s).
 
-Observability: ``--telemetry PATH`` on capture/analyze enables the
-self-telemetry singleton for the run and writes the snapshot to PATH on
-the way out (format inferred from the extension); ``--progress`` adds a
-records/sec + ETA heartbeat on stderr while ``analyze`` folds a capture
-file.  Neither writes a byte to stdout, so report output is identical
-with or without them.
+Observability: ``--telemetry PATH``, on every command that takes it,
+enables the self-telemetry singleton for the run and writes the snapshot
+to PATH on the way out (format inferred from the extension);
+``--progress`` adds a records/sec + ETA heartbeat on stderr while
+``analyze`` folds a capture file.  Neither writes a byte to stdout, so
+report output is identical with or without them.
 
 The summary and gprof reports are the columnar fold
 (:func:`repro.analysis.summary.fold_columns`), gprof as a recorder on it
@@ -41,9 +41,13 @@ call-tree report (trace, folded, flame, timeline) or ``--salvage`` needs
 the whole capture in memory; the call tree is a recording of the same
 fold, so a summary printed beside a tree report is read off the tree.
 
-Unreadable input (a missing, empty, corrupt or truncated capture, a
-missing or malformed name file) fails with one line on stderr,
-``repro: error: <message>``, and exit status 2.
+Bad input (a missing, empty, corrupt or truncated capture, a missing
+or malformed name file, an unknown workload or run selector, an
+unusable database or corpus root) fails with one line on stderr,
+``repro: error: <message>``, and exit status 2; :func:`main` is the one
+place that turns an error into that line.  Commands whose exit code is
+a verdict (``lint``, ``capture doctor``, ``db diff``, ``db check``,
+``fleet ingest``, ``coverage``) keep their documented codes.
 """
 
 from __future__ import annotations
@@ -59,6 +63,7 @@ from repro.analysis.folded import flame_ascii, to_folded
 from repro.analysis.gprof import GprofRecorder, gprof_report
 from repro.analysis.timeline import render_timeline
 from repro.analysis.summary import (
+    FUNCTION_SORTS,
     Anomaly,
     SummaryAccumulator,
     fold_capture,
@@ -78,7 +83,6 @@ from repro.lint import (
 from repro.profiler.capture import Capture, warn_legacy_metadata
 from repro.profiler.ram import DEFAULT_DEPTH
 from repro.profiler.upload import (
-    CaptureFormatError,
     iter_capture_columns,
     read_capture_meta,
     salvage_capture,
@@ -87,43 +91,9 @@ from repro.profiler.upload import (
 from repro.system import build_case_study
 from repro.telemetry import TELEMETRY, ProgressReporter
 
-#: name -> description.  Deliberately a literal, NOT derived from
-#: repro.workloads: importing the workload package pulls kernel modules
-#: in a different order than build_case_study() and shifts kfunc tag
-#: assignment, breaking golden-capture byte identity.  The registry
-#: tests assert this table and WORKLOAD_REGISTRY agree exactly.
-WORKLOADS: dict[str, str] = {
-    "network": "TCP receive test (Figures 3/4): the SPARC sender saturates the PC",
-    "network-send": "TCP transmit test: the PC streams out to a discard sink",
-    "forkexec": "fork/exec storm (Figure 5)",
-    "filewrite": "FFS asynchronous write storm",
-    "fileread": "seek-heavy alternating file reads",
-    "nfs": "NFS read stream (UDP checksums off)",
-    "mixed": "a bit of everything (Table 1 population)",
-    "tty": "character-input interrupts (typing at a shell)",
-    "snmp-linear": "user-level profiled SNMP agent, linear MIB",
-    "snmp-btree": "user-level profiled SNMP agent, B-tree MIB",
-}
-
 REPORTS = ("summary", "trace", "gprof", "folded", "flame", "timeline")
 #: Reports that walk the call tree; summary and gprof come from the fold.
 TREE_REPORTS = frozenset(("trace", "folded", "flame", "timeline"))
-
-#: ``repro db query --sort`` choices.  A literal for the same reason as
-#: WORKLOADS above: importing repro.db at parser-build time would pull
-#: repro.workloads and shift kfunc tag assignment.  Must mirror
-#: repro.db.query.FUNCTION_SORTS (asserted by the CLI tests).
-DB_FUNCTION_SORTS = ("net", "elapsed", "calls", "pct-net", "pct-real", "name")
-
-
-def _run_workload(system, name: str, packets: int) -> None:
-    from repro.workloads import WorkloadError, get_workload
-
-    try:
-        spec = get_workload(name)
-    except WorkloadError as exc:  # pragma: no cover - argparse restricts choices
-        raise SystemExit(str(exc)) from None
-    spec.run_packets(system, packets)
 
 
 def _desync_footer(desyncs: int) -> str:
@@ -206,34 +176,25 @@ def _print_reports(
         out("")
 
 
-def _telemetry_begin(args: argparse.Namespace) -> None:
+def _telemetry_begin(path: str) -> None:
     """Enable the telemetry singleton for this run (``--telemetry PATH``).
 
     The output format is validated *before* the run, so a typo'd
     extension fails in milliseconds instead of after a long analysis.
     """
-    path = getattr(args, "telemetry", None)
-    if not path:
-        return
     from repro.telemetry.export import infer_format
 
-    try:
-        infer_format(path)
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
+    infer_format(path)
     TELEMETRY.reset()
     TELEMETRY.enable()
 
 
-def _telemetry_end(args: argparse.Namespace) -> None:
+def _telemetry_end(path: str) -> None:
     """Write the telemetry snapshot and disable the singleton again.
 
     The confirmation line goes to stderr: report bytes on stdout must be
     identical with and without ``--telemetry``.
     """
-    path = getattr(args, "telemetry", None)
-    if not path:
-        return
     from repro.telemetry.export import write_telemetry
 
     try:
@@ -251,23 +212,26 @@ def _make_progress(
     return ProgressReporter(total, label=label, mode=mode)
 
 
+def _stderr(line: str) -> None:
+    print(line, file=sys.stderr)
+
+
+def _modules(args: argparse.Namespace) -> Optional[list[str]]:
+    """The ``--modules`` prefixes to micro-profile (``None``: all)."""
+    return args.modules.split(",") if args.modules else None
+
+
 def cmd_capture(args: argparse.Namespace, out: Callable) -> int:
-    _telemetry_begin(args)
-    try:
-        return _cmd_capture(args, out)
-    finally:
-        _telemetry_end(args)
+    from repro.workloads import get_workload
 
-
-def _cmd_capture(args: argparse.Namespace, out: Callable) -> int:
-    modules = args.modules.split(",") if args.modules else None
-    system = build_case_study(profiled_modules=modules)
+    spec = get_workload(args.workload)
+    system = build_case_study(profiled_modules=_modules(args))
     out(
         f"built: {system.image.profiled_functions} profiled functions, "
         f"board depth {system.board.ram.depth}"
     )
     capture = system.profile(
-        lambda: _run_workload(system, args.workload, args.packets),
+        lambda: spec.run_packets(system, args.packets),
         label=f"cli: {args.workload}",
     )
     out(
@@ -301,16 +265,6 @@ def _defect_footer(capture: Capture, source: str, out: Callable) -> None:
         out(f"salvage: no defects found in {source}")
 
 
-def cmd_analyze(args: argparse.Namespace, out: Callable) -> int:
-    if args.salvage and args.strict:
-        raise SystemExit("--salvage and --strict are mutually exclusive")
-    _telemetry_begin(args)
-    try:
-        return _cmd_analyze(args, out)
-    finally:
-        _telemetry_end(args)
-
-
 def _fold_file(args: argparse.Namespace, names: NameTable) -> SummaryAccumulator:
     """Fold the capture file straight off the disk, O(chunk) memory, for
     the summary and gprof reports, with the ``--progress`` heartbeat
@@ -338,7 +292,7 @@ def _fold_file(args: argparse.Namespace, names: NameTable) -> SummaryAccumulator
     )
 
 
-def _cmd_analyze(args: argparse.Namespace, out: Callable) -> int:
+def cmd_analyze(args: argparse.Namespace, out: Callable) -> int:
     names = NameTable.read(*args.names)
     if args.strict:
         lint_report = lint_capture_file(args.capture, names)
@@ -415,11 +369,9 @@ def cmd_doctor(args: argparse.Namespace, out: Callable) -> int:
 
 def cmd_lint(args: argparse.Namespace, out: Callable) -> int:
     if args.captures and not args.names:
-        out("lint: capture files need at least one --names file to decode with")
-        return 2
+        raise ValueError("capture files need at least one --names file to decode with")
     if args.coverage_corpus and not args.names:
-        out("lint: --coverage-corpus needs at least one --names file")
-        return 2
+        raise ValueError("--coverage-corpus needs at least one --names file")
     explicit = bool(
         args.captures or args.names or args.kernel_ast
         or args.coverage_corpus or args.db
@@ -489,59 +441,53 @@ def cmd_fleet_ingest(args: argparse.Namespace, out: Callable) -> int:
     from repro.lint import LintReport
     from repro.lint.fleet_lint import lint_fleet_plan, lint_fleet_result
 
-    _telemetry_begin(args)
+    names = NameTable.read(*args.names)
     try:
-        names = NameTable.read(*args.names)
-        try:
-            plan = plan_fleet(args.root)
-        except FleetError as exc:
-            report = LintReport()
-            report.add("P506", str(exc), source=str(args.root))
-            out(render_text(report))
-            return 2
-        plan_report = lint_fleet_plan(plan)
-        for diagnostic in plan_report:
-            out(diagnostic.format())
-        if not len(plan):
-            return 2
-        progress = _make_progress(args, len(plan), label="fleet")
-        try:
-            result = ingest_fleet(
-                plan,
-                names,
-                jobs=args.jobs,
-                salvage=args.salvage,
-                progress=progress.update,
-            )
-        except FleetError as exc:
-            raise SystemExit(str(exc)) from None
-        finally:
-            progress.finish()
-        result_report = lint_fleet_result(result)
-        for diagnostic in result_report:
-            out(diagnostic.format())
-        out(format_fleet_summary(result, limit=args.summary_limit))
-        if args.manifest:
-            write_text_atomic(
-                args.manifest,
-                json.dumps(result.manifest(timings=args.timings), indent=1),
-            )
-            # Stderr, like every operational line: stdout stays a pure
-            # function of the corpus so --jobs runs diff byte-clean.
-            print(f"manifest written to {args.manifest}", file=sys.stderr)
-        rate = (
-            f", {len(plan) / result.elapsed_s:.1f} captures/s"
-            if result.elapsed_s > 0
-            else ""
+        plan = plan_fleet(args.root)
+    except FleetError as exc:
+        report = LintReport()
+        report.add("P506", str(exc), source=str(args.root))
+        out(render_text(report))
+        return 2
+    plan_report = lint_fleet_plan(plan)
+    for diagnostic in plan_report:
+        out(diagnostic.format())
+    if not len(plan):
+        return 2
+    progress = _make_progress(args, len(plan), label="fleet")
+    try:
+        result = ingest_fleet(
+            plan,
+            names,
+            jobs=args.jobs,
+            salvage=args.salvage,
+            progress=progress.update,
         )
-        print(
-            f"fleet ingest: {result.jobs} worker(s), "
-            f"{result.elapsed_s:.2f}s{rate}",
-            file=sys.stderr,
-        )
-        return 1 if result.failed else 0
     finally:
-        _telemetry_end(args)
+        progress.finish()
+    result_report = lint_fleet_result(result)
+    for diagnostic in result_report:
+        out(diagnostic.format())
+    out(format_fleet_summary(result, limit=args.summary_limit))
+    if args.manifest:
+        write_text_atomic(
+            args.manifest,
+            json.dumps(result.manifest(timings=args.timings), indent=1),
+        )
+        # Stderr, like every operational line: stdout stays a pure
+        # function of the corpus so --jobs runs diff byte-clean.
+        print(f"manifest written to {args.manifest}", file=sys.stderr)
+    rate = (
+        f", {len(plan) / result.elapsed_s:.1f} captures/s"
+        if result.elapsed_s > 0
+        else ""
+    )
+    print(
+        f"fleet ingest: {result.jobs} worker(s), "
+        f"{result.elapsed_s:.2f}s{rate}",
+        file=sys.stderr,
+    )
+    return 1 if result.failed else 0
 
 
 def cmd_fleet_serve(args: argparse.Namespace, out: Callable) -> int:
@@ -551,42 +497,30 @@ def cmd_fleet_serve(args: argparse.Namespace, out: Callable) -> int:
     in-flight capture drains, the final merged summary prints to
     stdout, and the exit code is 0.
     """
-    from repro.fleet import FleetError, FleetServer
+    from repro.fleet import FleetServer
 
-    try:
-        names = NameTable.read(*args.names)
-        server = FleetServer(
-            args.root,
-            names,
-            jobs=args.jobs,
-            salvage=args.salvage,
-            port=args.port,
-            poll_s=args.poll,
-            max_polls=args.max_polls,
-            log=lambda line: print(line, file=sys.stderr),
-        )
-    except (FleetError, OSError) as exc:
-        raise SystemExit(str(exc)) from None
+    server = FleetServer(
+        args.root,
+        NameTable.read(*args.names),
+        jobs=args.jobs,
+        salvage=args.salvage,
+        port=args.port,
+        poll_s=args.poll,
+        max_polls=args.max_polls,
+        log=_stderr,
+    )
     code = server.run()
     out(server.final_summary(limit=args.summary_limit))
     return code
 
 
 def _coverage_report(args: argparse.Namespace):
-    """Shared scan+cross for the coverage report/blindspots commands.
-
-    Returns ``(report, graph)`` or an exit code (2) when the corpus
-    root is unusable.
-    """
+    """Shared scan+cross for the coverage report/blindspots commands:
+    ``(report, graph)``."""
     from repro.coverage import build_call_graph, build_coverage_report, scan_corpus
-    from repro.fleet import FleetError
 
     names = NameTable.read(*args.names)
-    try:
-        corpus = scan_corpus(args.root, names, jobs=args.jobs)
-    except FleetError as exc:
-        print(f"coverage: {exc}", file=sys.stderr)
-        return None, None
+    corpus = scan_corpus(args.root, names, jobs=args.jobs)
     graph = build_call_graph()
     return build_coverage_report(corpus, names, graph=graph), graph
 
@@ -605,16 +539,10 @@ def cmd_coverage_report(args: argparse.Namespace, out: Callable) -> int:
         render_coverage_text,
     )
 
-    _telemetry_begin(args)
-    try:
-        report, graph = _coverage_report(args)
-        if report is None:
-            return 2
-        out(render_coverage_json(report) if args.json
-            else render_coverage_text(report))
-        return coverage_diagnostics(report, graph=graph).exit_code
-    finally:
-        _telemetry_end(args)
+    report, graph = _coverage_report(args)
+    out(render_coverage_json(report) if args.json
+        else render_coverage_text(report))
+    return coverage_diagnostics(report, graph=graph).exit_code
 
 
 def cmd_coverage_blindspots(args: argparse.Namespace, out: Callable) -> int:
@@ -626,8 +554,6 @@ def cmd_coverage_blindspots(args: argparse.Namespace, out: Callable) -> int:
     )
 
     report, graph = _coverage_report(args)
-    if report is None:
-        return 2
     out(render_coverage_json(report) if args.json
         else render_blindspots_text(report))
     return coverage_diagnostics(report, graph=graph).exit_code
@@ -649,44 +575,21 @@ def cmd_coverage_hunt(args: argparse.Namespace, out: Callable) -> int:
         render_hunt_text,
         scan_corpus,
     )
-    from repro.fleet import FleetError
 
-    if args.rounds < 1 or args.candidates < 1:
-        raise SystemExit("--rounds and --candidates must be at least 1")
-    _telemetry_begin(args)
-    try:
-        names = NameTable.read(*args.names)
-        try:
-            corpus = scan_corpus(args.root, names, jobs=args.jobs)
-        except FleetError as exc:
-            print(f"coverage: {exc}", file=sys.stderr)
-            return 2
-        baseline = corpus.observed_union()
-        result = hunt_coverage(
-            baseline,
-            seed=args.seed,
-            rounds=args.rounds,
-            candidates=args.candidates,
-            log=(lambda line: print(line, file=sys.stderr))
-            if args.verbose else None,
-        )
-        out(render_hunt_json(result) if args.json else render_hunt_text(result))
-        if result.improved:
-            return 0
-        reachable = build_call_graph().reachable_tags()
-        return 0 if reachable <= baseline else 1
-    finally:
-        _telemetry_end(args)
-
-
-def _open_db(path: str):
-    """Open the profile database, mapping schema faults to exit 2."""
-    from repro.db import ProfileDbError, connect
-
-    try:
-        return connect(path)
-    except ProfileDbError as exc:
-        raise SystemExit(f"db: {exc}") from None
+    names = NameTable.read(*args.names)
+    baseline = scan_corpus(args.root, names, jobs=args.jobs).observed_union()
+    result = hunt_coverage(
+        baseline,
+        seed=args.seed,
+        rounds=args.rounds,
+        candidates=args.candidates,
+        log=_stderr if args.verbose else None,
+    )
+    out(render_hunt_json(result) if args.json else render_hunt_text(result))
+    if result.improved:
+        return 0
+    reachable = build_call_graph().reachable_tags()
+    return 0 if reachable <= baseline else 1
 
 
 def cmd_db_ingest(args: argparse.Namespace, out: Callable) -> int:
@@ -696,55 +599,47 @@ def cmd_db_ingest(args: argparse.Namespace, out: Callable) -> int:
     1 — at least one capture failed (the rest still landed); 2 — no
     captures found or the database is unusable.
     """
-    from repro.db import ProfileDbError, ingest_paths, run_count
+    from repro.db import connect, ingest_paths, run_count
 
-    _telemetry_begin(args)
+    names = NameTable.read(*args.names)
+    conn = connect(args.db)
     try:
-        names = NameTable.read(*args.names)
-        conn = _open_db(args.db)
-        try:
-            try:
-                results = ingest_paths(
-                    conn,
-                    args.paths,
-                    names,
-                    salvage=args.salvage,
-                    workload=args.workload,
+        results = ingest_paths(
+            conn,
+            args.paths,
+            names,
+            salvage=args.salvage,
+            workload=args.workload,
+        )
+        for result in results:
+            if result.status == "failed":
+                out(f"failed    {result.path}: {result.error}")
+            elif result.status == "duplicate":
+                out(f"duplicate {result.path} ({result.fingerprint[:12]})")
+            else:
+                out(
+                    f"{result.status:<9} {result.path} "
+                    f"({result.fingerprint[:12]}) {result.workload}: "
+                    f"{result.functions} function(s), "
+                    f"{result.records} event(s)"
                 )
-            except ProfileDbError as exc:
-                out(f"db: {exc}")
-                return 2
-            for result in results:
-                if result.status == "failed":
-                    out(f"failed    {result.path}: {result.error}")
-                elif result.status == "duplicate":
-                    out(f"duplicate {result.path} ({result.fingerprint[:12]})")
-                else:
-                    out(
-                        f"{result.status:<9} {result.path} "
-                        f"({result.fingerprint[:12]}) {result.workload}: "
-                        f"{result.functions} function(s), "
-                        f"{result.records} event(s)"
-                    )
-            added = sum(r.status in ("added", "salvaged") for r in results)
-            duplicates = sum(r.status == "duplicate" for r in results)
-            failed = sum(r.status == "failed" for r in results)
-            out(
-                f"db ingest: {added} added, {duplicates} duplicate(s), "
-                f"{failed} failed; {run_count(conn)} run(s) in {args.db}"
-            )
-            return 1 if failed else 0
-        finally:
-            conn.close()
+        added = sum(r.status in ("added", "salvaged") for r in results)
+        duplicates = sum(r.status == "duplicate" for r in results)
+        failed = sum(r.status == "failed" for r in results)
+        out(
+            f"db ingest: {added} added, {duplicates} duplicate(s), "
+            f"{failed} failed; {run_count(conn)} run(s) in {args.db}"
+        )
+        return 1 if failed else 0
     finally:
-        _telemetry_end(args)
+        conn.close()
 
 
 def cmd_db_runs(args: argparse.Namespace, out: Callable) -> int:
     """``repro db runs``: the run catalog (the thing diff selectors name)."""
-    from repro.db import list_runs, render_runs_json, render_runs_text
+    from repro.db import connect, list_runs, render_runs_json, render_runs_text
 
-    conn = _open_db(args.db)
+    conn = connect(args.db)
     try:
         runs = list_runs(conn, workload=args.workload, label=args.label)
     finally:
@@ -755,35 +650,23 @@ def cmd_db_runs(args: argparse.Namespace, out: Callable) -> int:
 
 def cmd_db_query(args: argparse.Namespace, out: Callable) -> int:
     """``repro db query``: filter/sort per-function rows across the corpus."""
-    from repro.db import (
-        ProfileDbError,
-        query_functions,
-        render_query_json,
-        render_query_text,
-    )
+    from repro.db import connect, query_functions, render_query_json, render_query_text
 
-    _telemetry_begin(args)
+    conn = connect(args.db)
     try:
-        conn = _open_db(args.db)
-        try:
-            try:
-                rows = query_functions(
-                    conn,
-                    workload=args.workload,
-                    label=args.label,
-                    function=args.function,
-                    min_pct_net=args.min_pct_net,
-                    sort=args.sort,
-                    limit=args.limit,
-                )
-            except ProfileDbError as exc:
-                raise SystemExit(f"db: {exc}") from None
-        finally:
-            conn.close()
-        out(render_query_json(rows) if args.json else render_query_text(rows))
-        return 0
+        rows = query_functions(
+            conn,
+            workload=args.workload,
+            label=args.label,
+            function=args.function,
+            min_pct_net=args.min_pct_net,
+            sort=args.sort,
+            limit=args.limit,
+        )
     finally:
-        _telemetry_end(args)
+        conn.close()
+    out(render_query_json(rows) if args.json else render_query_text(rows))
+    return 0
 
 
 def cmd_db_diff(args: argparse.Namespace, out: Callable) -> int:
@@ -796,55 +679,44 @@ def cmd_db_diff(args: argparse.Namespace, out: Callable) -> int:
 
     from repro.db import (
         DiffThresholds,
-        ProfileDbError,
+        connect,
         diff_runs,
         render_diff_json,
         render_diff_text,
     )
 
-    _telemetry_begin(args)
-    try:
-        baseline = args.baseline
-        if args.baseline_label:
-            if args.candidate is not None:
-                raise SystemExit(
-                    "db diff: give either BASELINE CANDIDATE positionally "
-                    "or --baseline-label, not both"
-                )
-            baseline, candidate = f"label:{args.baseline_label}", args.baseline
-        else:
-            candidate = args.candidate
-        if baseline is None or candidate is None:
-            raise SystemExit(
-                "db diff: need a baseline and a candidate selector"
+    baseline = args.baseline
+    if args.baseline_label:
+        if args.candidate is not None:
+            raise ValueError(
+                "db diff: give either BASELINE CANDIDATE positionally "
+                "or --baseline-label, not both"
             )
-        thresholds = DiffThresholds(
-            sigma=args.sigma,
-            min_rel=args.min_rel,
-            singleton_rel=args.singleton_rel,
-            min_abs_us=args.min_abs_us,
-        )
-        conn = _open_db(args.db)
-        try:
-            try:
-                with _warnings.catch_warnings():
-                    # The mismatch is reported in the rendering itself.
-                    _warnings.simplefilter("ignore")
-                    report = diff_runs(
-                        conn, baseline, candidate, thresholds=thresholds
-                    )
-            except ProfileDbError as exc:
-                raise SystemExit(f"db diff: {exc}") from None
-        finally:
-            conn.close()
-        out(
-            render_diff_json(report, limit=args.limit)
-            if args.json
-            else render_diff_text(report, limit=args.limit or 10)
-        )
-        return report.exit_code
+        baseline, candidate = f"label:{args.baseline_label}", args.baseline
+    else:
+        candidate = args.candidate
+    if baseline is None or candidate is None:
+        raise ValueError("db diff: need a baseline and a candidate selector")
+    thresholds = DiffThresholds(
+        sigma=args.sigma,
+        min_rel=args.min_rel,
+        singleton_rel=args.singleton_rel,
+        min_abs_us=args.min_abs_us,
+    )
+    conn = connect(args.db)
+    try:
+        with _warnings.catch_warnings():
+            # The mismatch is reported in the rendering itself.
+            _warnings.simplefilter("ignore")
+            report = diff_runs(conn, baseline, candidate, thresholds=thresholds)
     finally:
-        _telemetry_end(args)
+        conn.close()
+    out(
+        render_diff_json(report, limit=args.limit)
+        if args.json
+        else render_diff_text(report, limit=args.limit or 10)
+    )
+    return report.exit_code
 
 
 def cmd_db_check(args: argparse.Namespace, out: Callable) -> int:
@@ -872,10 +744,6 @@ def cmd_workloads(args: argparse.Namespace, out: Callable) -> int:
     return 0
 
 
-def _stderr(line: str) -> None:
-    print(line, file=sys.stderr)
-
-
 def cmd_live_capture(args: argparse.Namespace, out: Callable) -> int:
     """``repro live capture``: stream an open-ended MPF2 capture to a wire.
 
@@ -884,23 +752,20 @@ def cmd_live_capture(args: argparse.Namespace, out: Callable) -> int:
     human-oriented line goes to stderr, so the wire stays pure.
     """
     from repro.live.capture import stream_capture
+    from repro.workloads import get_workload
 
-    if args.chunk_records < 1:
-        raise SystemExit(f"--chunk-records must be positive, got {args.chunk_records}")
-    modules = args.modules.split(",") if args.modules else None
+    spec = get_workload(args.workload)
     sink = sys.stdout.buffer if args.out == "-" else open(args.out, "wb")
     try:
         result = stream_capture(
             sink,
-            args.workload,
+            spec,
             packets=args.packets,
-            modules=modules,
+            modules=_modules(args),
             chunk_records=args.chunk_records,
             names_out=args.names,
             info=_stderr,
         )
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
     finally:
         if sink is not sys.stdout.buffer:
             sink.close()
@@ -918,7 +783,6 @@ def cmd_live_analyze(args: argparse.Namespace, out: Callable) -> int:
     and all other narration go to stderr.
     """
     from repro.live.analyzer import LiveAnalyzer
-    from repro.profiler.upload import CaptureFormatError
 
     # The name/tag table travels out of band and the producer only
     # writes it (atomically) once its capture finishes, so an analyzer
@@ -932,7 +796,7 @@ def cmd_live_analyze(args: argparse.Namespace, out: Callable) -> int:
         _time.sleep(0.05)
         missing = [p for p in missing if not Path(p).exists()]
     if missing:
-        raise SystemExit(
+        raise FileNotFoundError(
             "name/tag file(s) never appeared within "
             f"{args.names_timeout:g}s: {', '.join(missing)}"
         )
@@ -944,7 +808,6 @@ def cmd_live_analyze(args: argparse.Namespace, out: Callable) -> int:
     if implicit_telemetry:
         TELEMETRY.reset()
         TELEMETRY.enable()
-    _telemetry_begin(args)
     trace = heartbeat = server = None
     try:
         if args.trace_out:
@@ -981,10 +844,7 @@ def cmd_live_analyze(args: argparse.Namespace, out: Callable) -> int:
             server.start()
             _stderr(f"live metrics at http://127.0.0.1:{server.port}/metrics")
         source = sys.stdin.buffer if args.source == "-" else args.source
-        try:
-            summary = analyzer.consume(source)
-        except CaptureFormatError as exc:
-            raise SystemExit(f"live stream error: {exc}") from None
+        summary = analyzer.consume(source)
         _stderr(
             f"live: drained {analyzer.records_total} events in "
             f"{analyzer.batches} batch(es) over {analyzer.windows} window(s)"
@@ -999,7 +859,6 @@ def cmd_live_analyze(args: argparse.Namespace, out: Callable) -> int:
             server.close()
         if trace is not None and not trace.closed:
             trace.close()
-        _telemetry_end(args)
         if implicit_telemetry:
             TELEMETRY.disable()
 
@@ -1019,8 +878,9 @@ def cmd_top(args: argparse.Namespace, out: Callable) -> int:
     from repro.live.capture import stream_capture
     from repro.live.top import TopView
     from repro.profiler.upload import CaptureFormatError
+    from repro.workloads import get_workload
 
-    modules = args.modules.split(",") if args.modules else None
+    spec = get_workload(args.workload)
     read_fd, write_fd = os.pipe()
     box: dict = {}
     ready = threading.Event()
@@ -1034,9 +894,9 @@ def cmd_top(args: argparse.Namespace, out: Callable) -> int:
         try:
             box["result"] = stream_capture(
                 sink,
-                args.workload,
+                spec,
                 packets=args.packets,
-                modules=modules,
+                modules=_modules(args),
                 info=_stderr,
                 on_names=_on_names,
             )
@@ -1052,7 +912,7 @@ def cmd_top(args: argparse.Namespace, out: Callable) -> int:
     if "names" not in box:
         os.close(read_fd)
         producer.join()
-        raise SystemExit(f"live capture failed: {box.get('error')}")
+        raise box["error"]
     view = TopView(
         sort=args.sort,
         limit=args.limit,
@@ -1066,11 +926,12 @@ def cmd_top(args: argparse.Namespace, out: Callable) -> int:
     source = os.fdopen(read_fd, "rb")
     try:
         analyzer.consume(source)
-    except CaptureFormatError as exc:
+    except CaptureFormatError:
+        # A stream cut mid-record: the producer's own error says why.
         producer.join()
-        error = box.get("error")
-        detail = f": {error}" if error is not None else f": {exc}"
-        raise SystemExit(f"live capture died mid-stream{detail}") from None
+        if "error" in box:
+            raise box["error"] from None
+        raise
     finally:
         source.close()
     producer.join()
@@ -1080,6 +941,29 @@ def cmd_top(args: argparse.Namespace, out: Callable) -> int:
         f"window(s), {view.frames} frame(s) drawn"
     )
     return 0
+
+
+def positive_int(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _add_workload_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--workload", default="network",
+        help="workload to run (default network; 'repro workloads' lists them)",
+    )
+    parser.add_argument(
+        "--packets", type=int, default=30,
+        help="workload size knob (packets/iterations/KB; default 30)",
+    )
+    parser.add_argument(
+        "--modules", default=None,
+        help="comma-separated module prefixes to micro-profile (default: all)",
+    )
 
 
 def _add_telemetry_flags(parser: argparse.ArgumentParser) -> None:
@@ -1107,20 +991,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     capture = sub.add_parser("capture", help="run a workload under the Profiler")
-    capture.add_argument("--workload", choices=sorted(WORKLOADS), default="network")
-    capture.add_argument(
-        "--packets", type=int, default=30,
-        help="workload size knob (packets/iterations/KB; default 30)",
-    )
+    _add_workload_flags(capture)
     capture.add_argument(
         "--report", action="append", choices=REPORTS, default=None,
         help="report(s) to print (default: summary; repeatable)",
     )
     capture.add_argument("--summary-limit", type=int, default=12)
-    capture.add_argument(
-        "--modules", default=None,
-        help="comma-separated module prefixes to micro-profile (default: all)",
-    )
     capture.add_argument("--save", default=None, help="write raw records here")
     capture.add_argument("--names", default=None, help="write the name/tag file here")
     _add_telemetry_flags(capture)
@@ -1153,12 +1029,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--report", action="append", choices=REPORTS, default=None
     )
     analyze.add_argument("--summary-limit", type=int, default=12)
-    analyze.add_argument(
+    decode_mode = analyze.add_mutually_exclusive_group()
+    decode_mode.add_argument(
         "--strict", action="store_true",
         help="run the proflint stream verifier first; refuse to analyze "
         "(exit 1) if the capture has any error-severity diagnostic",
     )
-    analyze.add_argument(
+    decode_mode.add_argument(
         "--salvage", action="store_true",
         help="decode fault-tolerantly: recover every intact record from a "
         "damaged file and list the tolerated defects in a report footer "
@@ -1394,11 +1271,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="PRNG seed for the candidate draws (default 0)",
     )
     coverage_hunt.add_argument(
-        "--rounds", type=int, default=2,
+        "--rounds", type=positive_int, default=2,
         help="greedy rounds (default 2)",
     )
     coverage_hunt.add_argument(
-        "--candidates", type=int, default=4,
+        "--candidates", type=positive_int, default=4,
         help="candidate configurations per round (default 4)",
     )
     coverage_hunt.add_argument(
@@ -1487,7 +1364,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="drop rows below this %%net floor",
     )
     db_query.add_argument(
-        "--sort", choices=sorted(DB_FUNCTION_SORTS), default="net",
+        "--sort", choices=sorted(FUNCTION_SORTS), default="net",
         help="sort column (default net)",
     )
     db_query.add_argument(
@@ -1581,17 +1458,7 @@ def build_parser() -> argparse.ArgumentParser:
         "capture",
         help="run a workload and stream the capture to stdout/FIFO/file",
     )
-    live_capture.add_argument(
-        "--workload", choices=sorted(WORKLOADS), default="network"
-    )
-    live_capture.add_argument(
-        "--packets", type=int, default=30,
-        help="workload size knob (packets/iterations/KB; default 30)",
-    )
-    live_capture.add_argument(
-        "--modules", default=None,
-        help="comma-separated module prefixes to micro-profile (default: all)",
-    )
+    _add_workload_flags(live_capture)
     live_capture.add_argument(
         "--names", required=True, metavar="PATH",
         help="write the name/tag file here; the analyzer on the far end "
@@ -1603,7 +1470,7 @@ def build_parser() -> argparse.ArgumentParser:
         "FIFO/file path",
     )
     live_capture.add_argument(
-        "--chunk-records", type=int, default=8192, metavar="N",
+        "--chunk-records", type=positive_int, default=8192, metavar="N",
         help="records per flushed write (default 8192, one board RAM)",
     )
     live_capture.set_defaults(func=cmd_live_capture)
@@ -1664,18 +1531,8 @@ def build_parser() -> argparse.ArgumentParser:
         "functions, redrawn each rolling window.  Non-TTY output (and "
         "--once) prints a single final frame instead.",
     )
-    top.add_argument("--workload", choices=sorted(WORKLOADS), default="network")
-    top.add_argument(
-        "--packets", type=int, default=30,
-        help="workload size knob (packets/iterations/KB; default 30)",
-    )
-    top.add_argument(
-        "--modules", default=None,
-        help="comma-separated module prefixes to micro-profile (default: all)",
-    )
-    # Same vocabulary as ``repro db query --sort`` (FUNCTION_SORTS); the
-    # CLI tests assert repro.live.top.TOP_SORTS and this literal agree.
-    top.add_argument("--sort", choices=DB_FUNCTION_SORTS, default="net")
+    _add_workload_flags(top)
+    top.add_argument("--sort", choices=FUNCTION_SORTS, default="net")
     top.add_argument(
         "--limit", type=int, default=15,
         help="function rows per frame (default 15)",
@@ -1708,14 +1565,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None, out: Callable = print) -> int:
+    """Run one command.  Its ``--telemetry`` snapshot is written on the
+    way out, whatever the outcome, and bad input (``ValueError``, which
+    every reader's format error is, or ``OSError``) is one
+    ``repro: error:`` line on stderr and exit 2, never a traceback."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "report", None) is None and args.command in ("capture", "analyze"):
         args.report = ["summary"]
+    telemetry = getattr(args, "telemetry", None)
     try:
-        return args.func(args, out)
-    except (CaptureFormatError, OSError, ValueError) as exc:
-        # Unreadable input: one line and exit 2, never a traceback.
+        if telemetry:
+            _telemetry_begin(telemetry)
+        try:
+            return args.func(args, out)
+        finally:
+            if telemetry:
+                _telemetry_end(telemetry)
+    except (OSError, ValueError) as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2
 

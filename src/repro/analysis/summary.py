@@ -196,6 +196,35 @@ class ProfileSummary:
         return "\n".join(out)
 
 
+#: Sort keys for function rows: one vocabulary for ``repro top --sort``
+#: and ``repro db query --sort``.
+FUNCTION_SORTS: tuple[str, ...] = ("net", "elapsed", "calls", "pct-net", "pct-real", "name")
+
+
+def sort_rows(summary: ProfileSummary, sort: str) -> list[FunctionStats]:
+    """The summary's function rows under one of :data:`FUNCTION_SORTS`.
+
+    Every numeric sort is descending with a name tiebreak, mirroring the
+    database query's ``ORDER BY ... DESC, f.name ASC``.
+    """
+    rows = list(summary.functions.values())
+    if sort == "net":
+        rows.sort(key=lambda s: (-s.net_us, s.name))
+    elif sort == "elapsed":
+        rows.sort(key=lambda s: (-s.elapsed_us, s.name))
+    elif sort == "calls":
+        rows.sort(key=lambda s: (-s.calls, s.name))
+    elif sort == "pct-net":
+        rows.sort(key=lambda s: (-summary.pct_net(s), s.name))
+    elif sort == "pct-real":
+        rows.sort(key=lambda s: (-summary.pct_real(s), s.name))
+    elif sort == "name":
+        rows.sort(key=lambda s: s.name)
+    else:
+        raise ValueError(f"unknown sort {sort!r}; pick one of {'/'.join(FUNCTION_SORTS)}")
+    return rows
+
+
 # -- shared aggregation core -------------------------------------------------
 #
 # Both the call-tree walk and the fold (aggregating frames as they close)

@@ -36,7 +36,6 @@ from repro.db.diff import (
 from repro.db.ingest import RunIngest, ingest_capture, ingest_paths
 from repro.db.query import (
     DEFAULT_FUNCTION_SORT,
-    FUNCTION_SORTS,
     FunctionRow,
     RunRow,
     function_row_count,
@@ -60,7 +59,6 @@ __all__ = [
     "DEFAULT_FUNCTION_SORT",
     "DiffReport",
     "DiffThresholds",
-    "FUNCTION_SORTS",
     "FunctionRow",
     "FunctionVerdict",
     "JSON_SCHEMA_VERSION",

@@ -20,11 +20,13 @@ import fnmatch
 import sqlite3
 from typing import List, Optional
 
+from repro.analysis.summary import FUNCTION_SORTS
 from repro.db.schema import ProfileDbError
 from repro.telemetry import TELEMETRY as _TELEMETRY
 
-#: ``--sort`` choices for function queries -> (SQL column, descending?).
-FUNCTION_SORTS = {
+#: Each of :data:`~repro.analysis.summary.FUNCTION_SORTS` -> (SQL
+#: column, descending?).
+_SORT_COLUMNS = {
     "net": ("f.net_us", True),
     "elapsed": ("f.elapsed_us", True),
     "calls": ("f.calls", True),
@@ -187,7 +189,8 @@ def query_functions(
 
     ``function`` is a shell glob matched against function names
     (``vm_*``, ``*intr*``); ``min_pct_net`` drops rows below a %net
-    floor; ``sort`` is one of :data:`FUNCTION_SORTS`.  Ties (and the
+    floor; ``sort`` is one of
+    :data:`~repro.analysis.summary.FUNCTION_SORTS`.  Ties (and the
     ``name`` sort) break on ``(name, run fingerprint)`` so the order is
     reproducible across ingest orders.
     """
@@ -195,7 +198,7 @@ def query_functions(
         raise ProfileDbError(
             f"unknown sort {sort!r}; pick one of {'/'.join(FUNCTION_SORTS)}"
         )
-    column, descending = FUNCTION_SORTS[sort]
+    column, descending = _SORT_COLUMNS[sort]
     sql = (
         "SELECT r.fingerprint, r.label, r.workload, f.name, f.calls,"
         " f.elapsed_us, f.net_us, f.max_us, f.min_us, f.pct_real, f.pct_net"

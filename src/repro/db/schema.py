@@ -79,7 +79,7 @@ CREATE INDEX IF NOT EXISTS idx_functions_name ON functions(name);
 """
 
 
-class ProfileDbError(RuntimeError):
+class ProfileDbError(ValueError):
     """The profile database was asked something impossible."""
 
 
@@ -90,19 +90,23 @@ def connect(path: Union[str, Path]) -> sqlite3.Connection:
     existing file must carry exactly :data:`SCHEMA_VERSION` — anything
     else raises :class:`ProfileDbError` so a newer or older tool never
     silently misreads rows (the lint pass reports the same condition as
-    P701 without raising).
+    P701 without raising).  A file sqlite cannot open or write raises
+    :class:`ProfileDbError` too.
     """
-    conn = sqlite3.connect(str(path))
-    conn.execute("PRAGMA foreign_keys = ON")
-    version = read_schema_version(conn)
-    if version is None:
-        with conn:
-            conn.executescript(_SCHEMA)
-            conn.execute(
-                "INSERT INTO schema_version (version) VALUES (?)",
-                (SCHEMA_VERSION,),
-            )
-        return conn
+    try:
+        conn = sqlite3.connect(str(path))
+        conn.execute("PRAGMA foreign_keys = ON")
+        version = read_schema_version(conn)
+        if version is None:
+            with conn:
+                conn.executescript(_SCHEMA)
+                conn.execute(
+                    "INSERT INTO schema_version (version) VALUES (?)",
+                    (SCHEMA_VERSION,),
+                )
+            return conn
+    except sqlite3.Error as exc:
+        raise ProfileDbError(f"{path}: {exc}") from None
     if version != SCHEMA_VERSION:
         conn.close()
         raise ProfileDbError(

@@ -98,7 +98,7 @@ FLEET_HISTOGRAMS: Tuple[Tuple[str, Tuple[float, ...]], ...] = (
 )
 
 
-class FleetError(RuntimeError):
+class FleetError(ValueError):
     """The fleet engine was asked something impossible."""
 
 

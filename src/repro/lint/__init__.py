@@ -52,12 +52,9 @@ from repro.lint.namefile_lint import (
 )
 from repro.lint.runner import (
     LintOptions,
-    LintPass,
     lint_capture_file,
     lint_paths,
     lint_self_check,
-    register_lint_pass,
-    registered_passes,
     render_json,
     render_text,
 )
@@ -74,7 +71,6 @@ __all__ = [
     "DEFECT_CODES",
     "Diagnostic",
     "LintOptions",
-    "LintPass",
     "LintReport",
     "Severity",
     "lint_capture_defects",
@@ -96,8 +92,6 @@ __all__ = [
     "lint_self_check",
     "lint_source_text",
     "lint_telemetry",
-    "register_lint_pass",
-    "registered_passes",
     "render_json",
     "render_text",
     "verify_capture",

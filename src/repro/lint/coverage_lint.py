@@ -7,9 +7,9 @@ cross as diagnostics — dead instrumentation (P601), blind spots
 (P602), redundant workloads (P603), namefile/source disagreement
 (P604) and unusable captures (P605).
 
-Registered with the runner's pass registry at import time; the heavy
-machinery imports lazily inside the pass body so ``repro lint``'s
-fast paths (name files, stream checks) never pay for it.
+The heavy machinery imports lazily inside :func:`lint_coverage_corpus`,
+so ``repro lint``'s fast paths (name files, stream checks) never pay for
+it.
 """
 
 from __future__ import annotations
@@ -17,12 +17,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.lint.diagnostics import LintReport
-from repro.lint.runner import (
-    LintOptions,
-    LintPass,
-    lenient_name_table,
-    register_lint_pass,
-)
 
 
 def lint_coverage_corpus(
@@ -49,18 +43,6 @@ def lint_coverage_corpus(
     graph = build_call_graph()
     coverage = build_coverage_report(corpus, names, graph=graph)
     return coverage_diagnostics(coverage, lint_report=report, graph=graph)
-
-
-def _run_coverage_pass(options: LintOptions, report: LintReport) -> None:
-    names = lenient_name_table(options.names)
-    lint_coverage_corpus(options.coverage_corpus, names, report=report)
-
-
-register_lint_pass(LintPass(
-    "coverage",
-    lambda options: options.coverage_corpus is not None,
-    _run_coverage_pass,
-))
 
 
 __all__ = ["lint_coverage_corpus"]

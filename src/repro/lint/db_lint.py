@@ -29,7 +29,6 @@ from pathlib import Path
 from typing import Optional, Union
 
 from repro.lint.diagnostics import LintReport
-from repro.lint.runner import LintOptions, LintPass, register_lint_pass
 
 
 def lint_profile_db(
@@ -118,15 +117,6 @@ def _lint_rows(
             f"fall back to the relative-threshold heuristic",
             source=source,
         )
-
-
-def _run_db_pass(options: LintOptions, report: LintReport) -> None:
-    lint_profile_db(options.db, report=report)
-
-
-register_lint_pass(LintPass(
-    "db", lambda options: options.db is not None, _run_db_pass
-))
 
 
 __all__ = ["lint_profile_db"]

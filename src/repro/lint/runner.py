@@ -157,41 +157,7 @@ def lint_self_check(report: Optional[LintReport] = None) -> LintReport:
     return report
 
 
-# -- the pass registry -------------------------------------------------------
-
-
-@dataclasses.dataclass(frozen=True)
-class LintPass:
-    """One registered lint pass.
-
-    ``selected`` decides from the options whether the pass runs at all;
-    ``run`` folds diagnostics into the shared report.  The ``name`` is
-    also the telemetry span suffix (``lint.pass.<name>``), so new passes
-    get per-pass timing for free.
-    """
-
-    name: str
-    selected: Callable[[LintOptions], bool]
-    run: Callable[[LintOptions, LintReport], None]
-
-
-_PASS_REGISTRY: list[LintPass] = []
-
-
-def register_lint_pass(lint_pass: LintPass) -> LintPass:
-    """Append a pass to the chain (replacing any same-named pass).
-
-    Replacement keeps re-imports idempotent; chain position is
-    registration order, which for the built-ins is the historical
-    namefile -> stream -> kernel_ast -> self_check order.
-    """
-    _PASS_REGISTRY[:] = [p for p in _PASS_REGISTRY if p.name != lint_pass.name]
-    _PASS_REGISTRY.append(lint_pass)
-    return lint_pass
-
-
-def registered_passes() -> tuple[LintPass, ...]:
-    return tuple(_PASS_REGISTRY)
+# -- the pass chain ----------------------------------------------------------
 
 
 def _run_namefile_pass(options: LintOptions, report: LintReport) -> None:
@@ -210,8 +176,6 @@ def _run_stream_pass(options: LintOptions, report: LintReport) -> None:
 
 
 def _run_live_pass(options: LintOptions, report: LintReport) -> None:
-    # Local import: the live pass is the one optional extra in the chain
-    # and the runner must import without it during partial checkouts.
     from repro.lint.live_lint import lint_live_stream
 
     for capture in options.captures:
@@ -226,36 +190,42 @@ def _run_self_check_pass(options: LintOptions, report: LintReport) -> None:
     lint_self_check(report=report)
 
 
-register_lint_pass(LintPass(
-    "namefile", lambda options: bool(options.names), _run_namefile_pass
-))
-register_lint_pass(LintPass(
-    "stream", lambda options: bool(options.captures), _run_stream_pass
-))
-register_lint_pass(LintPass(
-    "live", lambda options: bool(options.captures), _run_live_pass
-))
-register_lint_pass(LintPass(
-    "kernel_ast", lambda options: options.kernel_ast, _run_kernel_ast_pass
-))
-register_lint_pass(LintPass(
-    "self_check", lambda options: options.self_check, _run_self_check_pass
-))
+def _run_coverage_pass(options: LintOptions, report: LintReport) -> None:
+    from repro.lint.coverage_lint import lint_coverage_corpus
+
+    names = lenient_name_table(options.names)
+    lint_coverage_corpus(options.coverage_corpus, names, report=report)
+
+
+def _run_db_pass(options: LintOptions, report: LintReport) -> None:
+    from repro.lint.db_lint import lint_profile_db
+
+    lint_profile_db(options.db, report=report)
 
 
 def lint_paths(options: LintOptions) -> LintReport:
-    """Run every registered pass the options select, in chain order.
+    """Run every pass the options select, in the fixed chain order
+    namefile, stream, live, kernel_ast, self_check, coverage, db.
 
     Each pass runs under a telemetry span (``lint.pass.<pass>``), so
     ``--telemetry`` output breaks lint wall time down per pass; with
-    telemetry disabled the spans are no-ops.
+    telemetry disabled the spans are no-ops.  The coverage and db passes
+    import their subsystems only when selected.
     """
+    chain: tuple[tuple[str, bool, Callable[[LintOptions, LintReport], None]], ...] = (
+        ("namefile", bool(options.names), _run_namefile_pass),
+        ("stream", bool(options.captures), _run_stream_pass),
+        ("live", bool(options.captures), _run_live_pass),
+        ("kernel_ast", options.kernel_ast, _run_kernel_ast_pass),
+        ("self_check", options.self_check, _run_self_check_pass),
+        ("coverage", options.coverage_corpus is not None, _run_coverage_pass),
+        ("db", options.db is not None, _run_db_pass),
+    )
     report = LintReport()
-    for lint_pass in registered_passes():
-        if not lint_pass.selected(options):
-            continue
-        with _TELEMETRY.span(f"lint.pass.{lint_pass.name}"):
-            lint_pass.run(options, report)
+    for name, selected, run in chain:
+        if selected:
+            with _TELEMETRY.span(f"lint.pass.{name}"):
+                run(options, report)
     return report
 
 
@@ -313,15 +283,12 @@ def code_table_markdown() -> str:
 
 __all__ = [
     "LintOptions",
-    "LintPass",
     "Severity",
     "code_table_markdown",
     "lenient_name_table",
     "lint_capture_file",
     "lint_paths",
     "lint_self_check",
-    "register_lint_pass",
-    "registered_passes",
     "render_json",
     "render_text",
 ]

@@ -18,7 +18,7 @@ record stream.
 
 from repro.live.analyzer import LiveAnalyzer, LiveWindow
 from repro.live.capture import stream_capture
-from repro.live.top import TOP_SORTS, TopView, render_top, sort_rows
+from repro.live.top import TopView, render_top
 from repro.live.trace import LiveTraceWriter
 
 __all__ = [
@@ -27,7 +27,5 @@ __all__ = [
     "LiveTraceWriter",
     "stream_capture",
     "TopView",
-    "TOP_SORTS",
     "render_top",
-    "sort_rows",
 ]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 from pathlib import Path
-from typing import BinaryIO, Callable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, BinaryIO, Callable, Optional, Sequence, Union
 
 from repro.atomicio import write_text_atomic
 from repro.instrument.namefile import NameTable, format_name_file
@@ -30,6 +30,9 @@ from repro.profiler.upload import (
     CaptureStreamWriter,
 )
 from repro.system import build_case_study
+
+if TYPE_CHECKING:
+    from repro.workloads import WorkloadSpec
 
 
 @dataclasses.dataclass(frozen=True)
@@ -47,7 +50,7 @@ class LiveCaptureResult:
 
 def stream_capture(
     sink: BinaryIO,
-    workload: str,
+    workload: WorkloadSpec,
     *,
     packets: int = 2000,
     modules: Optional[Sequence[str]] = None,
@@ -56,8 +59,10 @@ def stream_capture(
     info: Optional[Callable[[str], None]] = None,
     on_names: Optional[Callable[[NameTable], None]] = None,
 ) -> LiveCaptureResult:
-    """Profile *workload* and stream the capture into *sink* as an
-    open-ended MPF2 stream (header, flushed record chunks, trailer).
+    """Profile *workload* (a registry entry, see
+    :func:`repro.workloads.get_workload`) and stream the capture into
+    *sink* as an open-ended MPF2 stream (header, flushed record chunks,
+    trailer).
 
     *sink* is any writable binary stream — a pipe, socket ``makefile``,
     FIFO or regular file; nothing here seeks.  ``info`` receives
@@ -80,19 +85,9 @@ def stream_capture(
         f"board depth {system.board.ram.depth}"
     )
 
-    # Imported only after build_case_study() has assigned kfunc tags —
-    # pulling the workload package first shifts tag assignment and
-    # breaks golden-capture byte identity (same rule as the batch CLI).
-    from repro.workloads import WorkloadError, get_workload
-
-    try:
-        spec = get_workload(workload)
-    except WorkloadError as exc:
-        raise ValueError(str(exc)) from None
-
-    label = f"live: {workload}"
+    label = f"live: {workload.name}"
     capture = system.profile(
-        lambda: spec.run_packets(system, packets), label=label
+        lambda: workload.run_packets(system, packets), label=label
     )
     desyncs = system.kernel.stats.get("kstack_desync", 0)
     say(
@@ -129,7 +124,7 @@ def stream_capture(
         f"trailer crc32=0x{writer.crc32:08x}"
     )
     return LiveCaptureResult(
-        workload=workload,
+        workload=workload.name,
         records=writer.count,
         chunks=chunks,
         overflowed=capture.overflowed,

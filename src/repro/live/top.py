@@ -3,8 +3,8 @@
 A ``top(1)``-shaped operator view over a running live analysis: a header
 of the stream vitals (events/sec, lag, windows, busy%) and a table of
 the hottest functions, redrawn in place each rolling window.  The sort
-keys are :data:`TOP_SORTS` — deliberately the same vocabulary as the
-profile database's ``FUNCTION_SORTS`` so ``repro top --sort pct-net``
+keys are :data:`repro.analysis.summary.FUNCTION_SORTS`, the vocabulary
+``repro db query --sort`` also reads, so ``repro top --sort pct-net``
 and ``repro db query --sort pct-net`` mean the same thing.
 
 Rendering is plain ANSI (home + clear-to-end per frame, no curses), and
@@ -15,42 +15,15 @@ is what the CI smoke job pins.
 from __future__ import annotations
 
 import sys
-from typing import IO, List, Optional, Tuple
+from typing import IO, List, Optional
 
-from repro.analysis.summary import FunctionStats, ProfileSummary
+from repro.analysis.summary import FUNCTION_SORTS, sort_rows
 from repro.live.analyzer import LiveWindow
-
-#: Sort keys, same vocabulary as ``repro db functions`` (FUNCTION_SORTS).
-TOP_SORTS: Tuple[str, ...] = ("net", "elapsed", "calls", "pct-net", "pct-real", "name")
 
 DEFAULT_TOP_LIMIT = 15
 
 _CLEAR_HOME = "\x1b[H"
 _CLEAR_BELOW = "\x1b[J"
-
-
-def sort_rows(summary: ProfileSummary, sort: str) -> List[FunctionStats]:
-    """The summary's function rows under one of :data:`TOP_SORTS`.
-
-    Every numeric sort is descending with a name tiebreak, mirroring the
-    database query's ``ORDER BY ... DESC, f.name ASC``.
-    """
-    rows = list(summary.functions.values())
-    if sort == "net":
-        rows.sort(key=lambda s: (-s.net_us, s.name))
-    elif sort == "elapsed":
-        rows.sort(key=lambda s: (-s.elapsed_us, s.name))
-    elif sort == "calls":
-        rows.sort(key=lambda s: (-s.calls, s.name))
-    elif sort == "pct-net":
-        rows.sort(key=lambda s: (-summary.pct_net(s), s.name))
-    elif sort == "pct-real":
-        rows.sort(key=lambda s: (-summary.pct_real(s), s.name))
-    elif sort == "name":
-        rows.sort(key=lambda s: s.name)
-    else:
-        raise ValueError(f"unknown sort {sort!r}; pick one of {'/'.join(TOP_SORTS)}")
-    return rows
 
 
 def render_top(
@@ -115,9 +88,9 @@ class TopView:
         out: Optional[IO[str]] = None,
         once: bool = False,
     ) -> None:
-        if sort not in TOP_SORTS:
+        if sort not in FUNCTION_SORTS:
             raise ValueError(
-                f"unknown sort {sort!r}; pick one of {'/'.join(TOP_SORTS)}"
+                f"unknown sort {sort!r}; pick one of {'/'.join(FUNCTION_SORTS)}"
             )
         self.sort = sort
         self.limit = limit

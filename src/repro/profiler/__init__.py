@@ -30,7 +30,6 @@ from repro.profiler.upload import (
     read_capture,
     salvage_capture,
     write_capture_file,
-    write_capture_stream,
 )
 from repro.profiler.capture import Capture, CaptureSession
 
@@ -53,5 +52,4 @@ __all__ = [
     "read_capture",
     "salvage_capture",
     "write_capture_file",
-    "write_capture_stream",
 ]

@@ -120,10 +120,6 @@ V1_HEADER_BYTES = 8
 #: MPF2 header without the label: everything up to the label bytes.
 V2_FIXED_HEADER_BYTES = 22
 
-#: Byte offsets of the backpatched MPF2 fields (count, CRC32).
-_V2_COUNT_OFFSET = 6
-_V2_CRC_OFFSET = 16
-
 #: The header count field is 32-bit in both versions.
 MAX_RECORDS = 1 << 32
 
@@ -405,19 +401,17 @@ def iter_capture_columns(
     path_or_file: Union[str, Path, BinaryIO],
     *,
     chunk_records: int = DEFAULT_CHUNK_RECORDS,
-    verify_count: bool = True,
-    verify_crc: bool = True,
 ) -> Iterator[RecordColumns]:
     """Stream a capture file as columnar record batches.
 
     Accepts both MPF1 and MPF2 headers and yields :class:`RecordColumns`
     batches of up to ``chunk_records`` records, accumulating the MPF2
     record-stream CRC32 *per chunk* (one :func:`zlib.crc32` call per
-    read, never per record).  With ``verify_count`` (the default) a
-    mismatch between the header's record count and the stream length
-    raises :class:`CaptureFormatError` at end of iteration — late, but
-    without buffering the file; ``verify_crc`` likewise checks the MPF2
-    record-stream CRC32 at the end (MPF1 has no checksum to verify).
+    read, never per record).  A mismatch between the header's record
+    count and the stream length raises :class:`CaptureFormatError` at
+    end of iteration — late, but without buffering the file — and so
+    does an MPF2 record-stream CRC32 mismatch (MPF1 has no checksum to
+    verify).
 
     Open-ended streams (flags bit 1) work off a live pipe/socket: the
     reader holds back the last :data:`TRAILER_BYTES` bytes so records
@@ -429,24 +423,20 @@ def iter_capture_columns(
         raise ValueError(f"chunk_records must be positive, got {chunk_records}")
     with _open_context(path_or_file, "rb") as stream:
         meta = _read_header(stream)
-        yield from _decode_payload(
-            stream, meta, chunk_records, verify_count, verify_crc
-        )
+        yield from _decode_payload(stream, meta, chunk_records)
 
 
 def _decode_payload(
     stream: BinaryIO,
     meta: CaptureMeta,
     chunk_records: int,
-    verify_count: bool,
-    verify_crc: bool,
 ) -> Generator[RecordColumns, None, CaptureMeta]:
     """The one strict decoder: the record stream after *meta*'s header.
 
     Yields the batches of :func:`iter_capture_columns` and returns
     *meta*, with an open-ended stream's trailer count and CRC32 adopted.
     """
-    check_crc = verify_crc and (meta.crc32 is not None or meta.streamed)
+    check_crc = meta.crc32 is not None or meta.streamed
     hold_back = TRAILER_BYTES if meta.streamed else 0
     chunk_bytes = chunk_records * RECORD_BYTES
     telemetry = _TELEMETRY
@@ -495,7 +485,7 @@ def _decode_payload(
                 f"record stream CRC32 {crc:#010x} disagrees with "
                 f"the trailer's {trailer_crc:#010x}: the payload is corrupt"
             )
-    if verify_count and seen != meta.count:
+    if seen != meta.count:
         where = "trailer" if meta.streamed else "header"
         raise CaptureFormatError(
             f"capture file {where} claims {meta.count} records but stream "
@@ -523,9 +513,7 @@ def read_capture(
     """
     tags, times = array("H"), array(U32_TYPECODE)
     with _open_context(path_or_file, "rb") as stream:
-        batches = _decode_payload(
-            stream, _read_header(stream), DEFAULT_CHUNK_RECORDS, True, True
-        )
+        batches = _decode_payload(stream, _read_header(stream), DEFAULT_CHUNK_RECORDS)
         try:
             while True:
                 batch = next(batches)
@@ -716,110 +704,6 @@ class CaptureStreamWriter:
     def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
         if exc_type is None:
             self.close()
-
-
-def write_capture_stream(
-    path_or_file: Union[str, Path, BinaryIO],
-    records: Iterable[RawRecord],
-    *,
-    version: int = 2,
-    counter_width_bits: int = STOCK_WIDTH_BITS,
-    counter_rate_hz: int = STOCK_RATE_HZ,
-    overflowed: bool = False,
-    label: str = "",
-    open_stream: Optional[bool] = None,
-) -> int:
-    """Write a capture file from a record *iterator* of unknown length.
-
-    Streams records straight to the file and backpatches the header's
-    record count (and, for MPF2, the CRC32) at the end, so captures far
-    larger than memory can be serialised.  Returns the record count.
-
-    ``open_stream`` selects the open-ended MPF2 wire form (sentinel
-    count + end-of-stream trailer, no seeking): ``True`` forces it,
-    ``False`` forces the backpatched header, and ``None`` (the default)
-    picks it automatically when the target cannot seek — so piping an
-    MPF2 capture through stdout just works, while MPF1 (which has no
-    trailer to carry the count) still rejects non-seekable targets up
-    front, before any bytes are written.
-    """
-    if version not in (1, 2):
-        raise ValueError(f"unknown capture format version {version}")
-    if open_stream and version == 1:
-        raise ValueError(
-            "MPF1 has no end-of-stream trailer; open-ended streams are "
-            "MPF2 only"
-        )
-    if hasattr(path_or_file, "write"):
-        try:
-            seekable = bool(path_or_file.seekable())  # type: ignore[union-attr]
-        except (AttributeError, OSError, ValueError):
-            seekable = False
-        if open_stream is None and version == 2:
-            open_stream = not seekable
-        if not seekable and not open_stream:
-            raise ValueError(
-                "write_capture_stream needs a seekable target to backpatch "
-                "the header's record count; pipe/socket targets cannot seek "
-                "— pass open_stream=True for the trailer-carrying wire "
-                "form, or buffer to a temporary file"
-            )
-    if open_stream:
-        with _open_context(path_or_file, "wb") as stream:
-            with CaptureStreamWriter(
-                stream,
-                counter_width_bits=counter_width_bits,
-                counter_rate_hz=counter_rate_hz,
-                overflowed=overflowed,
-                label=label,
-            ) as writer:
-                buffer = bytearray()
-                for record in records:
-                    buffer += record.pack()
-                    if len(buffer) >= DEFAULT_CHUNK_RECORDS * RECORD_BYTES:
-                        writer.write_bytes(buffer)
-                        buffer.clear()
-                if buffer:
-                    writer.write_bytes(buffer)
-            return writer.count
-    with _open_context(path_or_file, "wb") as stream:
-        base = stream.tell()
-        if version == 1:
-            _warn_v1_metadata_loss(
-                counter_width_bits, counter_rate_hz, overflowed, label
-            )
-            stream.write(MAGIC + b"\x00\x00\x00\x00")
-        else:
-            stream.write(
-                _encode_v2_header(
-                    0, counter_width_bits, counter_rate_hz, overflowed, label, 0
-                )
-            )
-        count = 0
-        crc = 0
-        buffer = bytearray()
-        for record in records:
-            _check_count(count + 1)
-            buffer += record.pack()
-            count += 1
-            if len(buffer) >= DEFAULT_CHUNK_RECORDS * RECORD_BYTES:
-                crc = zlib.crc32(buffer, crc)
-                stream.write(bytes(buffer))
-                buffer.clear()
-        if buffer:
-            crc = zlib.crc32(buffer, crc)
-            stream.write(bytes(buffer))
-        end = stream.tell()
-        if version == 1:
-            stream.seek(base + len(MAGIC))
-            stream.write(count.to_bytes(4, "big"))
-        else:
-            stream.seek(base + _V2_COUNT_OFFSET)
-            stream.write(count.to_bytes(4, "big"))
-            stream.seek(base + _V2_CRC_OFFSET)
-            stream.write(crc.to_bytes(4, "big"))
-        stream.seek(end)
-    return count
 
 
 def _warn_v1_metadata_loss(

@@ -10,6 +10,7 @@ test, pull the RAMs".
 from __future__ import annotations
 
 import dataclasses
+from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from repro.analysis.callstack import CallTreeAnalysis, analyze_capture
@@ -29,6 +30,11 @@ from repro.telemetry import TELEMETRY as _TELEMETRY
 
 #: Inline (``=``) trigger points planted by hand, per the paper's sample.
 INLINE_POINTS = ("MGET",)
+
+#: The kernel's name/tag file.  As in the paper it persists between
+#: builds: each build extends a fresh read of it, so a function keeps its
+#: tags whatever order the kernel modules happened to be imported in.
+NAME_FILE = Path(__file__).parent / "kernel" / "case_study.tags"
 
 
 @dataclasses.dataclass
@@ -104,7 +110,10 @@ def build_case_study(
     whole kernel with profiling, the macro-profile).  ``cost`` swaps in a
     counterfactual :class:`CostModel` (e.g. ``asm_cksum=True``).
     ``instrument=False`` builds the non-profiled kernel of the overhead
-    experiment — triggers absent entirely.  ``engine="reference"`` wires
+    experiment — triggers absent entirely.  ``names`` is the table the
+    compiler extends (default: a fresh read of :data:`NAME_FILE`), so
+    ``system.names`` always holds the whole kernel's tags, whichever
+    modules were micro-profiled.  ``engine="reference"`` wires
     the pre-optimization capture path (single-heap interrupt queue,
     linear bus decode, step-by-step cost charging) — the baseline the
     parity tests and capture benchmarks compare against; captures must
@@ -130,7 +139,9 @@ def build_case_study(
     adapter = PiggyBackAdapter(board)
     kernel.attach_profiler(adapter)
 
-    compiler = InstrumentingCompiler(names=names)
+    compiler = InstrumentingCompiler(
+        names=NameTable.read(NAME_FILE) if names is None else names
+    )
     image = compiler.compile(
         registered_functions(),
         modules=list(profiled_modules) if profiled_modules is not None else None,

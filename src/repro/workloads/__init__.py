@@ -30,7 +30,7 @@ from repro.workloads.mixed import MixedResult, mixed_activity
 from repro.workloads.snmp import BtreeMib, LinearMib, SnmpResult, snmp_agent_run
 
 
-class WorkloadError(Exception):
+class WorkloadError(ValueError):
     """Unknown workload name or out-of-schema parameters."""
 
 

@@ -2,8 +2,7 @@
 
 Covers the transfer-path robustness layer: MPF2 round-trips every
 ``Capture`` field, both header versions cross-read, short reads on
-pipe-like streams reassemble, non-seekable streaming targets fail fast,
-and a fault-injection corpus (truncation, bit flips, header lies) goes
+pipe-like streams reassemble, and a fault-injection corpus (truncation, bit flips, header lies) goes
 through ``salvage_capture`` / ``repro capture doctor`` /
 ``analyze --salvage`` instead of raising.
 """
@@ -23,11 +22,11 @@ from repro.profiler.upload import (
     MAGIC,
     MAGIC_V2,
     CaptureMetadataWarning,
+    CaptureStreamWriter,
     EpromReadback,
     read_capture,
     salvage_capture,
     write_capture_file,
-    write_capture_stream,
 )
 from stream_helpers import (
     capture_from_records,
@@ -156,15 +155,21 @@ class TestCrossVersionReads:
         assert list(iter_records(v2)) == RECORDS
 
     def test_streaming_writer_matches_batch_writer_v2(self):
+        """The open-ended wire form reads back to the records and header
+        metadata the closed MPF2 file carries."""
         streamed = io.BytesIO()
-        write_capture_stream(
-            streamed, iter(RECORDS), overflowed=True, label="x", counter_width_bits=20
+        with CaptureStreamWriter(
+            streamed, overflowed=True, label="x", counter_width_bits=20
+        ) as writer:
+            writer.write_records(RECORDS)
+        columns, meta = read_capture(io.BytesIO(streamed.getvalue()))
+        batch_columns, batch_meta = read_capture(
+            io.BytesIO(_v2_blob(overflowed=True, label="x", counter_width_bits=20))
         )
-        batch = io.BytesIO()
-        write_capture_file(
-            batch, COLUMNS, overflowed=True, label="x", counter_width_bits=20
-        )
-        assert streamed.getvalue() == batch.getvalue()
+        assert columns == batch_columns == COLUMNS
+        assert meta.streamed and not batch_meta.streamed
+        for field in ("count", "overflowed", "label", "counter_width_bits", "crc32"):
+            assert getattr(meta, field) == getattr(batch_meta, field), field
 
     def test_iter_detects_crc_corruption_at_end(self):
         blob = bytearray(_v2_blob())
@@ -205,70 +210,15 @@ class TestShortReads:
         assert meta.label == "short-read"
 
 
-class _NoSeek:
-    """A pipe-shaped target: write-only, refuses to seek."""
-
-    def __init__(self):
-        self.written = b""
-
-    def write(self, blob):
-        self.written += blob
-
-    def seekable(self):
-        return False
-
-
 class TestStreamWriterGuards:
-    def test_non_seekable_target_switches_to_open_stream(self):
-        # MPF2 no longer needs a backpatch seek: a non-seekable target
-        # gets the open-ended wire form (sentinel count + trailer).
-        target = _NoSeek()
-        count = write_capture_stream(target, iter(RECORDS))
-        assert count == len(RECORDS)
-        columns, meta = read_capture(io.BytesIO(target.written))
-        assert columns == COLUMNS
-        assert meta.streamed and meta.count == len(RECORDS)
-
-    def test_non_seekable_target_rejected_when_open_stream_refused(self):
-        target = _NoSeek()
-        with pytest.raises(ValueError, match="seekable"):
-            write_capture_stream(target, iter(RECORDS), open_stream=False)
-        assert target.written == b""  # nothing hit the wire first
-
-    def test_non_seekable_v1_target_rejected_before_any_write(self):
-        # MPF1 has no trailer to carry the count, so the old fail-fast
-        # guard still protects it.
-        target = _NoSeek()
-        with pytest.raises(ValueError, match="seekable"):
-            write_capture_stream(target, iter(RECORDS), version=1)
-        assert target.written == b""
-
-    def test_open_stream_v1_rejected(self):
-        with pytest.raises(ValueError, match="MPF2 only"):
-            write_capture_stream(
-                io.BytesIO(), iter(RECORDS), version=1, open_stream=True
-            )
-
-    def test_target_without_seekable_probe_streams_open(self):
-        class Bare:
-            def __init__(self):
-                self.written = b""
-
-            def write(self, blob):
-                self.written += blob
-
-        target = Bare()
-        count = write_capture_stream(target, iter(RECORDS))
-        assert count == len(RECORDS)
-        columns, meta = read_capture(io.BytesIO(target.written))
-        assert columns == COLUMNS and meta.streamed
-
     def test_count_overflow_diagnosed_not_overflowerror(self, monkeypatch):
         import repro.profiler.upload as upload
 
         monkeypatch.setattr(upload, "MAX_RECORDS", 10)
         with pytest.raises(ValueError, match="32-bit"):
-            write_capture_stream(io.BytesIO(), iter(RECORDS))
+            write_capture_file(io.BytesIO(), COLUMNS)
+        with pytest.raises(ValueError, match="32-bit"):
+            CaptureStreamWriter(io.BytesIO()).write_records(RECORDS)
 
         class Liar:
             def __len__(self):
@@ -473,11 +423,12 @@ class TestAnalyzeSalvageCli:
 
     def test_salvage_flag_conflicts(self, tmp_path):
         capture_file, names_file = self._save_run(tmp_path)
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as usage:
             main([
                 "analyze", str(capture_file), "--names", str(names_file),
                 "--salvage", "--strict",
             ], out=lambda _: None)
+        assert usage.value.code == 2
 
 
 class TestFullReportFooter:

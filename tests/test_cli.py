@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from repro.__main__ import WORKLOADS, main
+from repro.__main__ import main
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -339,12 +339,7 @@ class TestBadCaptureExitCodes:
     exit code and never a traceback."""
 
     def _run(self, capsys, *argv: str) -> int:
-        try:
-            code, lines = run_cli_code(*argv)
-        except SystemExit as exc:
-            # The interpreter prints a message exit to stderr as status 1.
-            assert isinstance(exc.code, str), exc.code
-            code, lines = 1, [exc.code]
+        code, lines = run_cli_code(*argv)
         captured = capsys.readouterr()
         for text in (*lines, captured.out, captured.err):
             assert "Traceback" not in text
@@ -353,12 +348,11 @@ class TestBadCaptureExitCodes:
     @pytest.mark.parametrize("case", CAPTURE_FAULTS)
     def test_per_capture_commands(self, tmp_path, capsys, case):
         capture, names = _bad_inputs(tmp_path)[case]
-        missing = case == "missing capture"
         assert self._run(capsys, "lint", str(capture), "--names", str(names)) == 1
         doctor = self._run(capsys, "capture", "doctor", str(capture))
         assert doctor == (1 if case == "truncated capture" else 2)
         live = self._run(capsys, "live", "analyze", str(capture), "--names", str(names))
-        assert live == (2 if missing else 1)
+        assert live == 2
         db = tmp_path / "corpus.db"
         ingest = ["db", "ingest", str(capture), "--db", str(db), "--names", str(names)]
         assert self._run(capsys, *ingest) == 1
@@ -369,6 +363,82 @@ class TestBadCaptureExitCodes:
         assert self._run(capsys, "fleet", "ingest", str(tmp_path), "--names", names) == 1
         missing = str(tmp_path / "no-such-dir")
         assert self._run(capsys, "fleet", "ingest", missing, "--names", names) == 2
+
+
+def _bad_input_argv(case: str, tmp_path: pathlib.Path) -> list[str]:
+    """One command line per kind of bad input."""
+    names = str(GOLDEN_DIR / "case_study.tags")
+    capture = str(GOLDEN_DIR / "figure3_network_v2.mpf")
+    unopenable = str(tmp_path / "no-such-dir" / "x.db")
+    cut = tmp_path / "cut.mpf"
+    cut.write_bytes((GOLDEN_DIR / "figure3_network_v2.mpf").read_bytes()[:-3])
+    return {
+        "capture workload": ["capture", "--workload", "nope"],
+        "live capture workload": [
+            "live", "capture", "--workload", "nope", "--names", str(tmp_path / "t.tags"),
+        ],
+        "top workload": ["top", "--workload", "nope", "--once"],
+        "db diff unknown selector": [
+            "db", "diff", "before", "nonesuch", "--db", str(tmp_path / "empty.db"),
+        ],
+        "db ingest unopenable": ["db", "ingest", capture, "--db", unopenable, "--names", names],
+        "db runs unopenable": ["db", "runs", "--db", unopenable],
+        "db query unopenable": ["db", "query", "--db", unopenable],
+        "db diff unopenable": ["db", "diff", "a", "b", "--db", unopenable],
+        "telemetry extension": [
+            "analyze", capture, "--names", names, "--telemetry", str(tmp_path / "t.csv"),
+        ],
+        "live analyze cut mid-record": [
+            "live", "analyze", str(cut), "--names", names, "--window", "3600",
+        ],
+        "lint without names": ["lint", str(tmp_path / "x.mpf")],
+        "coverage missing root": [
+            "coverage", "report", str(tmp_path / "no-such-root"), "--names", names,
+        ],
+    }[case]
+
+
+class TestBadInputIsOneErrorLine:
+    """Every bad input, whatever the command: exit 2, one
+    ``repro: error:`` line on stderr, nothing on stdout."""
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "capture workload",
+            "live capture workload",
+            "top workload",
+            "db diff unknown selector",
+            "db ingest unopenable",
+            "db runs unopenable",
+            "db query unopenable",
+            "db diff unopenable",
+            "telemetry extension",
+            "live analyze cut mid-record",
+            "lint without names",
+            "coverage missing root",
+        ],
+    )
+    def test_exit_two_one_line(self, tmp_path, capsys, case):
+        code, lines = run_cli_code(*_bad_input_argv(case, tmp_path))
+        captured = capsys.readouterr()
+        assert code == 2, captured.err
+        assert lines == [] and captured.out == ""
+        assert "Traceback" not in captured.err
+        assert len(captured.err.splitlines()) == 1, captured.err
+        assert captured.err.startswith("repro: error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["live", "capture", "--names", "x.tags", "--chunk-records", "0"],
+            ["coverage", "hunt", "root", "--names", "x.tags", "--candidates", "0"],
+        ],
+    )
+    def test_usage_errors_exit_two(self, argv):
+        with pytest.raises(SystemExit) as usage:
+            main(argv, out=lambda line: None)
+        assert usage.value.code == 2
 
 
 class TestOneFold:
@@ -401,18 +471,23 @@ class TestOneFold:
 
 class TestOtherCommands:
     def test_workloads_listing(self):
+        from repro.workloads import WORKLOAD_REGISTRY
+
         lines = run_cli("workloads")
         text = "\n".join(lines)
-        for name in WORKLOADS:
+        for name in WORKLOAD_REGISTRY:
             assert name in text
 
-    def test_bad_workload_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["capture", "--workload", "nope"], out=lambda s: None)
+    def test_bad_workload_rejected(self, capsys):
+        code, lines = run_cli_code("capture", "--workload", "nope")
+        assert (code, lines) == (2, [])
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: unknown workload 'nope'")
 
     def test_analyze_requires_names(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as usage:
             main(["analyze", "whatever.mpf"], out=lambda s: None)
+        assert usage.value.code == 2
 
     def test_cli_imports_without_networkx(self):
         """The CLI needs nothing outside the standard library: it imports

@@ -143,10 +143,11 @@ class TestHuntCommand:
         assert (code, text) == (code2, text2)
 
     def test_bad_knobs_raise(self, corpus):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as usage:
             run_cli(
                 "coverage", "hunt", corpus, "--names", NAMES, "--rounds", "0"
             )
+        assert usage.value.code == 2
 
 
 class TestLintCoverageFlag:
@@ -158,10 +159,12 @@ class TestLintCoverageFlag:
         assert "P601" in text
         assert "P602" in text
 
-    def test_lint_coverage_corpus_needs_names(self, corpus):
+    def test_lint_coverage_corpus_needs_names(self, corpus, capsys):
         code, text = run_cli("lint", "--coverage-corpus", corpus)
         assert code == 2
-        assert "--names" in text
+        assert text == "\n"  # no output lines
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ") and "--names" in err
 
     def test_lint_json_schema_carries_p6xx(self, corpus):
         code, text = run_cli(

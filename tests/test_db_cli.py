@@ -14,8 +14,7 @@ import pathlib
 
 import pytest
 
-from repro.__main__ import DB_FUNCTION_SORTS, main
-from repro.db.query import FUNCTION_SORTS
+from repro.__main__ import main
 
 from stream_helpers import build_regression_corpus
 
@@ -73,14 +72,16 @@ class TestIngestCommand:
         assert "0 added, 3 duplicate(s), 0 failed" in second
         assert "3 run(s)" in second
 
-    def test_nothing_found_exits_2(self, tmp_path):
+    def test_nothing_found_exits_2(self, tmp_path, capsys):
         (tmp_path / "empty").mkdir()
         code, text = run_cli(
             "db", "ingest", str(tmp_path / "empty"),
             "--db", str(tmp_path / "p.db"), "--names", GOLDEN_TAGS,
         )
         assert code == 2
-        assert "no capture files" in text
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ") and "no capture files" in err
 
     def test_failed_capture_exits_1(self, tmp_path):
         bad = tmp_path / "bad.mpf"
@@ -147,11 +148,6 @@ class TestRunsAndQueryCommands:
         calls = [row["calls"] for row in rows]
         assert calls == sorted(calls, reverse=True)
 
-    def test_sort_choices_mirror_library(self):
-        # __main__ keeps a literal copy (importing repro.db at
-        # parser-build time would shift kfunc tag assignment).
-        assert set(DB_FUNCTION_SORTS) == set(FUNCTION_SORTS)
-
 
 class TestDiffCommand:
     def test_identical_records_golden_report(self, tmp_path):
@@ -196,20 +192,24 @@ class TestDiffCommand:
         )
         assert code == 2
 
-    def test_baseline_label_conflicts_with_two_positionals(self, regression_db):
-        with pytest.raises(SystemExit):
-            run_cli(
-                "db", "diff", "a", "b", "--db", regression_db,
-                "--baseline-label", "before",
-            )
+    def test_baseline_label_conflicts_with_two_positionals(self, regression_db, capsys):
+        code, text = run_cli(
+            "db", "diff", "a", "b", "--db", regression_db,
+            "--baseline-label", "before",
+        )
+        assert (code, text) == (2, "")
+        assert "not both" in capsys.readouterr().err
 
-    def test_missing_candidate_rejected(self, regression_db):
-        with pytest.raises(SystemExit):
-            run_cli("db", "diff", "before", "--db", regression_db)
+    def test_missing_candidate_rejected(self, regression_db, capsys):
+        code, text = run_cli("db", "diff", "before", "--db", regression_db)
+        assert (code, text) == (2, "")
+        assert "need a baseline and a candidate" in capsys.readouterr().err
 
-    def test_unknown_selector_rejected(self, regression_db):
-        with pytest.raises(SystemExit, match="no run matches"):
-            run_cli("db", "diff", "before", "nonesuch", "--db", regression_db)
+    def test_unknown_selector_rejected(self, regression_db, capsys):
+        code, text = run_cli("db", "diff", "before", "nonesuch", "--db", regression_db)
+        assert (code, text) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ") and "no run matches" in err
 
     def test_threshold_knobs(self, regression_db):
         # An absurd absolute floor silences the seeded regression.

@@ -39,7 +39,7 @@ from repro.profiler.ram import DEFAULT_DEPTH, RawRecord
 from repro.profiler.upload import (
     decode_record_columns,
     iter_capture_columns,
-    write_capture_stream,
+    write_capture_file,
 )
 from stream_helpers import (
     TIME_MASK,
@@ -306,7 +306,7 @@ class TestRecordParity:
     def test_capture_file_matches_reference(self, records, version, chunk_records):
         """MPF1 and MPF2 files decode identically through both readers."""
         buffer = io.BytesIO()
-        write_capture_stream(buffer, records, version=version)
+        write_capture_file(buffer, columns_of(records), version=version)
         buffer.seek(0)
         reference = list(oracles.iter_capture_file(buffer))
         buffer.seek(0)

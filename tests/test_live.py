@@ -30,11 +30,15 @@ from stream_helpers import (
     salvage_records,
 )
 from repro.analysis.callstack import analyze_capture
-from repro.analysis.summary import SummaryAccumulator, summarize
-from repro.db.query import FUNCTION_SORTS
+from repro.analysis.summary import (
+    FUNCTION_SORTS,
+    SummaryAccumulator,
+    sort_rows,
+    summarize,
+)
 from repro.lint import lint_live_drain, lint_live_stream, render_text
 from repro.live.analyzer import LiveAnalyzer, LiveWindow
-from repro.live.top import TOP_SORTS, TopView, render_top, sort_rows
+from repro.live.top import TopView, render_top
 from repro.live.trace import LiveTraceWriter
 from repro.profiler.ram import RawRecord
 from repro.profiler.upload import (
@@ -331,7 +335,19 @@ class TestMetricsServer:
 
 class TestTop:
     def test_sorts_match_db_function_sorts(self):
-        assert TOP_SORTS == tuple(FUNCTION_SORTS)
+        """``repro top`` and ``repro db query`` take one sort vocabulary:
+        every key ranks a live frame and orders a database query."""
+        from repro.db import connect, query_functions
+
+        summary = self._window().cumulative
+        conn = connect(":memory:")
+        try:
+            for sort in FUNCTION_SORTS:
+                assert TopView(sort=sort).sort == sort
+                assert len(sort_rows(summary, sort)) == len(summary.functions)
+                assert query_functions(conn, sort=sort) == []
+        finally:
+            conn.close()
 
     def _window(self):
         records = _records(300)

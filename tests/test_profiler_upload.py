@@ -11,13 +11,13 @@ from repro.profiler.ram import RawRecord, TraceRam
 from repro.profiler.upload import (
     MAGIC,
     CaptureFormatError,
+    CaptureStreamWriter,
     EpromReadback,
     decode_record_columns,
     iter_capture_columns,
     read_capture,
     read_capture_meta,
     write_capture_file,
-    write_capture_stream,
 )
 
 import oracles
@@ -155,35 +155,18 @@ class TestStreamingCaptureIO:
         with pytest.raises(ValueError, match="claims 9"):
             next(iterator)
 
-    def test_iter_capture_file_count_check_can_be_disabled(self):
-        records = [RawRecord(tag=1, time=2)]
-        blob = MAGIC + (9).to_bytes(4, "big") + record_bytes(records)
-        assert list(iter_records(io.BytesIO(blob), verify_count=False)) == records
-
-    def test_write_capture_stream_from_generator(self, tmp_path):
-        path = tmp_path / "gen.mpf"
-        count = write_capture_stream(
-            path, (RawRecord(tag=i, time=i) for i in range(100))
-        )
-        assert count == 100
-        # Batch reader accepts it: the backpatched count is correct.
-        assert read_records(path) == [
-            RawRecord(tag=i, time=i) for i in range(100)
-        ]
-
-    def test_write_capture_stream_empty_iterator(self):
-        buffer = io.BytesIO()
-        assert write_capture_stream(buffer, iter(())) == 0
-        buffer.seek(0)
-        assert read_records(buffer) == []
-
     @given(records=records_strategy)
     def test_streaming_and_batch_formats_are_identical(self, records):
+        """The open-ended wire form and the closed file carry the same
+        records, for every reader."""
         streamed = io.BytesIO()
-        write_capture_stream(streamed, iter(records))
+        with CaptureStreamWriter(streamed) as writer:
+            writer.write_records(records)
         batch = io.BytesIO()
         write_capture_file(batch, columns_of(records))
-        assert streamed.getvalue() == batch.getvalue()
+        for blob in (streamed.getvalue(), batch.getvalue()):
+            assert read_records(io.BytesIO(blob)) == records
+            assert list(iter_records(io.BytesIO(blob))) == records
 
 
 class _NonSeekable(io.RawIOBase):
@@ -215,7 +198,7 @@ class TestCaptureFormatErrorContract:
 
     def _v2_file(self, records) -> bytes:
         buffer = io.BytesIO()
-        write_capture_stream(buffer, records, version=2)
+        write_capture_file(buffer, columns_of(records))
         return buffer.getvalue()
 
     def test_is_a_value_error(self):

@@ -453,6 +453,39 @@ class TestShippedArtifactsLintClean:
         assert report.error_count == 0, render_text(report)
 
 
+# -- the pass chain ----------------------------------------------------------
+
+
+class TestPassChain:
+    def test_selected_passes_run_in_chain_order_each_in_its_span(self, tmp_path):
+        from repro.telemetry import TELEMETRY
+
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        options = LintOptions(
+            captures=[GOLDEN_DIR / "figure3_network_v2.mpf"],
+            names=[GOLDEN_NAMES],
+            kernel_ast=True,
+            self_check=True,
+            coverage_corpus=corpus,
+            db=tmp_path / "empty.db",
+        )
+        TELEMETRY.reset()
+        TELEMETRY.enable()
+        try:
+            lint_paths(options)
+            spans = [s.name for s in TELEMETRY.spans() if s.name.startswith("lint.pass.")]
+        finally:
+            TELEMETRY.disable()
+            TELEMETRY.reset()
+        assert spans == [
+            f"lint.pass.{name}"
+            for name in (
+                "namefile", "stream", "live", "kernel_ast", "self_check", "coverage", "db",
+            )
+        ]
+
+
 # -- report plumbing ---------------------------------------------------------
 
 

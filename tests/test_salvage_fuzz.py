@@ -34,7 +34,8 @@ import pytest
 
 import oracles
 from repro.profiler.ram import RawRecord
-from repro.profiler.upload import salvage_capture_bytes, write_capture_stream
+from repro.profiler.upload import salvage_capture_bytes, write_capture_file
+from stream_helpers import columns_of
 
 GOLDEN = Path(__file__).parent / "golden"
 EXPECTED_PATH = GOLDEN / "salvage_fuzz_expected.json"
@@ -53,9 +54,9 @@ def base_capture(version: int = 2) -> bytes:
         for i in range(120)
     ]
     buffer = io.BytesIO()
-    write_capture_stream(
+    write_capture_file(
         buffer,
-        records,
+        columns_of(records),
         version=version,
         label="fuzz substrate" if version == 2 else "",
     )

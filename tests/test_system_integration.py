@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
-from repro.analysis.summary import summarize
+from repro.analysis.summary import summarize, summarize_capture
 from repro.analysis.trace import format_trace
 from repro.instrument.linker import ObjectModule, TwoStageLinker
+from repro.instrument.namefile import NameTable
+from repro.profiler.capture import Capture
 from repro.profiler.eprom import DEFAULT_SOCKET_BASE
-from repro.system import build_case_study
+from repro.system import NAME_FILE, build_case_study
 from repro.workloads.forkexec import fork_exec_storm
 from repro.workloads.network_recv import network_receive
 
@@ -36,6 +43,90 @@ class TestBuild:
         assert "tcp_input" in instrumented and "weintr" in instrumented
         assert "pmap_remove" not in instrumented
         assert "bread" not in instrumented
+        # Each function keeps its whole-kernel tag, and the table is the
+        # whole kernel's: one name file decodes macro and micro captures.
+        for entry in NameTable.read(NAME_FILE):
+            assert system.names.get(entry.name) == entry
+        tcp_input = system.names.by_name("tcp_input").entry_value
+        assert system.kernel._entry_tags["tcp_input"] == tcp_input
+
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+GOLDEN_TAGS = pathlib.Path(__file__).resolve().parent / "golden" / "case_study.tags"
+
+
+def _python(code: str) -> str:
+    """Run *code* in a fresh interpreter; its stdout."""
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestNameFile:
+    """The kernel's name/tag file persists between builds, as in the
+    paper: every build extends a fresh read of it, so tags do not depend
+    on the order the kernel modules were imported in."""
+
+    @pytest.mark.parametrize(
+        "first",
+        [
+            "",
+            "repro.workloads",
+            "repro.kernel.fs.nfs",
+            "repro.kernel.userprof",
+            "repro.kernel.vm.vm_glue",
+            "repro.db",
+        ],
+    )
+    def test_tags_do_not_depend_on_import_order(self, first):
+        table = _python(
+            (f"import {first}\n" if first else "")
+            + "import sys\n"
+            "from repro.instrument.namefile import format_name_file\n"
+            "from repro.system import build_case_study\n"
+            "sys.stdout.write(format_name_file(build_case_study().names))\n"
+        )
+        assert table == GOLDEN_TAGS.read_text()
+
+    def test_shipped_file_names_every_kernel_function(self):
+        registered = _python(
+            "import repro.kernel\n"
+            "from repro.system import INLINE_POINTS\n"
+            "repro.kernel.import_all()\n"
+            "for meta in repro.kernel.registered_functions():\n"
+            "    print(meta.name)\n"
+            "print(*INLINE_POINTS, sep='\\n')\n"
+        ).split()
+        shipped = NameTable.read(NAME_FILE)
+        missing = [name for name in registered if name not in shipped]
+        assert not missing, (
+            f"{', '.join(missing)} not in {NAME_FILE.name}: append each at the "
+            "next tag above the highest, so its tags stay fixed across builds"
+        )
+
+    def test_capture_decodes_with_the_golden_names_whatever_was_imported(self, tmp_path):
+        capture_file = tmp_path / "run.mpf"
+        names_file = tmp_path / "run.tags"
+        _python(
+            "import repro.workloads\n"
+            "from repro.system import build_case_study\n"
+            "from repro.workloads.network_recv import network_receive\n"
+            "system = build_case_study()\n"
+            "capture = system.profile(\n"
+            "    lambda: network_receive(system.kernel, total_packets=4)\n"
+            ")\n"
+            f"capture.save({str(capture_file)!r})\n"
+            f"system.names.write({str(names_file)!r})\n"
+        )
+        own = summarize_capture(Capture.load(capture_file, NameTable.read(names_file)))
+        golden = summarize_capture(Capture.load(capture_file, NameTable.read(GOLDEN_TAGS)))
+        assert golden.format() == own.format()
 
 
 class TestFigure3Shape:

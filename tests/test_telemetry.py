@@ -690,16 +690,20 @@ class TestCliTelemetry:
         )
         check_prometheus_text(path.read_text())
 
-    def test_bad_telemetry_extension_fails_before_the_run(self, tmp_path):
-        with pytest.raises(SystemExit, match="cannot infer"):
-            main(
-                [
-                    "analyze", str(GOLDEN_DIR / "figure3_network_v2.mpf"),
-                    "--names", str(GOLDEN_DIR / "case_study.tags"),
-                    "--telemetry", str(tmp_path / "t.csv"),
-                ],
-                out=lambda s: None,
-            )
+    def test_bad_telemetry_extension_fails_before_the_run(self, tmp_path, capsys):
+        lines: list[str] = []
+        code = main(
+            [
+                "analyze", str(GOLDEN_DIR / "figure3_network_v2.mpf"),
+                "--names", str(GOLDEN_DIR / "case_study.tags"),
+                "--telemetry", str(tmp_path / "t.csv"),
+            ],
+            out=lines.append,
+        )
+        assert code == 2
+        assert lines == []  # the analysis never ran
+        assert capsys.readouterr().err.startswith("repro: error: cannot infer")
+        assert not (tmp_path / "t.csv").exists()
 
     def test_progress_force_emits_on_stderr_only(self, capsys):
         out_lines = run_cli(

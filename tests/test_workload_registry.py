@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from repro.__main__ import WORKLOADS, main
+from repro.__main__ import main
 from repro.workloads import (
     WORKLOAD_REGISTRY,
     WorkloadError,
@@ -38,11 +38,6 @@ def run_cli(*argv: str) -> tuple[int, str]:
 class TestRegistryShape:
     def test_registry_names(self):
         assert set(WORKLOAD_REGISTRY) == EXPECTED_NAMES
-
-    def test_cli_workload_table_is_derived_from_registry(self):
-        assert set(WORKLOADS) == set(WORKLOAD_REGISTRY)
-        for name, description in WORKLOADS.items():
-            assert description == WORKLOAD_REGISTRY[name].description
 
     def test_every_param_default_is_in_schema(self):
         for spec in WORKLOAD_REGISTRY.values():
