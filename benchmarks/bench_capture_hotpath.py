@@ -8,8 +8,9 @@ spirit by making the per-trigger Python cost O(1) — cached interrupt
 horizon, fused cost charging, pre-resolved Profiler tap, cached bus
 decode — while producing byte-identical captures.
 
-Measured here, optimized engine vs the preserved reference engine
-(``ReferenceInterruptQueue`` + linear decode + step-by-step charging):
+Measured here, optimized engine vs the reference engine of
+``tests/oracles.py`` (``ReferenceInterruptQueue`` + linear decode +
+step-by-step charging):
 
 * a synthetic trigger storm (default 500k enter/leave pairs = 1M trigger
   events) with a periodic re-arming interrupt line keeping the queue
@@ -39,6 +40,7 @@ from __future__ import annotations
 import hashlib
 import os
 import pathlib
+import sys
 import time
 
 from paperbench import once
@@ -47,10 +49,13 @@ from repro.kernel.kernel import Kernel
 from repro.kernel.kfunc import KFuncMeta
 from repro.profiler.eprom import PiggyBackAdapter
 from repro.profiler.hardware import ProfilerBoard
-from repro.sim.engine import InterruptLine, ReferenceInterruptQueue
+from repro.sim.engine import InterruptLine
 from repro.sim.machine import Machine
 from repro.system import build_case_study
 from repro.workloads.network_recv import network_receive
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
+from oracles import build_reference_case_study, reference_kernel  # noqa: E402
 
 GOLDEN_HASH_PATH = (
     pathlib.Path(__file__).parent.parent / "tests" / "golden" / "capture_hotpath.sha256"
@@ -82,13 +87,7 @@ def min_speedup() -> float:
 
 
 def make_storm_kernel(engine: str) -> tuple[Kernel, ProfilerBoard]:
-    machine = Machine()
-    if engine == "reference":
-        machine.interrupts = ReferenceInterruptQueue()
-        machine.bus.decode_cache = False
-    kernel = Kernel(machine)
-    if engine == "reference":
-        kernel.fastpath_enabled = False
+    kernel = reference_kernel() if engine == "reference" else Kernel(Machine())
     board = ProfilerBoard(depth=BOARD_DEPTH)
     kernel.attach_profiler(PiggyBackAdapter(board))
     kernel.set_profile_map(dict(STORM_TAGS), {})
@@ -147,7 +146,8 @@ def run_storm(engine: str, pairs: int) -> dict:
 
 def run_figure4_workload(engine: str) -> dict:
     """The golden network-receive workload on the full system."""
-    system = build_case_study(engine=engine)
+    build = build_reference_case_study if engine == "reference" else build_case_study
+    system = build()
     start = time.perf_counter()
     capture = system.profile(
         lambda: network_receive(system.kernel, total_packets=6),

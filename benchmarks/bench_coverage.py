@@ -19,12 +19,10 @@ import shutil
 
 from paperbench import once
 
-from repro.coverage import (
-    build_call_graph,
-    build_coverage_report,
-    hunt_coverage,
-    scan_corpus,
-)
+from repro.coverage.callgraph import build_call_graph
+from repro.coverage.corpus import scan_corpus
+from repro.coverage.hunt import hunt_coverage
+from repro.coverage.report import build_coverage_report
 from repro.instrument.namefile import NameTable
 
 GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "tests" / "golden"

@@ -33,7 +33,10 @@ from pathlib import Path
 from paperbench import once
 
 from repro.atomicio import write_text_atomic
-from repro.db import connect, diff_runs, ingest_paths, render_diff_json
+from repro.db.diff import diff_runs
+from repro.db.ingest import ingest_paths
+from repro.db.render import render_diff_json
+from repro.db.schema import connect
 from repro.instrument.namefile import NameTable
 from repro.instrument.tags import TagEntry
 from repro.profiler.ram import RawRecord

@@ -36,7 +36,7 @@ from pathlib import Path
 from paperbench import once
 
 from repro.atomicio import write_text_atomic
-from repro.fleet import format_fleet_summary, ingest_fleet, plan_fleet
+from repro.fleet.ingest import format_fleet_summary, ingest_fleet, plan_fleet
 from repro.instrument.namefile import NameTable
 from repro.instrument.tags import TagEntry
 from repro.profiler.ram import RawRecord

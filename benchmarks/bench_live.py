@@ -44,7 +44,7 @@ from bench_streaming_scale import SCALE_NAMES, synthetic_stream
 from stream_helpers import capture_from_records
 from repro.analysis.summary import summarize_capture
 from repro.atomicio import write_text_atomic
-from repro.live import LiveAnalyzer
+from repro.live.analyzer import LiveAnalyzer
 from repro.profiler.upload import CaptureStreamWriter
 from repro.telemetry import TELEMETRY
 

@@ -11,10 +11,10 @@ teardowns into giant pmap_remove calls.
 Run:  python examples/forkexec_analysis.py
 """
 
-from repro import build_case_study
 from repro.analysis.graph import call_graph, subsystem_rollup
 from repro.analysis.summary import summarize
 from repro.kernel.kfunc import registered_functions
+from repro.system import build_case_study
 from repro.workloads.forkexec import fork_exec_storm
 
 

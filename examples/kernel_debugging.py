@@ -11,11 +11,11 @@ printf in the kernel.
 Run:  python examples/kernel_debugging.py
 """
 
-from repro import build_case_study
 from repro.analysis.trace import format_trace
 from repro.kernel.net.headers import TH_SYN, build_tcp_frame
 from repro.kernel.net.socket import Socket
 from repro.kernel.syscalls import syscall
+from repro.system import build_case_study
 
 
 def main() -> None:

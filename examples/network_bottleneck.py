@@ -13,9 +13,9 @@ Profiler's numbers; here both counterfactuals are *run*, not estimated:
 Run:  python examples/network_bottleneck.py
 """
 
-from repro import build_case_study
 from repro.analysis.summary import summarize
 from repro.sim.cpu import CostModel
+from repro.system import build_case_study
 from repro.workloads.network_recv import network_receive
 
 PACKETS = 40

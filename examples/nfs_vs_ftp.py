@@ -12,8 +12,8 @@ throughput and the measured RPC turnaround distribution.
 Run:  python examples/nfs_vs_ftp.py
 """
 
-from repro import build_case_study
 from repro.analysis.histogram import histogram_for
+from repro.system import build_case_study
 from repro.workloads.network_recv import network_receive
 from repro.workloads.nfsio import nfs_read_stream
 

@@ -13,9 +13,9 @@ This is the paper's whole workflow in one script:
 Run:  python examples/quickstart.py
 """
 
-from repro import build_case_study
 from repro.analysis.summary import summarize
 from repro.analysis.trace import format_trace
+from repro.system import build_case_study
 from repro.workloads.network_recv import network_receive
 
 

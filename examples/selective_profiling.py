@@ -11,8 +11,8 @@ unobstructed view of that section".
 Run:  python examples/selective_profiling.py
 """
 
-from repro import build_case_study
 from repro.analysis.summary import summarize
+from repro.system import build_case_study
 from repro.workloads.network_recv import network_receive
 
 PACKETS = 30

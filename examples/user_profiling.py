@@ -12,10 +12,10 @@ of magnitude."
 Run:  python examples/user_profiling.py
 """
 
-from repro import build_case_study
 from repro.analysis.compare import compare_summaries
 from repro.analysis.summary import summarize
 from repro.analysis.trace import format_trace
+from repro.system import build_case_study
 from repro.workloads.snmp import snmp_agent_run
 
 MIB_SIZE = 600

@@ -15,37 +15,15 @@ The package rebuilds the paper's complete system in simulation:
   fork/exec, file I/O, NFS);
 * :mod:`repro.baselines` -- the profiling methods the paper rejects.
 
-Quickstart::
+Every name is imported from the module that defines it; the packages
+export nothing.  Quickstart::
 
-    from repro import build_case_study
+    from repro.system import build_case_study
+    from repro.workloads.network_recv import network_receive
+
     system = build_case_study()
-    capture = system.profile(lambda: system.workloads.network_receive())
+    capture = system.profile(lambda: network_receive(system.kernel))
     print(system.report(capture))
 """
 
 __version__ = "1.0.0"
-
-from repro.profiler import Capture, CaptureSession, ProfilerBoard
-from repro.instrument import InstrumentingCompiler, NameTable, TwoStageLinker
-from repro.analysis import analyze_capture, full_report, summarize
-
-__all__ = [
-    "Capture",
-    "CaptureSession",
-    "InstrumentingCompiler",
-    "NameTable",
-    "ProfilerBoard",
-    "TwoStageLinker",
-    "__version__",
-    "analyze_capture",
-    "build_case_study",
-    "full_report",
-    "summarize",
-]
-
-
-def build_case_study(*args, **kwargs):
-    """Build the paper's complete case-study system (lazy import)."""
-    from repro.system import build_case_study as _build
-
-    return _build(*args, **kwargs)

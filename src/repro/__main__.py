@@ -40,6 +40,8 @@ The summary and gprof reports are the columnar fold
 call-tree report (trace, folded, flame, timeline) or ``--salvage`` needs
 the whole capture in memory; the call tree is a recording of the same
 fold, so a summary printed beside a tree report is read off the tree.
+Only the parser and that fold are imported with this module; every
+command imports the rest of what it uses when it runs.
 
 Bad input (a missing, empty, corrupt or truncated capture, a missing
 or malformed name file, an unknown workload or run selector, an
@@ -58,10 +60,7 @@ import sys
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from repro.analysis.callstack import analyze_capture
-from repro.analysis.folded import flame_ascii, to_folded
 from repro.analysis.gprof import GprofRecorder, gprof_report
-from repro.analysis.timeline import render_timeline
 from repro.analysis.summary import (
     FUNCTION_SORTS,
     Anomaly,
@@ -69,27 +68,12 @@ from repro.analysis.summary import (
     fold_capture,
     fold_columns,
 )
-from repro.analysis.trace import format_trace
-from repro.atomicio import write_text_atomic
 from repro.instrument.namefile import NameTable
-from repro.lint import (
-    LintOptions,
-    lint_capture_defects,
-    lint_capture_file,
-    lint_paths,
-    render_json,
-    render_text,
-)
 from repro.profiler.capture import Capture, warn_legacy_metadata
 from repro.profiler.ram import DEFAULT_DEPTH
-from repro.profiler.upload import (
-    iter_capture_columns,
-    read_capture_meta,
-    salvage_capture,
-    write_capture_file,
-)
-from repro.system import build_case_study
-from repro.telemetry import TELEMETRY, ProgressReporter
+from repro.profiler.upload import iter_capture_columns, read_capture_meta
+from repro.telemetry import TELEMETRY
+from repro.telemetry.progress import ProgressReporter
 
 REPORTS = ("summary", "trace", "gprof", "folded", "flame", "timeline")
 #: Reports that walk the call tree; summary and gprof come from the fold.
@@ -151,6 +135,8 @@ def _print_reports(
     otherwise the summary and gprof come from *fold*."""
     analysis = None
     if not TREE_REPORTS.isdisjoint(reports):
+        from repro.analysis.callstack import analyze_capture
+
         analysis = analyze_capture(capture)
     for report in reports:
         if report == "summary":
@@ -161,6 +147,8 @@ def _print_reports(
             out(summary.format(limit=summary_limit))
             out(_desync_footer(_desync_count(anomalies) if desyncs is None else desyncs))
         elif report == "trace":
+            from repro.analysis.trace import format_trace
+
             out(format_trace(analysis))
         elif report == "gprof":
             gprof = (
@@ -168,10 +156,16 @@ def _print_reports(
             )
             out(gprof.format(limit=summary_limit))
         elif report == "folded":
+            from repro.analysis.folded import to_folded
+
             out(to_folded(analysis))
         elif report == "flame":
+            from repro.analysis.folded import flame_ascii
+
             out(flame_ascii(analysis))
         elif report == "timeline":
+            from repro.analysis.timeline import render_timeline
+
             out(render_timeline(analysis))
         out("")
 
@@ -222,6 +216,7 @@ def _modules(args: argparse.Namespace) -> Optional[list[str]]:
 
 
 def cmd_capture(args: argparse.Namespace, out: Callable) -> int:
+    from repro.system import build_case_study
     from repro.workloads import get_workload
 
     spec = get_workload(args.workload)
@@ -295,6 +290,8 @@ def _fold_file(args: argparse.Namespace, names: NameTable) -> SummaryAccumulator
 def cmd_analyze(args: argparse.Namespace, out: Callable) -> int:
     names = NameTable.read(*args.names)
     if args.strict:
+        from repro.lint.runner import lint_capture_file, render_text
+
         lint_report = lint_capture_file(args.capture, names)
         out(render_text(lint_report))
         out("")
@@ -330,6 +327,9 @@ def cmd_doctor(args: argparse.Namespace, out: Callable) -> int:
     recovered (and rewritten if ``-o`` was given); 2 — the file is not
     recognisably a capture (nothing recoverable).
     """
+    from repro.lint.stream_lint import lint_capture_defects
+    from repro.profiler.upload import salvage_capture, write_capture_file
+
     source = str(args.file)
     try:
         result = salvage_capture(args.file)
@@ -368,6 +368,8 @@ def cmd_doctor(args: argparse.Namespace, out: Callable) -> int:
 
 
 def cmd_lint(args: argparse.Namespace, out: Callable) -> int:
+    from repro.lint.runner import LintOptions, lint_paths, render_json, render_text
+
     if args.captures and not args.names:
         raise ValueError("capture files need at least one --names file to decode with")
     if args.coverage_corpus and not args.names:
@@ -398,6 +400,8 @@ def cmd_trace_export(args: argparse.Namespace, out: Callable) -> int:
     reconstructed process (the ``swtch()`` split), interrupt frames on a
     dedicated track, inline marks as instant events.
     """
+    from repro.analysis.callstack import analyze_capture
+    from repro.atomicio import write_text_atomic
     from repro.telemetry.export import capture_to_chrome_trace
 
     names = NameTable.read(*args.names)
@@ -437,9 +441,16 @@ def cmd_fleet_ingest(args: argparse.Namespace, out: Callable) -> int:
     counts, rates and timing go to stderr — so two runs with different
     ``--jobs`` diff clean, which is exactly what the CI smoke job does.
     """
-    from repro.fleet import FleetError, format_fleet_summary, ingest_fleet, plan_fleet
-    from repro.lint import LintReport
+    from repro.atomicio import write_text_atomic
+    from repro.fleet.ingest import (
+        FleetError,
+        format_fleet_summary,
+        ingest_fleet,
+        plan_fleet,
+    )
+    from repro.lint.diagnostics import LintReport
     from repro.lint.fleet_lint import lint_fleet_plan, lint_fleet_result
+    from repro.lint.runner import render_text
 
     names = NameTable.read(*args.names)
     try:
@@ -497,7 +508,7 @@ def cmd_fleet_serve(args: argparse.Namespace, out: Callable) -> int:
     in-flight capture drains, the final merged summary prints to
     stdout, and the exit code is 0.
     """
-    from repro.fleet import FleetServer
+    from repro.fleet.serve import FleetServer
 
     server = FleetServer(
         args.root,
@@ -517,7 +528,9 @@ def cmd_fleet_serve(args: argparse.Namespace, out: Callable) -> int:
 def _coverage_report(args: argparse.Namespace):
     """Shared scan+cross for the coverage report/blindspots commands:
     ``(report, graph)``."""
-    from repro.coverage import build_call_graph, build_coverage_report, scan_corpus
+    from repro.coverage.callgraph import build_call_graph
+    from repro.coverage.corpus import scan_corpus
+    from repro.coverage.report import build_coverage_report
 
     names = NameTable.read(*args.names)
     corpus = scan_corpus(args.root, names, jobs=args.jobs)
@@ -533,7 +546,7 @@ def cmd_coverage_report(args: argparse.Namespace, out: Callable) -> int:
     namefile/source disagreement, P605 unusable captures); 2 — the
     corpus root is unusable.
     """
-    from repro.coverage import (
+    from repro.coverage.report import (
         coverage_diagnostics,
         render_coverage_json,
         render_coverage_text,
@@ -547,7 +560,7 @@ def cmd_coverage_report(args: argparse.Namespace, out: Callable) -> int:
 
 def cmd_coverage_blindspots(args: argparse.Namespace, out: Callable) -> int:
     """``repro coverage blindspots DIR``: uncovered-but-reachable, with hints."""
-    from repro.coverage import (
+    from repro.coverage.report import (
         coverage_diagnostics,
         render_blindspots_text,
         render_coverage_json,
@@ -568,13 +581,9 @@ def cmd_coverage_hunt(args: argparse.Namespace, out: Callable) -> int:
     corpus already observes every reachable tag); 1 — no candidate
     found a new tag; 2 — the corpus root is unusable.
     """
-    from repro.coverage import (
-        build_call_graph,
-        hunt_coverage,
-        render_hunt_json,
-        render_hunt_text,
-        scan_corpus,
-    )
+    from repro.coverage.callgraph import build_call_graph
+    from repro.coverage.corpus import scan_corpus
+    from repro.coverage.hunt import hunt_coverage, render_hunt_json, render_hunt_text
 
     names = NameTable.read(*args.names)
     baseline = scan_corpus(args.root, names, jobs=args.jobs).observed_union()
@@ -599,7 +608,9 @@ def cmd_db_ingest(args: argparse.Namespace, out: Callable) -> int:
     1 — at least one capture failed (the rest still landed); 2 — no
     captures found or the database is unusable.
     """
-    from repro.db import connect, ingest_paths, run_count
+    from repro.db.ingest import ingest_paths
+    from repro.db.query import run_count
+    from repro.db.schema import connect
 
     names = NameTable.read(*args.names)
     conn = connect(args.db)
@@ -637,7 +648,9 @@ def cmd_db_ingest(args: argparse.Namespace, out: Callable) -> int:
 
 def cmd_db_runs(args: argparse.Namespace, out: Callable) -> int:
     """``repro db runs``: the run catalog (the thing diff selectors name)."""
-    from repro.db import connect, list_runs, render_runs_json, render_runs_text
+    from repro.db.query import list_runs
+    from repro.db.render import render_runs_json, render_runs_text
+    from repro.db.schema import connect
 
     conn = connect(args.db)
     try:
@@ -650,7 +663,9 @@ def cmd_db_runs(args: argparse.Namespace, out: Callable) -> int:
 
 def cmd_db_query(args: argparse.Namespace, out: Callable) -> int:
     """``repro db query``: filter/sort per-function rows across the corpus."""
-    from repro.db import connect, query_functions, render_query_json, render_query_text
+    from repro.db.query import query_functions
+    from repro.db.render import render_query_json, render_query_text
+    from repro.db.schema import connect
 
     conn = connect(args.db)
     try:
@@ -677,13 +692,9 @@ def cmd_db_diff(args: argparse.Namespace, out: Callable) -> int:
     """
     import warnings as _warnings
 
-    from repro.db import (
-        DiffThresholds,
-        connect,
-        diff_runs,
-        render_diff_json,
-        render_diff_text,
-    )
+    from repro.db.diff import DiffThresholds, diff_runs
+    from repro.db.render import render_diff_json, render_diff_text
+    from repro.db.schema import connect
 
     baseline = args.baseline
     if args.baseline_label:
@@ -722,6 +733,7 @@ def cmd_db_diff(args: argparse.Namespace, out: Callable) -> int:
 def cmd_db_check(args: argparse.Namespace, out: Callable) -> int:
     """``repro db check``: the P7xx integrity pass over one database."""
     from repro.lint.db_lint import lint_profile_db
+    from repro.lint.runner import render_json, render_text
 
     report = lint_profile_db(args.db)
     out(render_json(report) if args.json else render_text(report))
@@ -815,7 +827,7 @@ def cmd_live_analyze(args: argparse.Namespace, out: Callable) -> int:
 
             trace = LiveTraceWriter(args.trace_out)
         if args.heartbeat:
-            from repro.telemetry import HeartbeatFlusher
+            from repro.telemetry.heartbeat import HeartbeatFlusher
 
             heartbeat = HeartbeatFlusher(
                 Path(args.heartbeat), TELEMETRY, interval_s=args.heartbeat_every

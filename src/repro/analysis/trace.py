@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from repro.analysis.callstack import CallNode, CallTreeAnalysis, analyze_capture
-from repro.profiler.capture import Capture
+from repro.analysis.callstack import CallNode, CallTreeAnalysis
 
 _INDENT = "    "
 
@@ -110,10 +109,3 @@ def format_trace(
 ) -> str:
     """The trace as one printable string."""
     return "\n".join(trace_lines(analysis, start_us=start_us, end_us=end_us))
-
-
-def trace_capture(
-    capture: Capture, start_us: int = 0, end_us: Optional[int] = None
-) -> str:
-    """Decode, reconstruct and render *capture*'s code path in one call."""
-    return format_trace(analyze_capture(capture), start_us=start_us, end_us=end_us)

@@ -43,6 +43,3 @@ def write_text_atomic(path: Union[str, Path], text: str) -> Path:
             pass
         raise
     return target
-
-
-__all__ = ["write_text_atomic"]

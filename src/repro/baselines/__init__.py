@@ -14,15 +14,3 @@ quantitatively:
   benchmarks (ttcp/iozone style): "they do not aid in discovering where
   optimisation should be employed".
 """
-
-from repro.baselines.clock_profiler import ClockProfiler, ClockProfile
-from repro.baselines.event_counters import EventCounterProfile, snapshot_counters
-from repro.baselines.benchmark_timing import ExternalBenchmark
-
-__all__ = [
-    "ClockProfile",
-    "ClockProfiler",
-    "EventCounterProfile",
-    "ExternalBenchmark",
-    "snapshot_counters",
-]

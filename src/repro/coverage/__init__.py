@@ -18,59 +18,3 @@ instrumented code that *didn't*.  Three legs:
   coverage-guided driver that perturbs workload parameters greedily to
   maximize new-tag coverage over the corpus baseline.
 """
-
-from repro.coverage.callgraph import (
-    CallGraph,
-    CallGraphNode,
-    ROOT_CATEGORIES,
-    build_call_graph,
-)
-from repro.coverage.corpus import (
-    CaptureCoverage,
-    CorpusCoverage,
-    scan_corpus,
-)
-from repro.coverage.hunt import (
-    HuntResult,
-    HuntStep,
-    default_candidate_runner,
-    hunt_coverage,
-    render_hunt_json,
-    render_hunt_text,
-)
-from repro.coverage.report import (
-    BlindSpot,
-    CoverageReport,
-    WorkloadRow,
-    build_coverage_report,
-    coverage_diagnostics,
-    coverage_report_for,
-    render_blindspots_text,
-    render_coverage_json,
-    render_coverage_text,
-)
-
-__all__ = [
-    "BlindSpot",
-    "CallGraph",
-    "CallGraphNode",
-    "CaptureCoverage",
-    "CorpusCoverage",
-    "CoverageReport",
-    "HuntResult",
-    "HuntStep",
-    "ROOT_CATEGORIES",
-    "WorkloadRow",
-    "build_call_graph",
-    "build_coverage_report",
-    "coverage_diagnostics",
-    "coverage_report_for",
-    "default_candidate_runner",
-    "hunt_coverage",
-    "render_blindspots_text",
-    "render_coverage_json",
-    "render_coverage_text",
-    "render_hunt_json",
-    "render_hunt_text",
-    "scan_corpus",
-]

@@ -656,13 +656,3 @@ def build_call_graph(
         },
         roots=roots,
     )
-
-
-__all__ = [
-    "CallGraph",
-    "CallGraphNode",
-    "ROOT_CATEGORIES",
-    "build_call_graph",
-    "kernel_source_root",
-    "workloads_source_root",
-]

@@ -163,10 +163,3 @@ def scan_corpus(
             for row, capture in zip(rows, plan.captures)
         ),
     )
-
-
-__all__ = [
-    "CaptureCoverage",
-    "CorpusCoverage",
-    "scan_corpus",
-]

@@ -234,14 +234,3 @@ def render_hunt_json(result: HuntResult) -> str:
         ],
     }
     return json.dumps(document, indent=2)
-
-
-__all__ = [
-    "CandidateRunner",
-    "HuntResult",
-    "HuntStep",
-    "default_candidate_runner",
-    "hunt_coverage",
-    "render_hunt_json",
-    "render_hunt_text",
-]

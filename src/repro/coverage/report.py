@@ -400,17 +400,3 @@ def render_coverage_json(report: CoverageReport) -> str:
         ],
     }
     return json.dumps(document, indent=2)
-
-
-__all__ = [
-    "BlindSpot",
-    "CoverageReport",
-    "NEIGHBOR_HOPS",
-    "WorkloadRow",
-    "build_coverage_report",
-    "coverage_diagnostics",
-    "coverage_report_for",
-    "render_blindspots_text",
-    "render_coverage_json",
-    "render_coverage_text",
-]

@@ -22,65 +22,3 @@ Modules:
 Database integrity is linted by the P7xx family
 (:mod:`repro.lint.db_lint` — ``repro db check`` / ``repro lint --db``).
 """
-
-from __future__ import annotations
-
-from repro.db.diff import (
-    DiffReport,
-    DiffThresholds,
-    FunctionVerdict,
-    SideStats,
-    VERDICTS,
-    diff_runs,
-)
-from repro.db.ingest import RunIngest, ingest_capture, ingest_paths
-from repro.db.query import (
-    DEFAULT_FUNCTION_SORT,
-    FunctionRow,
-    RunRow,
-    function_row_count,
-    list_runs,
-    query_functions,
-    resolve_runs,
-    run_count,
-)
-from repro.db.render import (
-    JSON_SCHEMA_VERSION,
-    render_diff_json,
-    render_diff_text,
-    render_query_json,
-    render_query_text,
-    render_runs_json,
-    render_runs_text,
-)
-from repro.db.schema import SCHEMA_VERSION, ProfileDbError, connect
-
-__all__ = [
-    "DEFAULT_FUNCTION_SORT",
-    "DiffReport",
-    "DiffThresholds",
-    "FunctionRow",
-    "FunctionVerdict",
-    "JSON_SCHEMA_VERSION",
-    "ProfileDbError",
-    "RunIngest",
-    "RunRow",
-    "SCHEMA_VERSION",
-    "SideStats",
-    "VERDICTS",
-    "connect",
-    "diff_runs",
-    "function_row_count",
-    "ingest_capture",
-    "ingest_paths",
-    "list_runs",
-    "query_functions",
-    "render_diff_json",
-    "render_diff_text",
-    "render_query_json",
-    "render_query_text",
-    "render_runs_json",
-    "render_runs_text",
-    "resolve_runs",
-    "run_count",
-]

@@ -10,46 +10,3 @@ through the same walker.  See :mod:`repro.fleet.ingest` for the engine
 and :mod:`repro.fleet.serve` for the long-running inbox watcher behind
 ``repro fleet serve``.
 """
-
-from repro.fleet.ingest import (
-    FLEET_COUNTERS,
-    FLEET_HISTOGRAMS,
-    FLEET_PATTERNS,
-    CaptureReport,
-    CorpusRow,
-    FleetCapture,
-    FleetError,
-    FleetPlan,
-    FleetResult,
-    discover_captures,
-    format_fleet_summary,
-    ingest_fleet,
-    merge_fleet,
-    new_summary,
-    plan_fleet,
-    read_corpus,
-    resolve_jobs,
-)
-from repro.fleet.serve import DEFAULT_POLL_S, FleetServer
-
-__all__ = [
-    "FLEET_COUNTERS",
-    "FLEET_HISTOGRAMS",
-    "FLEET_PATTERNS",
-    "CaptureReport",
-    "CorpusRow",
-    "FleetCapture",
-    "FleetError",
-    "FleetPlan",
-    "FleetResult",
-    "discover_captures",
-    "format_fleet_summary",
-    "ingest_fleet",
-    "merge_fleet",
-    "new_summary",
-    "plan_fleet",
-    "read_corpus",
-    "resolve_jobs",
-    "DEFAULT_POLL_S",
-    "FleetServer",
-]

@@ -15,32 +15,3 @@ simulated kernel's function registry:
 * :mod:`repro.instrument.linker` — the two-stage link that resolves
   ``_ProfileBase`` against the kernel's post-remap virtual address map.
 """
-
-from repro.instrument.tags import (
-    ENTRY_EXIT_STRIDE,
-    MAX_TAG,
-    TagEntry,
-    TagKind,
-    exit_tag,
-    is_entry_tag,
-)
-from repro.instrument.namefile import NameTable, parse_name_file, format_name_file
-from repro.instrument.compiler import InstrumentedImage, InstrumentingCompiler
-from repro.instrument.linker import KernelLayout, LinkError, TwoStageLinker
-
-__all__ = [
-    "ENTRY_EXIT_STRIDE",
-    "InstrumentedImage",
-    "InstrumentingCompiler",
-    "KernelLayout",
-    "LinkError",
-    "MAX_TAG",
-    "NameTable",
-    "TagEntry",
-    "TagKind",
-    "TwoStageLinker",
-    "exit_tag",
-    "format_name_file",
-    "is_entry_tag",
-    "parse_name_file",
-]

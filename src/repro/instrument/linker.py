@@ -68,16 +68,6 @@ class KernelLayout:
     profile_base_va: int
     eprom_phys: int
 
-    @property
-    def kernel_end_va(self) -> int:
-        """First byte past the kernel image (before page rounding)."""
-        return KERNBASE + self.kernel_size
-
-    @property
-    def fixed_area_va(self) -> int:
-        """Start of the stack/udot pages after the rounded kernel image."""
-        return KERNBASE + round_page(self.kernel_size)
-
 
 def layout_for(kernel_size: int, eprom_phys: int) -> KernelLayout:
     """Compute the ISA remap and ``_ProfileBase`` for a kernel of a size.

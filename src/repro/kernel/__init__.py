@@ -21,11 +21,6 @@ function registered so the instrumentation pass can plant triggers in it:
 * :mod:`repro.kernel.kernel` — the kernel object that boots it all.
 """
 
-from repro.kernel.kfunc import KFuncMeta, kfunc, registered_functions
-from repro.kernel.kernel import Kernel
-
-__all__ = ["KFuncMeta", "Kernel", "import_all", "kfunc", "registered_functions"]
-
 
 def import_all() -> None:
     """Import every kernel module so the function registry is complete.
@@ -60,4 +55,9 @@ def import_all() -> None:
     import repro.kernel.sched  # noqa: F401
     import repro.kernel.syscalls  # noqa: F401
     import repro.kernel.userprof  # noqa: F401
-    import repro.kernel.vm  # noqa: F401
+    import repro.kernel.vm.kmem  # noqa: F401
+    import repro.kernel.vm.pmap  # noqa: F401
+    import repro.kernel.vm.vm_fault  # noqa: F401
+    import repro.kernel.vm.vm_glue  # noqa: F401
+    import repro.kernel.vm.vm_map  # noqa: F401
+    import repro.kernel.vm.vm_page  # noqa: F401

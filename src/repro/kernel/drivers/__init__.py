@@ -1,6 +1,1 @@
 """ISA device drivers: the IDE disk and the console."""
-
-from repro.kernel.drivers.wd import WdDisk, wdintr, wdstart, wdstrategy
-from repro.kernel.drivers.cons import Console, cnputc
-
-__all__ = ["Console", "WdDisk", "cnputc", "wdintr", "wdstart", "wdstrategy"]

@@ -36,6 +36,3 @@ def fsboot(kernel: Any) -> FsState:
     volume = FfsVolume(kernel, disk=disk, cache=cache)
     volume.mkfs()
     return FsState(kernel, cache=cache, volume=volume, disk=disk)
-
-
-__all__ = ["FsState", "fsboot"]

@@ -52,6 +52,3 @@ def netboot(kernel: Any) -> Netstack:
 
     kernel.register_soft_interrupt("net", IPL_NET, run_netisr)
     return stack
-
-
-__all__ = ["Netstack", "netboot"]

@@ -31,10 +31,6 @@ class Sockbuf:
     cc: int = 0
     hiwat: int = 16 * 1024
 
-    @property
-    def has_space(self) -> bool:
-        return self.cc < self.hiwat
-
 
 class Socket:
     """A (simplified) BSD socket."""

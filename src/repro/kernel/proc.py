@@ -148,19 +148,12 @@ class ProcTable:
         """Reap a zombie out of the table."""
         self._procs.pop(proc.pid, None)
 
-    def alive(self) -> list[Proc]:
-        """Processes not yet reaped."""
-        return [p for p in self._procs.values() if p.state is not ProcState.SZOMB]
-
     def all(self) -> list[Proc]:
         """Every table entry, zombies included."""
         return list(self._procs.values())
 
     def __len__(self) -> int:
         return len(self._procs)
-
-    def by_pid(self, pid: int) -> Proc:
-        return self._procs[pid]
 
 
 def make_body(

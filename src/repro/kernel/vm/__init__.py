@@ -17,39 +17,3 @@ The structure here mirrors that split: machine-dependent page tables in
 the ``vm_*`` modules, and the glue (fork/exec/exit support) in
 :mod:`repro.kernel.vm.vm_glue` — cross-calling included.
 """
-
-from repro.kernel.vm.pmap import Pmap, pmap_copy, pmap_enter, pmap_protect, pmap_pte, pmap_remove
-from repro.kernel.vm.vm_page import VmObject, VmPage, vm_page_alloc, vm_page_free, vm_page_lookup
-from repro.kernel.vm.vm_map import Vmspace, VmMap, VmMapEntry, vm_map_delete, vm_map_find, vm_map_protect
-from repro.kernel.vm.vm_fault import vm_fault
-from repro.kernel.vm.kmem import kmem_alloc, kmem_free
-from repro.kernel.vm.vm_glue import ExecImage, vmspace_exec, vmspace_fork, vmspace_free
-
-__all__ = [
-    "ExecImage",
-    "Pmap",
-    "VmMap",
-    "VmMapEntry",
-    "VmObject",
-    "VmPage",
-    "Vmspace",
-    "kmem_alloc",
-    "kmem_free",
-    "pmap_copy",
-    "pmap_enter",
-    "pmap_protect",
-    "pmap_pte",
-    "pmap_remove",
-    "vm_fault",
-    "vm_map_delete",
-    "vm_map_find",
-    "vm_map_protect",
-    "vm_page_alloc",
-    "vm_page_free",
-    "vm_page_lookup",
-    "vmspace_exec",
-    "vmspace_fork",
-    "vmspace_free",
-]
-
-PAGE_SIZE = 4096

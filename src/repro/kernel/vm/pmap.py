@@ -58,10 +58,6 @@ class Pmap:
         """Uncosted PTE peek (assertions and tests only)."""
         return self._ptes.get(self.vpn(va))
 
-    def resident_vas(self) -> list[int]:
-        """Mapped virtual addresses, sorted."""
-        return [vpn * PAGE_SIZE for vpn in sorted(self._ptes)]
-
 
 @kfunc(module="i386/pmap", base_us=2.6)
 def pmap_pte(k, pmap: Pmap, va: int) -> Optional[Pte]:

@@ -20,10 +20,9 @@ from __future__ import annotations
 import dataclasses
 
 from repro.kernel.kfunc import kfunc
-from repro.kernel.libkern import bcopy, bzero
+from repro.kernel.libkern import bcopy
 from repro.kernel.proc import Proc
 from repro.kernel.vm.pmap import (
-    PROT_ALL,
     PROT_READ,
     PROT_RW,
     pmap_copy,
@@ -261,11 +260,6 @@ def vmspace_teardown(k, vmspace: Vmspace) -> int:
     for page in resident:
         vm_page_free(k, page)
     return removed
-
-
-def vmspace_exec_entry(k, proc: Proc, image: ExecImage) -> Vmspace:
-    """Uncosted wrapper used when materialising the first process."""
-    return vmspace_exec(k, proc, image)
 
 
 def vmspace_free(k, proc: Proc) -> None:

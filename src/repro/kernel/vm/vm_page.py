@@ -61,10 +61,6 @@ class VmObject:
             obj = obj.shadow
         return None
 
-    def resident_offsets(self) -> list[int]:
-        """Offsets of resident pages, sorted."""
-        return sorted(self.pages)
-
 
 @kfunc(module="vm/vm_page", base_us=13.0)
 def vm_page_lookup(k, obj: VmObject, offset: int) -> Optional[VmPage]:

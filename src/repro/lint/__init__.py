@@ -30,69 +30,3 @@ stable ``P0xx``-style code and a severity; :mod:`repro.lint.runner`
 orchestrates the passes and renders text or JSON reports with
 CI-friendly exit codes (``python -m repro lint``).
 """
-
-from __future__ import annotations
-
-from repro.lint.diagnostics import (
-    CODE_TABLE,
-    Diagnostic,
-    LintReport,
-    Severity,
-)
-from repro.lint.ast_lint import lint_kernel_source, lint_source_text
-from repro.lint.coverage_lint import lint_coverage_corpus
-from repro.lint.db_lint import lint_profile_db
-from repro.lint.fleet_lint import lint_fleet_plan, lint_fleet_result
-from repro.lint.link_lint import lint_layout, lint_link
-from repro.lint.live_lint import lint_live_drain, lint_live_stream
-from repro.lint.namefile_lint import (
-    lint_name_file_text,
-    lint_name_files,
-    lint_name_table,
-)
-from repro.lint.runner import (
-    LintOptions,
-    lint_capture_file,
-    lint_paths,
-    lint_self_check,
-    render_json,
-    render_text,
-)
-from repro.lint.stream_lint import (
-    DEFECT_CODES,
-    lint_capture_defects,
-    lint_records,
-    verify_capture,
-)
-from repro.lint.telemetry_lint import lint_telemetry
-
-__all__ = [
-    "CODE_TABLE",
-    "DEFECT_CODES",
-    "Diagnostic",
-    "LintOptions",
-    "LintReport",
-    "Severity",
-    "lint_capture_defects",
-    "lint_capture_file",
-    "lint_coverage_corpus",
-    "lint_fleet_plan",
-    "lint_fleet_result",
-    "lint_kernel_source",
-    "lint_layout",
-    "lint_link",
-    "lint_live_drain",
-    "lint_live_stream",
-    "lint_name_file_text",
-    "lint_name_files",
-    "lint_name_table",
-    "lint_paths",
-    "lint_profile_db",
-    "lint_records",
-    "lint_self_check",
-    "lint_source_text",
-    "lint_telemetry",
-    "render_json",
-    "render_text",
-    "verify_capture",
-]

@@ -26,12 +26,9 @@ def lint_coverage_corpus(
     jobs: int = 1,
 ) -> LintReport:
     """Run the coverage cross over *root* and fold in the P6xx findings."""
-    from repro.coverage import (
-        build_call_graph,
-        build_coverage_report,
-        coverage_diagnostics,
-        scan_corpus,
-    )
+    from repro.coverage.callgraph import build_call_graph
+    from repro.coverage.corpus import scan_corpus
+    from repro.coverage.report import build_coverage_report, coverage_diagnostics
     from repro.fleet.ingest import FleetError
 
     report = report if report is not None else LintReport()
@@ -43,6 +40,3 @@ def lint_coverage_corpus(
     graph = build_call_graph()
     coverage = build_coverage_report(corpus, names, graph=graph)
     return coverage_diagnostics(coverage, lint_report=report, graph=graph)
-
-
-__all__ = ["lint_coverage_corpus"]

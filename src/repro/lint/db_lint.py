@@ -117,6 +117,3 @@ def _lint_rows(
             f"fall back to the relative-threshold heuristic",
             source=source,
         )
-
-
-__all__ = ["lint_profile_db"]

@@ -198,9 +198,6 @@ class LintReport:
     def diagnostics(self) -> tuple[Diagnostic, ...]:
         return tuple(self._diagnostics)
 
-    def by_severity(self, severity: Severity) -> tuple[Diagnostic, ...]:
-        return tuple(d for d in self._diagnostics if d.severity is severity)
-
     def codes(self) -> tuple[str, ...]:
         """Every code present, in emission order (with duplicates)."""
         return tuple(d.code for d in self._diagnostics)

@@ -34,7 +34,7 @@ from typing import Callable, Optional, Sequence, Union
 
 from repro.instrument.namefile import NameFileError, NameTable, parse_line
 from repro.lint.ast_lint import lint_kernel_source
-from repro.lint.diagnostics import CODE_TABLE, LintReport, Severity
+from repro.lint.diagnostics import CODE_TABLE, LintReport
 from repro.lint.link_lint import lint_link
 from repro.lint.namefile_lint import lint_name_files, lint_name_table
 from repro.lint.stream_lint import lint_capture_defects, lint_records
@@ -279,16 +279,3 @@ def code_table_markdown() -> str:
     for code, (severity, title) in sorted(CODE_TABLE.items()):
         lines.append(f"| {code} | {severity.value} | {title} |")
     return "\n".join(lines)
-
-
-__all__ = [
-    "LintOptions",
-    "Severity",
-    "code_table_markdown",
-    "lenient_name_table",
-    "lint_capture_file",
-    "lint_paths",
-    "lint_self_check",
-    "render_json",
-    "render_text",
-]

@@ -223,8 +223,3 @@ def verify_capture(
         ram_depth=ram_depth,
         report=report,
     )
-
-
-def count_desyncs(report: Iterable) -> int:
-    """How many kstack-desync diagnostics a report contains."""
-    return sum(1 for diagnostic in report if diagnostic.code == "P205")

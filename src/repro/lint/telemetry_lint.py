@@ -84,6 +84,3 @@ def lint_telemetry(
                 source=source,
             )
     return report
-
-
-__all__ = ["lint_telemetry"]

@@ -5,7 +5,7 @@ package makes the MPF2 stream boundary a real pipe.  A producer
 (:mod:`repro.live.capture`) emits an open-ended MPF2 stream — sentinel
 record count, end-of-stream trailer — to a pipe/FIFO/socket while
 :class:`~repro.live.analyzer.LiveAnalyzer` consumes it concurrently:
-columnar batches off the wire, folded straight into the PR 1 streaming
+columnar batches off the wire, folded straight into the streaming
 accumulator, with rolling windowed summaries, live telemetry gauges, an
 incremental Chrome-trace track and a Prometheus ``/metrics`` endpoint.
 ``repro top`` (:mod:`repro.live.top`) puts a refreshing operator view on
@@ -15,17 +15,3 @@ The invariant everything here is tested against: the drained live
 summary is byte-identical to batch ``repro analyze`` over the same
 record stream.
 """
-
-from repro.live.analyzer import LiveAnalyzer, LiveWindow
-from repro.live.capture import stream_capture
-from repro.live.top import TopView, render_top
-from repro.live.trace import LiveTraceWriter
-
-__all__ = [
-    "LiveAnalyzer",
-    "LiveWindow",
-    "LiveTraceWriter",
-    "stream_capture",
-    "TopView",
-    "render_top",
-]

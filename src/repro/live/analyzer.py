@@ -15,7 +15,7 @@ On top of the fold it publishes the live observables:
   :meth:`~repro.analysis.summary.SummaryAccumulator.peek` with the
   windowed :meth:`~repro.analysis.summary.ProfileSummary.delta` since
   the previous window;
-* **telemetry gauges** through the PR 5 registry — events/sec
+* **telemetry gauges** through the telemetry registry — events/sec
   (cumulative and per-window), consumer lag (milliseconds from batch
   arrival to fold completion), bytes buffered and totals;
 * an optional incremental Chrome-trace track
@@ -40,10 +40,12 @@ from repro.live.trace import LiveTraceWriter
 from repro.profiler.upload import (
     DEFAULT_CHUNK_RECORDS,
     RECORD_BYTES,
+    STOCK_WIDTH_BITS,
     RecordColumns,
     iter_capture_columns,
 )
-from repro.telemetry import TELEMETRY, HeartbeatFlusher
+from repro.telemetry import TELEMETRY
+from repro.telemetry.heartbeat import HeartbeatFlusher
 from repro.telemetry.export import to_prometheus
 
 #: Default seconds of host time per rolling window.
@@ -74,17 +76,17 @@ class LiveAnalyzer:
     """Fold an MPF2 wire stream incrementally; publish live observables.
 
     Drive it either with :meth:`consume` (pull: hand it the stream, get
-    the drained summary back) or by pushing batches through :meth:`feed`
-    and calling :meth:`finish` at end of stream.  ``on_window`` fires
-    with each closed :class:`LiveWindow` — the hook ``repro top`` hangs
-    its refresh on.
+    the drained summary back, folded at the counter width the stream's
+    header declares) or by pushing batches of a stock 24-bit counter
+    through :meth:`feed` and calling :meth:`finish` at end of stream.
+    ``on_window`` fires with each closed :class:`LiveWindow` — the hook
+    ``repro top`` hangs its refresh on.
     """
 
     def __init__(
         self,
         names: NameTable,
         *,
-        width_bits: int = 24,
         window_s: float = DEFAULT_WINDOW_S,
         clock: Callable[[], float] = time.monotonic,
         on_window: Optional[Callable[[LiveWindow], None]] = None,
@@ -93,11 +95,11 @@ class LiveAnalyzer:
     ) -> None:
         if window_s <= 0:
             raise ValueError(f"window must be positive, got {window_s}")
-        self.accumulator = SummaryAccumulator(names, width_bits=width_bits)
-        self.accumulator.recorder = trace
+        self.names = names
         self.window_s = window_s
         self.on_window = on_window
         self.trace = trace
+        self._fold_at(STOCK_WIDTH_BITS)
         self.heartbeat = heartbeat
         self.records_total = 0
         self.bytes_total = 0
@@ -111,6 +113,11 @@ class LiveAnalyzer:
         self._finished: Optional[ProfileSummary] = None
 
     # -- feeding ---------------------------------------------------------------
+
+    def _fold_at(self, width_bits: int) -> None:
+        """Start the fold over for a counter *width_bits* wide."""
+        self.accumulator = SummaryAccumulator(self.names, width_bits=width_bits)
+        self.accumulator.recorder = self.trace
 
     def feed(self, columns: RecordColumns, *, arrival: Optional[float] = None) -> None:
         """Fold one wire batch in and publish the per-batch gauges.
@@ -218,10 +225,16 @@ class LiveAnalyzer:
 
         Each ``read()`` off the wire becomes one :meth:`feed`; the
         arrival timestamp for the lag gauge is taken the moment the
-        batch is decoded off the stream.
+        batch is decoded off the stream.  The fold runs at the counter
+        width the stream's header declares, read as the stream starts.
         """
         clock = self._clock
-        for columns in iter_capture_columns(source, chunk_records=chunk_records):
+        batches = iter_capture_columns(
+            source,
+            chunk_records=chunk_records,
+            on_meta=lambda meta: self._fold_at(meta.counter_width_bits),
+        )
+        for columns in batches:
             self.feed(columns, arrival=clock())
         return self.finish()
 

@@ -15,41 +15,3 @@ This package models the paper's hardware contribution bit-for-bit:
   and decoded on a host (plus the paper's proposed future-work readback
   mode where the RAMs are multiplexed back into the EPROM window).
 """
-
-from repro.profiler.counter import MicrosecondCounter
-from repro.profiler.ram import RawRecord, RecordColumns, TraceRam
-from repro.profiler.pal import ControlLogic
-from repro.profiler.hardware import ProfilerBoard
-from repro.profiler.eprom import EpromSocket, PiggyBackAdapter
-from repro.profiler.upload import (
-    RECORD_BYTES,
-    CaptureDefect,
-    CaptureMeta,
-    CaptureMetadataWarning,
-    SalvageResult,
-    read_capture,
-    salvage_capture,
-    write_capture_file,
-)
-from repro.profiler.capture import Capture, CaptureSession
-
-__all__ = [
-    "Capture",
-    "CaptureDefect",
-    "CaptureMeta",
-    "CaptureMetadataWarning",
-    "CaptureSession",
-    "ControlLogic",
-    "EpromSocket",
-    "MicrosecondCounter",
-    "PiggyBackAdapter",
-    "ProfilerBoard",
-    "RawRecord",
-    "RecordColumns",
-    "RECORD_BYTES",
-    "SalvageResult",
-    "TraceRam",
-    "read_capture",
-    "salvage_capture",
-    "write_capture_file",
-]

@@ -82,7 +82,7 @@ import warnings
 import zlib
 from array import array
 from pathlib import Path
-from typing import BinaryIO, Generator, Iterable, Iterator, Optional, Union
+from typing import BinaryIO, Callable, Generator, Iterable, Iterator, Optional, Union
 
 from repro.profiler.ram import (
     _LITTLE_ENDIAN,
@@ -401,6 +401,7 @@ def iter_capture_columns(
     path_or_file: Union[str, Path, BinaryIO],
     *,
     chunk_records: int = DEFAULT_CHUNK_RECORDS,
+    on_meta: Optional[Callable[[CaptureMeta], None]] = None,
 ) -> Iterator[RecordColumns]:
     """Stream a capture file as columnar record batches.
 
@@ -417,12 +418,16 @@ def iter_capture_columns(
     reader holds back the last :data:`TRAILER_BYTES` bytes so records
     flow while the producer is still writing, then verifies the trailer's
     count and CRC32 at end of stream — a cut stream raises instead of
-    silently under-reporting.
+    silently under-reporting.  ``on_meta`` is called with the parsed
+    header before the first batch, so a reader of a stream it cannot
+    re-read (stdin, a FIFO, a socket) learns its counter width too.
     """
     if chunk_records <= 0:
         raise ValueError(f"chunk_records must be positive, got {chunk_records}")
     with _open_context(path_or_file, "rb") as stream:
         meta = _read_header(stream)
+        if on_meta is not None:
+            on_meta(meta)
         yield from _decode_payload(stream, meta, chunk_records)
 
 

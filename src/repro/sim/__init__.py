@@ -12,24 +12,3 @@ together.
 Everything in here is deterministic; there is no wall-clock dependence and
 all randomness is injected through explicitly seeded generators by callers.
 """
-
-from repro.sim.bus import Bus, MemoryRegion, Region
-from repro.sim.cpu import CostModel, Cpu
-from repro.sim.engine import InterruptLine, InterruptQueue, PendingInterrupt, SimClock
-from repro.sim.devices import ClockChip, Device
-from repro.sim.machine import Machine
-
-__all__ = [
-    "Bus",
-    "ClockChip",
-    "CostModel",
-    "Cpu",
-    "Device",
-    "InterruptLine",
-    "InterruptQueue",
-    "Machine",
-    "MemoryRegion",
-    "PendingInterrupt",
-    "Region",
-    "SimClock",
-]

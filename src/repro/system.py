@@ -75,11 +75,6 @@ class CaseStudySystem:
             _TELEMETRY.set_gauge("sim.clock.now_us", self.machine.clock.now_us)
         return session.capture
 
-    def run_unprofiled(self, run: Callable[[], object]) -> None:
-        """Run a workload with the board disarmed (it still pays trigger
-        costs — the instrumented kernel doesn't know the switch is off)."""
-        run()
-
     def analyze(self, capture: Capture) -> CallTreeAnalysis:
         """Reconstruct the capture's call forest."""
         return analyze_capture(capture)
@@ -102,7 +97,6 @@ def build_case_study(
     with_console: bool = True,
     instrument: bool = True,
     names: Optional[NameTable] = None,
-    engine: str = "optimized",
 ) -> CaseStudySystem:
     """Build the full rig.
 
@@ -113,27 +107,14 @@ def build_case_study(
     experiment — triggers absent entirely.  ``names`` is the table the
     compiler extends (default: a fresh read of :data:`NAME_FILE`), so
     ``system.names`` always holds the whole kernel's tags, whichever
-    modules were micro-profiled.  ``engine="reference"`` wires
-    the pre-optimization capture path (single-heap interrupt queue,
-    linear bus decode, step-by-step cost charging) — the baseline the
-    parity tests and capture benchmarks compare against; captures must
-    be byte-identical between the two engines.
+    modules were micro-profiled.
     """
-    if engine not in ("optimized", "reference"):
-        raise ValueError(f"unknown engine {engine!r}")
     _import_all_kernel_modules()
     cpu = Cpu.i386_40mhz()
     if cost is not None:
         cpu = Cpu(model=cost, name=cpu.name, mhz=cpu.mhz)
     machine = Machine(cpu=cpu)
-    if engine == "reference":
-        from repro.sim.engine import ReferenceInterruptQueue
-
-        machine.interrupts = ReferenceInterruptQueue()
-        machine.bus.decode_cache = False
     kernel = Kernel(machine)
-    if engine == "reference":
-        kernel.fastpath_enabled = False
 
     board = ProfilerBoard(depth=board_depth)
     adapter = PiggyBackAdapter(board)

@@ -20,46 +20,6 @@ returns.  Enable around a region of interest::
 """
 
 from repro.telemetry.core import Telemetry
-from repro.telemetry.heartbeat import DEFAULT_HEARTBEAT_S, HeartbeatFlusher
-from repro.telemetry.metrics import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricError,
-    MetricRegistry,
-    MetricSample,
-    prometheus_name,
-)
-from repro.telemetry.progress import ProgressReporter
-from repro.telemetry.spans import (
-    NOOP_SPAN,
-    NoopSpan,
-    Span,
-    SpanRecord,
-    SpanTracer,
-)
 
 #: The process-wide telemetry instance every instrumented subsystem uses.
 TELEMETRY = Telemetry()
-
-__all__ = [
-    "TELEMETRY",
-    "Telemetry",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricError",
-    "MetricRegistry",
-    "MetricSample",
-    "DEFAULT_BUCKETS",
-    "prometheus_name",
-    "ProgressReporter",
-    "HeartbeatFlusher",
-    "DEFAULT_HEARTBEAT_S",
-    "Span",
-    "NoopSpan",
-    "NOOP_SPAN",
-    "SpanRecord",
-    "SpanTracer",
-]

@@ -161,10 +161,6 @@ class Gauge(_Instrument):
         with self._lock:
             self._value += amount
 
-    def dec(self, amount: Number = 1) -> None:
-        with self._lock:
-            self._value -= amount
-
     def max(self, value: Number) -> None:
         """Raise the gauge to *value* if it is higher (peak tracking)."""
         with self._lock:

@@ -20,14 +20,14 @@ import dataclasses
 import random
 from typing import Any, Callable, Optional
 
-from repro.workloads.network_recv import NetworkReceiveResult, SparcSender, network_receive
-from repro.workloads.network_send import NetworkSendResult, SinkReceiver, network_send
+from repro.workloads.network_recv import NetworkReceiveResult, network_receive
+from repro.workloads.network_send import NetworkSendResult, network_send
 from repro.workloads.forkexec import ForkExecResult, fork_exec_storm
 from repro.workloads.fileio import FileIoResult, file_write_storm, file_read_back
 from repro.workloads.nfsio import NfsIoResult, nfs_read_stream
 from repro.workloads.ttyio import TtyIoResult, attach_tty, type_and_read
 from repro.workloads.mixed import MixedResult, mixed_activity
-from repro.workloads.snmp import BtreeMib, LinearMib, SnmpResult, snmp_agent_run
+from repro.workloads.snmp import SnmpResult, snmp_agent_run
 
 
 class WorkloadError(ValueError):
@@ -436,39 +436,3 @@ def registry_json() -> list[dict]:
             }
         )
     return out
-
-
-__all__ = [
-    "FileIoResult",
-    "ForkExecResult",
-    "MixedResult",
-    "NetworkReceiveResult",
-    "ParamSpec",
-    "TtyIoResult",
-    "WORKLOAD_REGISTRY",
-    "WorkloadError",
-    "WorkloadSpec",
-    "attach_tty",
-    "type_and_read",
-    "NfsIoResult",
-    "SparcSender",
-    "file_read_back",
-    "file_write_storm",
-    "fork_exec_storm",
-    "format_registry",
-    "get_workload",
-    "mixed_activity",
-    "network_receive",
-    "NetworkSendResult",
-    "SinkReceiver",
-    "network_send",
-    "nfs_read_stream",
-    "registry_json",
-    "workload_for_label",
-    "workload_tag",
-    "UNLABELED",
-    "BtreeMib",
-    "LinearMib",
-    "SnmpResult",
-    "snmp_agent_run",
-]

@@ -7,7 +7,7 @@ same jobs one record at a time — a :meth:`RawRecord.unpack`, a name-table
 lookup and a wrap subtraction per record — simple enough to read as the
 specification.  ``tests/test_decode_differential.py`` and
 ``tests/test_salvage_fuzz.py`` require the columnar code to agree with
-them exactly; nothing outside ``tests/`` imports this module.
+them exactly; nothing in ``src/`` imports this module.
 
 The program reconstructs calls one way too: the summary fold's state
 machine (:class:`repro.analysis.summary.SummaryAccumulator`), which the
@@ -18,22 +18,35 @@ live-trace suites compare the fold against.  :func:`reference_gprof_report`
 is the gprof report as a walk of such a tree, the specification the
 program's :class:`repro.analysis.gprof.GprofRecorder` aggregation is held
 to.
+
+The simulator has one capture engine: the bucketed interrupt queue, the
+bus decode cache and the kernel's fused charging.  The reference engine
+here (:class:`ReferenceInterruptQueue`, a linear bus decode and
+step-by-step charging) is the pre-optimization path, kept as the
+specification ``tests/test_capture_hotpath_parity.py``,
+``tests/test_userprof.py``, ``tests/test_sim_engine_edges.py`` and
+``benchmarks/bench_capture_hotpath.py`` hold the engine to, byte for
+byte.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import heapq
 import itertools
 import zlib
 from collections import defaultdict
 from typing import BinaryIO, Iterable, Iterator, Optional, Sequence
+from unittest import mock
 
+from repro import system
 from repro.analysis.callstack import Anomaly, CallNode, CallTreeAnalysis
 from repro.analysis.events import DecodedEvent, EventKind, _check_width
 from repro.analysis.gprof import SPONTANEOUS, ArcStats, GprofEntry, GprofReport
 from repro.instrument.namefile import NameTable
 from repro.instrument.tags import TagKind
+from repro.kernel.kernel import Kernel
 from repro.profiler import upload
 from repro.profiler.ram import RawRecord
 from repro.profiler.upload import (
@@ -43,6 +56,8 @@ from repro.profiler.upload import (
     CaptureFormatError,
     decode_stream_trailer,
 )
+from repro.sim.engine import InterruptLine, PendingInterrupt, TimeError
+from repro.sim.machine import Machine
 from stream_helpers import columns_of
 
 _KIND_FROM_TAG = {
@@ -494,3 +509,103 @@ def reference_gprof_report(analysis: CallTreeAnalysis) -> GprofReport:
             ],
         )
     return GprofReport(entries=entries, wall_us=analysis.wall_us)
+
+
+# -- the reference capture engine --------------------------------------------
+
+
+class ReferenceInterruptQueue:
+    """The original single-heap interrupt queue, kept as executable spec.
+
+    :class:`InterruptQueue` must stay observably identical to this class
+    (same pops, same times, same tie-breaks); the capture-parity tests and
+    ``benchmarks/bench_capture_hotpath.py`` run both side by side — this
+    one as the pre-optimization baseline — and byte-compare the captured
+    event streams.  Do not optimize this class.
+    """
+
+    def __init__(self) -> None:
+        self._heap: list[PendingInterrupt] = []
+        self._seq = itertools.count()
+        #: Count of interrupts ever posted, for statistics.
+        self.posted = 0
+        #: Count of interrupts ever delivered (popped), for statistics.
+        self.popped = 0
+
+    def __len__(self) -> int:
+        return len(self._heap)
+
+    def post(self, line: InterruptLine, due_ns: int) -> PendingInterrupt:
+        """Schedule *line* to assert at absolute time *due_ns*."""
+        if due_ns < 0:
+            raise TimeError(f"interrupt due in negative time {due_ns}")
+        pending = PendingInterrupt(due_ns=due_ns, seq=next(self._seq), line=line)
+        heapq.heappush(self._heap, pending)
+        self.posted += 1
+        return pending
+
+    def next_due_ns(self, current_ipl: int = 0) -> Optional[int]:
+        """Earliest due time among deliverable (unmasked) interrupts."""
+        deliverable = [p.due_ns for p in self._heap if p.line.ipl > current_ipl]
+        return min(deliverable) if deliverable else None
+
+    def next_any_due_ns(self) -> Optional[int]:
+        """Earliest due time regardless of masking (for idle-loop planning)."""
+        return self._heap[0].due_ns if self._heap else None
+
+    def pop_due(self, now_ns: int, current_ipl: int = 0) -> Optional[PendingInterrupt]:
+        """Remove and return the earliest deliverable interrupt due by *now_ns*."""
+        best_index: Optional[int] = None
+        for index, pending in enumerate(self._heap):
+            if pending.due_ns > now_ns:
+                continue
+            if pending.line.ipl <= current_ipl:
+                continue
+            if best_index is None or pending < self._heap[best_index]:
+                best_index = index
+        if best_index is None:
+            return None
+        pending = self._heap[best_index]
+        # O(n) removal: the pending set is tiny (a handful of IRQs).
+        self._heap[best_index] = self._heap[-1]
+        self._heap.pop()
+        heapq.heapify(self._heap)
+        self.popped += 1
+        return pending
+
+    def cancel_line(self, line: InterruptLine) -> int:
+        """Drop every pending entry for *line*; return how many were dropped."""
+        before = len(self._heap)
+        self._heap = [p for p in self._heap if p.line is not line]
+        heapq.heapify(self._heap)
+        return before - len(self._heap)
+
+    def pending_for(self, line: InterruptLine) -> int:
+        """Number of queued entries for *line*."""
+        return sum(1 for p in self._heap if p.line is line)
+
+
+class ReferenceMachine(Machine):
+    """A machine on the reference queue with the bus decode cache off."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.interrupts = ReferenceInterruptQueue()
+        self.bus.decode_cache = False
+
+
+class ReferenceKernel(Kernel):
+    """A kernel that charges time step by step (no fused fast path)."""
+
+    fastpath_enabled = False
+
+
+def reference_kernel() -> Kernel:
+    """A bare (unbooted) kernel on a reference machine."""
+    return ReferenceKernel(ReferenceMachine())
+
+
+def build_reference_case_study(**kwargs) -> system.CaseStudySystem:
+    """``build_case_study(**kwargs)`` with the reference engine wired in."""
+    with mock.patch.multiple(system, Machine=ReferenceMachine, Kernel=ReferenceKernel):
+        return system.build_case_study(**kwargs)

@@ -4,8 +4,8 @@ The capture-side optimization (bucketed interrupt queue with a cached
 per-ipl horizon, bus decode cache, pre-resolved Profiler tap, fused cost
 charging) promises one thing above all: every captured ``RawRecord``
 stream — tags, wrapped 24-bit times, order — is **byte-identical** to
-what the preserved reference engine produces.  These tests pin that
-promise at three levels:
+what the reference engine in ``tests/oracles.py`` produces.  These
+tests pin that promise at three levels:
 
 * whole-system: the golden Figure 3/4 (network receive) and Figure 5
   (fork/exec) workloads, run on both engines, byte-compared;
@@ -32,11 +32,12 @@ from repro.kernel.kfunc import KFuncMeta
 from repro.profiler.eprom import PiggyBackAdapter
 from repro.profiler.hardware import ProfilerBoard
 from repro.sim.bus import BusError
-from repro.sim.engine import InterruptLine, ReferenceInterruptQueue
+from repro.sim.engine import InterruptLine
 from repro.sim.machine import Machine
 from repro.system import build_case_study
 from repro.workloads.forkexec import fork_exec_storm
 from repro.workloads.network_recv import network_receive
+from oracles import build_reference_case_study, reference_kernel
 
 # Manual profile-map metas: deliberately NOT @kfunc-registered, so these
 # tests cannot perturb the global registry's import-order tag assignment.
@@ -51,13 +52,7 @@ def capture_bytes(capture) -> bytes:
 
 def make_kernel(engine: str, depth: int = 4096) -> tuple[Kernel, ProfilerBoard]:
     """A bare profiling kernel on the requested engine (no boot)."""
-    machine = Machine()
-    if engine == "reference":
-        machine.interrupts = ReferenceInterruptQueue()
-        machine.bus.decode_cache = False
-    kernel = Kernel(machine)
-    if engine == "reference":
-        kernel.fastpath_enabled = False
+    kernel = reference_kernel() if engine == "reference" else Kernel(Machine())
     board = ProfilerBoard(depth=depth)
     kernel.attach_profiler(PiggyBackAdapter(board))
     kernel.set_profile_map(dict(PARITY_TAGS), {})
@@ -79,8 +74,11 @@ def make_kernel(engine: str, depth: int = 4096) -> tuple[Kernel, ProfilerBoard]:
 )
 def test_golden_workload_capture_byte_identical(label, workload):
     streams = {}
-    for engine in ("optimized", "reference"):
-        system = build_case_study(engine=engine)
+    for engine, build in (
+        ("optimized", build_case_study),
+        ("reference", build_reference_case_study),
+    ):
+        system = build()
         capture = system.profile(lambda: workload(system.kernel), label=label)
         streams[engine] = (
             capture_bytes(capture),

@@ -445,7 +445,7 @@ class TestFullReportFooter:
 
 class TestLintIntegration:
     def test_lint_capture_file_salvage_mode(self, tmp_path):
-        from repro.lint import lint_capture_file
+        from repro.lint.runner import lint_capture_file
 
         path = tmp_path / "damaged.mpf"
         path.write_bytes(_v2_blob()[:-7])
@@ -456,7 +456,7 @@ class TestLintIntegration:
         assert "P211" in forgiving.codes() and "P212" in forgiving.codes()
 
     def test_mpf1_file_gets_info_diagnostic(self, tmp_path):
-        from repro.lint import lint_capture_file
+        from repro.lint.runner import lint_capture_file
 
         path = tmp_path / "legacy.mpf"
         write_capture_file(path, columns_of([RawRecord(tag=500, time=1)]), version=1)

@@ -469,6 +469,54 @@ class TestOneFold:
         assert trace in "\n".join(mixed) + "\n"
 
 
+#: Modules an ``analyze`` to a summary or gprof report has no use for.
+NOT_LOADED_BY_ANALYZE = (
+    "repro.lint", "repro.fleet", "repro.db", "repro.coverage", "repro.live",
+    "repro.system", "repro.kernel", "repro.sim", "repro.workloads", "repro.baselines",
+    "repro.analysis.trace", "repro.analysis.folded", "repro.analysis.timeline",
+    "repro.analysis.compare", "repro.analysis.graph", "repro.analysis.histogram",
+    "repro.analysis.reports", "repro.telemetry.export",
+    "http.server", "concurrent.futures", "multiprocessing", "sqlite3",
+)
+
+
+class TestLeanStartup:
+    """The CLI imports a command's modules when the command runs: the
+    import itself and an ``analyze`` to a summary or gprof report load
+    neither the other commands' subsystems nor the simulator."""
+
+    @pytest.mark.parametrize("report", [None, "summary", "gprof"])
+    def test_analyze_loads_only_what_it_uses(self, report):
+        run = ""
+        if report is not None:
+            argv = [
+                "analyze", str(GOLDEN_DIR / "figure5_forkexec_v2.mpf"),
+                "--names", str(GOLDEN_DIR / "case_study.tags"), "--report", report,
+            ]
+            run = f"assert repro.__main__.main({argv!r}, out=lambda line: None) == 0\n"
+        code = "import sys\nimport repro.__main__\n" + run + "print(*sys.modules)\n"
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        loaded = done.stdout.split()
+        assert "repro.analysis.summary" in loaded
+        unwanted = sorted(
+            module
+            for module in loaded
+            if any(
+                module == name or module.startswith(name + ".")
+                for name in NOT_LOADED_BY_ANALYZE
+            )
+        )
+        assert unwanted == []
+
+
 class TestOtherCommands:
     def test_workloads_listing(self):
         from repro.workloads import WORKLOAD_REGISTRY

@@ -17,9 +17,10 @@ from pathlib import Path
 import pytest
 
 from repro.__main__ import main
-from repro.coverage import scan_corpus
-from repro.db import connect, ingest_paths
-from repro.fleet import ingest_fleet
+from repro.coverage.corpus import scan_corpus
+from repro.db.ingest import ingest_paths
+from repro.db.schema import connect
+from repro.fleet.ingest import ingest_fleet
 from repro.instrument.namefile import NameTable
 from repro.profiler.upload import write_capture_file
 

@@ -16,16 +16,14 @@ import shutil
 
 import pytest
 
-from repro.coverage import (
-    ROOT_CATEGORIES,
-    build_call_graph,
+from repro.coverage.callgraph import ROOT_CATEGORIES, build_call_graph
+from repro.coverage.corpus import CaptureCoverage, CorpusCoverage, scan_corpus
+from repro.coverage.hunt import hunt_coverage
+from repro.coverage.report import (
     build_coverage_report,
     coverage_diagnostics,
-    hunt_coverage,
     render_coverage_json,
-    scan_corpus,
 )
-from repro.coverage.corpus import CaptureCoverage, CorpusCoverage
 from repro.instrument.namefile import DUMMY_NAME, NameTable
 from repro.instrument.tags import TagEntry
 from repro.workloads import WORKLOAD_REGISTRY

@@ -18,27 +18,24 @@ import sqlite3
 
 import pytest
 
-from repro.db import (
-    DiffThresholds,
-    ProfileDbError,
-    SCHEMA_VERSION,
-    connect,
-    diff_runs,
+from repro.analysis.compare import WorkloadMismatchWarning
+from repro.db.diff import DiffThresholds, diff_runs
+from repro.db.ingest import ingest_capture, ingest_paths
+from repro.db.query import (
     function_row_count,
-    ingest_capture,
-    ingest_paths,
     list_runs,
     query_functions,
+    resolve_runs,
+    run_count,
+)
+from repro.db.render import (
     render_diff_json,
     render_diff_text,
     render_query_text,
     render_runs_text,
-    resolve_runs,
-    run_count,
 )
-from repro.analysis.compare import WorkloadMismatchWarning
-from repro.db.schema import read_schema_version
-from repro.fleet import discover_captures
+from repro.db.schema import SCHEMA_VERSION, ProfileDbError, connect, read_schema_version
+from repro.fleet.ingest import discover_captures
 from repro.fleet import ingest as fleet_ingest
 from repro.lint.db_lint import lint_profile_db
 from repro.profiler.upload import write_capture_file

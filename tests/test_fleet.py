@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.fleet import (
+from repro.fleet.ingest import (
     FLEET_COUNTERS,
     FLEET_HISTOGRAMS,
     FleetError,

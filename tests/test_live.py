@@ -33,10 +33,12 @@ from repro.analysis.callstack import analyze_capture
 from repro.analysis.summary import (
     FUNCTION_SORTS,
     SummaryAccumulator,
+    fold_columns,
     sort_rows,
     summarize,
 )
-from repro.lint import lint_live_drain, lint_live_stream, render_text
+from repro.lint.live_lint import lint_live_drain, lint_live_stream
+from repro.lint.runner import render_text
 from repro.live.analyzer import LiveAnalyzer, LiveWindow
 from repro.live.top import TopView, render_top
 from repro.live.trace import LiveTraceWriter
@@ -47,8 +49,10 @@ from repro.profiler.upload import (
     CaptureStreamWriter,
     iter_capture_columns,
     read_capture,
+    write_capture_file,
 )
-from repro.telemetry import TELEMETRY, HeartbeatFlusher
+from repro.telemetry import TELEMETRY
+from repro.telemetry.heartbeat import HeartbeatFlusher
 from repro.telemetry.export import capture_to_chrome_trace
 from repro.__main__ import main
 
@@ -81,6 +85,25 @@ def _records(n: int = 600) -> list[RawRecord]:
     records.append(
         RawRecord(tag=names.by_name("main").exit_value, time=t & 0xFFFFFF)
     )
+    return records
+
+
+def _narrow_counter_records() -> list[RawRecord]:
+    """24 records on a 16-bit counter: ``main`` calls ``read`` five times,
+    twice over, and each 30 ms ``read`` spans most of a 65.5 ms wrap."""
+    names = _names()
+    f, g = names.by_name("main"), names.by_name("read")
+    records = []
+    start = 0
+    for _ in range(2):
+        records.append(RawRecord(tag=f.entry_value, time=start & 0xFFFF))
+        for i in range(5):
+            t = start + 1_000 + i * 32_000
+            records.append(RawRecord(tag=g.entry_value, time=t & 0xFFFF))
+            records.append(RawRecord(tag=g.exit_value, time=(t + 30_000) & 0xFFFF))
+        start += 161_500
+        records.append(RawRecord(tag=f.exit_value, time=start & 0xFFFF))
+        start += 500
     return records
 
 
@@ -180,6 +203,29 @@ class TestLiveBatchIdentity:
         assert live.format() == batch.format()
         assert analyzer.windows >= 1
         assert analyzer.records_total == len(records)
+
+    def test_open_stream_folds_at_its_header_counter_width(self):
+        """A 16-bit stream over a pipe folds at 16 bits, as the batch
+        fold of the same records does, not at the stock 24."""
+        records = _narrow_counter_records()
+        names = _names()
+        read_fd, write_fd = os.pipe()
+
+        def produce():
+            with os.fdopen(write_fd, "wb") as sink:
+                with CaptureStreamWriter(sink, counter_width_bits=16) as writer:
+                    for start in range(0, len(records), 5):
+                        writer.write_records(records[start : start + 5])
+                        writer.flush()
+
+        thread = threading.Thread(target=produce)
+        thread.start()
+        with os.fdopen(read_fd, "rb") as source:
+            live = LiveAnalyzer(names).consume(source, chunk_records=4)
+        thread.join()
+        batch = fold_columns([columns_of(records)], names, width_bits=16).summary()
+        assert live.format() == batch.format()
+        assert live.functions["read"].max_us == 30_000
 
     def test_finish_idempotent_and_counts_drain(self):
         records = _records(100)
@@ -337,7 +383,8 @@ class TestTop:
     def test_sorts_match_db_function_sorts(self):
         """``repro top`` and ``repro db query`` take one sort vocabulary:
         every key ranks a live frame and orders a database query."""
-        from repro.db import connect, query_functions
+        from repro.db.query import query_functions
+        from repro.db.schema import connect
 
         summary = self._window().cumulative
         conn = connect(":memory:")
@@ -568,6 +615,23 @@ class TestLiveCli:
         assert batch_lines[0].startswith("loaded ")
         assert batch_lines[-2].startswith("kstack desyncs = ")
         assert live_text.split("\n") == batch_lines[1:-2] + batch_lines[-1:]
+
+    def test_live_analyze_uses_the_file_counter_width(self, tmp_path):
+        capture = tmp_path / "narrow.mpf"
+        tags = tmp_path / "narrow.tags"
+        records = columns_of(_narrow_counter_records())
+        write_capture_file(capture, records, counter_width_bits=16)
+        _names().write(tags)
+        code, live_text = run_cli(
+            "live", "analyze", str(capture), "--names", str(tags)
+        )
+        assert code == 0
+        code, batch_text = run_cli("analyze", str(capture), "--names", str(tags))
+        assert code == 0
+        batch_lines = batch_text.split("\n")
+        assert batch_lines[-2].startswith("kstack desyncs = ")
+        assert live_text.split("\n") == batch_lines[1:-2] + batch_lines[-1:]
+        assert "Elapsed time = 0 sec 323500 us" in live_text
 
     def test_top_once(self, capsys):
         code, _ = run_cli(

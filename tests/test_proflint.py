@@ -23,25 +23,19 @@ import pytest
 from repro.instrument.linker import KernelLayout, layout_for
 from repro.instrument.namefile import NameTable, parse_name_file
 from repro.instrument.tags import MAX_TAG, TagEntry
-from repro.lint import (
-    CODE_TABLE,
+from repro.lint.ast_lint import lint_kernel_source, lint_source_text
+from repro.lint.diagnostics import CODE_TABLE, LintReport, Severity
+from repro.lint.link_lint import lint_layout, lint_link
+from repro.lint.namefile_lint import lint_name_file_text, lint_name_table
+from repro.lint.runner import (
     LintOptions,
-    LintReport,
-    Severity,
     lint_capture_file,
-    lint_kernel_source,
-    lint_layout,
-    lint_link,
-    lint_name_file_text,
-    lint_name_table,
     lint_paths,
-    lint_records,
     lint_self_check,
-    lint_source_text,
     render_json,
     render_text,
-    verify_capture,
 )
+from repro.lint.stream_lint import lint_records, verify_capture
 from repro.profiler.ram import RawRecord
 from repro.sim.bus import ISA_HOLE_START
 from stream_helpers import columns_of
@@ -112,7 +106,7 @@ class TestNamefileLint:
     def test_cross_file_collision_points_at_both_files(self, tmp_path):
         (tmp_path / "a.tags").write_text("main/502\n")
         (tmp_path / "b.tags").write_text("tcp_input/502\n")
-        from repro.lint import lint_name_files
+        from repro.lint.namefile_lint import lint_name_files
 
         report = lint_name_files([tmp_path / "a.tags", tmp_path / "b.tags"])
         # tcp_input claims 502 and 503; main owns both — two collisions.
@@ -123,7 +117,7 @@ class TestNamefileLint:
     def test_identical_line_in_two_files_is_clean(self, tmp_path):
         (tmp_path / "a.tags").write_text("main/502\n")
         (tmp_path / "b.tags").write_text("main/502\n")
-        from repro.lint import lint_name_files
+        from repro.lint.namefile_lint import lint_name_files
 
         report = lint_name_files([tmp_path / "a.tags", tmp_path / "b.tags"])
         assert report.ok and len(report) == 0

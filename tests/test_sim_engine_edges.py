@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import random
 
-from repro.sim.engine import InterruptLine, InterruptQueue, ReferenceInterruptQueue
+from repro.sim.engine import InterruptLine, InterruptQueue
+from oracles import ReferenceInterruptQueue
 
 
 def line(irq: int = 3, ipl: int = 2, name: str = "test") -> InterruptLine:

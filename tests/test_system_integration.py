@@ -94,12 +94,30 @@ class TestNameFile:
         )
         assert table == GOLDEN_TAGS.read_text()
 
+    def test_import_all_registers_every_kernel_function(self):
+        """A bare build instruments every kernel function: ``import_all``
+        reaches each module itself, whatever else was imported first."""
+        build = (
+            "from repro.system import build_case_study\n"
+            "print(*sorted(build_case_study().image.instrumented), sep='\\n')\n"
+        )
+        bare = _python(build).split()
+        walked = _python(
+            "import importlib, pkgutil\n"
+            "import repro.kernel as kernel\n"
+            "for info in pkgutil.walk_packages(kernel.__path__, 'repro.kernel.'):\n"
+            "    importlib.import_module(info.name)\n" + build
+        ).split()
+        assert bare == walked
+        assert len(bare) > 100
+
     def test_shipped_file_names_every_kernel_function(self):
         registered = _python(
-            "import repro.kernel\n"
+            "from repro.kernel import import_all\n"
+            "from repro.kernel.kfunc import registered_functions\n"
             "from repro.system import INLINE_POINTS\n"
-            "repro.kernel.import_all()\n"
-            "for meta in repro.kernel.registered_functions():\n"
+            "import_all()\n"
+            "for meta in registered_functions():\n"
             "    print(meta.name)\n"
             "print(*INLINE_POINTS, sep='\\n')\n"
         ).split()

@@ -22,20 +22,14 @@ import pytest
 from repro.__main__ import main
 from repro.analysis.callstack import analyze_capture
 from repro.instrument.namefile import NameTable
-from repro.lint import lint_telemetry
+from repro.lint.telemetry_lint import lint_telemetry
 from repro.profiler.capture import Capture
 from repro.profiler.ram import RawRecord
-from repro.telemetry import (
-    NOOP_SPAN,
-    TELEMETRY,
-    MetricError,
-    MetricRegistry,
-    NoopSpan,
-    ProgressReporter,
-    SpanTracer,
-    Telemetry,
-    prometheus_name,
-)
+from repro.telemetry import TELEMETRY
+from repro.telemetry.core import Telemetry
+from repro.telemetry.metrics import MetricError, MetricRegistry, prometheus_name
+from repro.telemetry.progress import ProgressReporter
+from repro.telemetry.spans import NOOP_SPAN, NoopSpan, SpanTracer
 from repro.telemetry.export import (
     capture_to_chrome_trace,
     infer_format,

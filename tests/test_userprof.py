@@ -19,6 +19,7 @@ from repro.kernel.vm.vm_glue import ExecImage
 from repro.system import build_case_study
 from repro.workloads.network_recv import network_receive
 from repro.kernel.syscalls import syscall
+from oracles import build_reference_case_study
 
 
 def make_user_proc(system, functions=("u_main", "u_parse", "u_reply")):
@@ -166,8 +167,11 @@ class TestEngineParity:
         byte — including the `_user_trigger` slow path the reference
         engine (fastpath_enabled=False) exercises."""
         results = {}
-        for engine in ("optimized", "reference"):
-            system = build_case_study(engine=engine)
+        for engine, build in (
+            ("optimized", build_case_study),
+            ("reference", build_reference_case_study),
+        ):
+            system = build()
             capture = system.profile(lambda: run_user_workload(system))
             results[engine] = (
                 capture.records.to_bytes(),
