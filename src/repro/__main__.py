@@ -40,6 +40,9 @@ The summary and gprof reports are the columnar fold
 call-tree report (trace, folded, flame, timeline) or ``--salvage`` needs
 the whole capture in memory; the call tree is a recording of the same
 fold, so a summary printed beside a tree report is read off the tree.
+``trace export`` folds the file the same way, with the Chrome-trace
+writer (:class:`repro.analysis.chrome_trace.ChromeTraceWriter`) as the
+recorder, and ``live analyze --trace-out`` records its fold with it.
 Only the parser and that fold are imported with this module; every
 command imports the rest of what it uses when it runs.
 
@@ -64,6 +67,7 @@ from repro.analysis.gprof import GprofRecorder, gprof_report
 from repro.analysis.summary import (
     FUNCTION_SORTS,
     Anomaly,
+    FoldRecorder,
     SummaryAccumulator,
     fold_capture,
     fold_columns,
@@ -260,10 +264,12 @@ def _defect_footer(capture: Capture, source: str, out: Callable) -> None:
         out(f"salvage: no defects found in {source}")
 
 
-def _fold_file(args: argparse.Namespace, names: NameTable) -> SummaryAccumulator:
-    """Fold the capture file straight off the disk, O(chunk) memory, for
-    the summary and gprof reports, with the ``--progress`` heartbeat
-    counting batches as they land."""
+def _fold_file(
+    args: argparse.Namespace, names: NameTable, recorder: Optional[FoldRecorder]
+) -> SummaryAccumulator:
+    """Fold the capture file straight off the disk, O(chunk) memory, at
+    the counter width its header declares, with *recorder* attached and
+    the ``--progress`` heartbeat counting batches as they land."""
     meta = read_capture_meta(args.capture)
     if meta.version == 1:
         warn_legacy_metadata(args.capture)
@@ -280,10 +286,7 @@ def _fold_file(args: argparse.Namespace, names: NameTable) -> SummaryAccumulator
             progress.finish()
 
     return fold_columns(
-        batches(),
-        names,
-        width_bits=meta.counter_width_bits,
-        recorder=_gprof_recorder(args.report),
+        batches(), names, width_bits=meta.counter_width_bits, recorder=recorder
     )
 
 
@@ -309,7 +312,7 @@ def cmd_analyze(args: argparse.Namespace, out: Callable) -> int:
         fold = _fold_capture_for(capture, args.report)
         events = len(capture)
     else:
-        fold = _fold_file(args, names)
+        fold = _fold_file(args, names, _gprof_recorder(args.report))
         events = fold.event_count
     out(f"loaded {events} events from {args.capture}")
     _print_reports(
@@ -398,36 +401,40 @@ def cmd_trace_export(args: argparse.Namespace, out: Callable) -> int:
     The paper's Figure 4 code-path trace in a form Perfetto and
     ``chrome://tracing`` open directly: one process track per
     reconstructed process (the ``swtch()`` split), interrupt frames on a
-    dedicated track, inline marks as instant events.
+    dedicated track, inline marks as instant events.  The capture is
+    folded once, as ``analyze`` folds it for a summary, and each call is
+    written as the fold closes it; the file appears only when the whole
+    capture has been read.
     """
-    from repro.analysis.callstack import analyze_capture
-    from repro.atomicio import write_text_atomic
-    from repro.telemetry.export import capture_to_chrome_trace
+    from repro.analysis.chrome_trace import ChromeTraceWriter
+    from repro.analysis.columnar import INTERRUPT_FRAMES
+    from repro.atomicio import open_atomic
 
     names = NameTable.read(*args.names)
-    capture = Capture.load(
-        args.capture, names, label=f"cli: {args.capture}", salvage=args.salvage
-    )
-    analysis = analyze_capture(capture)
     interrupt_names = (
         frozenset(
             name.strip() for name in args.interrupt_frames.split(",") if name.strip()
         )
         if args.interrupt_frames
-        else None
+        else INTERRUPT_FRAMES
     )
-    document = capture_to_chrome_trace(
-        analysis, interrupt_names=interrupt_names, label=f"cli: {args.capture}"
-    )
+    label = f"cli: {args.capture}"
     output = args.output or str(Path(args.capture).with_suffix(".trace.json"))
-    write_text_atomic(output, json.dumps(document, indent=1))
+    with open_atomic(output) as handle:
+        writer = ChromeTraceWriter(handle, interrupt_names=interrupt_names, label=label)
+        if args.salvage:
+            capture = Capture.load(args.capture, names, label=label, salvage=True)
+            fold = fold_capture(capture, recorder=writer)
+        else:
+            fold = _fold_file(args, names, writer)
+        events = writer.close(fold.close())
     if args.salvage:
         _defect_footer(capture, args.capture, out)
     out(
         f"chrome trace written to {output}: "
-        f"{len(document['traceEvents'])} event(s), "
-        f"{len(analysis.procs)} process track(s), "
-        f"{analysis.wall_us} us of simulated time"
+        f"{events} event(s), "
+        f"{len(fold.procs)} process track(s), "
+        f"{fold.summary().wall_us} us of simulated time"
     )
     return 0
 
@@ -820,17 +827,19 @@ def cmd_live_analyze(args: argparse.Namespace, out: Callable) -> int:
     if implicit_telemetry:
         TELEMETRY.reset()
         TELEMETRY.enable()
-    trace = heartbeat = server = None
+    trace = heartbeat = server = analyzer = None
     try:
-        if args.trace_out:
-            from repro.live.trace import LiveTraceWriter
-
-            trace = LiveTraceWriter(args.trace_out)
         if args.heartbeat:
             from repro.telemetry.heartbeat import HeartbeatFlusher
 
             heartbeat = HeartbeatFlusher(
                 Path(args.heartbeat), TELEMETRY, interval_s=args.heartbeat_every
+            )
+        if args.trace_out:
+            from repro.analysis.chrome_trace import LIVE_MAX_SLICES, ChromeTraceWriter
+
+            trace = ChromeTraceWriter(
+                open(args.trace_out, "w"), max_slices=LIVE_MAX_SLICES
             )
 
         def _on_window(window) -> None:
@@ -869,8 +878,14 @@ def cmd_live_analyze(args: argparse.Namespace, out: Callable) -> int:
     finally:
         if server is not None:
             server.close()
-        if trace is not None and not trace.closed:
-            trace.close()
+        if trace is not None:
+            # After an error the file still ends in its trailer, with the
+            # accounting of what was folded (nothing, if the analyzer
+            # was never built).
+            trace.close(
+                SummaryAccumulator(names) if analyzer is None else analyzer.accumulator
+            )
+            trace.out.close()
         if implicit_telemetry:
             TELEMETRY.disable()
 
@@ -1064,9 +1079,10 @@ def build_parser() -> argparse.ArgumentParser:
         "export",
         help="render a capture as Chrome trace_event JSON (Perfetto)",
         description="Render a saved capture as a Chrome trace_event "
-        "document: one process track per reconstructed process (the "
+        "array: one process track per reconstructed process (the "
         "swtch() split), interrupt frames on a dedicated track, inline "
-        "marks as instant events.  Open the output in "
+        "marks as instant events, and a closing trace_end event with the "
+        "capture's accounting.  Open the output in "
         "https://ui.perfetto.dev or chrome://tracing.",
     )
     trace_export.add_argument("capture", help="capture file (from capture --save)")
@@ -1517,8 +1533,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     live_analyze.add_argument(
         "--trace-out", default=None, metavar="PATH",
-        help="append an incremental Chrome trace_event track here while "
-        "the stream flows",
+        help="write the capture's Chrome trace_event JSON here while the "
+        "stream flows (the events `trace export` writes, plus counters)",
     )
     live_analyze.add_argument(
         "--heartbeat", default=None, metavar="PATH",

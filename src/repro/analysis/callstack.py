@@ -30,7 +30,9 @@ The program implements these rules once, in the summary fold's state
 machine (:class:`repro.analysis.summary.SummaryAccumulator`).  The call
 tree is a recording of that reconstruction: :func:`build_call_tree` runs
 the fold with a tree recorder attached, so the tree, the summary and the
-live trace agree by construction.
+Chrome trace agree by construction.  Only the reports that walk a tree
+(``trace``, ``folded``, ``flame``, ``timeline``) and
+:meth:`repro.system.CaseStudySystem.analyze` build one.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ each tag up once in the same :func:`build_decode_map` table, and shares
 two passes, :class:`ColumnarEvents`, serves the callers that want
 decoded columns: the call tree
 (:func:`repro.analysis.callstack.build_call_tree` steps a decoded
-batch's absolute times and tags), the stream linter and the tests.  It
+batch's absolute times and tags) and the tests.  It
 holds every field a list of :class:`~repro.analysis.events.DecodedEvent`
 would, column by column, and can materialise them
 (:meth:`ColumnarEvents.to_events`) for callers that want objects.
@@ -46,6 +46,13 @@ from repro.profiler.ram import RawRecord, RecordColumns
 #: columnar hot loop.  Shared with the reconstruction fold
 #: (:mod:`repro.analysis.summary` imports them as ``_ENTRY`` etc.).
 CODE_ENTRY, CODE_EXIT, CODE_INLINE, CODE_UNKNOWN = 0, 1, 2, 3
+
+#: Frame names treated as device-interrupt handlers: the timeline's
+#: ``intr`` row, the Chrome trace's interrupt track and lint's nesting
+#: check (P206).  The case-study kernel has a single ISA interrupt
+#: dispatcher; real tag files name one handler per source, so the
+#: timeline and the trace take any set of names.
+INTERRUPT_FRAMES: frozenset[str] = frozenset({"ISAINTR"})
 
 KIND_FROM_CODE = {
     CODE_ENTRY: EventKind.ENTRY,

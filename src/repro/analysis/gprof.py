@@ -20,10 +20,12 @@ which breaks the report's ties.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from repro.analysis.callstack import CallTreeAnalysis
-from repro.analysis.summary import FoldRecorder, SummaryAccumulator
+from repro.analysis.summary import PreorderRecorder, SummaryAccumulator
+
+if TYPE_CHECKING:
+    from repro.analysis.callstack import CallTreeAnalysis
 
 
 @dataclasses.dataclass
@@ -89,36 +91,22 @@ class GprofReport:
 SPONTANEOUS = "<spontaneous>"
 
 
-class GprofRecorder(FoldRecorder):
+class GprofRecorder(PreorderRecorder):
     """The gprof aggregation: per-function calls, net and inclusive time,
     and exact caller->callee arcs, added up call by call.
 
     Attached as a fold's :attr:`~SummaryAccumulator.recorder` it sees
     every real call close (synthetic frames count in no gprof entry) and
     :meth:`report` assembles the report.  Each call carries its preorder
-    key, ``(tree-root index, open sequence)``: a tree's calls all belong
-    to one process and open in preorder, while trees of different
-    processes interleave in time.  Synthetic roots hold no real call and
-    take no index.  The recorder appends the key to each open frame as
-    ``frame[5]``.
+    key (:class:`~repro.analysis.summary.PreorderRecorder`), which orders
+    the report's entries and arcs.
     """
 
     def __init__(self) -> None:
+        super().__init__()
         #: name -> [key, calls, net_us, inclusive_us, {caller: [key, calls, inclusive_us]}],
         #: each key the least of the calls added under it.
         self._functions: dict[str, list] = {}
-        self._roots = 0
-        self._opened = 0
-
-    def open_frame(self, stack, frame: list) -> None:
-        frames = stack.frames
-        if len(frames) == 1:
-            root = self._roots
-            self._roots = root + 1
-        else:
-            root = frames[0][5][0]
-        frame.append((root, self._opened))
-        self._opened += 1
 
     def close_frame(self, stack, frame: list, exit_us: int, truncated: bool) -> None:
         frames = stack.frames

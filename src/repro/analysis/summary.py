@@ -23,8 +23,9 @@ batch rather than by buffering and replaying the scheduling block.  The
 fold is also the program's one call reconstruction: entry/exit matching,
 switch-in resolution and anomaly repair happen only there, and the call
 tree (:func:`repro.analysis.callstack.build_call_tree`), the gprof
-report (:class:`repro.analysis.gprof.GprofRecorder`) and the live Chrome
-trace (:class:`repro.live.trace.LiveTraceWriter`) are
+report (:class:`repro.analysis.gprof.GprofRecorder`), the Chrome trace
+(:class:`repro.analysis.chrome_trace.ChromeTraceWriter`) and the stream
+lint pass (:func:`repro.lint.stream_lint.lint_records`) are
 :class:`FoldRecorder` recordings of it.  :func:`summarize` gives the same
 summary from a reconstructed call tree, for callers that hold one.
 """
@@ -357,7 +358,8 @@ class FoldRecorder:
     every step of the same state machine and keeps what more it wants:
     the call tree of :func:`repro.analysis.callstack.build_call_tree`,
     the gprof arcs of :class:`repro.analysis.gprof.GprofRecorder`, or
-    the slices of :class:`repro.live.trace.LiveTraceWriter`.  *stack* is
+    the Chrome events of
+    :class:`repro.analysis.chrome_trace.ChromeTraceWriter`.  *stack* is
     the process a step happened on (``stack.proc`` its label,
     ``stack.frames`` its open frames, innermost last); a frame is the
     fold's ``[name, self_us, child_us, is_swtch, enter_us]`` list, to
@@ -384,6 +386,32 @@ class FoldRecorder:
         """An inline or unknown-tag point fired on *stack*."""
 
 
+class PreorderRecorder(FoldRecorder):
+    """A recorder that keys every frame by its place in the preorder of
+    the call forest, appended to the frame as ``frame[5]``.
+
+    The key is ``(tree-root index, open sequence)``: a tree's calls all
+    belong to one process and open in preorder, while trees of different
+    processes interleave in time, so sorting calls by key walks the
+    forest the way :meth:`repro.analysis.callstack.CallTreeAnalysis.nodes`
+    does.  Synthetic frames hold no real call and take no key.
+    """
+
+    def __init__(self) -> None:
+        self._roots = 0
+        self._opened = 0
+
+    def open_frame(self, stack: _ProcStack, frame: list) -> None:
+        frames = stack.frames
+        if len(frames) == 1:
+            root = self._roots
+            self._roots = root + 1
+        else:
+            root = frames[0][5][0]
+        frame.append((root, self._opened))
+        self._opened += 1
+
+
 def _elapsed(raw_times: Iterable[int], previous: int, mask: int) -> int:
     """Microseconds from snapshot *previous* to the last of *raw_times*."""
     total = 0
@@ -408,7 +436,7 @@ class SummaryAccumulator:
     O(events) — which is what lets a million-event stream be summarised
     from a file iterator without ever holding the trace.  A
     :class:`FoldRecorder` attached as :attr:`recorder` sees every step and
-    may keep more (the call tree, the gprof arcs, the live trace).
+    may keep more (the call tree, the gprof arcs, the Chrome trace).
 
     Every event is stepped once, straight off the raw ``(time, tag)``
     columns: the counter is unwrapped inline and each tag costs one

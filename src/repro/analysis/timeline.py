@@ -12,13 +12,8 @@ import dataclasses
 from collections import defaultdict
 from typing import Iterable, Union
 
-from repro.analysis.callstack import CallNode, CallTreeAnalysis
-
-#: Frame names treated as device-interrupt handlers.  The case-study
-#: kernel has a single ISA interrupt dispatcher, but real tag files name
-#: one handler per source — both the timeline's ``intr`` row and the
-#: Chrome-trace exporter's interrupt track accept any set of names.
-DEFAULT_INTERRUPT_FRAMES: frozenset[str] = frozenset({"ISAINTR"})
+from repro.analysis.callstack import CallTreeAnalysis
+from repro.analysis.columnar import INTERRUPT_FRAMES
 
 
 @dataclasses.dataclass(frozen=True)
@@ -48,18 +43,13 @@ def process_spans(analysis: CallTreeAnalysis) -> dict[str, list[Span]]:
 
 def interrupt_spans(
     analysis: CallTreeAnalysis,
-    names: Union[str, Iterable[str]] = DEFAULT_INTERRUPT_FRAMES,
-    *,
-    name: Union[str, None] = None,
+    names: Union[str, Iterable[str]] = INTERRUPT_FRAMES,
 ) -> list[Span]:
     """Intervals during which any interrupt frame was open.
 
     *names* may be a single frame name or any iterable of them; the
-    default covers the case-study kernel's ``ISAINTR`` dispatcher.  The
-    original single-name keyword ``name`` is kept as an alias.
+    default covers the case-study kernel's ``ISAINTR`` dispatcher.
     """
-    if name is not None:
-        names = name
     wanted = frozenset({names}) if isinstance(names, str) else frozenset(names)
     spans = [
         Span(node.enter_us, node.exit_us)
@@ -83,7 +73,7 @@ def render_timeline(
     analysis: CallTreeAnalysis,
     width: int = 72,
     with_interrupts: bool = True,
-    interrupt_names: Union[str, Iterable[str]] = DEFAULT_INTERRUPT_FRAMES,
+    interrupt_names: Union[str, Iterable[str]] = INTERRUPT_FRAMES,
 ) -> str:
     """ASCII Gantt chart: '#' while the row holds the CPU."""
     wall = analysis.wall_us

@@ -3,43 +3,59 @@
 Report writers used to ``Path(out).write_text(...)``, which leaves a
 truncated file behind if the process dies mid-write — and a consumer
 tailing the path can read a half-written JSON document.  The classic
-fix: write the full payload to a temp file in the *same directory*
+fix: write the payload to a temp file in the *same directory*
 (``os.replace`` is only atomic within one filesystem), fsync, then
 rename over the destination.  Readers see either the old content or the
-new, never a prefix.
+new, never a prefix.  :func:`open_atomic` is the streaming form, for a
+writer that emits its output piece by piece; :func:`write_text_atomic`
+writes one string through it.
 
-Also normalises the POSIX loose end every one of those call sites had:
-the emitted text always ends in exactly one newline.
+The result has the mode a plain ``open(path, "w")`` would give it: a
+new file gets ``0o666`` less the umask, and a replaced file keeps its
+mode.
+
+:func:`write_text_atomic` also normalises the POSIX loose end every one
+of its call sites had: the emitted text always ends in exactly one
+newline.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
-import tempfile
 from pathlib import Path
-from typing import Union
+from typing import Iterator, TextIO, Union
+
+
+@contextlib.contextmanager
+def open_atomic(path: Union[str, Path]) -> Iterator[TextIO]:
+    """A text handle whose content replaces *path* when the block ends.
+
+    Everything written goes to a temp file beside *path*, which is
+    fsynced and renamed over *path* only if the block finishes; if it
+    raises, the temp file is removed and *path* is left as it was.
+    """
+    target = Path(path)
+    temp = target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp")
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            with contextlib.suppress(FileNotFoundError):
+                os.fchmod(fd, os.stat(target).st_mode & 0o7777)
+            yield handle
+            handle.flush()
+            os.fsync(fd)
+        os.replace(temp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(temp)
+        raise
 
 
 def write_text_atomic(path: Union[str, Path], text: str) -> Path:
     """Write *text* to *path* atomically, ensuring a trailing newline."""
-    target = Path(path)
     if not text.endswith("\n"):
         text += "\n"
-    fd, tmp_name = tempfile.mkstemp(
-        dir=str(target.parent) or ".",
-        prefix=f".{target.name}.",
-        suffix=".tmp",
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_name, target)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-    return target
+    with open_atomic(path) as handle:
+        handle.write(text)
+    return Path(path)

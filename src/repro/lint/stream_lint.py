@@ -13,27 +13,30 @@ Runs entirely on data: no workload executes.  Two layers of checking:
   per-process shadow-stack state machine exactly the way the kernel's
   own ``kstack`` works — an exit that does not match the innermost open
   frame is the capture-side signature of the ``kstack_desync`` counter
-  the kernel keeps at run time (PR 2 made it a stat; this makes it a
+  the kernel keeps at run time (the kernel counts it; this makes it a
   diagnostic), interrupt frames nested deeper than the machine has
   priority levels, and frames still open when the window closed.
 
-The reconstruction layer reuses the batch analyser
-(:func:`repro.analysis.callstack.build_call_tree`): its anomaly log is
-precisely the defect list this pass wants, so the verifier and the real
-analysis can never disagree about what a malformed stream contains.
+The reconstruction layer runs the summary fold
+(:class:`repro.analysis.summary.SummaryAccumulator`), the analysis every
+report uses: its anomaly log is precisely the defect list this pass
+wants, so the verifier and the real analysis can never disagree about
+what a malformed stream contains.  A recorder on the fold collects the
+frames it closed administratively; the interrupt nesting check walks the
+raw tags.  Neither holds a list per event.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from repro.analysis.callstack import build_call_tree
 from repro.analysis.columnar import (
     CODE_ENTRY,
     CODE_EXIT,
-    ColumnarEvents,
-    decode_columns,
+    INTERRUPT_FRAMES,
+    build_decode_map,
 )
+from repro.analysis.summary import PreorderRecorder, SummaryAccumulator
 from repro.instrument.namefile import NameTable
 from repro.lint.diagnostics import LintReport
 from repro.profiler.capture import Capture
@@ -43,9 +46,6 @@ from repro.profiler.upload import CaptureDefect
 #: Interrupt nesting can never exceed the number of distinct priority
 #: levels: each nested interrupt must arrive at a strictly higher ipl.
 MAX_INTERRUPT_NESTING = 7
-
-#: Name of the interrupt-entry frame in the captured stream.
-INTERRUPT_FRAME = "ISAINTR"
 
 #: Map of reconstruction-anomaly kinds to diagnostic codes.
 _ANOMALY_CODES = {
@@ -139,19 +139,18 @@ def lint_records(
 
     # -- reconstruction layer ------------------------------------------------
     if over_width:
-        # The decoder (rightly) refuses counter snapshots wider than the
+        # The fold (rightly) refuses counter snapshots wider than the
         # hardware; the P202s above already say everything reconstruction
         # could.
         return report
-    events = decode_columns(records, names, width_bits)
-    analysis = build_call_tree(events, names)
-    desyncs = 0
-    for anomaly in analysis.anomalies:
+    fold = SummaryAccumulator(names, width_bits=width_bits)
+    truncated = _TruncatedFrames()
+    fold.recorder = truncated
+    fold.feed_columns(records).close()
+    for anomaly in fold.anomalies:
         code = _ANOMALY_CODES.get(anomaly.kind)
         if code is None:  # pragma: no cover - future anomaly kinds
             continue
-        if code == "P205":
-            desyncs += 1
         report.add(
             code,
             f"{anomaly.detail} (t={anomaly.time_us} us)",
@@ -159,18 +158,29 @@ def lint_records(
             index=anomaly.index,
         )
 
-    _lint_open_frames(analysis, source, report)
-    _lint_interrupt_nesting(events, source, report)
+    _lint_open_frames(truncated.names(), source, report)
+    _lint_interrupt_nesting(records, names, width_bits, source, report)
     return report
 
 
-def _lint_open_frames(analysis, source: str, report: LintReport) -> None:
+class _TruncatedFrames(PreorderRecorder):
+    """The calls the fold closed administratively (a missed exit, or the
+    end of the capture), in the call forest's preorder."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._closed: list[tuple[tuple[int, int], str]] = []
+
+    def close_frame(self, stack, frame: list, exit_us: int, truncated: bool) -> None:
+        if truncated:
+            self._closed.append((frame[5], frame[0]))
+
+    def names(self) -> list[str]:
+        return [name for _, name in sorted(self._closed)]
+
+
+def _lint_open_frames(open_frames: list[str], source: str, report: LintReport) -> None:
     """Frames never closed by a captured exit: window truncation."""
-    open_frames = [
-        node.name
-        for node in analysis.nodes()
-        if node.truncated and not node.synthetic
-    ]
     if open_frames:
         shown = ", ".join(open_frames[:6])
         more = f" (+{len(open_frames) - 6} more)" if len(open_frames) > 6 else ""
@@ -184,20 +194,31 @@ def _lint_open_frames(analysis, source: str, report: LintReport) -> None:
 
 
 def _lint_interrupt_nesting(
-    events: ColumnarEvents, source: str, report: LintReport
+    records: RecordColumns,
+    names: NameTable,
+    width_bits: int,
+    source: str,
+    report: LintReport,
 ) -> None:
-    depth = 0
-    for index, (name, code, time_us) in enumerate(
-        zip(events.names, events.codes, events.times), events.start_index
-    ):
-        if name != INTERRUPT_FRAME:
+    """Interrupt frames nested deeper than the machine has priority
+    levels, counted over the raw tags with the counter unwrapped inline."""
+    decode = build_decode_map(names)
+    mask = (1 << width_bits) - 1
+    times = records.times
+    previous = times[0] if times else 0
+    time_us = depth = 0
+    for index, (raw, tag) in enumerate(zip(times, records.tags)):
+        time_us += (raw - previous) & mask
+        previous = raw
+        code, name, _, _ = decode[tag]
+        if name not in INTERRUPT_FRAMES:
             continue
         if code == CODE_ENTRY:
             depth += 1
             if depth > MAX_INTERRUPT_NESTING:
                 report.add(
                     "P206",
-                    f"{INTERRUPT_FRAME} nested {depth} deep at t="
+                    f"{name} nested {depth} deep at t="
                     f"{time_us} us but the machine has only "
                     f"{MAX_INTERRUPT_NESTING} interrupt priority levels; "
                     "each nested interrupt needs a strictly higher ipl",

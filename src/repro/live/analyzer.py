@@ -18,9 +18,10 @@ On top of the fold it publishes the live observables:
 * **telemetry gauges** through the telemetry registry — events/sec
   (cumulative and per-window), consumer lag (milliseconds from batch
   arrival to fold completion), bytes buffered and totals;
-* an optional incremental Chrome-trace track
-  (:class:`~repro.live.trace.LiveTraceWriter`, a recorder on the fold
-  that writes each call as the fold closes it) and jsonl heartbeat
+* an optional Chrome trace
+  (:class:`~repro.analysis.chrome_trace.ChromeTraceWriter`, the recorder
+  on the fold that also writes ``repro trace export``, here with counter
+  samples per window) and jsonl heartbeat
   (:class:`~repro.telemetry.heartbeat.HeartbeatFlusher`), each flushed
   per batch;
 * a Prometheus ``/metrics`` endpoint, by handing :meth:`render_metrics`
@@ -32,11 +33,10 @@ from __future__ import annotations
 import dataclasses
 import time
 from pathlib import Path
-from typing import BinaryIO, Callable, Optional, Union
+from typing import TYPE_CHECKING, BinaryIO, Callable, Optional, Union
 
 from repro.analysis.summary import ProfileSummary, SummaryAccumulator
 from repro.instrument.namefile import NameTable
-from repro.live.trace import LiveTraceWriter
 from repro.profiler.upload import (
     DEFAULT_CHUNK_RECORDS,
     RECORD_BYTES,
@@ -47,6 +47,9 @@ from repro.profiler.upload import (
 from repro.telemetry import TELEMETRY
 from repro.telemetry.heartbeat import HeartbeatFlusher
 from repro.telemetry.export import to_prometheus
+
+if TYPE_CHECKING:
+    from repro.analysis.chrome_trace import ChromeTraceWriter
 
 #: Default seconds of host time per rolling window.
 DEFAULT_WINDOW_S = 1.0
@@ -80,7 +83,8 @@ class LiveAnalyzer:
     header declares) or by pushing batches of a stock 24-bit counter
     through :meth:`feed` and calling :meth:`finish` at end of stream.
     ``on_window`` fires with each closed :class:`LiveWindow` — the hook
-    ``repro top`` hangs its refresh on.
+    ``repro top`` hangs its refresh on.  A ``trace`` writer records the
+    fold and is closed with it by :meth:`finish`.
     """
 
     def __init__(
@@ -90,7 +94,7 @@ class LiveAnalyzer:
         window_s: float = DEFAULT_WINDOW_S,
         clock: Callable[[], float] = time.monotonic,
         on_window: Optional[Callable[[LiveWindow], None]] = None,
-        trace: Optional["LiveTraceWriter"] = None,
+        trace: Optional[ChromeTraceWriter] = None,
         heartbeat: Optional[HeartbeatFlusher] = None,
     ) -> None:
         if window_s <= 0:
@@ -132,7 +136,7 @@ class LiveAnalyzer:
         n = len(columns)
         self.accumulator.feed_columns(columns)
         if self.trace is not None:
-            self.trace.end_batch(n)
+            self.trace.end_batch()
         self.records_total += n
         self.bytes_total += n * RECORD_BYTES
         self.batches += 1
@@ -210,7 +214,7 @@ class LiveAnalyzer:
                 self.rotate()
             self._finished = self.accumulator.summary()
             if self.trace is not None:
-                self.trace.close()
+                self.trace.close(self.accumulator)
             if self.heartbeat is not None:
                 self.heartbeat.flush()
         return self._finished

@@ -8,14 +8,10 @@ Three consumers, three formats:
   headers, ``name{label="v"} value`` samples) for scrape endpoints and
   pushgateways; dotted metric names are sanitised to underscores.
 * **Chrome ``trace_event`` JSON** — opens directly in Perfetto or
-  ``chrome://tracing``.  Two renderers share the format:
-  :func:`telemetry_to_chrome_trace` shows the *profiler's own* spans
-  (analysis stages, lint passes), and
-  :func:`capture_to_chrome_trace` renders a reconstructed
-  :class:`~repro.analysis.callstack.CallTreeAnalysis` — the paper's
-  Figure 4 code-path trace — with one track (pid) per reconstructed
-  process (the ``swtch()`` split) and interrupt frames pulled onto a
-  dedicated track, matching the timeline report's interrupt row.
+  ``chrome://tracing``.  :func:`telemetry_to_chrome_trace` shows the
+  *profiler's own* spans (analysis stages, lint passes); the capture
+  itself, the paper's Figure 4 code-path trace, is written in the same
+  format by :class:`repro.analysis.chrome_trace.ChromeTraceWriter`.
 
 :func:`write_telemetry` picks the format from the file extension, which
 is what the CLI's ``--telemetry PATH`` flag uses.
@@ -25,10 +21,8 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Set, Union
+from typing import Any, Dict, List, Optional, Set, Union
 
-from repro.analysis.callstack import CallNode, CallTreeAnalysis
-from repro.analysis.timeline import DEFAULT_INTERRUPT_FRAMES
 from repro.telemetry.core import Telemetry
 from repro.telemetry.metrics import MetricSample, prometheus_name
 
@@ -188,13 +182,7 @@ def chrome_complete_event(
     cat: str = "function",
     args: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
-    """One ``ph="X"`` complete event (a finished call span).
-
-    The building block incremental trace writers append one at a time —
-    the live wire track emits these as entry/exit pairs close, instead
-    of materialising a whole document the way
-    :func:`capture_to_chrome_trace` does.
-    """
+    """One ``ph="X"`` complete event (a finished span)."""
     event: Dict[str, Any] = {
         "name": name,
         "cat": cat,
@@ -207,175 +195,6 @@ def chrome_complete_event(
     if args:
         event["args"] = args
     return event
-
-
-def chrome_counter_event(
-    name: str,
-    ts_us: float,
-    values: Dict[str, float],
-    *,
-    pid: int = 1,
-    tid: int = 0,
-) -> Dict[str, Any]:
-    """One ``ph="C"`` counter sample (a gauge track point)."""
-    return {
-        "name": name,
-        "ph": "C",
-        "ts": ts_us,
-        "pid": pid,
-        "tid": tid,
-        "args": values,
-    }
-
-
-#: pid of the dedicated interrupt track in capture traces; reconstructed
-#: processes start at pid 1 and user-mode marks sit above them.
-INTERRUPT_PID = 0
-
-
-def capture_to_chrome_trace(
-    analysis: CallTreeAnalysis,
-    *,
-    interrupt_names: Optional[Iterable[str]] = None,
-    label: str = "",
-) -> Dict[str, Any]:
-    """A reconstructed capture as a Chrome/Perfetto trace document.
-
-    The paper's Figure 4 code-path trace, machine-renderable: every
-    reconstructed process (the ``swtch()`` split) is its own pid track,
-    interrupt frames — any frame named in *interrupt_names*, default the
-    timeline report's :data:`~repro.analysis.timeline.DEFAULT_INTERRUPT_FRAMES`
-    — and their subtrees live on a separate ``interrupts`` track, inline
-    marks become instant events, and ``swtch`` frames render as the idle
-    category on their own process's track.  Timestamps are the capture's
-    reconstructed absolute microseconds, so simulated time reads directly
-    off the Perfetto ruler.
-    """
-    interrupts: Set[str] = (
-        set(interrupt_names) if interrupt_names is not None else set(DEFAULT_INTERRUPT_FRAMES)
-    )
-    pid_of: Dict[str, int] = {proc: i + 1 for i, proc in enumerate(analysis.procs)}
-    user_pid = len(pid_of) + 1
-
-    events: List[Dict[str, Any]] = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": INTERRUPT_PID,
-            "tid": 0,
-            "args": {"name": "interrupts"},
-        },
-        {
-            "name": "process_sort_index",
-            "ph": "M",
-            "pid": INTERRUPT_PID,
-            "tid": 0,
-            "args": {"sort_index": len(pid_of) + 2},
-        },
-    ]
-    for proc, pid in pid_of.items():
-        events.append(
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": 0,
-                "args": {"name": proc},
-            }
-        )
-        events.append(
-            {
-                "name": "process_sort_index",
-                "ph": "M",
-                "pid": pid,
-                "tid": 0,
-                "args": {"sort_index": pid},
-            }
-        )
-
-    def emit(node: CallNode, in_interrupt: bool) -> None:
-        is_interrupt = in_interrupt or node.name in interrupts
-        pid = INTERRUPT_PID if is_interrupt else pid_of.get(node.proc, user_pid)
-        exit_us = node.exit_us if node.exit_us is not None else node.enter_us
-        category = "interrupt" if is_interrupt else ("idle" if node.is_swtch else "kernel")
-        args: Dict[str, Any] = {
-            "proc": node.proc,
-            "self_us": node.self_us,
-            "depth": node.depth,
-        }
-        if node.synthetic:
-            args["synthetic"] = True
-        if node.truncated:
-            args["truncated"] = True
-        events.append(
-            {
-                "name": node.name,
-                "cat": category,
-                "ph": "X",
-                "ts": node.enter_us,
-                "dur": max(0, exit_us - node.enter_us),
-                "pid": pid,
-                "tid": 1,
-                "args": args,
-            }
-        )
-        for time_us, mark in node.inline_marks:
-            events.append(
-                {
-                    "name": mark,
-                    "cat": "inline",
-                    "ph": "i",
-                    "ts": time_us,
-                    "pid": pid,
-                    "tid": 1,
-                    "s": "t",
-                    "args": {"proc": node.proc},
-                }
-            )
-        for child in node.children:
-            emit(child, is_interrupt)
-
-    for root in analysis.roots:
-        emit(root, False)
-
-    if analysis.orphan_marks:
-        events.append(
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": user_pid,
-                "tid": 0,
-                "args": {"name": "user mode"},
-            }
-        )
-        for time_us, mark in analysis.orphan_marks:
-            events.append(
-                {
-                    "name": mark,
-                    "cat": "inline",
-                    "ph": "i",
-                    "ts": time_us,
-                    "pid": user_pid,
-                    "tid": 1,
-                    "s": "t",
-                    "args": {},
-                }
-            )
-
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": {
-            "tool": "repro-trace",
-            "label": label,
-            "wall_us": analysis.wall_us,
-            "idle_us": analysis.idle_us,
-            "event_count": analysis.event_count,
-            "context_switches": analysis.context_switches,
-            "procs": list(analysis.procs),
-            "interrupt_frames": sorted(interrupts),
-        },
-    }
 
 
 # -- dispatch ------------------------------------------------------------------

@@ -11,13 +11,15 @@ them exactly; nothing in ``src/`` imports this module.
 
 The program reconstructs calls one way too: the summary fold's state
 machine (:class:`repro.analysis.summary.SummaryAccumulator`), which the
-call tree and the live trace record.  :func:`reference_call_tree` is a
+call tree and the Chrome trace record.  :func:`reference_call_tree` is a
 standalone tree builder — one event object at a time, with its own
 switch-in resolver — kept as the specification the tree, summary and
-live-trace suites compare the fold against.  :func:`reference_gprof_report`
+trace suites compare the fold against.  :func:`reference_gprof_report`
 is the gprof report as a walk of such a tree, the specification the
 program's :class:`repro.analysis.gprof.GprofRecorder` aggregation is held
-to.
+to, and :func:`capture_to_chrome_trace` is the Chrome trace as a walk of
+one, the specification the program's
+:class:`repro.analysis.chrome_trace.ChromeTraceWriter` is held to.
 
 The simulator has one capture engine: the bucketed interrupt queue, the
 bus decode cache and the kernel's fused charging.  The reference engine
@@ -37,11 +39,22 @@ import heapq
 import itertools
 import zlib
 from collections import defaultdict
-from typing import BinaryIO, Iterable, Iterator, Optional, Sequence
+from typing import (
+    Any,
+    BinaryIO,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+)
 from unittest import mock
 
 from repro import system
 from repro.analysis.callstack import Anomaly, CallNode, CallTreeAnalysis
+from repro.analysis.columnar import INTERRUPT_FRAMES
 from repro.analysis.events import DecodedEvent, EventKind, _check_width
 from repro.analysis.gprof import SPONTANEOUS, ArcStats, GprofEntry, GprofReport
 from repro.instrument.namefile import NameTable
@@ -509,6 +522,159 @@ def reference_gprof_report(analysis: CallTreeAnalysis) -> GprofReport:
             ],
         )
     return GprofReport(entries=entries, wall_us=analysis.wall_us)
+
+
+# -- Chrome trace -------------------------------------------------------------
+
+
+#: pid of the dedicated interrupt track in capture traces; reconstructed
+#: processes start at pid 1 and user-mode marks sit above them.
+INTERRUPT_PID = 0
+
+
+def capture_to_chrome_trace(
+    analysis: CallTreeAnalysis,
+    *,
+    interrupt_names: Optional[Iterable[str]] = None,
+    label: str = "",
+) -> Dict[str, Any]:
+    """A reconstructed capture as a Chrome/Perfetto trace document.
+
+    The paper's Figure 4 code-path trace, machine-renderable: every
+    reconstructed process (the ``swtch()`` split) is its own pid track,
+    interrupt frames — any frame named in *interrupt_names*, default the
+    program's :data:`~repro.analysis.columnar.INTERRUPT_FRAMES`
+    — and their subtrees live on a separate ``interrupts`` track, inline
+    marks become instant events, and ``swtch`` frames render as the idle
+    category on their own process's track.  Timestamps are the capture's
+    reconstructed absolute microseconds, so simulated time reads directly
+    off the Perfetto ruler.
+    """
+    interrupts: Set[str] = (
+        set(interrupt_names) if interrupt_names is not None else set(INTERRUPT_FRAMES)
+    )
+    pid_of: Dict[str, int] = {proc: i + 1 for i, proc in enumerate(analysis.procs)}
+    user_pid = len(pid_of) + 1
+
+    events: List[Dict[str, Any]] = [
+        {
+            "name": "process_name",
+            "ph": "M",
+            "pid": INTERRUPT_PID,
+            "tid": 0,
+            "args": {"name": "interrupts"},
+        },
+        {
+            "name": "process_sort_index",
+            "ph": "M",
+            "pid": INTERRUPT_PID,
+            "tid": 0,
+            "args": {"sort_index": len(pid_of) + 2},
+        },
+    ]
+    for proc, pid in pid_of.items():
+        events.append(
+            {
+                "name": "process_name",
+                "ph": "M",
+                "pid": pid,
+                "tid": 0,
+                "args": {"name": proc},
+            }
+        )
+        events.append(
+            {
+                "name": "process_sort_index",
+                "ph": "M",
+                "pid": pid,
+                "tid": 0,
+                "args": {"sort_index": pid},
+            }
+        )
+
+    def emit(node: CallNode, in_interrupt: bool) -> None:
+        is_interrupt = in_interrupt or node.name in interrupts
+        pid = INTERRUPT_PID if is_interrupt else pid_of.get(node.proc, user_pid)
+        exit_us = node.exit_us if node.exit_us is not None else node.enter_us
+        category = "interrupt" if is_interrupt else ("idle" if node.is_swtch else "kernel")
+        args: Dict[str, Any] = {
+            "proc": node.proc,
+            "self_us": node.self_us,
+            "depth": node.depth,
+        }
+        if node.synthetic:
+            args["synthetic"] = True
+        if node.truncated:
+            args["truncated"] = True
+        events.append(
+            {
+                "name": node.name,
+                "cat": category,
+                "ph": "X",
+                "ts": node.enter_us,
+                "dur": max(0, exit_us - node.enter_us),
+                "pid": pid,
+                "tid": 1,
+                "args": args,
+            }
+        )
+        for time_us, mark in node.inline_marks:
+            events.append(
+                {
+                    "name": mark,
+                    "cat": "inline",
+                    "ph": "i",
+                    "ts": time_us,
+                    "pid": pid,
+                    "tid": 1,
+                    "s": "t",
+                    "args": {"proc": node.proc},
+                }
+            )
+        for child in node.children:
+            emit(child, is_interrupt)
+
+    for root in analysis.roots:
+        emit(root, False)
+
+    if analysis.orphan_marks:
+        events.append(
+            {
+                "name": "process_name",
+                "ph": "M",
+                "pid": user_pid,
+                "tid": 0,
+                "args": {"name": "user mode"},
+            }
+        )
+        for time_us, mark in analysis.orphan_marks:
+            events.append(
+                {
+                    "name": mark,
+                    "cat": "inline",
+                    "ph": "i",
+                    "ts": time_us,
+                    "pid": user_pid,
+                    "tid": 1,
+                    "s": "t",
+                    "args": {},
+                }
+            )
+
+    return {
+        "traceEvents": events,
+        "displayTimeUnit": "ms",
+        "otherData": {
+            "tool": "repro-trace",
+            "label": label,
+            "wall_us": analysis.wall_us,
+            "idle_us": analysis.idle_us,
+            "event_count": analysis.event_count,
+            "context_switches": analysis.context_switches,
+            "procs": list(analysis.procs),
+            "interrupt_frames": sorted(interrupts),
+        },
+    }
 
 
 # -- the reference capture engine --------------------------------------------

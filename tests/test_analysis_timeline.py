@@ -61,7 +61,7 @@ class TestSpans:
             ("<", "main", 200),
         )
         analysis = analyze_capture(capture)
-        spans = interrupt_spans(analysis, name="intr")
+        spans = interrupt_spans(analysis, "intr")
         assert spans == [Span(50, 80)]
 
 

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 
 import pytest
 
 from repro.__main__ import main
-from repro.atomicio import write_text_atomic
+from repro.atomicio import open_atomic, write_text_atomic
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -57,6 +58,44 @@ class TestWriteTextAtomic:
         result = write_text_atomic(tmp_path / "out.txt", "x")
         assert result == tmp_path / "out.txt"
 
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask022", "umask077"])
+    def test_file_modes_match_a_plain_write(self, tmp_path, umask):
+        """A new file gets 0o666 less the umask and a replaced file keeps
+        its mode, as ``open(path, "w")`` would give them."""
+        new, existing = tmp_path / "new.txt", tmp_path / "existing.txt"
+        existing.write_text("old")
+        existing.chmod(0o640)
+        old_umask = os.umask(umask)
+        try:
+            write_text_atomic(new, "x")
+            write_text_atomic(existing, "y")
+        finally:
+            os.umask(old_umask)
+        assert new.stat().st_mode & 0o777 == 0o666 & ~umask
+        assert existing.stat().st_mode & 0o777 == 0o640
+        assert existing.read_text() == "y\n"
+
+
+class TestOpenAtomic:
+    def test_content_appears_only_when_the_block_ends(self, tmp_path):
+        target = tmp_path / "out.json"
+        with open_atomic(target) as handle:
+            handle.write("[1")
+            assert not target.exists()
+            handle.write("]\n")
+        assert target.read_text() == "[1]\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+    def test_error_in_the_block_leaves_the_old_file(self, tmp_path):
+        target = tmp_path / "out.json"
+        target.write_text("old\n")
+        with pytest.raises(ValueError):
+            with open_atomic(target) as handle:
+                handle.write("partial")
+                raise ValueError("reader failed")
+        assert target.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
 
 class TestCliWriteSites:
     def test_trace_export_ends_with_newline(self, tmp_path):
@@ -72,5 +111,29 @@ class TestCliWriteSites:
         assert code == 0
         text = out.read_text()
         assert text.endswith("\n") and not text.endswith("\n\n")
-        assert json.loads(text)["traceEvents"]
+        events = json.loads(text)
+        assert len(events) > 1 and events[-1]["name"] == "trace_end"
         assert [p.name for p in tmp_path.iterdir()] == [out.name]
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        ["salvage_fuzz_bitflip.mpf.corrupt", "salvage_fuzz_countlie.mpf.corrupt"],
+    )
+    def test_trace_export_of_a_corrupt_capture_leaves_nothing(
+        self, tmp_path, capsys, corrupt
+    ):
+        """The strict reader rejects these files only at their last chunk
+        (CRC or record count), after the writer has streamed events: the
+        temp file goes, and no output appears."""
+        out = tmp_path / "corrupt.trace.json"
+        code = main(
+            [
+                "trace", "export", str(GOLDEN_DIR / corrupt),
+                "--names", str(GOLDEN_DIR / "case_study.tags"),
+                "-o", str(out),
+            ],
+            out=lambda _line: None,
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("repro: error: ")
+        assert list(tmp_path.iterdir()) == []

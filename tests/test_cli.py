@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from typing import Optional
 
 import pytest
 
@@ -473,38 +474,47 @@ class TestOneFold:
 NOT_LOADED_BY_ANALYZE = (
     "repro.lint", "repro.fleet", "repro.db", "repro.coverage", "repro.live",
     "repro.system", "repro.kernel", "repro.sim", "repro.workloads", "repro.baselines",
-    "repro.analysis.trace", "repro.analysis.folded", "repro.analysis.timeline",
-    "repro.analysis.compare", "repro.analysis.graph", "repro.analysis.histogram",
-    "repro.analysis.reports", "repro.telemetry.export",
+    "repro.analysis.callstack", "repro.analysis.trace", "repro.analysis.folded",
+    "repro.analysis.timeline", "repro.analysis.compare", "repro.analysis.graph",
+    "repro.analysis.histogram", "repro.analysis.reports", "repro.telemetry.export",
     "http.server", "concurrent.futures", "multiprocessing", "sqlite3",
 )
+
+
+def _modules_loaded_by(argv: Optional[list[str]]) -> list[str]:
+    """The modules a fresh interpreter holds after importing the CLI
+    and, if *argv* is given, running that command."""
+    run = ""
+    if argv is not None:
+        run = f"assert repro.__main__.main({argv!r}, out=lambda line: None) == 0\n"
+    code = "import sys\nimport repro.__main__\n" + run + "print(*sys.modules)\n"
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
 
 
 class TestLeanStartup:
     """The CLI imports a command's modules when the command runs: the
     import itself and an ``analyze`` to a summary or gprof report load
-    neither the other commands' subsystems nor the simulator."""
+    neither the other commands' subsystems nor the simulator, and only
+    the call-tree reports build a call tree."""
 
     @pytest.mark.parametrize("report", [None, "summary", "gprof"])
     def test_analyze_loads_only_what_it_uses(self, report):
-        run = ""
+        argv = None
         if report is not None:
             argv = [
                 "analyze", str(GOLDEN_DIR / "figure5_forkexec_v2.mpf"),
                 "--names", str(GOLDEN_DIR / "case_study.tags"), "--report", report,
             ]
-            run = f"assert repro.__main__.main({argv!r}, out=lambda line: None) == 0\n"
-        code = "import sys\nimport repro.__main__\n" + run + "print(*sys.modules)\n"
-        src = pathlib.Path(__file__).resolve().parent.parent / "src"
-        done = subprocess.run(
-            [sys.executable, "-c", code],
-            env=dict(os.environ, PYTHONPATH=str(src)),
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert done.returncode == 0, done.stderr
-        loaded = done.stdout.split()
+        loaded = _modules_loaded_by(argv)
         assert "repro.analysis.summary" in loaded
         unwanted = sorted(
             module
@@ -515,6 +525,26 @@ class TestLeanStartup:
             )
         )
         assert unwanted == []
+
+    @pytest.mark.parametrize("command", ["trace export", "lint", "live analyze"])
+    def test_only_tree_reports_build_a_call_tree(self, tmp_path, command):
+        """The other commands that read a capture fold it too, and do not
+        load the tree module either."""
+        capture = str(GOLDEN_DIR / "figure5_forkexec_v2.mpf")
+        names = ["--names", str(GOLDEN_DIR / "case_study.tags")]
+        argv = {
+            "trace export": [
+                "trace", "export", capture, *names, "-o", str(tmp_path / "t.json"),
+            ],
+            "lint": ["lint", capture, *names],
+            "live analyze": [
+                "live", "analyze", capture, *names,
+                "--trace-out", str(tmp_path / "live.json"),
+            ],
+        }[command]
+        loaded = _modules_loaded_by(argv)
+        assert "repro.analysis.summary" in loaded
+        assert "repro.analysis.callstack" not in loaded
 
 
 class TestOtherCommands:

@@ -8,8 +8,10 @@ walkers of ``oracles.py`` for records and decoded events (field-identical
 ``DecodedEvent`` sequences, identical error messages), and the reference
 call tree built from those events for the fold (identical summary bytes,
 and therefore identical summary hashes, node-for-node identical forests,
-and entry-for-entry, arc-for-arc identical gprof reports, on well-formed
-and malformed streams alike).
+entry-for-entry, arc-for-arc identical gprof reports, Chrome traces
+holding the reference exporter's events, and lint's P201 frames in the
+reference forest's preorder, on well-formed and malformed streams
+alike).
 
 Case volume is tunable: ``REPRO_DIFF_EXAMPLES`` sets the per-property
 example count (default 40, so the module runs well over 200 generated
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import json
 import os
 
 import pytest
@@ -29,12 +32,14 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from repro.analysis import columnar
 from repro.analysis.callstack import _TreeRecorder, analyze_capture, build_call_tree
+from repro.analysis.chrome_trace import ChromeTraceWriter
 from repro.analysis.gprof import GprofRecorder, gprof_report
 from repro.analysis.summary import (
     SummaryAccumulator,
     summarize,
     summarize_columns,
 )
+from repro.lint.stream_lint import lint_records
 from repro.profiler.ram import DEFAULT_DEPTH, RawRecord
 from repro.profiler.upload import (
     decode_record_columns,
@@ -652,3 +657,75 @@ class TestGprofParity:
     def test_gprof_matches_reference_on_raw_streams(self, records, chunk_records):
         """Unknown tags, unmatched exits and stray switches included."""
         self._assert_parity(records, chunk_records)
+
+
+class TestChromeTraceParity:
+    """The Chrome trace is written off the fold as it closes each call;
+    its events must equal the reference exporter's walk of the reference
+    forest as a multiset, and its trailer must carry every value of the
+    reference document's ``otherData``, whether the fold gets the stream
+    whole or in 1-, 7- or 13-record batches."""
+
+    def _assert_parity(self, records):
+        reference = oracles.capture_to_chrome_trace(
+            oracles.reference_call_tree(_reference_events(records)), label="diff"
+        )
+        want = sorted(json.dumps(e, sort_keys=True) for e in reference["traceEvents"])
+        for chunk in (len(records) or 1, 1, 7, 13):
+            out = io.StringIO()
+            writer = ChromeTraceWriter(out, label="diff")
+            fold = SummaryAccumulator(NAMES)
+            fold.recorder = writer
+            for start in range(0, len(records), chunk):
+                fold.feed_columns(columns_of(records[start : start + chunk]))
+            writer.close(fold.close())
+            *events, trailer = json.loads(out.getvalue())
+            assert sorted(json.dumps(e, sort_keys=True) for e in events) == want
+            assert trailer["name"] == "trace_end"
+            for key, value in reference["otherData"].items():
+                assert trailer["args"][key] == value, key
+
+    @DIFF_SETTINGS
+    @given(records=call_streams())
+    def test_trace_matches_reference_on_call_streams(self, records):
+        """Interrupt bursts and inline marks inside calls."""
+        self._assert_parity(records)
+
+    @DIFF_SETTINGS
+    @given(records=switch_streams())
+    def test_trace_matches_reference_on_switch_streams(self, records):
+        """Calls suspended across context switches, several processes."""
+        self._assert_parity(records)
+
+    @DIFF_SETTINGS
+    @given(records=record_streams())
+    def test_trace_matches_reference_on_raw_streams(self, records):
+        """Unknown tags, unmatched exits, orphan marks and stray switches."""
+        self._assert_parity(records)
+
+
+class TestLintParity:
+    """Stream lint reads the fold, not a call tree: P201 must still name
+    the frames closed administratively in the reference forest's
+    preorder, which is not their order in time once processes
+    interleave."""
+
+    @DIFF_SETTINGS
+    @given(records=st.one_of(switch_streams(), record_streams()))
+    def test_open_frames_in_reference_preorder(self, records):
+        reference = oracles.reference_call_tree(_reference_events(records))
+        open_frames = [
+            node.name
+            for node in reference.nodes()
+            if node.truncated and not node.synthetic
+        ]
+        report = lint_records(columns_of(records), NAMES, ram_depth=None)
+        messages = [d.message for d in report if d.code == "P201"]
+        if not open_frames:
+            assert messages == []
+            return
+        (message,) = messages
+        assert message.startswith(
+            f"{len(open_frames)} frame(s) still open at end of capture: "
+            f"{', '.join(open_frames[:6])}"
+        )

@@ -5,9 +5,11 @@ open-ended MPF2 wire form over real socketpairs and FIFOs, mid-stream
 truncation salvage, the invariant that a drained live summary is
 byte-identical to batch analysis, the peek/delta snapshot algebra the
 rolling windows are built on, heartbeat cadence on an injected clock,
-the reusable /metrics HTTP server, the incremental Chrome-trace track
-(its slices equal the batch exporter's across wire-batch cuts and context
-switches), the P8xx lint family, and the ``repro live``/``repro top`` CLI.
+the reusable /metrics HTTP server, the Chrome trace written as the
+stream flows (its events equal the reference exporter's across
+wire-batch cuts and context switches, and a broken stream still leaves a
+closed array), the P8xx lint family, and the ``repro live``/``repro
+top`` CLI.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import zlib
 
 import pytest
 
+import oracles
 from stream_helpers import (
     capture_from_records,
     columns_of,
@@ -30,6 +33,7 @@ from stream_helpers import (
     salvage_records,
 )
 from repro.analysis.callstack import analyze_capture
+from repro.analysis.chrome_trace import ChromeTraceWriter
 from repro.analysis.summary import (
     FUNCTION_SORTS,
     SummaryAccumulator,
@@ -41,7 +45,6 @@ from repro.lint.live_lint import lint_live_drain, lint_live_stream
 from repro.lint.runner import render_text
 from repro.live.analyzer import LiveAnalyzer, LiveWindow
 from repro.live.top import TopView, render_top
-from repro.live.trace import LiveTraceWriter
 from repro.profiler.ram import RawRecord
 from repro.profiler.upload import (
     TRAILER_BYTES,
@@ -53,7 +56,6 @@ from repro.profiler.upload import (
 )
 from repro.telemetry import TELEMETRY
 from repro.telemetry.heartbeat import HeartbeatFlusher
-from repro.telemetry.export import capture_to_chrome_trace
 from repro.__main__ import main
 
 
@@ -467,64 +469,82 @@ def _two_process_records(rounds: int = 6) -> list[RawRecord]:
     return records
 
 
-def _live_slices(tmp_path, records, cut):
+def _live_trace(tmp_path, records, cut, **options):
     """Feed *records* in *cut*-record batches through a traced analyzer;
-    the written document and its (name, ts, dur) call slices."""
+    the written events, counter samples and trailer excepted, and the
+    trailer's args."""
     path = tmp_path / f"live-{cut}.trace.json"
-    analyzer = LiveAnalyzer(_names(), trace=LiveTraceWriter(path))
-    for start in range(0, len(records), cut):
-        analyzer.feed(columns_of(records[start : start + cut]))
-    analyzer.finish()
-    document = json.loads(path.read_text())
-    slices = [(e["name"], e["ts"], e["dur"]) for e in document if e.get("ph") == "X"]
-    return document, sorted(slices)
+    with path.open("w") as handle:
+        analyzer = LiveAnalyzer(_names(), trace=ChromeTraceWriter(handle, **options))
+        for start in range(0, len(records), cut):
+            analyzer.feed(columns_of(records[start : start + cut]))
+        analyzer.finish()
+    *events, trailer = json.loads(path.read_text())
+    assert trailer["name"] == "trace_end"
+    return [e for e in events if e["ph"] != "C"], trailer["args"]
 
 
-def _export_slices(records):
-    """The batch exporter's non-synthetic call slices of *records*."""
+def _sorted_events(events):
+    return sorted(json.dumps(e, sort_keys=True) for e in events)
+
+
+def _export_events(records):
+    """The reference exporter's events of *records*, walking the tree."""
     analysis = analyze_capture(capture_from_records(records, _names()))
-    return sorted(
-        (e["name"], e["ts"], e["dur"])
-        for e in capture_to_chrome_trace(analysis)["traceEvents"]
-        if e.get("ph") == "X" and not e["args"].get("synthetic")
-    )
+    return oracles.capture_to_chrome_trace(analysis)["traceEvents"]
+
+
+def _slices(events):
+    return sorted((e["name"], e["ts"], e["dur"]) for e in events if e["ph"] == "X")
 
 
 class TestLiveTrace:
     def test_document_valid_and_spans_cross_batches(self, tmp_path):
         records = _records(120)
+        expected = _export_events(records)
         # Batches of 7 and 13 guarantee entry/exit pairs straddle the cuts
         # (pairs are written at even offsets).
         for cut in (7, 13):
-            document, slices = _live_slices(tmp_path, records, cut)
-            assert slices == _export_slices(records)
-            tail = document[-1]
-            assert tail["name"] == "live_trace_end"
-            assert tail["args"]["records"] == len(records)
-            assert tail["args"]["slices"] == len(slices)
-            assert tail["args"]["truncated"] == 0
+            events, trailer = _live_trace(tmp_path, records, cut)
+            assert _sorted_events(events) == _sorted_events(expected)
+            assert trailer["records"] == len(records)
+            assert trailer["slices"] == len(_slices(events))
+            assert trailer["truncated"] == 0
 
     def test_slice_cap_bounds_file(self, tmp_path):
-        path = tmp_path / "capped.json"
-        writer = LiveTraceWriter(path, max_slices=3)
-        analyzer = LiveAnalyzer(_names(), trace=writer)
-        analyzer.feed(columns_of(_records(100)))
-        analyzer.finish()
-        document = json.loads(path.read_text())
-        assert len([e for e in document if e.get("ph") == "X"]) == 3
-        assert writer.slices == 3
-        assert document[-1]["args"]["dropped_slices"] == 50 - 3
+        events, trailer = _live_trace(tmp_path, _records(100), 100, max_slices=3)
+        assert len(_slices(events)) == 3
+        assert trailer["slices"] == 3
+        assert trailer["dropped_slices"] == 50 - 3
 
     def test_pairing_carry_matches_single_pass(self, tmp_path):
         """Calls suspended across ``swtch`` while another process runs,
-        carried over 7- and 13-record cuts, close into exactly the batch
-        exporter's slices."""
+        carried over 7- and 13-record cuts, close into exactly the
+        reference exporter's events."""
         records = _two_process_records()
-        expected = _export_slices(records)
-        assert len({ts for name, ts, _ in expected if name == "read"}) == 8
+        expected = _export_events(records)
+        assert len({ts for name, ts, _ in _slices(expected) if name == "read"}) == 8
         for cut in (7, 13):
-            _, slices = _live_slices(tmp_path, records, cut)
-            assert slices == expected
+            events, _ = _live_trace(tmp_path, records, cut)
+            assert _sorted_events(events) == _sorted_events(expected)
+
+    def test_cut_wire_still_ends_in_the_trailer(self, tmp_path):
+        """A stream that breaks mid-flight fails the run, but the trace
+        written so far is a whole array closed by its trailer."""
+        blob = _wire_bytes(_records(600))
+        wire, tags = tmp_path / "cut.mpf", tmp_path / "cut.tags"
+        trace = tmp_path / "cut.trace.json"
+        wire.write_bytes(blob[: len(blob) // 2])
+        _names().write(tags)
+        code, _ = run_cli(
+            "live", "analyze", str(wire), "--names", str(tags),
+            "--trace-out", str(trace),
+        )
+        assert code == 2
+        *events, trailer = json.loads(trace.read_text())
+        assert trailer["name"] == "trace_end"
+        assert 0 < trailer["args"]["records"] < 600
+        assert trailer["args"]["slices"] == len(_slices(events)) > 0
 
 
 # -- P8xx lint ----------------------------------------------------------------

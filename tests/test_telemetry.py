@@ -2,7 +2,7 @@
 
 Covers the metric/span primitives, the disabled no-op fast path, the
 three exporters (JSON lines, Prometheus text exposition, Chrome
-``trace_event``), the capture-to-Chrome renderer over golden captures
+``trace_event``), the capture's Chrome-trace writer over golden captures
 (including the ``swtch()`` per-process split and the interrupt track),
 the ``--progress`` heartbeat, the P4xx telemetry lint family and the
 CLI surface — notably that analyze report bytes are identical with
@@ -21,6 +21,8 @@ import pytest
 
 from repro.__main__ import main
 from repro.analysis.callstack import analyze_capture
+from repro.analysis.chrome_trace import ChromeTraceWriter
+from repro.analysis.summary import fold_capture
 from repro.instrument.namefile import NameTable
 from repro.lint.telemetry_lint import lint_telemetry
 from repro.profiler.capture import Capture
@@ -31,7 +33,6 @@ from repro.telemetry.metrics import MetricError, MetricRegistry, prometheus_name
 from repro.telemetry.progress import ProgressReporter
 from repro.telemetry.spans import NOOP_SPAN, NoopSpan, SpanTracer
 from repro.telemetry.export import (
-    capture_to_chrome_trace,
     infer_format,
     render_telemetry,
     telemetry_to_chrome_trace,
@@ -58,10 +59,24 @@ def make_telemetry() -> Telemetry:
     return Telemetry("test").enable()
 
 
-def golden_analysis(name: str = "figure5_forkexec_v2.mpf"):
+def golden_capture(name: str) -> Capture:
     names = NameTable.read(GOLDEN_DIR / "case_study.tags")
-    capture = Capture.load(GOLDEN_DIR / name, names)
-    return analyze_capture(capture)
+    return Capture.load(GOLDEN_DIR / name, names)
+
+
+def golden_analysis(name: str = "figure5_forkexec_v2.mpf"):
+    return analyze_capture(golden_capture(name))
+
+
+def golden_trace(name: str = "figure5_forkexec_v2.mpf", **options):
+    """A golden capture through the Chrome-trace writer: the written
+    text, its events and its trailer's args."""
+    out = io.StringIO()
+    writer = ChromeTraceWriter(out, **options)
+    writer.close(fold_capture(golden_capture(name), recorder=writer).close())
+    *events, trailer = json.loads(out.getvalue())
+    assert trailer["name"] == "trace_end"
+    return out.getvalue(), events, trailer["args"]
 
 
 # -- primitives ---------------------------------------------------------------
@@ -346,17 +361,15 @@ class TestChromeTelemetryExport:
 
 class TestCaptureChromeExport:
     def test_swtch_split_makes_per_process_tracks(self):
-        analysis = golden_analysis("figure5_forkexec_v2.mpf")
-        assert len(analysis.procs) >= 2  # the golden forkexec run switches
-        doc = capture_to_chrome_trace(analysis)
-        events = doc["traceEvents"]
+        _, events, trailer = golden_trace("figure5_forkexec_v2.mpf")
+        assert len(trailer["procs"]) >= 2  # the golden forkexec run switches
         check_chrome_events(events)
         track_names = {
             e["pid"]: e["args"]["name"]
             for e in events
             if e["ph"] == "M" and e["name"] == "process_name"
         }
-        for proc in analysis.procs:
+        for proc in trailer["procs"]:
             assert proc in track_names.values()
         assert track_names[0] == "interrupts"
         # Kernel frames land on their own process's track.
@@ -366,12 +379,9 @@ class TestCaptureChromeExport:
         assert len(frame_pids) >= 2
 
     def test_interrupt_frames_route_to_dedicated_track(self):
-        analysis = golden_analysis("figure3_network_v2.mpf")
-        doc = capture_to_chrome_trace(analysis)
+        _, events, _ = golden_trace("figure3_network_v2.mpf")
         interrupt_events = [
-            e
-            for e in doc["traceEvents"]
-            if e["ph"] == "X" and e["cat"] == "interrupt"
+            e for e in events if e["ph"] == "X" and e["cat"] == "interrupt"
         ]
         assert interrupt_events
         assert {e["pid"] for e in interrupt_events} == {0}
@@ -379,34 +389,31 @@ class TestCaptureChromeExport:
         assert {e["name"] for e in interrupt_events} > {"ISAINTR"}
 
     def test_custom_interrupt_names(self):
-        analysis = golden_analysis("figure3_network_v2.mpf")
-        doc = capture_to_chrome_trace(analysis, interrupt_names=frozenset())
-        assert not any(
-            e.get("cat") == "interrupt" for e in doc["traceEvents"]
+        _, events, trailer = golden_trace(
+            "figure3_network_v2.mpf", interrupt_names=frozenset()
         )
-        assert doc["otherData"]["interrupt_frames"] == []
+        assert not any(e.get("cat") == "interrupt" for e in events)
+        assert trailer["interrupt_frames"] == []
 
     def test_swtch_renders_as_idle_category(self):
-        analysis = golden_analysis("figure5_forkexec_v2.mpf")
-        doc = capture_to_chrome_trace(analysis)
-        idle = [e for e in doc["traceEvents"] if e.get("cat") == "idle"]
+        _, events, _ = golden_trace("figure5_forkexec_v2.mpf")
+        idle = [e for e in events if e.get("cat") == "idle"]
         assert idle
         assert all(e["name"] == "swtch" for e in idle)
 
     def test_other_data_carries_capture_stats(self):
         analysis = golden_analysis("figure5_forkexec_v2.mpf")
-        doc = capture_to_chrome_trace(analysis, label="golden")
-        other = doc["otherData"]
-        assert other["label"] == "golden"
-        assert other["wall_us"] == analysis.wall_us
-        assert other["event_count"] == analysis.event_count
-        assert other["procs"] == list(analysis.procs)
+        _, _, trailer = golden_trace("figure5_forkexec_v2.mpf", label="golden")
+        assert trailer["label"] == "golden"
+        assert trailer["wall_us"] == analysis.wall_us
+        assert trailer["event_count"] == analysis.event_count
+        assert trailer["procs"] == list(analysis.procs)
 
     def test_document_round_trips_through_json(self):
-        analysis = golden_analysis("figure5_forkexec_v2.mpf")
-        doc = capture_to_chrome_trace(analysis)
-        again = json.loads(json.dumps(doc))
-        assert again == doc
+        text, events, _ = golden_trace("figure5_forkexec_v2.mpf")
+        document = json.loads(text)
+        assert json.loads(json.dumps(document)) == document
+        assert document[:-1] == events
 
 
 class TestFormatDispatch:
@@ -731,11 +738,13 @@ class TestCliTraceExport:
             "-o", str(output),
         )
         assert "chrome trace written" in lines[-1]
-        doc = json.loads(output.read_text())
-        check_chrome_events(doc["traceEvents"])
+        *events, trailer = json.loads(output.read_text())
+        assert trailer["name"] == "trace_end"
+        assert f"{len(events)} event(s)" in lines[-1]
+        check_chrome_events(events)
         track_names = {
             e["args"]["name"]
-            for e in doc["traceEvents"]
+            for e in events
             if e["ph"] == "M" and e["name"] == "process_name"
         }
         assert {"P0", "P1", "interrupts"} <= track_names
@@ -758,8 +767,6 @@ class TestCliTraceExport:
             "--names", str(GOLDEN_DIR / "case_study.tags"),
             "-o", str(output), "--interrupt-frames", "nosuchframe",
         )
-        doc = json.loads(output.read_text())
-        assert doc["otherData"]["interrupt_frames"] == ["nosuchframe"]
-        assert not any(
-            e.get("cat") == "interrupt" for e in doc["traceEvents"]
-        )
+        *events, trailer = json.loads(output.read_text())
+        assert trailer["args"]["interrupt_frames"] == ["nosuchframe"]
+        assert not any(e.get("cat") == "interrupt" for e in events)
