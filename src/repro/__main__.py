@@ -34,12 +34,14 @@ to PATH on the way out (format inferred from the extension);
 report output is identical with or without them.
 
 The summary and gprof reports are the columnar fold
-(:func:`repro.analysis.summary.fold_columns`), gprof as a recorder on it
-(:class:`repro.analysis.gprof.GprofRecorder`); one fold serves both.
-``analyze`` runs it straight off the file in O(chunk) memory unless a
-call-tree report (trace, folded, flame, timeline) or ``--salvage`` needs
-the whole capture in memory; the call tree is a recording of the same
-fold, so a summary printed beside a tree report is read off the tree.
+(:func:`repro.analysis.summary.fold_columns`): it adds up caller->callee
+arcs, the summary is their per-function merge and gprof is assembled
+from them (:func:`repro.analysis.gprof.gprof_from_fold`), so one fold
+with no recorder serves both.  ``analyze`` runs it straight off the file
+in O(chunk) memory unless a call-tree report (trace, folded, flame,
+timeline) or ``--salvage`` needs the whole capture in memory; the call
+tree is a recording of the same fold, so a summary or gprof printed
+beside a tree report is read off the tree's fold.
 ``trace export`` folds the file the same way, with the Chrome-trace
 writer (:class:`repro.analysis.chrome_trace.ChromeTraceWriter`) as the
 recorder, and ``live analyze --trace-out`` records its fold with it.
@@ -63,7 +65,7 @@ import sys
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from repro.analysis.gprof import GprofRecorder, gprof_report
+from repro.analysis.gprof import gprof_from_fold
 from repro.analysis.summary import (
     FUNCTION_SORTS,
     Anomaly,
@@ -105,24 +107,12 @@ def _desync_count(anomalies: Sequence[Anomaly]) -> int:
     )
 
 
-def _gprof_recorder(reports: Sequence[str]) -> Optional[GprofRecorder]:
-    """The recorder gprof needs on a fold that no call-tree report shares,
-    if gprof is asked for (beside a call-tree report it walks the tree)."""
-    return GprofRecorder() if "gprof" in reports else None
-
-
 def _fold_capture_for(
     capture: Capture, reports: Sequence[str]
 ) -> Optional[SummaryAccumulator]:
     """Fold an in-memory *capture* once for the summary and gprof
-    *reports*, or ``None`` when neither needs the fold or a call-tree
-    report folds the capture instead."""
-    if not TREE_REPORTS.isdisjoint(reports):
-        return None
-    recorder = _gprof_recorder(reports)
-    if recorder is None and "summary" not in reports:
-        return None
-    return fold_capture(capture, recorder=recorder)
+    *reports*, or ``None`` when a call-tree report folds it instead."""
+    return fold_capture(capture) if TREE_REPORTS.isdisjoint(reports) else None
 
 
 def _print_reports(
@@ -135,30 +125,26 @@ def _print_reports(
     desyncs: Optional[int] = None,
 ) -> None:
     """Print *reports* in order.  With a call-tree report the tree is
-    built once from *capture*, and its fold serves every other report;
-    otherwise the summary and gprof come from *fold*."""
+    built once from *capture*, and its fold serves the summary and gprof;
+    otherwise they come from *fold*."""
     analysis = None
     if not TREE_REPORTS.isdisjoint(reports):
         from repro.analysis.callstack import analyze_capture
 
         analysis = analyze_capture(capture)
+        fold = analysis.fold
     for report in reports:
         if report == "summary":
-            if analysis is None:
-                summary, anomalies = fold.summary(), fold.anomalies
-            else:
-                summary, anomalies = analysis.summary, analysis.anomalies
-            out(summary.format(limit=summary_limit))
-            out(_desync_footer(_desync_count(anomalies) if desyncs is None else desyncs))
+            out(fold.summary().format(limit=summary_limit))
+            if desyncs is None:
+                desyncs = _desync_count(fold.anomalies)
+            out(_desync_footer(desyncs))
         elif report == "trace":
             from repro.analysis.trace import format_trace
 
             out(format_trace(analysis))
         elif report == "gprof":
-            gprof = (
-                fold.recorder.report(fold) if analysis is None else gprof_report(analysis)
-            )
-            out(gprof.format(limit=summary_limit))
+            out(gprof_from_fold(fold).format(limit=summary_limit))
         elif report == "folded":
             from repro.analysis.folded import to_folded
 
@@ -312,7 +298,7 @@ def cmd_analyze(args: argparse.Namespace, out: Callable) -> int:
         fold = _fold_capture_for(capture, args.report)
         events = len(capture)
     else:
-        fold = _fold_file(args, names, _gprof_recorder(args.report))
+        fold = _fold_file(args, names, None)
         events = fold.event_count
     out(f"loaded {events} events from {args.capture}")
     _print_reports(

@@ -7,14 +7,14 @@ turns that list into the paper's two reports and the future-work extras:
   time from the wrapping 24-bit counter;
 * :mod:`repro.analysis.summary` — the reconstruction fold (entry/exit
   matching, context-switch splitting at ``!``-tagged functions,
-  idle/active CPU separation) and the per-function statistics report
-  (Figure 3 / Figure 5 layout);
+  idle/active CPU separation, caller->callee arcs) and the per-function
+  statistics report (Figure 3 / Figure 5 layout);
 * :mod:`repro.analysis.callstack` — the call tree, a recording of that
   fold;
 * :mod:`repro.analysis.trace` — the timestamped nested code-path trace
   (Figure 4 layout);
-* :mod:`repro.analysis.gprof` — the exact caller/callee report, another
-  recording of the fold;
+* :mod:`repro.analysis.gprof` — the exact caller/callee report,
+  assembled from the fold's arcs;
 * :mod:`repro.analysis.histogram`, :mod:`repro.analysis.graph` — the
   "future work" analyses: per-function time histograms, call graphs and
   subsystem groupings;

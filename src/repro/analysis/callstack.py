@@ -29,10 +29,14 @@ recorded as an :class:`Anomaly`.
 The program implements these rules once, in the summary fold's state
 machine (:class:`repro.analysis.summary.SummaryAccumulator`).  The call
 tree is a recording of that reconstruction: :func:`build_call_tree` runs
-the fold with a tree recorder attached, so the tree, the summary and the
-Chrome trace agree by construction.  Only the reports that walk a tree
-(``trace``, ``folded``, ``flame``, ``timeline``) and
-:meth:`repro.system.CaseStudySystem.analyze` build one.
+the fold with a tree recorder attached, each open frame carrying its node
+in the fold's recorder slot (``frame[RECORDER_SLOT]``), so the tree, the
+summary and the Chrome trace agree by construction.  The tree keeps the
+fold that recorded it (:attr:`CallTreeAnalysis.fold`), whose arcs give
+the summary and the gprof report printed beside a tree report.  Only the
+reports that walk a tree (``trace``, ``folded``, ``flame``,
+``timeline``) and :meth:`repro.system.CaseStudySystem.analyze` build
+one.
 """
 
 from __future__ import annotations
@@ -43,9 +47,9 @@ from typing import Iterable, Optional
 from repro.analysis.columnar import ColumnarEvents
 from repro.analysis.events import decode_capture
 from repro.analysis.summary import (
+    RECORDER_SLOT,
     Anomaly,
     FoldRecorder,
-    ProfileSummary,
     SummaryAccumulator,
 )
 from repro.instrument.namefile import NameTable
@@ -105,9 +109,9 @@ class CallTreeAnalysis:
     procs: tuple[str, ...]
     #: Inline marks that fired outside any open frame (user-mode points).
     orphan_marks: list[tuple[int, str]] = dataclasses.field(default_factory=list)
-    #: The sealed summary of the fold that recorded the tree: the report
-    #: a standalone fold of the same capture prints.
-    summary: Optional[ProfileSummary] = None
+    #: The sealed fold that recorded the tree: its summary and arcs are
+    #: the reports a standalone fold of the same capture prints.
+    fold: Optional[SummaryAccumulator] = None
 
     @property
     def busy_us(self) -> int:
@@ -134,7 +138,7 @@ class CallTreeAnalysis:
 class _TreeRecorder(FoldRecorder):
     """Records the fold's reconstruction as a :class:`CallNode` forest.
 
-    Each open frame carries its node as ``frame[5]``.
+    Each open frame carries its node in the recorder slot.
     """
 
     def __init__(self) -> None:
@@ -151,13 +155,13 @@ class _TreeRecorder(FoldRecorder):
             depth=len(frames) - 1,
         )
         if len(frames) > 1:
-            frames[-2][5].children.append(node)
+            frames[-2][RECORDER_SLOT].children.append(node)
         else:
             self.roots.append(node)
         frame.append(node)
 
     def close_frame(self, stack, frame: list, exit_us: int, truncated: bool) -> None:
-        node = frame[5]
+        node = frame[RECORDER_SLOT]
         node.exit_us = exit_us
         node.self_us = frame[1]
         node.truncated = truncated
@@ -176,13 +180,13 @@ class _TreeRecorder(FoldRecorder):
             depth=0 if is_swtch else len(frames),
         )
         if frames:
-            frames[-1][5].children.append(node)
+            frames[-1][RECORDER_SLOT].children.append(node)
         else:
             self.roots.append(node)
 
     def mark(self, stack, time_us: int, name: str) -> None:
         if stack.frames:
-            stack.frames[-1][5].inline_marks.append((time_us, name))
+            stack.frames[-1][RECORDER_SLOT].inline_marks.append((time_us, name))
         else:
             # A point hit with no open frame: user-mode inline marks
             # between profiled calls land here.
@@ -201,7 +205,7 @@ class _TreeRecorder(FoldRecorder):
             context_switches=fold.context_switches,
             procs=fold.procs,
             orphan_marks=self.orphan_marks,
-            summary=summary,
+            fold=fold,
         )
 
 

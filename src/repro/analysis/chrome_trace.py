@@ -40,7 +40,7 @@ import json
 from typing import Iterable, Optional, TextIO
 
 from repro.analysis.columnar import INTERRUPT_FRAMES
-from repro.analysis.summary import FoldRecorder, SummaryAccumulator
+from repro.analysis.summary import RECORDER_SLOT, FoldRecorder, SummaryAccumulator
 
 #: pid of the interrupt track; the fold's process ``P<i>`` is pid ``i + 1``.
 INTERRUPT_PID = 0
@@ -60,7 +60,7 @@ class ChromeTraceWriter(FoldRecorder):
     Attach it as the fold's recorder before the first event; seal the
     fold at the end of the stream and hand it to :meth:`close`, which
     writes what only the end knows and terminates the array.  Each open
-    frame carries its interrupt-track flag as ``frame[5]``.
+    frame carries its interrupt-track flag in the recorder slot.
 
     ``max_slices`` caps the call slices and marks written (a long live
     run's file stays bounded); past it they are counted as dropped
@@ -163,7 +163,8 @@ class ChromeTraceWriter(FoldRecorder):
     def open_frame(self, stack, frame: list) -> None:
         frames = stack.frames
         frame.append(
-            frame[0] in self.interrupt_names or (len(frames) > 1 and frames[-2][5])
+            frame[0] in self.interrupt_names
+            or (len(frames) > 1 and frames[-2][RECORDER_SLOT])
         )
 
     def close_frame(self, stack, frame: list, exit_us: int, truncated: bool) -> None:
@@ -173,7 +174,9 @@ class ChromeTraceWriter(FoldRecorder):
         if truncated:
             args["truncated"] = True
             self.truncated += 1
-        self._slice(stack, frame[0], frame[4], exit_us, frame[3], frame[5], args)
+        self._slice(
+            stack, frame[0], frame[4], exit_us, frame[3], frame[RECORDER_SLOT], args
+        )
 
     def synthetic_frame(self, stack, name: str, exit_us: int, is_swtch: bool) -> None:
         if not self._room():
@@ -186,7 +189,9 @@ class ChromeTraceWriter(FoldRecorder):
             "depth": 0 if is_swtch else len(frames),
             "synthetic": True,
         }
-        on_interrupts = name in self.interrupt_names or (bool(frames) and frames[-1][5])
+        on_interrupts = name in self.interrupt_names or (
+            bool(frames) and frames[-1][RECORDER_SLOT]
+        )
         self._slice(
             stack, name, stack.block_start_us, exit_us, is_swtch, on_interrupts, args
         )
@@ -198,7 +203,7 @@ class ChromeTraceWriter(FoldRecorder):
         if not frames:
             self._orphan_marks.append((time_us, name))
             return
-        pid = INTERRUPT_PID if frames[-1][5] else self._pid(stack.proc)
+        pid = INTERRUPT_PID if frames[-1][RECORDER_SLOT] else self._pid(stack.proc)
         self._instant(name, time_us, pid, {"proc": stack.proc})
 
     # -- live use -------------------------------------------------------------

@@ -21,9 +21,12 @@ single pass: each raw ``(time, tag)`` pair is unwrapped, decoded and
 stepped once, and a context switch is resolved by looking ahead in the
 batch rather than by buffering and replaying the scheduling block.  The
 fold is also the program's one call reconstruction: entry/exit matching,
-switch-in resolution and anomaly repair happen only there, and the call
-tree (:func:`repro.analysis.callstack.build_call_tree`), the gprof
-report (:class:`repro.analysis.gprof.GprofRecorder`), the Chrome trace
+switch-in resolution and anomaly repair happen only there.  It adds up
+every call into its caller->callee *arc*; the per-function summary is
+the per-callee merge of the arcs, and the gprof report
+(:func:`repro.analysis.gprof.gprof_from_fold`) is assembled from the
+same arcs.  The call tree
+(:func:`repro.analysis.callstack.build_call_tree`), the Chrome trace
 (:class:`repro.analysis.chrome_trace.ChromeTraceWriter`) and the stream
 lint pass (:func:`repro.lint.stream_lint.lint_records`) are
 :class:`FoldRecorder` recordings of it.  :func:`summarize` gives the same
@@ -36,7 +39,7 @@ import dataclasses
 import time
 from collections import Counter
 from itertools import count, islice
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from repro.analysis.columnar import (
     CODE_ENTRY as _ENTRY,
@@ -228,52 +231,38 @@ def sort_rows(summary: ProfileSummary, sort: str) -> list[FunctionStats]:
 
 # -- shared aggregation core -------------------------------------------------
 #
-# Both the call-tree walk and the fold (aggregating frames as they close)
-# funnel per-call samples through these helpers, so the two produce
-# identical statistics by construction.
-# The aggregate is a plain list for speed: [calls, elapsed, net, max, min],
+# Both the call-tree walk and the fold (adding up each call into its arc as
+# the frame closes) funnel per-call samples through these helpers, so the
+# two produce identical statistics by construction.
+# An aggregate is a plain list for speed: [calls, elapsed, net, max, min],
 # with ``min`` held as ``None`` until the first *timed* call so that the
 # result is independent of the order in which synthetic (zero-time) and real
-# calls are folded in.
+# calls are folded in.  The fold's arcs are aggregates with more fields
+# after these five.
 
 
-def _agg_call(functions: dict[str, list], name: str, inclusive: int, net: int) -> None:
-    agg = functions.get(name)
-    if agg is None:
-        functions[name] = [1, inclusive, net, inclusive, inclusive]
-    else:
-        agg[0] += 1
-        agg[1] += inclusive
-        agg[2] += net
-        if inclusive > agg[3]:
-            agg[3] = inclusive
-        if agg[4] is None or inclusive < agg[4]:
-            agg[4] = inclusive
+def _new_agg() -> list:
+    return [0, 0, 0, 0, None]
 
 
-def _agg_synthetic(functions: dict[str, list], name: str) -> None:
-    # A frame invented to absorb an unmatched exit has no reliable timing;
-    # count the call but no time.
-    agg = functions.get(name)
-    if agg is None:
-        functions[name] = [1, 0, 0, 0, None]
-    else:
-        agg[0] += 1
+def _agg_call(agg: list, inclusive: int, net: int) -> None:
+    agg[0] += 1
+    agg[1] += inclusive
+    agg[2] += net
+    if inclusive > agg[3]:
+        agg[3] = inclusive
+    if agg[4] is None or inclusive < agg[4]:
+        agg[4] = inclusive
 
 
-def _agg_merge(functions: dict[str, list], other: dict[str, list]) -> None:
-    for name, theirs in other.items():
-        agg = functions.get(name)
-        if agg is None:
-            functions[name] = list(theirs)
-            continue
-        agg[0] += theirs[0]
-        agg[1] += theirs[1]
-        agg[2] += theirs[2]
-        if theirs[3] > agg[3]:
-            agg[3] = theirs[3]
-        if theirs[4] is not None and (agg[4] is None or theirs[4] < agg[4]):
-            agg[4] = theirs[4]
+def _agg_merge(agg: list, theirs: list) -> None:
+    agg[0] += theirs[0]
+    agg[1] += theirs[1]
+    agg[2] += theirs[2]
+    if theirs[3] > agg[3]:
+        agg[3] = theirs[3]
+    if theirs[4] is not None and (agg[4] is None or theirs[4] < agg[4]):
+        agg[4] = theirs[4]
 
 
 def _materialize(functions: dict[str, list]) -> dict[str, FunctionStats]:
@@ -290,24 +279,25 @@ def _materialize(functions: dict[str, list]) -> dict[str, FunctionStats]:
     }
 
 
-def summarize(
-    analysis: CallTreeAnalysis, include_swtch: bool = False
-) -> ProfileSummary:
+def summarize(analysis: CallTreeAnalysis) -> ProfileSummary:
     """Aggregate a call-tree analysis into the function summary.
 
     The same summary the fold computes from the records, for callers that
     already hold the tree.  ``swtch`` (and any other ``!`` function) is
-    excluded by default: its self time is the idle loop, already reported
-    in the header.
+    left out: its self time is the idle loop, already reported in the
+    header.
     """
     functions: dict[str, list] = {}
     for node in analysis.nodes():
-        if node.is_swtch and not include_swtch:
+        if node.is_swtch:
             continue
+        agg = functions.setdefault(node.name, _new_agg())
         if node.synthetic:
-            _agg_synthetic(functions, node.name)
+            # A frame invented to absorb an unmatched exit has no reliable
+            # timing; count the call but no time.
+            agg[0] += 1
         else:
-            _agg_call(functions, node.name, node.inclusive_us, node.self_us)
+            _agg_call(agg, node.inclusive_us, node.self_us)
     return ProfileSummary(
         wall_us=analysis.wall_us,
         busy_us=analysis.busy_us,
@@ -333,38 +323,49 @@ class Anomaly:
 class _ProcStack:
     """One process's state during the fold.
 
-    Frames are plain lists ``[name, self_us, child_us, is_swtch, enter_us]``
-    — the minimum needed to aggregate a call when it closes without
-    retaining a tree node per call.  ``proc`` labels the stack in order
-    of creation (``P0``, ``P1``, ...); ``block_start_us`` is when its
-    current scheduling block began and ``suspended_at_us`` when it was
-    last switched out.
+    Frames are plain lists ``[name, self_us, child_us, is_swtch, enter_us,
+    arc]`` — the minimum needed to add a call up when it closes without
+    retaining a tree node per call; ``arc`` is the caller->callee
+    aggregate the call adds up into.  ``proc`` labels the stack in order
+    of creation (``P0``, ``P1``, ...); ``root`` is the stream index of
+    the entry that opened its current call tree; ``block_start_us`` is
+    when its current scheduling block began and ``suspended_at_us`` when
+    it was last switched out.
     """
 
-    __slots__ = ("proc", "frames", "block_start_us", "suspended_at_us")
+    __slots__ = ("proc", "frames", "root", "block_start_us", "suspended_at_us")
 
     def __init__(self, proc: str) -> None:
         self.proc = proc
         self.frames: list[list] = []
+        self.root = 0
         self.block_start_us = 0
         self.suspended_at_us = 0
+
+
+#: Where a :class:`FoldRecorder` keeps the one item it appends to a frame,
+#: after the fold's own six.
+RECORDER_SLOT = 6
+
+#: Caller name of a call tree's root (the top of an activity block).
+SPONTANEOUS = "<spontaneous>"
 
 
 class FoldRecorder:
     """An observer of the fold's reconstruction, step by step.
 
-    The fold keeps only what the summary needs.  A recorder attached as
-    :attr:`SummaryAccumulator.recorder` before the first event is told
-    every step of the same state machine and keeps what more it wants:
-    the call tree of :func:`repro.analysis.callstack.build_call_tree`,
-    the gprof arcs of :class:`repro.analysis.gprof.GprofRecorder`, or
-    the Chrome events of
-    :class:`repro.analysis.chrome_trace.ChromeTraceWriter`.  *stack* is
-    the process a step happened on (``stack.proc`` its label,
-    ``stack.frames`` its open frames, innermost last); a frame is the
-    fold's ``[name, self_us, child_us, is_swtch, enter_us]`` list, to
-    which a recorder may append items of its own.  Every hook does
-    nothing by default.
+    The fold keeps only what the summary and gprof reports need.  A
+    recorder attached as :attr:`SummaryAccumulator.recorder` before the
+    first event is told every step of the same state machine and keeps
+    what more it wants: the call tree of
+    :func:`repro.analysis.callstack.build_call_tree`, the Chrome events of
+    :class:`repro.analysis.chrome_trace.ChromeTraceWriter`, or the
+    truncated frames lint reports.  *stack* is the process a step happened
+    on (``stack.proc`` its label, ``stack.frames`` its open frames,
+    innermost last, ``stack.root`` its current tree's root); a frame is
+    the fold's ``[name, self_us, child_us, is_swtch, enter_us, arc]``
+    list, to which a recorder may append one item of its own, read back as
+    ``frame[RECORDER_SLOT]``.  Every hook does nothing by default.
     """
 
     def open_frame(self, stack: _ProcStack, frame: list) -> None:
@@ -386,32 +387,6 @@ class FoldRecorder:
         """An inline or unknown-tag point fired on *stack*."""
 
 
-class PreorderRecorder(FoldRecorder):
-    """A recorder that keys every frame by its place in the preorder of
-    the call forest, appended to the frame as ``frame[5]``.
-
-    The key is ``(tree-root index, open sequence)``: a tree's calls all
-    belong to one process and open in preorder, while trees of different
-    processes interleave in time, so sorting calls by key walks the
-    forest the way :meth:`repro.analysis.callstack.CallTreeAnalysis.nodes`
-    does.  Synthetic frames hold no real call and take no key.
-    """
-
-    def __init__(self) -> None:
-        self._roots = 0
-        self._opened = 0
-
-    def open_frame(self, stack: _ProcStack, frame: list) -> None:
-        frames = stack.frames
-        if len(frames) == 1:
-            root = self._roots
-            self._roots = root + 1
-        else:
-            root = frames[0][5][0]
-        frame.append((root, self._opened))
-        self._opened += 1
-
-
 def _elapsed(raw_times: Iterable[int], previous: int, mask: int) -> int:
     """Microseconds from snapshot *previous* to the last of *raw_times*."""
     total = 0
@@ -430,13 +405,25 @@ class SummaryAccumulator:
     ``swtch``, resolves which suspended process resumes, and repairs what
     a lost exit or the capture window broke, recording every repair in
     :attr:`anomalies`.  Instead of materialising a tree node per call it
-    keeps only the *open* frames and folds every frame into the
-    per-function aggregates the moment it closes.  Peak memory is O(open
-    call depth + suspended processes + one held scheduling block), not
+    keeps only the *open* frames and adds every frame into its
+    caller->callee arc the moment it closes.  Peak memory is O(open call
+    depth + suspended processes + one held scheduling block + arcs), not
     O(events) — which is what lets a million-event stream be summarised
     from a file iterator without ever holding the trace.  A
     :class:`FoldRecorder` attached as :attr:`recorder` sees every step and
-    may keep more (the call tree, the gprof arcs, the Chrome trace).
+    may keep more (the call tree, the Chrome trace).
+
+    An arc is a list ``[calls, elapsed, net, max, min, root, seq, callees,
+    is_swtch]``: the aggregate of the calls closed so far, then its
+    preorder key — ``root`` the stream index of the root entry of the
+    oldest call tree the arc appears in, ``seq`` the entry index of its
+    first call there — then the callee's own arcs keyed by the name they
+    lead to, and whether the callee is a context switch.  An entry finds
+    its arc in its parent's ``callees`` (a tree root in the
+    :data:`SPONTANEOUS` table), so the per-function summary
+    (:meth:`summary`) and the gprof report
+    (:func:`repro.analysis.gprof.gprof_from_fold`) are both read off the
+    arcs.
 
     Every event is stepped once, straight off the raw ``(time, tag)``
     columns: the counter is unwrapped inline and each tag costs one
@@ -459,22 +446,18 @@ class SummaryAccumulator:
     ``tests/test_streaming_pipeline.py``).
     """
 
-    def __init__(
-        self,
-        names: NameTable,
-        *,
-        width_bits: int = 24,
-        include_swtch: bool = False,
-    ) -> None:
+    def __init__(self, names: NameTable, *, width_bits: int = 24) -> None:
         _check_width(width_bits)
         self._decode_map = build_decode_map(names)
         self._width_bits = width_bits
         self._mask = (1 << width_bits) - 1
-        self._include_swtch = include_swtch
         #: The :class:`FoldRecorder` told every step, if any.
         self.recorder: Optional[FoldRecorder] = None
 
-        self._functions: dict[str, list] = {}
+        #: Caller name -> callee name -> arc, for every function entered.
+        self._arcs: dict[str, dict[str, list]] = {SPONTANEOUS: {}}
+        #: Name -> calls synthesised for unmatched (non-switch) exits.
+        self._synthetic: dict[str, int] = {}
         self.anomalies: list[Anomaly] = []
         self._idle_us = 0
         self._unattributed_us = 0
@@ -584,16 +567,18 @@ class SummaryAccumulator:
         switch-in by scanning ahead in *tags* (:meth:`_switch_in`); when
         the scan runs off the end, the rest of the batch is held.
         """
-        functions = self._functions
+        spontaneous = self._arcs[SPONTANEOUS]
         recorder = self.recorder
         decode = self._decode_map
         current = self._current
         frames = current.frames
+        root = current.root
         previous = self._prev_raw
         t = self._prev_t
         unattributed = self._unattributed_us
         held_from = None
-        for i, raw, tag in zip(count(), raw_times, tags):
+        # i is the event's stream index.
+        for i, raw, tag in zip(count(index), raw_times, tags):
             # 1. Unwrap, and attribute the elapsed interval to the
             # innermost active frame.
             dt = (raw - previous) & mask
@@ -607,39 +592,52 @@ class SummaryAccumulator:
             # 2. Apply the event.
             code, name, _, is_cs = decode[tag]
             if code == _ENTRY:
-                frame = [name, 0, 0, is_cs, t]
+                if frames:
+                    callees = frames[-1][5][7]
+                else:
+                    callees = spontaneous
+                    root = current.root = i
+                try:
+                    arc = callees[name]
+                    if root < arc[5]:
+                        # The first call of this arc in an older tree.
+                        arc[5] = root
+                        arc[6] = i
+                except KeyError:
+                    arc = self._new_arc(callees, name, is_cs, root, i)
+                frame = [name, 0, 0, is_cs, t, arc]
                 frames.append(frame)
                 if recorder is not None:
                     recorder.open_frame(current, frame)
             elif code == _EXIT:
                 if is_cs or not frames or frames[-1][0] != name:
-                    self._slow_exit(name, is_cs, t, index + i)
+                    self._slow_exit(name, is_cs, t, i)
                     if is_cs:
-                        if not self._switch_in(tags, i + 1, 0):
-                            held_from = i + 1
+                        after = i + 1 - index  # the next event's place in the batch
+                        if not self._switch_in(tags, after, 0):
+                            held_from = after
                             break
                         current = self._current
                         frames = current.frames
+                        root = current.root
                     continue
                 # Fast path: a matched exit of the innermost frame — the
                 # overwhelmingly common case in a well-formed trace.  A
-                # non-switch exit only ever matches a non-switch frame.
+                # non-switch exit only ever matches a non-switch frame.  The
+                # call adds up into its arc as _agg_call does, inline.
                 frame = frames.pop()
                 net = frame[1]
                 inclusive = net + frame[2]
                 if frames:
                     frames[-1][2] += inclusive
-                agg = functions.get(name)
-                if agg is None:
-                    functions[name] = [1, inclusive, net, inclusive, inclusive]
-                else:
-                    agg[0] += 1
-                    agg[1] += inclusive
-                    agg[2] += net
-                    if inclusive > agg[3]:
-                        agg[3] = inclusive
-                    if agg[4] is None or inclusive < agg[4]:
-                        agg[4] = inclusive
+                arc = frame[5]
+                arc[0] += 1
+                arc[1] += inclusive
+                arc[2] += net
+                if inclusive > arc[3]:
+                    arc[3] = inclusive
+                if arc[4] is None or inclusive < arc[4]:
+                    arc[4] = inclusive
                 if recorder is not None:
                     recorder.close_frame(current, frame, t, False)
             elif code == _INLINE:
@@ -648,7 +646,7 @@ class SummaryAccumulator:
             else:  # a tag no name file knows
                 self.anomalies.append(
                     Anomaly(
-                        index=index + i,
+                        index=i,
                         time_us=t,
                         kind="unknown-tag",
                         detail=f"tag {tag} is in no name file",
@@ -669,6 +667,16 @@ class SummaryAccumulator:
             )
             self._last_t += _elapsed(held_times, previous, mask)
 
+    def _new_arc(
+        self, callees: dict[str, list], name: str, is_cs: bool, root: int, seq: int
+    ) -> list:
+        """A caller->callee arc with no call yet, entered in the caller's
+        *callees* under the callee's *name*."""
+        arc = callees[name] = [
+            0, 0, 0, 0, None, root, seq, self._arcs.setdefault(name, {}), is_cs
+        ]
+        return arc
+
     def _slow_exit(self, name: str, is_cs: bool, t: int, index: int) -> None:
         """An exit off the fast path: a missed or unmatched exit, or a
         context switch (which suspends the current stack)."""
@@ -677,12 +685,10 @@ class SummaryAccumulator:
             self._close_through(name, t, index)
         else:
             if is_cs:
-                if self._include_swtch:
-                    _agg_synthetic(self._functions, name)
                 kind = "unmatched-swtch-exit"
                 detail = "context-switch exit with no open swtch frame"
             else:
-                _agg_synthetic(self._functions, name)
+                self._synthetic[name] = self._synthetic.get(name, 0) + 1
                 kind = "unmatched-exit"
                 detail = (
                     f"exit of {name!r} with no matching entry "
@@ -709,10 +715,7 @@ class SummaryAccumulator:
             frames[-1][2] += inclusive
         if frame[3]:
             self._idle_us += frame[1]
-            if self._include_swtch:
-                _agg_call(self._functions, frame[0], inclusive, frame[1])
-        else:
-            _agg_call(self._functions, frame[0], inclusive, frame[1])
+        _agg_call(frame[5], inclusive, frame[1])
         if self.recorder is not None:
             self.recorder.close_frame(stack, frame, t, truncated)
         return frame
@@ -818,7 +821,8 @@ class SummaryAccumulator:
         if _TELEMETRY.enabled:
             _TELEMETRY.max_gauge("analysis.peak.pending_block", self._peak_held)
             _TELEMETRY.max_gauge("analysis.peak.suspended_procs", self._peak_suspended)
-            _TELEMETRY.max_gauge("analysis.peak.functions", len(self._functions))
+            # Every function entered has a table of the arcs out of it.
+            _TELEMETRY.max_gauge("analysis.peak.functions", len(self._arcs) - 1)
             for kind, n in Counter(a.kind for a in self.anomalies).items():
                 _TELEMETRY.count("analysis.anomalies", n, kind=kind)
             _TELEMETRY.count("analysis.unattributed_us", self._unattributed_us)
@@ -827,13 +831,25 @@ class SummaryAccumulator:
     def merge(self, other: "SummaryAccumulator") -> "SummaryAccumulator":
         """Fold another capture's totals into this one (the fleet merge).
 
-        Per-function aggregates, the accounting and the anomalies add up;
-        nothing carries across the boundary between the two captures.
-        Seals both accumulators.
+        Arcs, synthetic calls, the accounting and the anomalies add up;
+        nothing carries across the boundary between the two captures, and
+        the other capture's arcs come after this one's in preorder.  Seals
+        both accumulators.
         """
         self.close()
         other.close()
-        _agg_merge(self._functions, other._functions)
+        offset = self._event_count
+        for caller, theirs in other._arcs.items():
+            callees = self._arcs.setdefault(caller, {})
+            for name, arc in theirs.items():
+                mine = callees.get(name)
+                if mine is None:
+                    mine = self._new_arc(
+                        callees, name, arc[8], arc[5] + offset, arc[6] + offset
+                    )
+                _agg_merge(mine, arc)
+        for name, calls in other._synthetic.items():
+            self._synthetic[name] = self._synthetic.get(name, 0) + calls
         self._wall_us += other._wall_us
         self._idle_us += other._idle_us
         self._unattributed_us += other._unattributed_us
@@ -852,7 +868,7 @@ class SummaryAccumulator:
                 busy_us=self._wall_us - self._idle_us,
                 idle_us=self._idle_us,
                 event_count=self._event_count,
-                functions=_materialize(self._functions),
+                functions=self._functions(),
             )
         return self._summary
 
@@ -877,8 +893,35 @@ class SummaryAccumulator:
             busy_us=wall - self._idle_us,
             idle_us=self._idle_us,
             event_count=self._event_count,
-            functions=_materialize(self._functions),
+            functions=self._functions(),
         )
+
+    def _functions(self) -> dict[str, FunctionStats]:
+        """The per-function rows: each callee's arcs merged, context
+        switches left out (their self time is the header's idle time),
+        plus its synthetic calls.  An arc whose calls are all still open
+        adds nothing."""
+        functions: dict[str, list] = {}
+        for callees in self._arcs.values():
+            for name, arc in callees.items():
+                if arc[0] and not arc[8]:
+                    _agg_merge(functions.setdefault(name, _new_agg()), arc)
+        for name, calls in self._synthetic.items():
+            functions.setdefault(name, _new_agg())[0] += calls
+        return _materialize(functions)
+
+    def arcs(self) -> Iterator[tuple[tuple[int, int], str, str, int, int, int]]:
+        """Every caller->callee arc with a closed call, as ``(key, caller,
+        callee, calls, inclusive_us, net_us)``, context switches included.
+
+        Sorting by *key* puts arcs in the order a preorder walk of the
+        call forest first meets them (a tree root's caller is
+        :data:`SPONTANEOUS`); no two arcs share a key.
+        """
+        for caller, callees in self._arcs.items():
+            for name, arc in callees.items():
+                if arc[0]:
+                    yield (arc[5], arc[6]), caller, name, arc[0], arc[1], arc[2]
 
     @property
     def event_count(self) -> int:
@@ -902,7 +945,6 @@ def fold_columns(
     batches: Iterable[RecordColumns],
     names: NameTable,
     width_bits: int = 24,
-    include_swtch: bool = False,
     recorder: Optional[FoldRecorder] = None,
 ) -> SummaryAccumulator:
     """Fold a columnar batch stream into a new accumulator.
@@ -913,9 +955,7 @@ def fold_columns(
     The accumulator is returned unsealed: its :meth:`summary` and
     :attr:`anomalies` are the run's report.
     """
-    accumulator = SummaryAccumulator(
-        names, width_bits=width_bits, include_swtch=include_swtch
-    )
+    accumulator = SummaryAccumulator(names, width_bits=width_bits)
     accumulator.recorder = recorder
     telemetry = _TELEMETRY
     started = time.perf_counter() if telemetry.enabled else 0.0
@@ -935,12 +975,9 @@ def summarize_columns(
     batches: Iterable[RecordColumns],
     names: NameTable,
     width_bits: int = 24,
-    include_swtch: bool = False,
 ) -> ProfileSummary:
     """One-call summary of a columnar batch stream (see :func:`fold_columns`)."""
-    return fold_columns(
-        batches, names, width_bits=width_bits, include_swtch=include_swtch
-    ).summary()
+    return fold_columns(batches, names, width_bits=width_bits).summary()
 
 
 def fold_capture(

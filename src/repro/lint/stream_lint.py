@@ -36,7 +36,7 @@ from repro.analysis.columnar import (
     INTERRUPT_FRAMES,
     build_decode_map,
 )
-from repro.analysis.summary import PreorderRecorder, SummaryAccumulator
+from repro.analysis.summary import RECORDER_SLOT, FoldRecorder, SummaryAccumulator
 from repro.instrument.namefile import NameTable
 from repro.lint.diagnostics import LintReport
 from repro.profiler.capture import Capture
@@ -163,17 +163,28 @@ def lint_records(
     return report
 
 
-class _TruncatedFrames(PreorderRecorder):
+class _TruncatedFrames(FoldRecorder):
     """The calls the fold closed administratively (a missed exit, or the
-    end of the capture), in the call forest's preorder."""
+    end of the capture), in the call forest's preorder.
+
+    Each open frame carries its preorder key in the recorder slot:
+    ``(tree root, open sequence)``.  A tree's calls all belong to one
+    process and open in preorder, while trees of different processes
+    interleave in time, so sorting calls by key walks the forest the way
+    :meth:`repro.analysis.callstack.CallTreeAnalysis.nodes` does.
+    """
 
     def __init__(self) -> None:
-        super().__init__()
+        self._opened = 0
         self._closed: list[tuple[tuple[int, int], str]] = []
+
+    def open_frame(self, stack, frame: list) -> None:
+        frame.append((stack.root, self._opened))
+        self._opened += 1
 
     def close_frame(self, stack, frame: list, exit_us: int, truncated: bool) -> None:
         if truncated:
-            self._closed.append((frame[5], frame[0]))
+            self._closed.append((frame[RECORDER_SLOT], frame[0]))
 
     def names(self) -> list[str]:
         return [name for _, name in sorted(self._closed)]

@@ -16,9 +16,10 @@ standalone tree builder — one event object at a time, with its own
 switch-in resolver — kept as the specification the tree, summary and
 trace suites compare the fold against.  :func:`reference_gprof_report`
 is the gprof report as a walk of such a tree, the specification the
-program's :class:`repro.analysis.gprof.GprofRecorder` aggregation is held
-to, and :func:`capture_to_chrome_trace` is the Chrome trace as a walk of
-one, the specification the program's
+gprof report of the fold's caller->callee arcs
+(:func:`repro.analysis.gprof.gprof_from_fold`) is held to, and
+:func:`capture_to_chrome_trace` is the Chrome trace as a walk of one,
+the specification the program's
 :class:`repro.analysis.chrome_trace.ChromeTraceWriter` is held to.
 
 The simulator has one capture engine: the bucketed interrupt queue, the
@@ -56,7 +57,8 @@ from repro import system
 from repro.analysis.callstack import Anomaly, CallNode, CallTreeAnalysis
 from repro.analysis.columnar import INTERRUPT_FRAMES
 from repro.analysis.events import DecodedEvent, EventKind, _check_width
-from repro.analysis.gprof import SPONTANEOUS, ArcStats, GprofEntry, GprofReport
+from repro.analysis.gprof import ArcStats, GprofEntry, GprofReport
+from repro.analysis.summary import SPONTANEOUS
 from repro.instrument.namefile import NameTable
 from repro.instrument.tags import TagKind
 from repro.kernel.kernel import Kernel

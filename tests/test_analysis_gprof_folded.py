@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from repro.analysis.callstack import analyze_capture
 from repro.analysis.folded import flame_ascii, hot_stacks, to_folded
-from repro.analysis.gprof import SPONTANEOUS, gprof_report
+from repro.analysis.gprof import gprof_from_fold, gprof_report
+from repro.analysis.summary import SPONTANEOUS, SummaryAccumulator, fold_capture
 
 from stream_helpers import stream
 
@@ -55,6 +56,30 @@ class TestGprof:
         assert ordered[0] == "bcopy"  # 150 us net
         text = report.format(limit=3)
         assert "bcopy" in text and "calls" in text and "%" in text
+
+    def test_merged_folds_keep_each_capture_in_preorder(self, simple_names):
+        """The fleet merge puts the second capture's arcs after the first's."""
+        first = stream(
+            simple_names,
+            (">", "main", 0),
+            (">", "read", 10),
+            ("<", "read", 20),
+            ("<", "main", 30),
+        )
+        second = stream(
+            simple_names,
+            (">", "cksum", 0),
+            (">", "main", 5),
+            ("<", "main", 8),
+            ("<", "cksum", 10),
+        )
+        merged = SummaryAccumulator(simple_names)
+        merged.merge(fold_capture(first)).merge(fold_capture(second))
+        report = gprof_from_fold(merged)
+        assert list(report.entries) == ["main", "read", "cksum"]
+        callers = [arc.caller for arc in report.entry("main").callers]
+        assert callers == [SPONTANEOUS, "cksum"]
+        assert report.entry("main").calls == 2
 
     def test_real_capture_arcs(self):
         from repro.system import build_case_study

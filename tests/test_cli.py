@@ -196,8 +196,9 @@ class TestStrictAnalyze:
 
 
 class TestGprofFromTheFold:
-    """gprof is a recorder on the fold: ``analyze`` serves it, with or
-    without the summary, from one pass over the file and no call tree."""
+    """gprof is assembled from the fold's arcs: ``analyze`` serves it, with
+    or without the summary, from one pass over the file, no call tree and
+    no recorder on the fold."""
 
     @pytest.mark.parametrize("reports", [["gprof"], ["summary", "gprof"]])
     def test_one_columnar_pass_no_load_no_tree(self, monkeypatch, reports):
@@ -218,12 +219,21 @@ class TestGprofFromTheFold:
             return iter_columns(*args, **kwargs)
 
         monkeypatch.setattr(cli, "iter_capture_columns", counted)
+        recorders = []
+        fold_columns = cli.fold_columns
+
+        def recorded(*args, **kwargs):
+            recorders.append(kwargs.get("recorder"))
+            return fold_columns(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "fold_columns", recorded)
         argv = ["analyze", str(GOLDEN_DIR / "figure5_forkexec_v2.mpf")]
         argv += ["--names", str(GOLDEN_DIR / "case_study.tags")]
         for report in reports:
             argv += ["--report", report]
         text = "\n".join(run_cli(*argv))
         assert len(passes) == 1
+        assert recorders == [None]
         assert text.endswith((GOLDEN_DIR / "figure5_forkexec_gprof.txt").read_text())
 
 

@@ -33,7 +33,7 @@ import oracles
 from repro.analysis import columnar
 from repro.analysis.callstack import _TreeRecorder, analyze_capture, build_call_tree
 from repro.analysis.chrome_trace import ChromeTraceWriter
-from repro.analysis.gprof import GprofRecorder, gprof_report
+from repro.analysis.gprof import gprof_from_fold, gprof_report
 from repro.analysis.summary import (
     SummaryAccumulator,
     summarize,
@@ -222,12 +222,9 @@ def _reference_events(records, width_bits=24):
     return list(oracles.decoded_events(records, NAMES, width_bits))
 
 
-def _reference_summary(records, include_swtch=False):
+def _reference_summary(records):
     """The reference call tree's summary of the per-record reference decode."""
-    return summarize(
-        oracles.reference_call_tree(_reference_events(records)),
-        include_swtch=include_swtch,
-    )
+    return summarize(oracles.reference_call_tree(_reference_events(records)))
 
 
 def _node_fields(node):
@@ -438,15 +435,14 @@ class TestSummaryParity:
     @given(
         records=call_streams(),
         chunk_records=st.integers(min_value=1, max_value=100),
-        include_swtch=st.booleans(),
     )
-    def test_summary_bytes_identical(self, records, chunk_records, include_swtch):
-        reference = _reference_summary(records, include_swtch=include_swtch)
+    def test_summary_bytes_identical(self, records, chunk_records):
+        reference = _reference_summary(records)
         batches = (
             columns_of(records[i : i + chunk_records])
             for i in range(0, len(records), chunk_records)
         )
-        via_columns = summarize_columns(batches, NAMES, include_swtch=include_swtch)
+        via_columns = summarize_columns(batches, NAMES)
         assert via_columns.format() == reference.format()
         assert _summary_hash(via_columns) == _summary_hash(reference)
 
@@ -606,7 +602,7 @@ class TestTreeParity:
 
 
 class TestGprofParity:
-    """gprof is a recorder on the fold; its report must equal the
+    """gprof is assembled from the fold's arcs; its report must equal the
     reference tree walk over the reference forest entry for entry and arc
     for arc, in order, whether the fold gets the stream whole or cut into
     batches, and so must the walk of the program's own tree."""
@@ -621,13 +617,11 @@ class TestGprofParity:
         assert _gprof_fields(from_tree) == want
         for chunk in (len(records) or 1, chunk_records):
             fold = SummaryAccumulator(NAMES)
-            recorder = GprofRecorder()
-            fold.recorder = recorder
             for start in range(0, len(records), chunk):
                 fold.feed_columns(
                     columns_of(records[start : start + chunk])
                 )
-            report = recorder.report(fold)
+            report = gprof_from_fold(fold)
             assert _gprof_fields(report) == want
             assert report.format(limit=100) == reference.format(limit=100)
 

@@ -226,11 +226,13 @@ def test_gprof_golden_from_tree(capture_name, golden):
     sorted(GPROF_GOLDENS.items())
     + [(legacy, GPROF_GOLDENS[v2]) for legacy, v2 in sorted(LEGACY_CAPTURES.items())],
 )
-@pytest.mark.parametrize("reports", [["gprof"], ["summary", "gprof"]])
+@pytest.mark.parametrize(
+    "reports", [["gprof"], ["summary", "gprof"], ["folded", "gprof"]]
+)
 def test_gprof_golden_from_cli(capture_name, golden, reports):
-    """``analyze --report gprof`` (the fold's gprof recorder, straight off
-    the file, MPF1 or MPF2) prints the gprof golden, alone and after the
-    summary."""
+    """``analyze --report gprof`` (the fold's arcs, straight off the file,
+    MPF1 or MPF2) prints the gprof golden, alone, after the summary, and
+    after a call-tree report, read off the tree's own fold."""
     if os.environ.get("REGEN_GOLDEN"):
         pytest.skip("regenerating")
     import warnings
@@ -250,8 +252,10 @@ def test_gprof_golden_from_cli(capture_name, golden, reports):
     expected = (GOLDEN_DIR / golden).read_text()
     if reports == ["gprof"]:
         assert text == expected
-    else:
+    elif reports[0] == "summary":
         assert text.endswith("kstack desyncs = 0\n\n" + expected)
+    else:
+        assert text.endswith("\n\n" + expected)
 
 
 #: binary golden capture -> its summary report golden (``limit=20``).
@@ -269,7 +273,7 @@ def test_fold_in_chunks_matches_goldens(capture_name, chunk_records):
     exactly as it does in one batch."""
     if os.environ.get("REGEN_GOLDEN"):
         pytest.skip("regenerating")
-    from repro.analysis.gprof import GprofRecorder
+    from repro.analysis.gprof import gprof_from_fold
     from repro.analysis.summary import fold_columns
     from repro.instrument.namefile import NameTable
     from repro.profiler.upload import iter_capture_columns
@@ -278,10 +282,10 @@ def test_fold_in_chunks_matches_goldens(capture_name, chunk_records):
     batches = iter_capture_columns(
         GOLDEN_DIR / capture_name, chunk_records=chunk_records
     )
-    fold = fold_columns(batches, names, recorder=GprofRecorder())
+    fold = fold_columns(batches, names)
     summary = fold.summary().format(limit=20) + "\n"
     assert summary == (GOLDEN_DIR / SUMMARY_GOLDENS[capture_name]).read_text()
-    gprof = fold.recorder.report(fold).format(limit=12) + "\n"
+    gprof = gprof_from_fold(fold).format(limit=12) + "\n"
     assert gprof == (GOLDEN_DIR / GPROF_GOLDENS[capture_name]).read_text()
 
 

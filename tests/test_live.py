@@ -278,6 +278,28 @@ class TestPeekDelta:
         assert frozen.functions == {}
         assert frozen.event_count == 0
 
+    def test_peek_never_shows_an_open_call(self):
+        names = _names()
+        f, g = names.by_name("main"), names.by_name("read")
+        accumulator = SummaryAccumulator(names)
+        accumulator.feed_columns(
+            columns_of(
+                [
+                    RawRecord(tag=f.entry_value, time=0),
+                    RawRecord(tag=g.entry_value, time=3),
+                    RawRecord(tag=g.exit_value, time=8),
+                ]
+            )
+        )
+        inside = accumulator.peek()
+        assert inside.functions["read"].calls == 1
+        assert "main" not in inside.functions
+        accumulator.feed_columns(columns_of([RawRecord(tag=f.exit_value, time=10)]))
+        after = accumulator.peek()
+        assert after.functions["main"].calls == 1
+        assert after.functions["main"].elapsed_us == 10
+        assert set(after.delta(inside).functions) == {"main"}
+
 
 # -- windows, gauges, heartbeat ------------------------------------------------
 
