@@ -426,10 +426,11 @@ class SummaryAccumulator:
     arcs.
 
     Every event is stepped once, straight off the raw ``(time, tag)``
-    columns: the counter is unwrapped inline and each tag costs one
-    decode-map lookup.  Switch-in resolution (which suspended process
-    resumes after a ``swtch`` exit) needs the incoming scheduling block,
-    so at a context-switch exit the fold scans ahead in the batch's tags
+    columns: the counter is unwrapped inline, each tag costs one
+    decode-map lookup, and an exit of the innermost frame closes inline,
+    a ``swtch`` exit's included.  Switch-in resolution (which suspended
+    process resumes after a ``swtch`` exit) needs the incoming block, so
+    at a context-switch exit the fold scans ahead in the batch's tags
     until the block names its process, then keeps stepping in place.
     Only when that scan runs off the end of the batch are the rest of the
     batch's events held; the next batch continues the scan where it
@@ -563,13 +564,15 @@ class SummaryAccumulator:
 
         *raw_times* and *tags* are a batch's columns, *index* the stream
         index of their first event; every snapshot is unwrapped against
-        the last stepped one.  A context-switch exit resolves its
-        switch-in by scanning ahead in *tags* (:meth:`_switch_in`); when
-        the scan runs off the end, the rest of the batch is held.
+        the last stepped one.  A ``swtch`` exit closes its frame like any
+        other exit, then suspends the stack and resolves its switch-in by
+        scanning ahead in *tags* (:meth:`_switch_in`); when the scan runs
+        off the end, the rest of the batch is held.
         """
         spontaneous = self._arcs[SPONTANEOUS]
         recorder = self.recorder
         decode = self._decode_map
+        suspended = self._suspended
         current = self._current
         frames = current.frames
         root = current.root
@@ -610,36 +613,48 @@ class SummaryAccumulator:
                 if recorder is not None:
                     recorder.open_frame(current, frame)
             elif code == _EXIT:
-                if is_cs or not frames or frames[-1][0] != name:
+                if frames and frames[-1][0] == name:
+                    # Fast path: a matched exit of the innermost frame — the
+                    # overwhelmingly common case in a well-formed trace, a
+                    # context switch's included (a frame's name fixes
+                    # whether it is one).  The call adds up into its arc as
+                    # _agg_call does, inline.
+                    frame = frames.pop()
+                    net = frame[1]
+                    inclusive = net + frame[2]
+                    if frames:
+                        frames[-1][2] += inclusive
+                    arc = frame[5]
+                    arc[0] += 1
+                    arc[1] += inclusive
+                    arc[2] += net
+                    if inclusive > arc[3]:
+                        arc[3] = inclusive
+                    if arc[4] is None or inclusive < arc[4]:
+                        arc[4] = inclusive
+                    if recorder is not None:
+                        recorder.close_frame(current, frame, t, False)
+                    if not is_cs:
+                        continue
+                    self._idle_us += net  # a switch's self time is the idle loop
+                else:
                     self._slow_exit(name, is_cs, t, i)
-                    if is_cs:
-                        after = i + 1 - index  # the next event's place in the batch
-                        if not self._switch_in(tags, after, 0):
-                            held_from = after
-                            break
-                        current = self._current
-                        frames = current.frames
-                        root = current.root
-                    continue
-                # Fast path: a matched exit of the innermost frame — the
-                # overwhelmingly common case in a well-formed trace.  A
-                # non-switch exit only ever matches a non-switch frame.  The
-                # call adds up into its arc as _agg_call does, inline.
-                frame = frames.pop()
-                net = frame[1]
-                inclusive = net + frame[2]
-                if frames:
-                    frames[-1][2] += inclusive
-                arc = frame[5]
-                arc[0] += 1
-                arc[1] += inclusive
-                arc[2] += net
-                if inclusive > arc[3]:
-                    arc[3] = inclusive
-                if arc[4] is None or inclusive < arc[4]:
-                    arc[4] = inclusive
-                if recorder is not None:
-                    recorder.close_frame(current, frame, t, False)
+                    if not is_cs:
+                        continue
+                # A context switch, by either path: suspend this stack and
+                # resume the one the next block names.
+                self._context_switches += 1
+                current.suspended_at_us = t
+                suspended.append(current)
+                if len(suspended) > self._peak_suspended:
+                    self._peak_suspended = len(suspended)
+                after = i + 1 - index  # the next event's place in the batch
+                if not self._switch_in(tags, after, 0):
+                    held_from = after
+                    break
+                current = self._current
+                frames = current.frames
+                root = current.root
             elif code == _INLINE:
                 if recorder is not None:
                     recorder.mark(current, t, name)
@@ -678,8 +693,10 @@ class SummaryAccumulator:
         return arc
 
     def _slow_exit(self, name: str, is_cs: bool, t: int, index: int) -> None:
-        """An exit off the fast path: a missed or unmatched exit, or a
-        context switch (which suspends the current stack)."""
+        """Repair an exit that does not match the innermost frame: close
+        through to its frame if one is open (the frames above it missed
+        their exits), or count it as unmatched.  :meth:`_step` suspends
+        the stack after a context switch's exit, matched or not."""
         current = self._current
         if any(frame[0] == name for frame in current.frames):
             self._close_through(name, t, index)
@@ -699,13 +716,6 @@ class SummaryAccumulator:
             )
             if self.recorder is not None:
                 self.recorder.synthetic_frame(current, name, t, is_cs)
-        if not is_cs:
-            return
-        self._context_switches += 1
-        current.suspended_at_us = t
-        self._suspended.append(current)
-        if len(self._suspended) > self._peak_suspended:
-            self._peak_suspended = len(self._suspended)
 
     def _close_frame(self, stack: _ProcStack, t: int, truncated: bool) -> list:
         frames = stack.frames

@@ -15,7 +15,6 @@ import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Union
 
-from repro.profiler.hardware import ProfilerBoard
 from repro.profiler.ram import RecordColumns
 from repro.profiler.upload import (
     CaptureDefect,
@@ -28,6 +27,7 @@ from repro.telemetry import TELEMETRY as _TELEMETRY
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.instrument.namefile import NameTable
+    from repro.profiler.hardware import ProfilerBoard
 
 
 @dataclasses.dataclass

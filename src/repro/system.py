@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import dataclasses
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from repro.analysis.callstack import CallTreeAnalysis, analyze_capture
-from repro.analysis.reports import full_report
 from repro.analysis.summary import ProfileSummary, summarize_capture
 from repro.instrument.compiler import InstrumentedImage, InstrumentingCompiler
 from repro.instrument.namefile import NameTable
@@ -27,6 +25,9 @@ from repro.profiler.hardware import ProfilerBoard
 from repro.sim.cpu import CostModel, Cpu
 from repro.sim.machine import Machine
 from repro.telemetry import TELEMETRY as _TELEMETRY
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.analysis.callstack import CallTreeAnalysis
 
 #: Inline (``=``) trigger points planted by hand, per the paper's sample.
 INLINE_POINTS = ("MGET",)
@@ -77,6 +78,8 @@ class CaseStudySystem:
 
     def analyze(self, capture: Capture) -> CallTreeAnalysis:
         """Reconstruct the capture's call forest."""
+        from repro.analysis.callstack import analyze_capture
+
         return analyze_capture(capture)
 
     def summarize(self, capture: Capture) -> ProfileSummary:
@@ -85,6 +88,8 @@ class CaseStudySystem:
 
     def report(self, capture: Capture, **kwargs: object) -> str:
         """The full two-part report."""
+        from repro.analysis.reports import full_report
+
         return full_report(capture, **kwargs)
 
 

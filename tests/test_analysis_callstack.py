@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
-from repro.analysis.callstack import analyze_capture
-
+import oracles
 from stream_helpers import columns_of, stream
+
+from repro.analysis.callstack import _TreeRecorder, analyze_capture
+from repro.analysis.summary import SummaryAccumulator, summarize
+from repro.telemetry import TELEMETRY
 
 
 class TestSimpleNesting:
@@ -174,6 +177,102 @@ class TestContextSwitches:
         kinds = [a.kind for a in analysis.anomalies]
         assert "unmatched-swtch-exit" in kinds
         assert analysis.context_switches == 1
+
+
+def _node_shape(node):
+    return (
+        node.name, node.proc, node.enter_us, node.exit_us, node.self_us,
+        node.inclusive_us, node.is_swtch, node.synthetic, node.truncated,
+        [_node_shape(child) for child in node.children],
+    )
+
+
+def _fold_in_batches(capture, size):
+    """The call tree and summary of a fold fed *capture* *size* records
+    at a time."""
+    fold = SummaryAccumulator(capture.names)
+    recorder = _TreeRecorder()
+    fold.recorder = recorder
+    records = capture.records.to_records()
+    for start in range(0, len(records), size):
+        fold.feed_columns(columns_of(records[start : start + size]))
+    return recorder.analysis(fold), fold.summary()
+
+
+class TestSwitchExitPaths:
+    """A ``swtch`` exit closes its frame as the matched exit of the
+    innermost frame, or, with frames left open above it, by closing
+    through them.  Either way the switch's self time is idle and the
+    stack is suspended until a later block resumes it."""
+
+    def _records(self, simple_names):
+        return stream(
+            simple_names,
+            (">", "main", 0),
+            (">", "tsleep", 10),
+            (">", "swtch", 20),
+            (">", "intr", 50),     # taken while idle; its exit was lost
+            ("<", "swtch", 80),    # intr still open above swtch
+            ("<", "tsleep", 90),   # the next block unwinds the same stack
+            ("<", "main", 100),
+        )
+
+    def test_exit_with_a_frame_open_above_swtch(self, simple_names):
+        capture = self._records(simple_names)
+        reference = oracles.reference_call_tree(
+            list(oracles.decoded_events(capture.records.to_records(), simple_names))
+        )
+        for size in (len(capture.records), 1):
+            analysis, summary = _fold_in_batches(capture, size)
+            assert [a.kind for a in analysis.anomalies] == ["missed-exit"]
+            (intr,) = analysis.nodes_named("intr")
+            assert intr.truncated and intr.exit_us == 80 and intr.self_us == 30
+            # swtch ran 20-50 before the interrupt: that is the idle time.
+            assert analysis.idle_us == summary.idle_us == 30
+            # Suspended at the switch and resumed by the next block: one
+            # process, whose tsleep gains the 10 us after the switch-in.
+            assert analysis.context_switches == 1
+            assert analysis.procs == ("P0",)
+            (tsleep,) = analysis.nodes_named("tsleep")
+            assert not tsleep.truncated and tsleep.exit_us == 90
+            assert tsleep.self_us == (20 - 10) + (90 - 80)
+
+            assert summary.format() == summarize(reference).format()
+            assert analysis.anomalies == reference.anomalies
+            assert analysis.procs == reference.procs
+            assert [_node_shape(root) for root in analysis.roots] == [
+                _node_shape(root) for root in reference.roots
+            ]
+
+    def test_round_robin_peak_and_switch_count(self, simple_names):
+        """Three processes block in ``tsleep`` in turn, four rounds: every
+        switch is a matched exit, and all three stacks are suspended at
+        once right after the third process switches out."""
+        steps, t = [], 0
+        for first in ("main", "read", "bcopy"):  # each process starts fresh
+            steps += [(">", first, t), (">", "tsleep", t + 1), (">", "swtch", t + 2)]
+            steps.append(("<", "swtch", t + 5))
+            t += 10
+        for _ in range(3 * 3):  # then each resumes its tsleep and blocks again
+            steps += [("<", "tsleep", t), (">", "tsleep", t + 1)]
+            steps += [(">", "swtch", t + 2), ("<", "swtch", t + 5)]
+            t += 10
+        steps.append(("<", "tsleep", t))  # the first process runs on
+        capture = stream(simple_names, *steps)
+        TELEMETRY.enable()
+        try:
+            for size in (len(capture.records), 1):
+                TELEMETRY.reset()
+                analysis, summary = _fold_in_batches(capture, size)
+                assert analysis.anomalies == []
+                assert analysis.procs == ("P0", "P1", "P2")
+                assert analysis.context_switches == 12
+                assert summary.idle_us == 12 * 3
+                peak = TELEMETRY.registry.get("analysis.peak.suspended_procs")
+                assert peak.value == 3
+        finally:
+            TELEMETRY.disable()
+            TELEMETRY.reset()
 
 
 class TestTruncation:

@@ -480,14 +480,21 @@ class TestOneFold:
         assert trace in "\n".join(mixed) + "\n"
 
 
-#: Modules an ``analyze`` to a summary or gprof report has no use for.
-NOT_LOADED_BY_ANALYZE = (
+#: Modules a ``capture`` to its default summary has no use for.
+NOT_LOADED_BY_CAPTURE = (
     "repro.lint", "repro.fleet", "repro.db", "repro.coverage", "repro.live",
-    "repro.system", "repro.kernel", "repro.sim", "repro.workloads", "repro.baselines",
+    "repro.baselines",
     "repro.analysis.callstack", "repro.analysis.trace", "repro.analysis.folded",
     "repro.analysis.timeline", "repro.analysis.compare", "repro.analysis.graph",
     "repro.analysis.histogram", "repro.analysis.reports", "repro.telemetry.export",
     "http.server", "concurrent.futures", "multiprocessing", "sqlite3",
+)
+
+#: Modules an ``analyze`` to a summary or gprof report has no use for:
+#: those, and the simulated machine a ``capture`` boots.
+NOT_LOADED_BY_ANALYZE = NOT_LOADED_BY_CAPTURE + (
+    "repro.system", "repro.kernel", "repro.sim", "repro.workloads",
+    "repro.profiler.hardware",
 )
 
 
@@ -510,6 +517,15 @@ def _modules_loaded_by(argv: Optional[list[str]]) -> list[str]:
     return done.stdout.split()
 
 
+def _within(loaded: list[str], packages: tuple[str, ...]) -> list[str]:
+    """The *loaded* modules that are one of *packages* or inside one."""
+    return sorted(
+        module
+        for module in loaded
+        if any(module == name or module.startswith(name + ".") for name in packages)
+    )
+
+
 class TestLeanStartup:
     """The CLI imports a command's modules when the command runs: the
     import itself and an ``analyze`` to a summary or gprof report load
@@ -526,15 +542,16 @@ class TestLeanStartup:
             ]
         loaded = _modules_loaded_by(argv)
         assert "repro.analysis.summary" in loaded
-        unwanted = sorted(
-            module
-            for module in loaded
-            if any(
-                module == name or module.startswith(name + ".")
-                for name in NOT_LOADED_BY_ANALYZE
-            )
+        assert _within(loaded, NOT_LOADED_BY_ANALYZE) == []
+
+    def test_capture_loads_only_what_it_uses(self):
+        """``capture`` boots the simulator, and folds its default summary
+        like ``analyze``: no call tree, no tree report."""
+        loaded = _modules_loaded_by(
+            ["capture", "--workload", "network", "--packets", "2"]
         )
-        assert unwanted == []
+        assert {"repro.system", "repro.analysis.summary"} <= set(loaded)
+        assert _within(loaded, NOT_LOADED_BY_CAPTURE) == []
 
     @pytest.mark.parametrize("command", ["trace export", "lint", "live analyze"])
     def test_only_tree_reports_build_a_call_tree(self, tmp_path, command):

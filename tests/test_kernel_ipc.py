@@ -7,7 +7,7 @@ import pytest
 from repro.analysis.summary import summarize
 from repro.kernel.ipc import PIPSIZ, Pipe, PipeEnd, PipeError
 from repro.kernel.kernel import Kernel
-from repro.kernel.proc import Proc
+from repro.kernel.proc import Proc, ProcState
 from repro.kernel.sched import user_mode
 from repro.kernel.syscalls import syscall
 from repro.system import build_case_study
@@ -19,15 +19,34 @@ def booted() -> Kernel:
     return kernel
 
 
+#: How far past its start a pipe test lets the simulated clock run.
+RUN_BOUND_NS = 600_000_000_000
+
+
+def run_to_exit(kernel: Kernel, procs: list[Proc]) -> None:
+    """Run the scheduler until nothing can run, and check that it stopped
+    because every process in *procs* exited: none is left asleep (a
+    reader that never sees EOF sleeps on ``piperd``), and the simulated
+    clock stayed far below the run's bound instead of idling up to it."""
+    started = kernel.machine.now_ns
+    kernel.sched.run(until_ns=started + RUN_BOUND_NS)
+    assert [proc.state for proc in procs] == [ProcState.SZOMB] * len(procs)
+    assert kernel.sched.sleepq == {}
+    assert kernel.machine.now_ns - started < RUN_BOUND_NS // 100
+
+
 def run_pipeline(kernel: Kernel, payload: bytes, chunk: int = 512) -> dict:
     """A producer writes *payload* into a pipe; a consumer drains it."""
-    state: dict = {"received": b"", "rfd": None}
+    state: dict = {"received": b"", "rfd": None, "procs": []}
 
     def producer(k, proc: Proc):
         rfd, wfd = yield from syscall(k, proc, "pipe")
         state["rfd"] = (proc, rfd)
 
         def consumer(ck, child: Proc):
+            # The write end came along with the fork; while the child
+            # holds it, its reads never see EOF.
+            yield from syscall(ck, child, "close", wfd)
             while True:
                 data = yield from syscall(ck, child, "read", rfd, chunk)
                 if not data:
@@ -36,7 +55,7 @@ def run_pipeline(kernel: Kernel, payload: bytes, chunk: int = 512) -> dict:
                 yield from user_mode(ck, 40)
             yield from syscall(ck, child, "exit", 0)
 
-        yield from syscall(k, proc, "fork", consumer)
+        state["procs"].append((yield from syscall(k, proc, "fork", consumer)))
         # Parent: close its read end, stream the payload, close, wait.
         yield from syscall(k, proc, "close", rfd)
         offset = 0
@@ -49,8 +68,8 @@ def run_pipeline(kernel: Kernel, payload: bytes, chunk: int = 512) -> dict:
         yield from syscall(k, proc, "wait")
         yield from syscall(k, proc, "exit", 0)
 
-    kernel.sched.spawn("producer", producer)
-    kernel.sched.run(until_ns=kernel.machine.now_ns + 600_000_000_000)
+    state["procs"].append(kernel.sched.spawn("producer", producer))
+    run_to_exit(kernel, state["procs"])
     return state
 
 
@@ -161,12 +180,13 @@ class TestPipeProperties:
         sees exactly the producer's byte stream, in order."""
         kernel = booted()
         payload = b"".join(chunks)
-        state: dict = {"received": b""}
+        state: dict = {"received": b"", "procs": []}
 
         def producer(k, proc: Proc):
             rfd, wfd = yield from syscall(k, proc, "pipe")
 
             def consumer(ck, child: Proc):
+                yield from syscall(ck, child, "close", wfd)
                 while True:
                     data = yield from syscall(ck, child, "read", rfd, read_size)
                     if not data:
@@ -174,7 +194,7 @@ class TestPipeProperties:
                     state["received"] += data
                 yield from syscall(ck, child, "exit", 0)
 
-            yield from syscall(k, proc, "fork", consumer)
+            state["procs"].append((yield from syscall(k, proc, "fork", consumer)))
             yield from syscall(k, proc, "close", rfd)
             for chunk in chunks:
                 yield from syscall(k, proc, "write", wfd, chunk)
@@ -182,6 +202,6 @@ class TestPipeProperties:
             yield from syscall(k, proc, "wait")
             yield from syscall(k, proc, "exit", 0)
 
-        kernel.sched.spawn("producer", producer)
-        kernel.sched.run(until_ns=kernel.machine.now_ns + 600_000_000_000)
+        state["procs"].append(kernel.sched.spawn("producer", producer))
+        run_to_exit(kernel, state["procs"])
         assert state["received"] == payload
