@@ -645,7 +645,7 @@ def cmd_db_runs(args: argparse.Namespace, out: Callable) -> int:
     from repro.db.render import render_runs_json, render_runs_text
     from repro.db.schema import connect
 
-    conn = connect(args.db)
+    conn = connect(args.db, read_only=True)
     try:
         runs = list_runs(conn, workload=args.workload, label=args.label)
     finally:
@@ -660,7 +660,7 @@ def cmd_db_query(args: argparse.Namespace, out: Callable) -> int:
     from repro.db.render import render_query_json, render_query_text
     from repro.db.schema import connect
 
-    conn = connect(args.db)
+    conn = connect(args.db, read_only=True)
     try:
         rows = query_functions(
             conn,
@@ -707,7 +707,7 @@ def cmd_db_diff(args: argparse.Namespace, out: Callable) -> int:
         singleton_rel=args.singleton_rel,
         min_abs_us=args.min_abs_us,
     )
-    conn = connect(args.db)
+    conn = connect(args.db, read_only=True)
     try:
         with _warnings.catch_warnings():
             # The mismatch is reported in the rendering itself.
@@ -964,6 +964,14 @@ def positive_int(text: str) -> int:
     return value
 
 
+def non_negative_int(text: str) -> int:
+    """An argparse type: an integer of at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _add_workload_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workload", default="network",
@@ -1009,7 +1017,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--report", action="append", choices=REPORTS, default=None,
         help="report(s) to print (default: summary; repeatable)",
     )
-    capture.add_argument("--summary-limit", type=int, default=12)
+    capture.add_argument("--summary-limit", type=non_negative_int, default=12)
     capture.add_argument("--save", default=None, help="write raw records here")
     capture.add_argument("--names", default=None, help="write the name/tag file here")
     _add_telemetry_flags(capture)
@@ -1041,7 +1049,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--report", action="append", choices=REPORTS, default=None
     )
-    analyze.add_argument("--summary-limit", type=int, default=12)
+    analyze.add_argument("--summary-limit", type=non_negative_int, default=12)
     decode_mode = analyze.add_mutually_exclusive_group()
     decode_mode.add_argument(
         "--strict", action="store_true",
@@ -1164,7 +1172,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="route damaged captures through the salvaging decoder "
             "instead of failing them",
         )
-        sub_parser.add_argument("--summary-limit", type=int, default=12)
+        sub_parser.add_argument("--summary-limit", type=non_negative_int, default=12)
 
     fleet_ingest = fleet_sub.add_parser(
         "ingest",
@@ -1510,7 +1518,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--window", type=float, default=1.0, metavar="SECONDS",
         help="rolling-summary window on the host clock (default 1.0)",
     )
-    live_analyze.add_argument("--summary-limit", type=int, default=12)
+    live_analyze.add_argument("--summary-limit", type=non_negative_int, default=12)
     live_analyze.add_argument(
         "--metrics-port", type=int, default=None, metavar="PORT",
         help="serve live Prometheus gauges at "

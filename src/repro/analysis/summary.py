@@ -38,7 +38,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from collections import Counter
-from itertools import count, islice
+from itertools import chain, count, islice
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from repro.analysis.columnar import (
@@ -428,7 +428,9 @@ class SummaryAccumulator:
     Every event is stepped once, straight off the raw ``(time, tag)``
     columns: the counter is unwrapped inline, each tag costs one
     decode-map lookup, and an exit of the innermost frame closes inline,
-    a ``swtch`` exit's included.  Switch-in resolution (which suspended
+    a ``swtch`` exit's included.  With no recorder, an entry and its own
+    exit in the next record (a *leaf pair*, most calls in a kernel trace)
+    are one step and no frame.  Switch-in resolution (which suspended
     process resumes after a ``swtch`` exit) needs the incoming block, so
     at a context-switch exit the fold scans ahead in the batch's tags
     until the block names its process, then keeps stepping in place.
@@ -564,10 +566,14 @@ class SummaryAccumulator:
 
         *raw_times* and *tags* are a batch's columns, *index* the stream
         index of their first event; every snapshot is unwrapped against
-        the last stepped one.  A ``swtch`` exit closes its frame like any
-        other exit, then suspends the stack and resolves its switch-in by
-        scanning ahead in *tags* (:meth:`_switch_in`); when the scan runs
-        off the end, the rest of the batch is held.
+        the last stepped one.  With no recorder to need a frame, an entry
+        whose next tag is its own exit (``tag + 1``: a name table gives
+        that value to no other function) steps both records as one call.
+        A ``swtch`` call closed so or by its exit, or a ``swtch`` exit
+        :meth:`_slow_exit` repairs, suspends the stack and resolves its
+        switch-in by scanning *tags* from after the exit
+        (:meth:`_switch_in`); when the scan runs off the end, the rest
+        of the batch is held.
         """
         spontaneous = self._arcs[SPONTANEOUS]
         recorder = self.recorder
@@ -580,8 +586,12 @@ class SummaryAccumulator:
         t = self._prev_t
         unattributed = self._unattributed_us
         held_from = None
-        # i is the event's stream index.
-        for i, raw, tag in zip(count(index), raw_times, tags):
+        # i is the event's stream index; every event sees the next one's
+        # tag, and -1 past the batch's end.
+        events = zip(
+            count(index), raw_times, tags, chain(islice(tags, 1, None), (-1,))
+        )
+        for i, raw, tag, next_tag in events:
             # 1. Unwrap, and attribute the elapsed interval to the
             # innermost active frame.
             dt = (raw - previous) & mask
@@ -608,56 +618,40 @@ class SummaryAccumulator:
                         arc[6] = i
                 except KeyError:
                     arc = self._new_arc(callees, name, is_cs, root, i)
-                frame = [name, 0, 0, is_cs, t, arc]
-                frames.append(frame)
-                if recorder is not None:
-                    recorder.open_frame(current, frame)
+                if next_tag != tag + 1 or recorder is not None:
+                    frame = [name, 0, 0, is_cs, t, arc]
+                    frames.append(frame)
+                    if recorder is not None:
+                        recorder.open_frame(current, frame)
+                    continue
+                # A leaf pair: the next record is this call's own exit, so
+                # step it now; its interval is the call's whole time.
+                i, raw, _, _ = next(events)
+                net = inclusive = (raw - previous) & mask
+                previous = raw
+                t += net
+                if frames:
+                    frames[-1][2] += net
             elif code == _EXIT:
                 if frames and frames[-1][0] == name:
-                    # Fast path: a matched exit of the innermost frame — the
-                    # overwhelmingly common case in a well-formed trace, a
-                    # context switch's included (a frame's name fixes
-                    # whether it is one).  The call adds up into its arc as
-                    # _agg_call does, inline.
+                    # A matched exit of the innermost frame, a context
+                    # switch's included (a frame's name fixes whether it
+                    # is one).
                     frame = frames.pop()
                     net = frame[1]
                     inclusive = net + frame[2]
                     if frames:
                         frames[-1][2] += inclusive
                     arc = frame[5]
-                    arc[0] += 1
-                    arc[1] += inclusive
-                    arc[2] += net
-                    if inclusive > arc[3]:
-                        arc[3] = inclusive
-                    if arc[4] is None or inclusive < arc[4]:
-                        arc[4] = inclusive
-                    if recorder is not None:
-                        recorder.close_frame(current, frame, t, False)
-                    if not is_cs:
-                        continue
-                    self._idle_us += net  # a switch's self time is the idle loop
                 else:
                     self._slow_exit(name, is_cs, t, i)
                     if not is_cs:
                         continue
-                # A context switch, by either path: suspend this stack and
-                # resume the one the next block names.
-                self._context_switches += 1
-                current.suspended_at_us = t
-                suspended.append(current)
-                if len(suspended) > self._peak_suspended:
-                    self._peak_suspended = len(suspended)
-                after = i + 1 - index  # the next event's place in the batch
-                if not self._switch_in(tags, after, 0):
-                    held_from = after
-                    break
-                current = self._current
-                frames = current.frames
-                root = current.root
+                    arc = None  # _close_frame has added up the call
             elif code == _INLINE:
                 if recorder is not None:
                     recorder.mark(current, t, name)
+                continue
             else:  # a tag no name file knows
                 self.anomalies.append(
                     Anomaly(
@@ -669,6 +663,37 @@ class SummaryAccumulator:
                 )
                 if recorder is not None:
                     recorder.mark(current, t, name)
+                continue
+
+            # 3. A closed call (a leaf pair or a matched exit) adds up into
+            # its arc as _agg_call does, inline.
+            if arc is not None:
+                arc[0] += 1
+                arc[1] += inclusive
+                arc[2] += net
+                if inclusive > arc[3]:
+                    arc[3] = inclusive
+                if arc[4] is None or inclusive < arc[4]:
+                    arc[4] = inclusive
+                if recorder is not None:
+                    recorder.close_frame(current, frame, t, False)
+                if not is_cs:
+                    continue
+                self._idle_us += net  # a switch's self time is the idle loop
+            # 4. A context switch, by any path: suspend this stack and
+            # resume the one the next block names.
+            self._context_switches += 1
+            current.suspended_at_us = t
+            suspended.append(current)
+            if len(suspended) > self._peak_suspended:
+                self._peak_suspended = len(suspended)
+            after = i + 1 - index  # the next event's place in the batch
+            if not self._switch_in(tags, after, 0):
+                held_from = after
+                break
+            current = self._current
+            frames = current.frames
+            root = current.root
         self._prev_raw = previous
         self._prev_t = self._last_t = t
         self._unattributed_us = unattributed

@@ -83,7 +83,14 @@ class ProfileDbError(ValueError):
     """The profile database was asked something impossible."""
 
 
-def connect(path: Union[str, Path]) -> sqlite3.Connection:
+def open_read_only(path: Union[str, Path]) -> sqlite3.Connection:
+    """Open an existing database for reading only: sqlite neither
+    creates a missing file nor writes a header into an empty one.
+    Raises :class:`sqlite3.Error` when the file cannot be opened."""
+    return sqlite3.connect(Path(path).resolve().as_uri() + "?mode=ro", uri=True)
+
+
+def connect(path: Union[str, Path], *, read_only: bool = False) -> sqlite3.Connection:
     """Open (or create) a profile database, verifying the schema version.
 
     A fresh file gets the full schema and a ``schema_version`` row; an
@@ -91,13 +98,21 @@ def connect(path: Union[str, Path]) -> sqlite3.Connection:
     else raises :class:`ProfileDbError` so a newer or older tool never
     silently misreads rows (the lint pass reports the same condition as
     P701 without raising).  A file sqlite cannot open or write raises
-    :class:`ProfileDbError` too.
+    :class:`ProfileDbError` too.  With *read_only* the file is never
+    written: a missing file, or one no ingest ever initialised, raises
+    :class:`ProfileDbError` instead of being created.
     """
     try:
-        conn = sqlite3.connect(str(path))
+        conn = open_read_only(path) if read_only else sqlite3.connect(str(path))
         conn.execute("PRAGMA foreign_keys = ON")
         version = read_schema_version(conn)
         if version is None:
+            if read_only:
+                conn.close()
+                raise ProfileDbError(
+                    f"{path}: database is empty (no schema); nothing was ever "
+                    "ingested"
+                )
             with conn:
                 conn.executescript(_SCHEMA)
                 conn.execute(

@@ -38,11 +38,16 @@ def lint_profile_db(
     """Run the P7xx integrity pass over one profile database file."""
     report = report if report is not None else LintReport()
     source = str(path)
-    from repro.db.schema import SCHEMA_VERSION, ProfileDbError, read_schema_version
+    from repro.db.schema import (
+        SCHEMA_VERSION,
+        ProfileDbError,
+        open_read_only,
+        read_schema_version,
+    )
 
     try:
-        conn = sqlite3.connect(source)
-    except sqlite3.Error as exc:  # pragma: no cover - connect rarely fails
+        conn = open_read_only(path)
+    except sqlite3.Error as exc:
         report.add("P701", f"cannot open database: {exc}", source=source)
         return report
     try:

@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+import random
+
 import oracles
+import pytest
 from stream_helpers import columns_of, stream
 
 from repro.analysis.callstack import _TreeRecorder, analyze_capture
-from repro.analysis.summary import SummaryAccumulator, summarize
+from repro.analysis.summary import (
+    SPONTANEOUS,
+    FoldRecorder,
+    SummaryAccumulator,
+    summarize,
+)
+from repro.profiler.ram import RawRecord
 from repro.telemetry import TELEMETRY
 
 
@@ -412,3 +421,167 @@ class TestShardBoundaryIdle:
         assert solo.idle_us == 0
         whole = self._fold(simple_names, capture.records.to_records())
         assert whole.idle_us == analyze_capture(capture).idle_us
+
+
+#: The fold's high-water marks, read out at close().
+PEAKS = (
+    "analysis.peak.pending_block",
+    "analysis.peak.suspended_procs",
+    "analysis.peak.functions",
+)
+
+
+def _steps(names, *steps):
+    """Records of ``(op, name, time_us)`` steps as :func:`stream` builds
+    them, plus ``("?", tag, time_us)`` for a tag no name file knows."""
+    records = []
+    for op, name, time_us in steps:
+        if op == "?":
+            records.append(RawRecord(tag=name, time=time_us))
+        else:
+            records += stream(names, (op, name, time_us)).records.to_records()
+    return records
+
+
+def _reference_arcs(analysis):
+    """The reference forest's caller->callee arcs in the order a preorder
+    walk first meets them: ``(caller, callee, calls, inclusive, net)``."""
+    arcs = {}
+
+    def walk(node, caller):
+        if not node.synthetic:
+            arc = arcs.setdefault((caller, node.name), [0, 0, 0])
+            arc[0] += 1
+            arc[1] += node.inclusive_us
+            arc[2] += node.self_us
+        for child in node.children:
+            walk(child, node.name)
+
+    for root in analysis.roots:
+        walk(root, SPONTANEOUS)
+    return [(caller, callee, *totals) for (caller, callee), totals in arcs.items()]
+
+
+class TestLeafPairs:
+    """An entry whose next record is its own exit is stepped as one call
+    when no recorder is attached; a fold with a recorder steps the same
+    two records through a frame.  Both must equal the reference tree,
+    whether the stream comes whole, one record at a time or cut at
+    random."""
+
+    CASES = {
+        # Two tree roots; 6 us pass outside any frame between them.
+        "root leaf after unattributed time": [
+            (">", "bcopy", 0), ("<", "bcopy", 4), (">", "main", 10), ("<", "main", 25),
+        ],
+        # bcopy's 7 us become main's child time.
+        "leaf inside an open frame": [
+            (">", "main", 0), (">", "read", 3), ("<", "read", 5),
+            (">", "bcopy", 5), ("<", "bcopy", 12), ("<", "main", 20),
+        ],
+        # The process switches out in user mode, twice; each block ends in
+        # a switch before it returns into a frame, so it resumes itself.
+        "swtch pair from user mode": [
+            (">", "main", 0), ("<", "main", 5), (">", "swtch", 10), ("<", "swtch", 30),
+            (">", "read", 35), ("<", "read", 40), (">", "swtch", 41), ("<", "swtch", 50),
+            (">", "cksum", 52), ("<", "cksum", 60),
+        ],
+        # Asleep in tsleep twice; the block after the second switch never
+        # names its process, so it is held to the end of the stream.
+        "swtch pair inside tsleep, then a held tail": [
+            (">", "main", 0), (">", "tsleep", 5), (">", "swtch", 8), ("<", "swtch", 20),
+            ("<", "tsleep", 25), (">", "tsleep", 26), (">", "swtch", 27),
+            ("<", "swtch", 40), (">", "bcopy", 41), ("<", "bcopy", 44),
+            (">", "read", 45), (">", "cksum", 46), ("<", "cksum", 48),
+        ],
+        # bcopy's exit was lost: main's exit closes it administratively.
+        "entry followed by another function's exit": [
+            (">", "main", 0), (">", "bcopy", 2), ("<", "main", 9), (">", "read", 10),
+            ("<", "read", 11),
+        ],
+        "entry followed by an unknown tag": [
+            (">", "main", 0), (">", "bcopy", 2), ("?", 777, 4), ("<", "bcopy", 6),
+            ("<", "main", 9),
+        ],
+        "entry followed by an inline mark": [
+            (">", "main", 0), (">", "bcopy", 2), ("=", "MGET", 4), ("<", "bcopy", 6),
+            ("<", "main", 9),
+        ],
+    }
+
+    @staticmethod
+    def _fold(names, records, cuts, recorder):
+        """Fold *records* cut at *cuts*; its state and peaks, sealed."""
+        fold = SummaryAccumulator(names)
+        fold.recorder = recorder
+        bounds = [0, *cuts, len(records)]
+        for start, stop in zip(bounds, bounds[1:]):
+            fold.feed_columns(columns_of(records[start:stop]))
+        TELEMETRY.enable()
+        try:
+            TELEMETRY.reset()
+            fold.close()
+            peaks = {name: TELEMETRY.registry.get(name).value for name in PEAKS}
+        finally:
+            TELEMETRY.disable()
+            TELEMETRY.reset()
+        arcs = [arc[1:] for arc in sorted(fold.arcs())]
+        state = (
+            fold.summary().format(), arcs, fold.anomalies, fold.procs,
+            fold.unattributed_us, fold.context_switches,
+        )
+        return state, peaks
+
+    @staticmethod
+    def _cuts(n):
+        """Whole, one record at a time, and three random cuttings."""
+        yield []
+        yield list(range(1, n))
+        for seed in range(3):
+            rng = random.Random(seed)
+            yield sorted(rng.sample(range(1, n), rng.randint(1, n - 1)))
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_pair_step_equals_reference_and_frame_path(self, simple_names, case):
+        records = _steps(simple_names, *self.CASES[case])
+        reference = oracles.reference_call_tree(
+            list(oracles.decoded_events(records, simple_names))
+        )
+        want = (
+            summarize(reference).format(), _reference_arcs(reference),
+            reference.anomalies, reference.procs, reference.unattributed_us,
+            reference.context_switches,
+        )
+        functions = {node.name for node in reference.nodes() if not node.synthetic}
+        for cuts in self._cuts(len(records)):
+            state, peaks = self._fold(simple_names, records, cuts, None)
+            assert state == want, cuts
+            assert peaks["analysis.peak.functions"] == len(functions)
+            framed = self._fold(simple_names, records, cuts, FoldRecorder())
+            assert framed == (state, peaks), cuts
+
+    def test_pair_cut_by_a_batch_boundary(self, simple_names):
+        """The entry ends one batch and its exit opens the next: the
+        entry sees no next tag, so the pair goes through a frame; a pair
+        whose exit ends its batch is stepped whole."""
+        records = _steps(simple_names, *self.CASES["leaf inside an open frame"])
+        whole, _ = self._fold(simple_names, records, [], None)
+        for cut in (4, 5):  # after bcopy's entry, after its exit
+            assert self._fold(simple_names, records, [cut], None)[0] == whole
+
+    def test_accounting(self, simple_names):
+        """The pair step's arithmetic, by hand."""
+
+        def fold(case):
+            accumulator = SummaryAccumulator(simple_names)
+            records = _steps(simple_names, *self.CASES[case])
+            return accumulator.feed_columns(columns_of(records))
+
+        roots = fold("root leaf after unattributed time")
+        assert roots.unattributed_us == 6
+        assert roots.summary().get("bcopy").net_us == 4
+        main = fold("leaf inside an open frame").summary().get("main")
+        assert (main.elapsed_us, main.net_us) == (20, 20 - 2 - 7)
+        switches = fold("swtch pair from user mode")
+        assert switches.summary().idle_us == 20 + 9
+        assert switches.context_switches == 2 and switches.procs == ("P0",)

@@ -12,6 +12,7 @@ from typing import Optional
 import pytest
 
 from repro.__main__ import main
+from repro.db.schema import connect
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -381,6 +382,7 @@ def _bad_input_argv(case: str, tmp_path: pathlib.Path) -> list[str]:
     names = str(GOLDEN_DIR / "case_study.tags")
     capture = str(GOLDEN_DIR / "figure3_network_v2.mpf")
     unopenable = str(tmp_path / "no-such-dir" / "x.db")
+    connect(tmp_path / "empty.db").close()  # a database no capture was ingested into
     cut = tmp_path / "cut.mpf"
     cut.write_bytes((GOLDEN_DIR / "figure3_network_v2.mpf").read_bytes()[:-3])
     return {
@@ -450,6 +452,34 @@ class TestBadInputIsOneErrorLine:
         with pytest.raises(SystemExit) as usage:
             main(argv, out=lambda line: None)
         assert usage.value.code == 2
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["capture", "--workload", "nope"],
+            ["analyze", "x.mpf", "--names", "x.tags"],
+            ["fleet", "ingest", "no-such-root", "--names", "x.tags"],
+            ["fleet", "serve", "no-such-root", "--names", "x.tags", "--max-polls", "1"],
+            ["live", "analyze", "x.mpf", "--names", str(GOLDEN_DIR / "case_study.tags")],
+        ],
+        ids=["capture", "analyze", "fleet ingest", "fleet serve", "live analyze"],
+    )
+    def test_negative_summary_limit_is_a_usage_error(self, capsys, command):
+        """A negative row limit would slice rows off the end of the
+        summary; every command that prints one refuses it."""
+        with pytest.raises(SystemExit) as usage:
+            main([*command, "--summary-limit", "-1"], out=lambda line: None)
+        assert usage.value.code == 2
+        assert "--summary-limit: must be at least 0, got -1" in capsys.readouterr().err
+
+    def test_zero_summary_limit_prints_the_header_alone(self):
+        lines = run_cli(
+            "analyze", str(GOLDEN_DIR / "figure3_network_v2.mpf"),
+            "--names", str(GOLDEN_DIR / "case_study.tags"), "--summary-limit", "0",
+        )
+        summary = lines[1].splitlines()
+        assert summary[-1].split()[-1] == "name"  # the column header, no row
+        assert lines[2:] == ["kstack desyncs = 0", ""]
 
 
 class TestOneFold:

@@ -251,6 +251,60 @@ class TestCheckCommand:
         assert "case-study" not in text
 
 
+#: The commands that only read a database, and the exit code each gives
+#: for one it cannot read.
+READ_ONLY_COMMANDS = [
+    (["db", "runs"], 2),
+    (["db", "query"], 2),
+    (["db", "diff", "before", "after"], 2),
+    (["db", "check"], 1),
+    (["lint"], 1),
+]
+READ_ONLY_IDS = [" ".join(command) for command, _ in READ_ONLY_COMMANDS]
+
+
+class TestReadOnlyCommands:
+    """Only ``db ingest`` creates a database.  The commands that read one
+    leave a missing path missing and an empty file empty: ``db runs``,
+    ``query`` and ``diff`` fail with one ``repro: error:`` line, ``db
+    check`` and ``lint --db`` report one P701 diagnostic."""
+
+    @staticmethod
+    def _run(command, db, capsys):
+        code, text = run_cli(*command, "--db", str(db))
+        captured = capsys.readouterr()
+        if command[0] == "db" and command[1] != "check":
+            assert text == "" and captured.out == ""
+            (line,) = captured.err.splitlines()
+            assert line.startswith("repro: error: ")
+        else:
+            line, verdict = text.splitlines()
+            assert line.startswith(f"{db}: error P701: ")
+            assert verdict.startswith("proflint: 1 error(s)")
+        return code, line
+
+    @pytest.mark.parametrize(
+        "command, exit_code", READ_ONLY_COMMANDS, ids=READ_ONLY_IDS
+    )
+    def test_missing_path_stays_missing(self, tmp_path, capsys, command, exit_code):
+        db = tmp_path / "missing.db"
+        code, line = self._run(command, db, capsys)
+        assert code == exit_code
+        assert "unable to open database file" in line
+        assert not db.exists()
+
+    @pytest.mark.parametrize(
+        "command, exit_code", READ_ONLY_COMMANDS, ids=READ_ONLY_IDS
+    )
+    def test_empty_file_stays_empty(self, tmp_path, capsys, command, exit_code):
+        db = tmp_path / "empty.mpf"
+        db.touch()
+        code, line = self._run(command, db, capsys)
+        assert code == exit_code
+        assert "database is empty" in line
+        assert db.stat().st_size == 0
+
+
 class TestDeterminismAcrossIngestOrders:
     def test_diff_report_independent_of_ingest_order(self, tmp_path):
         corpus = tmp_path / "corpus"

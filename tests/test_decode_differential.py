@@ -35,6 +35,7 @@ from repro.analysis.callstack import _TreeRecorder, analyze_capture, build_call_
 from repro.analysis.chrome_trace import ChromeTraceWriter
 from repro.analysis.gprof import gprof_from_fold, gprof_report
 from repro.analysis.summary import (
+    FoldRecorder,
     SummaryAccumulator,
     summarize,
     summarize_columns,
@@ -46,6 +47,7 @@ from repro.profiler.upload import (
     iter_capture_columns,
     write_capture_file,
 )
+from repro.telemetry import TELEMETRY
 from stream_helpers import (
     TIME_MASK,
     capture_from_records,
@@ -504,6 +506,54 @@ class TestSummaryParity:
         feed(clean, prefix)
         feed(clean, suffix)
         assert accumulator.summary().format() == clean.summary().format()
+
+
+class TestPairStepParity:
+    """With no recorder the fold steps an entry and its own exit, when
+    the exit is the next record, as one call; a recorder needs a frame
+    for every call, so the same fold with a do-nothing recorder attached
+    steps every record.  The two must agree on everything the fold
+    reports, whether the stream comes whole or cut into batches."""
+
+    PEAKS = (
+        "analysis.peak.pending_block",
+        "analysis.peak.suspended_procs",
+        "analysis.peak.functions",
+    )
+
+    def _fold(self, records, chunk, recorder):
+        fold = SummaryAccumulator(NAMES)
+        fold.recorder = recorder
+        for start in range(0, len(records), chunk):
+            fold.feed_columns(columns_of(records[start : start + chunk]))
+        TELEMETRY.enable()
+        try:
+            TELEMETRY.reset()
+            fold.close()
+            peaks = [TELEMETRY.registry.get(name).value for name in self.PEAKS]
+        finally:
+            TELEMETRY.disable()
+            TELEMETRY.reset()
+        return (
+            fold.summary().format(),
+            sorted(fold.arcs()),
+            fold.anomalies,
+            fold.procs,
+            fold.unattributed_us,
+            fold.context_switches,
+            peaks,
+        )
+
+    @DIFF_SETTINGS
+    @given(
+        records=st.one_of(call_streams(), switch_streams(), record_streams()),
+        chunk_records=st.integers(min_value=1, max_value=100),
+    )
+    def test_pair_step_equals_frame_path(self, records, chunk_records):
+        for chunk in (len(records) or 1, chunk_records):
+            assert self._fold(records, chunk, None) == self._fold(
+                records, chunk, FoldRecorder()
+            )
 
 
 # -- call trees --------------------------------------------------------------
