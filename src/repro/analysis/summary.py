@@ -39,6 +39,7 @@ import dataclasses
 import time
 from collections import Counter
 from itertools import chain, count, islice
+from operator import sub
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from repro.analysis.columnar import (
@@ -387,6 +388,51 @@ class FoldRecorder:
         """An inline or unknown-tag point fired on *stack*."""
 
 
+def _leaf_run(
+    tags: Sequence[int], raw_times: Sequence[int], start: int, mask: int
+) -> Optional[tuple[int, int, list]]:
+    """The run of leaf pairs repeating the one that ends before *start*.
+
+    ``tags[start - 2:start]`` is a leaf pair, an entry and its own exit;
+    the run is every whole pair after it in the batch with the same two
+    tags.  Returns ``(stop, gaps, calls)``: the batch position after the
+    run's last exit, the time between the calls (the caller's own), and
+    the calls as an aggregate (a leaf's net time is its inclusive time);
+    or ``None`` when no whole pair repeats it.
+    """
+    n = len(tags)
+    stop, size = start, 2
+    # A record continues the run when it equals the one two places back:
+    # double the stretch so checked until one differs or would pass the
+    # batch's end, then halve back into it.
+    while (
+        stop + size <= n
+        and tags[stop : stop + size] == tags[stop - 2 : stop + size - 2]
+    ):
+        stop += size
+        size *= 2
+    while size > 2:
+        size //= 2
+        if (
+            stop + size <= n
+            and tags[stop : stop + size] == tags[stop - 2 : stop + size - 2]
+        ):
+            stop += size
+    if stop == start:
+        return None
+    entries = raw_times[start:stop:2]
+    inclusives = list(map(sub, raw_times[start + 1 : stop : 2], entries))
+    gaps = list(map(sub, entries, raw_times[start - 1 : stop - 1 : 2]))
+    shortest = min(inclusives)
+    if shortest < 0 or min(gaps) < 0:
+        # The counter wrapped inside the run.
+        inclusives = [d & mask for d in inclusives]
+        gaps = [d & mask for d in gaps]
+        shortest = min(inclusives)
+    busy = sum(inclusives)
+    return stop, sum(gaps), [len(inclusives), busy, busy, max(inclusives), shortest]
+
+
 def _elapsed(raw_times: Iterable[int], previous: int, mask: int) -> int:
     """Microseconds from snapshot *previous* to the last of *raw_times*."""
     total = 0
@@ -430,10 +476,12 @@ class SummaryAccumulator:
     decode-map lookup, and an exit of the innermost frame closes inline,
     a ``swtch`` exit's included.  With no recorder, an entry and its own
     exit in the next record (a *leaf pair*, most calls in a kernel trace)
-    are one step and no frame.  Switch-in resolution (which suspended
-    process resumes after a ``swtch`` exit) needs the incoming block, so
-    at a context-switch exit the fold scans ahead in the batch's tags
-    until the block names its process, then keeps stepping in place.
+    are one step and no frame, and the rest of a run of the same leaf
+    pair back to back (a per-page loop) is one step more.  Switch-in
+    resolution (which suspended process resumes after a ``swtch`` exit)
+    needs the incoming block, so at a context-switch exit the fold scans
+    ahead in the batch's tags until the block names its process, then
+    keeps stepping in place.
     Only when that scan runs off the end of the batch are the rest of the
     batch's events held; the next batch continues the scan where it
     stopped, so no event is scanned twice, and :meth:`close` resolves a
@@ -466,6 +514,10 @@ class SummaryAccumulator:
         self._unattributed_us = 0
         self._event_count = 0
         self._context_switches = 0
+        #: Runs of identical leaf pairs added up in one step, and the calls
+        #: those steps added up (the pair opening each run not counted).
+        self._leaf_runs = 0
+        self._leaf_run_calls = 0
 
         self._current = _ProcStack("P0")
         #: Switched-out stacks, least recently suspended first.
@@ -568,7 +620,10 @@ class SummaryAccumulator:
         index of their first event; every snapshot is unwrapped against
         the last stepped one.  With no recorder to need a frame, an entry
         whose next tag is its own exit (``tag + 1``: a name table gives
-        that value to no other function) steps both records as one call.
+        that value to no other function) steps both records as one call,
+        and when the record after that exit enters the same function
+        again, the whole pairs of that run left in the batch are added
+        up in one more step (:func:`_leaf_run`).
         A ``swtch`` call closed so or by its exit, or a ``swtch`` exit
         :meth:`_slow_exit` repairs, suspends the stack and resolves its
         switch-in by scanning *tags* from after the exit
@@ -626,12 +681,34 @@ class SummaryAccumulator:
                     continue
                 # A leaf pair: the next record is this call's own exit, so
                 # step it now; its interval is the call's whole time.
-                i, raw, _, _ = next(events)
+                i, raw, _, next_tag = next(events)
                 net = inclusive = (raw - previous) & mask
                 previous = raw
                 t += net
                 if frames:
                     frames[-1][2] += net
+                if next_tag == tag and not is_cs:
+                    # The same call again, as in a per-page loop: add up
+                    # every whole pair of the run left in the batch at once.
+                    start = i + 1 - index
+                    run = _leaf_run(tags, raw_times, start, mask)
+                    if run is not None:
+                        stop, gaps, calls = run
+                        if frames:
+                            caller = frames[-1]
+                            caller[1] += gaps
+                            caller[2] += calls[1]
+                        else:
+                            unattributed += gaps
+                            # Each call is a tree root; the last is current.
+                            root = current.root = index + stop - 2
+                        _agg_merge(arc, calls)
+                        t += gaps + calls[1]
+                        i, previous, _, _ = next(
+                            islice(events, stop - start - 1, None)
+                        )
+                        self._leaf_runs += 1
+                        self._leaf_run_calls += calls[0]
             elif code == _EXIT:
                 if frames and frames[-1][0] == name:
                     # A matched exit of the innermost frame, a context
@@ -861,6 +938,8 @@ class SummaryAccumulator:
             for kind, n in Counter(a.kind for a in self.anomalies).items():
                 _TELEMETRY.count("analysis.anomalies", n, kind=kind)
             _TELEMETRY.count("analysis.unattributed_us", self._unattributed_us)
+            _TELEMETRY.count("analysis.leaf_runs", self._leaf_runs)
+            _TELEMETRY.count("analysis.leaf_run_calls", self._leaf_run_calls)
         return self
 
     def merge(self, other: "SummaryAccumulator") -> "SummaryAccumulator":

@@ -22,9 +22,16 @@ newline.
 from __future__ import annotations
 
 import contextlib
+import errno
 import os
 from pathlib import Path
 from typing import Iterator, TextIO, Union
+
+
+def _naming(error: OSError, path: Union[str, Path]) -> OSError:
+    """*error* as if it had happened to *path*: the temp file is an
+    implementation detail, and the caller named only the destination."""
+    return OSError(error.errno, error.strerror, os.fspath(path))
 
 
 @contextlib.contextmanager
@@ -33,11 +40,20 @@ def open_atomic(path: Union[str, Path]) -> Iterator[TextIO]:
 
     Everything written goes to a temp file beside *path*, which is
     fsynced and renamed over *path* only if the block finishes; if it
-    raises, the temp file is removed and *path* is left as it was.
+    raises, the temp file is removed and *path* is left as it was.  A
+    directory at *path* is refused before the block runs, and a failure
+    to create or rename the file raises :class:`OSError` naming *path*.
     """
     target = Path(path)
+    if target.is_dir():
+        raise IsADirectoryError(
+            errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path)
+        )
     temp = target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp")
-    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as error:
+        raise _naming(error, path) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             with contextlib.suppress(FileNotFoundError):
@@ -45,7 +61,10 @@ def open_atomic(path: Union[str, Path]) -> Iterator[TextIO]:
             yield handle
             handle.flush()
             os.fsync(fd)
-        os.replace(temp, target)
+        try:
+            os.replace(temp, target)
+        except OSError as error:
+            raise _naming(error, path) from None
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(temp)

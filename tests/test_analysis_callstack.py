@@ -8,7 +8,9 @@ import oracles
 import pytest
 from stream_helpers import columns_of, stream
 
+from repro.analysis import columnar
 from repro.analysis.callstack import _TreeRecorder, analyze_capture
+from repro.analysis.gprof import gprof_from_fold
 from repro.analysis.summary import (
     SPONTANEOUS,
     FoldRecorder,
@@ -585,3 +587,174 @@ class TestLeafPairs:
         switches = fold("swtch pair from user mode")
         assert switches.summary().idle_us == 20 + 9
         assert switches.context_switches == 2 and switches.procs == ("P0",)
+
+
+#: One turn of the 24-bit counter, in microseconds.
+WRAP = 1 << 24
+
+RUN_COUNTERS = ("analysis.leaf_runs", "analysis.leaf_run_calls")
+
+
+class TestLeafRuns:
+    """A leaf pair followed by the same call again opens a run, the shape
+    of a per-page loop: with no recorder, every whole pair of the run
+    left in the batch is added up in one step.  The fold must equal the
+    reference tree and the frame path however the stream is cut, gprof's
+    preorder keys included."""
+
+    CASES = {
+        # main calls bcopy five times; the counter wraps inside the third.
+        "run inside a frame, wrapping": [
+            (">", "main", WRAP - 40),
+            (">", "bcopy", WRAP - 30), ("<", "bcopy", WRAP - 25),
+            (">", "bcopy", WRAP - 20), ("<", "bcopy", WRAP - 18),
+            (">", "bcopy", WRAP - 3), ("<", "bcopy", WRAP + 4),
+            (">", "bcopy", WRAP + 6), ("<", "bcopy", WRAP + 9),
+            (">", "bcopy", WRAP + 9), ("<", "bcopy", WRAP + 10),
+            ("<", "main", WRAP + 30),
+        ],
+        # Four tree roots in a row, then a tree that calls bcopy too: the
+        # root arc's preorder key is the run's first call.
+        "run at depth 0": [
+            (">", "bcopy", 0), ("<", "bcopy", 4), (">", "bcopy", 6), ("<", "bcopy", 7),
+            (">", "bcopy", 10), ("<", "bcopy", 15),
+            (">", "bcopy", 15), ("<", "bcopy", 16),
+            (">", "main", 20), (">", "bcopy", 21), ("<", "bcopy", 23),
+            ("<", "main", 30),
+        ],
+        # The stream ends inside the run; main's frame is truncated there.
+        "run that ends the stream": [
+            (">", "main", 0), (">", "cksum", 1), ("<", "cksum", 3),
+            (">", "cksum", 5), ("<", "cksum", 8), (">", "cksum", 8), ("<", "cksum", 12),
+        ],
+        # The third bcopy calls cksum: the run holds only the second.
+        "run broken by a nested call": [
+            (">", "main", 0), (">", "bcopy", 1), ("<", "bcopy", 2),
+            (">", "bcopy", 3), ("<", "bcopy", 5), (">", "bcopy", 6), (">", "cksum", 7),
+            ("<", "cksum", 9), ("<", "bcopy", 10), ("<", "main", 12),
+        ],
+        "run broken by an inline mark": [
+            (">", "bcopy", 0), ("<", "bcopy", 1), (">", "bcopy", 2), ("<", "bcopy", 3),
+            ("=", "MGET", 4), (">", "bcopy", 5), ("<", "bcopy", 6), (">", "bcopy", 8),
+            ("<", "bcopy", 9),
+        ],
+        # Each swtch pair is a context switch of its own, never a run.
+        "swtch pairs back to back": [
+            (">", "main", 0), ("<", "main", 2), (">", "swtch", 3), ("<", "swtch", 5),
+            (">", "swtch", 6), ("<", "swtch", 9), (">", "read", 10), ("<", "read", 11),
+        ],
+    }
+
+    #: The whole stream's ``(bulk steps, calls they added up)``.
+    RUNS = {
+        "run inside a frame, wrapping": [1, 4],
+        "run at depth 0": [1, 3],
+        "run that ends the stream": [1, 2],
+        "run broken by a nested call": [1, 1],
+        "run broken by an inline mark": [2, 2],
+        "swtch pairs back to back": [0, 0],
+    }
+
+    @staticmethod
+    def _fold(names, records, cuts, recorder=None):
+        """Fold *records* cut at *cuts*: its sealed state, arcs with their
+        preorder keys and the gprof text, and its run counters."""
+        fold = SummaryAccumulator(names)
+        fold.recorder = recorder
+        bounds = [0, *cuts, len(records)]
+        for start, stop in zip(bounds, bounds[1:]):
+            fold.feed_columns(columns_of(records[start:stop]))
+        TELEMETRY.enable()
+        try:
+            TELEMETRY.reset()
+            fold.close()
+            runs = [TELEMETRY.registry.get(name).value for name in RUN_COUNTERS]
+        finally:
+            TELEMETRY.disable()
+            TELEMETRY.reset()
+        state = (
+            fold.summary().format(), sorted(fold.arcs()),
+            gprof_from_fold(fold).format(),
+            fold.anomalies, fold.procs, fold.unattributed_us, fold.context_switches,
+        )
+        return state, runs
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_run_step_equals_reference_and_frame_path(self, simple_names, case):
+        records = _steps(simple_names, *self.CASES[case])
+        reference = oracles.reference_call_tree(
+            list(oracles.decoded_events(records, simple_names))
+        )
+        whole, runs = self._fold(simple_names, records, [])
+        assert runs == self.RUNS[case]
+        summary, arcs, gprof, *rest = whole
+        assert summary == summarize(reference).format()
+        assert [arc[1:] for arc in arcs] == _reference_arcs(reference)
+        assert gprof == oracles.reference_gprof_report(reference).format()
+        assert rest == [
+            reference.anomalies, reference.procs, reference.unattributed_us,
+            reference.context_switches,
+        ]
+        for cuts in TestLeafPairs._cuts(len(records)):
+            assert self._fold(simple_names, records, cuts)[0] == whole, cuts
+            framed, no_runs = self._fold(simple_names, records, cuts, FoldRecorder())
+            assert (framed, no_runs) == (whole, [0, 0]), cuts
+
+    def test_run_cut_by_a_batch_end(self, simple_names):
+        """A batch end inside a run splits it: the pair it cuts, if any,
+        takes the frame path, and the next batch opens a run of its own
+        with its next pair."""
+        records = _steps(simple_names, *self.CASES["run inside a frame, wrapping"])
+        whole, _ = self._fold(simple_names, records, [])
+        # 0 main, then bcopy's five pairs at 1-2, 3-4, 5-6, 7-8, 9-10.
+        cuts = {4: [1, 2], 5: [2, 3], 6: [2, 2], 8: [1, 2], 10: [1, 3]}
+        for cut, runs in cuts.items():
+            assert self._fold(simple_names, records, [cut]) == (whole, runs), cut
+
+    def test_accounting(self, simple_names):
+        """The run step's arithmetic, by hand, wrapped counter included."""
+        fold = SummaryAccumulator(simple_names)
+        records = _steps(simple_names, *self.CASES["run inside a frame, wrapping"])
+        summary = fold.feed_columns(columns_of(records)).summary()
+        bcopy, main = summary.get("bcopy"), summary.get("main")
+        assert (bcopy.calls, bcopy.elapsed_us, bcopy.max_us, bcopy.min_us) == (
+            5, 5 + 2 + 7 + 3 + 1, 7, 1,
+        )
+        # main's own time: 10 us before the loop, 5 + 15 + 2 + 0 between
+        # the calls and 20 after them.
+        assert (main.elapsed_us, main.net_us) == (70, 10 + 22 + 20)
+        depth_0 = SummaryAccumulator(simple_names)
+        records = _steps(simple_names, *self.CASES["run at depth 0"])
+        depth_0.feed_columns(columns_of(records))
+        assert depth_0.unattributed_us == 2 + 3 + 0 + 4
+
+    def test_a_depth_0_run_leaves_its_last_call_as_the_root(self, simple_names):
+        """Each call of a run at depth 0 is a tree root; the run step
+        leaves the stack where stepping each call would, its current tree
+        the last call's (a recorder reads it as ``stack.root``)."""
+        records = _steps(simple_names, *self.CASES["run at depth 0"][:8])
+        roots = []
+        for recorder in (None, FoldRecorder()):
+            fold = SummaryAccumulator(simple_names)
+            fold.recorder = recorder
+            fold.feed_columns(columns_of(records))
+            roots.append(fold._current.root)
+        assert roots == [6, 6]
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_feed_events_with_no_recorder(self, simple_names, case):
+        """Decoded batches run the same loop with an all-ones mask: the
+        same runs, the same sums."""
+        records = _steps(simple_names, *self.CASES[case])
+        events = columnar.decode_columns(columns_of(records), simple_names)
+        fold = SummaryAccumulator(simple_names).feed_events(events)
+        framed = SummaryAccumulator(simple_names)
+        framed.recorder = FoldRecorder()
+        framed.feed_events(events)
+        by_columns = SummaryAccumulator(simple_names).feed_columns(columns_of(records))
+        assert [fold._leaf_runs, fold._leaf_run_calls] == self.RUNS[case]
+        for other in (framed, by_columns):
+            assert fold.summary().format() == other.summary().format()
+            assert sorted(fold.arcs()) == sorted(other.arcs())
+            assert fold.anomalies == other.anomalies
+            assert fold.unattributed_us == other.unattributed_us

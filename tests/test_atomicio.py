@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import pathlib
@@ -97,6 +98,66 @@ class TestOpenAtomic:
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
 
+class TestErrorsNameTheDestination:
+    """A write that cannot happen is reported by the path the caller gave,
+    never by the temp file beside it, and leaves nothing behind."""
+
+    def test_missing_directory(self, tmp_path):
+        target = tmp_path / "missing" / "out.json"
+        with pytest.raises(FileNotFoundError) as excinfo:
+            with open_atomic(target):
+                pytest.fail("the block ran without a file to write")
+        assert excinfo.value.filename == str(target)
+        assert str(excinfo.value) == (
+            f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '{target}'"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_directory_is_refused_before_the_block_runs(self, tmp_path):
+        target = tmp_path / "out"
+        target.mkdir()
+        with pytest.raises(IsADirectoryError) as excinfo:
+            with open_atomic(target):
+                pytest.fail("the block ran for a directory target")
+        assert excinfo.value.filename == str(target)
+        assert excinfo.value.filename2 is None
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+        assert list(target.iterdir()) == []
+
+    def test_failed_rename_names_the_destination(self, tmp_path, monkeypatch):
+        import repro.atomicio as atomicio
+
+        target = tmp_path / "out.txt"
+        target.write_text("original\n")
+
+        def denied(src, dst):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), src, dst)
+
+        monkeypatch.setattr(atomicio.os, "replace", denied)
+        with pytest.raises(PermissionError) as excinfo:
+            write_text_atomic(target, "replacement")
+        assert (excinfo.value.filename, excinfo.value.filename2) == (str(target), None)
+        assert target.read_text() == "original\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_an_oserror_of_the_block_passes_through(self, tmp_path):
+        """Only the file's own creation and rename are renamed: an error
+        the caller's block raises (say, reading its input) is its own."""
+        with pytest.raises(FileNotFoundError) as excinfo:
+            with open_atomic(tmp_path / "out.json"):
+                open(tmp_path / "no-such-input.mpf", "rb")
+        assert excinfo.value.filename == str(tmp_path / "no-such-input.mpf")
+        assert list(tmp_path.iterdir()) == []
+
+
+def _one_error_line(capsys, path) -> str:
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("repro: error: ") and f"'{path}'" in err, err
+    assert ".tmp" not in err
+    return err
+
+
 class TestCliWriteSites:
     def test_trace_export_ends_with_newline(self, tmp_path):
         out = tmp_path / "fig3.trace.json"
@@ -137,3 +198,44 @@ class TestCliWriteSites:
         assert code == 2
         assert capsys.readouterr().err.startswith("repro: error: ")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_trace_export_to_an_unwritable_output(self, tmp_path, capsys, where):
+        """Refused before the capture is folded when the output is a
+        directory; named as given either way."""
+        out = tmp_path / "missing" / "x.json"
+        if where == "directory":
+            out = tmp_path / "dir"
+            out.mkdir()
+        code = main(
+            [
+                "trace", "export", str(GOLDEN_DIR / "figure3_network_v2.mpf"),
+                "--names", str(GOLDEN_DIR / "case_study.tags"),
+                "-o", str(out),
+            ],
+            out=lambda _line: None,
+        )
+        assert code == 2
+        _one_error_line(capsys, out)
+        assert sorted(p.name for p in tmp_path.rglob("*")) == (
+            ["dir"] if where == "directory" else []
+        )
+
+    def test_fleet_manifest_in_a_missing_directory(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "net.mpf").write_bytes(
+            (GOLDEN_DIR / "figure3_network_v2.mpf").read_bytes()
+        )
+        manifest = tmp_path / "missing" / "m.json"
+        code = main(
+            [
+                "fleet", "ingest", str(corpus),
+                "--names", str(GOLDEN_DIR / "case_study.tags"),
+                "--manifest", str(manifest),
+            ],
+            out=lambda _line: None,
+        )
+        assert code == 2
+        _one_error_line(capsys, manifest)
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["corpus", "net.mpf"]

@@ -472,6 +472,21 @@ class TestBadInputIsOneErrorLine:
         assert usage.value.code == 2
         assert "--summary-limit: must be at least 0, got -1" in capsys.readouterr().err
 
+    def test_trace_export_names_the_output_it_was_given(self, tmp_path, capsys):
+        """An output directory that does not exist is reported by the path
+        given, not by the temp file written beside it, and nothing is left
+        behind."""
+        output = tmp_path / "missing" / "x.json"
+        code, lines = run_cli_code(
+            "trace", "export", str(GOLDEN_DIR / "figure3_network_v2.mpf"),
+            "--names", str(GOLDEN_DIR / "case_study.tags"), "-o", str(output),
+        )
+        assert code == 2 and lines == []
+        assert capsys.readouterr().err.splitlines() == [
+            f"repro: error: [Errno 2] No such file or directory: '{output}'"
+        ]
+        assert list(tmp_path.iterdir()) == []
+
     def test_zero_summary_limit_prints_the_header_alone(self):
         lines = run_cli(
             "analyze", str(GOLDEN_DIR / "figure3_network_v2.mpf"),

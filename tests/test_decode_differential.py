@@ -205,6 +205,80 @@ def switch_streams(draw, max_blocks: int = 30) -> list[RawRecord]:
     return records
 
 
+#: A tag no name file here knows: it decodes to ``tag#4242``.
+UNKNOWN_TAG = 4242
+assert UNKNOWN_TAG not in KNOWN_TAGS
+
+
+@st.composite
+def loop_streams(draw, max_loops: int = 8) -> list[RawRecord]:
+    """Loop-shaped streams: one leaf called 1-40 times back to back.
+
+    The shape of a per-page loop (``pmap_remove`` calling ``pmap_pte``
+    for every page): each loop opens up to two caller frames, or none,
+    so the run sits inside frames or at depth 0, and calls its leaf over
+    and over.  A run may be broken by an unknown tag, an inline ``MGET``
+    mark, a ``swtch`` pair, or a whole scheduling block with a loop of
+    its own at depth 0 (another process's, when the run is suspended
+    inside its callers); loops are separated by ``swtch`` pairs now and
+    then.  Half the time deltas jump up to half the counter's range, so
+    the 24-bit counter wraps inside runs.
+    """
+    t = draw(st.integers(min_value=0, max_value=TIME_MASK))
+    swtch = NAMES.by_name("swtch")
+    mget = NAMES.by_name("MGET")
+    functions = [NAMES.by_name(n) for n in ("main", "read", "bcopy", "cksum", "tsleep")]
+    records = []
+
+    def emit(tag: int) -> None:
+        nonlocal t
+        records.append(RawRecord(tag=tag, time=t))
+        t = (t + draw(delta_strategy)) & TIME_MASK
+
+    def run(leaf, calls: int, breaks: dict) -> None:
+        for call in range(calls):
+            for breaker in breaks.get(call, ()):
+                if breaker == "unknown":
+                    emit(UNKNOWN_TAG)
+                elif breaker == "mark":
+                    emit(mget.entry_value)
+                elif breaker == "switch":
+                    emit(swtch.entry_value)
+                    emit(swtch.exit_value)
+                else:  # another process's block, with a loop of its own
+                    emit(swtch.entry_value)
+                    emit(swtch.exit_value)
+                    run(draw(st.sampled_from(functions)), draw(st.integers(1, 40)), {})
+                    emit(swtch.entry_value)
+                    emit(swtch.exit_value)
+            emit(leaf.entry_value)
+            emit(leaf.exit_value)
+
+    for _ in range(draw(st.integers(min_value=0, max_value=max_loops))):
+        callers = draw(st.lists(st.sampled_from(functions), max_size=2))
+        calls = draw(st.integers(min_value=1, max_value=40))
+        breaks: dict[int, list[str]] = {}
+        for call, breaker in draw(
+            st.lists(
+                st.tuples(
+                    st.integers(min_value=0, max_value=calls - 1),
+                    st.sampled_from(["unknown", "mark", "switch", "block"]),
+                ),
+                max_size=3,
+            )
+        ):
+            breaks.setdefault(call, []).append(breaker)
+        for fn in callers:
+            emit(fn.entry_value)
+        run(draw(st.sampled_from(functions)), calls, breaks)
+        for fn in reversed(callers):
+            emit(fn.exit_value)
+        if draw(st.booleans()):
+            emit(swtch.entry_value)
+            emit(swtch.exit_value)
+    return records
+
+
 def _event_fields(event):
     return (
         event.index,
@@ -469,6 +543,15 @@ class TestSummaryParity:
 
     @DIFF_SETTINGS
     @given(
+        records=loop_streams(),
+        chunk_records=st.integers(min_value=1, max_value=100),
+    )
+    def test_fold_matches_reference_on_loop_streams(self, records, chunk_records):
+        """Runs of one leaf, added up in one step, whole or cut by a batch."""
+        self._assert_fold_parity(records, chunk_records)
+
+    @DIFF_SETTINGS
+    @given(
         prefix=call_streams(max_blocks=6),
         suffix=call_streams(max_blocks=6),
         bad_offset=st.integers(min_value=0, max_value=5),
@@ -546,7 +629,9 @@ class TestPairStepParity:
 
     @DIFF_SETTINGS
     @given(
-        records=st.one_of(call_streams(), switch_streams(), record_streams()),
+        records=st.one_of(
+            call_streams(), switch_streams(), record_streams(), loop_streams()
+        ),
         chunk_records=st.integers(min_value=1, max_value=100),
     )
     def test_pair_step_equals_frame_path(self, records, chunk_records):
@@ -700,6 +785,16 @@ class TestGprofParity:
     )
     def test_gprof_matches_reference_on_raw_streams(self, records, chunk_records):
         """Unknown tags, unmatched exits and stray switches included."""
+        self._assert_parity(records, chunk_records)
+
+    @DIFF_SETTINGS
+    @given(
+        records=loop_streams(),
+        chunk_records=st.integers(min_value=1, max_value=100),
+    )
+    def test_gprof_matches_reference_on_loop_streams(self, records, chunk_records):
+        """A run at depth 0 is a row of tree roots: its arc keeps the
+        preorder key of its first call."""
         self._assert_parity(records, chunk_records)
 
 
