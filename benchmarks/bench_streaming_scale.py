@@ -131,7 +131,7 @@ def run_scale(total_events: int) -> dict:
     capture = capture_from_records(records, SCALE_NAMES, label="scale")
 
     start = time.perf_counter()
-    batch = summarize(
+    batch = oracles.reference_summary(
         oracles.reference_call_tree(list(oracles.decoded_events(records, SCALE_NAMES)))
     )
     batch_s = time.perf_counter() - start

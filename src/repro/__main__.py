@@ -434,7 +434,9 @@ def cmd_fleet_ingest(args: argparse.Namespace, out: Callable) -> int:
     counts, rates and timing go to stderr — so two runs with different
     ``--jobs`` diff clean, which is exactly what the CI smoke job does.
     """
-    from repro.atomicio import write_text_atomic
+    import contextlib
+
+    from repro.atomicio import open_atomic
     from repro.fleet.ingest import (
         FleetError,
         format_fleet_summary,
@@ -458,26 +460,29 @@ def cmd_fleet_ingest(args: argparse.Namespace, out: Callable) -> int:
         out(diagnostic.format())
     if not len(plan):
         return 2
-    progress = _make_progress(args, len(plan), label="fleet")
-    try:
-        result = ingest_fleet(
-            plan,
-            names,
-            jobs=args.jobs,
-            salvage=args.salvage,
-            progress=progress.update,
-        )
-    finally:
-        progress.finish()
-    result_report = lint_fleet_result(result)
-    for diagnostic in result_report:
-        out(diagnostic.format())
-    out(format_fleet_summary(result, limit=args.summary_limit))
+    # Opened before the ingest, so a manifest path that cannot be written
+    # fails before any work; the file appears when the block ends.
+    target = open_atomic(args.manifest) if args.manifest else contextlib.nullcontext()
+    with target as manifest:
+        progress = _make_progress(args, len(plan), label="fleet")
+        try:
+            result = ingest_fleet(
+                plan,
+                names,
+                jobs=args.jobs,
+                salvage=args.salvage,
+                progress=progress.update,
+            )
+        finally:
+            progress.finish()
+        result_report = lint_fleet_result(result)
+        for diagnostic in result_report:
+            out(diagnostic.format())
+        out(format_fleet_summary(result, limit=args.summary_limit))
+        if manifest is not None:
+            manifest.write(json.dumps(result.manifest(timings=args.timings), indent=1))
+            manifest.write("\n")
     if args.manifest:
-        write_text_atomic(
-            args.manifest,
-            json.dumps(result.manifest(timings=args.timings), indent=1),
-        )
         # Stderr, like every operational line: stdout stays a pure
         # function of the corpus so --jobs runs diff byte-clean.
         print(f"manifest written to {args.manifest}", file=sys.stderr)

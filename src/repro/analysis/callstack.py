@@ -210,10 +210,10 @@ class _TreeRecorder(FoldRecorder):
 
 
 def build_call_tree(events: ColumnarEvents, names: NameTable) -> CallTreeAnalysis:
-    """Reconstruct the call forest from a decoded batch.
+    """Reconstruct the call forest from unwrapped records.
 
-    The summary fold steps the batch's absolute times and its tags,
-    looked up in *names*, through its one loop
+    The summary fold steps the absolute times and the raw tags, looking
+    each tag up in *names*, through its one loop
     (:meth:`~repro.analysis.summary.SummaryAccumulator.feed_events`) with
     a tree recorder attached, so the forest, its anomalies and its
     accounting are the fold's own.
@@ -226,5 +226,5 @@ def build_call_tree(events: ColumnarEvents, names: NameTable) -> CallTreeAnalysi
 
 
 def analyze_capture(capture: Capture) -> CallTreeAnalysis:
-    """Decode *capture* and reconstruct its call forest in one step."""
+    """Unwrap *capture*'s counter and reconstruct its call forest."""
     return build_call_tree(decode_capture(capture), capture.names)

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.analysis.callstack import CallTreeAnalysis, analyze_capture
-from repro.analysis.summary import ProfileSummary, fold_capture, summarize_capture
+from repro.analysis.callstack import analyze_capture
+from repro.analysis.summary import fold_capture
 from repro.analysis.trace import format_trace
 from repro.profiler.capture import Capture
 
@@ -28,9 +28,11 @@ def full_report(
     show only the head); set it to ``None`` for every function.  The trace
     window defaults to the entire capture — for long captures pass a
     window, code-path traces are meant to be read around points of
-    interest.
+    interest.  The capture is folded once: with the trace, the summary
+    and the anomaly count are those of the call tree's own fold.
     """
-    fold = fold_capture(capture)
+    tree = analyze_capture(capture) if include_trace else None
+    fold = tree.fold if tree is not None else fold_capture(capture)
     parts = []
     if capture.label:
         parts.append(f"=== Profile: {capture.label} ===")
@@ -47,22 +49,11 @@ def full_report(
         for defect in capture.defects:
             parts.append(f"  [{defect.kind}] {defect.message}")
     parts.append(fold.summary().format(limit=summary_limit))
-    if include_trace:
+    if tree is not None:
         parts.append("")
         parts.append("Code path trace:")
-        parts.append(
-            format_trace(
-                analyze_capture(capture), start_us=trace_start_us, end_us=trace_end_us
-            )
-        )
+        parts.append(format_trace(tree, start_us=trace_start_us, end_us=trace_end_us))
     if fold.anomalies:
         parts.append("")
         parts.append(f"({len(fold.anomalies)} reconstruction anomalies)")
     return "\n".join(parts)
-
-
-def analyze_and_summarize(
-    capture: Capture,
-) -> tuple[CallTreeAnalysis, ProfileSummary]:
-    """Convenience: the two analysis products most callers want."""
-    return analyze_capture(capture), summarize_capture(capture)

@@ -29,8 +29,8 @@ same arcs.  The call tree
 (:func:`repro.analysis.callstack.build_call_tree`), the Chrome trace
 (:class:`repro.analysis.chrome_trace.ChromeTraceWriter`) and the stream
 lint pass (:func:`repro.lint.stream_lint.lint_records`) are
-:class:`FoldRecorder` recordings of it.  :func:`summarize` gives the same
-summary from a reconstructed call tree, for callers that hold one.
+:class:`FoldRecorder` recordings of it, and :func:`summarize` reads a
+call tree's summary off the fold that recorded it.
 """
 
 from __future__ import annotations
@@ -230,11 +230,10 @@ def sort_rows(summary: ProfileSummary, sort: str) -> list[FunctionStats]:
     return rows
 
 
-# -- shared aggregation core -------------------------------------------------
+# -- aggregation core ---------------------------------------------------------
 #
-# Both the call-tree walk and the fold (adding up each call into its arc as
-# the frame closes) funnel per-call samples through these helpers, so the
-# two produce identical statistics by construction.
+# The fold adds up each call into its arc as the frame closes, and merges
+# arcs into per-function rows, through these helpers.
 # An aggregate is a plain list for speed: [calls, elapsed, net, max, min],
 # with ``min`` held as ``None`` until the first *timed* call so that the
 # result is independent of the order in which synthetic (zero-time) and real
@@ -281,31 +280,10 @@ def _materialize(functions: dict[str, list]) -> dict[str, FunctionStats]:
 
 
 def summarize(analysis: CallTreeAnalysis) -> ProfileSummary:
-    """Aggregate a call-tree analysis into the function summary.
-
-    The same summary the fold computes from the records, for callers that
-    already hold the tree.  ``swtch`` (and any other ``!`` function) is
-    left out: its self time is the idle loop, already reported in the
-    header.
-    """
-    functions: dict[str, list] = {}
-    for node in analysis.nodes():
-        if node.is_swtch:
-            continue
-        agg = functions.setdefault(node.name, _new_agg())
-        if node.synthetic:
-            # A frame invented to absorb an unmatched exit has no reliable
-            # timing; count the call but no time.
-            agg[0] += 1
-        else:
-            _agg_call(agg, node.inclusive_us, node.self_us)
-    return ProfileSummary(
-        wall_us=analysis.wall_us,
-        busy_us=analysis.busy_us,
-        idle_us=analysis.idle_us,
-        event_count=analysis.event_count,
-        functions=_materialize(functions),
-    )
+    """The function summary of a call tree: the summary of the fold that
+    recorded it (:attr:`~repro.analysis.callstack.CallTreeAnalysis.fold`),
+    which added up every call as the tree was built."""
+    return analysis.fold.summary()
 
 
 # -- the fold ----------------------------------------------------------------
@@ -564,12 +542,12 @@ class SummaryAccumulator:
         return self
 
     def feed_events(self, events: ColumnarEvents) -> "SummaryAccumulator":
-        """Step one decoded batch: its absolute times and its tags.
+        """Step one unwrapped batch: its absolute times and its raw tags.
 
         An absolute time is a snapshot of a counter that never wraps, so
         the batch runs through the same loop as :meth:`feed_columns` with
         an all-ones wrap mask; the timeline keeps the batch's own origin.
-        An accumulator is fed either decoded batches or record batches,
+        An accumulator is fed either unwrapped batches or record batches,
         not both.
         """
         times = events.times

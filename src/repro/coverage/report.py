@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Optional
 
 from repro.coverage.callgraph import CallGraph, build_call_graph
-from repro.coverage.corpus import CorpusCoverage, scan_corpus
+from repro.coverage.corpus import CorpusCoverage
 from repro.instrument.namefile import DUMMY_NAME, NameTable
 from repro.lint.diagnostics import LintReport
 from repro.telemetry import TELEMETRY as _TELEMETRY
@@ -178,18 +178,6 @@ def build_coverage_report(
             ),
             total_captures=len(corpus.captures),
         )
-
-
-def coverage_report_for(
-    root,
-    names: NameTable,
-    jobs: Optional[int] = 1,
-    graph: Optional[CallGraph] = None,
-) -> CoverageReport:
-    """Scan *root* and cross it in one call (the CLI entry point)."""
-    with _TELEMETRY.span("coverage.corpus"):
-        corpus = scan_corpus(root, names, jobs=jobs)
-    return build_coverage_report(corpus, names, graph=graph)
 
 
 # -- diagnostics --------------------------------------------------------------

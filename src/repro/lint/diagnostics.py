@@ -70,7 +70,6 @@ CODE_TABLE: dict[str, tuple[Severity, str]] = {
     "P306": (Severity.WARNING, "kernel instrumented but no Profiler attached"),
     # -- P4xx: telemetry ------------------------------------------------------
     "P401": (Severity.WARNING, "telemetry span opened but never closed"),
-    "P402": (Severity.ERROR, "metric name registered in more than one registry"),
     "P403": (Severity.WARNING, "metric names collide after Prometheus sanitisation"),
     "P404": (Severity.WARNING, "telemetry span records dropped (buffer full)"),
     # -- P5xx: fleet ingestion -----------------------------------------------

@@ -3,18 +3,14 @@
 The live wire form trades the header's authoritative count and CRC32
 for an end-of-stream trailer, which moves the failure modes: a producer
 killed mid-stream leaves no trailer at all (P801), wire corruption
-shows up as a trailer CRC disagreement (P802), and a consumer that
-drained a different number of records than the producer declared caught
-a bug one of the strict readers should have raised (P803).
+shows up as a trailer CRC disagreement (P802), and a stream that
+carries a different number of records than its trailer declares was cut
+short or padded (P803).
 
-Two entry points:
-
-* :func:`lint_live_stream` inspects a finished stream *file* (a FIFO
-  capture teed to disk, an inbox drop) without raising — the lint
-  counterpart of the strict readers in :mod:`repro.profiler.upload`;
-* :func:`lint_live_drain` checks a consumer's post-drain accounting
-  (records folded vs the trailer's declared count) — what ``repro live
-  analyze`` would have raised on, as a diagnostic.
+:func:`lint_live_stream` inspects a finished stream *file* (a FIFO
+capture teed to disk, an inbox drop) without raising — the lint
+counterpart of the strict readers in :mod:`repro.profiler.upload`, which
+raise on the same faults while a consumer drains the stream.
 
 Ordinary backpatched-header captures are out of scope by design: the
 stream pass (P2xx) owns them, and this pass reports nothing on them.
@@ -99,27 +95,5 @@ def lint_live_stream(
             f"trailer CRC32 0x{declared_crc:08x} but the records hash to "
             f"0x{actual_crc:08x}: the wire corrupted in flight",
             source=path,
-        )
-    return report
-
-
-def lint_live_drain(
-    drained_records: int,
-    declared_count: int,
-    source: str = "<live-stream>",
-    report: Optional[LintReport] = None,
-) -> LintReport:
-    """Check a consumer's drain accounting against the trailer's count.
-
-    A mismatch means records were folded twice, dropped, or the trailer
-    lied — any of which invalidates the drained summary.
-    """
-    report = report if report is not None else LintReport()
-    if drained_records != declared_count:
-        report.add(
-            "P803",
-            f"consumer drained {drained_records} record(s) but the trailer "
-            f"declared {declared_count}",
-            source=source,
         )
     return report

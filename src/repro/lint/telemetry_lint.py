@@ -1,13 +1,13 @@
-"""The telemetry-misuse pass: P401–P404.
+"""The telemetry-misuse pass: P401, P403 and P404.
 
 The telemetry layer is itself instrumentation, so it gets the same
 static discipline as the kernel's triggers: a span opened but never
 closed is the dynamic twin of an ``enter()`` with no ``leave()``
-(P401); one metric name registered in two registries makes exporter
-output ambiguous (P402); two distinct dotted names that sanitise to the
-same Prometheus name silently merge on the scrape side (P403); and a
-full span buffer means the trace the user exports is missing data
-(P404).
+(P401); two distinct dotted names that sanitise to the same Prometheus
+name silently merge on the scrape side (P403); and a full span buffer
+means the trace the user exports is missing data (P404).  (P402, one
+name in two registries, is retired: a :class:`Telemetry` has one
+registry.)
 
 The pass inspects live state — the module singleton after a run, or any
 :class:`~repro.telemetry.core.Telemetry` a test constructs — so it can
@@ -56,24 +56,9 @@ def lint_telemetry(
             source=source,
         )
 
-    # P402: one metric name registered in more than one registry.
-    owners: defaultdict[str, list[str]] = defaultdict(list)
-    for registry in telemetry.registries():
-        for name in registry.names():
-            owners[name].append(registry.name)
-    for name, registries in sorted(owners.items()):
-        if len(registries) > 1:
-            report.add(
-                "P402",
-                f"metric {name!r} is registered in registries "
-                f"{', '.join(sorted(registries))}: exporter output is "
-                "ambiguous between them",
-                source=source,
-            )
-
     # P403: distinct dotted names that sanitise to one Prometheus name.
     sanitised: defaultdict[str, set[str]] = defaultdict(set)
-    for name in owners:
+    for name in telemetry.registry.names():
         sanitised[prometheus_name(name)].add(name)
     for prom, originals in sorted(sanitised.items()):
         if len(originals) > 1:

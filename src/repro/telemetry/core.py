@@ -21,8 +21,7 @@ feed spans and counters from more than one thread.
 
 from __future__ import annotations
 
-import threading
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Sequence, Union
 
 from repro.telemetry.metrics import (
     DEFAULT_BUCKETS,
@@ -50,8 +49,6 @@ class Telemetry:
         self.enabled: bool = False
         self.registry = MetricRegistry(name)
         self.tracer = SpanTracer()
-        self._lock = threading.Lock()
-        self._extra_registries: List[MetricRegistry] = []
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -64,26 +61,10 @@ class Telemetry:
         return self
 
     def reset(self) -> "Telemetry":
-        """Drop all recorded state (instruments, spans, attached registries)."""
+        """Drop all recorded state (instruments and spans)."""
         self.registry.clear()
         self.tracer.clear()
-        with self._lock:
-            self._extra_registries.clear()
         return self
-
-    def attach_registry(self, registry: MetricRegistry) -> MetricRegistry:
-        """Attach a secondary registry (a subsystem with its own namespace).
-
-        The exporters and proflint's P402/P403 checks walk every attached
-        registry alongside the default one.
-        """
-        with self._lock:
-            self._extra_registries.append(registry)
-        return registry
-
-    def registries(self) -> List[MetricRegistry]:
-        with self._lock:
-            return [self.registry, *self._extra_registries]
 
     # -- instruments ----------------------------------------------------------
     #
@@ -151,33 +132,11 @@ class Telemetry:
             return NOOP_SPAN
         return self.tracer.span(name, **attrs)
 
-    def traced(self, name: Optional[str] = None, **attrs: Any):
-        """Decorator: span the whole function body (no-op when disabled)."""
-
-        def decorate(fn):
-            span_name = name if name is not None else fn.__qualname__
-
-            import functools
-
-            @functools.wraps(fn)
-            def wrapper(*args: Any, **kwargs: Any):
-                if not self.enabled:
-                    return fn(*args, **kwargs)
-                with self.tracer.span(span_name, **attrs):
-                    return fn(*args, **kwargs)
-
-            return wrapper
-
-        return decorate
-
     # -- snapshots -------------------------------------------------------------
 
     def samples(self) -> List[MetricSample]:
-        """Every metric sample across every attached registry."""
-        out: List[MetricSample] = []
-        for registry in self.registries():
-            out.extend(registry.samples())
-        return out
+        """Every metric sample in the registry."""
+        return self.registry.samples()
 
     def spans(self) -> Sequence[SpanRecord]:
         return self.tracer.records()

@@ -272,8 +272,7 @@ class MetricRegistry:
 
     Creation is idempotent per (name, kind): asking for an existing
     counter returns it; asking for an existing name as a *different* kind
-    is a programming error and raises :class:`MetricError` — the same
-    fault proflint's P402 reports statically when it spans registries.
+    is a programming error and raises :class:`MetricError`.
     """
 
     def __init__(self, name: str = "default") -> None:

@@ -17,12 +17,9 @@ span object back and the tracer is never consulted.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import threading
 import time
-from typing import Any, Callable, Dict, Iterator, Optional, Tuple, TypeVar
-
-F = TypeVar("F", bound=Callable[..., Any])
+from typing import Any, Dict, Iterator, Tuple
 
 #: Keep at most this many finished spans by default; older runs stay
 #: bounded even if a caller forgets to export and reset.
@@ -177,21 +174,6 @@ class SpanTracer:
                 self.dropped += 1
             else:
                 self._spans.append(record)
-
-    def traced(self, name: Optional[str] = None, **attrs: Any) -> Callable[[F], F]:
-        """Decorator form: the whole function body is one span."""
-
-        def decorate(fn: F) -> F:
-            span_name = name if name is not None else fn.__qualname__
-
-            @functools.wraps(fn)
-            def wrapper(*args: Any, **kwargs: Any) -> Any:
-                with self.span(span_name, **attrs):
-                    return fn(*args, **kwargs)
-
-            return wrapper  # type: ignore[return-value]
-
-        return decorate
 
     # -- inspection -----------------------------------------------------------
 

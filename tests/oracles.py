@@ -1,23 +1,27 @@
 """Reference implementations the differential suites hold the program to.
 
 The program decodes records one way: in columns
-(:func:`repro.profiler.upload.decode_record_columns`,
-:func:`repro.analysis.columnar.decode_columns`).  The walkers here do the
-same jobs one record at a time — a :meth:`RawRecord.unpack`, a name-table
-lookup and a wrap subtraction per record — simple enough to read as the
-specification.  ``tests/test_decode_differential.py`` and
-``tests/test_salvage_fuzz.py`` require the columnar code to agree with
-them exactly; nothing in ``src/`` imports this module.
+(:func:`repro.profiler.upload.decode_record_columns`, and for the call
+tree :func:`repro.analysis.events.decode_capture`, the counter unwrap
+beside the raw tags).  The walkers here do the same jobs one record at
+a time — a :meth:`RawRecord.unpack`, a name-table lookup and a wrap
+subtraction per record, into a :class:`DecodedEvent` object each —
+simple enough to read as the specification.
+``tests/test_decode_differential.py`` and ``tests/test_salvage_fuzz.py``
+require the columnar code to agree with them exactly; nothing in
+``src/`` imports this module.
 
 The program reconstructs calls one way too: the summary fold's state
 machine (:class:`repro.analysis.summary.SummaryAccumulator`), which the
 call tree and the Chrome trace record.  :func:`reference_call_tree` is a
 standalone tree builder — one event object at a time, with its own
 switch-in resolver — kept as the specification the tree, summary and
-trace suites compare the fold against.  :func:`reference_gprof_report`
-is the gprof report as a walk of such a tree, the specification the
-gprof report of the fold's caller->callee arcs
-(:func:`repro.analysis.gprof.gprof_from_fold`) is held to, and
+trace suites compare the fold against.  :func:`reference_summary` is
+the function summary as a walk of such a tree, the specification the
+fold's per-arc sums are held to; :func:`reference_gprof_report` is the
+gprof report as one, the specification the gprof report of the fold's
+caller->callee arcs (:func:`repro.analysis.gprof.gprof_from_fold`) is
+held to, and
 :func:`capture_to_chrome_trace` is the Chrome trace as a walk of one,
 the specification the program's
 :class:`repro.analysis.chrome_trace.ChromeTraceWriter` is held to.
@@ -36,6 +40,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import enum
 import heapq
 import itertools
 import zlib
@@ -56,11 +61,11 @@ from unittest import mock
 from repro import system
 from repro.analysis.callstack import Anomaly, CallNode, CallTreeAnalysis
 from repro.analysis.columnar import INTERRUPT_FRAMES
-from repro.analysis.events import DecodedEvent, EventKind, _check_width
+from repro.analysis.events import _check_width
 from repro.analysis.gprof import ArcStats, GprofEntry, GprofReport
-from repro.analysis.summary import SPONTANEOUS
+from repro.analysis.summary import SPONTANEOUS, FunctionStats, ProfileSummary
 from repro.instrument.namefile import NameTable
-from repro.instrument.tags import TagKind
+from repro.instrument.tags import TagEntry, TagKind
 from repro.kernel.kernel import Kernel
 from repro.profiler import upload
 from repro.profiler.ram import RawRecord
@@ -74,13 +79,6 @@ from repro.profiler.upload import (
 from repro.sim.engine import InterruptLine, PendingInterrupt, TimeError
 from repro.sim.machine import Machine
 from stream_helpers import columns_of
-
-_KIND_FROM_TAG = {
-    TagKind.ENTRY: EventKind.ENTRY,
-    TagKind.EXIT: EventKind.EXIT,
-    TagKind.INLINE: EventKind.INLINE,
-}
-
 
 # -- records -----------------------------------------------------------------
 
@@ -156,26 +154,53 @@ def per_record_payload_decoder():
 # -- decoded events ----------------------------------------------------------
 
 
+class EventKind(enum.Enum):
+    """Decoded meaning of one captured record."""
+
+    ENTRY = "entry"
+    EXIT = "exit"
+    INLINE = "inline"
+    UNKNOWN = "unknown"
+
+
+@dataclasses.dataclass(frozen=True)
+class DecodedEvent:
+    """One record with its reconstructed time and decoded identity."""
+
+    index: int
+    time_us: int
+    kind: EventKind
+    name: str
+    #: The owning name-table entry; ``None`` for unknown tags.
+    entry: Optional[TagEntry]
+    raw: RawRecord
+
+    @property
+    def is_context_switch(self) -> bool:
+        """True when this event belongs to a ``!``-tagged function."""
+        return self.entry is not None and self.entry.context_switch
+
+
+_KIND_FROM_TAG = {
+    TagKind.ENTRY: EventKind.ENTRY,
+    TagKind.EXIT: EventKind.EXIT,
+    TagKind.INLINE: EventKind.INLINE,
+}
+
+
 def decoded_events(
-    records: Iterable[RawRecord],
-    names: NameTable,
-    width_bits: int = 24,
-    *,
-    start_index: int = 0,
-    time_base_us: int = 0,
+    records: Iterable[RawRecord], names: NameTable, width_bits: int = 24
 ) -> Iterator[DecodedEvent]:
     """Decode records one at a time: name-table lookup, wrap subtraction.
 
-    ``start_index`` and ``time_base_us`` place the first record in a
-    longer run's frame of reference.  An over-width snapshot raises after
-    the events before it have been yielded.
+    The first record is t=0.  An over-width snapshot raises after the
+    events before it have been yielded.
     """
     _check_width(width_bits)
     mask = (1 << width_bits) - 1
-    absolute = time_base_us
+    absolute = 0
     previous: Optional[int] = None
-    index = start_index
-    for record in records:
+    for index, record in enumerate(records):
         if record.time > mask:
             raise ValueError(
                 f"record time {record.time} exceeds the {width_bits}-bit counter"
@@ -203,7 +228,6 @@ def decoded_events(
                 entry=entry,
                 raw=record,
             )
-        index += 1
 
 
 # -- call trees --------------------------------------------------------------
@@ -472,6 +496,46 @@ def reference_call_tree(events: Sequence[DecodedEvent]) -> CallTreeAnalysis:
         context_switches=context_switches,
         procs=tuple(stack.proc for stack in all_stacks),
         orphan_marks=orphan_marks,
+    )
+
+
+# -- summary -----------------------------------------------------------------
+
+
+def reference_summary(analysis: CallTreeAnalysis) -> ProfileSummary:
+    """The function summary as a walk of a call forest.
+
+    ``swtch`` (and any other ``!`` function) is left out: its self time
+    is the idle loop, already reported in the header.  A frame invented
+    to absorb an unmatched exit has no reliable timing: it counts a call
+    but no time.
+    """
+    rows: dict[str, list] = {}
+    for node in analysis.nodes():
+        if node.is_swtch:
+            continue
+        row = rows.setdefault(node.name, [0, 0, 0, []])
+        row[0] += 1
+        if not node.synthetic:
+            row[1] += node.inclusive_us
+            row[2] += node.self_us
+            row[3].append(node.inclusive_us)
+    return ProfileSummary(
+        wall_us=analysis.wall_us,
+        busy_us=analysis.busy_us,
+        idle_us=analysis.idle_us,
+        event_count=analysis.event_count,
+        functions={
+            name: FunctionStats(
+                name=name,
+                calls=calls,
+                elapsed_us=elapsed,
+                net_us=net,
+                max_us=max(timed, default=0),
+                min_us=min(timed, default=0),
+            )
+            for name, (calls, elapsed, net, timed) in rows.items()
+        },
     )
 
 

@@ -2,23 +2,25 @@
 
 from __future__ import annotations
 
+import pathlib
 import random
+import sys
 
 import oracles
 import pytest
-from stream_helpers import columns_of, stream
+from stream_helpers import capture_from_records, columns_of, stream
 
-from repro.analysis import columnar
+from repro.analysis import callstack, columnar
 from repro.analysis.callstack import _TreeRecorder, analyze_capture
+from repro.analysis.events import decode_capture
 from repro.analysis.gprof import gprof_from_fold
-from repro.analysis.summary import (
-    SPONTANEOUS,
-    FoldRecorder,
-    SummaryAccumulator,
-    summarize,
-)
+from repro.analysis.summary import SPONTANEOUS, FoldRecorder, SummaryAccumulator
+from repro.instrument.namefile import NameTable
+from repro.profiler.capture import Capture
 from repro.profiler.ram import RawRecord
 from repro.telemetry import TELEMETRY
+
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 
 class TestSimpleNesting:
@@ -248,7 +250,7 @@ class TestSwitchExitPaths:
             assert not tsleep.truncated and tsleep.exit_us == 90
             assert tsleep.self_us == (20 - 10) + (90 - 80)
 
-            assert summary.format() == summarize(reference).format()
+            assert summary.format() == oracles.reference_summary(reference).format()
             assert analysis.anomalies == reference.anomalies
             assert analysis.procs == reference.procs
             assert [_node_shape(root) for root in analysis.roots] == [
@@ -550,7 +552,7 @@ class TestLeafPairs:
             list(oracles.decoded_events(records, simple_names))
         )
         want = (
-            summarize(reference).format(), _reference_arcs(reference),
+            oracles.reference_summary(reference).format(), _reference_arcs(reference),
             reference.anomalies, reference.procs, reference.unattributed_us,
             reference.context_switches,
         )
@@ -688,7 +690,7 @@ class TestLeafRuns:
         whole, runs = self._fold(simple_names, records, [])
         assert runs == self.RUNS[case]
         summary, arcs, gprof, *rest = whole
-        assert summary == summarize(reference).format()
+        assert summary == oracles.reference_summary(reference).format()
         assert [arc[1:] for arc in arcs] == _reference_arcs(reference)
         assert gprof == oracles.reference_gprof_report(reference).format()
         assert rest == [
@@ -746,7 +748,7 @@ class TestLeafRuns:
         """Decoded batches run the same loop with an all-ones mask: the
         same runs, the same sums."""
         records = _steps(simple_names, *self.CASES[case])
-        events = columnar.decode_columns(columns_of(records), simple_names)
+        events = decode_capture(capture_from_records(records, simple_names))
         fold = SummaryAccumulator(simple_names).feed_events(events)
         framed = SummaryAccumulator(simple_names)
         framed.recorder = FoldRecorder()
@@ -758,3 +760,55 @@ class TestLeafRuns:
             assert sorted(fold.arcs()) == sorted(other.arcs())
             assert fold.anomalies == other.anomalies
             assert fold.unattributed_us == other.unattributed_us
+
+
+def _rebind_everywhere(monkeypatch, original, replacement) -> None:
+    """Rebind *original* in every ``repro`` module that holds it by name,
+    as perfbench's layer tracer (``perfbench/layers.py``) does."""
+    for module in list(sys.modules.values()):
+        namespace = getattr(module, "__dict__", None)
+        if not getattr(module, "__name__", "").startswith("repro") or not namespace:
+            continue
+        for attr, value in list(namespace.items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, replacement)
+
+
+class TestOneDecode:
+    """The call tree decodes once: the counter unwrap ahead of the fold,
+    and one tag lookup per record inside it."""
+
+    @pytest.fixture
+    def golden(self):
+        names = NameTable.read(GOLDEN_DIR / "case_study.tags")
+        return Capture.load(GOLDEN_DIR / "figure5_forkexec_v2.mpf", names)
+
+    def test_one_decode_map_per_tree(self, monkeypatch, golden):
+        """The fold's tag table is the only one built."""
+        built = []
+        original = columnar.build_decode_map
+
+        def counting(names):
+            built.append(names)
+            return original(names)
+
+        _rebind_everywhere(monkeypatch, original, counting)
+        analyze_capture(golden)
+        assert len(built) == 1
+
+    def test_each_layer_called_once_by_name(self, monkeypatch, golden):
+        """perfbench times ``decode_capture``, ``unwrap_times`` and
+        ``build_call_tree`` by rebinding their module-level names, so a
+        tree must reach each through one, once."""
+        calls: dict[str, int] = {}
+        for original in (decode_capture, columnar.unwrap_times, callstack.build_call_tree):
+
+            def counting(*args, _original=original, **kwargs):
+                name = _original.__name__
+                calls[name] = calls.get(name, 0) + 1
+                return _original(*args, **kwargs)
+
+            _rebind_everywhere(monkeypatch, original, counting)
+        analysis = analyze_capture(golden)
+        assert calls == {"decode_capture": 1, "unwrap_times": 1, "build_call_tree": 1}
+        assert analysis.event_count == len(golden.records)

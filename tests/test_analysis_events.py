@@ -7,8 +7,15 @@ import dataclasses
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.analysis.columnar import unwrap_times
-from repro.analysis.events import EventKind, decode_capture
+from repro.analysis.columnar import (
+    CODE_ENTRY,
+    CODE_EXIT,
+    CODE_INLINE,
+    CODE_UNKNOWN,
+    build_decode_map,
+    unwrap_times,
+)
+from repro.analysis.events import decode_capture
 from repro.analysis.summary import SummaryAccumulator
 from repro.profiler.capture import Capture
 from repro.profiler.ram import RawRecord
@@ -55,6 +62,9 @@ class TestReconstructTimes:
 
 
 class TestDecode:
+    """:func:`decode_capture` unwraps the counter beside the raw tags;
+    the fold looks the tags up in :func:`build_decode_map`."""
+
     def test_decode_kinds(self, simple_names):
         capture = stream(
             simple_names,
@@ -62,32 +72,35 @@ class TestDecode:
             ("=", "MGET", 5),
             ("<", "main", 10),
         )
-        events = decode_capture(capture).to_events()
-        assert [e.kind for e in events] == [
-            EventKind.ENTRY,
-            EventKind.INLINE,
-            EventKind.EXIT,
-        ]
-        assert [e.name for e in events] == ["main", "MGET", "main"]
-        assert [e.time_us for e in events] == [0, 5, 10]
+        events = decode_capture(capture)
+        decode_map = build_decode_map(simple_names)
+        info = [decode_map[tag] for tag in events.tags]
+        assert [code for code, *_ in info] == [CODE_ENTRY, CODE_INLINE, CODE_EXIT]
+        assert [name for _, name, *_ in info] == ["main", "MGET", "main"]
+        assert events.times == [0, 5, 10]
 
     def test_unknown_tag(self, simple_names):
         records = [RawRecord(tag=40_000, time=0)]
-        events = decode_capture(capture_from_records(records, simple_names)).to_events()
-        assert events[0].kind is EventKind.UNKNOWN
-        assert events[0].name == "tag#40000"
-        assert events[0].entry is None
+        (tag,) = decode_capture(capture_from_records(records, simple_names)).tags
+        assert build_decode_map(simple_names)[tag] == (
+            CODE_UNKNOWN, "tag#40000", None, False
+        )
 
     def test_context_switch_flag(self, simple_names):
         capture = stream(simple_names, (">", "swtch", 0), ("<", "swtch", 9))
-        events = decode_capture(capture).to_events()
-        assert all(e.is_context_switch for e in events)
+        decode_map = build_decode_map(simple_names)
+        assert all(decode_map[tag][3] for tag in decode_capture(capture).tags)
 
     def test_indices_sequential(self, simple_names):
+        """Event *i* is record *i*: one time and one tag per record, in
+        stream order."""
         capture = stream(
             simple_names, (">", "main", 0), (">", "read", 1), ("<", "read", 2)
         )
-        assert [e.index for e in decode_capture(capture).to_events()] == [0, 1, 2]
+        events = decode_capture(capture)
+        assert len(events) == len(events.times) == len(events.tags) == 3
+        assert list(events.tags) == list(capture.records.tags)
+        assert events.times == [0, 1, 2]
 
 
 class TestCounterWidthEdges:
@@ -133,11 +146,6 @@ class TestCounterWidthEdges:
         with pytest.raises(ValueError, match="exceeds the 16-bit counter"):
             unwrap_times([0, 1 << 16], 16)
 
-    def test_unwrap_carries_previous_and_base(self):
-        first = unwrap_times([10, 20], 24)
-        carried = unwrap_times([30], 24, previous=20, base=first[-1])
-        assert first + carried == unwrap_times([10, 20, 30], 24)
-
     def test_overflow_flag_header_roundtrip(self, simple_names, tmp_path):
         """An MPF2 header carrying overflow + narrow width drives decode
         exactly as the per-record reference decodes the same records."""
@@ -156,5 +164,6 @@ class TestCounterWidthEdges:
         assert loaded.overflowed is True
         assert loaded.counter_width_bits == 16
         reference = list(oracles.decoded_events(loaded.records.to_records(), simple_names, 16))
-        assert decode_capture(loaded).to_events() == reference
-        assert [e.time_us for e in reference] == [0, 59_996]
+        events = decode_capture(loaded)
+        assert events.times == [e.time_us for e in reference] == [0, 59_996]
+        assert list(events.tags) == [e.raw.tag for e in reference]

@@ -222,20 +222,23 @@ class TestCliWriteSites:
         )
 
     def test_fleet_manifest_in_a_missing_directory(self, tmp_path, capsys):
+        """Refused before the corpus is ingested: no fleet summary."""
         corpus = tmp_path / "corpus"
         corpus.mkdir()
         (corpus / "net.mpf").write_bytes(
             (GOLDEN_DIR / "figure3_network_v2.mpf").read_bytes()
         )
         manifest = tmp_path / "missing" / "m.json"
+        printed: list[str] = []
         code = main(
             [
                 "fleet", "ingest", str(corpus),
                 "--names", str(GOLDEN_DIR / "case_study.tags"),
                 "--manifest", str(manifest),
             ],
-            out=lambda _line: None,
+            out=printed.append,
         )
         assert code == 2
+        assert printed == []
         _one_error_line(capsys, manifest)
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["corpus", "net.mpf"]

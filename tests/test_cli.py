@@ -253,15 +253,15 @@ class TestSinglePassFold:
         from repro.analysis import columnar
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("the fold decoded a batch to columns")
+            raise AssertionError("the fold unwrapped a batch to columns")
 
         # Rebind every name the function is reachable by, as a tracer would.
-        original = columnar.decode_columns
+        original = columnar.unwrap_times
         for module in list(sys.modules.values()):
             if getattr(module, "__name__", "").startswith("repro") and (
-                getattr(module, "decode_columns", None) is original
+                getattr(module, "unwrap_times", None) is original
             ):
-                monkeypatch.setattr(module, "decode_columns", forbidden)
+                monkeypatch.setattr(module, "unwrap_times", forbidden)
         lines = run_cli(
             "analyze", str(GOLDEN_DIR / "figure5_forkexec_v2.mpf"),
             "--names", str(GOLDEN_DIR / "case_study.tags"),

@@ -4,8 +4,10 @@ Every property here generates a record stream (wrap-heavy timers,
 interrupt bursts, unknown tags, zero-length and trace-RAM-filling
 captures, MPF1 and MPF2 files) and asserts the program's columnar code
 agrees *exactly* with an independent reference: the one-record-at-a-time
-walkers of ``oracles.py`` for records and decoded events (field-identical
-``DecodedEvent`` sequences, identical error messages), and the reference
+walkers of ``oracles.py`` for records and decoded events (the call
+tree's unwrapped times and tags, and the decode map's identity of every
+tag, field-identical to ``DecodedEvent`` sequences; identical error
+messages), and the reference
 call tree built from those events for the fold (identical summary bytes,
 and therefore identical summary hashes, node-for-node identical forests,
 entry-for-entry, arc-for-arc identical gprof reports, Chrome traces
@@ -33,14 +35,11 @@ import oracles
 from repro.analysis import columnar
 from repro.analysis.callstack import _TreeRecorder, analyze_capture, build_call_tree
 from repro.analysis.chrome_trace import ChromeTraceWriter
+from repro.analysis.events import decode_capture
 from repro.analysis.gprof import gprof_from_fold, gprof_report
-from repro.analysis.summary import (
-    FoldRecorder,
-    SummaryAccumulator,
-    summarize,
-    summarize_columns,
-)
+from repro.analysis.summary import FoldRecorder, SummaryAccumulator, summarize_columns
 from repro.lint.stream_lint import lint_records
+from repro.profiler.capture import Capture
 from repro.profiler.ram import DEFAULT_DEPTH, RawRecord
 from repro.profiler.upload import (
     decode_record_columns,
@@ -64,8 +63,10 @@ DIFF_SETTINGS = settings(
 )
 
 def _decode(records, names, width_bits: int = 24) -> columnar.ColumnarEvents:
-    """Decode hand-made *records* as :func:`decode_capture` decodes a capture."""
-    return columnar.decode_columns(columns_of(records), names, width_bits)
+    """Decode hand-made *records* as the call tree decodes a capture."""
+    return decode_capture(
+        capture_from_records(records, names, counter_width_bits=width_bits)
+    )
 
 
 NAMES = make_names(
@@ -279,15 +280,29 @@ def loop_streams(draw, max_loops: int = 8) -> list[RawRecord]:
     return records
 
 
-def _event_fields(event):
-    return (
-        event.index,
-        event.time_us,
-        event.kind,
-        event.name,
-        event.entry,
-        event.raw,
-    )
+_KIND_OF_CODE = {
+    columnar.CODE_ENTRY: oracles.EventKind.ENTRY,
+    columnar.CODE_EXIT: oracles.EventKind.EXIT,
+    columnar.CODE_INLINE: oracles.EventKind.INLINE,
+    columnar.CODE_UNKNOWN: oracles.EventKind.UNKNOWN,
+}
+
+
+def _assert_decode_parity(events, reference):
+    """The unwrapped columns carry the reference events' times and raw
+    tags, and the decode map gives each tag the reference's kind, name,
+    owning entry and context-switch flag."""
+    assert events.times == [e.time_us for e in reference]
+    assert list(events.tags) == [e.raw.tag for e in reference]
+    decode_map = columnar.build_decode_map(NAMES)
+    for event in reference:
+        code, name, entry, switch = decode_map[event.raw.tag]
+        assert (_KIND_OF_CODE[code], name, entry, switch) == (
+            event.kind,
+            event.name,
+            event.entry,
+            event.is_context_switch,
+        )
 
 
 def _summary_hash(summary) -> str:
@@ -300,7 +315,9 @@ def _reference_events(records, width_bits=24):
 
 def _reference_summary(records):
     """The reference call tree's summary of the per-record reference decode."""
-    return summarize(oracles.reference_call_tree(_reference_events(records)))
+    return oracles.reference_summary(
+        oracles.reference_call_tree(_reference_events(records))
+    )
 
 
 def _node_fields(node):
@@ -401,70 +418,40 @@ class TestRecordParity:
 
 class TestEventParity:
     @DIFF_SETTINGS
-    @given(
-        records=record_streams(),
-        start_index=st.integers(min_value=0, max_value=100_000),
-        time_base_us=st.integers(min_value=0, max_value=1 << 40),
-    )
-    def test_decoded_events_field_identical(self, records, start_index, time_base_us):
-        reference = list(
-            oracles.decoded_events(
-                records, NAMES, start_index=start_index, time_base_us=time_base_us
-            )
-        )
-        columnar_events = columnar.decode_columns(
-            columns_of(records),
-            NAMES,
-            start_index=start_index,
-            time_base_us=time_base_us,
-        ).to_events()
-        assert len(columnar_events) == len(reference)
-        for got, want in zip(columnar_events, reference):
-            assert _event_fields(got) == _event_fields(want)
+    @given(records=record_streams())
+    def test_decoded_events_field_identical(self, records):
+        _assert_decode_parity(_decode(records, NAMES), _reference_events(records))
 
     @DIFF_SETTINGS
     @given(records=record_streams(max_records=80), width_bits=st.sampled_from([8, 16, 24]))
     def test_narrow_counter_widths_agree(self, records, width_bits):
         mask = (1 << width_bits) - 1
         narrowed = [RawRecord(tag=r.tag, time=r.time & mask) for r in records]
-        assert _decode(
-            narrowed, NAMES, width_bits=width_bits
-        ).to_events() == _reference_events(narrowed, width_bits)
+        _assert_decode_parity(
+            _decode(narrowed, NAMES, width_bits=width_bits),
+            _reference_events(narrowed, width_bits),
+        )
 
     def test_zero_length_capture(self):
-        assert _decode([], NAMES).to_events() == []
+        assert len(_decode([], NAMES)) == 0
         assert _reference_events([]) == []
         assert decode_record_columns(b"").to_records() == []
 
-    def test_chunk_boundary_wrap_carry(self):
-        """Wraps that straddle 8192-record column batch boundaries: batches
-        decoded with the carried snapshot and time equal one reference pass."""
+    def test_chunk_boundary_wrap_carry(self, tmp_path):
+        """Wraps that straddle the reader's 8192-record batch boundaries:
+        a capture loaded from its file unwraps as one reference pass."""
         records = []
         t = 0
         for i in range(3 * 8192 + 17):
             # Big steps so the counter wraps inside *and* across batches.
             t = (t + 0x31_0000 + i) & TIME_MASK
             records.append(RawRecord(tag=KNOWN_TAGS[i % len(KNOWN_TAGS)], time=t))
-        reference = _reference_events(records)
-        assert _decode(records, NAMES).to_events() == reference
-        decode_map = columnar.build_decode_map(NAMES)
-        via_columns, previous, base = [], None, 0
-        for start in range(0, len(records), 8192):
-            chunk = records[start : start + 8192]
-            batch = columnar.decode_columns(
-                columns_of(chunk),
-                NAMES,
-                start_index=start,
-                time_base_us=base,
-                previous=previous,
-                decode_map=decode_map,
-            )
-            via_columns += batch.to_events()
-            base, previous = batch.times[-1], chunk[-1].time
-        assert via_columns == reference
+        path = tmp_path / "wraps.mpf"
+        capture_from_records(records, NAMES).save(path)
+        events = decode_capture(Capture.load(path, NAMES))
+        _assert_decode_parity(events, _reference_events(records))
         # Absolute time must climb monotonically across batch seams.
-        times = [e.time_us for e in via_columns]
-        assert times == sorted(times)
+        assert events.times == sorted(events.times)
 
     def test_max_count_capture(self):
         """A capture that exactly fills the trace RAM (the overflow case)."""
@@ -472,7 +459,7 @@ class TestEventParity:
             RawRecord(tag=KNOWN_TAGS[i % len(KNOWN_TAGS)], time=(i * 37) & TIME_MASK)
             for i in range(DEFAULT_DEPTH)
         ]
-        assert _decode(records, NAMES).to_events() == _reference_events(records)
+        _assert_decode_parity(_decode(records, NAMES), _reference_events(records))
 
     @DIFF_SETTINGS
     @given(records=record_streams(max_records=60))
@@ -497,7 +484,7 @@ class TestSummaryParity:
         tree: summary bytes, and once sealed its repairs, the processes
         it told apart and the time no frame absorbed."""
         reference = oracles.reference_call_tree(_reference_events(records))
-        want = summarize(reference).format()
+        want = oracles.reference_summary(reference).format()
         for chunk in (len(records) or 1, chunk_records):
             fold = SummaryAccumulator(NAMES)
             for start in range(0, len(records), chunk):
@@ -679,14 +666,13 @@ class TestPairEntryExits:
     def test_spans_are_consistent_with_events(self, records):
         """Every real call opens at an entry of its name and, unless
         truncated, closes at an exit of its name."""
-        events = _decode(records, NAMES)
-        points = set(zip(events.codes, events.names, events.times))
-        for node in build_call_tree(events, NAMES).nodes():
+        points = {(e.kind, e.name, e.time_us) for e in _reference_events(records)}
+        for node in build_call_tree(_decode(records, NAMES), NAMES).nodes():
             if node.synthetic:
                 continue
-            assert (columnar.CODE_ENTRY, node.name, node.enter_us) in points
+            assert (oracles.EventKind.ENTRY, node.name, node.enter_us) in points
             if not node.truncated:
-                assert (columnar.CODE_EXIT, node.name, node.exit_us) in points
+                assert (oracles.EventKind.EXIT, node.name, node.exit_us) in points
             assert node.exit_us >= node.enter_us
 
 

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.reports import analyze_and_summarize, full_report
+from repro.analysis.callstack import analyze_capture
+from repro.analysis.reports import full_report
+from repro.analysis.summary import summarize
 from repro.instrument.namefile import NameFileError, parse_line, parse_name_file
 from repro.profiler.capture import CaptureSession
 from repro.profiler.hardware import ProfilerBoard
@@ -39,8 +41,8 @@ class TestCaptureSession:
             [RawRecord(tag=500, time=0), RawRecord(tag=501, time=9)],
             simple_names,
         )
-        analysis, summary = analyze_and_summarize(capture)
-        assert summary.get("main").calls == 1
+        analysis = analyze_capture(capture)
+        assert summarize(analysis).get("main").calls == 1
         assert analysis.wall_us == 9
 
 

@@ -117,7 +117,7 @@ def batch_summary(records):
     analysis = oracles.reference_call_tree(
         list(oracles.decoded_events(records, NAMES))
     )
-    return summarize(analysis), analysis.anomalies
+    return oracles.reference_summary(analysis), analysis.anomalies
 
 
 def fold(records, batches):
