@@ -18,8 +18,9 @@ Headed by the overall accounting::
 Every summary the program prints comes from one engine, the
 :class:`SummaryAccumulator` fold over columnar record batches.  It is a
 single pass: each raw ``(time, tag)`` pair is unwrapped, decoded and
-stepped once, and a context switch is resolved by looking ahead in the
-batch rather than by buffering and replaying the scheduling block.  The
+stepped once, and a context switch is resolved as the incoming block is
+stepped (when no suspended process is inside a call) or by looking
+ahead in the batch, never by buffering and replaying the block.  The
 fold is also the program's one call reconstruction: entry/exit matching,
 switch-in resolution and anomaly repair happen only there.  It adds up
 every call into its caller->callee *arc*; the per-function summary is
@@ -40,7 +41,14 @@ import time
 from collections import Counter
 from itertools import chain, count, islice
 from operator import sub
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Iterable,
+    Iterator,
+    MutableSequence,
+    Optional,
+    Sequence,
+)
 
 from repro.analysis.columnar import (
     CODE_ENTRY as _ENTRY,
@@ -366,18 +374,9 @@ class FoldRecorder:
         """An inline or unknown-tag point fired on *stack*."""
 
 
-def _leaf_run(
-    tags: Sequence[int], raw_times: Sequence[int], start: int, mask: int
-) -> Optional[tuple[int, int, list]]:
-    """The run of leaf pairs repeating the one that ends before *start*.
-
-    ``tags[start - 2:start]`` is a leaf pair, an entry and its own exit;
-    the run is every whole pair after it in the batch with the same two
-    tags.  Returns ``(stop, gaps, calls)``: the batch position after the
-    run's last exit, the time between the calls (the caller's own), and
-    the calls as an aggregate (a leaf's net time is its inclusive time);
-    or ``None`` when no whole pair repeats it.
-    """
+def _run_end(tags: Sequence[int], start: int) -> int:
+    """The batch position after the last whole pair of *tags* repeating
+    the pair ``tags[start - 2:start]`` (*start* itself when none does)."""
     n = len(tags)
     stop, size = start, 2
     # A record continues the run when it equals the one two places back:
@@ -396,6 +395,22 @@ def _leaf_run(
             and tags[stop : stop + size] == tags[stop - 2 : stop + size - 2]
         ):
             stop += size
+    return stop
+
+
+def _leaf_run(
+    tags: Sequence[int], raw_times: Sequence[int], start: int, mask: int
+) -> Optional[tuple[int, int, list]]:
+    """The run of leaf pairs repeating the one that ends before *start*.
+
+    ``tags[start - 2:start]`` is a leaf pair, an entry and its own exit;
+    the run is every whole pair after it in the batch with the same two
+    tags (:func:`_run_end`).  Returns ``(stop, gaps, calls)``: the batch
+    position after the run's last exit, the time between the calls (the
+    caller's own), and the calls as an aggregate (a leaf's net time is
+    its inclusive time); or ``None`` when no whole pair repeats it.
+    """
+    stop = _run_end(tags, start)
     if stop == start:
         return None
     entries = raw_times[start:stop:2]
@@ -455,18 +470,27 @@ class SummaryAccumulator:
     a ``swtch`` exit's included.  With no recorder, an entry and its own
     exit in the next record (a *leaf pair*, most calls in a kernel trace)
     are one step and no frame, and the rest of a run of the same leaf
-    pair back to back (a per-page loop) is one step more.  Switch-in
-    resolution (which suspended process resumes after a ``swtch`` exit)
-    needs the incoming block, so at a context-switch exit the fold scans
-    ahead in the batch's tags until the block names its process, then
-    keeps stepping in place.
-    Only when that scan runs off the end of the batch are the rest of the
-    batch's events held; the next batch continues the scan where it
-    stopped, so no event is scanned twice, and :meth:`close` resolves a
-    tail still held as the end of the stream.  A scheduling block is
-    bounded by the capture hardware (at most one RAM of events between
-    switches in practice), so the held tail does not grow with trace
-    length.
+    pair back to back (a per-page loop) is one step more, after which
+    the loop re-seats its event iterator past the run.
+
+    Switch-in resolution (which suspended process resumes after a
+    ``swtch`` exit) needs the incoming block.  With no recorder and no
+    suspended stack inside a call, whichever process resumes is an empty
+    stack, so the least recently suspended one resumes at once and the
+    block settles the choice on paths it takes anyway: its first
+    context-switch entry confirms it, and a repaired exit either refutes
+    it (at depth 0: a process not seen before was running) or, inside
+    the block's own frames, hands it to the look-ahead below.  Every
+    other switch-in (and every one with a recorder, which sees which
+    stack a step happened on) looks ahead in the batch's tags until the
+    block names its process, jumping runs of one leaf pair with the
+    run step's slice compare, then keeps stepping in place.  Only when
+    that look-ahead runs off the end of the batch are the rest of the
+    batch's events held; the next batch continues it where it stopped,
+    so no event is read ahead twice, and :meth:`close` resolves a tail
+    still held as the end of the stream.  A scheduling block is bounded
+    by the capture hardware (at most one RAM of events between switches
+    in practice), so the held tail does not grow with trace length.
 
     Accumulators of independent captures combine with :meth:`merge`.  The
     fold's summaries, trees and anomalies equal those of the standalone
@@ -500,15 +524,29 @@ class SummaryAccumulator:
         self._current = _ProcStack("P0")
         #: Switched-out stacks, least recently suspended first.
         self._suspended: list[_ProcStack] = []
+        #: How many of them hold an open frame.
+        self._suspended_open = 0
         self._procs = 1
+        #: While the current stack's switch-in is unconfirmed (resumed
+        #: with no look-ahead), its ``(root, block_start_us)`` from before
+        #: that; otherwise ``None``.
+        self._unconfirmed: Optional[tuple[int, int]] = None
         #: High-water marks, read out into telemetry at close().
         self._peak_suspended = 0
         self._peak_held = 0
-        #: Events after a context-switch exit whose block had not named
-        #: its process by the end of their batch: ``(raw times, tags,
-        #: index of the first, wrap mask)``, or ``None``.  The switch-in
-        #: scan stopped at depth ``_scan_depth`` past the last of them.
-        self._held: Optional[tuple[list[int], list[int], int, int]] = None
+        #: Switch-ins that needed a look-ahead, and the records those
+        #: look-aheads read one by one.
+        self._look_aheads = 0
+        self._look_ahead_reads = 0
+        #: Events from a context-switch exit's block (or from the repaired
+        #: exit that handed an unconfirmed switch-in to a look-ahead) whose
+        #: process was not named by the end of their batch: ``(raw times,
+        #: tags, index of the first, wrap mask)``, the columns of the
+        #: batch's own type, or ``None``.  The look-ahead stopped at depth
+        #: ``_scan_depth`` past the last of them.
+        self._held: Optional[
+            tuple[MutableSequence[int], MutableSequence[int], int, int]
+        ] = None
         self._scan_depth = 0
 
         # Unwrap carry: the last stepped event's raw snapshot and absolute
@@ -518,8 +556,6 @@ class SummaryAccumulator:
         self._next_index = 0
 
         self._first_t: Optional[int] = None
-        #: Absolute time of the last event fed, held ones included.
-        self._last_t = 0
 
         self._sealed = False
         self._wall_us = 0
@@ -573,12 +609,10 @@ class SummaryAccumulator:
             self._first_t = self._current.block_start_us = self._prev_t
         if self._held is not None:
             held_times, held_tags, index, _ = self._held
-            previous = held_times[-1] if held_times else self._prev_raw
             scanned = len(held_tags)
             held_times.extend(raw_times)
             held_tags.extend(tags)
             if not self._switch_in(held_tags, scanned, self._scan_depth):
-                self._last_t += _elapsed(raw_times, previous, mask)
                 self._peak_held = max(self._peak_held, len(held_tags))
                 return
             self._held = None
@@ -601,12 +635,15 @@ class SummaryAccumulator:
         that value to no other function) steps both records as one call,
         and when the record after that exit enters the same function
         again, the whole pairs of that run left in the batch are added
-        up in one more step (:func:`_leaf_run`).
+        up in one more step (:func:`_leaf_run`), and the loop goes on
+        over fresh slices of the columns past the run.
         A ``swtch`` call closed so or by its exit, or a ``swtch`` exit
-        :meth:`_slow_exit` repairs, suspends the stack and resolves its
-        switch-in by scanning *tags* from after the exit
-        (:meth:`_switch_in`); when the scan runs off the end, the rest
-        of the batch is held.
+        :meth:`_slow_exit` repairs, suspends the stack and switches in
+        the next one: at once when no recorder is attached and no
+        suspended stack is inside a call, else by looking ahead in
+        *tags* from after the exit (:meth:`_switch_in`).  A repaired exit
+        in a block whose switch-in is unconfirmed settles it first; when
+        a look-ahead runs off the end, the rest of the batch is held.
         """
         spontaneous = self._arcs[SPONTANEOUS]
         recorder = self.recorder
@@ -620,147 +657,191 @@ class SummaryAccumulator:
         unattributed = self._unattributed_us
         held_from = None
         # i is the event's stream index; every event sees the next one's
-        # tag, and -1 past the batch's end.
+        # tag, and -1 past the batch's end.  After a run the loop starts
+        # again at batch position `seat`, over slices of the columns.
         events = zip(
             count(index), raw_times, tags, chain(islice(tags, 1, None), (-1,))
         )
-        for i, raw, tag, next_tag in events:
-            # 1. Unwrap, and attribute the elapsed interval to the
-            # innermost active frame.
-            dt = (raw - previous) & mask
-            previous = raw
-            t += dt
-            if frames:
-                frames[-1][1] += dt
-            else:
-                unattributed += dt
-
-            # 2. Apply the event.
-            code, name, _, is_cs = decode[tag]
-            if code == _ENTRY:
-                if frames:
-                    callees = frames[-1][5][7]
-                else:
-                    callees = spontaneous
-                    root = current.root = i
-                try:
-                    arc = callees[name]
-                    if root < arc[5]:
-                        # The first call of this arc in an older tree.
-                        arc[5] = root
-                        arc[6] = i
-                except KeyError:
-                    arc = self._new_arc(callees, name, is_cs, root, i)
-                if next_tag != tag + 1 or recorder is not None:
-                    frame = [name, 0, 0, is_cs, t, arc]
-                    frames.append(frame)
-                    if recorder is not None:
-                        recorder.open_frame(current, frame)
-                    continue
-                # A leaf pair: the next record is this call's own exit, so
-                # step it now; its interval is the call's whole time.
-                i, raw, _, next_tag = next(events)
-                net = inclusive = (raw - previous) & mask
+        while True:
+            seat = None
+            for i, raw, tag, next_tag in events:
+                # 1. Unwrap, and attribute the elapsed interval to the
+                # innermost active frame.
+                dt = (raw - previous) & mask
                 previous = raw
-                t += net
+                t += dt
                 if frames:
-                    frames[-1][2] += net
-                if next_tag == tag and not is_cs:
-                    # The same call again, as in a per-page loop: add up
-                    # every whole pair of the run left in the batch at once.
-                    start = i + 1 - index
-                    run = _leaf_run(tags, raw_times, start, mask)
-                    if run is not None:
-                        stop, gaps, calls = run
-                        if frames:
-                            caller = frames[-1]
-                            caller[1] += gaps
-                            caller[2] += calls[1]
-                        else:
-                            unattributed += gaps
-                            # Each call is a tree root; the last is current.
-                            root = current.root = index + stop - 2
-                        _agg_merge(arc, calls)
-                        t += gaps + calls[1]
-                        i, previous, _, _ = next(
-                            islice(events, stop - start - 1, None)
-                        )
-                        self._leaf_runs += 1
-                        self._leaf_run_calls += calls[0]
-            elif code == _EXIT:
-                if frames and frames[-1][0] == name:
-                    # A matched exit of the innermost frame, a context
-                    # switch's included (a frame's name fixes whether it
-                    # is one).
-                    frame = frames.pop()
-                    net = frame[1]
-                    inclusive = net + frame[2]
-                    if frames:
-                        frames[-1][2] += inclusive
-                    arc = frame[5]
+                    frames[-1][1] += dt
                 else:
-                    self._slow_exit(name, is_cs, t, i)
+                    unattributed += dt
+
+                # 2. Apply the event.
+                code, name, _, is_cs = decode[tag]
+                if code == _ENTRY:
+                    if frames:
+                        callees = frames[-1][5][7]
+                    else:
+                        callees = spontaneous
+                        root = current.root = i
+                    try:
+                        arc = callees[name]
+                        if root < arc[5]:
+                            # The first call of this arc in an older tree.
+                            arc[5] = root
+                            arc[6] = i
+                    except KeyError:
+                        arc = self._new_arc(callees, name, is_cs, root, i)
+                    if next_tag != tag + 1 or recorder is not None:
+                        frame = [name, 0, 0, is_cs, t, arc]
+                        frames.append(frame)
+                        if is_cs:
+                            # The block's first context-switch entry: an
+                            # eager switch-in stands.
+                            self._unconfirmed = None
+                        if recorder is not None:
+                            recorder.open_frame(current, frame)
+                        continue
+                    # A leaf pair: the next record is this call's own exit,
+                    # so step it now; its interval is the call's whole time.
+                    i, raw, _, next_tag = next(events)
+                    net = inclusive = (raw - previous) & mask
+                    previous = raw
+                    t += net
+                    if frames:
+                        frames[-1][2] += net
+                    if next_tag == tag and not is_cs:
+                        # The same call again, as in a per-page loop: add
+                        # up every whole pair of the run left in the batch
+                        # at once, then step on from the record after it.
+                        run = _leaf_run(tags, raw_times, i + 1 - index, mask)
+                        if run is not None:
+                            seat, gaps, calls = run
+                            if frames:
+                                caller = frames[-1]
+                                caller[1] += gaps
+                                caller[2] += calls[1]
+                            else:
+                                unattributed += gaps
+                                # Each call is a tree root; the last is current.
+                                root = current.root = index + seat - 2
+                            _agg_merge(arc, calls)
+                            t += gaps + calls[1]
+                            previous = raw_times[seat - 1]
+                            self._leaf_runs += 1
+                            self._leaf_run_calls += calls[0]
+                            _agg_call(arc, inclusive, net)
+                            break
+                elif code == _EXIT:
+                    if frames and frames[-1][0] == name:
+                        # A matched exit of the innermost frame, a context
+                        # switch's included (a frame's name fixes whether
+                        # it is one).
+                        frame = frames.pop()
+                        net = frame[1]
+                        inclusive = net + frame[2]
+                        if frames:
+                            frames[-1][2] += inclusive
+                        arc = frame[5]
+                    else:
+                        if self._unconfirmed is not None:
+                            position = i - index
+                            if not self._settle(name, tags, position, len(frames)):
+                                # Its look-ahead ran off the batch: give this
+                                # record back and hold the batch from it.
+                                t -= dt
+                                frames[-1][1] -= dt
+                                if position:
+                                    previous = raw_times[position - 1]
+                                else:
+                                    previous = self._prev_raw
+                                held_from = position
+                                break
+                            current = self._current
+                            frames = current.frames
+                            root = current.root
+                        self._slow_exit(name, is_cs, t, i)
+                        if not is_cs:
+                            continue
+                        arc = None  # _close_frame has added up the call
+                elif code == _INLINE:
+                    if recorder is not None:
+                        recorder.mark(current, t, name)
+                    continue
+                else:  # a tag no name file knows
+                    self.anomalies.append(
+                        Anomaly(
+                            index=i,
+                            time_us=t,
+                            kind="unknown-tag",
+                            detail=f"tag {tag} is in no name file",
+                        )
+                    )
+                    if recorder is not None:
+                        recorder.mark(current, t, name)
+                    continue
+
+                # 3. A closed call (a leaf pair or a matched exit) adds up
+                # into its arc as _agg_call does, inline.
+                if arc is not None:
+                    arc[0] += 1
+                    arc[1] += inclusive
+                    arc[2] += net
+                    if inclusive > arc[3]:
+                        arc[3] = inclusive
+                    if arc[4] is None or inclusive < arc[4]:
+                        arc[4] = inclusive
+                    if recorder is not None:
+                        recorder.close_frame(current, frame, t, False)
                     if not is_cs:
                         continue
-                    arc = None  # _close_frame has added up the call
-            elif code == _INLINE:
-                if recorder is not None:
-                    recorder.mark(current, t, name)
-                continue
-            else:  # a tag no name file knows
-                self.anomalies.append(
-                    Anomaly(
-                        index=i,
-                        time_us=t,
-                        kind="unknown-tag",
-                        detail=f"tag {tag} is in no name file",
-                    )
-                )
-                if recorder is not None:
-                    recorder.mark(current, t, name)
-                continue
-
-            # 3. A closed call (a leaf pair or a matched exit) adds up into
-            # its arc as _agg_call does, inline.
-            if arc is not None:
-                arc[0] += 1
-                arc[1] += inclusive
-                arc[2] += net
-                if inclusive > arc[3]:
-                    arc[3] = inclusive
-                if arc[4] is None or inclusive < arc[4]:
-                    arc[4] = inclusive
-                if recorder is not None:
-                    recorder.close_frame(current, frame, t, False)
-                if not is_cs:
-                    continue
-                self._idle_us += net  # a switch's self time is the idle loop
-            # 4. A context switch, by any path: suspend this stack and
-            # resume the one the next block names.
-            self._context_switches += 1
-            current.suspended_at_us = t
-            suspended.append(current)
-            if len(suspended) > self._peak_suspended:
-                self._peak_suspended = len(suspended)
-            after = i + 1 - index  # the next event's place in the batch
-            if not self._switch_in(tags, after, 0):
-                held_from = after
+                    self._idle_us += net  # a switch's self time is the idle loop
+                # 4. A context switch, by any path: its swtch entry confirms
+                # an eager switch-in still open (a swtch pair pushed no
+                # frame).  Suspend this stack and resume the one the next
+                # block names.
+                self._unconfirmed = None
+                self._context_switches += 1
+                current.suspended_at_us = t
+                suspended.append(current)
+                if frames:
+                    self._suspended_open += 1
+                if len(suspended) > self._peak_suspended:
+                    self._peak_suspended = len(suspended)
+                if recorder is None and not self._suspended_open:
+                    # Every suspended stack is empty, so the block resumes
+                    # an empty one whichever it is: the least recently
+                    # suspended, unless the block refutes it.
+                    eager = suspended[0]
+                    undo = (eager.root, eager.block_start_us)
+                    self._resume(None)
+                    self._unconfirmed = undo
+                else:
+                    after = i + 1 - index  # the next event's place in the batch
+                    self._look_aheads += 1
+                    if not self._switch_in(tags, after, 0):
+                        held_from = after
+                        break
+                current = self._current
+                frames = current.frames
+                root = current.root
+            if seat is None:
                 break
-            current = self._current
-            frames = current.frames
-            root = current.root
+            tail = tags[seat:]
+            events = zip(
+                count(index + seat),
+                raw_times[seat:],
+                tail,
+                chain(islice(tail, 1, None), (-1,)),
+            )
         self._prev_raw = previous
-        self._prev_t = self._last_t = t
+        self._prev_t = t
         self._unattributed_us = unattributed
         if held_from is not None:
-            held_times = list(islice(raw_times, held_from, None))
+            # Slices keep the batch's column type, which the next batch
+            # extends in place.
             self._held = (
-                held_times,
-                list(islice(tags, held_from, None)),
-                index + held_from,
-                mask,
+                raw_times[held_from:], tags[held_from:], index + held_from, mask
             )
-            self._last_t += _elapsed(held_times, previous, mask)
 
     def _new_arc(
         self, callees: dict[str, list], name: str, is_cs: bool, root: int, seq: int
@@ -831,14 +912,18 @@ class SummaryAccumulator:
             self._close_frame(current, t, False)
 
     def _switch_in(self, tags: Sequence[int], start: int, depth: int) -> bool:
-        """Switch-in resolution: which suspended stack does the block that
-        follows the latest context-switch exit belong to?
+        """Switch-in resolution by look-ahead: which suspended stack does
+        the block that follows the latest context-switch exit belong to?
 
         The event stream carries no process identifier, so after a
         ``swtch`` exit the fold must decide which saved stack resumes.
-        The block's tags are scanned forward from *start* with a depth
+        The block's tags are read forward from *start* with a depth
         counter (at *depth* so far); entries open new frames, exits first
-        unwind those.  The scan resolves at whichever comes first:
+        unwind those.  A leaf pair (an entry and its own exit) leaves the
+        depth where it was, so it is stepped over with every whole pair
+        repeating it (:func:`_run_end`), unless its entry is the block's
+        closing ``swtch``.  The look-ahead resolves at whichever comes
+        first:
 
         1. an exit of function X that unwinds *below* the block's opening
            depth — it names a frame the resumed process was suspended
@@ -849,30 +934,90 @@ class SummaryAccumulator:
            suspended *empty* stack (a process that was in user mode).
 
         If no stack matches, a process not seen before starts a fresh
-        stack.  Returns ``False``, keeping the depth in ``_scan_depth``,
-        when the scan runs off the end of *tags* unresolved.
+        stack (:meth:`_resume`).  Returns ``False``, keeping the depth in
+        ``_scan_depth``, when the look-ahead runs off the end of *tags*
+        unresolved.
         """
         decode = self._decode_map
-        for position in range(start, len(tags)):
-            code, name, _, is_cs = decode[tags[position]]
+        n = len(tags)
+        position = start
+        jumped = 0
+        while position < n:
+            tag = tags[position]
+            code, name, _, is_cs = decode[tag]
+            position += 1
             if code == _ENTRY:
                 if is_cs:
-                    self._resume(None)
-                    return True
-                depth += 1
-            elif code == _EXIT:
-                if depth:
-                    depth -= 1
+                    unwound = None
+                    break
+                if position < n and tags[position] == tag + 1:
+                    # A leaf pair: step over its exit, and jump every
+                    # whole pair repeating it.
+                    position += 1
+                    if position < n and tags[position] == tag:
+                        stop = _run_end(tags, position)
+                        jumped += stop - position
+                        position = stop
                 else:
-                    self._resume(name)
-                    return True
-        self._scan_depth = depth
-        return False
+                    depth += 1
+            elif code == _EXIT:
+                if not depth:
+                    unwound = name
+                    break
+                depth -= 1
+        else:
+            self._look_ahead_reads += position - start - jumped
+            self._scan_depth = depth
+            return False
+        self._look_ahead_reads += position - start - jumped
+        self._resume(unwound)
+        return True
+
+    def _settle(
+        self, name: str, tags: Sequence[int], position: int, depth: int
+    ) -> bool:
+        """Settle the current stack's unconfirmed switch-in at a repaired
+        exit of *name*, at batch *position* and *depth* frames into the
+        block.
+
+        At depth 0 the exit unwinds below the block's opening depth, so
+        the look-ahead would have resolved right there, on *name*.  Inside
+        the block's own frames the repair stops the frames from tracking
+        the look-ahead's depth counter, so the look-ahead takes over from
+        this record.  Returns ``False`` when it runs off the end of
+        *tags*, the choice still open.
+        """
+        if not depth:
+            self._resume(name)
+            return True
+        self._look_aheads += 1
+        return self._switch_in(tags, position, depth)
 
     def _resume(self, unwound: Optional[str]) -> None:
         """Switch in the least recently suspended stack whose top frame is
-        *unwound* (an empty stack when ``None``), or a fresh one."""
+        *unwound* (an empty stack when ``None``), or a fresh one.
+
+        While the current stack's switch-in is unconfirmed, settle it
+        instead: ``None`` confirms it.  A name refutes it, since no
+        suspended stack is inside a call: a fresh stack takes over the
+        block, frames and tree root, and the eagerly resumed stack goes
+        back, as it was, to the front of the suspended ones.
+        """
         suspended = self._suspended
+        if self._unconfirmed is not None:
+            root, block_start_us = self._unconfirmed
+            self._unconfirmed = None
+            if unwound is None:
+                return
+            eager = self._current
+            stack = self._current = _ProcStack(f"P{self._procs}")
+            self._procs += 1
+            stack.frames, eager.frames = eager.frames, stack.frames
+            stack.root, eager.root = eager.root, root
+            stack.block_start_us = eager.block_start_us
+            eager.block_start_us = block_start_us
+            suspended.insert(0, eager)
+            return
         # The block began at the switch-out that opened it, the most
         # recent suspension.
         switched_at = suspended[-1].suspended_at_us
@@ -880,6 +1025,8 @@ class SummaryAccumulator:
             frames = stack.frames
             if (frames[-1][0] == unwound) if frames else unwound is None:
                 suspended.remove(stack)
+                if frames:
+                    self._suspended_open -= 1
                 break
         else:
             stack = _ProcStack(f"P{self._procs}")
@@ -899,14 +1046,15 @@ class SummaryAccumulator:
         while self._held is not None:
             raw_times, tags, index, mask = self._held
             self._held = None
-            # The stream ended before the block named its process.
+            # The stream ended before the block named its process, or
+            # refuted its unconfirmed switch-in, which then stands.
             self._resume(None)
             self._step(raw_times, tags, index, mask)
         for stack in [self._current, *self._suspended]:
-            exit_us = self._last_t if stack is self._current else stack.suspended_at_us
+            exit_us = self._prev_t if stack is self._current else stack.suspended_at_us
             while stack.frames:
                 self._close_frame(stack, exit_us, True)
-        self._wall_us = (self._last_t - self._first_t) if self._first_t is not None else 0
+        self._wall_us = (self._prev_t - self._first_t) if self._first_t is not None else 0
         self._sealed = True
         if _TELEMETRY.enabled:
             _TELEMETRY.max_gauge("analysis.peak.pending_block", self._peak_held)
@@ -918,6 +1066,8 @@ class SummaryAccumulator:
             _TELEMETRY.count("analysis.unattributed_us", self._unattributed_us)
             _TELEMETRY.count("analysis.leaf_runs", self._leaf_runs)
             _TELEMETRY.count("analysis.leaf_run_calls", self._leaf_run_calls)
+            _TELEMETRY.count("analysis.look_aheads", self._look_aheads)
+            _TELEMETRY.count("analysis.look_ahead_reads", self._look_ahead_reads)
         return self
 
     def merge(self, other: "SummaryAccumulator") -> "SummaryAccumulator":
@@ -979,7 +1129,11 @@ class SummaryAccumulator:
         """
         if self._sealed:
             return self.summary()
-        wall = (self._last_t - self._first_t) if self._first_t is not None else 0
+        last = self._prev_t
+        if self._held is not None:
+            held_times, _, _, mask = self._held
+            last += _elapsed(held_times, self._prev_raw, mask)
+        wall = (last - self._first_t) if self._first_t is not None else 0
         return ProfileSummary(
             wall_us=wall,
             busy_us=wall - self._idle_us,

@@ -51,7 +51,7 @@ CODE_TABLE: dict[str, tuple[Severity, str]] = {
     "P201": (Severity.WARNING, "frames still open at end of capture"),
     "P202": (Severity.ERROR, "24-bit timer regression between records"),
     "P203": (Severity.ERROR, "captured tag is in no name file"),
-    "P204": (Severity.WARNING, "capture fills the trace RAM (overflow?)"),
+    "P204": (Severity.WARNING, "trace RAM full or overflowed: run tail missing"),
     "P205": (Severity.ERROR, "kstack desync: exit does not match open frame"),
     "P206": (Severity.ERROR, "interrupt nesting deeper than priority levels"),
     "P207": (Severity.WARNING, "context-switch exit with no open swtch frame"),

@@ -130,6 +130,7 @@ def lint_capture_file(
         width_bits=meta.counter_width_bits,
         ram_depth=ram_depth,
         report=report,
+        overflowed=meta.overflowed,
     )
 
 

@@ -6,8 +6,8 @@ Runs entirely on data: no workload executes.  Two layers of checking:
   regressions (a modular inter-record delta of half the counter range
   or more means the counter went *backwards*, i.e. the latch or the
   battery-backed RAM corrupted), tags absent from the name file, and a
-  capture that exactly fills the trace RAM (the overflow-LED case: the
-  tail of the run is missing);
+  capture that exactly fills the trace RAM or whose MPF2 header records
+  the overflow LED lit (the tail of the run is missing);
 
 * **reconstruction checks**, replaying the entry/exit stream through a
   per-process shadow-stack state machine exactly the way the kernel's
@@ -94,8 +94,15 @@ def lint_records(
     width_bits: int = 24,
     ram_depth: Optional[int] = DEFAULT_DEPTH,
     report: Optional[LintReport] = None,
+    overflowed: bool = False,
 ) -> LintReport:
-    """Verify one raw record stream against *names*."""
+    """Verify one raw record stream against *names*.
+
+    P204 fires when the stream holds exactly *ram_depth* records, a full
+    trace RAM, or when *overflowed* says the capture's header recorded
+    the overflow LED lit.  A stream longer than the RAM (a live-wire
+    stream) cannot be one board upload, so its length claims nothing.
+    """
     report = report if report is not None else LintReport()
 
     # -- raw-record layer ---------------------------------------------------
@@ -128,12 +135,19 @@ def lint_records(
                 )
         previous = time
 
-    if ram_depth is not None and len(records) >= ram_depth:
+    if ram_depth is not None and len(records) == ram_depth:
         report.add(
             "P204",
             f"capture holds {len(records)} records, the full depth of a "
             f"{ram_depth}-word trace RAM: the overflow LED was almost "
             "certainly lit and the tail of the run is missing",
+            source=source,
+        )
+    elif overflowed:
+        report.add(
+            "P204",
+            f"capture header says the trace RAM overflowed after {len(records)} "
+            "records: the overflow LED was lit and the tail of the run is missing",
             source=source,
         )
 
@@ -254,4 +268,5 @@ def verify_capture(
         width_bits=capture.counter_width_bits,
         ram_depth=ram_depth,
         report=report,
+        overflowed=capture.overflowed,
     )

@@ -557,12 +557,20 @@ class TestLeafPairs:
             reference.context_switches,
         )
         functions = {node.name for node in reference.nodes() if not node.synthetic}
+        held = "analysis.peak.pending_block"
         for cuts in self._cuts(len(records)):
             state, peaks = self._fold(simple_names, records, cuts, None)
             assert state == want, cuts
             assert peaks["analysis.peak.functions"] == len(functions)
-            framed = self._fold(simple_names, records, cuts, FoldRecorder())
-            assert framed == (state, peaks), cuts
+            framed, framed_peaks = self._fold(simple_names, records, cuts, FoldRecorder())
+            assert framed == state, cuts
+            assert {**peaks, held: 0} == {**framed_peaks, held: 0}, cuts
+            # A switch-in that needs no look-ahead holds nothing: every
+            # switch out of user mode, none out of tsleep.
+            if case == "swtch pair from user mode":
+                assert peaks[held] == 0, cuts
+            else:
+                assert peaks[held] == framed_peaks[held], cuts
 
     def test_pair_cut_by_a_batch_boundary(self, simple_names):
         """The entry ends one batch and its exit opens the next: the
@@ -760,6 +768,213 @@ class TestLeafRuns:
             assert sorted(fold.arcs()) == sorted(other.arcs())
             assert fold.anomalies == other.anomalies
             assert fold.unattributed_us == other.unattributed_us
+
+
+LOOK_AHEAD_COUNTERS = ("analysis.look_aheads", "analysis.look_ahead_reads")
+
+
+class TestSwitchIns:
+    """Which process resumes after a switch.  With no recorder and no
+    suspended process inside a call, the fold resumes the least recently
+    suspended (empty) stack at once; the block's first ``swtch`` entry
+    confirms that, a repaired exit at depth 0 refutes it, and one inside
+    the block's frames hands it to a look-ahead.  Every other switch-in
+    looks ahead, jumping runs of one leaf pair.  The fold must equal the
+    reference tree and the fold with a recorder (which always looks
+    ahead) however the stream is cut."""
+
+    CASES = {
+        # Two switches out of user mode; the first blocks in an idle loop
+        # an interrupt visits, so its swtch frame is pushed.
+        "switches out of user mode": [
+            (">", "main", 0), (">", "read", 2), ("<", "read", 4), ("<", "main", 6),
+            (">", "swtch", 8), (">", "intr", 9), ("<", "intr", 12), ("<", "swtch", 20),
+            (">", "bcopy", 22), ("<", "bcopy", 25), (">", "swtch", 26), ("<", "swtch", 30),
+            (">", "cksum", 31), ("<", "cksum", 33),
+        ],
+        # An exit no frame matches inside the idle loop's interrupt, after
+        # the swtch entry that settled the switch-in.
+        "a repair inside the idle loop": [
+            (">", "main", 0), ("<", "main", 3), (">", "swtch", 4), ("<", "swtch", 8),
+            (">", "read", 10), ("<", "read", 12), (">", "swtch", 14), (">", "intr", 16),
+            ("<", "cksum", 18), ("<", "intr", 20), ("<", "swtch", 30),
+            (">", "bcopy", 31), ("<", "bcopy", 33),
+        ],
+        # P0 sleeps in tsleep, so its switch-in looks ahead; once it has
+        # woken, it switches out of user mode and needs none.
+        "a sleeper wakes, then switches out of user mode": [
+            (">", "main", 0), (">", "tsleep", 2), (">", "swtch", 3), ("<", "swtch", 10),
+            ("<", "tsleep", 12), ("<", "main", 14), (">", "swtch", 16), ("<", "swtch", 20),
+            (">", "read", 22), ("<", "read", 24),
+        ],
+        # read's exit names no frame of P0: a process not seen before ran.
+        "an unmatched exit right after the switch": [
+            (">", "main", 0), ("<", "main", 4), (">", "swtch", 5), ("<", "swtch", 9),
+            ("<", "read", 12), (">", "bcopy", 14), ("<", "bcopy", 16),
+            (">", "swtch", 18), ("<", "swtch", 25), (">", "cksum", 27), ("<", "cksum", 30),
+        ],
+        # cksum's and bcopy's exits were lost; the look-ahead from read's
+        # exit reaches the block's swtch entry.
+        "a missed exit, then the swtch entry": [
+            (">", "main", 0), ("<", "main", 3), (">", "swtch", 4), ("<", "swtch", 8),
+            (">", "read", 10), (">", "bcopy", 12), (">", "cksum", 13), ("<", "read", 20),
+            (">", "swtch", 22), ("<", "swtch", 30), (">", "main", 31), ("<", "main", 33),
+        ],
+        # The look-ahead from read's exit unwinds below the block's start.
+        "a missed exit, then exits below the block": [
+            (">", "main", 0), ("<", "main", 3), (">", "swtch", 4), ("<", "swtch", 8),
+            (">", "read", 10), (">", "bcopy", 12), ("<", "read", 14), ("<", "tsleep", 15),
+            ("<", "main", 16), (">", "swtch", 18), ("<", "swtch", 20),
+            (">", "cksum", 21), ("<", "cksum", 23),
+        ],
+        # A stray swtch exit inside read: the look-ahead from cksum's
+        # exit runs past it into the next block, over a tsleep pair.
+        "a stray swtch exit inside a call": [
+            (">", "main", 0), ("<", "main", 2), (">", "swtch", 3), ("<", "swtch", 6),
+            (">", "read", 8), (">", "bcopy", 9), ("<", "cksum", 11), ("<", "swtch", 14),
+            (">", "tsleep", 15), ("<", "tsleep", 17), ("<", "read", 19),
+            (">", "swtch", 21), ("<", "swtch", 24),
+        ],
+        # The look-ahead from read's exit runs off the end: the stream
+        # ends with the rest held and the switch-in unconfirmed.
+        "a missed exit, then the end": [
+            (">", "main", 0), ("<", "main", 3), (">", "swtch", 4), ("<", "swtch", 8),
+            (">", "read", 10), (">", "bcopy", 11), ("<", "read", 13), (">", "cksum", 14),
+        ],
+        "the end of the stream inside a call": [
+            (">", "main", 0), ("<", "main", 3), (">", "swtch", 4), ("<", "swtch", 8),
+            (">", "read", 10), (">", "bcopy", 11), ("<", "bcopy", 13),
+        ],
+        # P0 sleeps in tsleep: the look-ahead jumps a run of interrupts
+        # at depth 0 and a run of cksum inside read, and a process not seen
+        # before blocks; then tsleep's exit names P0.
+        "look-ahead over runs at depth 0 and inside a frame": [
+            (">", "main", 0), (">", "tsleep", 2), (">", "swtch", 3), ("<", "swtch", 5),
+            (">", "intr", 6), ("<", "intr", 7), (">", "intr", 8), ("<", "intr", 9),
+            (">", "intr", 10), ("<", "intr", 11), (">", "read", 12),
+            (">", "cksum", 13), ("<", "cksum", 14), (">", "cksum", 15), ("<", "cksum", 16),
+            ("<", "read", 19), (">", "tsleep", 20), (">", "swtch", 21), ("<", "swtch", 22),
+            ("<", "tsleep", 25), ("<", "main", 27),
+        ],
+        "look-ahead over runs broken by a mark and an unknown tag": [
+            (">", "main", 0), (">", "tsleep", 2), (">", "swtch", 3), ("<", "swtch", 5),
+            (">", "bcopy", 6), ("<", "bcopy", 7), (">", "bcopy", 8), ("<", "bcopy", 9),
+            ("=", "MGET", 10), (">", "bcopy", 11), ("<", "bcopy", 12), ("?", 777, 13),
+            (">", "bcopy", 14), ("<", "bcopy", 15), (">", "bcopy", 16), ("<", "bcopy", 17),
+            ("<", "tsleep", 20), ("<", "main", 22),
+        ],
+    }
+
+    #: The whole stream's processes, ``(look-aheads, records they read
+    #: one by one)`` and ``analysis.peak.pending_block``, with no recorder.
+    PINS = {
+        "switches out of user mode": (("P0",), (0, 0), 0),
+        "a repair inside the idle loop": (("P0",), (0, 0), 0),
+        "a sleeper wakes, then switches out of user mode": (("P0",), (1, 1), 0),
+        "an unmatched exit right after the switch": (("P0", "P1"), (0, 0), 0),
+        "a missed exit, then the swtch entry": (("P0",), (1, 2), 0),
+        "a missed exit, then exits below the block": (("P0", "P1"), (1, 3), 0),
+        "a stray swtch exit inside a call": (("P0", "P1", "P2"), (3, 8), 0),
+        "a missed exit, then the end": (("P0",), (1, 2), 2),
+        "the end of the stream inside a call": (("P0",), (0, 0), 0),
+        "look-ahead over runs at depth 0 and inside a frame": (("P0", "P1"), (2, 9), 0),
+        "look-ahead over runs broken by a mark and an unknown tag": (("P0",), (1, 9), 0),
+    }
+
+    @staticmethod
+    def _fold(names, records, cuts, recorder):
+        """Fold *records* cut at *cuts*: its sealed state, and its
+        look-ahead counters and held-block peak."""
+        fold = SummaryAccumulator(names)
+        fold.recorder = recorder
+        bounds = [0, *cuts, len(records)]
+        for start, stop in zip(bounds, bounds[1:]):
+            fold.feed_columns(columns_of(records[start:stop]))
+        TELEMETRY.enable()
+        try:
+            TELEMETRY.reset()
+            fold.close()
+            values = {
+                name: TELEMETRY.registry.get(name).value
+                for name in (*LOOK_AHEAD_COUNTERS, *PEAKS[:2])
+            }
+        finally:
+            TELEMETRY.disable()
+            TELEMETRY.reset()
+        state = (
+            fold.summary().format(), sorted(fold.arcs()), gprof_from_fold(fold).format(),
+            fold.anomalies, fold.procs, fold.unattributed_us, fold.context_switches,
+            values["analysis.peak.suspended_procs"],
+        )
+        counters = tuple(values[name] for name in LOOK_AHEAD_COUNTERS)
+        return state, counters, values["analysis.peak.pending_block"]
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_equals_reference_and_look_ahead(self, simple_names, case):
+        records = _steps(simple_names, *self.CASES[case])
+        reference = oracles.reference_call_tree(
+            list(oracles.decoded_events(records, simple_names))
+        )
+        (summary, arcs, gprof, *rest, _), counters, held = self._fold(
+            simple_names, records, [], None
+        )
+        assert summary == oracles.reference_summary(reference).format()
+        assert [arc[1:] for arc in arcs] == _reference_arcs(reference)
+        assert gprof == oracles.reference_gprof_report(reference).format()
+        assert rest == [
+            reference.anomalies, reference.procs, reference.unattributed_us,
+            reference.context_switches,
+        ]
+        assert (reference.procs, counters, held) == self.PINS[case]
+        for cuts in TestLeafPairs._cuts(len(records)):
+            state, _, held = self._fold(simple_names, records, cuts, None)
+            framed, _, framed_held = self._fold(simple_names, records, cuts, FoldRecorder())
+            assert state == framed, cuts
+            assert held <= framed_held, cuts
+
+    def test_a_refuted_stack_goes_back_as_it_was(self, simple_names):
+        """The stack resumed with no look-ahead returns to the front of
+        the suspended ones with no frames and its tree root and block
+        start as they were; a process not seen before takes over the
+        block, its open frames included.  (Without a recorder, empty
+        suspended stacks are interchangeable, so this is pinned on the
+        fold's own state.)"""
+        records = _steps(
+            simple_names,
+            # P0 switches out of user mode; read's exit refutes it at once.
+            (">", "main", 0), ("<", "main", 3), (">", "swtch", 4), ("<", "swtch", 8),
+            ("<", "read", 9), (">", "swtch", 10), ("<", "swtch", 12),
+            # P0 again; cksum's exit hands the choice to a look-ahead,
+            # which main's exit below the block settles.
+            (">", "read", 14), (">", "bcopy", 15), ("<", "cksum", 16),
+            ("<", "tsleep", 17), ("<", "main", 18),
+        )
+        fold = SummaryAccumulator(simple_names)
+        fold.feed_columns(columns_of(records[:9]))
+        p0, (p1,) = fold._current, fold._suspended
+        assert (p0.proc, p0.root, p0.block_start_us) == ("P0", 7, 12)
+        assert p1.proc == "P1"
+        fold.feed_columns(columns_of(records[9:]))
+        assert fold._suspended == [p0, p1]
+        # Its tree root is the swtch call it blocked in.
+        assert (p0.frames, p0.root, p0.block_start_us) == ([], 2, 0)
+        p2 = fold._current
+        assert (p2.proc, p2.root, p2.block_start_us) == ("P2", 7, 12)
+        assert [frame[0] for frame in p2.frames] == ["read", "bcopy"]
+
+    def test_look_ahead_run_cut_by_a_batch_end(self, simple_names):
+        """A batch end inside a run the look-ahead is jumping: the next
+        batch continues the look-ahead from the pair the end cut."""
+        records = _steps(
+            simple_names, *self.CASES["look-ahead over runs broken by a mark and an unknown tag"]
+        )
+        whole, (_, reads), _ = self._fold(simple_names, records, [], None)
+        for cut in range(5, len(records)):
+            state, counters, held = self._fold(simple_names, records, [cut], None)
+            assert state == whole, cut
+            # The look-ahead ran off the first batch only when the
+            # block's tsleep exit (record 16) was not in it.
+            assert counters[0] == 1 and held == (cut - 4 if cut <= 16 else 0), cut
 
 
 def _rebind_everywhere(monkeypatch, original, replacement) -> None:

@@ -280,6 +280,137 @@ def loop_streams(draw, max_loops: int = 8) -> list[RawRecord]:
     return records
 
 
+def _emitter(draw):
+    """An ``emit(tag)`` appending records with drawn time deltas, and the
+    records it appends to."""
+    records: list[RawRecord] = []
+    t = draw(st.integers(min_value=0, max_value=TIME_MASK))
+
+    def emit(tag: int) -> None:
+        nonlocal t
+        records.append(RawRecord(tag=tag, time=t))
+        t = (t + draw(delta_strategy)) & TIME_MASK
+
+    return emit, records
+
+
+def _emit_run(draw, emit) -> None:
+    """A leaf called 1-8 times back to back, the run broken now and then
+    by an inline mark or a tag no name file knows."""
+    leaf = draw(st.sampled_from([NAMES.by_name(n) for n in ("read", "bcopy", "cksum")]))
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        breaker = draw(st.sampled_from(["", "", "", "", "mark", "unknown"]))
+        if breaker == "mark":
+            emit(NAMES.by_name("MGET").entry_value)
+        elif breaker == "unknown":
+            emit(UNKNOWN_TAG)
+        emit(leaf.entry_value)
+        emit(leaf.exit_value)
+
+
+@st.composite
+def user_mode_streams(draw, max_blocks: int = 12) -> list[RawRecord]:
+    """Streams whose every process switches out in user mode (at depth
+    0), so a fold with no recorder resumes each switch-in at once and the
+    block confirms or refutes it.
+
+    A block is a ``swtch`` exit, calls, and a closing ``swtch`` entry
+    (now and then with an interrupt in the idle loop, so the ``swtch``
+    frame is pushed).  Repairs test the choice: an exit right after the
+    switch that no frame matches (a process not seen before), an inner
+    call whose exit was lost (a missed exit inside the block), an exit
+    inside a call or inside the idle loop's interrupt that matches
+    nothing, and a stray ``swtch`` exit inside a call, whose look-ahead
+    runs on into the next block.  The stream may end anywhere in a
+    block.
+    """
+    emit, records = _emitter(draw)
+    swtch, isaintr = NAMES.by_name("swtch"), NAMES.by_name("ISAINTR")
+    functions = [NAMES.by_name(n) for n in ("main", "read", "bcopy", "cksum")]
+
+    def call(depth: int) -> None:
+        fn = draw(st.sampled_from(functions))
+        shape = draw(
+            st.sampled_from(["leaf", "run", "nested", "missed", "unmatched", "stray"])
+        )
+        if shape == "leaf":
+            emit(fn.entry_value)
+            emit(fn.exit_value)
+        elif shape == "run":
+            _emit_run(draw, emit)
+        else:
+            emit(fn.entry_value)
+            if shape == "nested" and depth < 2:
+                for _ in range(draw(st.integers(min_value=0, max_value=3))):
+                    call(depth + 1)
+            elif shape == "missed":
+                emit(draw(st.sampled_from(functions)).entry_value)
+                if draw(st.booleans()):
+                    _emit_run(draw, emit)
+            elif shape == "unmatched":
+                emit(draw(st.sampled_from(functions)).exit_value)
+            elif shape == "stray":
+                emit(swtch.exit_value)
+            emit(fn.exit_value)
+
+    for _ in range(draw(st.integers(min_value=0, max_value=max_blocks))):
+        emit(swtch.exit_value)
+        if draw(st.integers(min_value=0, max_value=5)) == 0:
+            emit(draw(st.sampled_from(functions)).exit_value)
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            call(0)
+        emit(swtch.entry_value)
+        if draw(st.integers(min_value=0, max_value=3)) == 0:
+            emit(isaintr.entry_value)
+            if draw(st.booleans()):
+                emit(draw(st.sampled_from(functions)).exit_value)
+            emit(isaintr.exit_value)
+    return records[: draw(st.integers(min_value=0, max_value=len(records)))]
+
+
+@st.composite
+def sleeper_streams(draw, max_blocks: int = 12) -> list[RawRecord]:
+    """Streams whose every process switches out asleep inside
+    ``tsleep``, so every switch-in looks ahead, with or without a
+    recorder.
+
+    The first process opens ``main`` and ``tsleep`` before its first
+    switch.  A block either resumes a sleeper (interrupt runs at depth
+    0, then ``tsleep``'s exit names it) or starts a process not seen
+    before, which opens ``main`` and runs its loops at depth 0 and inside
+    its frames; both sleep again.  Runs are broken by inline marks and
+    unknown tags now and then.
+    """
+    emit, records = _emitter(draw)
+    swtch, tsleep = NAMES.by_name("swtch"), NAMES.by_name("tsleep")
+    main, isaintr = NAMES.by_name("main"), NAMES.by_name("ISAINTR")
+    emit(main.entry_value)
+    emit(tsleep.entry_value)
+    emit(swtch.entry_value)
+    for _ in range(draw(st.integers(min_value=0, max_value=max_blocks))):
+        emit(swtch.exit_value)
+        if draw(st.booleans()):
+            for _ in range(draw(st.integers(min_value=0, max_value=3))):
+                emit(isaintr.entry_value)
+                emit(isaintr.exit_value)
+            emit(tsleep.exit_value)
+        else:
+            if draw(st.booleans()):
+                _emit_run(draw, emit)
+            emit(main.entry_value)
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            if draw(st.booleans()):
+                _emit_run(draw, emit)
+            else:
+                fn = draw(st.sampled_from([NAMES.by_name(n) for n in ("read", "bcopy")]))
+                emit(fn.entry_value)
+                _emit_run(draw, emit)
+                emit(fn.exit_value)
+        emit(tsleep.entry_value)
+        emit(swtch.entry_value)
+    return records
+
+
 _KIND_OF_CODE = {
     columnar.CODE_ENTRY: oracles.EventKind.ENTRY,
     columnar.CODE_EXIT: oracles.EventKind.EXIT,
@@ -623,9 +754,113 @@ class TestPairStepParity:
     )
     def test_pair_step_equals_frame_path(self, records, chunk_records):
         for chunk in (len(records) or 1, chunk_records):
+            *state, (held, *peaks) = self._fold(records, chunk, None)
+            *framed, (framed_held, *framed_peaks) = self._fold(
+                records, chunk, FoldRecorder()
+            )
+            assert (state, peaks) == (framed, framed_peaks)
+            # A switch-in that needs no look-ahead holds nothing.
+            assert held <= framed_held
+
+    @DIFF_SETTINGS
+    @given(
+        records=call_streams(),
+        chunk_records=st.integers(min_value=1, max_value=100),
+    )
+    def test_no_block_held_when_every_switch_is_from_user_mode(
+        self, records, chunk_records
+    ):
+        """Every block of a call stream switches out at depth 0, so no
+        switch-in needs a look-ahead and nothing is held."""
+        for chunk in (len(records) or 1, chunk_records):
+            assert self._fold(records, chunk, None)[-1][0] == 0
+
+    @DIFF_SETTINGS
+    @given(
+        records=sleeper_streams(),
+        chunk_records=st.integers(min_value=1, max_value=100),
+    )
+    def test_same_blocks_held_when_every_switch_is_inside_a_call(
+        self, records, chunk_records
+    ):
+        """Every process of a sleeper stream switches out inside
+        ``tsleep``, so every switch-in looks ahead, as a recorder's does."""
+        for chunk in (len(records) or 1, chunk_records):
             assert self._fold(records, chunk, None) == self._fold(
                 records, chunk, FoldRecorder()
             )
+
+
+class TestSwitchInParity:
+    """Which process resumes after a switch, decided three ways.  With no
+    recorder and no suspended process inside a call, the fold resumes an
+    empty stack at once and the block confirms or refutes it; otherwise,
+    and always with a recorder (which sees which stack a step happened
+    on), it looks ahead in the batch, jumping runs of one leaf pair; the
+    reference reconstruction resolves every switch from the decoded
+    events.  All three must agree on everything the fold reports, for
+    the stream whole, one record at a time and cut at random."""
+
+    @staticmethod
+    def _fold(records, cuts, recorder):
+        fold = SummaryAccumulator(NAMES)
+        fold.recorder = recorder
+        bounds = [0, *cuts, len(records)]
+        for start, stop in zip(bounds, bounds[1:]):
+            fold.feed_columns(columns_of(records[start:stop]))
+        TELEMETRY.enable()
+        try:
+            TELEMETRY.reset()
+            fold.close()
+            suspended = TELEMETRY.registry.get("analysis.peak.suspended_procs").value
+        finally:
+            TELEMETRY.disable()
+            TELEMETRY.reset()
+        return (
+            fold.summary().format(),
+            sorted(fold.arcs()),
+            fold.anomalies,
+            fold.procs,
+            fold.unattributed_us,
+            fold.context_switches,
+            suspended,
+        )
+
+    def _assert_parity(self, records, cuts):
+        reference = oracles.reference_call_tree(_reference_events(records))
+        want = (
+            oracles.reference_summary(reference).format(),
+            reference.anomalies,
+            reference.procs,
+            reference.unattributed_us,
+            reference.context_switches,
+        )
+        for cut in ([], list(range(1, len(records))), cuts):
+            state = self._fold(records, cut, None)
+            assert state == self._fold(records, cut, FoldRecorder()), cut
+            summary, _, anomalies, procs, unattributed, switches, _ = state
+            assert (summary, anomalies, procs, unattributed, switches) == want, cut
+
+    @staticmethod
+    def _cuts(data, records):
+        if len(records) < 2:
+            return []
+        return sorted(data.draw(st.sets(st.integers(1, len(records) - 1))))
+
+    @DIFF_SETTINGS
+    @given(records=user_mode_streams(), data=st.data())
+    def test_switches_out_of_user_mode(self, records, data):
+        self._assert_parity(records, self._cuts(data, records))
+
+    @DIFF_SETTINGS
+    @given(records=sleeper_streams(), data=st.data())
+    def test_look_ahead_over_runs(self, records, data):
+        self._assert_parity(records, self._cuts(data, records))
+
+    @DIFF_SETTINGS
+    @given(records=st.one_of(switch_streams(), loop_streams()), data=st.data())
+    def test_mixed_switches(self, records, data):
+        self._assert_parity(records, self._cuts(data, records))
 
 
 # -- call trees --------------------------------------------------------------

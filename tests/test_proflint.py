@@ -322,8 +322,36 @@ class TestStreamLint:
             R(501, 100 + 2 * i) for i in range(4)
         ]
         report = lint_records(columns_of(records), _names(), ram_depth=8)
-        assert "P204" in codes(report)
+        assert [d.message for d in report if d.code == "P204"] == [
+            "capture holds 8 records, the full depth of a 8-word trace RAM: the "
+            "overflow LED was almost certainly lit and the tail of the run is missing"
+        ]
         assert lint_records(columns_of(records), _names(), ram_depth=None).ok
+
+    def test_p204_no_claim_for_a_capture_longer_than_the_ram(self):
+        """A stream longer than the trace RAM (a live-wire stream) is no
+        one board upload: its length says nothing about the LED."""
+        records = [R(500, 2 * i) for i in range(5)] + [
+            R(501, 100 + 2 * i) for i in range(5)
+        ]
+        assert lint_records(columns_of(records), _names(), ram_depth=8).ok
+
+    def test_p204_from_the_header_overflow_flag(self, tmp_path):
+        """The MPF2 header's overflow flag is the board's own word, at
+        any length."""
+        from repro.profiler.upload import write_capture_file
+
+        records = [R(500, 0), R(501, 10)] * 5
+        for overflowed in (False, True):
+            path = tmp_path / f"{overflowed}.mpf"
+            write_capture_file(path, columns_of(records), overflowed=overflowed)
+            report = lint_capture_file(path, _names(), ram_depth=8)
+            p204 = [d.message for d in report if d.code == "P204"]
+            assert p204 == (
+                ["capture header says the trace RAM overflowed after 10 records: "
+                 "the overflow LED was lit and the tail of the run is missing"]
+                if overflowed else []
+            )
 
     def test_p206_interrupt_nesting_beyond_ipl_count(self):
         records = [R(504, 10 * i) for i in range(1, 9)]
