@@ -720,11 +720,10 @@ def cmd_db_diff(args: argparse.Namespace, out: Callable) -> int:
             report = diff_runs(conn, baseline, candidate, thresholds=thresholds)
     finally:
         conn.close()
-    out(
-        render_diff_json(report, limit=args.limit)
-        if args.json
-        else render_diff_text(report, limit=args.limit or 10)
-    )
+    if args.json:
+        out(render_diff_json(report, limit=args.limit))
+    else:
+        out(render_diff_text(report, limit=10 if args.limit is None else args.limit))
     return report.exit_code
 
 
@@ -1009,14 +1008,7 @@ def _add_telemetry_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Hardware Profiling of Kernels (McRae 1993), reproduced",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    capture = sub.add_parser("capture", help="run a workload under the Profiler")
+def _capture_arguments(capture: argparse.ArgumentParser) -> None:
     _add_workload_flags(capture)
     capture.add_argument(
         "--report", action="append", choices=REPORTS, default=None,
@@ -1045,7 +1037,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     doctor.set_defaults(func=cmd_doctor)
 
-    analyze = sub.add_parser("analyze", help="analyse a saved capture file")
+
+def _analyze_arguments(analyze: argparse.ArgumentParser) -> None:
     analyze.add_argument("capture", help="capture file (from capture --save)")
     analyze.add_argument(
         "--names", action="append", required=True,
@@ -1070,9 +1063,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_telemetry_flags(analyze)
     analyze.set_defaults(func=cmd_analyze)
 
-    trace = sub.add_parser(
-        "trace", help="export capture traces for external viewers"
-    )
+
+def _trace_arguments(trace: argparse.ArgumentParser) -> None:
     trace_sub = trace.add_subparsers(dest="trace_command", required=True)
     trace_export = trace_sub.add_parser(
         "export",
@@ -1105,13 +1097,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_export.set_defaults(func=cmd_trace_export)
 
-    lint = sub.add_parser(
-        "lint",
-        help="proflint: statically verify the tag->trigger->capture chain",
-        description="Static verification of the profiling chain — no "
+
+def _lint_arguments(lint: argparse.ArgumentParser) -> None:
+    lint.description = (
+        "Static verification of the profiling chain — no "
         "workload runs.  With no arguments, performs the self-check: "
         "build the case-study image, then lint its name table, the "
-        "kernel source discipline, and the _ProfileBase link.",
+        "kernel source discipline, and the _ProfileBase link."
     )
     lint.add_argument(
         "captures", nargs="*",
@@ -1152,13 +1144,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.set_defaults(func=cmd_lint)
 
-    fleet = sub.add_parser(
-        "fleet",
-        help="ingest a directory of captures as one corpus",
-        description="Fleet-scale ingestion: decode and summarise every "
+
+def _fleet_arguments(fleet: argparse.ArgumentParser) -> None:
+    fleet.description = (
+        "Fleet-scale ingestion: decode and summarise every "
         "capture under a directory on a multiprocessing worker pool, "
         "merge the results deterministically, and record each "
-        "capture's metrics in the telemetry registry.",
+        "capture's metrics in the telemetry registry."
     )
     fleet_sub = fleet.add_subparsers(dest="fleet_command", required=True)
 
@@ -1230,14 +1222,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet_serve.set_defaults(func=cmd_fleet_serve)
 
-    coverage = sub.add_parser(
-        "coverage",
-        help="profile coverage: static reachability x observed tags",
-        description="Cross the static call graph of the instrumented "
+
+def _coverage_arguments(coverage: argparse.ArgumentParser) -> None:
+    coverage.description = (
+        "Cross the static call graph of the instrumented "
         "kernel (syscall/interrupt/scheduler/harness roots) with the "
         "observed-tag sets of a capture corpus: coverage percentages per "
         "workload, blind spots with suggested workloads, dead "
-        "instrumentation, and a coverage-guided workload hunter.",
+        "instrumentation, and a coverage-guided workload hunter."
     )
     coverage_sub = coverage.add_subparsers(dest="coverage_command", required=True)
 
@@ -1312,13 +1304,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_telemetry_flags(coverage_hunt)
     coverage_hunt.set_defaults(func=cmd_coverage_hunt)
 
-    db = sub.add_parser(
-        "db",
-        help="the profile corpus database: ingest, query, diff runs",
-        description="A sqlite-backed corpus of run summaries: ingest "
+
+def _db_arguments(db: argparse.ArgumentParser) -> None:
+    db.description = (
+        "A sqlite-backed corpus of run summaries: ingest "
         "captures (idempotently, keyed by content fingerprint), slice "
         "per-function rows with composable filters, and diff two pools "
-        "of runs with a statistical regression gate.",
+        "of runs with a statistical regression gate."
     )
     db_sub = db.add_subparsers(dest="db_command", required=True)
 
@@ -1395,7 +1387,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="sort column (default net)",
     )
     db_query.add_argument(
-        "--limit", type=int, default=None, metavar="N",
+        "--limit", type=non_negative_int, default=None, metavar="N",
         help="print at most N rows",
     )
     db_query.add_argument(
@@ -1447,7 +1439,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="absolute net-time floor in microseconds (default 25)",
     )
     db_diff.add_argument(
-        "--limit", type=int, default=None, metavar="N",
+        "--limit", type=non_negative_int, default=None, metavar="N",
         help="rows in the delta table (text default 10; JSON default all)",
     )
     db_diff.add_argument(
@@ -1469,15 +1461,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     db_check.set_defaults(func=cmd_db_check)
 
-    live = sub.add_parser(
-        "live",
-        help="concurrent capture -> analyze over a wire (pipe/FIFO/socket)",
-        description="The live profiling pair: 'capture' streams an "
+
+def _live_arguments(live: argparse.ArgumentParser) -> None:
+    live.description = (
+        "The live profiling pair: 'capture' streams an "
         "open-ended MPF2 capture (sentinel count + end-of-stream "
         "trailer) to a wire while 'analyze' consumes the other end "
         "concurrently, folding batches into rolling summaries as they "
         "land.  repro live capture --names run.tags | repro live "
-        "analyze --names run.tags",
+        "analyze --names run.tags"
     )
     live_sub = live.add_subparsers(dest="live_command", required=True)
 
@@ -1550,18 +1542,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     live_analyze.set_defaults(func=cmd_live_analyze)
 
-    top = sub.add_parser(
-        "top",
-        help="refreshing hottest-functions view of a live capture",
-        description="Run a workload in a producer thread and watch the "
+
+def _top_arguments(top: argparse.ArgumentParser) -> None:
+    top.description = (
+        "Run a workload in a producer thread and watch the "
         "summary build: an ANSI-refreshing table of the hottest "
         "functions, redrawn each rolling window.  Non-TTY output (and "
-        "--once) prints a single final frame instead.",
+        "--once) prints a single final frame instead."
     )
     _add_workload_flags(top)
     top.add_argument("--sort", choices=FUNCTION_SORTS, default="net")
     top.add_argument(
-        "--limit", type=int, default=15,
+        "--limit", type=non_negative_int, default=15,
         help="function rows per frame (default 15)",
     )
     top.add_argument(
@@ -1578,16 +1570,72 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top.set_defaults(func=cmd_top)
 
-    workloads = sub.add_parser(
-        "workloads",
-        help="list the workload registry (names, descriptions, parameter "
-        "schemas)",
-    )
+
+def _workloads_arguments(workloads: argparse.ArgumentParser) -> None:
     workloads.add_argument(
         "--json", action="store_true",
         help="emit the machine-readable registry (stable schema)",
     )
     workloads.set_defaults(func=cmd_workloads)
+
+
+#: Every command, in ``repro -h`` order: its name, its line there, and
+#: what adds its description, arguments and sub-commands.
+_COMMANDS = (
+    ("capture", "run a workload under the Profiler", _capture_arguments),
+    ("analyze", "analyse a saved capture file", _analyze_arguments),
+    ("trace", "export capture traces for external viewers", _trace_arguments),
+    (
+        "lint",
+        "proflint: statically verify the tag->trigger->capture chain",
+        _lint_arguments,
+    ),
+    ("fleet", "ingest a directory of captures as one corpus", _fleet_arguments),
+    (
+        "coverage",
+        "profile coverage: static reachability x observed tags",
+        _coverage_arguments,
+    ),
+    ("db", "the profile corpus database: ingest, query, diff runs", _db_arguments),
+    (
+        "live",
+        "concurrent capture -> analyze over a wire (pipe/FIFO/socket)",
+        _live_arguments,
+    ),
+    ("top", "refreshing hottest-functions view of a live capture", _top_arguments),
+    (
+        "workloads",
+        "list the workload registry (names, descriptions, parameter "
+        "schemas)",
+        _workloads_arguments,
+    ),
+)
+
+
+def build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParser:
+    """The command-line parser for *argv* (the process's arguments when
+    ``None``).
+
+    Every command is listed, so ``repro -h`` and an unknown command read
+    the same whatever *argv* is, but only the command *argv* names gets
+    its arguments and sub-commands: all of them cost more to build than
+    a parse.  Every command gets them when *argv* names none (it is
+    empty or starts with an option such as ``-h``) or none that exists.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    named = argv[0] if argv and not argv[0].startswith("-") else None
+    if named not in {name for name, _, _ in _COMMANDS}:
+        named = None
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Hardware Profiling of Kernels (McRae 1993), reproduced",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_line, add_arguments in _COMMANDS:
+        command = sub.add_parser(name, help=help_line)
+        if named is None or name == named:
+            add_arguments(command)
     return parser
 
 
@@ -1596,8 +1644,7 @@ def main(argv: Optional[Sequence[str]] = None, out: Callable = print) -> int:
     way out, whatever the outcome, and bad input (``ValueError``, which
     every reader's format error is, or ``OSError``) is one
     ``repro: error:`` line on stderr and exit 2, never a traceback."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser(argv).parse_args(argv)
     if getattr(args, "report", None) is None and args.command in ("capture", "analyze"):
         args.report = ["summary"]
     telemetry = getattr(args, "telemetry", None)

@@ -18,7 +18,8 @@ Headed by the overall accounting::
 Every summary the program prints comes from one engine, the
 :class:`SummaryAccumulator` fold over columnar record batches.  It is a
 single pass: each raw ``(time, tag)`` pair is unwrapped, decoded and
-stepped once, and a context switch is resolved as the incoming block is
+stepped at most once (the repeats of a call in a loop are added up
+together), and a context switch is resolved as the incoming block is
 stepped (when no suspended process is inside a call) or by looking
 ahead in the batch, never by buffering and replaying the block.  The
 fold is also the program's one call reconstruction: entry/exit matching,
@@ -39,8 +40,8 @@ from __future__ import annotations
 import dataclasses
 import time
 from collections import Counter
-from itertools import chain, count, islice
-from operator import sub
+from itertools import chain, compress, count, islice
+from operator import gt, le, sub
 from typing import (
     TYPE_CHECKING,
     Iterable,
@@ -311,13 +312,14 @@ class _ProcStack:
     """One process's state during the fold.
 
     Frames are plain lists ``[name, self_us, child_us, is_swtch, enter_us,
-    arc]`` — the minimum needed to add a call up when it closes without
-    retaining a tree node per call; ``arc`` is the caller->callee
-    aggregate the call adds up into.  ``proc`` labels the stack in order
-    of creation (``P0``, ``P1``, ...); ``root`` is the stream index of
-    the entry that opened its current call tree; ``block_start_us`` is
-    when its current scheduling block began and ``suspended_at_us`` when
-    it was last switched out.
+    arc, entered]`` — the minimum needed to add a call up when it closes
+    without retaining a tree node per call; ``arc`` is the caller->callee
+    aggregate the call adds up into, and ``entered`` the stream index of
+    its entry, where a repeat of the call would begin.  ``proc`` labels
+    the stack in order of creation (``P0``, ``P1``, ...); ``root`` is the
+    stream index of the entry that opened its current call tree;
+    ``block_start_us`` is when its current scheduling block began and
+    ``suspended_at_us`` when it was last switched out.
     """
 
     __slots__ = ("proc", "frames", "root", "block_start_us", "suspended_at_us")
@@ -331,8 +333,8 @@ class _ProcStack:
 
 
 #: Where a :class:`FoldRecorder` keeps the one item it appends to a frame,
-#: after the fold's own six.
-RECORDER_SLOT = 6
+#: after the fold's own seven.
+RECORDER_SLOT = 7
 
 #: Caller name of a call tree's root (the top of an activity block).
 SPONTANEOUS = "<spontaneous>"
@@ -350,8 +352,8 @@ class FoldRecorder:
     truncated frames lint reports.  *stack* is the process a step happened
     on (``stack.proc`` its label, ``stack.frames`` its open frames,
     innermost last, ``stack.root`` its current tree's root); a frame is
-    the fold's ``[name, self_us, child_us, is_swtch, enter_us, arc]``
-    list, to which a recorder may append one item of its own, read back as
+    the fold's ``[name, self_us, child_us, is_swtch, enter_us, arc,
+    entered]`` list, to which a recorder may append one item of its own, read back as
     ``frame[RECORDER_SLOT]``.  Every hook does nothing by default.
     """
 
@@ -374,56 +376,29 @@ class FoldRecorder:
         """An inline or unknown-tag point fired on *stack*."""
 
 
-def _run_end(tags: Sequence[int], start: int) -> int:
-    """The batch position after the last whole pair of *tags* repeating
-    the pair ``tags[start - 2:start]`` (*start* itself when none does)."""
+def _run_end(tags: Sequence[int], start: int, period: int) -> int:
+    """The batch position after the last whole repeat, in *tags*, of the
+    *period* tags ``tags[start - period:start]`` (*start* itself when
+    none follows)."""
     n = len(tags)
-    stop, size = start, 2
-    # A record continues the run when it equals the one two places back:
+    stop, size = start, period
+    # A record continues the run when it equals the one a period back:
     # double the stretch so checked until one differs or would pass the
-    # batch's end, then halve back into it.
+    # batch's end, then halve back into it, a period at the least.
     while (
         stop + size <= n
-        and tags[stop : stop + size] == tags[stop - 2 : stop + size - 2]
+        and tags[stop : stop + size] == tags[stop - period : stop + size - period]
     ):
         stop += size
         size *= 2
-    while size > 2:
+    while size > period:
         size //= 2
         if (
             stop + size <= n
-            and tags[stop : stop + size] == tags[stop - 2 : stop + size - 2]
+            and tags[stop : stop + size] == tags[stop - period : stop + size - period]
         ):
             stop += size
     return stop
-
-
-def _leaf_run(
-    tags: Sequence[int], raw_times: Sequence[int], start: int, mask: int
-) -> Optional[tuple[int, int, list]]:
-    """The run of leaf pairs repeating the one that ends before *start*.
-
-    ``tags[start - 2:start]`` is a leaf pair, an entry and its own exit;
-    the run is every whole pair after it in the batch with the same two
-    tags (:func:`_run_end`).  Returns ``(stop, gaps, calls)``: the batch
-    position after the run's last exit, the time between the calls (the
-    caller's own), and the calls as an aggregate (a leaf's net time is
-    its inclusive time); or ``None`` when no whole pair repeats it.
-    """
-    stop = _run_end(tags, start)
-    if stop == start:
-        return None
-    entries = raw_times[start:stop:2]
-    inclusives = list(map(sub, raw_times[start + 1 : stop : 2], entries))
-    gaps = list(map(sub, entries, raw_times[start - 1 : stop - 1 : 2]))
-    shortest = min(inclusives)
-    if shortest < 0 or min(gaps) < 0:
-        # The counter wrapped inside the run.
-        inclusives = [d & mask for d in inclusives]
-        gaps = [d & mask for d in gaps]
-        shortest = min(inclusives)
-    busy = sum(inclusives)
-    return stop, sum(gaps), [len(inclusives), busy, busy, max(inclusives), shortest]
 
 
 def _elapsed(raw_times: Iterable[int], previous: int, mask: int) -> int:
@@ -464,14 +439,17 @@ class SummaryAccumulator:
     (:func:`repro.analysis.gprof.gprof_from_fold`) are both read off the
     arcs.
 
-    Every event is stepped once, straight off the raw ``(time, tag)``
-    columns: the counter is unwrapped inline, each tag costs one
+    Every event is stepped at most once, straight off the raw ``(time,
+    tag)`` columns: the counter is unwrapped inline, each tag costs one
     decode-map lookup, and an exit of the innermost frame closes inline,
     a ``swtch`` exit's included.  With no recorder, an entry and its own
     exit in the next record (a *leaf pair*, most calls in a kernel trace)
-    are one step and no frame, and the rest of a run of the same leaf
-    pair back to back (a per-page loop) is one step more, after which
-    the loop re-seats its event iterator past the run.
+    are one step and no frame.  And when a call closes, as a leaf pair
+    or by its matched exit, and the next record enters the same function
+    again (a per-page loop, whatever its body calls), every whole repeat
+    of the call's records left in the batch is added up in one step more
+    with its whole subtree (:meth:`_run`), after which the loop re-seats
+    its event iterator past the run.
 
     Switch-in resolution (which suspended process resumes after a
     ``swtch`` exit) needs the incoming block.  With no recorder and no
@@ -483,14 +461,15 @@ class SummaryAccumulator:
     the block's own frames, hands it to the look-ahead below.  Every
     other switch-in (and every one with a recorder, which sees which
     stack a step happened on) looks ahead in the batch's tags until the
-    block names its process, jumping runs of one leaf pair with the
-    run step's slice compare, then keeps stepping in place.  Only when
-    that look-ahead runs off the end of the batch are the rest of the
-    batch's events held; the next batch continues it where it stopped,
-    so no event is read ahead twice, and :meth:`close` resolves a tail
-    still held as the end of the stream.  A scheduling block is bounded
-    by the capture hardware (at most one RAM of events between switches
-    in practice), so the held tail does not grow with trace length.
+    block names its process, jumping the same runs of repeated calls
+    with the run step's slice compare, then keeps stepping in place.
+    Only when that look-ahead runs off the end of the batch are the rest
+    of the batch's events held; the next batch continues it where it
+    stopped, so no event is read ahead twice, and :meth:`close` resolves
+    a tail still held as the end of the stream.  A scheduling block is
+    bounded by the capture hardware (at most one RAM of events between
+    switches in practice), so the held tail does not grow with trace
+    length.
 
     Accumulators of independent captures combine with :meth:`merge`.  The
     fold's summaries, trees and anomalies equal those of the standalone
@@ -517,9 +496,13 @@ class SummaryAccumulator:
         self._event_count = 0
         self._context_switches = 0
         #: Runs of identical leaf pairs added up in one step, and the calls
-        #: those steps added up (the pair opening each run not counted).
+        #: those steps added up (the pair opening each run not counted);
+        #: then the same for runs of any longer call, its subtree's calls
+        #: counted too.
         self._leaf_runs = 0
         self._leaf_run_calls = 0
+        self._call_runs = 0
+        self._call_run_calls = 0
 
         self._current = _ProcStack("P0")
         #: Switched-out stacks, least recently suspended first.
@@ -543,11 +526,13 @@ class SummaryAccumulator:
         #: process was not named by the end of their batch: ``(raw times,
         #: tags, index of the first, wrap mask)``, the columns of the
         #: batch's own type, or ``None``.  The look-ahead stopped at depth
-        #: ``_scan_depth`` past the last of them.
+        #: ``_scan_depth`` past the last of them, the innermost frames it
+        #: counted opened at the held positions ``_scan_opened``.
         self._held: Optional[
             tuple[MutableSequence[int], MutableSequence[int], int, int]
         ] = None
         self._scan_depth = 0
+        self._scan_opened: list[int] = []
 
         # Unwrap carry: the last stepped event's raw snapshot and absolute
         # time, and the index of the next event fed.
@@ -612,7 +597,9 @@ class SummaryAccumulator:
             scanned = len(held_tags)
             held_times.extend(raw_times)
             held_tags.extend(tags)
-            if not self._switch_in(held_tags, scanned, self._scan_depth):
+            if not self._switch_in(
+                held_tags, scanned, self._scan_depth, self._scan_opened
+            ):
                 self._peak_held = max(self._peak_held, len(held_tags))
                 return
             self._held = None
@@ -632,11 +619,13 @@ class SummaryAccumulator:
         index of their first event; every snapshot is unwrapped against
         the last stepped one.  With no recorder to need a frame, an entry
         whose next tag is its own exit (``tag + 1``: a name table gives
-        that value to no other function) steps both records as one call,
-        and when the record after that exit enters the same function
-        again, the whole pairs of that run left in the batch are added
-        up in one more step (:func:`_leaf_run`), and the loop goes on
-        over fresh slices of the columns past the run.
+        that value to no other function) steps both records as one call.
+        When a call closes so or by a matched exit, its entry in this
+        batch (a frame keeps its entry's stream index), and the next
+        record enters the same function again, the whole repeats of the
+        call's records left in the batch are added up in one more step,
+        subtree and all (:meth:`_run`), and the loop goes on over fresh
+        slices of the columns past the run.
         A ``swtch`` call closed so or by its exit, or a ``swtch`` exit
         :meth:`_slow_exit` repairs, suspends the stack and switches in
         the next one: at once when no recorder is attached and no
@@ -692,7 +681,7 @@ class SummaryAccumulator:
                     except KeyError:
                         arc = self._new_arc(callees, name, is_cs, root, i)
                     if next_tag != tag + 1 or recorder is not None:
-                        frame = [name, 0, 0, is_cs, t, arc]
+                        frame = [name, 0, 0, is_cs, t, arc, i]
                         frames.append(frame)
                         if is_cs:
                             # The block's first context-switch entry: an
@@ -703,34 +692,13 @@ class SummaryAccumulator:
                         continue
                     # A leaf pair: the next record is this call's own exit,
                     # so step it now; its interval is the call's whole time.
-                    i, raw, _, next_tag = next(events)
+                    begin = i
+                    i, raw, tag, next_tag = next(events)
                     net = inclusive = (raw - previous) & mask
                     previous = raw
                     t += net
                     if frames:
                         frames[-1][2] += net
-                    if next_tag == tag and not is_cs:
-                        # The same call again, as in a per-page loop: add
-                        # up every whole pair of the run left in the batch
-                        # at once, then step on from the record after it.
-                        run = _leaf_run(tags, raw_times, i + 1 - index, mask)
-                        if run is not None:
-                            seat, gaps, calls = run
-                            if frames:
-                                caller = frames[-1]
-                                caller[1] += gaps
-                                caller[2] += calls[1]
-                            else:
-                                unattributed += gaps
-                                # Each call is a tree root; the last is current.
-                                root = current.root = index + seat - 2
-                            _agg_merge(arc, calls)
-                            t += gaps + calls[1]
-                            previous = raw_times[seat - 1]
-                            self._leaf_runs += 1
-                            self._leaf_run_calls += calls[0]
-                            _agg_call(arc, inclusive, net)
-                            break
                 elif code == _EXIT:
                     if frames and frames[-1][0] == name:
                         # A matched exit of the innermost frame, a context
@@ -742,6 +710,7 @@ class SummaryAccumulator:
                         if frames:
                             frames[-1][2] += inclusive
                         arc = frame[5]
+                        begin = frame[6]
                     else:
                         if self._unconfirmed is not None:
                             position = i - index
@@ -793,6 +762,29 @@ class SummaryAccumulator:
                     if recorder is not None:
                         recorder.close_frame(current, frame, t, False)
                     if not is_cs:
+                        if next_tag == tag - 1 and begin >= index and recorder is None:
+                            # The same call again, as in a per-page loop:
+                            # add up every whole repeat of it left in the
+                            # batch at once, then step on from the record
+                            # after them.
+                            period = i + 1 - begin
+                            run = self._run(
+                                tags, raw_times, i + 1 - index, period, mask, arc
+                            )
+                            if run is not None:
+                                seat, gaps, busy = run
+                                if frames:
+                                    caller = frames[-1]
+                                    caller[1] += gaps
+                                    caller[2] += busy
+                                else:
+                                    unattributed += gaps
+                                    # Each repeat is a tree root; the last
+                                    # is current.
+                                    root = current.root = index + seat - period
+                                t += gaps + busy
+                                previous = raw_times[seat - 1]
+                                break
                         continue
                     self._idle_us += net  # a switch's self time is the idle loop
                 # 4. A context switch, by any path: its swtch entry confirms
@@ -818,7 +810,7 @@ class SummaryAccumulator:
                 else:
                     after = i + 1 - index  # the next event's place in the batch
                     self._look_aheads += 1
-                    if not self._switch_in(tags, after, 0):
+                    if not self._switch_in(tags, after, 0, []):
                         held_from = after
                         break
                 current = self._current
@@ -842,6 +834,7 @@ class SummaryAccumulator:
             self._held = (
                 raw_times[held_from:], tags[held_from:], index + held_from, mask
             )
+            self._scan_opened = [b - held_from for b in self._scan_opened]
 
     def _new_arc(
         self, callees: dict[str, list], name: str, is_cs: bool, root: int, seq: int
@@ -911,19 +904,132 @@ class SummaryAccumulator:
         if frames:
             self._close_frame(current, t, False)
 
-    def _switch_in(self, tags: Sequence[int], start: int, depth: int) -> bool:
+    def _run(
+        self,
+        tags: Sequence[int],
+        raw_times: Sequence[int],
+        start: int,
+        period: int,
+        mask: int,
+        arc: list,
+    ) -> Optional[tuple[int, int, int]]:
+        """Add up the run of calls repeating the one just closed.
+
+        ``tags[start - period:start]`` are the closed call's records, entry
+        to exit (a leaf pair when *period* is 2), and *arc* the arc it
+        added up into.  The run is every whole repeat of them left in the
+        batch (:func:`_run_end`), each added up with its whole subtree: a
+        call at body positions ``j..k`` took ``raw[k] - raw[j]`` in each
+        repeat, read off strided slices of the snapshots, and its net time
+        is that less its direct callees'.  A nested call's arc is the one
+        its first copy was stepped into, ``_arcs[caller][name]``.
+
+        A leaf's time and the gap before each repeat are one interval
+        each, masked one by one when the counter wrapped inside the run.
+        A longer call spans several, so its repeats are taken only up to
+        the first snapshot below the one before it (a wrap).  Returns
+        ``(stop, gaps, busy)``: the batch position after the run, the time
+        between the repeats (the caller's own) and the repeats' total
+        time (the caller's child time); or ``None``, having added nothing,
+        when no whole repeat follows, the body holds more than calls
+        nested by name (:meth:`_body`), or a wrap cuts the first repeat.
+        """
+        if period == 2:
+            stop = _run_end(tags, start, 2)
+            calls = [(0, 1, arc, 2)]
+        else:
+            # One repeat must follow before the body is walked, and the
+            # body must hold only calls before the run is measured.
+            if tags[start : start + period] != tags[start - period : start]:
+                return None
+            calls = self._body(tags, start - period, period, arc)
+            if calls is None:
+                return None
+            stop = _run_end(tags, start + period, period)
+            falls = map(gt, raw_times[start - 1 : stop - 1], raw_times[start:stop])
+            wrap = next(compress(count(start), falls), stop)
+            stop = start + (wrap - start) // period * period
+        if stop == start:
+            return None
+        wrapped = False
+        callees = [0] * (period + 1)  # callee time by caller's entry position
+        for entry, exit_, call_arc, caller in calls:  # callees first
+            entries = raw_times[start + entry : stop : period]
+            times = list(map(sub, raw_times[start + exit_ : stop : period], entries))
+            shortest = min(times)
+            if shortest < 0:  # the counter wrapped inside a leaf
+                wrapped = True
+                times = [d & mask for d in times]
+                shortest = min(times)
+            busy = sum(times)
+            net = busy - callees[entry]
+            _agg_merge(call_arc, [len(times), busy, net, max(times), shortest])
+            callees[caller] += busy
+        # The outer call came last: entries and busy are the repeats'.
+        before = raw_times[start - 1 : stop - 1 : period]
+        if wrapped or not all(map(le, before, entries)):
+            gaps = sum([d & mask for d in map(sub, entries, before)])
+        else:
+            gaps = raw_times[stop - 1] - raw_times[start - 1] - busy
+        if period == 2:
+            self._leaf_runs += 1
+            self._leaf_run_calls += len(times)
+        else:
+            self._call_runs += 1
+            self._call_run_calls += len(times) * len(calls)
+        return stop, gaps, busy
+
+    def _body(
+        self, tags: Sequence[int], begin: int, period: int, arc: list
+    ) -> Optional[list[tuple[int, int, list, int]]]:
+        """The calls of the body ``tags[begin:begin + period]``, one call
+        and its subtree, as ``(entry, exit, arc, caller)`` in the order
+        they exit, so the outer call, whose arc is *arc*, comes last:
+        positions in the body, the arc the call adds up into, and its
+        caller's entry position (*period* for the outer call).  ``None``
+        unless every record is an entry or an exit of a function that is
+        no context switch and every exit closes the innermost entry by
+        name: only then does each repeat step exactly like the first.
+        """
+        decode = self._decode_map
+        arcs = self._arcs
+        calls = []
+        opened: list[tuple[int, str]] = []
+        for position in range(period):
+            code, name, _, is_cs = decode[tags[begin + position]]
+            if is_cs:
+                return None
+            if code == _ENTRY:
+                opened.append((position, name))
+            elif code == _EXIT and opened and opened[-1][1] == name:
+                entry = opened.pop()[0]
+                if opened:
+                    caller, caller_name = opened[-1]
+                    calls.append((entry, position, arcs[caller_name][name], caller))
+                else:
+                    calls.append((entry, position, arc, period))
+            else:
+                return None
+        return calls
+
+    def _switch_in(
+        self, tags: Sequence[int], start: int, depth: int, opened: list[int]
+    ) -> bool:
         """Switch-in resolution by look-ahead: which suspended stack does
         the block that follows the latest context-switch exit belong to?
 
         The event stream carries no process identifier, so after a
         ``swtch`` exit the fold must decide which saved stack resumes.
         The block's tags are read forward from *start* with a depth
-        counter (at *depth* so far); entries open new frames, exits first
-        unwind those.  A leaf pair (an entry and its own exit) leaves the
-        depth where it was, so it is stepped over with every whole pair
-        repeating it (:func:`_run_end`), unless its entry is the block's
-        closing ``swtch``.  The look-ahead resolves at whichever comes
-        first:
+        counter (at *depth* so far, the innermost frames counted opened at
+        the positions *opened*); entries open new frames, exits first
+        unwind those.  When a call the look-ahead read whole closes (an
+        exit of a frame it opened, or a leaf pair, whose entry and exit
+        are read as one) and the next tag enters the same function again,
+        every whole repeat of the call's records is jumped, uncounted as
+        reads (:func:`_run_end`): a repeat reads exactly like the copy
+        just read through without resolving.  The look-ahead resolves at
+        whichever comes first:
 
         1. an exit of function X that unwinds *below* the block's opening
            depth — it names a frame the resumed process was suspended
@@ -935,8 +1041,8 @@ class SummaryAccumulator:
 
         If no stack matches, a process not seen before starts a fresh
         stack (:meth:`_resume`).  Returns ``False``, keeping the depth in
-        ``_scan_depth``, when the look-ahead runs off the end of *tags*
-        unresolved.
+        ``_scan_depth`` and the open positions in ``_scan_opened``, when
+        the look-ahead runs off the end of *tags* unresolved.
         """
         decode = self._decode_map
         n = len(tags)
@@ -951,23 +1057,32 @@ class SummaryAccumulator:
                     unwound = None
                     break
                 if position < n and tags[position] == tag + 1:
-                    # A leaf pair: step over its exit, and jump every
-                    # whole pair repeating it.
+                    # A leaf pair: step over its exit.
+                    entered = position - 1
                     position += 1
-                    if position < n and tags[position] == tag:
-                        stop = _run_end(tags, position)
-                        jumped += stop - position
-                        position = stop
                 else:
+                    opened.append(position - 1)
                     depth += 1
+                    continue
             elif code == _EXIT:
                 if not depth:
                     unwound = name
                     break
                 depth -= 1
+                if not opened:
+                    continue
+                entered = opened.pop()
+            else:
+                continue
+            # A call read whole: jump every whole repeat of it.
+            if position < n and tags[position] == tags[entered]:
+                stop = _run_end(tags, position, position - entered)
+                jumped += stop - position
+                position = stop
         else:
             self._look_ahead_reads += position - start - jumped
             self._scan_depth = depth
+            self._scan_opened = opened
             return False
         self._look_ahead_reads += position - start - jumped
         self._resume(unwound)
@@ -991,7 +1106,7 @@ class SummaryAccumulator:
             self._resume(name)
             return True
         self._look_aheads += 1
-        return self._switch_in(tags, position, depth)
+        return self._switch_in(tags, position, depth, [])
 
     def _resume(self, unwound: Optional[str]) -> None:
         """Switch in the least recently suspended stack whose top frame is
@@ -1066,6 +1181,8 @@ class SummaryAccumulator:
             _TELEMETRY.count("analysis.unattributed_us", self._unattributed_us)
             _TELEMETRY.count("analysis.leaf_runs", self._leaf_runs)
             _TELEMETRY.count("analysis.leaf_run_calls", self._leaf_run_calls)
+            _TELEMETRY.count("analysis.call_runs", self._call_runs)
+            _TELEMETRY.count("analysis.call_run_calls", self._call_run_calls)
             _TELEMETRY.count("analysis.look_aheads", self._look_aheads)
             _TELEMETRY.count("analysis.look_ahead_reads", self._look_ahead_reads)
         return self

@@ -539,6 +539,27 @@ def reference_summary(analysis: CallTreeAnalysis) -> ProfileSummary:
     )
 
 
+def reference_arcs(analysis: CallTreeAnalysis) -> list[tuple[str, str, int, int, int]]:
+    """A call forest's caller->callee arcs in the order a preorder walk
+    first meets them: ``(caller, callee, calls, inclusive, net)``, a tree
+    root's caller :data:`SPONTANEOUS`.  The fold's arcs sorted by their
+    preorder keys must read the same."""
+    arcs: dict[tuple[str, str], list[int]] = {}
+
+    def walk(node: CallNode, caller: str) -> None:
+        if not node.synthetic:
+            arc = arcs.setdefault((caller, node.name), [0, 0, 0])
+            arc[0] += 1
+            arc[1] += node.inclusive_us
+            arc[2] += node.self_us
+        for child in node.children:
+            walk(child, node.name)
+
+    for root in analysis.roots:
+        walk(root, SPONTANEOUS)
+    return [(caller, callee, *totals) for (caller, callee), totals in arcs.items()]
+
+
 # -- gprof -------------------------------------------------------------------
 
 

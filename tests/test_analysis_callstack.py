@@ -447,25 +447,6 @@ def _steps(names, *steps):
     return records
 
 
-def _reference_arcs(analysis):
-    """The reference forest's caller->callee arcs in the order a preorder
-    walk first meets them: ``(caller, callee, calls, inclusive, net)``."""
-    arcs = {}
-
-    def walk(node, caller):
-        if not node.synthetic:
-            arc = arcs.setdefault((caller, node.name), [0, 0, 0])
-            arc[0] += 1
-            arc[1] += node.inclusive_us
-            arc[2] += node.self_us
-        for child in node.children:
-            walk(child, node.name)
-
-    for root in analysis.roots:
-        walk(root, SPONTANEOUS)
-    return [(caller, callee, *totals) for (caller, callee), totals in arcs.items()]
-
-
 class TestLeafPairs:
     """An entry whose next record is its own exit is stepped as one call
     when no recorder is attached; a fold with a recorder steps the same
@@ -552,7 +533,8 @@ class TestLeafPairs:
             list(oracles.decoded_events(records, simple_names))
         )
         want = (
-            oracles.reference_summary(reference).format(), _reference_arcs(reference),
+            oracles.reference_summary(reference).format(),
+            oracles.reference_arcs(reference),
             reference.anomalies, reference.procs, reference.unattributed_us,
             reference.context_switches,
         )
@@ -699,7 +681,7 @@ class TestLeafRuns:
         assert runs == self.RUNS[case]
         summary, arcs, gprof, *rest = whole
         assert summary == oracles.reference_summary(reference).format()
-        assert [arc[1:] for arc in arcs] == _reference_arcs(reference)
+        assert [arc[1:] for arc in arcs] == oracles.reference_arcs(reference)
         assert gprof == oracles.reference_gprof_report(reference).format()
         assert rest == [
             reference.anomalies, reference.procs, reference.unattributed_us,
@@ -919,7 +901,7 @@ class TestSwitchIns:
             simple_names, records, [], None
         )
         assert summary == oracles.reference_summary(reference).format()
-        assert [arc[1:] for arc in arcs] == _reference_arcs(reference)
+        assert [arc[1:] for arc in arcs] == oracles.reference_arcs(reference)
         assert gprof == oracles.reference_gprof_report(reference).format()
         assert rest == [
             reference.anomalies, reference.procs, reference.unattributed_us,
@@ -975,6 +957,293 @@ class TestSwitchIns:
             # The look-ahead ran off the first batch only when the
             # block's tsleep exit (record 16) was not in it.
             assert counters[0] == 1 and held == (cut - 4 if cut <= 16 else 0), cut
+
+
+def _clocked(t, *parts):
+    """``(op, name, time)`` steps of ``(op, name, gap)`` parts: each record
+    *gap* microseconds after the one before it, the first after *t*."""
+    steps = []
+    for op, name, gap in parts:
+        t += gap
+        steps.append((op, name, t))
+    return steps
+
+
+#: read calls bcopy, then cksum, which calls bcopy too: a body three calls
+#: deep.  Per copy read takes 14 us (4 its own), cksum 7 (3), the bcopy
+#: under read 3 and the one under cksum 4; its caller's own 2 come first.
+BODY = [
+    (">", "read", 2), (">", "bcopy", 1), ("<", "bcopy", 3), (">", "cksum", 1),
+    (">", "bcopy", 2), ("<", "bcopy", 4), ("<", "cksum", 1), ("<", "read", 2),
+]
+
+CALL_RUN_COUNTERS = (
+    "analysis.call_runs", "analysis.call_run_calls",
+    "analysis.leaf_runs", "analysis.leaf_run_calls",
+    *LOOK_AHEAD_COUNTERS,
+)
+
+
+class TestCallRuns:
+    """A call closed with its entry in the batch and followed by the same
+    call again opens a run whatever its body calls, the shape of a
+    page-fault loop: with no recorder, every whole repeat of its records
+    left in the batch is added up with its whole subtree in one step, and
+    a look-ahead jumps the same repeats.  The fold must equal the
+    reference tree and the frame path however the stream is cut, gprof's
+    preorder keys included."""
+
+    CASES = {
+        "a nested body repeated inside a frame": [
+            (">", "main", 0), *_clocked(0, *BODY * 3), ("<", "main", 53),
+        ],
+        # Each repeat is a tree root; main's tree then calls read again.
+        "a nested body repeated at depth 0": [
+            *_clocked(0, *BODY * 3),
+            *_clocked(48, (">", "main", 3), (">", "read", 1), (">", "bcopy", 1),
+                      ("<", "bcopy", 2), ("<", "read", 1), ("<", "main", 1)),
+        ],
+        # The counter wraps inside the third of four copies (between
+        # cksum's entry and bcopy's): the second copy is one run, the
+        # third is stepped, and the fourth is a run of its own.
+        "a wrap inside a body": [
+            (">", "main", WRAP - 40), *_clocked(WRAP - 40, *BODY * 4),
+            ("<", "main", WRAP + 29),
+        ],
+        # Each read lasts 1.5 turns of the counter, so its exit snapshot
+        # is 0.5 turns after its entry's: every copy is stepped.
+        "a body longer than a turn of the counter": [
+            (">", "main", 0),
+            *_clocked(0, *[(">", "read", 2), (">", "bcopy", WRAP // 2),
+                           ("<", "bcopy", WRAP // 2), ("<", "read", WRAP // 2)] * 3),
+            ("<", "main", 3 * (WRAP // 2 * 3 + 2) + 5),
+        ],
+        # The counter wraps between the second and third bcopy: a leaf's
+        # time and a gap are one interval each, so it is one run.
+        "a wrap between leaf repeats": [
+            (">", "main", WRAP - 20),
+            *_clocked(WRAP - 20, *[(">", "bcopy", 5), ("<", "bcopy", 2)] * 2),
+            *_clocked(WRAP - 8, *[(">", "bcopy", 11), ("<", "bcopy", 2)] * 2),
+            ("<", "main", WRAP + 25),
+        ],
+        "a body holding a mark": [
+            (">", "main", 0),
+            *_clocked(0, *[(">", "read", 2), (">", "cksum", 1), ("=", "MGET", 1),
+                           ("<", "cksum", 2), ("<", "read", 1)] * 3),
+            ("<", "main", 25),
+        ],
+        "a body holding an unknown tag": [
+            (">", "main", 0),
+            *_clocked(0, *[(">", "read", 2), (">", "cksum", 1), ("?", 777, 1),
+                           ("<", "cksum", 2), ("<", "read", 1)] * 3),
+            ("<", "main", 25),
+        ],
+        # read blocks in swtch and resumes, three times over.
+        "a body holding a swtch pair": [
+            (">", "main", 0),
+            *_clocked(0, *[(">", "read", 2), (">", "swtch", 1), ("<", "swtch", 4),
+                           ("<", "read", 1)] * 3),
+            ("<", "main", 30),
+        ],
+        # bcopy's exit is lost in every copy: cksum's exit closes it.
+        "a body holding a missed exit": [
+            (">", "main", 0),
+            *_clocked(0, *[(">", "read", 2), (">", "cksum", 1), (">", "bcopy", 1),
+                           ("<", "cksum", 2), ("<", "read", 1)] * 3),
+            ("<", "main", 25),
+        ],
+        "a body holding an unmatched exit": [
+            (">", "main", 0),
+            *_clocked(0, *[(">", "read", 2), ("<", "bcopy", 1), ("<", "read", 1)] * 3),
+            ("<", "main", 15),
+        ],
+        # P0 sleeps in tsleep: the look-ahead reads the first copy, jumps
+        # the other two, and tsleep's exit names P0.
+        "a look-ahead over a repeated body": [
+            (">", "main", 0), (">", "tsleep", 1), (">", "swtch", 2), ("<", "swtch", 7),
+            *_clocked(7, *BODY * 3), ("<", "tsleep", 57), ("<", "main", 58),
+        ],
+    }
+
+    #: The whole stream's call runs and the calls they added up, leaf runs
+    #: and their calls, look-aheads and the records they read one by one.
+    PINS = {
+        "a nested body repeated inside a frame": (1, 8, 0, 0, 0, 0),
+        "a nested body repeated at depth 0": (1, 8, 0, 0, 0, 0),
+        "a wrap inside a body": (2, 8, 0, 0, 0, 0),
+        "a body longer than a turn of the counter": (0, 0, 0, 0, 0, 0),
+        "a wrap between leaf repeats": (0, 0, 1, 3, 0, 0),
+        "a body holding a mark": (0, 0, 0, 0, 0, 0),
+        "a body holding an unknown tag": (0, 0, 0, 0, 0, 0),
+        "a body holding a swtch pair": (0, 0, 0, 0, 3, 3),
+        "a body holding a missed exit": (0, 0, 0, 0, 0, 0),
+        "a body holding an unmatched exit": (0, 0, 0, 0, 0, 0),
+        "a look-ahead over a repeated body": (1, 8, 0, 0, 1, 9),
+    }
+
+    @staticmethod
+    def _fold(names, records, cuts, recorder=None):
+        """Fold *records* cut at *cuts*: its sealed state, arcs with their
+        preorder keys and the gprof text, and its run and look-ahead
+        counters."""
+        fold = SummaryAccumulator(names)
+        fold.recorder = recorder
+        bounds = [0, *cuts, len(records)]
+        for start, stop in zip(bounds, bounds[1:]):
+            fold.feed_columns(columns_of(records[start:stop]))
+        TELEMETRY.enable()
+        try:
+            TELEMETRY.reset()
+            fold.close()
+            counters = tuple(
+                TELEMETRY.registry.get(name).value for name in CALL_RUN_COUNTERS
+            )
+        finally:
+            TELEMETRY.disable()
+            TELEMETRY.reset()
+        state = (
+            fold.summary().format(), sorted(fold.arcs()),
+            gprof_from_fold(fold).format(),
+            fold.anomalies, fold.procs, fold.unattributed_us, fold.context_switches,
+        )
+        return state, counters
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_run_step_equals_reference_and_frame_path(self, simple_names, case):
+        records = _steps(simple_names, *self.CASES[case])
+        reference = oracles.reference_call_tree(
+            list(oracles.decoded_events(records, simple_names))
+        )
+        whole, counters = self._fold(simple_names, records, [])
+        assert counters == self.PINS[case]
+        summary, arcs, gprof, *rest = whole
+        assert summary == oracles.reference_summary(reference).format()
+        assert [arc[1:] for arc in arcs] == oracles.reference_arcs(reference)
+        assert gprof == oracles.reference_gprof_report(reference).format()
+        assert rest == [
+            reference.anomalies, reference.procs, reference.unattributed_us,
+            reference.context_switches,
+        ]
+        for cuts in TestLeafPairs._cuts(len(records)):
+            assert self._fold(simple_names, records, cuts)[0] == whole, cuts
+            framed, framed_counters = self._fold(
+                simple_names, records, cuts, FoldRecorder()
+            )
+            assert framed == whole, cuts
+            assert framed_counters[:4] == (0, 0, 0, 0), cuts
+
+    #: Where a cut falls in "a nested body repeated inside a frame" (main
+    #: at 0, the copies at 1-8, 9-16 and 17-24, main's exit at 25), and
+    #: the call runs and calls it leaves.
+    BATCH_CUTS = {
+        3: (1, 4),  # copy 1 began in the previous batch: stepped
+        9: (1, 4),  # copy 1 ends its batch, so it sees no repeat
+        12: (0, 0),  # copy 2 is cut: copy 1 sees no whole repeat, then
+        # copy 2 began in the previous batch
+        17: (1, 4),  # the run holds copy 2 only
+        20: (1, 4),  # copy 3 is cut off the run, then stepped
+    }
+
+    @pytest.mark.parametrize("cut", list(BATCH_CUTS))
+    def test_run_cut_by_a_batch(self, simple_names, cut):
+        """A call whose entry lies in an earlier batch is stepped, and a
+        run holds only the whole repeats left in its batch."""
+        records = _steps(simple_names, *self.CASES["a nested body repeated inside a frame"])
+        whole, _ = self._fold(simple_names, records, [])
+        state, counters = self._fold(simple_names, records, [cut])
+        assert state == whole
+        assert counters[:2] == self.BATCH_CUTS[cut]
+
+    def test_a_call_entered_in_an_earlier_batch_is_stepped(self, simple_names):
+        """main's exit closes a frame the previous batch opened, and the
+        next batch's records read like a repeat of its last ones: a
+        period reaching back past the batch's start is no run."""
+        records = _steps(simple_names, *_clocked(
+            0, (">", "main", 1), (">", "bcopy", 1), ("<", "bcopy", 1),
+            (">", "cksum", 1), ("<", "cksum", 1), (">", "bcopy", 1), ("<", "bcopy", 1),
+            *[(">", "main", 1), ("<", "main", 1), ("<", "main", 1)] * 2,
+        ))
+        whole, counters = self._fold(simple_names, records, [])
+        assert counters[:4] == (0, 0, 0, 0)
+        assert self._fold(simple_names, records, [7]) == (whole, counters)
+
+    def test_accounting(self, simple_names):
+        """The run step's arithmetic, by hand: each nested call adds up
+        into the arc under its own caller, net of its callees."""
+        fold = SummaryAccumulator(simple_names)
+        records = _steps(simple_names, *self.CASES["a nested body repeated inside a frame"])
+        fold.feed_columns(columns_of(records))
+        arcs = {(caller, callee): rest for _, caller, callee, *rest in fold.arcs()}
+        assert arcs == {
+            (SPONTANEOUS, "main"): [1, 53, 5 + 3 * 2],
+            ("main", "read"): [3, 3 * 14, 3 * 4],
+            ("read", "bcopy"): [3, 3 * 3, 3 * 3],
+            ("read", "cksum"): [3, 3 * 7, 3 * 3],
+            ("cksum", "bcopy"): [3, 3 * 4, 3 * 4],
+        }
+        bcopy = fold.summary().get("bcopy")
+        assert (bcopy.calls, bcopy.max_us, bcopy.min_us) == (6, 4, 3)
+        depth_0 = SummaryAccumulator(simple_names)
+        records = _steps(simple_names, *self.CASES["a nested body repeated at depth 0"])
+        depth_0.feed_columns(columns_of(records))
+        # 2 us before the second and the third copy, 3 before main.
+        assert depth_0.unattributed_us == 2 * 2 + 3
+        # Each repeat is a tree root, the last one current; read's arc
+        # out of the root table keeps its first call's preorder key.
+        keys = {(caller, callee): key for key, caller, callee, *_ in depth_0.arcs()}
+        assert keys[(SPONTANEOUS, "read")] == (0, 0)
+        assert keys[("cksum", "bcopy")] == (0, 4)
+        assert keys[("main", "read")] == (24, 25)
+
+    def test_a_depth_0_run_leaves_its_last_repeat_as_the_root(self, simple_names):
+        records = _steps(simple_names, *self.CASES["a nested body repeated at depth 0"][:24])
+        roots = []
+        for recorder in (None, FoldRecorder()):
+            fold = SummaryAccumulator(simple_names)
+            fold.recorder = recorder
+            fold.feed_columns(columns_of(records))
+            roots.append(fold._current.root)
+        assert roots == [16, 16]
+
+    #: Call runs and their calls where decoded batches, which never
+    #: wrap, take in one run the copies a wrap cut off.
+    UNWRAPPED_RUNS = {
+        "a wrap inside a body": (1, 12),
+        "a body longer than a turn of the counter": (1, 4),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_feed_events_with_no_recorder(self, simple_names, case):
+        """Decoded batches never wrap: the same sums, with every repeat of
+        a wrapping body in one run."""
+        records = _steps(simple_names, *self.CASES[case])
+        events = decode_capture(capture_from_records(records, simple_names))
+        fold = SummaryAccumulator(simple_names).feed_events(events)
+        framed = SummaryAccumulator(simple_names)
+        framed.recorder = FoldRecorder()
+        framed.feed_events(events)
+        assert (fold._call_runs, fold._call_run_calls) == self.UNWRAPPED_RUNS.get(
+            case, self.PINS[case][:2]
+        )
+        assert fold.summary().format() == framed.summary().format()
+        assert sorted(fold.arcs()) == sorted(framed.arcs())
+        assert fold.anomalies == framed.anomalies
+        assert fold.unattributed_us == framed.unattributed_us
+
+    def test_look_ahead_held_across_a_batch_end(self, simple_names):
+        """A look-ahead that runs off its batch inside the first copy
+        holds the block, and the next batch continues it with the frames
+        it opened, so it still jumps the other two copies; the held tail
+        is the batch the fold then steps, so they are still one run."""
+        records = _steps(simple_names, *self.CASES["a look-ahead over a repeated body"])
+        whole, counters = self._fold(simple_names, records, [])
+        for cut in range(5, 13):
+            state, cut_counters = self._fold(simple_names, records, [cut])
+            assert state == whole, cut
+            assert cut_counters[:2] == counters[:2], cut
+            # Cut after the first copy's exit, the look-ahead only sees
+            # the repeat from the second copy's exit: it reads one more.
+            assert cut_counters[5] == (9 + 8 if cut == 12 else 9), cut
 
 
 def _rebind_everywhere(monkeypatch, original, replacement) -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import pathlib
@@ -11,7 +12,7 @@ from typing import Optional
 
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import build_parser, main
 from repro.db.schema import connect
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -472,6 +473,23 @@ class TestBadInputIsOneErrorLine:
         assert usage.value.code == 2
         assert "--summary-limit: must be at least 0, got -1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["db", "query", "--db", "x.db"],
+            ["db", "diff", "a", "b", "--db", "x.db"],
+            ["top", "--once"],
+        ],
+        ids=["db query", "db diff", "top"],
+    )
+    def test_negative_limit_is_a_usage_error(self, capsys, command):
+        """``--limit -1`` printed every row but the last; it is refused
+        before anything is opened or run."""
+        with pytest.raises(SystemExit) as usage:
+            main([*command, "--limit", "-1"], out=lambda line: None)
+        assert usage.value.code == 2
+        assert "--limit: must be at least 0, got -1" in capsys.readouterr().err
+
     def test_trace_export_names_the_output_it_was_given(self, tmp_path, capsys):
         """An output directory that does not exist is reported by the path
         given, not by the temp file written beside it, and nothing is left
@@ -617,6 +635,62 @@ class TestLeanStartup:
         loaded = _modules_loaded_by(argv)
         assert "repro.analysis.summary" in loaded
         assert "repro.analysis.callstack" not in loaded
+
+
+def _command_paths(parser: argparse.ArgumentParser, path: tuple = ()):
+    """Every command and sub-command of *parser*, as the argv naming it."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, command in action.choices.items():
+                yield [*path, name]
+                yield from _command_paths(command, (*path, name))
+
+
+class TestPerCommandParser:
+    """``main`` builds the arguments of the command it runs only; what
+    any command prints for ``--help`` or a usage error must not tell the
+    difference from the parser holding every command."""
+
+    @staticmethod
+    def _parse(parser, argv, capsys):
+        with pytest.raises(SystemExit) as done:
+            parser.parse_args(argv)
+        captured = capsys.readouterr()
+        return done.value.code, captured.out, captured.err
+
+    @pytest.mark.parametrize(
+        "path", list(_command_paths(build_parser([]))), ids=" ".join
+    )
+    @pytest.mark.parametrize("tail", [["--help"], ["--no-such-option"]])
+    def test_same_bytes_as_the_full_parser(self, monkeypatch, capsys, path, tail):
+        monkeypatch.setenv("COLUMNS", "100")
+        argv = [*path, *tail]
+        full = self._parse(build_parser([]), argv, capsys)
+        assert full[0] == (0 if tail == ["--help"] else 2)
+        assert self._parse(build_parser(argv), argv, capsys) == full
+
+    @pytest.mark.parametrize("argv", [[], ["-h"], ["nope"], ["--names", "x"]])
+    def test_no_command_named_builds_every_command(self, monkeypatch, capsys, argv):
+        """``repro -h``, no command and an unknown one list every command
+        as before."""
+        monkeypatch.setenv("COLUMNS", "100")
+        built = build_parser(argv)
+        assert list(_command_paths(built)) == list(_command_paths(build_parser([])))
+        code, out, err = self._parse(built, argv, capsys)
+        assert (code, out == "") == ((0, False) if argv == ["-h"] else (2, True))
+        assert "{capture,analyze,trace,lint,fleet,coverage,db,live,top,workloads}" in (
+            out + err
+        )
+
+    def test_only_the_named_command_gets_its_arguments(self):
+        parser = build_parser(["db", "query"])
+        commands = next(
+            action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ).choices
+        assert [name for name, command in commands.items() if command._actions[1:]] == [
+            "db"
+        ]
 
 
 class TestOtherCommands:

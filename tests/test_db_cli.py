@@ -221,6 +221,53 @@ class TestDiffCommand:
         assert "no movement beyond noise" in text
 
 
+class TestRowLimits:
+    """``--limit N`` prints at most N rows: 0 the header alone, and a
+    negative count is a usage error, not a slice off the end."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["db", "query", "--function", "tcp_*"],
+            ["db", "diff", FIG3_V1, FIG3_V2],
+        ],
+        ids=["query", "diff"],
+    )
+    def test_negative_limit_is_a_usage_error(self, tmp_path, capsys, argv):
+        db = str(tmp_path / "p.db")
+        ingest_goldens(db)
+        with pytest.raises(SystemExit) as usage:
+            run_cli(*argv, "--db", db, "--limit", "-1")
+        assert usage.value.code == 2
+        assert "--limit: must be at least 0, got -1" in capsys.readouterr().err
+
+    def test_query_limit_zero_prints_the_header_alone(self, tmp_path):
+        db = str(tmp_path / "p.db")
+        ingest_goldens(db)
+        code, text = run_cli("db", "query", "--db", db, "--function", "tcp_*")
+        assert code == 0 and len(text.splitlines()) > 3
+        code, text = run_cli(
+            "db", "query", "--db", db, "--function", "tcp_*", "--limit", "0"
+        )
+        assert code == 0
+        assert text.splitlines()[1:] == ["0 row(s)"]
+
+    def test_diff_text_limit(self, tmp_path):
+        """The delta table holds 10 rows unless ``--limit`` says
+        otherwise, 0 included."""
+        db = str(tmp_path / "p.db")
+        ingest_goldens(db)
+        golden = (GOLDEN_DIR / "db_diff.txt").read_text().splitlines()
+        header = golden.index(f"{'net before':>11} {'net after':>10} {'delta':>9}   name")
+        for limit, rows in ((None, 10), ("0", 0), ("3", 3)):
+            flag = [] if limit is None else ["--limit", limit]
+            code, text = run_cli("db", "diff", FIG3_V1, FIG3_V2, "--db", db, *flag)
+            assert code == 0
+            assert text.splitlines() == (
+                golden[: header + 1 + rows] + golden[header + 11 :]
+            ), limit
+
+
 class TestCheckCommand:
     def test_clean_db(self, regression_db):
         code, text = run_cli("db", "check", "--db", regression_db)

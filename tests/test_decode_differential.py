@@ -411,6 +411,96 @@ def sleeper_streams(draw, max_blocks: int = 12) -> list[RawRecord]:
     return records
 
 
+def long_every(n: int):
+    """Intervals of up to 64 us, but one in *n* up to a whole turn of the
+    24-bit counter."""
+    return st.integers(min_value=0, max_value=n - 1).flatmap(
+        lambda k: st.integers(min_value=0, max_value=TIME_MASK if k == 0 else 64)
+    )
+
+
+@st.composite
+def repeat_streams(draw, max_segments: int = 10) -> list[RawRecord]:
+    """Loops of a random subtree, the shape of a page-fault loop: a call
+    whose body calls further (up to three levels), repeated 1-8 times back
+    to back at depth 0 or inside up to two caller frames.
+
+    Now and then a body holds an inline mark, a tag no name file knows, a
+    ``swtch`` pair, an entry whose exit was lost or an exit that matches
+    nothing, and a repeat is cut off by one of those between copies.
+    Between loops a process switches out in user mode or inside a call,
+    or sleeps in ``tsleep`` and wakes after another block's loops, so
+    switch-ins look ahead over repeated bodies too.  One interval in 64
+    lasts up to a whole turn of the 24-bit counter, so the counter wraps
+    now and then inside a body; in one stream in three it is one in
+    four, so calls in a body also last longer than a turn.
+    """
+    records: list[RawRecord] = []
+    t = draw(st.integers(min_value=0, max_value=TIME_MASK))
+    deltas = long_every(draw(st.sampled_from([4, 64, 64])))
+
+    def emit(tag: int) -> None:
+        nonlocal t
+        records.append(RawRecord(tag=tag, time=t))
+        t = (t + draw(deltas)) & TIME_MASK
+
+    swtch, tsleep = NAMES.by_name("swtch"), NAMES.by_name("tsleep")
+    mget = NAMES.by_name("MGET")
+    functions = [NAMES.by_name(n) for n in ("main", "read", "bcopy", "cksum", "ISAINTR")]
+    oddities = ["mark", "unknown", "switch", "missed", "unmatched"]
+
+    def odd(kind: str) -> list[int]:
+        if kind == "mark":
+            return [mget.entry_value]
+        if kind == "unknown":
+            return [UNKNOWN_TAG]
+        if kind == "switch":
+            return [swtch.entry_value, swtch.exit_value]
+        if kind == "missed":
+            return [draw(st.sampled_from(functions)).entry_value]
+        return [draw(st.sampled_from(functions)).exit_value]
+
+    def body(depth: int) -> list[int]:
+        fn = draw(st.sampled_from(functions))
+        tags = [fn.entry_value]
+        for _ in range(draw(st.integers(min_value=0, max_value=3 if depth < 2 else 1))):
+            kind = draw(st.sampled_from(["call"] * 36 + oddities))
+            tags += body(depth + 1) if kind == "call" else odd(kind)
+        return tags + [fn.exit_value]
+
+    def loop() -> None:
+        callers = draw(st.lists(st.sampled_from(functions), max_size=2))
+        for fn in callers:
+            emit(fn.entry_value)
+        tags = body(0)
+        for _ in range(draw(st.integers(min_value=1, max_value=8))):
+            if draw(st.integers(min_value=0, max_value=7)) == 0:
+                for tag in odd(draw(st.sampled_from(oddities))):
+                    emit(tag)
+            for tag in tags:
+                emit(tag)
+        for fn in reversed(callers):
+            emit(fn.exit_value)
+
+    for _ in range(draw(st.integers(min_value=1, max_value=max_segments))):
+        segment = draw(st.sampled_from(["loop", "loop", "loop", "switch", "sleep", "open"]))
+        if segment == "loop":
+            loop()
+        elif segment == "switch":
+            emit(swtch.entry_value)
+            emit(swtch.exit_value)
+        elif segment == "sleep":
+            emit(tsleep.entry_value)
+            emit(swtch.entry_value)
+            emit(swtch.exit_value)
+            for _ in range(draw(st.integers(min_value=0, max_value=2))):
+                loop()
+            emit(tsleep.exit_value)
+        else:  # a call left open across what follows
+            emit(draw(st.sampled_from(functions)).entry_value)
+    return records
+
+
 _KIND_OF_CODE = {
     columnar.CODE_ENTRY: oracles.EventKind.ENTRY,
     columnar.CODE_EXIT: oracles.EventKind.EXIT,
@@ -861,6 +951,52 @@ class TestSwitchInParity:
     @given(records=st.one_of(switch_streams(), loop_streams()), data=st.data())
     def test_mixed_switches(self, records, data):
         self._assert_parity(records, self._cuts(data, records))
+
+
+class TestCallRunParity:
+    """A repeated call is added up with its whole subtree in one step
+    when no recorder is attached, and a look-ahead jumps its repeats; the
+    fold with a recorder steps every record, and the reference
+    reconstruction resolves every record from the decoded events.  All
+    three must agree on everything the fold reports, gprof's preorder
+    keys included, for the stream whole, one record at a time and cut at
+    random."""
+
+    @staticmethod
+    def _fold(records, cuts, recorder):
+        fold = SummaryAccumulator(NAMES)
+        fold.recorder = recorder
+        bounds = [0, *cuts, len(records)]
+        for start, stop in zip(bounds, bounds[1:]):
+            fold.feed_columns(columns_of(records[start:stop]))
+        return (
+            fold.summary().format(),
+            sorted(fold.arcs()),
+            _gprof_fields(gprof_from_fold(fold)),
+            fold.anomalies,
+            fold.procs,
+            fold.unattributed_us,
+            fold.context_switches,
+        )
+
+    @DIFF_SETTINGS
+    @given(records=repeat_streams(), data=st.data())
+    def test_call_runs_equal_frame_path_and_reference(self, records, data):
+        reference = oracles.reference_call_tree(_reference_events(records))
+        want = (
+            oracles.reference_summary(reference).format(),
+            oracles.reference_arcs(reference),
+            _gprof_fields(oracles.reference_gprof_report(reference)),
+            reference.anomalies,
+            reference.procs,
+            reference.unattributed_us,
+            reference.context_switches,
+        )
+        for cuts in ([], list(range(1, len(records))), TestSwitchInParity._cuts(data, records)):
+            state = self._fold(records, cuts, None)
+            assert state == self._fold(records, cuts, FoldRecorder()), cuts
+            summary, arcs, *rest = state
+            assert (summary, [arc[1:] for arc in arcs], *rest) == want, cuts
 
 
 # -- call trees --------------------------------------------------------------
