@@ -29,9 +29,8 @@ generated streams.
 
 from __future__ import annotations
 
-import dataclasses
 from itertools import accumulate, islice
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from repro.analysis.events import _check_width
 from repro.instrument.namefile import NameTable
@@ -128,8 +127,7 @@ def unwrap_times(raw_times: Sequence[int], width_bits: int = 24) -> list[int]:
     return list(accumulate(deltas, initial=0))
 
 
-@dataclasses.dataclass(frozen=True)
-class ColumnarEvents:
+class ColumnarEvents(NamedTuple):
     """Records with the counter unwrapped: absolute times beside the raw
     tags, as parallel columns.  The tags are left for the fold that
     steps them to look up."""

@@ -18,11 +18,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.profiler.capture import Capture
 from repro.profiler.ram import TIME_BITS
 
 if TYPE_CHECKING:
     from repro.analysis.columnar import ColumnarEvents
+    from repro.profiler.capture import Capture
 
 
 def _check_width(width_bits: int) -> None:

@@ -20,7 +20,6 @@ forest first meets them, which breaks the report's ties.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import TYPE_CHECKING
 
 from repro.analysis.summary import SummaryAccumulator
@@ -29,26 +28,40 @@ if TYPE_CHECKING:
     from repro.analysis.callstack import CallTreeAnalysis
 
 
-@dataclasses.dataclass
 class ArcStats:
     """One caller->callee arc, exact (not apportioned)."""
 
-    caller: str
-    callee: str
-    calls: int = 0
-    inclusive_us: int = 0
+    __slots__ = ("caller", "callee", "calls", "inclusive_us")
+
+    def __init__(
+        self, caller: str, callee: str, calls: int = 0, inclusive_us: int = 0
+    ) -> None:
+        self.caller = caller
+        self.callee = callee
+        self.calls = calls
+        self.inclusive_us = inclusive_us
 
 
-@dataclasses.dataclass
 class GprofEntry:
     """One function's section of the report."""
 
-    name: str
-    calls: int
-    net_us: int
-    inclusive_us: int
-    callers: list[ArcStats]
-    callees: list[ArcStats]
+    __slots__ = ("name", "calls", "net_us", "inclusive_us", "callers", "callees")
+
+    def __init__(
+        self,
+        name: str,
+        calls: int,
+        net_us: int,
+        inclusive_us: int,
+        callers: list[ArcStats],
+        callees: list[ArcStats],
+    ) -> None:
+        self.name = name
+        self.calls = calls
+        self.net_us = net_us
+        self.inclusive_us = inclusive_us
+        self.callers = callers
+        self.callees = callees
 
 
 class GprofReport:

@@ -37,7 +37,6 @@ call tree's summary off the fold that recorded it.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from collections import Counter
 from itertools import chain, compress, count, islice
@@ -47,6 +46,7 @@ from typing import (
     Iterable,
     Iterator,
     MutableSequence,
+    NamedTuple,
     Optional,
     Sequence,
 )
@@ -61,16 +61,15 @@ from repro.analysis.columnar import (
 )
 from repro.analysis.events import _check_width
 from repro.instrument.namefile import NameTable
-from repro.profiler.capture import Capture
 from repro.profiler.ram import RecordColumns
 from repro.telemetry import TELEMETRY as _TELEMETRY
 
 if TYPE_CHECKING:
     from repro.analysis.callstack import CallTreeAnalysis
+    from repro.profiler.capture import Capture
 
 
-@dataclasses.dataclass
-class FunctionStats:
+class FunctionStats(NamedTuple):
     """Aggregated statistics for one function."""
 
     name: str
@@ -88,8 +87,7 @@ class FunctionStats:
         return self.elapsed_us // self.calls
 
 
-@dataclasses.dataclass
-class ProfileSummary:
+class ProfileSummary(NamedTuple):
     """The complete summary: overall accounting plus per-function rows."""
 
     wall_us: int
@@ -148,7 +146,7 @@ class ProfileSummary:
         for name, stats in self.functions.items():
             old = older.functions.get(name)
             if old is None:
-                functions[name] = dataclasses.replace(stats)
+                functions[name] = stats
                 continue
             calls = stats.calls - old.calls
             elapsed = stats.elapsed_us - old.elapsed_us
@@ -298,8 +296,7 @@ def summarize(analysis: CallTreeAnalysis) -> ProfileSummary:
 # -- the fold ----------------------------------------------------------------
 
 
-@dataclasses.dataclass
-class Anomaly:
+class Anomaly(NamedTuple):
     """One repair the reconstruction had to make."""
 
     index: int

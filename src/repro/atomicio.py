@@ -34,6 +34,32 @@ def _naming(error: OSError, path: Union[str, Path]) -> OSError:
     return OSError(error.errno, error.strerror, os.fspath(path))
 
 
+def _create_temp(path: Union[str, Path]) -> tuple[int, Path]:
+    """Create the temp file beside *path* that :func:`open_atomic` writes
+    through: its descriptor and its path.  A directory at *path*, or a
+    failure to create the file, raises :class:`OSError` naming *path*."""
+    target = Path(path)
+    if target.is_dir():
+        raise IsADirectoryError(
+            errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path)
+        )
+    temp = target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as error:
+        raise _naming(error, path) from None
+    return fd, temp
+
+
+def check_writable(path: Union[str, Path]) -> None:
+    """Raise now the :class:`OSError` that writing *path* would: a
+    directory at *path*, or a directory beside it that is missing or
+    refuses a new file.  Leaves nothing behind."""
+    fd, temp = _create_temp(path)
+    os.close(fd)
+    os.unlink(temp)
+
+
 @contextlib.contextmanager
 def open_atomic(path: Union[str, Path]) -> Iterator[TextIO]:
     """A text handle whose content replaces *path* when the block ends.
@@ -45,15 +71,7 @@ def open_atomic(path: Union[str, Path]) -> Iterator[TextIO]:
     to create or rename the file raises :class:`OSError` naming *path*.
     """
     target = Path(path)
-    if target.is_dir():
-        raise IsADirectoryError(
-            errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path)
-        )
-    temp = target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp")
-    try:
-        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    except OSError as error:
-        raise _naming(error, path) from None
+    fd, temp = _create_temp(path)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             with contextlib.suppress(FileNotFoundError):

@@ -221,10 +221,18 @@ class NameTable:
 
     @classmethod
     def read(cls, *paths: Union[str, Path]) -> "NameTable":
-        """Read and concatenate one or more name files."""
+        """Read and concatenate one or more name files.
+
+        A file that is not text, holds a malformed line or conflicts
+        with an earlier file raises :class:`NameFileError` whose message
+        starts with that file's path.
+        """
         table = cls()
         for path in paths:
-            table.extend(parse_name_file(Path(path).read_text()))
+            try:
+                table.extend(parse_name_file(Path(path).read_text()))
+            except (NameFileError, UnicodeDecodeError) as exc:
+                raise NameFileError(f"{path}: {exc}") from exc
         return table
 
     def write(self, path: Union[str, Path]) -> None:

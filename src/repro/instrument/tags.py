@@ -16,8 +16,8 @@ Two special modifiers may be appended to a name-file entry:
 
 from __future__ import annotations
 
-import dataclasses
 import enum
+from typing import NamedTuple
 
 #: Tags are 16-bit: the board latches 16 address lines.
 MAX_TAG = 0xFFFF
@@ -50,37 +50,44 @@ def exit_tag(entry_value: int) -> int:
     return entry_value + 1
 
 
-@dataclasses.dataclass(frozen=True)
-class TagEntry:
-    """One line of the name/tag file: a function name, a value, modifiers.
-
-    ``context_switch`` corresponds to the ``!`` modifier and ``inline`` to
-    ``=``.  A function entry (no ``=``) implicitly owns two tag values:
-    ``value`` (entry) and ``value + 1`` (exit).
-    """
-
+class _TagFields(NamedTuple):
     name: str
     value: int
     context_switch: bool = False
     inline: bool = False
 
-    def __post_init__(self) -> None:
-        if not self.name:
+
+class TagEntry(_TagFields):
+    """One line of the name/tag file: a function name, a value, modifiers.
+
+    ``context_switch`` corresponds to the ``!`` modifier and ``inline`` to
+    ``=``.  A function entry (no ``=``) implicitly owns two tag values:
+    ``value`` (entry) and ``value + 1`` (exit).  Immutable, and checked
+    when built.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, name: str, value: int, context_switch: bool = False, inline: bool = False
+    ) -> "TagEntry":
+        if not name:
             raise TagError("empty function name")
-        if "/" in self.name or any(c.isspace() for c in self.name):
-            raise TagError(f"illegal characters in function name {self.name!r}")
-        if self.inline:
-            if not (0 <= self.value <= MAX_TAG):
-                raise TagError(f"inline tag {self.value} out of 16-bit range")
-            if self.context_switch:
+        if "/" in name or any(c.isspace() for c in name):
+            raise TagError(f"illegal characters in function name {name!r}")
+        if inline:
+            if not (0 <= value <= MAX_TAG):
+                raise TagError(f"inline tag {value} out of 16-bit range")
+            if context_switch:
                 raise TagError(
-                    f"{self.name}: a tag cannot be both inline (=) and a "
+                    f"{name}: a tag cannot be both inline (=) and a "
                     "context switch (!)"
                 )
-        elif not is_entry_tag(self.value):
+        elif not is_entry_tag(value):
             raise TagError(
-                f"{self.name}: entry tag {self.value} must be even and < {MAX_TAG}"
+                f"{name}: entry tag {value} must be even and < {MAX_TAG}"
             )
+        return super().__new__(cls, name, value, context_switch, inline)
 
     @property
     def entry_value(self) -> int:

@@ -19,10 +19,9 @@ read and every analysis pass hold records in that shape.
 
 from __future__ import annotations
 
-import dataclasses
 import sys
 from array import array
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 TAG_BITS = 16
 TIME_BITS = 24
@@ -41,18 +40,23 @@ U32_TYPECODE = "I" if array("I").itemsize >= 4 else "L"
 _LITTLE_ENDIAN = sys.byteorder == "little"
 
 
-@dataclasses.dataclass(frozen=True)
-class RawRecord:
-    """One stored event: a 16-bit tag and a 24-bit counter snapshot."""
-
+class _RecordFields(NamedTuple):
     tag: int
     time: int
 
-    def __post_init__(self) -> None:
-        if not (0 <= self.tag <= TAG_MASK):
-            raise ValueError(f"tag {self.tag} does not fit in {TAG_BITS} bits")
-        if not (0 <= self.time <= TIME_MASK):
-            raise ValueError(f"time {self.time} does not fit in {TIME_BITS} bits")
+
+class RawRecord(_RecordFields):
+    """One stored event: a 16-bit tag and a 24-bit counter snapshot,
+    range-checked when built."""
+
+    __slots__ = ()
+
+    def __new__(cls, tag: int, time: int) -> "RawRecord":
+        if not (0 <= tag <= TAG_MASK):
+            raise ValueError(f"tag {tag} does not fit in {TAG_BITS} bits")
+        if not (0 <= time <= TIME_MASK):
+            raise ValueError(f"time {time} does not fit in {TIME_BITS} bits")
+        return tuple.__new__(cls, (tag, time))
 
     def pack(self) -> bytes:
         """Serialise to the 5-byte on-wire layout (tag, then time, big-endian)."""
@@ -66,8 +70,7 @@ class RawRecord:
         return cls(tag=int.from_bytes(blob[:2], "big"), time=int.from_bytes(blob[2:], "big"))
 
 
-@dataclasses.dataclass(frozen=True)
-class RecordColumns:
+class RecordColumns(NamedTuple):
     """Records as two parallel columns instead of one object each.
 
     ``tags`` and ``times`` are :mod:`array` arrays (unsigned 16-bit and

@@ -75,14 +75,22 @@ from __future__ import annotations
 
 import collections
 import contextlib
-import dataclasses
 import os
 import threading
 import warnings
 import zlib
 from array import array
 from pathlib import Path
-from typing import BinaryIO, Callable, Generator, Iterable, Iterator, Optional, Union
+from typing import (
+    BinaryIO,
+    Callable,
+    Generator,
+    Iterable,
+    Iterator,
+    NamedTuple,
+    Optional,
+    Union,
+)
 
 from repro.profiler.ram import (
     _LITTLE_ENDIAN,
@@ -147,8 +155,7 @@ class CaptureMetadataWarning(UserWarning):
     """Capture metadata was defaulted or dropped at a format boundary."""
 
 
-@dataclasses.dataclass(frozen=True)
-class CaptureMeta:
+class CaptureMeta(NamedTuple):
     """What a capture-file header says about its records.
 
     ``version`` is 1 or 2 (0 means the salvager could not even identify
@@ -169,8 +176,7 @@ class CaptureMeta:
     streamed: bool = False
 
 
-@dataclasses.dataclass(frozen=True)
-class CaptureDefect:
+class CaptureDefect(NamedTuple):
     """One fault the salvaging decoder tolerated.
 
     ``kind`` is a stable machine-readable string (``bad-magic``,
@@ -185,8 +191,7 @@ class CaptureDefect:
     offset: Optional[int] = None
 
 
-@dataclasses.dataclass
-class SalvageResult:
+class SalvageResult(NamedTuple):
     """Everything the salvaging decoder recovered from one file."""
 
     records: RecordColumns
@@ -483,7 +488,7 @@ def _decode_payload(
         )
     if meta.streamed:
         count, trailer_crc = decode_stream_trailer(tail)
-        meta = dataclasses.replace(meta, count=count, crc32=trailer_crc)
+        meta = meta._replace(count=count, crc32=trailer_crc)
         if check_crc and crc != trailer_crc:
             _TELEMETRY.count("upload.crc.failures")
             raise CaptureFormatError(
@@ -891,7 +896,7 @@ def _salvage_capture_bytes(blob: bytes) -> SalvageResult:
         ):
             count, crc32 = decode_stream_trailer(payload[-TRAILER_BYTES:])
             payload = payload[: len(payload) - TRAILER_BYTES]
-            meta = dataclasses.replace(meta, count=count, crc32=crc32)
+            meta = meta._replace(count=count, crc32=crc32)
         else:
             defects.append(
                 CaptureDefect(
@@ -904,9 +909,7 @@ def _salvage_capture_bytes(blob: bytes) -> SalvageResult:
             )
             # No declared count or CRC survives; whatever whole records
             # remain are the recovery.
-            meta = dataclasses.replace(
-                meta, count=len(payload) // RECORD_BYTES, crc32=None
-            )
+            meta = meta._replace(count=len(payload) // RECORD_BYTES, crc32=None)
     remainder = len(payload) % RECORD_BYTES
     if remainder:
         defects.append(
@@ -942,7 +945,7 @@ def _salvage_capture_bytes(blob: bytes) -> SalvageResult:
                     offset=data_offset,
                 )
             )
-    meta = dataclasses.replace(meta, count=len(records))
+    meta = meta._replace(count=len(records))
     return SalvageResult(records, defects, meta)
 
 

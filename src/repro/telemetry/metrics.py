@@ -21,10 +21,9 @@ family checks for collisions.
 
 from __future__ import annotations
 
-import dataclasses
 import re
 import threading
-from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, NamedTuple, Optional, Sequence, Tuple, Union
 
 Number = Union[int, float]
 
@@ -54,8 +53,7 @@ def prometheus_name(name: str) -> str:
     return sanitized
 
 
-@dataclasses.dataclass(frozen=True)
-class MetricSample:
+class MetricSample(NamedTuple):
     """One exported data point: a flattened (name, labels, value) row."""
 
     name: str

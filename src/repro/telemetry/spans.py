@@ -16,18 +16,16 @@ span object back and the tracer is never consulted.
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 import time
-from typing import Any, Dict, Iterator, Tuple
+from typing import Any, Dict, Iterator, NamedTuple, Tuple
 
 #: Keep at most this many finished spans by default; older runs stay
 #: bounded even if a caller forgets to export and reset.
 DEFAULT_MAX_SPANS = 100_000
 
 
-@dataclasses.dataclass(frozen=True)
-class SpanRecord:
+class SpanRecord(NamedTuple):
     """One finished span, ready for export."""
 
     name: str

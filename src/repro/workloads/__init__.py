@@ -6,7 +6,8 @@ They return small result records with the numbers the benchmarks check.
 
 The **workload registry** (:data:`WORKLOAD_REGISTRY`) is the
 machine-readable index over them: one :class:`WorkloadSpec` per CLI
-workload name, carrying the runnable entry point, a parameter schema
+workload name, carrying the entry point's dotted name (its module is
+imported only when the workload runs), a parameter schema
 (:class:`ParamSpec` — integer ranges or finite choices, with defaults),
 the legacy ``--packets`` knob mapping, and the canonical capture-label
 format.  ``repro workloads`` prints it, ``repro capture`` dispatches
@@ -16,26 +17,16 @@ its parameter spaces instead of hard-coding function references.
 
 from __future__ import annotations
 
-import dataclasses
+import importlib
 import random
-from typing import Any, Callable, Optional
-
-from repro.workloads.network_recv import NetworkReceiveResult, network_receive
-from repro.workloads.network_send import NetworkSendResult, network_send
-from repro.workloads.forkexec import ForkExecResult, fork_exec_storm
-from repro.workloads.fileio import FileIoResult, file_write_storm, file_read_back
-from repro.workloads.nfsio import NfsIoResult, nfs_read_stream
-from repro.workloads.ttyio import TtyIoResult, attach_tty, type_and_read
-from repro.workloads.mixed import MixedResult, mixed_activity
-from repro.workloads.snmp import SnmpResult, snmp_agent_run
+from typing import Any, Callable, NamedTuple, Optional
 
 
 class WorkloadError(ValueError):
     """Unknown workload name or out-of-schema parameters."""
 
 
-@dataclasses.dataclass(frozen=True)
-class ParamSpec:
+class ParamSpec(NamedTuple):
     """One workload parameter: an integer range or a finite choice set.
 
     ``lo``/``hi`` bound integer parameters (inclusive); ``choices``
@@ -94,24 +85,32 @@ class ParamSpec:
         return f"{self.lo}..{self.hi}"
 
 
-@dataclasses.dataclass(frozen=True)
-class WorkloadSpec:
+class WorkloadSpec(NamedTuple):
     """One registered workload: entry point, schema, label and knob map.
 
-    ``runner`` takes the built :class:`~repro.system.CaseStudySystem`
-    plus validated keyword parameters — system-level needs (the tty
-    attach, the SNMP agent's name table) live inside it, so every caller
-    drives workloads the same way.  ``packets_map`` reproduces the
-    legacy CLI ``--packets`` scaling exactly, keeping ``repro capture``
+    ``entry_point`` is the dotted name of the workload function
+    (``repro.workloads.forkexec.fork_exec_storm``); :attr:`func` imports
+    it, so the registry itself loads no workload module.  ``runner``
+    calls it with the built :class:`~repro.system.CaseStudySystem` and
+    the validated parameters — system-level needs (the tty attach, the
+    SNMP agent's name table) live inside it, so every caller drives
+    workloads the same way.  ``packets_map`` reproduces the legacy CLI
+    ``--packets`` scaling exactly, keeping ``repro capture``
     byte-identical to the pre-registry dispatch.
     """
 
     name: str
     description: str
-    func: Callable
+    entry_point: str
     params: tuple[ParamSpec, ...]
-    runner: Callable[[Any, dict], Any]
+    runner: Callable[[Callable, Any, dict], Any]
     packets_map: Callable[[int], dict]
+
+    @property
+    def func(self) -> Callable:
+        """The workload function, its module imported on first use."""
+        module, _, name = self.entry_point.rpartition(".")
+        return getattr(importlib.import_module(module), name)
 
     def defaults(self) -> dict:
         return {p.name: p.default for p in self.params}
@@ -134,7 +133,7 @@ class WorkloadSpec:
 
     def run(self, system: Any, **params: Any) -> Any:
         """Run the workload on *system*'s kernel with validated params."""
-        return self.runner(system, self.validate(params))
+        return self.runner(self.func, system, self.validate(params))
 
     def run_packets(self, system: Any, packets: int) -> Any:
         """The legacy CLI knob: one integer scaled onto the schema.
@@ -146,7 +145,7 @@ class WorkloadSpec:
         """
         params = self.defaults()
         params.update(self.packets_map(packets))
-        return self.runner(system, params)
+        return self.runner(self.func, system, params)
 
     def sample(self, rng: random.Random) -> dict:
         return {p.name: p.sample(rng) for p in self.params}
@@ -197,8 +196,8 @@ def workload_tag(label: str) -> str:
 # -- the registry itself ------------------------------------------------------
 
 
-def _network_runner(system: Any, p: dict) -> NetworkReceiveResult:
-    return network_receive(
+def _network_runner(func: Callable, system: Any, p: dict) -> Any:
+    return func(
         system.kernel,
         total_packets=p["total_packets"],
         payload_bytes=p["payload_bytes"],
@@ -206,28 +205,24 @@ def _network_runner(system: Any, p: dict) -> NetworkReceiveResult:
     )
 
 
-def _network_send_runner(system: Any, p: dict) -> NetworkSendResult:
-    return network_send(system.kernel, total_bytes=p["total_bytes"], mss=p["mss"])
+def _network_send_runner(func: Callable, system: Any, p: dict) -> Any:
+    return func(system.kernel, total_bytes=p["total_bytes"], mss=p["mss"])
 
 
-def _forkexec_runner(system: Any, p: dict) -> ForkExecResult:
-    return fork_exec_storm(
-        system.kernel, iterations=p["iterations"], touch_pages=p["touch_pages"]
-    )
+def _forkexec_runner(func: Callable, system: Any, p: dict) -> Any:
+    return func(system.kernel, iterations=p["iterations"], touch_pages=p["touch_pages"])
 
 
-def _filewrite_runner(system: Any, p: dict) -> FileIoResult:
-    return file_write_storm(
-        system.kernel, nblocks=p["nblocks"], payload_byte=p["payload_byte"]
-    )
+def _filewrite_runner(func: Callable, system: Any, p: dict) -> Any:
+    return func(system.kernel, nblocks=p["nblocks"], payload_byte=p["payload_byte"])
 
 
-def _fileread_runner(system: Any, p: dict) -> FileIoResult:
-    return file_read_back(system.kernel, nblocks=p["nblocks"])
+def _fileread_runner(func: Callable, system: Any, p: dict) -> Any:
+    return func(system.kernel, nblocks=p["nblocks"])
 
 
-def _nfs_runner(system: Any, p: dict) -> NfsIoResult:
-    return nfs_read_stream(
+def _nfs_runner(func: Callable, system: Any, p: dict) -> Any:
+    return func(
         system.kernel,
         file_bytes=p["file_bytes"],
         read_chunk=p["read_chunk"],
@@ -236,8 +231,8 @@ def _nfs_runner(system: Any, p: dict) -> NfsIoResult:
     )
 
 
-def _mixed_runner(system: Any, p: dict) -> MixedResult:
-    return mixed_activity(
+def _mixed_runner(func: Callable, system: Any, p: dict) -> Any:
+    return func(
         system.kernel,
         rounds=p["rounds"],
         faults_per_round=p["faults_per_round"],
@@ -245,16 +240,16 @@ def _mixed_runner(system: Any, p: dict) -> MixedResult:
     )
 
 
-def _tty_runner(system: Any, p: dict) -> TtyIoResult:
+def _tty_runner(func: Callable, system: Any, p: dict) -> Any:
+    from repro.workloads.ttyio import attach_tty
+
     attach_tty(system.kernel)
-    return type_and_read(
-        system.kernel, text="profile me please\n" * p["lines"]
-    )
+    return func(system.kernel, text="profile me please\n" * p["lines"])
 
 
-def _snmp_runner(mib_kind: str) -> Callable[[Any, dict], SnmpResult]:
-    def run(system: Any, p: dict) -> SnmpResult:
-        return snmp_agent_run(
+def _snmp_runner(mib_kind: str) -> Callable[[Callable, Any, dict], Any]:
+    def run(func: Callable, system: Any, p: dict) -> Any:
+        return func(
             system.kernel,
             mib_kind=mib_kind,
             mib_size=p["mib_size"],
@@ -271,7 +266,7 @@ def _specs() -> tuple[WorkloadSpec, ...]:
             name="network",
             description="TCP receive test (Figures 3/4): the SPARC sender "
             "saturates the PC",
-            func=network_receive,
+            entry_point="repro.workloads.network_recv.network_receive",
             params=(
                 ParamSpec("total_packets", 60, 4, 90, doc="packets the SPARC sends"),
                 ParamSpec("payload_bytes", 1024, 64, 2048, doc="TCP payload per packet"),
@@ -283,7 +278,7 @@ def _specs() -> tuple[WorkloadSpec, ...]:
         WorkloadSpec(
             name="network-send",
             description="TCP transmit test: the PC streams out to a discard sink",
-            func=network_send,
+            entry_point="repro.workloads.network_send.network_send",
             params=(
                 ParamSpec("total_bytes", 32 * 1024, 2048, 65536, doc="bytes streamed out"),
                 ParamSpec("mss", 1024, 256, 1460, doc="sender segment size"),
@@ -294,7 +289,7 @@ def _specs() -> tuple[WorkloadSpec, ...]:
         WorkloadSpec(
             name="forkexec",
             description="fork/exec storm (Figure 5)",
-            func=fork_exec_storm,
+            entry_point="repro.workloads.forkexec.fork_exec_storm",
             params=(
                 ParamSpec("iterations", 3, 1, 6, doc="fork/exec/exit/wait rounds"),
                 ParamSpec("touch_pages", 12, 2, 24, doc="pages the child faults in"),
@@ -305,7 +300,7 @@ def _specs() -> tuple[WorkloadSpec, ...]:
         WorkloadSpec(
             name="filewrite",
             description="FFS asynchronous write storm",
-            func=file_write_storm,
+            entry_point="repro.workloads.fileio.file_write_storm",
             params=(
                 ParamSpec("nblocks", 24, 4, 40, doc="full blocks written then synced"),
                 ParamSpec("payload_byte", 0x5A, 0, 255, doc="fill byte of every block"),
@@ -316,7 +311,7 @@ def _specs() -> tuple[WorkloadSpec, ...]:
         WorkloadSpec(
             name="fileread",
             description="seek-heavy alternating file reads",
-            func=file_read_back,
+            entry_point="repro.workloads.fileio.file_read_back",
             params=(
                 ParamSpec("nblocks", 12, 4, 24, doc="blocks read from each far file"),
             ),
@@ -326,7 +321,7 @@ def _specs() -> tuple[WorkloadSpec, ...]:
         WorkloadSpec(
             name="nfs",
             description="NFS read stream (UDP checksums off)",
-            func=nfs_read_stream,
+            entry_point="repro.workloads.nfsio.nfs_read_stream",
             params=(
                 ParamSpec("file_bytes", 64 * 1024, 8192, 131072, doc="exported file size"),
                 ParamSpec("read_chunk", 8192, 1024, 16384, doc="client read size"),
@@ -339,7 +334,7 @@ def _specs() -> tuple[WorkloadSpec, ...]:
         WorkloadSpec(
             name="mixed",
             description="a bit of everything (Table 1 population)",
-            func=mixed_activity,
+            entry_point="repro.workloads.mixed.mixed_activity",
             params=(
                 ParamSpec("rounds", 6, 2, 10, doc="activity rounds"),
                 ParamSpec("faults_per_round", 8, 2, 12, doc="page faults per round"),
@@ -351,7 +346,7 @@ def _specs() -> tuple[WorkloadSpec, ...]:
         WorkloadSpec(
             name="tty",
             description="character-input interrupts (typing at a shell)",
-            func=type_and_read,
+            entry_point="repro.workloads.ttyio.type_and_read",
             params=(
                 ParamSpec("lines", 3, 1, 12, doc="'profile me please' lines typed"),
             ),
@@ -361,7 +356,7 @@ def _specs() -> tuple[WorkloadSpec, ...]:
         WorkloadSpec(
             name="snmp-linear",
             description="user-level profiled SNMP agent, linear MIB",
-            func=snmp_agent_run,
+            entry_point="repro.workloads.snmp.snmp_agent_run",
             params=(
                 ParamSpec("requests", 25, 5, 50, doc="SNMP GETs answered"),
                 ParamSpec("mib_size", 400, 50, 600, doc="MIB entries"),
@@ -372,7 +367,7 @@ def _specs() -> tuple[WorkloadSpec, ...]:
         WorkloadSpec(
             name="snmp-btree",
             description="user-level profiled SNMP agent, B-tree MIB",
-            func=snmp_agent_run,
+            entry_point="repro.workloads.snmp.snmp_agent_run",
             params=(
                 ParamSpec("requests", 25, 5, 50, doc="SNMP GETs answered"),
                 ParamSpec("mib_size", 400, 50, 600, doc="MIB entries"),
@@ -420,7 +415,7 @@ def registry_json() -> list[dict]:
             {
                 "name": spec.name,
                 "description": spec.description,
-                "entry_point": f"{spec.func.__module__}.{spec.func.__name__}",
+                "entry_point": spec.entry_point,
                 "params": [
                     {
                         "name": p.name,

@@ -204,8 +204,8 @@ class TestGprofFromTheFold:
 
     @pytest.mark.parametrize("reports", [["gprof"], ["summary", "gprof"]])
     def test_one_columnar_pass_no_load_no_tree(self, monkeypatch, reports):
-        import repro.__main__ as cli
         from repro.analysis import callstack
+        from repro.cli import analyze
         from repro.profiler.capture import Capture
 
         def forbidden(*args, **kwargs):
@@ -214,21 +214,21 @@ class TestGprofFromTheFold:
         monkeypatch.setattr(Capture, "load", forbidden)
         monkeypatch.setattr(callstack, "build_call_tree", forbidden)
         passes = []
-        iter_columns = cli.iter_capture_columns
+        iter_columns = analyze.iter_capture_columns
 
         def counted(*args, **kwargs):
             passes.append(args)
             return iter_columns(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "iter_capture_columns", counted)
+        monkeypatch.setattr(analyze, "iter_capture_columns", counted)
         recorders = []
-        fold_columns = cli.fold_columns
+        fold_columns = analyze.fold_columns
 
         def recorded(*args, **kwargs):
             recorders.append(kwargs.get("recorder"))
             return fold_columns(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "fold_columns", recorded)
+        monkeypatch.setattr(analyze, "fold_columns", recorded)
         argv = ["analyze", str(GOLDEN_DIR / "figure5_forkexec_v2.mpf")]
         argv += ["--names", str(GOLDEN_DIR / "case_study.tags")]
         for report in reports:
@@ -490,6 +490,92 @@ class TestBadInputIsOneErrorLine:
         assert usage.value.code == 2
         assert "--limit: must be at least 0, got -1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["capture", "--packets", "2", "--save", "ok.mpf", "--names", "missing/x.tags"],
+            ["capture", "--packets", "2", "--save", "missing/x.mpf", "--names", "ok.tags"],
+            ["capture", "--packets", "2", "--telemetry", "missing/t.jsonl"],
+            [
+                "analyze", str(GOLDEN_DIR / "figure3_network_v2.mpf"),
+                "--names", str(GOLDEN_DIR / "case_study.tags"),
+                "--telemetry", "missing/t.jsonl",
+            ],
+            [
+                "capture", "doctor", str(GOLDEN_DIR / "figure3_network_v2.mpf"),
+                "-o", "missing/x.mpf",
+            ],
+            [
+                "live", "capture", "--packets", "2", "--names", "missing/x.tags",
+                "--out", "ok.mpf",
+            ],
+        ],
+        ids=[
+            "capture names", "capture save", "capture telemetry",
+            "analyze telemetry", "doctor output", "live capture names",
+        ],
+    )
+    def test_bad_output_path_is_refused_before_any_work(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        """An output in a missing directory is one error line naming it,
+        before anything runs or prints; no output is written, not even
+        the ones whose paths were good."""
+        monkeypatch.chdir(tmp_path)
+        code, lines = run_cli_code(*command)
+        captured = capsys.readouterr()
+        assert code == 2 and lines == [] and captured.out == ""
+        missing = next(arg for arg in command if arg.startswith("missing/"))
+        assert captured.err.splitlines() == [
+            f"repro: error: [Errno 2] No such file or directory: '{missing}'"
+        ]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("packets", ["0", "-5"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["capture"],
+            ["capture", "--workload", "nfs"],
+            ["live", "capture", "--names", "x.tags"],
+            ["top"],
+        ],
+        ids=["capture", "capture nfs", "live capture", "top"],
+    )
+    def test_non_positive_packets_is_a_usage_error(self, capsys, command, packets):
+        """A workload of no packets would boot the kernel and fail, or
+        capture a degenerate run; it is refused before either."""
+        with pytest.raises(SystemExit) as usage:
+            main([*command, "--packets", packets], out=lambda line: None)
+        assert usage.value.code == 2
+        assert f"--packets: must be at least 1, got {packets}" in capsys.readouterr().err
+
+    def test_name_file_errors_name_the_file(self, tmp_path, capsys):
+        """With several name files, the error says which one is bad, for
+        a malformed line and for a file that is not text."""
+        good = tmp_path / "good.tags"
+        good.write_text("foo/2\n")
+        bad = tmp_path / "bad.tags"
+        bad.write_text("foo/2\nbar\n")
+        binary = tmp_path / "binary.tags"
+        binary.write_bytes(b"ab\xe2\x28\xa1cd/2\n")
+        capture = str(GOLDEN_DIR / "figure3_network_v2.mpf")
+        errors = []
+        for names in (bad, binary):
+            code, lines = run_cli_code(
+                "analyze", capture, "--names", str(good), "--names", str(names)
+            )
+            captured = capsys.readouterr()
+            assert code == 2 and lines == [] and captured.out == ""
+            assert len(captured.err.splitlines()) == 1
+            errors.append(captured.err.rstrip("\n"))
+        assert errors[0] == (
+            f"repro: error: {bad}: line 2: malformed name-file line (no '/'): 'bar'"
+        )
+        assert errors[1].startswith(
+            f"repro: error: {binary}: 'utf-8' codec can't decode byte 0xe2"
+        )
+
     def test_trace_export_names_the_output_it_was_given(self, tmp_path, capsys):
         """An output directory that does not exist is reported by the path
         given, not by the temp file written beside it, and nothing is left
@@ -554,10 +640,11 @@ NOT_LOADED_BY_CAPTURE = (
 )
 
 #: Modules an ``analyze`` to a summary or gprof report has no use for:
-#: those, and the simulated machine a ``capture`` boots.
+#: those, the simulated machine a ``capture`` boots, the whole-capture
+#: loader, and the dataclass machinery (with the ``inspect`` it imports).
 NOT_LOADED_BY_ANALYZE = NOT_LOADED_BY_CAPTURE + (
     "repro.system", "repro.kernel", "repro.sim", "repro.workloads",
-    "repro.profiler.hardware",
+    "repro.profiler.hardware", "repro.profiler.capture", "dataclasses", "inspect",
 )
 
 
@@ -591,21 +678,28 @@ def _within(loaded: list[str], packages: tuple[str, ...]) -> list[str]:
 
 class TestLeanStartup:
     """The CLI imports a command's modules when the command runs: the
-    import itself and an ``analyze`` to a summary or gprof report load
-    neither the other commands' subsystems nor the simulator, and only
-    the call-tree reports build a call tree."""
+    import itself loads only the dispatcher, an ``analyze`` to a summary
+    or gprof report loads neither the other commands' modules and
+    subsystems nor the simulator, and only the call-tree reports build a
+    call tree."""
 
     @pytest.mark.parametrize("report", [None, "summary", "gprof"])
     def test_analyze_loads_only_what_it_uses(self, report):
-        argv = None
-        if report is not None:
-            argv = [
-                "analyze", str(GOLDEN_DIR / "figure5_forkexec_v2.mpf"),
-                "--names", str(GOLDEN_DIR / "case_study.tags"), "--report", report,
-            ]
+        if report is None:
+            loaded = _modules_loaded_by(None)
+            assert _within(loaded, ("repro",)) == ["repro", "repro.__main__"]
+            return
+        argv = [
+            "analyze", str(GOLDEN_DIR / "figure5_forkexec_v2.mpf"),
+            "--names", str(GOLDEN_DIR / "case_study.tags"), "--report", report,
+        ]
         loaded = _modules_loaded_by(argv)
         assert "repro.analysis.summary" in loaded
         assert _within(loaded, NOT_LOADED_BY_ANALYZE) == []
+        assert _within(loaded, ("repro.cli",)) == [
+            "repro.cli", "repro.cli.analyze", "repro.cli.reports",
+        ]
+        assert ("repro.analysis.gprof" in loaded) == (report == "gprof")
 
     def test_capture_loads_only_what_it_uses(self):
         """``capture`` boots the simulator, and folds its default summary
@@ -615,6 +709,29 @@ class TestLeanStartup:
         )
         assert {"repro.system", "repro.analysis.summary"} <= set(loaded)
         assert _within(loaded, NOT_LOADED_BY_CAPTURE) == []
+        assert _within(loaded, ("repro.workloads",)) == [
+            "repro.workloads", "repro.workloads.network_recv",
+        ]
+
+    def test_capture_loads_only_its_workload(self):
+        """The registry names each workload's entry point; only the one
+        that runs is imported."""
+        loaded = _modules_loaded_by(
+            ["capture", "--workload", "forkexec", "--packets", "2"]
+        )
+        assert _within(loaded, ("repro.workloads",)) == [
+            "repro.workloads", "repro.workloads.forkexec",
+        ]
+
+    def test_workloads_listing_boots_nothing(self):
+        """``repro workloads`` reads the registry alone: no workload
+        module, no kernel, no dataclass."""
+        loaded = _modules_loaded_by(["workloads"])
+        assert _within(loaded, ("repro",)) == [
+            "repro", "repro.__main__", "repro.cli", "repro.cli.workloads",
+            "repro.workloads",
+        ]
+        assert _within(loaded, ("dataclasses", "inspect")) == []
 
     @pytest.mark.parametrize("command", ["trace export", "lint", "live analyze"])
     def test_only_tree_reports_build_a_call_tree(self, tmp_path, command):

@@ -8,8 +8,10 @@ grouping) and the hunt driver (schemas, sampling, perturbation).
 
 from __future__ import annotations
 
+import importlib
 import json
 import random
+import types
 
 import pytest
 
@@ -154,3 +156,27 @@ class TestCliListing:
             for param in row["params"]:
                 assert param["name"]
                 assert "default" in param
+
+
+class TestEntryPoints:
+    """The registry imports no workload module; each entry point it
+    lists names the function its runner calls, imported when it runs."""
+
+    @pytest.mark.parametrize("row", registry_json(), ids=lambda row: row["name"])
+    def test_entry_point_is_the_callable_the_runner_calls(self, monkeypatch, row):
+        from repro.workloads import ttyio
+
+        module_name, _, attr = row["entry_point"].rpartition(".")
+        module = importlib.import_module(module_name)
+        assert WORKLOAD_REGISTRY[row["name"]].func is getattr(module, attr)
+        calls = []
+
+        def stand_in(*args, **kwargs):
+            calls.append(args)
+            return "ran"
+
+        monkeypatch.setattr(module, attr, stand_in)
+        monkeypatch.setattr(ttyio, "attach_tty", lambda kernel: None)
+        system = types.SimpleNamespace(kernel=object(), names=object())
+        assert WORKLOAD_REGISTRY[row["name"]].run(system) == "ran"
+        assert calls == [(system.kernel,)]
