@@ -44,7 +44,9 @@ written) fails with one line on stderr, ``repro: error: <message>``,
 and exit status 2; :func:`main` is the one place that turns an error
 into that line.  Commands whose exit code is a verdict (``lint``,
 ``capture doctor``, ``db diff``, ``db check``, ``fleet ingest``,
-``coverage``) keep their documented codes.
+``coverage``) keep their documented codes.  A command whose reader
+closes standard output early (``| head -1``) stops quietly with status
+:data:`EXIT_READER_GONE`.
 """
 
 from __future__ import annotations
@@ -207,11 +209,42 @@ def build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParse
     return parser
 
 
+#: Exit status of a command whose reader closed standard output before
+#: it finished (``analyze F | head -1``): what a shell reports for a
+#: writer that SIGPIPE ended, 128 + 13.
+EXIT_READER_GONE = 141
+
+
+def _stdout_reader_gone() -> bool:
+    """Whether standard output is a pipe whose reader has closed it."""
+    import select
+
+    try:
+        poller = select.poll()
+        poller.register(sys.stdout.fileno(), select.POLLOUT)
+        return any(events & select.POLLERR for _, events in poller.poll(0))
+    except (AttributeError, OSError, ValueError):
+        return False
+
+
+def _drop_stdout() -> None:
+    """Point standard output at the null device, so the interpreter's
+    flush at exit has nowhere to fail."""
+    import os
+
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def main(argv: Optional[Sequence[str]] = None, out: Callable = print) -> int:
     """Run one command.  Its ``--telemetry`` snapshot is written on the
     way out, whatever the outcome, and bad input (``ValueError``, which
     every reader's format error is, or ``OSError``) is one
-    ``repro: error:`` line on stderr and exit 2, never a traceback."""
+    ``repro: error:`` line on stderr and exit 2, never a traceback.  A
+    ``BrokenPipeError`` because standard output's reader went away is
+    no error: nothing is printed and the status is
+    :data:`EXIT_READER_GONE`."""
     args = build_parser(argv).parse_args(argv)
     if getattr(args, "report", None) is None and args.command in ("capture", "analyze"):
         args.report = ["summary"]
@@ -220,11 +253,16 @@ def main(argv: Optional[Sequence[str]] = None, out: Callable = print) -> int:
         if telemetry:
             _telemetry_begin(telemetry)
         try:
-            return args.func(args, out)
+            status = args.func(args, out)
+            sys.stdout.flush()
+            return status
         finally:
             if telemetry:
                 _telemetry_end(telemetry)
     except (OSError, ValueError) as exc:
+        if isinstance(exc, BrokenPipeError) and _stdout_reader_gone():
+            _drop_stdout()
+            return EXIT_READER_GONE
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2
 

@@ -77,7 +77,9 @@ def cmd_doctor(args: argparse.Namespace, out: Callable) -> int:
     except OSError as exc:
         out(f"doctor: cannot read {source}: {exc}")
         return 2
-    report = lint_capture_defects(result.defects, source=source)
+    report = lint_capture_defects(
+        result.defects, source=source, streamed=result.meta.streamed
+    )
     if result.meta.version == 1:
         report.add(
             "P208",

@@ -112,7 +112,12 @@ def lint_capture_file(
         if not salvage:
             return report
         result = salvage_capture(path)
-        lint_capture_defects(result.defects, source=source, report=report)
+        lint_capture_defects(
+            result.defects,
+            source=source,
+            report=report,
+            streamed=result.meta.streamed,
+        )
         records, meta = result.records, result.meta
         if not records:
             return report

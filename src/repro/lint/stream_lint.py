@@ -67,17 +67,29 @@ DEFECT_CODES = {
     "missing-trailer": "P801",
 }
 
+#: The same map for an open-ended capture, whose count and CRC32 are its
+#: trailer's: their faults are the live-wire family's, as the missing
+#: trailer is.
+STREAM_DEFECT_CODES = {
+    **DEFECT_CODES,
+    "crc-mismatch": "P802",
+    "count-mismatch": "P803",
+}
+
 
 def lint_capture_defects(
     defects: Iterable[CaptureDefect],
     source: str = "<capture>",
     report: Optional[LintReport] = None,
+    streamed: bool = False,
 ) -> LintReport:
     """Map the salvaging decoder's :class:`CaptureDefect` list to
-    file-level diagnostics (the P208–P213 block)."""
+    file-level diagnostics (the P208–P213 block, and P801–P803 for an
+    open-ended capture, *streamed*)."""
     report = report if report is not None else LintReport()
+    codes = STREAM_DEFECT_CODES if streamed else DEFECT_CODES
     for defect in defects:
-        code = DEFECT_CODES.get(defect.kind)
+        code = codes.get(defect.kind)
         if code is None:  # pragma: no cover - future defect kinds
             continue
         message = defect.message

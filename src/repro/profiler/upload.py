@@ -31,8 +31,13 @@ own header size so future fields can append without breaking old readers::
                                           bit 1 = open-ended stream)
                                   16  4  CRC32 of the record stream
                                   20  2  label length L
-                                  22  L  label (UTF-8);  H = 22 + L
+                                  22  L  label (UTF-8)
+                                  …      later versions' fields
                                   H   …  records
+
+Writers emit H = 22 + L.  Readers honour H and read L label bytes, so a
+header a later version extends by new fields still reads: the fields
+after the label are skipped.
 
 An **open-ended** MPF2 stream (flags bit 1) is the live-profiling wire
 form: the producer does not know the record count up front and the sink
@@ -46,35 +51,41 @@ count and CRC32 arrive in a 12-byte end-of-stream trailer instead::
 
 Readers hold back the last 12 bytes while records stream — a consumer
 can tail a capture before the producer finishes — and verify the trailer
-at end of stream exactly as they verify a closed header.  A missing or
-corrupt trailer raises :class:`CaptureFormatError` (the capture was cut
-mid-stream); the salvaging decoder reports it as a ``missing-trailer``
-defect and still recovers every whole record.
+at end of stream exactly as they verify a closed header.  A stream whose
+last 12 bytes are not a trailer was cut before its producer closed it.
 
 All multi-byte fields are big-endian.  Writers default to MPF2; every
-reader accepts both versions transparently.  For files that met a real
-transfer path (pipes, truncation, flipped bits) there is a salvaging
-decoder, :func:`salvage_capture`, that resynchronises instead of
-throwing and reports what it had to tolerate as :class:`CaptureDefect`s.
+reader accepts both versions transparently.
 
 Records travel as :class:`~repro.profiler.ram.RecordColumns` — a tag
 column and a time column, the shape of the RAM word — from the board to
 every reader and writer; no path builds an object per record.
 :func:`decode_record_columns` shears a record blob into the two columns
 with constant-time-per-byte slice assignments, and every reader goes
-through it.  There is one strict reader: the chunk loop behind
-:func:`iter_capture_columns` checks the framing, the count and the CRC32,
-and :func:`read_capture` is that loop with its batches joined, so a fault
-reads the same whichever path meets it.  The salvaging decoder is the
-forgiving alternative.  A one-record-at-a-time reference decoder lives
-with the tests (``tests/oracles.py``), which hold the columnar one
-bit-identical to it.
+through it.
+
+There is one reader: one header parser (``_read_header``) and one
+record-stream decoder (``_decode_payload``, the chunk loop behind
+:func:`iter_capture_columns`, which checks the trailer, the framing, the
+count and the CRC32 after the last chunk).  Every fault they meet goes
+through one helper.  The strict readers — :func:`iter_capture_columns`,
+:func:`read_capture` (its batches joined) and :func:`read_capture_meta`
+— raise the first as a :class:`CaptureFormatError`.  The salvaging
+decoder, :func:`salvage_capture`, is for files that met a real transfer
+path (pipes, truncation, flipped bits): it resynchronises a damaged
+magic, then runs the same two functions recording every fault as a
+:class:`CaptureDefect` — the strict reader's text followed by what
+salvage did about it — and keeps every whole record.  So a fault reads
+the same whichever command meets it.  A one-record-at-a-time reference
+decoder lives with the tests (``tests/oracles.py``), which hold the
+columnar one bit-identical to it.
 """
 
 from __future__ import annotations
 
 import collections
 import contextlib
+import io
 import os
 import threading
 import warnings
@@ -293,105 +304,154 @@ def _encode_v2_header(
     )
 
 
-def _decode_v2_body(body: bytes) -> CaptureMeta:
-    """Decode the MPF2 header bytes that follow magic + header size."""
-    count = int.from_bytes(body[0:4], "big")
-    width = body[4]
-    rate = int.from_bytes(body[5:9], "big")
-    flags = body[9]
-    crc32 = int.from_bytes(body[10:14], "big")
-    label_len = int.from_bytes(body[14:16], "big")
-    if not (1 <= width <= TIME_BITS):
-        raise CaptureFormatError(
-            f"MPF2 header counter width {width} outside 1..{TIME_BITS}"
-        )
-    if rate == 0:
-        raise CaptureFormatError("MPF2 header counter rate is zero")
-    if 16 + label_len > len(body):
-        raise CaptureFormatError(
-            f"MPF2 header label length {label_len} overruns the "
-            f"{len(body) + 6}-byte header"
-        )
-    label = body[16 : 16 + label_len].decode("utf-8", errors="replace")
-    streamed = bool(flags & 2)
-    return CaptureMeta(
-        version=2,
-        count=count,
-        counter_width_bits=width,
-        counter_rate_hz=rate,
-        overflowed=bool(flags & 1),
-        label=label,
-        # An open-ended header's count/CRC fields are placeholders: the
-        # trailer is authoritative, so the header CRC is not exposed.
-        crc32=None if streamed else crc32,
-        streamed=streamed,
-    )
-
-
 def encode_stream_trailer(count: int, crc32: int) -> bytes:
     """Serialise the end-of-stream trailer of an open-ended MPF2 stream."""
     _check_count(count)
     return TRAILER_MAGIC + count.to_bytes(4, "big") + crc32.to_bytes(4, "big")
 
 
-def decode_stream_trailer(blob: bytes) -> tuple[int, int]:
-    """Decode an end-of-stream trailer: ``(record count, CRC32)``.
+def _fault(
+    defects: Optional[list[CaptureDefect]],
+    kind: str,
+    message: str,
+    offset: Optional[int],
+    repair: Optional[str] = None,
+) -> None:
+    """Report one fault the reader met, the one way every reader does.
 
-    Raises :class:`CaptureFormatError` when *blob* is not a whole, intact
-    trailer — the signature every reader uses to report a capture that
-    was cut before its producer closed the stream.
+    A strict read (*defects* is ``None``) raises it as a
+    :class:`CaptureFormatError`.  The salvager records it as a
+    :class:`CaptureDefect`: the same *message* followed by *repair*,
+    what salvage did about it, and reads on.  A fault with no repair
+    (``None``) leaves nothing to read past, so it raises there too.
     """
-    if len(blob) < TRAILER_BYTES:
-        raise CaptureFormatError(
-            f"open-ended capture ends without an end-of-stream trailer "
-            f"({len(blob)} byte(s) remain, a trailer is {TRAILER_BYTES}): "
-            "the stream was cut before the producer closed it"
-        )
-    if blob[: len(TRAILER_MAGIC)] != TRAILER_MAGIC:
-        raise CaptureFormatError(
-            f"open-ended capture trailer magic {blob[:4]!r} is not "
-            f"{TRAILER_MAGIC!r}: the stream was cut or corrupted"
-        )
-    count = int.from_bytes(blob[4:8], "big")
-    crc32 = int.from_bytes(blob[8:12], "big")
-    return count, crc32
+    if defects is not None:
+        defects.append(CaptureDefect(kind, message + (repair or ""), offset))
+        if repair is not None:
+            return
+    raise CaptureFormatError(message)
 
 
-def _read_header(stream: BinaryIO) -> CaptureMeta:
-    """Read and validate either version's header off *stream*.
+def _bad_magic(magic: bytes) -> str:
+    return f"magic {magic!r} matches no known capture format"
 
-    Every content fault — short file, bad magic, lying header fields —
-    raises :class:`CaptureFormatError`, the same type from every reader,
-    with truncation reported as truncation rather than as a magic
-    mismatch.  Short reads are retried (:func:`_read_exact`), so pipe
-    and socket sources parse exactly like regular files.
+
+def _read_header(
+    stream: BinaryIO, defects: Optional[list[CaptureDefect]] = None
+) -> tuple[CaptureMeta, int]:
+    """The one MPF header parser: ``(meta, header size)`` off *stream*.
+
+    Short reads are retried (:func:`_read_exact`), so pipe and socket
+    sources parse exactly like regular files, and truncation is reported
+    as truncation rather than as a magic mismatch.  An MPF2 header is
+    read whole, H bytes; its label is the first L bytes after the fixed
+    fields, and whatever follows the label is a later version's fields,
+    skipped.  Each fault goes through :func:`_fault`.  Recording
+    *defects*, a lying field takes its stock value and a header that
+    runs past the end of the file is cut back to its fixed fields: the
+    one seek, over bytes the salvager already holds.  A strict read
+    never seeks.
     """
     magic = _read_exact(stream, len(MAGIC))
     if len(magic) < len(MAGIC):
-        raise CaptureFormatError(
+        _fault(
+            defects,
+            "truncated-header",
             f"capture file header truncated: {len(magic)} byte(s) is "
-            f"shorter than the {len(MAGIC)}-byte magic"
+            f"shorter than the {len(MAGIC)}-byte magic",
+            0,
         )
     if magic == MAGIC:
-        rest = _read_exact(stream, 4)
-        if len(rest) < 4:
-            raise CaptureFormatError("capture file header truncated")
-        return CaptureMeta(version=1, count=int.from_bytes(rest, "big"))
-    if magic == MAGIC_V2:
-        size_blob = _read_exact(stream, 2)
-        if len(size_blob) < 2:
-            raise CaptureFormatError("capture file header truncated")
-        header_size = int.from_bytes(size_blob, "big")
-        if header_size < V2_FIXED_HEADER_BYTES:
-            raise CaptureFormatError(
-                f"MPF2 header claims {header_size} bytes, below the "
-                f"{V2_FIXED_HEADER_BYTES}-byte minimum"
+        fixed = magic + _read_exact(stream, V1_HEADER_BYTES - len(MAGIC))
+        if len(fixed) < V1_HEADER_BYTES:
+            _fault(
+                defects,
+                "truncated-header",
+                f"capture file header truncated: MPF1 header needs "
+                f"{V1_HEADER_BYTES} bytes, file holds {len(fixed)}",
+                len(fixed),
             )
-        body = _read_exact(stream, header_size - 6)
-        if len(body) < header_size - 6:
-            raise CaptureFormatError("capture file header truncated")
-        return _decode_v2_body(body)
-    raise CaptureFormatError("not a Profiler capture file (bad magic)")
+        meta = CaptureMeta(version=1, count=int.from_bytes(fixed[4:], "big"))
+        return meta, V1_HEADER_BYTES
+    if magic != MAGIC_V2:
+        _fault(defects, "bad-magic", _bad_magic(magic), 0)
+    fixed = magic + _read_exact(stream, V2_FIXED_HEADER_BYTES - len(MAGIC))
+    if len(fixed) < V2_FIXED_HEADER_BYTES:
+        _fault(
+            defects,
+            "truncated-header",
+            f"capture file header truncated: MPF2 header needs at least "
+            f"{V2_FIXED_HEADER_BYTES} bytes, file holds {len(fixed)}",
+            len(fixed),
+        )
+    header_size = int.from_bytes(fixed[4:6], "big")
+    width = fixed[10]
+    rate = int.from_bytes(fixed[11:15], "big")
+    flags = fixed[15]
+    label_len = int.from_bytes(fixed[20:22], "big")
+    if header_size < V2_FIXED_HEADER_BYTES:
+        _fault(
+            defects,
+            "bad-header-field",
+            f"header size {header_size} is below the "
+            f"{V2_FIXED_HEADER_BYTES}-byte minimum",
+            4,
+            "; assuming a label-less header",
+        )
+        header_size, label_len = V2_FIXED_HEADER_BYTES, 0
+    rest = _read_exact(stream, header_size - V2_FIXED_HEADER_BYTES)
+    if len(rest) < header_size - V2_FIXED_HEADER_BYTES:
+        held = V2_FIXED_HEADER_BYTES + len(rest)
+        _fault(
+            defects,
+            "truncated-header",
+            f"capture file header truncated: MPF2 header claims "
+            f"{header_size} bytes, file holds {held}",
+            held,
+            "; treating everything past the fixed header as records",
+        )
+        stream.seek(V2_FIXED_HEADER_BYTES)
+        header_size, label_len, rest = V2_FIXED_HEADER_BYTES, 0, b""
+    if not (1 <= width <= TIME_BITS):
+        _fault(
+            defects,
+            "bad-header-field",
+            f"counter width {width} outside 1..{TIME_BITS} bits",
+            10,
+            f"; assuming the stock {STOCK_WIDTH_BITS}",
+        )
+        width = STOCK_WIDTH_BITS
+    if rate == 0:
+        _fault(
+            defects,
+            "bad-header-field",
+            "counter rate is zero",
+            11,
+            f"; assuming the stock {STOCK_RATE_HZ} Hz",
+        )
+        rate = STOCK_RATE_HZ
+    if label_len > len(rest):
+        _fault(
+            defects,
+            "bad-header-field",
+            f"label length {label_len} overruns the {header_size}-byte header",
+            20,
+            "; trusting the header size",
+        )
+    streamed = bool(flags & 2)
+    meta = CaptureMeta(
+        version=2,
+        count=int.from_bytes(fixed[6:10], "big"),
+        counter_width_bits=width,
+        counter_rate_hz=rate,
+        overflowed=bool(flags & 1),
+        label=rest[:label_len].decode("utf-8", errors="replace"),
+        # An open-ended header's count/CRC fields are placeholders: the
+        # trailer is authoritative, so the header CRC is not exposed.
+        crc32=None if streamed else int.from_bytes(fixed[16:20], "big"),
+        streamed=streamed,
+    )
+    return meta, header_size
 
 
 def _open_context(
@@ -430,7 +490,7 @@ def iter_capture_columns(
     if chunk_records <= 0:
         raise ValueError(f"chunk_records must be positive, got {chunk_records}")
     with _open_context(path_or_file, "rb") as stream:
-        meta = _read_header(stream)
+        meta, _ = _read_header(stream)
         if on_meta is not None:
             on_meta(meta)
         yield from _decode_payload(stream, meta, chunk_records)
@@ -440,11 +500,20 @@ def _decode_payload(
     stream: BinaryIO,
     meta: CaptureMeta,
     chunk_records: int,
+    header_size: int = 0,
+    defects: Optional[list[CaptureDefect]] = None,
 ) -> Generator[RecordColumns, None, CaptureMeta]:
-    """The one strict decoder: the record stream after *meta*'s header.
+    """The one record-stream decoder: the records after *meta*'s header.
 
     Yields the batches of :func:`iter_capture_columns` and returns
-    *meta*, with an open-ended stream's trailer count and CRC32 adopted.
+    *meta* with the count of records read and the declared CRC32 (an
+    open-ended stream's trailer's).  The end of the stream is checked
+    here and nowhere else, after the last chunk: an open-ended stream's
+    trailer, a partial record, the count, and the CRC32 when framing and
+    count agree (a cut stream would mismatch trivially).  Each fault
+    goes through :func:`_fault`, the salvager's offsets counted from
+    *header_size*: recording *defects*, every whole record is kept, the
+    held-back bytes of a stream cut before its trailer included.
     """
     check_crc = meta.crc32 is not None or meta.streamed
     hold_back = TRAILER_BYTES if meta.streamed else 0
@@ -476,38 +545,79 @@ def _decode_payload(
             leftover = blob[usable:]
         else:
             leftover = blob
-    tail = b""
+    declared: Optional[int] = meta.count
+    declared_crc, where, count_at = meta.crc32, "header", len(MAGIC)
     if meta.streamed:
-        # The loop leaves at most a trailer plus 4 bytes, so whatever
-        # precedes the trailer is a partial record.
-        split = max(len(leftover) - TRAILER_BYTES, 0)
-        leftover, tail = leftover[:split], leftover[split:]
-    if leftover:
-        raise CaptureFormatError(
-            f"record stream ends with a partial {len(leftover)}-byte record"
-        )
-    if meta.streamed:
-        count, trailer_crc = decode_stream_trailer(tail)
-        meta = meta._replace(count=count, crc32=trailer_crc)
-        if check_crc and crc != trailer_crc:
-            _TELEMETRY.count("upload.crc.failures")
-            raise CaptureFormatError(
-                f"record stream CRC32 {crc:#010x} disagrees with "
-                f"the trailer's {trailer_crc:#010x}: the payload is corrupt"
+        # The loop holds back at least the last TRAILER_BYTES bytes.
+        trailer = leftover[-TRAILER_BYTES:]
+        if len(trailer) == TRAILER_BYTES and trailer.startswith(TRAILER_MAGIC):
+            leftover = leftover[:-TRAILER_BYTES]
+            declared = int.from_bytes(trailer[4:8], "big")
+            declared_crc = int.from_bytes(trailer[8:], "big")
+            where = "trailer"
+            count_at = header_size + seen * RECORD_BYTES + len(leftover) + 4
+        else:
+            _fault(
+                defects,
+                "missing-trailer",
+                "open-ended capture ends without an end-of-stream trailer: "
+                "the stream was cut before the producer closed it",
+                header_size + seen * RECORD_BYTES + len(leftover),
+                "",
             )
-    if seen != meta.count:
-        where = "trailer" if meta.streamed else "header"
-        raise CaptureFormatError(
-            f"capture file {where} claims {meta.count} records but stream "
-            f"holds {seen}"
+            declared = declared_crc = None
+            whole = len(leftover) - len(leftover) % RECORD_BYTES
+            if whole:
+                columns = decode_record_columns(leftover[:whole])
+                seen += len(columns)
+                leftover = leftover[whole:]
+                yield columns
+    if leftover:
+        _fault(
+            defects,
+            "partial-record",
+            f"{len(leftover)} trailing byte(s) are not a whole record",
+            header_size + seen * RECORD_BYTES,
+            "; dropped",
         )
-    if check_crc and not meta.streamed and crc != meta.crc32:
+    if declared is not None and seen != declared:
+        _fault(
+            defects,
+            "count-mismatch",
+            f"{where} claims {declared} records but the stream holds {seen}",
+            count_at,
+            "",
+        )
+    elif declared_crc is not None and not leftover and crc != declared_crc:
         _TELEMETRY.count("upload.crc.failures")
-        raise CaptureFormatError(
-            f"record stream CRC32 {crc:#010x} disagrees with "
-            f"the header's {meta.crc32:#010x}: the payload is corrupt"
+        _fault(
+            defects,
+            "crc-mismatch",
+            f"record stream CRC32 {crc:#010x} disagrees with the {where}'s "
+            f"{declared_crc:#010x}: at least one record byte is corrupt",
+            header_size,
+            "",
         )
-    return meta
+    return meta._replace(count=seen, crc32=declared_crc)
+
+
+def _read_columns(
+    stream: BinaryIO, defects: Optional[list[CaptureDefect]] = None
+) -> tuple[RecordColumns, CaptureMeta]:
+    """The whole capture off *stream*: header, then every batch joined."""
+    meta, header_size = _read_header(stream, defects)
+    tags, times = array("H"), array(U32_TYPECODE)
+    batches = _decode_payload(
+        stream, meta, DEFAULT_CHUNK_RECORDS, header_size, defects
+    )
+    try:
+        while True:
+            batch = next(batches)
+            tags.extend(batch.tags)
+            times.extend(batch.times)
+    except StopIteration as end:
+        meta = end.value
+    return RecordColumns(tags=tags, times=times), meta
 
 
 def read_capture(
@@ -521,17 +631,8 @@ def read_capture(
     checks raise the same :class:`CaptureFormatError`.  Use
     :func:`salvage_capture` when the file may be damaged.
     """
-    tags, times = array("H"), array(U32_TYPECODE)
     with _open_context(path_or_file, "rb") as stream:
-        batches = _decode_payload(stream, _read_header(stream), DEFAULT_CHUNK_RECORDS)
-        try:
-            while True:
-                batch = next(batches)
-                tags.extend(batch.tags)
-                times.extend(batch.times)
-        except StopIteration as end:
-            meta = end.value
-    return RecordColumns(tags=tags, times=times), meta
+        return _read_columns(stream)
 
 
 def read_capture_meta(path_or_file: Union[str, Path, BinaryIO]) -> CaptureMeta:
@@ -559,7 +660,7 @@ def read_capture_meta(path_or_file: Union[str, Path, BinaryIO]) -> CaptureMeta:
         except (AttributeError, OSError, ValueError):
             restore = None
         try:
-            return _read_header(stream)
+            return _read_header(stream)[0]
         finally:
             if restore is not None:
                 stream.seek(restore)
@@ -775,292 +876,76 @@ def write_capture_file(
     return count
 
 
-def _read_exact_to_eof(stream: BinaryIO) -> bytes:
-    """Drain *stream*, tolerating short reads the way :func:`_read_exact` does."""
-    chunks: list[bytes] = []
-    while True:
-        blob = stream.read(1 << 20)
-        if not blob:
-            return b"".join(chunks)
-        chunks.append(blob)
-
-
 # -- the salvaging decoder ---------------------------------------------------
 
 
-def _fuzzy_version(blob: bytes) -> Optional[int]:
-    """Best-effort version from a damaged magic: >= 3 of 4 bytes agree.
+def _frames_whole(blob: bytes) -> bool:
+    """Whether *blob*'s header reads clean and counts exactly the records
+    that follow it."""
+    try:
+        meta, header_size = _read_header(io.BytesIO(blob))
+    except CaptureFormatError:
+        return False
+    return meta.count * RECORD_BYTES == len(blob) - header_size
+
+
+def _resync_magic(blob: bytes, defects: list[CaptureDefect]) -> bytes:
+    """*blob* with a damaged magic put right when >= 3 of its 4 bytes
+    agree with a known one (a magic that agrees with none is left for
+    :func:`_read_header` to refuse).
 
     A flip in the version byte itself (``b"MPF?"``) matches both magics
     equally, so ties are broken by framing plausibility: the version
     whose header makes the record stream come out whole wins.
     """
-    magic = blob[: len(MAGIC)]
+    magic, rest = blob[: len(MAGIC)], blob[len(MAGIC) :]
+    if len(magic) < len(MAGIC) or magic in (MAGIC, MAGIC_V2):
+        return blob
     candidates = [
-        version
-        for candidate, version in ((MAGIC_V2, 2), (MAGIC, 1))
+        candidate
+        for candidate in (MAGIC_V2, MAGIC)
         if sum(a == b for a, b in zip(magic, candidate)) >= 3
     ]
-    if len(candidates) != 1:
-        for version in candidates:
-            if version == 1 and len(blob) >= V1_HEADER_BYTES:
-                count = int.from_bytes(blob[4:8], "big")
-                if count * RECORD_BYTES == len(blob) - V1_HEADER_BYTES:
-                    return 1
-            if version == 2 and len(blob) >= V2_FIXED_HEADER_BYTES:
-                header_size = int.from_bytes(blob[4:6], "big")
-                count = int.from_bytes(blob[6:10], "big")
-                if (
-                    V2_FIXED_HEADER_BYTES <= header_size <= len(blob)
-                    and count * RECORD_BYTES == len(blob) - header_size
-                ):
-                    return 2
-    return candidates[0] if candidates else None
+    if not candidates:
+        return blob
+    fixed = candidates[0]
+    if len(candidates) > 1:
+        fixed = next((c for c in candidates if _frames_whole(c + rest)), fixed)
+    _fault(
+        defects, "bad-magic", _bad_magic(magic), 0, f"; resynchronised as {fixed.decode()}"
+    )
+    return fixed + rest
 
 
 def salvage_capture_bytes(blob: bytes) -> SalvageResult:
     """Decode a possibly damaged capture image, resynchronising on faults.
 
-    Never raises on content: every fault becomes a :class:`CaptureDefect`
+    Never raises on content: after a damaged magic is resynchronised,
+    the strict readers' own header parser and record-stream decoder run
+    over the bytes recording each fault as a :class:`CaptureDefect` —
+    the text a strict reader raises, plus what salvage did about it —
     and decoding continues with the most plausible interpretation.  A
-    single flipped magic bit, a truncated tail, a lying record count or a
-    corrupt payload all still yield every recoverable record.
+    single flipped magic bit, a truncated tail, a lying record count or
+    a corrupt payload all still yield every recoverable record.
     """
-    result = _salvage_capture_bytes(blob)
-    if _TELEMETRY.enabled:
-        _TELEMETRY.count("upload.records.salvaged", len(result.records))
-        for defect in result.defects:
-            _TELEMETRY.count("upload.salvage.defects", kind=defect.kind)
-    return result
-
-
-def _nothing_recovered(defects: list[CaptureDefect], version: int) -> SalvageResult:
-    return SalvageResult(
-        decode_record_columns(b""), defects, CaptureMeta(version=version, count=0)
-    )
-
-
-def _salvage_capture_bytes(blob: bytes) -> SalvageResult:
     defects: list[CaptureDefect] = []
-    n = len(blob)
-    if n < len(MAGIC):
-        defects.append(
-            CaptureDefect(
-                "truncated-header",
-                f"file is {n} byte(s), shorter than any capture magic",
-                offset=0,
-            )
-        )
-        return _nothing_recovered(defects, version=0)
-
-    magic = blob[: len(MAGIC)]
-    if magic == MAGIC:
-        version = 1
-    elif magic == MAGIC_V2:
-        version = 2
-    else:
-        guessed = _fuzzy_version(blob)
-        if guessed is None:
-            defects.append(
-                CaptureDefect(
-                    "bad-magic",
-                    f"magic {magic!r} matches no known capture format",
-                    offset=0,
-                )
-            )
-            return _nothing_recovered(defects, version=0)
-        version = guessed
-        defects.append(
-            CaptureDefect(
-                "bad-magic",
-                f"magic {magic!r} is corrupt; resynchronised as MPF{version}",
-                offset=0,
-            )
-        )
-
-    if version == 1:
-        meta, data_offset = _salvage_v1_header(blob, defects)
-    else:
-        meta, data_offset = _salvage_v2_header(blob, defects)
-    if meta is None:
-        return _nothing_recovered(defects, version=version)
-
-    payload = blob[data_offset:]
-    if meta.streamed:
-        # Open-ended stream: the trailer, not the header, carries the
-        # count and CRC.  A well-formed tail ends in "MPFT" + count +
-        # CRC; anything else means the producer was cut mid-stream.
-        if (
-            len(payload) >= TRAILER_BYTES
-            and payload[-TRAILER_BYTES:][: len(TRAILER_MAGIC)] == TRAILER_MAGIC
-        ):
-            count, crc32 = decode_stream_trailer(payload[-TRAILER_BYTES:])
-            payload = payload[: len(payload) - TRAILER_BYTES]
-            meta = meta._replace(count=count, crc32=crc32)
-        else:
-            defects.append(
-                CaptureDefect(
-                    "missing-trailer",
-                    "open-ended capture ends without an end-of-stream "
-                    "trailer: the stream was cut before the producer "
-                    "closed it",
-                    offset=data_offset + len(payload),
-                )
-            )
-            # No declared count or CRC survives; whatever whole records
-            # remain are the recovery.
-            meta = meta._replace(count=len(payload) // RECORD_BYTES, crc32=None)
-    remainder = len(payload) % RECORD_BYTES
-    if remainder:
-        defects.append(
-            CaptureDefect(
-                "partial-record",
-                f"{remainder} trailing byte(s) are not a whole record; dropped",
-                offset=data_offset + len(payload) - remainder,
-            )
-        )
-        payload = payload[: len(payload) - remainder]
-    records = decode_record_columns(payload)
-
-    if len(records) != meta.count:
-        defects.append(
-            CaptureDefect(
-                "count-mismatch",
-                f"header claims {meta.count} records but the stream holds "
-                f"{len(records)}",
-                offset=len(MAGIC),
-            )
-        )
-    elif meta.crc32 is not None and not remainder:
-        # Count and framing agree, so a CRC mismatch isolates payload
-        # corruption (a truncated stream would mismatch trivially).
-        actual = zlib.crc32(payload)
-        if actual != meta.crc32:
-            defects.append(
-                CaptureDefect(
-                    "crc-mismatch",
-                    f"record stream CRC32 {actual:#010x} disagrees with the "
-                    f"header's {meta.crc32:#010x}: at least one record byte "
-                    "is corrupt",
-                    offset=data_offset,
-                )
-            )
-    meta = meta._replace(count=len(records))
+    blob = _resync_magic(blob, defects)
+    try:
+        records, meta = _read_columns(io.BytesIO(blob), defects)
+    except CaptureFormatError:
+        version = {MAGIC: 1, MAGIC_V2: 2}.get(blob[: len(MAGIC)], 0)
+        records, meta = decode_record_columns(b""), CaptureMeta(version, 0)
+    if _TELEMETRY.enabled:
+        _TELEMETRY.count("upload.records.salvaged", len(records))
+        for defect in defects:
+            _TELEMETRY.count("upload.salvage.defects", kind=defect.kind)
     return SalvageResult(records, defects, meta)
-
-
-def _salvage_v1_header(
-    blob: bytes, defects: list[CaptureDefect]
-) -> tuple[Optional[CaptureMeta], int]:
-    if len(blob) < V1_HEADER_BYTES:
-        defects.append(
-            CaptureDefect(
-                "truncated-header",
-                f"MPF1 header needs {V1_HEADER_BYTES} bytes, file holds "
-                f"{len(blob)}",
-                offset=len(blob),
-            )
-        )
-        return None, 0
-    count = int.from_bytes(blob[4:V1_HEADER_BYTES], "big")
-    return CaptureMeta(version=1, count=count), V1_HEADER_BYTES
-
-
-def _salvage_v2_header(
-    blob: bytes, defects: list[CaptureDefect]
-) -> tuple[Optional[CaptureMeta], int]:
-    if len(blob) < V2_FIXED_HEADER_BYTES:
-        defects.append(
-            CaptureDefect(
-                "truncated-header",
-                f"MPF2 header needs at least {V2_FIXED_HEADER_BYTES} bytes, "
-                f"file holds {len(blob)}",
-                offset=len(blob),
-            )
-        )
-        return None, 0
-    header_size = int.from_bytes(blob[4:6], "big")
-    clamped = False
-    if header_size < V2_FIXED_HEADER_BYTES:
-        defects.append(
-            CaptureDefect(
-                "bad-header-field",
-                f"header size {header_size} is below the "
-                f"{V2_FIXED_HEADER_BYTES}-byte minimum; assuming a label-less "
-                "header",
-                offset=4,
-            )
-        )
-        header_size = V2_FIXED_HEADER_BYTES
-        clamped = True
-    if header_size > len(blob):
-        defects.append(
-            CaptureDefect(
-                "truncated-header",
-                f"header claims {header_size} bytes but the file holds "
-                f"{len(blob)}; treating everything past the fixed header as "
-                "records",
-                offset=len(blob),
-            )
-        )
-        header_size = V2_FIXED_HEADER_BYTES
-        clamped = True
-    count = int.from_bytes(blob[6:10], "big")
-    width = blob[10]
-    rate = int.from_bytes(blob[11:15], "big")
-    flags = blob[15]
-    crc32 = int.from_bytes(blob[16:20], "big")
-    label_len = int.from_bytes(blob[20:22], "big")
-    if not (1 <= width <= TIME_BITS):
-        defects.append(
-            CaptureDefect(
-                "bad-header-field",
-                f"counter width {width} outside 1..{TIME_BITS} bits; assuming "
-                f"the stock {STOCK_WIDTH_BITS}",
-                offset=10,
-            )
-        )
-        width = STOCK_WIDTH_BITS
-    if rate == 0:
-        defects.append(
-            CaptureDefect(
-                "bad-header-field",
-                f"counter rate is zero; assuming the stock {STOCK_RATE_HZ} Hz",
-                offset=11,
-            )
-        )
-        rate = STOCK_RATE_HZ
-    if not clamped and V2_FIXED_HEADER_BYTES + label_len != header_size:
-        defects.append(
-            CaptureDefect(
-                "bad-header-field",
-                f"label length {label_len} disagrees with header size "
-                f"{header_size}; trusting the header size",
-                offset=20,
-            )
-        )
-    label = blob[V2_FIXED_HEADER_BYTES:header_size].decode("utf-8", errors="replace")
-    streamed = bool(flags & 2)
-    meta = CaptureMeta(
-        version=2,
-        count=count,
-        counter_width_bits=width,
-        counter_rate_hz=rate,
-        overflowed=bool(flags & 1),
-        label=label,
-        crc32=None if streamed else crc32,
-        streamed=streamed,
-    )
-    return meta, header_size
 
 
 def salvage_capture(path_or_file: Union[str, Path, BinaryIO]) -> SalvageResult:
     """Salvage a capture from a path or open stream (full result)."""
-    if hasattr(path_or_file, "read"):
-        blob = _read_exact_to_eof(path_or_file)  # type: ignore[arg-type]
-    else:
-        blob = Path(path_or_file).read_bytes()  # type: ignore[arg-type]
-    return salvage_capture_bytes(blob)
+    with _open_context(path_or_file, "rb") as stream:
+        return salvage_capture_bytes(stream.read())
 
 
 class EpromReadback:

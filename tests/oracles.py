@@ -73,8 +73,8 @@ from repro.profiler.upload import (
     DEFAULT_CHUNK_RECORDS,
     RECORD_BYTES,
     TRAILER_BYTES,
+    TRAILER_MAGIC,
     CaptureFormatError,
-    decode_stream_trailer,
 )
 from repro.sim.engine import InterruptLine, PendingInterrupt, TimeError
 from repro.sim.machine import Machine
@@ -100,7 +100,7 @@ def iter_capture_file(
 ) -> Iterator[RawRecord]:
     """Read a capture file (either version, closed or open-ended) per
     record, verifying the count and CRC32 at end of stream."""
-    meta = upload._read_header(stream)
+    meta, _ = upload._read_header(stream)
     chunk_bytes = chunk_records * RECORD_BYTES
     hold_back = TRAILER_BYTES if meta.streamed else 0
     crc = 0
@@ -128,7 +128,10 @@ def iter_capture_file(
                 yield RawRecord.unpack(leftover[i : i + RECORD_BYTES])
             seen += len(leftover) // RECORD_BYTES
             leftover = b""
-        declared, declared_crc = decode_stream_trailer(tail)
+        if len(tail) < TRAILER_BYTES or tail[:4] != TRAILER_MAGIC:
+            raise CaptureFormatError("open-ended capture ends without a trailer")
+        declared = int.from_bytes(tail[4:8], "big")
+        declared_crc = int.from_bytes(tail[8:], "big")
     if leftover:
         raise CaptureFormatError(
             f"record stream ends with a partial {len(leftover)}-byte record"

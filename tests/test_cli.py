@@ -12,7 +12,7 @@ from typing import Optional
 
 import pytest
 
-from repro.__main__ import build_parser, main
+from repro.__main__ import EXIT_READER_GONE, build_parser, main
 from repro.db.schema import connect
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -345,6 +345,33 @@ class TestUnreadableInput:
         assert done.stdout == ""
         assert done.stderr.startswith("repro: error: ")
         assert len(done.stderr.splitlines()) == 1, done.stderr
+
+
+class TestReaderGone:
+    def test_closed_stdout_ends_quietly(self):
+        """``analyze F --report trace | head -1``: the reader closes the
+        pipe after one line, and the command stops with no error line,
+        no exit-time complaint and the status a SIGPIPE would give."""
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        child = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "analyze",
+                str(GOLDEN_DIR / "figure5_forkexec_v2.mpf"),
+                "--names", str(GOLDEN_DIR / "case_study.tags"), "--report", "trace",
+            ],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        # The trace is over 250 KB, far more than a pipe holds, so the
+        # command is still writing when the pipe closes.
+        first = child.stdout.readline()
+        child.stdout.close()
+        err = child.stderr.read()
+        child.stderr.close()
+        assert child.wait(timeout=120) == EXIT_READER_GONE == 141
+        assert first.startswith(b"loaded ")
+        assert err == b""
 
 
 class TestBadCaptureExitCodes:

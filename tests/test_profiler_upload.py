@@ -252,7 +252,7 @@ class TestCaptureFormatErrorContract:
             with pytest.raises(CaptureFormatError) as excinfo:
                 reader(io.BytesIO(blob))
             messages.add(str(excinfo.value))
-        assert messages == {"record stream ends with a partial 2-byte record"}
+        assert messages == {"2 trailing byte(s) are not a whole record"}
 
     def test_ragged_stream_raises_in_both_record_decoders(self):
         blob = b"\x00" * 7
