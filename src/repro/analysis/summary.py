@@ -28,11 +28,13 @@ every call into its caller->callee *arc*; the per-function summary is
 the per-callee merge of the arcs, and the gprof report
 (:func:`repro.analysis.gprof.gprof_from_fold`) is assembled from the
 same arcs.  The call tree
-(:func:`repro.analysis.callstack.build_call_tree`), the Chrome trace
-(:class:`repro.analysis.chrome_trace.ChromeTraceWriter`) and the stream
-lint pass (:func:`repro.lint.stream_lint.lint_records`) are
+(:func:`repro.analysis.callstack.build_call_tree`) and the Chrome trace
+(:class:`repro.analysis.chrome_trace.ChromeTraceWriter`) are
 :class:`FoldRecorder` recordings of it, and :func:`summarize` reads a
-call tree's summary off the fold that recorded it.
+call tree's summary off the fold that recorded it.  The stream lint pass
+(:func:`repro.lint.stream_lint.lint_records`) reads the fold itself: its
+anomalies and the frames still open at the end of the capture
+(:attr:`SummaryAccumulator.open_at_end`).
 """
 
 from __future__ import annotations
@@ -344,13 +346,15 @@ class FoldRecorder:
     recorder attached as :attr:`SummaryAccumulator.recorder` before the
     first event is told every step of the same state machine and keeps
     what more it wants: the call tree of
-    :func:`repro.analysis.callstack.build_call_tree`, the Chrome events of
-    :class:`repro.analysis.chrome_trace.ChromeTraceWriter`, or the
-    truncated frames lint reports.  *stack* is the process a step happened
-    on (``stack.proc`` its label, ``stack.frames`` its open frames,
-    innermost last, ``stack.root`` its current tree's root); a frame is
-    the fold's ``[name, self_us, child_us, is_swtch, enter_us, arc,
-    entered]`` list, to which a recorder may append one item of its own, read back as
+    :func:`repro.analysis.callstack.build_call_tree` or the Chrome events
+    of :class:`repro.analysis.chrome_trace.ChromeTraceWriter`.  It turns
+    off the pair step, the run step and the eager switch-in, which step
+    records with no frame or before their stack is known.  *stack* is
+    the process a step happened on (``stack.proc`` its label,
+    ``stack.frames`` its open frames, innermost last, ``stack.root`` its
+    current tree's root); a frame is the fold's ``[name, self_us,
+    child_us, is_swtch, enter_us, arc, entered]`` list, to which a
+    recorder may append one item of its own, read back as
     ``frame[RECORDER_SLOT]``.  Every hook does nothing by default.
     """
 
@@ -488,6 +492,11 @@ class SummaryAccumulator:
         #: Name -> calls synthesised for unmatched (non-switch) exits.
         self._synthetic: dict[str, int] = {}
         self.anomalies: list[Anomaly] = []
+        #: The frames :meth:`close` closed, still open at the end of the
+        #: capture, as ``(tree root, entry index, name)``: sorted, they
+        #: walk the call forest in preorder, since a tree's calls open in
+        #: stream order.
+        self.open_at_end: list[tuple[int, int, str]] = []
         self._idle_us = 0
         self._unattributed_us = 0
         self._event_count = 0
@@ -1165,7 +1174,8 @@ class SummaryAccumulator:
         for stack in [self._current, *self._suspended]:
             exit_us = self._prev_t if stack is self._current else stack.suspended_at_us
             while stack.frames:
-                self._close_frame(stack, exit_us, True)
+                frame = self._close_frame(stack, exit_us, True)
+                self.open_at_end.append((stack.root, frame[6], frame[0]))
         self._wall_us = (self._prev_t - self._first_t) if self._first_t is not None else 0
         self._sealed = True
         if _TELEMETRY.enabled:
@@ -1187,10 +1197,11 @@ class SummaryAccumulator:
     def merge(self, other: "SummaryAccumulator") -> "SummaryAccumulator":
         """Fold another capture's totals into this one (the fleet merge).
 
-        Arcs, synthetic calls, the accounting and the anomalies add up;
-        nothing carries across the boundary between the two captures, and
-        the other capture's arcs come after this one's in preorder.  Seals
-        both accumulators.
+        Arcs, synthetic calls, the accounting, the anomalies and the
+        frames open at the end add up; nothing carries across the boundary
+        between the two captures, and the other capture's arcs and open
+        frames come after this one's in preorder.  Seals both
+        accumulators.
         """
         self.close()
         other.close()
@@ -1212,6 +1223,10 @@ class SummaryAccumulator:
         self._event_count += other._event_count
         self._context_switches += other._context_switches
         self.anomalies.extend(other.anomalies)
+        self.open_at_end.extend(
+            (root + offset, entered + offset, name)
+            for root, entered, name in other.open_at_end
+        )
         self._summary = None
         return self
 

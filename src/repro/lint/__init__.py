@@ -10,7 +10,9 @@ properties *statically*, before (or instead of) a run:
 1. :mod:`repro.lint.namefile_lint` — the name/tag file artifacts;
 2. :mod:`repro.lint.ast_lint` — the kernel source (Python ``ast``):
    enter/leave and spl*/splx discipline on every return path;
-3. :mod:`repro.lint.stream_lint` — raw/decoded capture files;
+3. :mod:`repro.lint.stream_lint` — raw/decoded capture files, and the
+   stream faults (missing end-of-stream trailer, trailer CRC or count
+   disagreement) of an open-ended capture the strict reader rejects;
 4. :mod:`repro.lint.link_lint` — ``_ProfileBase`` resolution against the
    live bus map;
 5. :mod:`repro.lint.telemetry_lint` — the profiler's own telemetry
@@ -20,10 +22,7 @@ properties *statically*, before (or instead of) a run:
 7. :mod:`repro.lint.coverage_lint` — profile coverage of a capture
    corpus (dead instrumentation, blind spots, redundant workloads);
 8. :mod:`repro.lint.db_lint` — profile-database integrity (schema
-   drift, orphan rows, label collisions);
-9. :mod:`repro.lint.live_lint` — open-ended (live wire) capture streams
-   (missing end-of-stream trailers, trailer CRC disagreement, drain
-   mismatches).
+   drift, orphan rows, label collisions).
 
 Every finding is a :class:`~repro.lint.diagnostics.Diagnostic` with a
 stable ``P0xx``-style code and a severity; :mod:`repro.lint.runner`

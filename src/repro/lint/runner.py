@@ -2,10 +2,11 @@
 
 Maps artifacts to passes: ``--names`` files go through the name/tag
 lint, positional capture files through the stream verifier (decoded
-with the same name files), and self-check mode — the default when no
-artifacts are given — builds the case-study image *without running any
-workload* and lints its name table, the kernel source (AST pass) and
-the live ``_ProfileBase`` link.
+with the same name files; an open-ended capture the strict reader
+rejects also gets its stream fault's P8xx code), and self-check mode —
+the default when no artifacts are given — builds the case-study image
+*without running any workload* and lints its name table, the kernel
+source (AST pass) and the live ``_ProfileBase`` link.
 
 Reporters: classic compiler-style text (one line per finding plus a
 summary), or a JSON document with a stable schema for CI tooling::
@@ -37,10 +38,14 @@ from repro.lint.ast_lint import lint_kernel_source
 from repro.lint.diagnostics import CODE_TABLE, LintReport
 from repro.lint.link_lint import lint_link
 from repro.lint.namefile_lint import lint_name_files, lint_name_table
-from repro.lint.stream_lint import lint_capture_defects, lint_records
+from repro.lint.stream_lint import (
+    STREAM_DEFECT_CODES,
+    lint_capture_defects,
+    lint_records,
+)
 from repro.lint.telemetry_lint import lint_telemetry
 from repro.profiler.ram import DEFAULT_DEPTH
-from repro.profiler.upload import read_capture, salvage_capture
+from repro.profiler.upload import read_capture, read_capture_meta, salvage_capture
 from repro.telemetry import TELEMETRY as _TELEMETRY
 
 
@@ -90,15 +95,13 @@ def lint_capture_file(
     names: NameTable,
     ram_depth: Optional[int] = DEFAULT_DEPTH,
     report: Optional[LintReport] = None,
-    salvage: bool = False,
 ) -> LintReport:
-    """Run the stream verifier over one capture file.
+    """Run the stream verifier over one capture file, read once.
 
-    A file the strict reader rejects gets a single ``P200``; with
-    ``salvage=True`` the salvaging decoder then takes over — its
-    tolerated faults become file-level diagnostics (P209–P213) and the
-    recovered records still go through the stream checks, so a damaged
-    capture yields a full report instead of one opaque error.
+    A file the strict reader rejects gets a single ``P200``.  If its
+    header still reads strictly and marks an open-ended capture, the
+    salvager then names the stream fault with its P801–P803 code; a
+    capture the strict reader accepts has none.
     """
     report = report if report is not None else LintReport()
     source = str(path)
@@ -109,18 +112,17 @@ def lint_capture_file(
         return report
     except ValueError as exc:
         report.add("P200", f"cannot read capture: {exc}", source=source)
-        if not salvage:
+        try:
+            streamed = read_capture_meta(path).streamed
+            defects = salvage_capture(path).defects if streamed else []
+        except (OSError, ValueError):
             return report
-        result = salvage_capture(path)
-        lint_capture_defects(
-            result.defects,
+        return lint_capture_defects(
+            [d for d in defects if STREAM_DEFECT_CODES.get(d.kind, "").startswith("P8")],
             source=source,
             report=report,
-            streamed=result.meta.streamed,
+            streamed=True,
         )
-        records, meta = result.records, result.meta
-        if not records:
-            return report
     if meta.version == 1:
         report.add(
             "P208",
@@ -181,13 +183,6 @@ def _run_stream_pass(options: LintOptions, report: LintReport) -> None:
         )
 
 
-def _run_live_pass(options: LintOptions, report: LintReport) -> None:
-    from repro.lint.live_lint import lint_live_stream
-
-    for capture in options.captures:
-        lint_live_stream(capture, report=report)
-
-
 def _run_kernel_ast_pass(options: LintOptions, report: LintReport) -> None:
     lint_kernel_source(report=report)
 
@@ -211,17 +206,17 @@ def _run_db_pass(options: LintOptions, report: LintReport) -> None:
 
 def lint_paths(options: LintOptions) -> LintReport:
     """Run every pass the options select, in the fixed chain order
-    namefile, stream, live, kernel_ast, self_check, coverage, db.
+    namefile, stream, kernel_ast, self_check, coverage, db.
 
-    Each pass runs under a telemetry span (``lint.pass.<pass>``), so
-    ``--telemetry`` output breaks lint wall time down per pass; with
-    telemetry disabled the spans are no-ops.  The coverage and db passes
-    import their subsystems only when selected.
+    Each pass runs under a telemetry span (``lint.pass.<pass>``).  The
+    ``lint`` command takes no ``--telemetry`` flag, so the spans are read
+    in process, with :data:`repro.telemetry.TELEMETRY` enabled; disabled,
+    they are no-ops.  The coverage and db passes import their subsystems
+    only when selected.
     """
     chain: tuple[tuple[str, bool, Callable[[LintOptions, LintReport], None]], ...] = (
         ("namefile", bool(options.names), _run_namefile_pass),
         ("stream", bool(options.captures), _run_stream_pass),
-        ("live", bool(options.captures), _run_live_pass),
         ("kernel_ast", options.kernel_ast, _run_kernel_ast_pass),
         ("self_check", options.self_check, _run_self_check_pass),
         ("coverage", options.coverage_corpus is not None, _run_coverage_pass),

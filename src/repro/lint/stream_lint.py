@@ -21,9 +21,10 @@ The reconstruction layer runs the summary fold
 (:class:`repro.analysis.summary.SummaryAccumulator`), the analysis every
 report uses: its anomaly log is precisely the defect list this pass
 wants, so the verifier and the real analysis can never disagree about
-what a malformed stream contains.  A recorder on the fold collects the
-frames it closed administratively; the interrupt nesting check walks the
-raw tags.  Neither holds a list per event.
+what a malformed stream contains, and the frames it closed at the end
+of the capture are the ones P201 names.  No recorder is attached, so the
+fold takes its fast paths; the interrupt nesting check walks the raw
+tags.  Neither holds a list per event.
 """
 
 from __future__ import annotations
@@ -36,12 +37,11 @@ from repro.analysis.columnar import (
     INTERRUPT_FRAMES,
     build_decode_map,
 )
-from repro.analysis.summary import RECORDER_SLOT, FoldRecorder, SummaryAccumulator
+from repro.analysis.summary import SummaryAccumulator
 from repro.instrument.namefile import NameTable
 from repro.lint.diagnostics import LintReport
-from repro.profiler.capture import Capture
 from repro.profiler.ram import DEFAULT_DEPTH, RecordColumns
-from repro.profiler.upload import CaptureDefect
+from repro.profiler.upload import DEFAULT_CHUNK_RECORDS, CaptureDefect
 
 #: Interrupt nesting can never exceed the number of distinct priority
 #: levels: each nested interrupt must arrive at a strictly higher ipl.
@@ -170,9 +170,12 @@ def lint_records(
         # could.
         return report
     fold = SummaryAccumulator(names, width_bits=width_bits)
-    truncated = _TruncatedFrames()
-    fold.recorder = truncated
-    fold.feed_columns(records).close()
+    # In the file reader's batches: after a run the fold steps on over
+    # slices of the rest of its batch.
+    for start in range(0, len(records), DEFAULT_CHUNK_RECORDS):
+        stop = start + DEFAULT_CHUNK_RECORDS
+        fold.feed_columns(RecordColumns(records.tags[start:stop], times[start:stop]))
+    fold.close()
     for anomaly in fold.anomalies:
         code = _ANOMALY_CODES.get(anomaly.kind)
         if code is None:  # pragma: no cover - future anomaly kinds
@@ -184,40 +187,15 @@ def lint_records(
             index=anomaly.index,
         )
 
-    _lint_open_frames(truncated.names(), source, report)
+    _lint_open_frames(
+        [name for _, _, name in sorted(fold.open_at_end)], source, report
+    )
     _lint_interrupt_nesting(records, names, width_bits, source, report)
     return report
 
 
-class _TruncatedFrames(FoldRecorder):
-    """The calls the fold closed administratively (a missed exit, or the
-    end of the capture), in the call forest's preorder.
-
-    Each open frame carries its preorder key in the recorder slot:
-    ``(tree root, open sequence)``.  A tree's calls all belong to one
-    process and open in preorder, while trees of different processes
-    interleave in time, so sorting calls by key walks the forest the way
-    :meth:`repro.analysis.callstack.CallTreeAnalysis.nodes` does.
-    """
-
-    def __init__(self) -> None:
-        self._opened = 0
-        self._closed: list[tuple[tuple[int, int], str]] = []
-
-    def open_frame(self, stack, frame: list) -> None:
-        frame.append((stack.root, self._opened))
-        self._opened += 1
-
-    def close_frame(self, stack, frame: list, exit_us: int, truncated: bool) -> None:
-        if truncated:
-            self._closed.append((frame[RECORDER_SLOT], frame[0]))
-
-    def names(self) -> list[str]:
-        return [name for _, name in sorted(self._closed)]
-
-
 def _lint_open_frames(open_frames: list[str], source: str, report: LintReport) -> None:
-    """Frames never closed by a captured exit: window truncation."""
+    """Frames still open when the capture ended: window truncation."""
     if open_frames:
         shown = ", ".join(open_frames[:6])
         more = f" (+{len(open_frames) - 6} more)" if len(open_frames) > 6 else ""
@@ -265,20 +243,3 @@ def _lint_interrupt_nesting(
         elif code == CODE_EXIT:
             depth = max(0, depth - 1)
 
-
-def verify_capture(
-    capture: Capture,
-    source: str = "<capture>",
-    ram_depth: Optional[int] = None,
-    report: Optional[LintReport] = None,
-) -> LintReport:
-    """Verify a loaded :class:`Capture` (records + names in one object)."""
-    return lint_records(
-        capture.records,
-        capture.names,
-        source=source or capture.label,
-        width_bits=capture.counter_width_bits,
-        ram_depth=ram_depth,
-        report=report,
-        overflowed=capture.overflowed,
-    )

@@ -546,7 +546,9 @@ def _decode_payload(
         else:
             leftover = blob
     declared: Optional[int] = meta.count
-    declared_crc, where, count_at = meta.crc32, "header", len(MAGIC)
+    # The header's count follows MPF1's magic, and MPF2's header size.
+    count_at = len(MAGIC) if meta.version == 1 else len(MAGIC) + 2
+    declared_crc, where = meta.crc32, "header"
     if meta.streamed:
         # The loop holds back at least the last TRAILER_BYTES bytes.
         trailer = leftover[-TRAILER_BYTES:]

@@ -312,8 +312,14 @@ class _Resolver:
         return None
 
 
-def reference_call_tree(events: Sequence[DecodedEvent]) -> CallTreeAnalysis:
-    """Reconstruct the call forest from a decoded event stream."""
+def reference_call_tree(
+    events: Sequence[DecodedEvent], open_at_end: Optional[list[CallNode]] = None
+) -> CallTreeAnalysis:
+    """Reconstruct the call forest from a decoded event stream.
+
+    *open_at_end*, if given, receives the nodes closed at the end of the
+    stream (truncated by the capture window, not by a missed exit).
+    """
     anomalies: list[Anomaly] = []
     roots: list[CallNode] = []
     resolver = _Resolver(events)
@@ -481,6 +487,8 @@ def reference_call_tree(events: Sequence[DecodedEvent]) -> CallTreeAnalysis:
         while stack.frames:
             node = close_frame(stack, close_at)
             node.truncated = True
+            if open_at_end is not None:
+                open_at_end.append(node)
 
     idle_us = sum(
         node.self_us

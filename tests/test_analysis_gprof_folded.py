@@ -81,6 +81,17 @@ class TestGprof:
         assert callers == [SPONTANEOUS, "cksum"]
         assert report.entry("main").calls == 2
 
+    def test_merged_folds_keep_each_capture_s_open_frames(self, simple_names):
+        """The second capture's frames open at its end follow the first's,
+        their stream indices offset as its arcs' are."""
+        first = stream(
+            simple_names, (">", "main", 0), (">", "read", 10), ("<", "read", 20)
+        )
+        second = stream(simple_names, (">", "cksum", 0))
+        merged = SummaryAccumulator(simple_names)
+        merged.merge(fold_capture(first)).merge(fold_capture(second))
+        assert merged.open_at_end == [(0, 0, "main"), (3, 3, "cksum")]
+
     def test_real_capture_arcs(self):
         from repro.system import build_case_study
         from repro.workloads.network_recv import network_receive

@@ -444,17 +444,6 @@ class TestFullReportFooter:
 
 
 class TestLintIntegration:
-    def test_lint_capture_file_salvage_mode(self, tmp_path):
-        from repro.lint.runner import lint_capture_file
-
-        path = tmp_path / "damaged.mpf"
-        path.write_bytes(_v2_blob()[:-7])
-        strict = lint_capture_file(path, _names())
-        assert strict.codes() == ("P200",)
-        forgiving = lint_capture_file(path, _names(), salvage=True)
-        assert "P200" in forgiving.codes()
-        assert "P211" in forgiving.codes() and "P212" in forgiving.codes()
-
     def test_mpf1_file_gets_info_diagnostic(self, tmp_path):
         from repro.lint.runner import lint_capture_file
 

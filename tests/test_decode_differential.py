@@ -1202,19 +1202,17 @@ class TestChromeTraceParity:
 
 class TestLintParity:
     """Stream lint reads the fold, not a call tree: P201 must still name
-    the frames closed administratively in the reference forest's
-    preorder, which is not their order in time once processes
-    interleave."""
+    the frames still open at the end of the capture (not those a missed
+    exit closed) in the reference forest's preorder, which is not their
+    order in time once processes interleave."""
 
     @DIFF_SETTINGS
     @given(records=st.one_of(switch_streams(), record_streams()))
     def test_open_frames_in_reference_preorder(self, records):
-        reference = oracles.reference_call_tree(_reference_events(records))
-        open_frames = [
-            node.name
-            for node in reference.nodes()
-            if node.truncated and not node.synthetic
-        ]
+        at_end: list = []
+        reference = oracles.reference_call_tree(_reference_events(records), at_end)
+        ends = {id(node) for node in at_end}
+        open_frames = [node.name for node in reference.nodes() if id(node) in ends]
         report = lint_records(columns_of(records), NAMES, ram_depth=None)
         messages = [d.message for d in report if d.code == "P201"]
         if not open_frames:

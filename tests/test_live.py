@@ -41,8 +41,7 @@ from repro.analysis.summary import (
     sort_rows,
     summarize,
 )
-from repro.lint.live_lint import lint_live_stream
-from repro.lint.runner import render_text
+from repro.lint.runner import lint_capture_file, render_text
 from repro.live.analyzer import LiveAnalyzer, LiveWindow
 from repro.live.top import TopView, render_top
 from repro.profiler.ram import RawRecord
@@ -572,26 +571,30 @@ class TestLiveTrace:
 
 
 class TestLiveLint:
+    """The stream pass reads a capture once; an open-ended capture the
+    strict reader rejects gets its P200 and then its stream fault's P8xx
+    code."""
+
     def test_clean_stream_is_clean(self, tmp_path):
         path = tmp_path / "ok.mpf"
         path.write_bytes(_wire_bytes(_records(60)))
-        report = lint_live_stream(path)
+        report = lint_capture_file(path, _names())
         assert report.ok and len(report) == 0, render_text(report)
 
     def test_p801_missing_trailer(self, tmp_path):
         blob = _wire_bytes(_records(60))
         path = tmp_path / "cut.mpf"
         path.write_bytes(blob[: len(blob) - TRAILER_BYTES])
-        report = lint_live_stream(path)
-        assert [d.code for d in report] == ["P801"]
+        report = lint_capture_file(path, _names())
+        assert [d.code for d in report] == ["P200", "P801"]
 
     def test_p802_crc_mismatch(self, tmp_path):
         blob = bytearray(_wire_bytes(_records(60)))
         blob[50] ^= 0x04
         path = tmp_path / "flip.mpf"
         path.write_bytes(bytes(blob))
-        report = lint_live_stream(path)
-        assert [d.code for d in report] == ["P802"]
+        report = lint_capture_file(path, _names())
+        assert [d.code for d in report] == ["P200", "P802"]
 
     def test_p803_count_lie(self, tmp_path):
         records = _records(60)
@@ -601,15 +604,18 @@ class TestLiveLint:
         # keep the trailer internally consistent so only the count lies
         path = tmp_path / "lie.mpf"
         path.write_bytes(bytes(blob))
-        report = lint_live_stream(path)
-        assert [d.code for d in report] == ["P803"]
+        report = lint_capture_file(path, _names())
+        assert [d.code for d in report] == ["P200", "P803"]
 
     def test_backpatched_capture_out_of_scope(self, tmp_path):
+        """A damaged closed capture gets its P200 and no P8xx code."""
         from repro.profiler.upload import write_capture_file
 
         path = tmp_path / "plain.mpf"
         write_capture_file(path, columns_of(_records(30)))
-        assert len(lint_live_stream(path)) == 0
+        assert len(lint_capture_file(path, _names())) == 0
+        path.write_bytes(path.read_bytes()[:-2])
+        assert [d.code for d in lint_capture_file(path, _names())] == ["P200"]
 
     def test_cli_lint_reports_p801(self, tmp_path):
         blob = _wire_bytes(_records(60))

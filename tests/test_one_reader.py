@@ -1,8 +1,9 @@
 """One capture reader: every command names a capture's fault alike.
 
-The strict readers, the salvager, ``capture doctor`` and ``lint`` all
-read a capture through one header parser and one record-stream decoder,
-so each fault has one text, and on an open-ended stream one P8xx code.
+The strict readers, the salvager, ``capture doctor``, ``lint`` and
+``analyze --strict`` all read a capture through one header parser and
+one record-stream decoder, so each fault has one text, and on an
+open-ended stream one P8xx code.
 Each case below is a capture on which separate copies of the format
 once disagreed: a stream cut before its trailer, a flipped bit, a
 trailer that lies about the count, a header a later version extended,
@@ -17,7 +18,8 @@ import re
 import pytest
 
 from repro.__main__ import main
-from repro.lint.live_lint import lint_live_stream
+from repro.instrument.namefile import NameTable
+from repro.lint.runner import lint_capture_file
 from repro.profiler.ram import RawRecord
 from repro.profiler.upload import (
     CaptureFormatError,
@@ -132,6 +134,18 @@ class TestCutStream:
         assert _p8_codes(lines) == ["P801"]
         assert MISSING_TRAILER in lines[0]
 
+    def test_analyze_strict_codes_it_as_lint_does(self, files, capsys):
+        write, tags = files
+        cut = write("cut.mpf", _stream(_records(), close=False))
+        _, linted, _ = _cli(capsys, "lint", cut, "--names", tags)
+        code, lines, _ = _cli(capsys, "analyze", cut, "--names", tags, "--strict")
+        assert code == 1
+        assert lines[: len(linted)] == linted
+        assert _p8_codes(lines) == ["P801"]
+        assert lines[-1] == (
+            f"strict: 2 error(s) in {cut}; refusing to analyze a corrupt stream"
+        )
+
 
 class TestStreamFaultCodes:
     """``capture doctor`` and ``lint`` give an open-ended stream's CRC32
@@ -172,6 +186,17 @@ class TestStreamFaultCodes:
         assert status == 0
         assert any(text in line for line in analyzed)
 
+    def test_lint_codes_each_capture_after_its_own_p200(self, files, capsys):
+        write, tags = files
+        cut = write("cut.mpf", _stream(_records(), close=False))
+        flipped = write("flipped.mpf", self._flipped())
+        status, lines, _ = _cli(capsys, "lint", cut, flipped, "--names", tags)
+        assert status == 1
+        assert [re.search(r"\bP\d{3}\b", line)[0] for line in lines[:-1]] == [
+            "P200", "P801", "P200", "P802",
+        ]
+        assert [line.split(":")[0] for line in lines[:-1]] == [cut, cut, flipped, flipped]
+
 
 class TestExtendedHeader:
     """A header 4 bytes longer than 22 + L: fields of a later version,
@@ -196,7 +221,7 @@ class TestExtendedHeader:
         assert code == 0, lines
         code, lines, _ = _cli(capsys, "lint", path, "--names", tags)
         assert _p8_codes(lines) == []
-        assert len(lint_live_stream(path)) == 0
+        assert lint_capture_file(path, NameTable.read(tags)).codes() == ()
 
 
 class TestUndecodableLabel:
@@ -209,4 +234,4 @@ class TestUndecodableLabel:
         path = write("label.mpf", blob)
         code, lines, _ = _cli(capsys, "lint", path, "--names", tags)
         assert _p8_codes(lines) == []
-        assert len(lint_live_stream(path)) == 0
+        assert lint_capture_file(path, NameTable.read(tags)).codes() == ()

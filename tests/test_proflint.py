@@ -36,7 +36,7 @@ from repro.lint.runner import (
     render_json,
     render_text,
 )
-from repro.lint.stream_lint import lint_records, verify_capture
+from repro.lint.stream_lint import lint_records
 from repro.profiler.ram import RawRecord
 from repro.sim.bus import ISA_HOLE_START
 from stream_helpers import columns_of
@@ -317,6 +317,19 @@ class TestStreamLint:
         assert codes(report) == ["P201"]
         assert report[0].severity is Severity.WARNING
 
+    def test_p201_leaves_a_missed_exit_to_p205(self):
+        """A frame a missed exit closed is P205's, not P201's: P201 names
+        only the frames still open when the capture ended."""
+        missed = [R(500, 10), R(502, 20), R(501, 30)]
+        assert codes(lint_records(columns_of(missed), _names())) == ["P205"]
+        report = lint_records(
+            columns_of(missed + [R(500, 40), R(502, 50)]), _names()
+        )
+        assert codes(report) == ["P205", "P201"]
+        assert report[1].message.startswith(
+            "2 frame(s) still open at end of capture: main, read;"
+        )
+
     def test_p204_full_trace_ram(self):
         records = [R(500, 2 * i) for i in range(4)] + [
             R(501, 100 + 2 * i) for i in range(4)
@@ -377,6 +390,61 @@ class TestStreamLint:
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         report = lint_capture_file(path, NameTable())
         assert codes(report) == ["P200"]
+
+
+class TestStreamLintFastPaths:
+    """Lint reads the fold's own list of frames open at the end, with no
+    recorder attached, so its fold takes the fast paths every summary
+    fold takes: the eager switch-in and the run step."""
+
+    @staticmethod
+    def _counters(path, names) -> dict:
+        from repro.telemetry import TELEMETRY
+
+        TELEMETRY.reset()
+        TELEMETRY.enable()
+        try:
+            lint_capture_file(path, names, ram_depth=None)
+            return {
+                name: TELEMETRY.registry.get(name).value
+                for name in ("analysis.look_aheads", "analysis.leaf_runs")
+            }
+        finally:
+            TELEMETRY.disable()
+            TELEMETRY.reset()
+
+    def test_switches_out_of_user_mode_need_no_look_ahead(self, tmp_path):
+        """The SCALE shape: a ``swtch`` exit, three leaf calls, a ``swtch``
+        entry, block after block."""
+        from repro.profiler.upload import CaptureStreamWriter
+
+        names = NameTable(
+            [TagEntry(f"kfunc{i}", 500 + 2 * i) for i in range(8)]
+            + [TagEntry("swtch", 600, context_switch=True)]
+        )
+        records, t = [], 0
+        for block in range(40):
+            records.append(R(601, t))
+            for k in range(3):
+                entry = 500 + 2 * ((block + k) % 8)
+                records += [R(entry, t + 7 + 16 * k), R(entry + 1, t + 18 + 16 * k)]
+            records.append(R(600, t + 60))
+            t += 83
+        path = tmp_path / "scale.mpf"
+        with open(path, "wb") as sink, CaptureStreamWriter(sink) as writer:
+            writer.write_records(records)
+        assert self._counters(path, names)["analysis.look_aheads"] == 0
+
+    def test_a_loop_is_added_up_in_one_step(self, tmp_path):
+        from repro.profiler.upload import write_capture_file
+
+        records = [R(500, 0)]
+        for i in range(20):
+            records += [R(502, 10 * i + 2), R(503, 10 * i + 7)]
+        records.append(R(501, 300))
+        path = tmp_path / "loop.mpf"
+        write_capture_file(path, columns_of(records))
+        assert self._counters(path, _names())["analysis.leaf_runs"] > 0
 
 
 # -- pass 4: the _ProfileBase link -------------------------------------------
@@ -472,7 +540,13 @@ class TestShippedArtifactsLintClean:
         capture = system.profile(
             lambda: file_write_storm(system.kernel, nblocks=4), label="t"
         )
-        report = verify_capture(capture)
+        report = lint_records(
+            capture.records,
+            capture.names,
+            width_bits=capture.counter_width_bits,
+            ram_depth=None,
+            overflowed=capture.overflowed,
+        )
         assert report.error_count == 0, render_text(report)
 
 
@@ -504,7 +578,7 @@ class TestPassChain:
         assert spans == [
             f"lint.pass.{name}"
             for name in (
-                "namefile", "stream", "live", "kernel_ast", "self_check", "coverage", "db",
+                "namefile", "stream", "kernel_ast", "self_check", "coverage", "db",
             )
         ]
 
