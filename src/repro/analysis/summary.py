@@ -1358,9 +1358,10 @@ def summarize_columns(
 def fold_capture(
     capture: Capture, recorder: Optional[FoldRecorder] = None
 ) -> SummaryAccumulator:
-    """Fold an in-memory *capture* (see :func:`fold_columns`)."""
+    """Fold an in-memory *capture* (see :func:`fold_columns`), in the
+    file reader's batches."""
     return fold_columns(
-        [capture.records],
+        capture.records.batches(),
         capture.names,
         width_bits=capture.counter_width_bits,
         recorder=recorder,

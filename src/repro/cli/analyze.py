@@ -1,10 +1,11 @@
 """``repro analyze``: the reports of a saved capture file.
 
 With only summary and gprof reports the file is folded straight off the
-disk (:func:`fold_file`) in O(chunk) memory; a call-tree report (trace,
-folded, flame, timeline) or ``--salvage`` loads the whole capture
-(:meth:`repro.profiler.capture.Capture.load`), and only then is that
-module imported.
+disk (:func:`fold_file`) in O(chunk) memory, or, under ``--strict``,
+read once by the stream verifier, whose fold then serves the reports; a
+call-tree report (trace, folded, flame, timeline) or ``--salvage`` loads
+the whole capture (:meth:`repro.profiler.capture.Capture.load`), and
+only then is that module imported.
 """
 
 from __future__ import annotations
@@ -58,10 +59,11 @@ def fold_file(
 
 def cmd_analyze(args: argparse.Namespace, out: Callable) -> int:
     names = NameTable.read(*args.names)
+    fold = None
     if args.strict:
-        from repro.lint.runner import lint_capture_file, render_text
+        from repro.lint.runner import lint_and_fold_capture_file, render_text
 
-        lint_report = lint_capture_file(args.capture, names)
+        lint_report, fold = lint_and_fold_capture_file(args.capture, names)
         out(render_text(lint_report))
         out("")
         if not lint_report.ok:
@@ -80,7 +82,12 @@ def cmd_analyze(args: argparse.Namespace, out: Callable) -> int:
         fold = fold_capture_for(capture, args.report)
         events = len(capture)
     else:
-        fold = fold_file(args, names, None)
+        if fold is None:
+            fold = fold_file(args, names, None)
+        elif read_capture_meta(args.capture).version == 1:
+            from repro.profiler.capture import warn_legacy_metadata
+
+            warn_legacy_metadata(args.capture)
         events = fold.event_count
     out(f"loaded {events} events from {args.capture}")
     print_reports(

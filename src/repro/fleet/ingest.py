@@ -347,7 +347,9 @@ def _read_capture(
         return row
     row.meta = result.meta
     try:
-        row.sink, row.records = _fold(new_sink, result.meta, (result.records,))
+        row.sink, row.records = _fold(
+            new_sink, result.meta, result.records.batches()
+        )
     except ValueError as exc:
         row.error = str(exc)
         return row
@@ -381,11 +383,15 @@ def read_corpus(
     ``jobs > 1`` runs the captures in one fork-context process pool
     whose workers ignore SIGINT: Ctrl-C lands in the parent, which
     cancels the captures not yet started while those in flight finish.
+    Each task reads a run of consecutive captures, about four tasks per
+    worker: a capture's fold is about as cheap as submitting and
+    collecting a task, so one task per capture leaves the pool idle.
     """
     if jobs == 1 or len(paths) <= 1:
         for path in paths:
             yield _read_capture(path, new_sink, salvage, skip)
         return
+    chunk = -(-len(paths) // (4 * jobs))
     with ProcessPoolExecutor(
         max_workers=jobs,
         mp_context=multiprocessing.get_context("fork"),
@@ -393,15 +399,22 @@ def read_corpus(
         initargs=(signal.SIGINT, signal.SIG_IGN),
     ) as pool:
         futures = [
-            pool.submit(_read_capture, path, new_sink, salvage, skip)
-            for path in paths
+            pool.submit(_read_captures, paths[i : i + chunk], new_sink, salvage, skip)
+            for i in range(0, len(paths), chunk)
         ]
         try:
             for future in futures:
-                yield future.result()
+                yield from future.result()
         finally:
             for future in futures:
                 future.cancel()
+
+
+def _read_captures(
+    paths: Sequence[str], new_sink: SinkFactory, salvage: bool, skip: Collection[str]
+) -> list[CorpusRow]:
+    """One pool task: a run of captures, read in order."""
+    return [_read_capture(path, new_sink, salvage, skip) for path in paths]
 
 
 # -- the fleet on top of the walker ------------------------------------------------

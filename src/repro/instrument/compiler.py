@@ -21,8 +21,7 @@ else follows the paper:
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Callable, Iterable, Optional, Protocol, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Protocol, Sequence
 
 from repro.instrument.namefile import NameTable
 from repro.instrument.tags import TagEntry
@@ -45,8 +44,7 @@ TRIGGER_INSN_BYTES = 6
 TRIGGERS_PER_FUNCTION = 2
 
 
-@dataclasses.dataclass
-class InstrumentedImage:
+class InstrumentedImage(NamedTuple):
     """The output of one instrumentation pass over the kernel.
 
     Holds the tag assignment actually compiled in, plus the bookkeeping

@@ -13,7 +13,6 @@ interrupt epilogue or the next spl-lowering, whichever comes first.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Any, Callable
 
 from repro.kernel.kfunc import kfunc
@@ -22,14 +21,20 @@ from repro.kernel.kfunc import kfunc
 HZ = 100
 
 
-@dataclasses.dataclass
 class Callout:
     """One pending timeout."""
 
-    due_tick: int
-    fn: Callable[..., None]
-    args: tuple
-    cancelled: bool = False
+    def __init__(
+        self,
+        due_tick: int,
+        fn: Callable[..., None],
+        args: tuple,
+        cancelled: bool = False,
+    ) -> None:
+        self.due_tick = due_tick
+        self.fn = fn
+        self.args = args
+        self.cancelled = cancelled
 
 
 @kfunc(module="kern/kern_clock", base_us=9.0)

@@ -10,7 +10,6 @@ from the disk model.)
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Any, Optional
 
 from repro.kernel.fs.buf import BLOCK_BYTES, bdwrite, bread, bwrite, getblk
@@ -23,17 +22,24 @@ class FfsError(Exception):
     """ENOENT/ENOSPC and friends."""
 
 
-@dataclasses.dataclass
 class Inode:
     """An in-core inode."""
 
-    ino: int
-    is_dir: bool = False
-    size: int = 0
-    #: Logical block -> physical block number.
-    blocks: dict[int, int] = dataclasses.field(default_factory=dict)
-    #: Directory entries (directories only).
-    entries: dict[str, int] = dataclasses.field(default_factory=dict)
+    def __init__(
+        self,
+        ino: int,
+        is_dir: bool = False,
+        size: int = 0,
+        blocks: Optional[dict[int, int]] = None,
+        entries: Optional[dict[str, int]] = None,
+    ) -> None:
+        self.ino = ino
+        self.is_dir = is_dir
+        self.size = size
+        #: Logical block -> physical block number.
+        self.blocks: dict[int, int] = {} if blocks is None else blocks
+        #: Directory entries (directories only).
+        self.entries: dict[str, int] = {} if entries is None else entries
 
 
 class FfsVolume:

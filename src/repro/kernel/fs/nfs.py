@@ -13,7 +13,6 @@ the checksum switch genuinely moves CPU cost.
 
 from __future__ import annotations
 
-import dataclasses
 import struct
 from typing import Any, Optional
 
@@ -51,14 +50,20 @@ def unpack_reply(blob: bytes) -> tuple[int, int, int, bytes]:
     return xid, status, value, blob[16 : 16 + length]
 
 
-@dataclasses.dataclass
 class ServerFile:
     """A file on the remote NFS server."""
 
-    fh: int
-    data: bytes = b""
-    is_dir: bool = False
-    entries: dict[str, int] = dataclasses.field(default_factory=dict)
+    def __init__(
+        self,
+        fh: int,
+        data: bytes = b"",
+        is_dir: bool = False,
+        entries: Optional[dict[str, int]] = None,
+    ) -> None:
+        self.fh = fh
+        self.data = data
+        self.is_dir = is_dir
+        self.entries: dict[str, int] = {} if entries is None else entries
 
 
 class NfsServerHost(RemoteHost):
@@ -150,13 +155,13 @@ class NfsServerHost(RemoteHost):
         return pack_reply(xid, STATUS_ERR, 0, b"")
 
 
-@dataclasses.dataclass
 class NfsNode:
     """A client-side NFS file."""
 
-    fh: int
-    size: int = 0
-    is_dir: bool = False
+    def __init__(self, fh: int, size: int = 0, is_dir: bool = False) -> None:
+        self.fh = fh
+        self.size = size
+        self.is_dir = is_dir
 
 
 class NfsMount:

@@ -10,7 +10,6 @@ beneath them.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Any, Optional
 
 from repro.kernel.kfunc import kfunc
@@ -20,13 +19,13 @@ class VnodeError(Exception):
     """Bad vnode usage."""
 
 
-@dataclasses.dataclass
 class Vnode:
     """A filesystem-independent file handle."""
 
-    fstype: str  # "ufs" or "nfs"
-    node: Any  # Inode for ufs, NfsNode for nfs
-    volume: Any
+    def __init__(self, fstype: str, node: Any, volume: Any) -> None:
+        self.fstype = fstype  # "ufs" or "nfs"
+        self.node = node  # Inode for ufs, NfsNode for nfs
+        self.volume = volume
 
     @property
     def is_dir(self) -> bool:

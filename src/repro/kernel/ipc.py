@@ -10,7 +10,6 @@ capture as tsleep/wakeup pairs between the two processes.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Any
 
 from repro.kernel.kfunc import kfunc
@@ -46,12 +45,12 @@ class Pipe:
         return ("pipewr", id(self))
 
 
-@dataclasses.dataclass
 class PipeEnd:
     """One descriptor's view of the pipe."""
 
-    pipe: Pipe
-    writable: bool
+    def __init__(self, pipe: Pipe, writable: bool) -> None:
+        self.pipe = pipe
+        self.writable = writable
 
     def on_last_close(self, k: Any) -> None:
         """Drop this end; wake the peer so it sees EOF/EPIPE."""

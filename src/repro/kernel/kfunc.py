@@ -24,26 +24,43 @@ convention named ``k``.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
-import inspect
 from typing import Any, Callable, Iterable, TypeVar
 
+#: ``co_flags`` bit of a generator function's code object, as
+#: ``inspect.CO_GENERATOR``: :mod:`inspect` is not imported, since it and
+#: the ``ast``, ``dis`` and ``tokenize`` it loads cost a fresh process
+#: about 8 ms.
+CO_GENERATOR = 0x20
 
-@dataclasses.dataclass(frozen=True)
+
 class KFuncMeta:
     """Registry record for one kernel function.
 
     Satisfies the instrumentation pass's ``FunctionSymbol`` protocol
-    (``name``, ``module``, ``is_asm``, ``context_switch``).
+    (``name``, ``module``, ``is_asm``, ``context_switch``).  Every kernel
+    call reads ``name`` and ``base_ns`` several times, so the fields are
+    slots: CPython 3.11 reads a ``NamedTuple`` field at about four times
+    the cost of a slot.
     """
 
-    name: str
-    module: str
-    base_ns: int
-    can_sleep: bool = False
-    is_asm: bool = False
-    context_switch: bool = False
+    __slots__ = ("name", "module", "base_ns", "can_sleep", "is_asm", "context_switch")
+
+    def __init__(
+        self,
+        name: str,
+        module: str,
+        base_ns: int,
+        can_sleep: bool = False,
+        is_asm: bool = False,
+        context_switch: bool = False,
+    ) -> None:
+        self.name = name
+        self.module = module
+        self.base_ns = base_ns
+        self.can_sleep = can_sleep
+        self.is_asm = is_asm
+        self.context_switch = context_switch
 
 
 class KFuncError(Exception):
@@ -85,7 +102,7 @@ def kfunc(
 
     def decorate(fn: F) -> F:
         fn_name = name if name is not None else fn.__name__
-        is_generator = inspect.isgeneratorfunction(fn)
+        is_generator = bool(fn.__code__.co_flags & CO_GENERATOR)
         if can_sleep and not is_generator:
             raise KFuncError(
                 f"{fn_name}: can_sleep functions must be generators"

@@ -8,8 +8,8 @@ tests exercise.
 
 from __future__ import annotations
 
-import dataclasses
 import struct
+from typing import NamedTuple
 
 ETHER_HDR_LEN = 14
 ETHERTYPE_IP = 0x0800
@@ -50,8 +50,7 @@ def internet_checksum(data: bytes) -> int:
     return cksum_fold(cksum_bytes(data))
 
 
-@dataclasses.dataclass(frozen=True)
-class EtherHeader:
+class EtherHeader(NamedTuple):
     """The 14-byte Ethernet header."""
 
     dst: bytes
@@ -71,8 +70,7 @@ class EtherHeader:
         return cls(dst=blob[0:6], src=blob[6:12], ether_type=ether_type)
 
 
-@dataclasses.dataclass(frozen=True)
-class IpHeader:
+class IpHeader(NamedTuple):
     """The 20-byte IPv4 header (no options)."""
 
     total_len: int
@@ -129,8 +127,7 @@ def pseudo_header(src: int, dst: int, proto: int, length: int) -> bytes:
     return struct.pack("!IIBBH", src, dst, 0, proto, length)
 
 
-@dataclasses.dataclass(frozen=True)
-class TcpHeader:
+class TcpHeader(NamedTuple):
     """The 20-byte TCP header (no options)."""
 
     sport: int
@@ -157,7 +154,7 @@ class TcpHeader:
 
     def pack_with_checksum(self, src: int, dst: int, payload: bytes) -> bytes:
         """Encode with a valid checksum over pseudo-header + payload."""
-        base = dataclasses.replace(self, cksum=0).pack()
+        base = self._replace(cksum=0).pack()
         total_len = TCP_HDR_LEN + len(payload)
         value = cksum_fold(
             cksum_bytes(
@@ -245,8 +242,7 @@ def build_udp_frame(
     return build_ip_frame(src, dst, IPPROTO_UDP, transport, ident=ident)
 
 
-@dataclasses.dataclass(frozen=True)
-class UdpHeader:
+class UdpHeader(NamedTuple):
     """The 8-byte UDP header."""
 
     sport: int
@@ -258,7 +254,7 @@ class UdpHeader:
         return struct.pack("!HHHH", self.sport, self.dport, self.length, self.cksum)
 
     def pack_with_checksum(self, src: int, dst: int, payload: bytes) -> bytes:
-        base = dataclasses.replace(self, cksum=0).pack()
+        base = self._replace(cksum=0).pack()
         value = cksum_fold(
             cksum_bytes(
                 pseudo_header(src, dst, IPPROTO_UDP, self.length) + base + payload

@@ -15,7 +15,6 @@ shows it as an inline (``=``) trigger, and :func:`m_get` fires it.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Iterator, Optional
 
 from repro.kernel.kfunc import kfunc
@@ -30,16 +29,24 @@ MHLEN = 100
 MCLBYTES = 1024
 
 
-@dataclasses.dataclass
 class Mbuf:
     """One mbuf: real payload bytes plus chain linkage."""
 
-    data: bytes = b""
-    region: Region = Region.MAIN
-    cluster: bool = False
-    pkthdr: bool = False
-    m_next: Optional["Mbuf"] = None
-    m_nextpkt: Optional["Mbuf"] = None
+    def __init__(
+        self,
+        data: bytes = b"",
+        region: Region = Region.MAIN,
+        cluster: bool = False,
+        pkthdr: bool = False,
+        m_next: Optional["Mbuf"] = None,
+        m_nextpkt: Optional["Mbuf"] = None,
+    ) -> None:
+        self.data = data
+        self.region = region
+        self.cluster = cluster
+        self.pkthdr = pkthdr
+        self.m_next = m_next
+        self.m_nextpkt = m_nextpkt
 
     @property
     def m_len(self) -> int:

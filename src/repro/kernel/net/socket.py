@@ -9,7 +9,6 @@ appends data, then dequeue mbufs and ``copyout`` each one to user space.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Optional
 
 from repro.kernel.intr import splnet, splx
@@ -23,13 +22,18 @@ class SocketError(Exception):
     """Protocol misuse at the socket layer."""
 
 
-@dataclasses.dataclass
 class Sockbuf:
     """One direction's buffered data: a chain of mbuf chains."""
 
-    mbufs: list[Mbuf] = dataclasses.field(default_factory=list)
-    cc: int = 0
-    hiwat: int = 16 * 1024
+    def __init__(
+        self,
+        mbufs: Optional[list[Mbuf]] = None,
+        cc: int = 0,
+        hiwat: int = 16 * 1024,
+    ) -> None:
+        self.mbufs: list[Mbuf] = [] if mbufs is None else mbufs
+        self.cc = cc
+        self.hiwat = hiwat
 
 
 class Socket:

@@ -13,7 +13,6 @@ costs show up in the profile just as they do in the paper's Figure 3
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Optional
 
 from repro.kernel.kfunc import kfunc
@@ -43,34 +42,53 @@ class TcpState:
     CLOSED = "closed"
 
 
-@dataclasses.dataclass
 class InPcb:
     """An Internet protocol control block (one per socket)."""
 
-    lport: int
-    laddr: int = 0
-    fport: int = 0
-    faddr: int = 0
-    socket: Optional[object] = None
-    ppcb: Optional["Tcpcb"] = None
+    def __init__(
+        self,
+        lport: int,
+        laddr: int = 0,
+        fport: int = 0,
+        faddr: int = 0,
+        socket: Optional[object] = None,
+        ppcb: Optional["Tcpcb"] = None,
+    ) -> None:
+        self.lport = lport
+        self.laddr = laddr
+        self.fport = fport
+        self.faddr = faddr
+        self.socket = socket
+        self.ppcb = ppcb
 
 
-@dataclasses.dataclass
 class Tcpcb:
     """Per-connection TCP state."""
 
-    state: str = TcpState.LISTEN
-    iss: int = 1000
-    snd_nxt: int = 1001
-    #: Oldest unacknowledged sequence number (send side).
-    snd_una: int = 1001
-    #: Peer's advertised window, bytes.
-    snd_wnd: int = 4096
-    rcv_nxt: int = 0
-    delack: int = 0
-    #: A delayed-ACK flush callout is pending.
-    delack_timer_armed: bool = False
-    inpcb: Optional[InPcb] = None
+    def __init__(
+        self,
+        state: str = TcpState.LISTEN,
+        iss: int = 1000,
+        snd_nxt: int = 1001,
+        snd_una: int = 1001,
+        snd_wnd: int = 4096,
+        rcv_nxt: int = 0,
+        delack: int = 0,
+        delack_timer_armed: bool = False,
+        inpcb: Optional[InPcb] = None,
+    ) -> None:
+        self.state = state
+        self.iss = iss
+        self.snd_nxt = snd_nxt
+        #: Oldest unacknowledged sequence number (send side).
+        self.snd_una = snd_una
+        #: Peer's advertised window, bytes.
+        self.snd_wnd = snd_wnd
+        self.rcv_nxt = rcv_nxt
+        self.delack = delack
+        #: A delayed-ACK flush callout is pending.
+        self.delack_timer_armed = delack_timer_armed
+        self.inpcb = inpcb
 
 
 def tcp_snd_chan(tp: "Tcpcb") -> tuple:

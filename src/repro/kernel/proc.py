@@ -8,7 +8,6 @@ total)`` calling ``fdalloc`` and ``malloc``).
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 from typing import Any, Callable, Generator, Optional
 
@@ -28,14 +27,14 @@ class ProcState(enum.Enum):
 NOFILE = 64
 
 
-@dataclasses.dataclass
 class File:
     """An open-file table entry."""
 
-    kind: str
-    data: Any
-    offset: int = 0
-    refcount: int = 1
+    def __init__(self, kind: str, data: Any, offset: int = 0, refcount: int = 1) -> None:
+        self.kind = kind
+        self.data = data
+        self.offset = offset
+        self.refcount = refcount
 
 
 class Proc:

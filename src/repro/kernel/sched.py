@@ -18,7 +18,6 @@ Processes are Python generators.  Blocking propagates as a yielded
 
 from __future__ import annotations
 
-import dataclasses
 from collections import deque
 from typing import Any, Callable, Generator, Optional
 
@@ -30,17 +29,18 @@ class SchedulerError(Exception):
     """Deadlock or driver-protocol violation."""
 
 
-@dataclasses.dataclass
 class Sleep:
     """Yielded by ``tsleep`` to park the process on a wait channel."""
 
-    chan: object
-    pri: int = 50
-    wmesg: str = ""
-    timo_ticks: int = 0
+    def __init__(
+        self, chan: object, pri: int = 50, wmesg: str = "", timo_ticks: int = 0
+    ) -> None:
+        self.chan = chan
+        self.pri = pri
+        self.wmesg = wmesg
+        self.timo_ticks = timo_ticks
 
 
-@dataclasses.dataclass
 class Preempt:
     """Yielded at a preemption point (user-mode boundary)."""
 

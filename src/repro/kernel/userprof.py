@@ -29,7 +29,6 @@ The pieces:
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Optional, Sequence
 
 from repro.instrument.namefile import NameTable
@@ -93,7 +92,6 @@ def prof_mmap(k, proc: Proc, fd: int) -> int:
     return PROF_USER_VA
 
 
-@dataclasses.dataclass
 class UserImage:
     """A user program compiled with the profiling compiler.
 
@@ -101,10 +99,19 @@ class UserImage:
     kernel build's (one concatenated file) or a separate one.
     """
 
-    name: str
-    names: NameTable
-    functions: dict[str, TagEntry] = dataclasses.field(default_factory=dict)
-    inline_points: dict[str, TagEntry] = dataclasses.field(default_factory=dict)
+    def __init__(
+        self,
+        name: str,
+        names: NameTable,
+        functions: Optional[dict[str, TagEntry]] = None,
+        inline_points: Optional[dict[str, TagEntry]] = None,
+    ) -> None:
+        self.name = name
+        self.names = names
+        self.functions: dict[str, TagEntry] = {} if functions is None else functions
+        self.inline_points: dict[str, TagEntry] = (
+            {} if inline_points is None else inline_points
+        )
 
     @classmethod
     def compile(

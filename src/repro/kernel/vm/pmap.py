@@ -11,7 +11,6 @@ reproduced literally below.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Optional
 
 from repro.kernel.kfunc import kfunc
@@ -26,13 +25,13 @@ PROT_RW = PROT_READ | PROT_WRITE
 PROT_ALL = PROT_READ | PROT_WRITE | PROT_EXEC
 
 
-@dataclasses.dataclass
 class Pte:
     """One page-table entry."""
 
-    frame: int
-    prot: int
-    wired: bool = False
+    def __init__(self, frame: int, prot: int, wired: bool = False) -> None:
+        self.frame = frame
+        self.prot = prot
+        self.wired = wired
 
 
 class Pmap:

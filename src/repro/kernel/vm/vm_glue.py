@@ -17,7 +17,7 @@ small even though the image is warm.
 
 from __future__ import annotations
 
-import dataclasses
+from typing import NamedTuple
 
 from repro.kernel.kfunc import kfunc
 from repro.kernel.libkern import bcopy
@@ -40,8 +40,7 @@ USRTEXT = 0x0000_1000
 USRSTACK = 0xFDBF_E000
 
 
-@dataclasses.dataclass(frozen=True)
-class ExecImage:
+class ExecImage(NamedTuple):
     """A program image as exec sees it (sizes in pages).
 
     ``data_reserve`` and ``stack_reserve`` are the *mapped ranges* (brk

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Optional
 
 from repro.kernel.kfunc import kfunc
@@ -16,28 +15,31 @@ class VmMapError(Exception):
     """Overlapping or malformed map operations."""
 
 
-@dataclasses.dataclass
 class VmMapEntry:
     """One contiguous mapping: ``[start, end)`` backed by an object."""
 
-    start: int
-    end: int
-    object: VmObject
-    offset: int = 0
-    prot: int = PROT_ALL
-    copy_on_write: bool = False
-    #: Entry may not be written until the COW fault materialises a copy.
-    needs_copy: bool = False
-
-    def __post_init__(self) -> None:
-        if self.start % PAGE_SIZE or self.end % PAGE_SIZE:
-            raise VmMapError(
-                f"unaligned map entry {self.start:#x}..{self.end:#x}"
-            )
-        if self.end <= self.start:
-            raise VmMapError(
-                f"empty/inverted map entry {self.start:#x}..{self.end:#x}"
-            )
+    def __init__(
+        self,
+        start: int,
+        end: int,
+        object: VmObject,
+        offset: int = 0,
+        prot: int = PROT_ALL,
+        copy_on_write: bool = False,
+        needs_copy: bool = False,
+    ) -> None:
+        if start % PAGE_SIZE or end % PAGE_SIZE:
+            raise VmMapError(f"unaligned map entry {start:#x}..{end:#x}")
+        if end <= start:
+            raise VmMapError(f"empty/inverted map entry {start:#x}..{end:#x}")
+        self.start = start
+        self.end = end
+        self.object = object
+        self.offset = offset
+        self.prot = prot
+        self.copy_on_write = copy_on_write
+        #: Entry may not be written until the COW fault materialises a copy.
+        self.needs_copy = needs_copy
 
     @property
     def size(self) -> int:

@@ -7,7 +7,6 @@ Figure 5 calibration: ``vm_page_lookup`` averages ~18 us per call.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from typing import Optional
 
@@ -19,15 +18,22 @@ _object_ids = itertools.count(1)
 _frame_numbers = itertools.count(0x100)
 
 
-@dataclasses.dataclass
 class VmPage:
     """One physical page frame's bookkeeping."""
 
-    frame: int
-    object: Optional["VmObject"]
-    offset: int
-    busy: bool = False
-    dirty: bool = False
+    def __init__(
+        self,
+        frame: int,
+        object: Optional["VmObject"],
+        offset: int,
+        busy: bool = False,
+        dirty: bool = False,
+    ) -> None:
+        self.frame = frame
+        self.object = object
+        self.offset = offset
+        self.busy = busy
+        self.dirty = dirty
 
 
 class VmObject:

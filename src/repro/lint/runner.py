@@ -31,7 +31,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 from repro.instrument.namefile import NameFileError, NameTable, parse_line
 from repro.lint.ast_lint import lint_kernel_source
@@ -40,13 +40,16 @@ from repro.lint.link_lint import lint_link
 from repro.lint.namefile_lint import lint_name_files, lint_name_table
 from repro.lint.stream_lint import (
     STREAM_DEFECT_CODES,
+    lint_and_fold_records,
     lint_capture_defects,
-    lint_records,
 )
 from repro.lint.telemetry_lint import lint_telemetry
 from repro.profiler.ram import DEFAULT_DEPTH
 from repro.profiler.upload import read_capture, read_capture_meta, salvage_capture
 from repro.telemetry import TELEMETRY as _TELEMETRY
+
+if TYPE_CHECKING:
+    from repro.analysis.summary import SummaryAccumulator
 
 
 @dataclasses.dataclass
@@ -96,7 +99,20 @@ def lint_capture_file(
     ram_depth: Optional[int] = DEFAULT_DEPTH,
     report: Optional[LintReport] = None,
 ) -> LintReport:
-    """Run the stream verifier over one capture file, read once.
+    """Run the stream verifier over one capture file, read once (see
+    :func:`lint_and_fold_capture_file`)."""
+    return lint_and_fold_capture_file(path, names, ram_depth, report)[0]
+
+
+def lint_and_fold_capture_file(
+    path: Union[str, Path],
+    names: NameTable,
+    ram_depth: Optional[int] = DEFAULT_DEPTH,
+    report: Optional[LintReport] = None,
+) -> tuple[LintReport, Optional[SummaryAccumulator]]:
+    """Run the stream verifier over one capture file, read once; also
+    return the sealed fold of its records, or ``None`` when none ran
+    (``analyze --strict`` reports from it).
 
     A file the strict reader rejects gets a single ``P200``.  If its
     header still reads strictly and marks an open-ended capture, the
@@ -109,20 +125,21 @@ def lint_capture_file(
         records, meta = read_capture(path)
     except OSError as exc:
         report.add("P200", f"cannot read capture: {exc}", source=source)
-        return report
+        return report, None
     except ValueError as exc:
         report.add("P200", f"cannot read capture: {exc}", source=source)
         try:
             streamed = read_capture_meta(path).streamed
             defects = salvage_capture(path).defects if streamed else []
         except (OSError, ValueError):
-            return report
-        return lint_capture_defects(
+            return report, None
+        lint_capture_defects(
             [d for d in defects if STREAM_DEFECT_CODES.get(d.kind, "").startswith("P8")],
             source=source,
             report=report,
             streamed=True,
         )
+        return report, None
     if meta.version == 1:
         report.add(
             "P208",
@@ -130,7 +147,7 @@ def lint_capture_file(
             "flag and label assumed stock",
             source=source,
         )
-    return lint_records(
+    return lint_and_fold_records(
         records,
         names,
         source=source,

@@ -37,11 +37,11 @@ from repro.analysis.columnar import (
     INTERRUPT_FRAMES,
     build_decode_map,
 )
-from repro.analysis.summary import SummaryAccumulator
+from repro.analysis.summary import SummaryAccumulator, fold_columns
 from repro.instrument.namefile import NameTable
 from repro.lint.diagnostics import LintReport
 from repro.profiler.ram import DEFAULT_DEPTH, RecordColumns
-from repro.profiler.upload import DEFAULT_CHUNK_RECORDS, CaptureDefect
+from repro.profiler.upload import CaptureDefect
 
 #: Interrupt nesting can never exceed the number of distinct priority
 #: levels: each nested interrupt must arrive at a strictly higher ipl.
@@ -108,7 +108,25 @@ def lint_records(
     report: Optional[LintReport] = None,
     overflowed: bool = False,
 ) -> LintReport:
-    """Verify one raw record stream against *names*.
+    """Verify one raw record stream against *names* (see
+    :func:`lint_and_fold_records`)."""
+    return lint_and_fold_records(
+        records, names, source, width_bits, ram_depth, report, overflowed
+    )[0]
+
+
+def lint_and_fold_records(
+    records: RecordColumns,
+    names: NameTable,
+    source: str = "<capture>",
+    width_bits: int = 24,
+    ram_depth: Optional[int] = DEFAULT_DEPTH,
+    report: Optional[LintReport] = None,
+    overflowed: bool = False,
+) -> tuple[LintReport, Optional[SummaryAccumulator]]:
+    """Verify one raw record stream against *names*; also return the
+    sealed fold the reconstruction layer ran, for a caller to report
+    from, or ``None`` when a snapshot wider than the counter stopped it.
 
     P204 fires when the stream holds exactly *ram_depth* records, a full
     trace RAM, or when *overflowed* says the capture's header recorded
@@ -168,14 +186,8 @@ def lint_records(
         # The fold (rightly) refuses counter snapshots wider than the
         # hardware; the P202s above already say everything reconstruction
         # could.
-        return report
-    fold = SummaryAccumulator(names, width_bits=width_bits)
-    # In the file reader's batches: after a run the fold steps on over
-    # slices of the rest of its batch.
-    for start in range(0, len(records), DEFAULT_CHUNK_RECORDS):
-        stop = start + DEFAULT_CHUNK_RECORDS
-        fold.feed_columns(RecordColumns(records.tags[start:stop], times[start:stop]))
-    fold.close()
+        return report, None
+    fold = fold_columns(records.batches(), names, width_bits=width_bits).close()
     for anomaly in fold.anomalies:
         code = _ANOMALY_CODES.get(anomaly.kind)
         if code is None:  # pragma: no cover - future anomaly kinds
@@ -191,7 +203,7 @@ def lint_records(
         [name for _, _, name in sorted(fold.open_at_end)], source, report
     )
     _lint_interrupt_nesting(records, names, width_bits, source, report)
-    return report
+    return report, fold
 
 
 def _lint_open_frames(open_frames: list[str], source: str, report: LintReport) -> None:

@@ -37,8 +37,8 @@ from typing import TYPE_CHECKING, BinaryIO, Callable, Optional, Union
 
 from repro.analysis.summary import ProfileSummary, SummaryAccumulator
 from repro.instrument.namefile import NameTable
+from repro.profiler.ram import DEFAULT_CHUNK_RECORDS
 from repro.profiler.upload import (
-    DEFAULT_CHUNK_RECORDS,
     RECORD_BYTES,
     STOCK_WIDTH_BITS,
     RecordColumns,

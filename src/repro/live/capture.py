@@ -24,11 +24,8 @@ from typing import TYPE_CHECKING, BinaryIO, Callable, Optional, Sequence, Union
 
 from repro.atomicio import write_text_atomic
 from repro.instrument.namefile import NameTable, format_name_file
-from repro.profiler.upload import (
-    DEFAULT_CHUNK_RECORDS,
-    RECORD_BYTES,
-    CaptureStreamWriter,
-)
+from repro.profiler.ram import DEFAULT_CHUNK_RECORDS
+from repro.profiler.upload import RECORD_BYTES, CaptureStreamWriter
 from repro.system import build_case_study
 
 if TYPE_CHECKING:

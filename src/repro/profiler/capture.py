@@ -10,27 +10,19 @@ consumes.  A capture saved to disk and loaded back holds the same columns.
 
 from __future__ import annotations
 
-import dataclasses
 import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Union
 
-from repro.profiler.ram import RecordColumns
-from repro.profiler.upload import (
-    CaptureDefect,
-    CaptureMetadataWarning,
-    read_capture,
-    salvage_capture,
-    write_capture_file,
-)
 from repro.telemetry import TELEMETRY as _TELEMETRY
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.instrument.namefile import NameTable
     from repro.profiler.hardware import ProfilerBoard
+    from repro.profiler.ram import RecordColumns
+    from repro.profiler.upload import CaptureDefect
 
 
-@dataclasses.dataclass
 class Capture:
     """One completed profiling run, ready for analysis.
 
@@ -40,15 +32,29 @@ class Capture:
     state of the overflow LED when the RAMs were pulled.  ``defects`` is
     non-empty only for captures loaded with ``salvage=True``: the faults
     the decoder tolerated while recovering the records.
+
+    Only :meth:`save` and :meth:`load` import the capture-file codec
+    (:mod:`repro.profiler.upload`), so a capture that stays in memory
+    never compiles it.
     """
 
-    records: RecordColumns
-    names: "NameTable"
-    overflowed: bool = False
-    label: str = ""
-    counter_width_bits: int = 24
-    counter_rate_hz: int = 1_000_000
-    defects: tuple[CaptureDefect, ...] = ()
+    def __init__(
+        self,
+        records: RecordColumns,
+        names: NameTable,
+        overflowed: bool = False,
+        label: str = "",
+        counter_width_bits: int = 24,
+        counter_rate_hz: int = 1_000_000,
+        defects: tuple[CaptureDefect, ...] = (),
+    ) -> None:
+        self.records = records
+        self.names = names
+        self.overflowed = overflowed
+        self.label = label
+        self.counter_width_bits = counter_width_bits
+        self.counter_rate_hz = counter_rate_hz
+        self.defects = defects
 
     def __len__(self) -> int:
         return len(self.records)
@@ -61,6 +67,8 @@ class Capture:
         survive the trip; ``version=1`` writes the legacy header for old
         tools (and warns when that drops non-stock metadata).
         """
+        from repro.profiler.upload import write_capture_file
+
         return write_capture_file(
             path,
             self.records,
@@ -89,6 +97,8 @@ class Capture:
         every recoverable record is kept and the tolerated faults land in
         :attr:`Capture.defects`.
         """
+        from repro.profiler.upload import read_capture, salvage_capture
+
         defects: tuple[CaptureDefect, ...] = ()
         if salvage:
             result = salvage_capture(path)
@@ -112,6 +122,8 @@ class Capture:
 def warn_legacy_metadata(path: Union[str, Path]) -> None:
     """Say that an MPF1 file's counter geometry and overflow flag were
     defaulted to stock values (warned at the reader's caller)."""
+    from repro.profiler.upload import CaptureMetadataWarning
+
     warnings.warn(
         f"{path}: MPF1 carries no capture metadata; counter "
         "width/rate and the overflow flag defaulted to stock values "

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 TAG_BITS = 16
 TIME_BITS = 24
@@ -33,6 +33,10 @@ DEFAULT_DEPTH = 16384
 
 #: Bytes per serialised record: 2 tag + 3 time.
 RECORD_BYTES = 5
+
+#: Records per batch: per read() in the streaming readers (8192 records =
+#: 40 KiB), and per :meth:`RecordColumns.batches` of an in-memory capture.
+DEFAULT_CHUNK_RECORDS = 8192
 
 #: array typecode holding at least 32 bits (platform-dependent width of "I").
 U32_TYPECODE = "I" if array("I").itemsize >= 4 else "L"
@@ -87,6 +91,17 @@ class RecordColumns(NamedTuple):
 
     def __len__(self) -> int:
         return len(self.tags)
+
+    def batches(self, size: int = DEFAULT_CHUNK_RECORDS) -> Iterator["RecordColumns"]:
+        """The records in batches of *size*, as the file reader yields them.
+
+        Fold an in-memory capture this way, not as one batch: after each
+        run step the fold re-slices the rest of its batch.
+        """
+        tags, times = self.tags, self.times
+        for start in range(0, len(tags), size):
+            stop = start + size
+            yield RecordColumns(tags[start:stop], times[start:stop])
 
     def record(self, offset: int) -> RawRecord:
         """The record at *offset*, as an object (bounds-checked by the arrays)."""

@@ -105,6 +105,7 @@ from typing import (
 
 from repro.profiler.ram import (
     _LITTLE_ENDIAN,
+    DEFAULT_CHUNK_RECORDS,
     RECORD_BYTES,
     TIME_BITS,
     U32_TYPECODE,
@@ -157,9 +158,6 @@ TRAILER_BYTES = 12
 #: What an MPF1 header silently implies (the stock board).
 STOCK_WIDTH_BITS = TIME_BITS
 STOCK_RATE_HZ = 1_000_000
-
-#: Records per read() in the streaming readers (8192 records = 40 KiB).
-DEFAULT_CHUNK_RECORDS = 8192
 
 
 class CaptureMetadataWarning(UserWarning):

@@ -19,7 +19,6 @@ that hole (the paper notes any ROM socket at a known address would do).
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 from typing import Callable, Optional
 
@@ -49,23 +48,28 @@ class BusError(Exception):
     """An access decoded to no mapped region, or an invalid mapping."""
 
 
-@dataclasses.dataclass
 class MemoryRegion:
     """One mapped window of the physical address space."""
 
-    name: str
-    base: int
-    size: int
-    kind: Region
-    #: Called with the offset *within* the region on every byte read.
-    #: Returns the byte value.  This is how the Profiler taps the socket.
-    on_read: Optional[Callable[[int], int]] = None
-
-    def __post_init__(self) -> None:
-        if self.size <= 0:
-            raise BusError(f"region {self.name!r} has non-positive size {self.size}")
-        if self.base < 0:
-            raise BusError(f"region {self.name!r} has negative base {self.base:#x}")
+    def __init__(
+        self,
+        name: str,
+        base: int,
+        size: int,
+        kind: Region,
+        on_read: Optional[Callable[[int], int]] = None,
+    ) -> None:
+        if size <= 0:
+            raise BusError(f"region {name!r} has non-positive size {size}")
+        if base < 0:
+            raise BusError(f"region {name!r} has negative base {base:#x}")
+        self.name = name
+        self.base = base
+        self.size = size
+        self.kind = kind
+        #: Called with the offset *within* the region on every byte read.
+        #: Returns the byte value.  This is how the Profiler taps the socket.
+        self.on_read = on_read
 
     @property
     def end(self) -> int:

@@ -46,14 +46,13 @@ exactly as the hardware does.
 
 from __future__ import annotations
 
-import dataclasses
+from typing import Optional
 
 NS_PER_US = 1_000
 NS_PER_MS = 1_000_000
 NS_PER_SEC = 1_000_000_000
 
 
-@dataclasses.dataclass
 class CostModel:
     """Calibrated per-operation costs, in nanoseconds.
 
@@ -64,56 +63,77 @@ class CostModel:
     routine on real hardware.
     """
 
-    #: CPU core clock, Hz.  The paper's target is a 40 MHz 386.
-    clock_hz: int = 40_000_000
+    def __init__(
+        self,
+        clock_hz: int = 40_000_000,
+        main_read_ns: int = 13,
+        main_write_ns: int = 26,
+        isa8_read_ns: int = 745,
+        isa8_write_ns: int = 700,
+        isa16_read_ns: int = 260,
+        isa16_write_ns: int = 280,
+        trigger_ns: int = 200,
+        cksum_c_ns_per_byte: int = 740,
+        cksum_asm_ns_per_byte: int = 55,
+        cksum_setup_ns: int = 6_000,
+        call_ns: int = 550,
+        spl_mask_update_ns: int = 3_400,
+        ast_emulation_ns: int = 24_000,
+        mbufs_in_controller_ram: bool = False,
+        asm_cksum: bool = False,
+        naive_driver: bool = False,
+    ) -> None:
+        #: CPU core clock, Hz.  The paper's target is a 40 MHz 386.
+        self.clock_hz = clock_hz
 
-    # -- memory paths -----------------------------------------------------
-    #: Read one byte from main (cached) DRAM.
-    main_read_ns: int = 13
-    #: Write one byte to main DRAM.
-    main_write_ns: int = 26
-    #: Read one byte from an 8-bit device RAM across the ISA bus
-    #: (the WD8003E on-board packet buffer).
-    isa8_read_ns: int = 745
-    #: Write one byte to 8-bit ISA device RAM.
-    isa8_write_ns: int = 700
-    #: Read one byte from a 16-bit ISA device (an EISA-class card would be
-    #: wider still; kept for the paper's "try other controllers" note).
-    isa16_read_ns: int = 260
-    #: Write one byte to 16-bit ISA device RAM.
-    isa16_write_ns: int = 280
+        # -- memory paths -------------------------------------------------
+        #: Read one byte from main (cached) DRAM.
+        self.main_read_ns = main_read_ns
+        #: Write one byte to main DRAM.
+        self.main_write_ns = main_write_ns
+        #: Read one byte from an 8-bit device RAM across the ISA bus
+        #: (the WD8003E on-board packet buffer).
+        self.isa8_read_ns = isa8_read_ns
+        #: Write one byte to 8-bit ISA device RAM.
+        self.isa8_write_ns = isa8_write_ns
+        #: Read one byte from a 16-bit ISA device (an EISA-class card would
+        #: be wider still; kept for the paper's "try other controllers" note).
+        self.isa16_read_ns = isa16_read_ns
+        #: Write one byte to 16-bit ISA device RAM.
+        self.isa16_write_ns = isa16_write_ns
 
-    # -- routine-level constants ------------------------------------------
-    #: One profiling trigger: a single ``movb _ProfileBase+tag`` read of the
-    #: EPROM window.  Paper: "about 400 nanoseconds per function" covers the
-    #: prologue+epilogue pair, i.e. 400 ns per function call total.
-    trigger_ns: int = 200
-    #: Checksum cost per byte for the stock (unoptimised C) ``in_cksum``.
-    cksum_c_ns_per_byte: int = 740
-    #: Checksum cost per byte after the paper's proposed assembler recode.
-    cksum_asm_ns_per_byte: int = 55
-    #: Fixed entry overhead of a checksum call (loop setup, mbuf walk).
-    cksum_setup_ns: int = 6_000
-    #: Function call + return overhead (push/ret, frame link).
-    call_ns: int = 550
-    #: One CLI/STI-style interrupt mask update inside the spl* routines.
-    spl_mask_update_ns: int = 3_400
-    #: Extra work the 386 interrupt epilogue does to emulate Asynchronous
-    #: System Traps ("around 24 microseconds per interrupt").
-    ast_emulation_ns: int = 24_000
+        # -- routine-level constants --------------------------------------
+        #: One profiling trigger: a single ``movb _ProfileBase+tag`` read of
+        #: the EPROM window.  Paper: "about 400 nanoseconds per function"
+        #: covers the prologue+epilogue pair, i.e. 400 ns per function call
+        #: total.
+        self.trigger_ns = trigger_ns
+        #: Checksum cost per byte for the stock (unoptimised C) ``in_cksum``.
+        self.cksum_c_ns_per_byte = cksum_c_ns_per_byte
+        #: Checksum cost per byte after the paper's proposed assembler recode.
+        self.cksum_asm_ns_per_byte = cksum_asm_ns_per_byte
+        #: Fixed entry overhead of a checksum call (loop setup, mbuf walk).
+        self.cksum_setup_ns = cksum_setup_ns
+        #: Function call + return overhead (push/ret, frame link).
+        self.call_ns = call_ns
+        #: One CLI/STI-style interrupt mask update inside the spl* routines.
+        self.spl_mask_update_ns = spl_mask_update_ns
+        #: Extra work the 386 interrupt epilogue does to emulate Asynchronous
+        #: System Traps ("around 24 microseconds per interrupt").
+        self.ast_emulation_ns = ast_emulation_ns
 
-    # -- feature switches for counterfactual runs -------------------------
-    #: When True the Ethernet driver leaves received frames in controller
-    #: RAM as external mbufs (the paper's rejected optimisation) instead of
-    #: copying them to main memory immediately.
-    mbufs_in_controller_ram: bool = False
-    #: When True ``in_cksum`` uses the assembler-recode cost.
-    asm_cksum: bool = False
-    #: When True the Ethernet driver runs its original, un-recoded receive
-    #: path: frames bounce through a staging buffer before the mbuf copy
-    #: (the paper's 68020 case study: "the recoding of an Ethernet driver
-    #: doubled the network throughput").
-    naive_driver: bool = False
+        # -- feature switches for counterfactual runs ---------------------
+        #: When True the Ethernet driver leaves received frames in
+        #: controller RAM as external mbufs (the paper's rejected
+        #: optimisation) instead of copying them to main memory immediately.
+        self.mbufs_in_controller_ram = mbufs_in_controller_ram
+        #: When True ``in_cksum`` uses the assembler-recode cost.
+        self.asm_cksum = asm_cksum
+        #: When True the Ethernet driver runs its original, un-recoded
+        #: receive path: frames bounce through a staging buffer before the
+        #: mbuf copy (the paper's 68020 case study: "the recoding of an
+        #: Ethernet driver doubled the network throughput").
+        self.naive_driver = naive_driver
 
     def cycles(self, n: int) -> int:
         """Return the duration of *n* CPU clock cycles in nanoseconds."""
@@ -151,10 +171,9 @@ class CostModel:
         analyses: build a counterfactual cost model, re-run the identical
         workload, compare packet times.
         """
-        return dataclasses.replace(self, **changes)  # type: ignore[arg-type]
+        return CostModel(**{**vars(self), **changes})  # type: ignore[arg-type]
 
 
-@dataclasses.dataclass
 class Cpu:
     """Thin CPU facade: a cost model plus identification strings.
 
@@ -163,9 +182,12 @@ class Cpu:
     the architecture name used in reports.
     """
 
-    model: CostModel = dataclasses.field(default_factory=CostModel)
-    name: str = "i386"
-    mhz: int = 40
+    def __init__(
+        self, model: Optional[CostModel] = None, name: str = "i386", mhz: int = 40
+    ) -> None:
+        self.model = CostModel() if model is None else model
+        self.name = name
+        self.mhz = mhz
 
     @classmethod
     def i386_40mhz(cls) -> "Cpu":

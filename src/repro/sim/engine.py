@@ -17,10 +17,9 @@ Determinism rules:
 
 from __future__ import annotations
 
-import dataclasses
 import heapq
 import itertools
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 
 class TimeError(Exception):
@@ -62,8 +61,7 @@ class SimClock:
         return self._now_ns
 
 
-@dataclasses.dataclass(frozen=True)
-class InterruptLine:
+class InterruptLine(NamedTuple):
     """A hardware interrupt source (one IRQ line on the ISA bus).
 
     ``ipl`` is the spl level that masks this line: the line is deliverable
@@ -81,13 +79,37 @@ class InterruptLine:
         return f"InterruptLine(irq={self.irq}, name={self.name!r}, ipl={self.ipl})"
 
 
-@dataclasses.dataclass(frozen=True, order=True)
-class PendingInterrupt:
-    """One posted interrupt awaiting delivery (heap-ordered by due time)."""
+class PendingInterrupt(NamedTuple):
+    """One posted interrupt awaiting delivery (heap-ordered by due time).
+
+    Entries order, compare and hash on ``(due_ns, seq)`` alone; the line
+    never decides.
+    """
 
     due_ns: int
     seq: int
-    line: InterruptLine = dataclasses.field(compare=False)
+    line: InterruptLine
+
+    def __lt__(self, other: tuple) -> bool:
+        return self[:2] < other[:2]
+
+    def __le__(self, other: tuple) -> bool:
+        return self[:2] <= other[:2]
+
+    def __gt__(self, other: tuple) -> bool:
+        return self[:2] > other[:2]
+
+    def __ge__(self, other: tuple) -> bool:
+        return self[:2] >= other[:2]
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, PendingInterrupt) and self[:2] == other[:2]
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self[:2])
 
 
 class InterruptQueue:

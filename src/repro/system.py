@@ -9,7 +9,6 @@ test, pull the RAMs".
 
 from __future__ import annotations
 
-import dataclasses
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
@@ -38,15 +37,22 @@ INLINE_POINTS = ("MGET",)
 NAME_FILE = Path(__file__).parent / "kernel" / "case_study.tags"
 
 
-@dataclasses.dataclass
 class CaseStudySystem:
     """A booted machine+kernel with the Profiler attached and armed-able."""
 
-    machine: Machine
-    kernel: Kernel
-    board: ProfilerBoard
-    adapter: PiggyBackAdapter
-    image: InstrumentedImage
+    def __init__(
+        self,
+        machine: Machine,
+        kernel: Kernel,
+        board: ProfilerBoard,
+        adapter: PiggyBackAdapter,
+        image: InstrumentedImage,
+    ) -> None:
+        self.machine = machine
+        self.kernel = kernel
+        self.board = board
+        self.adapter = adapter
+        self.image = image
 
     @property
     def names(self) -> NameTable:

@@ -13,8 +13,7 @@ multi-file workloads of the case study did.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.kernel.drivers.wd import SECTORS_PER_BLOCK, SECTOR_BYTES
 from repro.kernel.fs.buf import BLOCK_BYTES
@@ -23,8 +22,7 @@ from repro.kernel.sched import user_mode
 from repro.kernel.syscalls import syscall
 
 
-@dataclasses.dataclass
-class FileIoResult:
+class FileIoResult(NamedTuple):
     """Timing record for one file-I/O run."""
 
     bytes_moved: int

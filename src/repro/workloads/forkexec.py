@@ -15,8 +15,7 @@ An optional status print per iteration reproduces Figure 5's console
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.kernel.proc import Proc
 from repro.kernel.sched import user_mode
@@ -27,8 +26,7 @@ from repro.kernel.vm.vm_glue import ExecImage
 PAGE_SIZE = 4096
 
 
-@dataclasses.dataclass
-class ForkExecResult:
+class ForkExecResult(NamedTuple):
     """Per-leg latencies, microseconds."""
 
     fork_us: list[float]

@@ -9,8 +9,7 @@ the paper uses to report representative per-function timings.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.kernel.intr import spl0, splnet, splx
 from repro.kernel.libkern import copyinstr
@@ -25,8 +24,7 @@ from repro.kernel.vm.vm_glue import ExecImage, vmspace_exec
 PAGE_SIZE = 4096
 
 
-@dataclasses.dataclass
-class MixedResult:
+class MixedResult(NamedTuple):
     """Bookkeeping from the mixed run."""
 
     faults: int

@@ -15,8 +15,7 @@ PC is saturated without overrunning the WD8003E's 8 KB ring.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from repro.kernel.net.headers import (
     IP_HDR_LEN,
@@ -155,8 +154,7 @@ class SparcSender(RemoteHost):
         return self.ident
 
 
-@dataclasses.dataclass
-class NetworkReceiveResult:
+class NetworkReceiveResult(NamedTuple):
     """What the receive test measured."""
 
     bytes_received: int

@@ -10,8 +10,7 @@ the output-side ``in_cksum``).
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.kernel.net.headers import (
     TCP_HDR_LEN,
@@ -100,8 +99,7 @@ class SinkReceiver(RemoteHost):
         self._tx_free_ns = at + wire_time_ns(len(ack))
 
 
-@dataclasses.dataclass
-class NetworkSendResult:
+class NetworkSendResult(NamedTuple):
     """One transmit run."""
 
     bytes_sent: int

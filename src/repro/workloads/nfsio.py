@@ -10,8 +10,7 @@ the network turn around time with NFS RPC calls."
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.kernel.fs.nfs import NfsMount, NfsServerHost, nfs_lookup, nfs_read
 from repro.kernel.proc import Proc
@@ -19,8 +18,7 @@ from repro.kernel.sched import user_mode
 from repro.kernel.syscalls import syscall
 
 
-@dataclasses.dataclass
-class NfsIoResult:
+class NfsIoResult(NamedTuple):
     """One NFS streaming run."""
 
     bytes_read: int

@@ -15,8 +15,7 @@ out of the algorithms rather than being planted.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from repro.kernel.proc import Proc
 from repro.kernel.sched import user_mode
@@ -56,8 +55,7 @@ class LinearMib:
         return None, comparisons
 
 
-@dataclasses.dataclass
-class _BtreeNode:
+class _BtreeNode(NamedTuple):
     keys: list[tuple[int, ...]]
     values: list[int]
     children: list["_BtreeNode"]
@@ -129,16 +127,25 @@ class BtreeMib:
             node = node.children[i]
 
 
-@dataclasses.dataclass
 class SnmpResult:
     """One agent run."""
 
-    requests: int
-    hits: int
-    comparisons: int
-    elapsed_us: int
-    #: Per-request wall times, excluding process startup.
-    request_times_us: list[int] = dataclasses.field(default_factory=list)
+    def __init__(
+        self,
+        requests: int,
+        hits: int,
+        comparisons: int,
+        elapsed_us: int,
+        request_times_us: Optional[list[int]] = None,
+    ) -> None:
+        self.requests = requests
+        self.hits = hits
+        self.comparisons = comparisons
+        self.elapsed_us = elapsed_us
+        #: Per-request wall times, excluding process startup.
+        self.request_times_us: list[int] = (
+            [] if request_times_us is None else request_times_us
+        )
 
     @property
     def us_per_request(self) -> float:

@@ -8,8 +8,7 @@ at a configurable rate while a reader process sits in canonical reads.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.kernel.drivers.tty import ComPort, Tty, ttread
 from repro.kernel.proc import Proc
@@ -17,8 +16,7 @@ from repro.kernel.sched import user_mode
 from repro.kernel.syscalls import syscall
 
 
-@dataclasses.dataclass
-class TtyIoResult:
+class TtyIoResult(NamedTuple):
     """One typing session."""
 
     lines_read: list[bytes]

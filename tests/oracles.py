@@ -68,9 +68,8 @@ from repro.instrument.namefile import NameTable
 from repro.instrument.tags import TagEntry, TagKind
 from repro.kernel.kernel import Kernel
 from repro.profiler import upload
-from repro.profiler.ram import RawRecord
+from repro.profiler.ram import DEFAULT_CHUNK_RECORDS, RawRecord
 from repro.profiler.upload import (
-    DEFAULT_CHUNK_RECORDS,
     RECORD_BYTES,
     TRAILER_BYTES,
     TRAILER_MAGIC,

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 
 import pytest
 from hypothesis import given, strategies as st
@@ -152,8 +151,8 @@ class TestCounterWidthEdges:
         capture = stream(
             simple_names, (">", "main", 4), ("<", "main", 60_000)
         )
-        narrowed = dataclasses.replace(
-            capture, counter_width_bits=16, overflowed=True
+        narrowed = Capture(
+            capture.records, capture.names, counter_width_bits=16, overflowed=True
         )
         path = tmp_path / "overflow.mpf"
         narrowed.save(path)

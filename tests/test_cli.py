@@ -196,6 +196,28 @@ class TestStrictAnalyze:
         assert "P200" in text and "refusing to analyze" in text
         assert "Elapsed time" not in text  # analysis never ran
 
+    @pytest.mark.parametrize("report", ["summary", "gprof"])
+    def test_lint_s_fold_serves_the_reports(self, monkeypatch, report):
+        """The capture is read and folded once: the reports come from
+        the fold the stream verifier ran, byte for byte those of a plain
+        ``analyze``."""
+        from repro.analysis.summary import SummaryAccumulator
+
+        argv = ["analyze", str(GOLDEN_DIR / "figure5_forkexec_v2.mpf")]
+        argv += ["--names", str(GOLDEN_DIR / "case_study.tags"), "--report", report]
+        plain = run_cli(*argv)
+        fed = []
+        feed_columns = SummaryAccumulator.feed_columns
+
+        def counted(self, columns):
+            fed.append(len(columns))
+            return feed_columns(self, columns)
+
+        monkeypatch.setattr(SummaryAccumulator, "feed_columns", counted)
+        strict = run_cli(*argv, "--strict")
+        assert sum(fed) == 10_978
+        assert strict[strict.index("") + 1 :] == plain
+
 
 class TestGprofFromTheFold:
     """gprof is assembled from the fold's arcs: ``analyze`` serves it, with
@@ -742,13 +764,21 @@ class TestLeanStartup:
 
     def test_capture_loads_only_its_workload(self):
         """The registry names each workload's entry point; only the one
-        that runs is imported."""
-        loaded = _modules_loaded_by(
-            ["capture", "--workload", "forkexec", "--packets", "2"]
-        )
-        assert _within(loaded, ("repro.workloads",)) == [
-            "repro.workloads", "repro.workloads.forkexec",
-        ]
+        that runs is imported.  No capture builds a dataclass (whose
+        module imports ``inspect``) or, without ``--save``, compiles the
+        capture-file codec."""
+        from repro.workloads import WORKLOAD_REGISTRY
+
+        for name, spec in WORKLOAD_REGISTRY.items():
+            loaded = _modules_loaded_by(
+                ["capture", "--workload", name, "--packets", "2"]
+            )
+            module = spec.entry_point.rpartition(".")[0]
+            assert _within(loaded, ("repro.workloads",)) == [
+                "repro.workloads", module,
+            ], name
+            unwanted = ("dataclasses", "inspect", "repro.profiler.upload")
+            assert _within(loaded, unwanted) == [], name
 
     def test_workloads_listing_boots_nothing(self):
         """``repro workloads`` reads the registry alone: no workload

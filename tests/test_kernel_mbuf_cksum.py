@@ -19,6 +19,8 @@ from repro.kernel.net.headers import (
     pseudo_header,
     IPPROTO_TCP,
     TH_ACK,
+    TH_PUSH,
+    UDP_HDR_LEN,
 )
 from repro.kernel.net.in_cksum import in_cksum
 from repro.kernel.net.mbuf import (
@@ -277,6 +279,31 @@ class TestHeaderCodecs:
         assert parsed.total_len == 576 and parsed.proto == 17
         assert parsed.verify(packed)
         assert not parsed.verify(b"\x45" + packed[1:10] + b"\xde\xad" + packed[12:])
+
+    def test_checksums_ignore_the_stored_field(self):
+        """The checksummed encodings are the same bytes whatever the
+        header's own ``cksum`` field holds."""
+        payload = b"profile me please"
+        tcp = TcpHeader(
+            sport=20, dport=1023, seq=1001, ack=5000, flags=TH_ACK | TH_PUSH,
+            win=8192, cksum=0x1234,
+        )
+        assert tcp.pack_with_checksum(0x0A000002, 0x0A000001, payload).hex() == (
+            "001403ff000003e90000138850182000f1200000"
+        )
+        udp = UdpHeader(sport=2049, dport=1023, length=UDP_HDR_LEN + 17, cksum=0x5555)
+        assert udp.pack_with_checksum(0x0A000063, 0x0A000001, payload).hex() == (
+            "080103ff00197044"
+        )
+        ip = IpHeader(
+            total_len=40, ident=7, ttl=64, proto=IPPROTO_TCP, src=0x0A000002,
+            dst=0x0A000001, cksum=0xBEEF,
+        )
+        assert ip.pack().hex() == "4500002800070000400666c70a0000020a000001"
+        assert ip.pack(with_checksum=False).hex() == (
+            "4500002800070000400600000a0000020a000001"
+        )
+        assert (tcp.cksum, udp.cksum) == (0x1234, 0x5555)
 
     def test_short_headers_rejected(self):
         with pytest.raises(ValueError):

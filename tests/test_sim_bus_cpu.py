@@ -38,6 +38,17 @@ class TestCostModel:
         extra_us = (model.cksum_isa_ns(1500) - model.cksum_ns(1500)) / 1_000
         assert extra_us >= 980
 
+    def test_counterfactual_values(self):
+        model = CostModel().counterfactual(asm_cksum=True, clock_hz=25_000_000)
+        assert (model.clock_hz, model.asm_cksum, model.main_read_ns) == (
+            25_000_000, True, 13,
+        )
+        assert model.cksum_ns(1024) == 62_320
+        assert model.cksum_isa_ns(1500) == 1_206_000
+        assert model.cycles(100) == 4_000
+        with pytest.raises(TypeError):
+            CostModel().counterfactual(no_such_cost=1)
+
     def test_counterfactual_does_not_mutate(self):
         model = CostModel()
         other = model.counterfactual(asm_cksum=True, mbufs_in_controller_ram=True)

@@ -5,7 +5,13 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.engine import InterruptLine, InterruptQueue, SimClock, TimeError
+from repro.sim.engine import (
+    InterruptLine,
+    InterruptQueue,
+    PendingInterrupt,
+    SimClock,
+    TimeError,
+)
 
 
 def line(irq: int = 3, ipl: int = 2, name: str = "test") -> InterruptLine:
@@ -140,3 +146,43 @@ class TestInterruptQueue:
                 break
             popped.append(entry.due_ns)
         assert popped == sorted(dues)
+
+
+class TestPendingInterrupt:
+    """An entry orders, compares and hashes on ``(due_ns, seq)``; the line
+    never decides, so the queue pops in due order, FIFO among ties,
+    whatever lines are posted."""
+
+    def test_the_line_never_decides(self):
+        low, high = line(irq=1, ipl=1, name="a"), line(irq=9, ipl=7, name="z")
+        first, twin = PendingInterrupt(10, 3, high), PendingInterrupt(10, 3, low)
+        assert first == twin and not first != twin
+        assert hash(first) == hash(twin) == hash((10, 3))
+        assert not first < twin and not twin < first
+        assert first <= twin and first >= twin
+        later = PendingInterrupt(due_ns=10, seq=4, line=low)
+        assert first < later and later > first and first != later
+        assert sorted([later, PendingInterrupt(11, 0, low), first]) == [
+            first, later, PendingInterrupt(11, 0, high),
+        ]
+        assert first != (10, 3, high) and first != None  # noqa: E711
+
+    def test_pop_order(self):
+        """Ties on the due time pop in posting order, across ipl levels
+        and against the lines' own order."""
+        q = InterruptQueue()
+        lines = [
+            line(irq=9, ipl=3, name="z"),
+            line(irq=1, ipl=5, name="a"),
+            line(irq=5, ipl=3, name="m"),
+            line(irq=2, ipl=6, name="b"),
+        ]
+        for due, ln in [(30, 0), (10, 1), (10, 0), (20, 3), (10, 2), (20, 1)]:
+            q.post(lines[ln], due)
+        popped = []
+        while (entry := q.pop_due(now_ns=100, current_ipl=0)) is not None:
+            popped.append((entry.due_ns, entry.seq, entry.line.name))
+        assert popped == [
+            (10, 1, "a"), (10, 2, "z"), (10, 4, "m"),
+            (20, 3, "b"), (20, 5, "a"), (30, 0, "z"),
+        ]
