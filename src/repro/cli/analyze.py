@@ -27,6 +27,16 @@ from repro.profiler.upload import iter_capture_columns, read_capture_meta
 
 if TYPE_CHECKING:
     from repro.analysis.summary import FoldRecorder, SummaryAccumulator
+    from repro.profiler.upload import CaptureMeta
+
+
+def warn_if_legacy(meta: CaptureMeta, path: str) -> None:
+    """Warn, at the caller's caller, that an MPF1 file's metadata was
+    defaulted (only then is :mod:`repro.profiler.capture` imported)."""
+    if meta.version == 1:
+        from repro.profiler.capture import warn_legacy_metadata
+
+        warn_legacy_metadata(path)
 
 
 def fold_file(
@@ -36,10 +46,7 @@ def fold_file(
     the counter width its header declares, with *recorder* attached and
     the ``--progress`` heartbeat counting batches as they land."""
     meta = read_capture_meta(args.capture)
-    if meta.version == 1:
-        from repro.profiler.capture import warn_legacy_metadata
-
-        warn_legacy_metadata(args.capture)
+    warn_if_legacy(meta, args.capture)
     # An open-ended capture's header count is a sentinel: no ETA.
     total = None if meta.streamed else meta.count or None
     progress = make_progress(args, total, label="analyze")
@@ -63,7 +70,14 @@ def cmd_analyze(args: argparse.Namespace, out: Callable) -> int:
     if args.strict:
         from repro.lint.runner import lint_and_fold_capture_file, render_text
 
-        lint_report, fold = lint_and_fold_capture_file(args.capture, names)
+        # Lint reads the header, so its fold's heartbeat starts with no total.
+        progress = make_progress(args, None, label="analyze")
+        try:
+            lint_report, fold, meta = lint_and_fold_capture_file(
+                args.capture, names, progress=progress.update
+            )
+        finally:
+            progress.finish()
         out(render_text(lint_report))
         out("")
         if not lint_report.ok:
@@ -84,10 +98,8 @@ def cmd_analyze(args: argparse.Namespace, out: Callable) -> int:
     else:
         if fold is None:
             fold = fold_file(args, names, None)
-        elif read_capture_meta(args.capture).version == 1:
-            from repro.profiler.capture import warn_legacy_metadata
-
-            warn_legacy_metadata(args.capture)
+        else:
+            warn_if_legacy(meta, args.capture)
         events = fold.event_count
     out(f"loaded {events} events from {args.capture}")
     print_reports(

@@ -46,6 +46,7 @@ import os
 import signal
 import time
 from concurrent.futures import ProcessPoolExecutor
+from itertools import repeat
 from pathlib import Path
 from typing import (
     Any,
@@ -391,30 +392,22 @@ def read_corpus(
         for path in paths:
             yield _read_capture(path, new_sink, salvage, skip)
         return
-    chunk = -(-len(paths) // (4 * jobs))
     with ProcessPoolExecutor(
         max_workers=jobs,
         mp_context=multiprocessing.get_context("fork"),
         initializer=signal.signal,
         initargs=(signal.SIGINT, signal.SIG_IGN),
     ) as pool:
-        futures = [
-            pool.submit(_read_captures, paths[i : i + chunk], new_sink, salvage, skip)
-            for i in range(0, len(paths), chunk)
-        ]
-        try:
-            for future in futures:
-                yield from future.result()
-        finally:
-            for future in futures:
-                future.cancel()
-
-
-def _read_captures(
-    paths: Sequence[str], new_sink: SinkFactory, salvage: bool, skip: Collection[str]
-) -> list[CorpusRow]:
-    """One pool task: a run of captures, read in order."""
-    return [_read_capture(path, new_sink, salvage, skip) for path in paths]
+        # map() yields in input order and, when closed or interrupted,
+        # cancels the chunks not yet started.
+        yield from pool.map(
+            _read_capture,
+            paths,
+            repeat(new_sink),
+            repeat(salvage),
+            repeat(skip),
+            chunksize=-(-len(paths) // (4 * jobs)),
+        )
 
 
 # -- the fleet on top of the walker ------------------------------------------------

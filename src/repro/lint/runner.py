@@ -45,7 +45,12 @@ from repro.lint.stream_lint import (
 )
 from repro.lint.telemetry_lint import lint_telemetry
 from repro.profiler.ram import DEFAULT_DEPTH
-from repro.profiler.upload import read_capture, read_capture_meta, salvage_capture
+from repro.profiler.upload import (
+    CaptureMeta,
+    read_capture,
+    read_capture_meta,
+    salvage_capture,
+)
 from repro.telemetry import TELEMETRY as _TELEMETRY
 
 if TYPE_CHECKING:
@@ -109,10 +114,13 @@ def lint_and_fold_capture_file(
     names: NameTable,
     ram_depth: Optional[int] = DEFAULT_DEPTH,
     report: Optional[LintReport] = None,
-) -> tuple[LintReport, Optional[SummaryAccumulator]]:
+    progress: Optional[Callable[[int], None]] = None,
+) -> tuple[LintReport, Optional[SummaryAccumulator], Optional[CaptureMeta]]:
     """Run the stream verifier over one capture file, read once; also
-    return the sealed fold of its records, or ``None`` when none ran
-    (``analyze --strict`` reports from it).
+    return the sealed fold of its records, or ``None`` when none ran,
+    and the header the strict reader read, or ``None`` when it rejected
+    the file (``analyze --strict`` reports from them).  *progress* is
+    as for :func:`~repro.lint.stream_lint.lint_and_fold_records`.
 
     A file the strict reader rejects gets a single ``P200``.  If its
     header still reads strictly and marks an open-ended capture, the
@@ -125,21 +133,21 @@ def lint_and_fold_capture_file(
         records, meta = read_capture(path)
     except OSError as exc:
         report.add("P200", f"cannot read capture: {exc}", source=source)
-        return report, None
+        return report, None, None
     except ValueError as exc:
         report.add("P200", f"cannot read capture: {exc}", source=source)
         try:
             streamed = read_capture_meta(path).streamed
             defects = salvage_capture(path).defects if streamed else []
         except (OSError, ValueError):
-            return report, None
+            return report, None, None
         lint_capture_defects(
             [d for d in defects if STREAM_DEFECT_CODES.get(d.kind, "").startswith("P8")],
             source=source,
             report=report,
             streamed=True,
         )
-        return report, None
+        return report, None, None
     if meta.version == 1:
         report.add(
             "P208",
@@ -147,7 +155,7 @@ def lint_and_fold_capture_file(
             "flag and label assumed stock",
             source=source,
         )
-    return lint_and_fold_records(
+    report, fold = lint_and_fold_records(
         records,
         names,
         source=source,
@@ -155,7 +163,9 @@ def lint_and_fold_capture_file(
         ram_depth=ram_depth,
         report=report,
         overflowed=meta.overflowed,
+        progress=progress,
     )
+    return report, fold, meta
 
 
 def lint_self_check(report: Optional[LintReport] = None) -> LintReport:

@@ -29,7 +29,7 @@ tags.  Neither holds a list per event.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from repro.analysis.columnar import (
     CODE_ENTRY,
@@ -123,10 +123,13 @@ def lint_and_fold_records(
     ram_depth: Optional[int] = DEFAULT_DEPTH,
     report: Optional[LintReport] = None,
     overflowed: bool = False,
+    progress: Optional[Callable[[int], None]] = None,
 ) -> tuple[LintReport, Optional[SummaryAccumulator]]:
     """Verify one raw record stream against *names*; also return the
     sealed fold the reconstruction layer ran, for a caller to report
     from, or ``None`` when a snapshot wider than the counter stopped it.
+    *progress*, if given, is called with each folded batch's record
+    count.
 
     P204 fires when the stream holds exactly *ram_depth* records, a full
     trace RAM, or when *overflowed* says the capture's header recorded
@@ -187,7 +190,10 @@ def lint_and_fold_records(
         # hardware; the P202s above already say everything reconstruction
         # could.
         return report, None
-    fold = fold_columns(records.batches(), names, width_bits=width_bits).close()
+    batches = records.batches()
+    if progress is not None:
+        batches = _counted(batches, progress)
+    fold = fold_columns(batches, names, width_bits=width_bits).close()
     for anomaly in fold.anomalies:
         code = _ANOMALY_CODES.get(anomaly.kind)
         if code is None:  # pragma: no cover - future anomaly kinds
@@ -204,6 +210,14 @@ def lint_and_fold_records(
     )
     _lint_interrupt_nesting(records, names, width_bits, source, report)
     return report, fold
+
+
+def _counted(
+    batches: Iterator[RecordColumns], progress: Callable[[int], None]
+) -> Iterator[RecordColumns]:
+    for batch in batches:
+        yield batch
+        progress(len(batch))
 
 
 def _lint_open_frames(open_frames: list[str], source: str, report: LintReport) -> None:

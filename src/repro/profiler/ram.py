@@ -92,15 +92,16 @@ class RecordColumns(NamedTuple):
     def __len__(self) -> int:
         return len(self.tags)
 
-    def batches(self, size: int = DEFAULT_CHUNK_RECORDS) -> Iterator["RecordColumns"]:
-        """The records in batches of *size*, as the file reader yields them.
+    def batches(self) -> Iterator["RecordColumns"]:
+        """The records in batches of :data:`DEFAULT_CHUNK_RECORDS`, as the
+        file reader yields them.
 
         Fold an in-memory capture this way, not as one batch: after each
         run step the fold re-slices the rest of its batch.
         """
         tags, times = self.tags, self.times
-        for start in range(0, len(tags), size):
-            stop = start + size
+        for start in range(0, len(tags), DEFAULT_CHUNK_RECORDS):
+            stop = start + DEFAULT_CHUNK_RECORDS
             yield RecordColumns(tags[start:stop], times[start:stop])
 
     def record(self, offset: int) -> RawRecord:

@@ -82,34 +82,13 @@ class InterruptLine(NamedTuple):
 class PendingInterrupt(NamedTuple):
     """One posted interrupt awaiting delivery (heap-ordered by due time).
 
-    Entries order, compare and hash on ``(due_ns, seq)`` alone; the line
-    never decides.
+    Entries order on ``(due_ns, seq)``: ``seq`` is unique per queue, so
+    the line is never compared.
     """
 
     due_ns: int
     seq: int
     line: InterruptLine
-
-    def __lt__(self, other: tuple) -> bool:
-        return self[:2] < other[:2]
-
-    def __le__(self, other: tuple) -> bool:
-        return self[:2] <= other[:2]
-
-    def __gt__(self, other: tuple) -> bool:
-        return self[:2] > other[:2]
-
-    def __ge__(self, other: tuple) -> bool:
-        return self[:2] >= other[:2]
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PendingInterrupt) and self[:2] == other[:2]
-
-    def __ne__(self, other: object) -> bool:
-        return not self == other
-
-    def __hash__(self) -> int:
-        return hash(self[:2])
 
 
 class InterruptQueue:

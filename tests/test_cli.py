@@ -218,6 +218,27 @@ class TestStrictAnalyze:
         assert sum(fed) == 10_978
         assert strict[strict.index("") + 1 :] == plain
 
+    def test_progress_counts_lint_s_fold(self, capsys):
+        argv = ["analyze", str(GOLDEN_DIR / "figure5_forkexec_v2.mpf")]
+        argv += ["--names", str(GOLDEN_DIR / "case_study.tags"), "--strict"]
+        lines = run_cli(*argv, "--progress=force")
+        assert "analyze: 10,978 records" in capsys.readouterr().err
+        assert lines == run_cli(*argv)
+
+    @pytest.mark.parametrize("report", ["summary", "trace"])
+    def test_an_mpf1_capture_warns_once(self, report):
+        """Lint's header serves the warning: once, at the command."""
+        from repro.profiler.upload import CaptureMetadataWarning
+
+        with pytest.warns(CaptureMetadataWarning) as warned:
+            run_cli(
+                "analyze", str(GOLDEN_DIR / "figure5_forkexec.mpf"),
+                "--names", str(GOLDEN_DIR / "case_study.tags"),
+                "--report", report, "--strict",
+            )
+        assert len(warned) == 1
+        assert warned[0].filename.endswith(os.path.join("cli", "analyze.py"))
+
 
 class TestGprofFromTheFold:
     """gprof is assembled from the fold's arcs: ``analyze`` serves it, with
